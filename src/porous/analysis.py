@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,11 @@ from .sampling import (SamplingBudget, sample_shell, shell_edges,
 
 DEFAULT_NODES_PER_AXIS = 9
 _RADIAL_ORDER = 400
+# shifted points per batched field evaluation in mollify; caps its memory
+# independently of nodes_per_axis
+MOLLIFY_BLOCK = 1 << 14
+# entries per points-by-balls distance table in blend_disjoint
+BLEND_BLOCK = 1 << 18
 
 
 def _bump_profile(rho2: np.ndarray) -> np.ndarray:
@@ -118,17 +123,32 @@ def mollify(g: ScalarField, eps: float,
     offsets, wts = convolution_nodes(dom.dim, nodes_per_axis)
     shifts = eps * offsets
 
-    def fn(pts: np.ndarray) -> np.ndarray:
-        acc = np.zeros(pts.shape[0])
-        for q in range(shifts.shape[0]):
-            acc += wts[q] * g.values(pts + shifts[q])
+    def fold(evaluate, pts: np.ndarray, shape: tuple) -> np.ndarray:
+        # one evaluation per block of shifted copies of pts; the running sum
+        # is the left fold acc += w_q * v_q over the nodes in order from
+        # +0.0, and add.accumulate along axis 0 is that fold by definition.
+        # A single point keeps one evaluation per node: numpy rounds a
+        # one-row matrix product differently from a multi-row one.
+        m = pts.shape[0]
+        per = max(1, MOLLIFY_BLOCK // m) if m > 1 else 1
+        acc = np.zeros((m,) + shape)
+        for lo in range(0, len(wts), per):
+            w = wts[lo:lo + per]
+            block = (pts[None, :, :] + shifts[lo:lo + per, None, :]
+                     ).reshape(-1, pts.shape[1])
+            vals = evaluate(block).reshape((len(w), m) + shape)
+            terms = np.empty((len(w) + 1, m) + shape)
+            terms[0] = acc
+            np.multiply(w.reshape((-1, 1) + (1,) * len(shape)), vals,
+                        out=terms[1:])
+            acc = np.add.accumulate(terms, axis=0)[-1]
         return acc
 
+    def fn(pts: np.ndarray) -> np.ndarray:
+        return fold(g.values, pts, ())
+
     def grad_fn(pts: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(pts)
-        for q in range(shifts.shape[0]):
-            acc += wts[q] * g.gradients(pts + shifts[q])
-        return acc
+        return fold(g.gradients, pts, (pts.shape[1],))
 
     return ScalarField(domain=Ball(dom.center, dom.radius - eps),
                        fn=fn, grad_fn=grad_fn, grad_bound=g.grad_bound,
@@ -298,53 +318,113 @@ def blend(inner: ScalarField, outer: ScalarField, cutoff: CutoffField,
     Preconditions (audited on sampled annulus probes): the fields differ by
     at most ``eps^2 * t`` on the band where the cutoff varies.  The result
     carries the certified gradient bound
-    ``max(inner.grad_bound, outer.grad_bound) + 3 * eps``.
+    ``max(inner.grad_bound, outer.grad_bound) + 3 * eps``.  This is the
+    one-cutoff case of ``blend_disjoint``.
     """
-    ball, eps, t = cutoff.ball, cutoff.eps, cutoff.ball.radius
-    if match_tol is None:
-        match_tol = eps * eps * t
-    rng = substream(seed, "blend-precheck")
-    # probes on the closed annulus [t - 2 eps t, t - eps t]
-    probes = sample_shell(rng, ball.center, cutoff.plateau_radius,
-                          cutoff.support_radius, check_budget)
-    gap = np.abs(inner.values(probes) - outer.values(probes))
-    worst = int(np.argmax(gap))
-    if gap[worst] > match_tol:
-        raise BlendPreconditionError(
-            f"fields differ by {gap[worst]:.3e} > {match_tol:.3e} on the "
-            f"matching annulus at {tuple(probes[worst])}",
-            gap=float(gap[worst]), tol=float(match_tol),
-            point=probes[worst].copy())
+    return blend_disjoint(outer, [(inner, cutoff)], check_budget=check_budget,
+                          seed=seed, match_tol=match_tol, label=label)
+
+
+def blend_disjoint(outer: ScalarField,
+                   pieces: Sequence[tuple[ScalarField, CutoffField]],
+                   check_budget: int = 512, seed: int = 0,
+                   match_tol: Optional[float] = None,
+                   label: str = "blend") -> ScalarField:
+    """Blend ``outer`` towards one inner field per cutoff, all at once.
+
+    Each cutoff ball must miss every other cutoff's support, so at most one
+    cutoff is non-zero at any point: the result is ``w * inner + (1 - w) *
+    outer`` where cutoff w is positive and ``outer`` elsewhere.  That is
+    the arithmetic of nesting one ``blend`` per piece, in order, without
+    the nesting.  Each piece's precondition is audited against ``outer`` as
+    ``blend`` does, and the certified gradient bound accumulates
+    ``max(inner, running) + 3 * eps`` piece by piece.  Points are matched to
+    cutoff balls through a points-by-balls distance table of at most about
+    ``BLEND_BLOCK`` entries at a time.
+    """
+    centers = np.array([cut.ball.center for _, cut in pieces]
+                       ).reshape(len(pieces), outer.domain.dim)
+    radii = np.array([cut.ball.radius for _, cut in pieces])
+    r2 = radii**2
+    support = np.array([cut.support_radius for _, cut in pieces])
+    per = max(1, BLEND_BLOCK // max(1, len(pieces)))
+    for lo in range(0, len(pieces), per):
+        dist = np.linalg.norm(centers[lo:lo + per, None, :] - centers[None],
+                              axis=2)
+        reach = radii[lo:lo + per, None] + support[None, :]
+        np.fill_diagonal(dist[:, lo:], np.inf)
+        if (dist < reach).any():
+            raise ValueError("a cutoff ball meets another cutoff's support")
+
+    bound, fd_step = outer.grad_bound, outer.step
+    for inner, cut in pieces:
+        eps, t = cut.eps, cut.ball.radius
+        tol = eps * eps * t if match_tol is None else match_tol
+        rng = substream(seed, "blend-precheck")
+        # probes on the closed annulus [t - 2 eps t, t - eps t]
+        probes = sample_shell(rng, cut.ball.center, cut.plateau_radius,
+                              cut.support_radius, check_budget)
+        gap = np.abs(inner.values(probes) - outer.values(probes))
+        worst = int(np.argmax(gap))
+        if gap[worst] > tol:
+            raise BlendPreconditionError(
+                f"fields differ by {gap[worst]:.3e} > {tol:.3e} on the "
+                f"matching annulus at {tuple(probes[worst])}",
+                gap=float(gap[worst]), tol=float(tol),
+                point=probes[worst].copy())
+        bound = max(inner.grad_bound, bound) + 3.0 * eps
+        fd_step = min(inner.step, fd_step)
+
+    def owned(pts: np.ndarray):
+        """(inner, cutoff, point ids, cutoff values) per cutoff positive
+        somewhere on pts, the ids ascending."""
+        if not pieces or pts.shape[0] == 0:
+            return
+        # only balls meeting the points' bounding box can own any of them
+        near = np.flatnonzero(
+            ((centers + radii[:, None] > pts.min(axis=0))
+             & (centers - radii[:, None] < pts.max(axis=0))).all(axis=1))
+        if len(near) == 0:
+            return
+        near_centers, near_r2 = centers[near], r2[near]
+        owner = np.full(pts.shape[0], -1)
+        rows = max(1, BLEND_BLOCK // len(near))
+        for lo in range(0, pts.shape[0], rows):
+            chunk = pts[lo:lo + rows]
+            d2 = ((chunk[:, None, :] - near_centers[None]) ** 2).sum(axis=2)
+            inside = d2 < near_r2
+            hit = inside.any(axis=1)
+            owner[lo:lo + rows][hit] = near[inside[hit].argmax(axis=1)]
+        ids = np.flatnonzero(owner >= 0)
+        ids = ids[np.argsort(owner[ids], kind="stable")]
+        js, starts = np.unique(owner[ids], return_index=True)
+        for j, idx in zip(js, np.split(ids, starts[1:])):
+            inner, cut = pieces[j]
+            w = cut.values(pts[idx])
+            keep = w > 0.0
+            if keep.any():
+                yield inner, cut, idx[keep], w[keep]
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        w = cutoff.values(pts)
         out = outer.values(pts)
-        mask = w > 0.0
-        if mask.any():
-            out[mask] = (w[mask] * inner.values(pts[mask])
-                         + (1.0 - w[mask]) * out[mask])
+        for inner, _, sel, w in owned(pts):
+            out[sel] = w * inner.values(pts[sel]) + (1.0 - w) * out[sel]
         return out
 
     def grad_fn(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        w = cutoff.values(pts)
         gout = outer.gradients(pts)
-        mask = w > 0.0
-        if mask.any():
-            sub = pts[mask]
-            gw = cutoff.gradients(sub)
+        for inner, cut, sel, w in owned(pts):
+            sub = pts[sel]
+            gw = cut.gradients(sub)
             gin = inner.gradients(sub)
             vals_in = inner.values(sub)
             vals_out = outer.values(sub)
-            gout[mask] = (w[mask, None] * gin + (1.0 - w[mask, None]) * gout[mask]
-                          + (vals_in - vals_out)[:, None] * gw)
+            gout[sel] = (w[:, None] * gin + (1.0 - w[:, None]) * gout[sel]
+                         + (vals_in - vals_out)[:, None] * gw)
         return gout
 
-    bound = max(inner.grad_bound, outer.grad_bound) + 3.0 * eps
     return ScalarField(domain=outer.domain, fn=fn, grad_fn=grad_fn,
-                       grad_bound=bound, fd_step=min(inner.step, outer.step),
-                       label=label)
+                       grad_bound=bound, fd_step=fd_step, label=label)
 
 
 # ---------------------------------------------------------------------------

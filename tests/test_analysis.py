@@ -5,11 +5,12 @@ import pytest
 from scipy import integrate
 
 from porous import (AffinePlane, Ball, BlendPreconditionError,
-                    PreconditionError, SamplingBudget, ScalarField,
-                    area_lower_bound_check, blend, boundary_cross_term,
-                    bump_field, flatten_residual, make_cutoff, make_mollifier,
-                    mollifier_mass, mollify, smoothed_gradient_check,
-                    sobolev_ratio, substream, unit_ball_volume)
+                    PreconditionError, SamplingBudget, ScalarField, analysis,
+                    area_lower_bound_check, blend, blend_disjoint,
+                    boundary_cross_term, bump_field, flatten_residual,
+                    make_cutoff, make_mollifier, mollifier_mass, mollify,
+                    smoothed_gradient_check, sobolev_ratio, substream,
+                    unit_ball_volume)
 from porous.analysis import BUMP_SLOPE_SUP, convolution_nodes
 from porous.sampling import sample_shell
 
@@ -120,6 +121,68 @@ def test_mollify_drift_bounded_by_eps_times_slope():
     assert float(drift_fine.max()) <= eps
     assert float(np.abs(fine.values(probes)
                         - smooth.values(probes)).max()) <= 1e-3
+
+
+def _wavy_plane_field(ball):
+    """Plane plus a small wave: BLAS products in values and gradients."""
+    plane = AffinePlane(1, np.array([0.01, -0.004, 0.002]), 0.3, CENTER)
+    k = np.array([7.0, -3.0, 5.0])
+    amp = 1e-3
+
+    def fn(pts):
+        return plane.heights(pts) + amp * np.sin(pts @ k)
+
+    def grad_fn(pts):
+        return plane.gradient + amp * np.cos(pts @ k)[:, None] * k
+
+    return ScalarField(domain=ball, fn=fn, grad_fn=grad_fn,
+                       grad_bound=plane.slope + amp * float(np.linalg.norm(k)),
+                       label="wavy")
+
+
+def _mollify_per_node(g, eps, nodes_per_axis):
+    """Reference: one evaluation of g per quadrature node, summed in order."""
+    offsets, wts = convolution_nodes(g.domain.dim, nodes_per_axis)
+    shifts = eps * offsets
+
+    def values(pts):
+        acc = np.zeros(pts.shape[0])
+        for q in range(shifts.shape[0]):
+            acc += wts[q] * g.values(pts + shifts[q])
+        return acc
+
+    def gradients(pts):
+        acc = np.zeros_like(pts)
+        for q in range(shifts.shape[0]):
+            acc += wts[q] * g.gradients(pts + shifts[q])
+        return acc
+
+    return values, gradients
+
+
+@pytest.mark.parametrize("nodes_per_axis", [9, 25])
+@pytest.mark.parametrize("m", [1, 7, 100])
+def test_mollify_batched_matches_per_node_loop(monkeypatch, nodes_per_axis,
+                                               m):
+    # a small block cap so that m = 100 exceeds it and m = 7 spans many
+    # partial blocks; m = 1 guards against a pairwise-summed reduction
+    monkeypatch.setattr(analysis, "MOLLIFY_BLOCK", 64)
+    g = _wavy_plane_field(Ball(CENTER, 1.0))
+    smooth = mollify(g, 0.05, nodes_per_axis=nodes_per_axis)
+    values, gradients = _mollify_per_node(g, 0.05, nodes_per_axis)
+    pts = sample_shell(substream(11, "batched", m), CENTER, 0.0, 0.9, m)
+    assert np.array_equal(smooth.values(pts), values(pts))
+    assert np.array_equal(smooth.gradients(pts), gradients(pts))
+
+
+def test_mollify_batched_matches_per_node_loop_at_default_cap():
+    g = _wavy_plane_field(Ball(CENTER, 1.0))
+    smooth = mollify(g, 0.05)
+    values, gradients = _mollify_per_node(g, 0.05, 9)
+    pts = sample_shell(substream(12, "batched"), CENTER, 0.0, 0.9, 1000)
+    assert len(convolution_nodes(3, 9)[1]) * len(pts) > analysis.MOLLIFY_BLOCK
+    assert np.array_equal(smooth.values(pts), values(pts))
+    assert np.array_equal(smooth.gradients(pts), gradients(pts))
 
 
 def test_mollify_rejects_eps_outside_domain():
@@ -275,6 +338,122 @@ def test_blend_rejects_mismatched_fields():
     outer = _affine_field([0.0, 0.0, 0.0], 0.0, outer_dom)
     with pytest.raises(BlendPreconditionError):
         blend(inner, outer, cut)
+
+
+def _disjoint_pieces(g, specs, eps=0.1):
+    """(inner, cutoff) per (centre, radius); inners shared per radius."""
+    inners = {}
+    pieces = []
+    for center, t in specs:
+        if t not in inners:
+            inners[t] = mollify(g, eps * t / 3.0)
+        pieces.append((inners[t], make_cutoff(Ball(center, t), eps)))
+    return pieces
+
+
+def _two_field_blend(inner, outer, cutoff):
+    """Reference arithmetic of one blend, evaluating the cutoff everywhere."""
+
+    def fn(pts):
+        w = cutoff.values(pts)
+        out = outer.values(pts)
+        mask = w > 0.0
+        if mask.any():
+            out[mask] = (w[mask] * inner.values(pts[mask])
+                         + (1.0 - w[mask]) * out[mask])
+        return out
+
+    def grad_fn(pts):
+        w = cutoff.values(pts)
+        gout = outer.gradients(pts)
+        mask = w > 0.0
+        if mask.any():
+            sub = pts[mask]
+            gw = cutoff.gradients(sub)
+            gin = inner.gradients(sub)
+            vals_in = inner.values(sub)
+            vals_out = outer.values(sub)
+            gout[mask] = (w[mask, None] * gin
+                          + (1.0 - w[mask, None]) * gout[mask]
+                          + (vals_in - vals_out)[:, None] * gw)
+        return gout
+
+    return ScalarField(domain=outer.domain, fn=fn, grad_fn=grad_fn,
+                       grad_bound=outer.grad_bound)
+
+
+def _blend_chain(g, pieces, **kwargs):
+    """Reference: one nested two-field blend per piece, in order."""
+    current = g
+    for inner, cut in pieces:
+        current = blend(inner, current, cut, **kwargs)
+    return current
+
+
+BLEND_SPECS = [(CENTER + [0.2, 0.0, 0.0], 0.08),
+               (CENTER - [0.2, 0.0, 0.0], 0.08),
+               (CENTER + [0.0, 0.2, 0.05], 0.05),
+               (CENTER + [0.0, -0.15, -0.2], 0.08)]
+
+
+def test_blend_disjoint_matches_nested_blend_chain():
+    dom = Ball(CENTER, 0.5)
+    g = _wavy_plane_field(dom)
+    pieces = _disjoint_pieces(g, BLEND_SPECS)
+    flat = blend_disjoint(g, pieces, match_tol=1e-2, label="flat")
+    chain = _blend_chain(g, pieces, match_tol=1e-2, label="flat")
+    rng = substream(13, "flat-vs-chain")
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    groups = []
+    for _, cut in pieces:
+        c, t = cut.ball.center, cut.ball.radius
+        groups += [
+            c[None, :],                                               # centre
+            sample_shell(rng, c, 0.0, cut.plateau_radius, 64),        # plateau
+            sample_shell(rng, c, cut.plateau_radius,
+                         cut.support_radius, 256),                    # band
+            sample_shell(rng, c, cut.support_radius, t, 64),          # outside
+            c + cut.plateau_radius * axes, c + cut.support_radius * axes,
+            c + t * axes]                                             # edges
+    groups.append(sample_shell(rng, CENTER, 0.0, 0.45, 512))
+    pts = np.vstack(groups)
+    assert np.array_equal(flat.values(pts), chain.values(pts))
+    assert np.array_equal(flat.gradients(pts), chain.gradients(pts))
+    assert flat.grad_bound == chain.grad_bound
+    assert flat.fd_step == chain.fd_step
+    assert flat.domain == chain.domain and flat.label == chain.label
+    # and the arithmetic of a chain that evaluates every cutoff everywhere
+    ref = g
+    for inner, cut in pieces:
+        ref = _two_field_blend(inner, ref, cut)
+    assert np.array_equal(flat.values(pts), ref.values(pts))
+    assert np.array_equal(flat.gradients(pts), ref.gradients(pts))
+
+
+@pytest.mark.parametrize("bad", range(len(BLEND_SPECS)))
+def test_blend_disjoint_prechecks_every_piece(bad):
+    dom = Ball(CENTER, 0.5)
+    g = _wavy_plane_field(dom)
+    pieces = _disjoint_pieces(g, BLEND_SPECS)
+    inner, cut = pieces[bad]
+    lifted = ScalarField(domain=inner.domain,
+                         fn=lambda pts: inner.values(pts) + 1.0,
+                         grad_fn=inner.gradients, grad_bound=inner.grad_bound)
+    pieces[bad] = (lifted, cut)
+    with pytest.raises(BlendPreconditionError) as err:
+        blend_disjoint(g, pieces)
+    rho = np.linalg.norm(err.value.details["point"] - cut.ball.center)
+    assert cut.plateau_radius - 1e-12 <= rho <= cut.support_radius + 1e-12
+    assert err.value.details["gap"] > err.value.details["tol"]
+
+
+def test_blend_disjoint_rejects_overlapping_cutoffs():
+    dom = Ball(CENTER, 0.5)
+    g = _wavy_plane_field(dom)
+    pieces = _disjoint_pieces(g, [(CENTER, 0.08),
+                                  (CENTER + [0.1, 0.0, 0.0], 0.08)])
+    with pytest.raises(ValueError):
+        blend_disjoint(g, pieces)
 
 
 # ---------------------------------------------------------------------------

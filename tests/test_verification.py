@@ -5,15 +5,17 @@ import pytest
 
 from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
                     HoleFamily, PreconditionError, SamplingBudget,
-                    ScalarField, alpha_relaxed, analysis_suite, budget,
-                    bump_field, classify_holes, coverage_deficit,
+                    ScalarField, alpha_relaxed, analysis_suite, blend,
+                    budget, bump_field, classify_holes, coverage_deficit,
                     disjointness_audit, emit_report, family_invariant_audit,
                     hole_intersection_mass, ledger_rows, mode_map,
-                    porosity_witness, residue_region, sample_truncated_P,
-                    select_smoothing_subfamily, strict_deficit_bound,
-                    truncated_P, unit_ball_volume)
+                    make_cutoff, mollify, porosity_witness, residue_region,
+                    sample_truncated_P, select_smoothing_subfamily,
+                    strict_deficit_bound, truncated_P, unit_ball_volume)
+from porous.sampling import sample_shell, substream
 from porous.verification import (CSV_HEADER, DBOUND_C, K_constant, LEDGER_C,
-                                 graph_hit_scan)
+                                 _ball_probes, graph_hit_scan,
+                                 smooth_over_subfamily)
 
 W3 = unit_ball_volume(3)
 
@@ -358,6 +360,109 @@ def test_ledger_rows_flatten_verdicts(demo_family, plane_entries):
     assert verdict.bound == pytest.approx(
         ledger.c_ledger * (max(ledger.energy.lower(), 0.0)
                            + ledger.epsilon_sum))
+
+
+def test_ledger_rows_report_the_run_dbound_constant(demo_family,
+                                                   plane_entries):
+    # the shipped planes sit near ratio 2449, so a constant of 1000 must
+    # turn the d-energy row red and be the bound it reports
+    ledger = budget(plane_entries[0].patch, demo_family, depth=1,
+                    c_dbound=1000.0)
+    assert ledger.c_dbound == 1000.0
+    row = next(r for r in ledger_rows(ledger) if r.check == "d-energy")
+    assert row.bound == 1000.0
+    assert row.margin == 1000.0 - ledger.stages[0].dbound_max_ratio
+    assert row.status == "fail" and ledger.status == "fail"
+
+
+# ---------------------------------------------------------------------------
+# smoothing over the selected subfamily
+# ---------------------------------------------------------------------------
+
+def _smoothing_chain(patch, family, selected, eps_next, match_tol, seed=0,
+                     check_budget=128):
+    """Reference: one nested two-field blend per selected ball, in order."""
+    current = patch.g
+    inners = {}
+    for hole_id in selected:
+        hole_id = int(hole_id)
+        t = float(family.ts[hole_id])
+        primed_radius = family.E * t
+        sigma = eps_next * primed_radius / 3.0
+        if t not in inners:
+            inners[t] = mollify(patch.g, sigma,
+                                label=f"{patch.g.label}^{sigma:.2e}")
+        cut = make_cutoff(Ball(family.base_centers[hole_id], primed_radius),
+                          eps_next)
+        current = blend(inners[t], current, cut, check_budget=check_budget,
+                        seed=seed, match_tol=match_tol,
+                        label=f"{patch.g.label}~{hole_id}")
+    return current
+
+
+def test_smooth_over_subfamily_matches_nested_blend_chain(demo_family,
+                                                          plane_entries):
+    fam = demo_family
+    plane = plane_entries[0].patch
+    hits = graph_hit_scan(plane.g, fam, fam.stage_ids(1), K=1.5).hit_ids
+    selected = select_smoothing_subfamily(fam, hits)
+    assert len(selected) >= 2
+    # smoothing leaves a plane unchanged to rounding, so smooth a wavy
+    # field over the plane's balls to make the blend move the values
+    k = np.array([9e4, -4e4, 7e4])
+    g = ScalarField(
+        domain=plane.g.domain,
+        fn=lambda pts: plane.g.values(pts) + 1e-6 * np.sin(pts @ k),
+        grad_fn=lambda pts: (plane.g.gradients(pts)
+                             + 1e-6 * np.cos(pts @ k)[:, None] * k),
+        grad_bound=plane.g.grad_bound + 1e-6 * float(np.linalg.norm(k)),
+        label="wavy")
+    patch = _field_patch(g, "wavy", g.grad_bound)
+    eps_next = float(fam.epsilons[1])
+    tol = eps_next * float(fam.stage_radii[0])
+    flat = smooth_over_subfamily(patch, fam, selected, eps_next, tol)
+    chain = _smoothing_chain(patch, fam, selected, eps_next, tol)
+    rng = substream(21, "smooth-vs-chain")
+    groups = [sample_shell(rng, fam.window.center, 0.0, fam.window.radius,
+                           4096), _ball_probes(fam, selected)]
+    for hole_id in selected:
+        c, t = fam.base_centers[hole_id], fam.E * float(fam.ts[hole_id])
+        groups += [sample_shell(rng, c, 0.0, t * (1.0 - 2.0 * eps_next), 32),
+                   sample_shell(rng, c, t * (1.0 - 2.0 * eps_next),
+                                t * (1.0 - eps_next), 128),
+                   sample_shell(rng, c, t * (1.0 - eps_next), t, 32),
+                   sample_shell(rng, c, t, t, 16)]
+    pts = np.vstack(groups)
+    vals = flat.values(pts)
+    assert not np.array_equal(vals, g.values(pts))   # the blend moved it
+    assert np.array_equal(vals, chain.values(pts))
+    assert np.array_equal(flat.gradients(pts), chain.gradients(pts))
+    assert flat.grad_bound == chain.grad_bound
+    assert flat.fd_step == chain.fd_step
+    assert flat.domain == chain.domain and flat.label == chain.label
+
+
+def test_smooth_over_a_thousand_disjoint_balls():
+    # a nested chain of blends recursed once per ball and overflowed the
+    # interpreter stack near 500 balls; the flat field has no such depth
+    axis = 0.365 + 0.03 * np.arange(10)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    fam = _manual_family(grid, np.full(len(grid), 0.004))
+    patch = _tilt_patch(0.001)
+    selected = np.arange(len(grid))
+    smoothed = smooth_over_subfamily(patch, fam, selected, 0.05, 1e-3,
+                                     check_budget=16)
+    probes = np.vstack([_ball_probes(fam, selected),
+                        sample_shell(substream(22, "thousand"),
+                                     fam.window.center, 0.0,
+                                     fam.window.radius, 4096)])
+    vals = smoothed.values(probes)
+    grads = smoothed.gradients(probes)
+    # mollifying an affine field reproduces it up to rounding
+    assert np.max(np.abs(vals - patch.g.values(probes))) <= 1e-15
+    assert np.max(np.abs(grads - patch.g.gradients(probes))) <= 1e-12
+    assert smoothed.grad_bound == pytest.approx(0.02 + 1000 * 3.0 * 0.05)
 
 
 # ---------------------------------------------------------------------------
