@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BlendPreconditionError, PreconditionError
-from .geometry import AffinePlane, Ball, ScalarField, unit_ball_volume
+from .geometry import (AffinePlane, Ball, BallIndex, ScalarField,
+                       unit_ball_volume)
 from .sampling import (SamplingBudget, sample_shell, shell_edges,
                        stratified_ball_mean, substream)
 
@@ -347,14 +348,11 @@ def blend_disjoint(outer: ScalarField,
     radii = np.array([cut.ball.radius for _, cut in pieces])
     r2 = radii**2
     support = np.array([cut.support_radius for _, cut in pieces])
-    per = max(1, BLEND_BLOCK // max(1, len(pieces)))
-    for lo in range(0, len(pieces), per):
-        dist = np.linalg.norm(centers[lo:lo + per, None, :] - centers[None],
-                              axis=2)
-        reach = radii[lo:lo + per, None] + support[None, :]
-        np.fill_diagonal(dist[:, lo:], np.inf)
-        if (dist < reach).any():
-            raise ValueError("a cutoff ball meets another cutoff's support")
+    # supports lie inside their balls, so only index pairs can meet
+    i, j = BallIndex(centers, radii).pairs()
+    dist = np.linalg.norm(centers[i] - centers[j], axis=1)
+    if ((dist < radii[i] + support[j]) | (dist < radii[j] + support[i])).any():
+        raise ValueError("a cutoff ball meets another cutoff's support")
 
     bound, fd_step = outer.grad_bound, outer.step
     for inner, cut in pieces:
@@ -377,7 +375,12 @@ def blend_disjoint(outer: ScalarField,
 
     def owned(pts: np.ndarray):
         """(inner, cutoff, point ids, cutoff values) per cutoff positive
-        somewhere on pts, the ids ascending."""
+        somewhere on pts, the ids ascending.
+
+        Not routed through ``BallIndex``: single-point ``mollify`` evaluates
+        the field once per quadrature node, and an index build per call
+        costs more there than this bounding-box filter and table.
+        """
         if not pieces or pts.shape[0] == 0:
             return
         # only balls meeting the points' bounding box can own any of them

@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import ConstructionFailure, NeedsMoreSamples, ParseError
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
-                       contains_any, unit_ball_volume)
-from .sampling import (SamplingBudget, Z99, sample_shell, stratified_ball_mean,
-                       substream)
+                       contains_any)
+from .sampling import (SamplingBudget, bernoulli_half_width, sample_shell,
+                       stratified_ball_mean, substream)
 
 FORMAT_VERSION = 1
 HALF_MARGIN = 0.01          # slack on every "at least half" certification
@@ -208,19 +208,19 @@ class StageSpace:
     centers: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 3)))
     radii: np.ndarray = field(default_factory=lambda: np.zeros(0))  # base t
+    index: BallIndex = field(init=False, repr=False)   # of the coverage balls
 
     def __post_init__(self) -> None:
         self.centers = np.zeros((0, self.window.dim))
+        self.index = BallIndex(self.centers, self.radii)
 
     def add_level(self, centers: np.ndarray, t: float) -> None:
         self.centers = np.vstack([self.centers, centers])
         self.radii = np.concatenate([self.radii, np.full(len(centers), t)])
+        self.index = BallIndex(self.centers, self.cover_factor * self.radii)
 
     def covered(self, pts: np.ndarray) -> np.ndarray:
-        if len(self.radii) == 0:
-            return np.zeros(len(np.atleast_2d(pts)), dtype=bool)
-        return contains_any(np.atleast_2d(pts), self.centers,
-                            self.cover_factor * self.radii)
+        return self.index.contains_any(pts)
 
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
         """Distance to the window complement and all enlarged-ball spheres."""
@@ -306,7 +306,7 @@ def choose_level_radius(space: StageSpace, r_prev: float, E: float,
             pts = space.sample_uncovered(rng, total * escalation)
             far = far_fraction(space, pts, r, E)
             frac = float(far.mean())
-            hw = Z99 * math.sqrt(max(frac * (1 - frac), 1e-12) / len(pts))
+            hw = bernoulli_half_width(frac, len(pts))
             if frac - hw >= 0.5 + HALF_MARGIN:
                 return r, frac
             if frac + hw < 0.5 + HALF_MARGIN:
@@ -334,35 +334,16 @@ def _greedy_select(pool: np.ndarray, min_sep: float) -> np.ndarray:
     """Greedy prefix of the pool with pairwise separation >= min_sep."""
     if len(pool) == 0:
         return pool
-    dim = pool.shape[1]
-    cell = min_sep
-    grid: dict[tuple, list[int]] = {}
-    chosen: list[int] = []
-    min_sep2 = min_sep * min_sep
-    for idx in range(len(pool)):
-        p = pool[idx]
-        key = tuple((p // cell).astype(np.int64))
-        ok = True
-        for nb in _neighbour_cells(key, dim):
-            for j in grid.get(nb, ()):
-                d = p - pool[j]
-                if float(d @ d) < min_sep2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            grid.setdefault(key, []).append(idx)
-            chosen.append(idx)
-    return pool[np.array(chosen, dtype=np.int64)]
-
-
-def _neighbour_cells(key: tuple, dim: int):
-    deltas = [(-1, 0, 1)] * dim
-    out = [()]
-    for d in deltas:
-        out = [t + (dd,) for t in out for dd in d]
-    return [tuple(k + dd for k, dd in zip(key, off)) for off in out]
+    first, second = BallIndex(pool, np.full(len(pool), min_sep / 2.0)).pairs()
+    close = ((pool[first] - pool[second]) ** 2).sum(axis=1) < min_sep * min_sep
+    order = np.argsort(second[close], kind="stable")
+    keep = [True] * len(pool)
+    # by ascending later point, so each earlier point's fate is already final
+    for a, b in zip(first[close][order].tolist(),
+                    second[close][order].tolist()):
+        if keep[a]:
+            keep[b] = False
+    return pool[np.array(keep)]
 
 
 def pack_level(space: StageSpace, k: int, level: int, r_new: float, E: float,
@@ -396,8 +377,8 @@ def pack_level(space: StageSpace, k: int, level: int, r_new: float, E: float,
                                 np.full(len(centers), r_new))
         pc = float(pair_cov.mean())
         bc = float(ball_cov.mean())
-        hw_p = Z99 * math.sqrt(max(pc * (1 - pc), 1e-12) / len(probe))
-        hw_b = Z99 * math.sqrt(max(bc * (1 - bc), 1e-12) / len(probe))
+        hw_p = bernoulli_half_width(pc, len(probe))
+        hw_b = bernoulli_half_width(bc, len(probe))
         if pc - hw_p >= 0.5 and bc - hw_b >= floor:
             fam = LevelFamily(k=k, level=level, radius=r_new, centers=centers)
             log = LevelLog(k=k, level=level, radius=r_new, count=len(centers),
@@ -597,10 +578,7 @@ class PkDescriptor:
     index: BallIndex
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        if len(self.radii) == 0:
-            return np.zeros(len(pts), dtype=bool)
-        return contains_any(pts, self.centers, self.radii)
+        return self.index.contains_any(pts)
 
 
 def assemble_Pk(family: HoleFamily, k: int) -> PkDescriptor:

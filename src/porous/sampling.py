@@ -9,6 +9,7 @@ sampled coordinate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,6 +53,12 @@ def substream(seed: int, *key) -> np.random.Generator:
         else:
             raise TypeError(f"substream key parts must be str or int, got {type(part)!r}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(material)))
+
+
+def bernoulli_half_width(fraction: float, count: int) -> float:
+    """99% normal-approximation half-width of a sampled fraction; the
+    variance is floored at 1e-12 so fractions of 0 or 1 keep a width."""
+    return Z99 * math.sqrt(max(fraction * (1 - fraction), 1e-12) / count)
 
 
 def sample_shell(rng: np.random.Generator, center: np.ndarray,
@@ -114,12 +121,3 @@ def stratified_ball_integral(fn: Callable[[np.ndarray], np.ndarray],
     """Estimate the integral of ``fn`` over a ball of known volume."""
     mean, hw, total = stratified_ball_mean(fn, center, radius, seed, budget, key)
     return mean * ball_volume, hw * ball_volume, total
-
-
-def fraction_confident_above(fraction: float, half_width: float, threshold: float) -> bool:
-    """True when the sampled fraction clears ``threshold`` at the 99% level."""
-    return fraction - half_width > threshold
-
-
-def fraction_confident_below(fraction: float, half_width: float, threshold: float) -> bool:
-    return fraction + half_width < threshold

@@ -343,9 +343,8 @@ CORPUS_KINDS = ("plane", "bump", "multi-bump", "mollified-noise")
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One test field: the surface form and its direct graph restriction."""
+    """One test field: its graph restriction to the window."""
 
-    surface: SurfaceC1
     patch: GraphPatch
     kind: str
     index: int
@@ -379,12 +378,8 @@ def _plane_patch(plane: AffinePlane, window: Ball, bumps: Sequence[BumpSpec],
 
 def _entry(plane: AffinePlane, bumps: Sequence[BumpSpec], window: Ball,
            kind: str, index: int, label: str) -> CorpusEntry:
-    surface = SurfaceC1(
-        plane=plane,
-        components=tuple((window.dim, b) for b in bumps),
-        label=label)
     patch = _plane_patch(plane, window, bumps, label)
-    return CorpusEntry(surface=surface, patch=patch, kind=kind, index=index)
+    return CorpusEntry(patch=patch, kind=kind, index=index)
 
 
 def corpus_generate(kind: str, params: dict, seed: int,

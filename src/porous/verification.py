@@ -33,10 +33,11 @@ from .analysis import (BUMP_SLOPE_SUP, area_lower_bound_check, blend,
 from .construction import (HoleFamily, StageSpace, assemble_H, assemble_Pk,
                            footprint_factor, plane_for_index)
 from .errors import AuditFailure, PreconditionError
-from .geometry import (AffinePlane, Ball, MeasureEstimate, PorosityWitness,
-                       ScalarField, contains_any, unit_ball_volume)
-from .sampling import (SamplingBudget, sample_shell, stratified_ball_integral,
-                       substream)
+from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
+                       PorosityWitness, ScalarField, contains_any,
+                       unit_ball_volume)
+from .sampling import (SamplingBudget, bernoulli_half_width, sample_shell,
+                       stratified_ball_integral, substream)
 from .surfaces import GraphPatch, graph_measure_in
 
 # decision margins; the hit margin is the declared safety band of the scan
@@ -333,6 +334,17 @@ class DisjointnessAudit:
     violations: tuple
 
 
+def _neighbour_lists(count: int, first: np.ndarray,
+                     second: np.ndarray) -> list[list[int]]:
+    """Per ball of ``count``, the ascending ids of its partners in the
+    pairs ``(first, second)``."""
+    near: list[list[int]] = [[] for _ in range(count)]
+    for a, b in zip(first.tolist(), second.tolist()):
+        near[a].append(b)
+        near[b].append(a)
+    return [sorted(partners) for partners in near]
+
+
 def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
                        hit_ids: np.ndarray, seed: int = 0,
                        probes_per_hole: int = 128) -> DisjointnessAudit:
@@ -350,16 +362,22 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
                                  violations=())
     x = family.base_centers[hit_ids]
     rad = family.E * family.ts[hit_ids]
-    gaps = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2) \
-        - (rad[:, None] + rad[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    bad = np.argwhere(gaps < -1e-9)
+    first, second = BallIndex(x, rad).pairs()
+    gaps = np.linalg.norm(x[first] - x[second], axis=1) \
+        - (rad[first] + rad[second])
+    bad = np.flatnonzero(gaps < -1e-9)
     if len(bad):
-        i, j = bad[0]
+        i, j, gap = first[bad[0]], second[bad[0]], gaps[bad[0]]
         raise AuditFailure(
             f"stage {k}: primed balls of holes {int(hit_ids[i])} and "
-            f"{int(hit_ids[j])} overlap by {-gaps[i, j]:.3e}",
-            pair=(int(hit_ids[i]), int(hit_ids[j])), overlap=float(-gaps[i, j]))
+            f"{int(hit_ids[j])} overlap by {-gap:.3e}",
+            pair=(int(hit_ids[i]), int(hit_ids[j])), overlap=float(-gap))
+    # a probe in the closed ball i lies in the open ball j only when
+    # |x_i - x_j| < r_i + r_j, i.e. gap < 0; balls farther apart cannot
+    # hold it, so only near neighbours are tested (the 1e-9 slack absorbs
+    # rounding in the gaps and in the probes' radii)
+    near = gaps < 1e-9
+    neighbours = _neighbour_lists(m, first[near], second[near])
 
     regions = {int(h): _region(family, int(h), patch) for h in hit_ids}
     probe_count = 0
@@ -373,14 +391,10 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
         probe_count += len(pts)
         if len(pts) == 0:
             continue
-        # a probe in the closed ball i lies in the open ball j only when
-        # |x_i - x_j| < r_i + r_j, i.e. gaps[i, j] < 0; balls farther apart
-        # cannot hold it, so only near neighbours are tested (the 1e-9
-        # slack absorbs rounding in the gaps and in the probes' radii)
-        others = np.flatnonzero(gaps[pos] < 1e-9)
+        others = np.array(neighbours[pos], dtype=np.int64)
         if len(others) == 0:
             continue
-        inside = contains_any(pts, x[others], rad[others], block=16384)
+        inside = contains_any(pts, x[others], rad[others])
         if inside.any():
             probe = pts[np.flatnonzero(inside)[0]]
             dist = np.linalg.norm(x[others] - probe, axis=1) - rad[others]
@@ -404,42 +418,40 @@ def select_smoothing_subfamily(family: HoleFamily,
     broke upstream.
     """
     d_ids = np.asarray(sorted(int(i) for i in d_ids), dtype=np.int64)
+    x = family.base_centers[d_ids]
+    rad = family.E * family.ts[d_ids]
+    # only balls within reach of each other can nest or overlap
+    near = _neighbour_lists(len(d_ids), *BallIndex(x, rad).pairs())
     order = sorted(range(len(d_ids)),
                    key=lambda i: (-family.ts[d_ids[i]], i))
-    selected: list[int] = []
+    rank = {pos: r for r, pos in enumerate(order)}
+    chosen = [False] * len(d_ids)
     for pos in order:
         hole_id = int(d_ids[pos])
-        x = family.base_centers[hole_id]
-        rad = family.E * float(family.ts[hole_id])
         keep = True
-        for other in selected:
-            ox = family.base_centers[other]
-            orad = family.E * float(family.ts[other])
-            gap = float(np.linalg.norm(x - ox))
-            if gap <= orad - rad + 1e-12:
+        # selected balls in the order they were selected
+        for other in sorted((o for o in near[pos] if chosen[o]), key=rank.get):
+            gap = float(np.linalg.norm(x[pos] - x[other]))
+            if gap <= rad[other] - rad[pos] + 1e-12:
                 keep = False              # nested in a selected ball
                 break
-            if gap < orad + rad - 1e-12:
+            if gap < rad[other] + rad[pos] - 1e-12:
                 raise AuditFailure(
-                    f"primed balls of holes {hole_id} and {other} partially "
-                    "overlap; disjoint-or-nested invariant broken upstream",
-                    pair=(hole_id, other))
-        if keep:
-            selected.append(hole_id)
-    sel = np.array(sorted(selected), dtype=np.int64)
-    # exhaustive containment scan: every d-hole under exactly one pick
-    for hole_id in d_ids:
-        x = family.base_centers[hole_id]
-        rad = family.E * float(family.ts[hole_id])
-        owners = [int(o) for o in sel if np.linalg.norm(
-            x - family.base_centers[o])
-            <= family.E * float(family.ts[o]) - rad + 1e-12]
+                    f"primed balls of holes {hole_id} and {int(d_ids[other])} "
+                    "partially overlap; disjoint-or-nested invariant broken "
+                    "upstream", pair=(hole_id, int(d_ids[other])))
+        chosen[pos] = keep
+    # containment scan: every d-hole under exactly one pick
+    for pos, hole_id in enumerate(d_ids):
+        owners = sorted({int(d_ids[o]) for o in [pos] + near[pos]
+                         if chosen[o] and np.linalg.norm(x[pos] - x[o])
+                         <= rad[o] - rad[pos] + 1e-12})
         if len(owners) != 1:
             raise AuditFailure(
                 f"d-hole {int(hole_id)} covered by {len(owners)} selected "
                 "primed balls, expected exactly one",
                 hole_id=int(hole_id), owners=owners)
-    return sel
+    return d_ids[np.array(chosen, dtype=bool)]
 
 
 # ---------------------------------------------------------------------------
@@ -833,21 +845,22 @@ def family_invariant_audit(family: HoleFamily, seed: int = 0,
         ids = family.stage_ids(k)
         x = family.base_centers[ids]
         rad = family.E * family.ts[ids]
-        sep = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
-        disjoint = sep - (rad[:, None] + rad[None, :])
-        nested = np.abs(rad[:, None] - rad[None, :]) - sep
-        ok = (disjoint >= -1e-9) | (nested >= -1e-9)
-        np.fill_diagonal(ok, True)
-        if bool(ok.all()):
+        first, second = BallIndex(x, rad).pairs()
+        sep = np.linalg.norm(x[first] - x[second], axis=1)
+        disjoint = sep - (rad[first] + rad[second])
+        nested = np.abs(rad[first] - rad[second]) - sep
+        bad = np.flatnonzero(~((disjoint >= -1e-9) | (nested >= -1e-9)))
+        if len(bad) == 0:
             rows.append(AuditRow(
                 id=f"family/stage-{k}/disjoint-or-nested",
                 check="packing-pairs", measured=0.0, bound=0.0, margin=0.0,
                 status="pass"))
         else:
-            # name the worst offending pair by its family hole ids
-            masked = np.where(ok, np.inf, disjoint)
-            i, j = np.unravel_index(int(np.argmin(masked)), masked.shape)
-            worst_gap = float(masked[i, j])
+            # name the worst offending pair by its family hole ids, the
+            # lowest (i, j) among equals
+            worst = bad[int(np.argmin(disjoint[bad]))]
+            i, j = first[worst], second[worst]
+            worst_gap = float(disjoint[worst])
             rows.append(AuditRow(
                 id=f"family/stage-{k}/disjoint-or-nested/"
                    f"pair-{int(ids[i])}-{int(ids[j])}",
@@ -894,8 +907,7 @@ def family_invariant_audit(family: HoleFamily, seed: int = 0,
             inside = contains_any(pts, family.base_centers[sel],
                                   np.full(len(sel), t_lvl))
             frac = float(inside.mean())
-            hw = 2.5758293035489004 * math.sqrt(
-                max(frac * (1 - frac), 1e-12) / len(pts))
+            hw = bernoulli_half_width(frac, len(pts))
             status = "pass" if frac - hw >= wn_floor else "fail"
             rows.append(AuditRow(
                 id=f"family/stage-{k}/level-{int(lvl)}/ball-floor",

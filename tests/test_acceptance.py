@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import brute_contains_any, brute_pairs
 from porous import (AffinePlane, Ball, BumpSpec, GraphPatch, ScalarField,
-                    SurfaceC1, alpha_relaxed, ball_index_query, budget,
+                    SurfaceC1, alpha_relaxed, budget,
                     build_family, bump_field, family_invariant_audit,
                     graph_extract, hole_intersection_mass, ledger_rows,
                     make_mollifier, mollifier_mass, mollify,
@@ -25,7 +26,7 @@ from porous import (AffinePlane, Ball, BumpSpec, GraphPatch, ScalarField,
 from porous.analysis import (BUMP_SLOPE_SUP, area_lower_bound_check,
                              flatten_residual, sobolev_ratio)
 from porous.cli import main
-from porous.geometry import BallIndex, contains_any, linear_scan_query
+from porous.geometry import BallIndex
 from porous.sampling import SamplingBudget, sample_shell
 from porous.verification import (DBOUND_C, FLATTEN_C, K_constant, LEDGER_C,
                                  analysis_suite, coverage_deficit,
@@ -423,18 +424,16 @@ def test_ac7_oracle_equivalences(demo_family, corpus_entries,
         union_ok &= abs(est.value - oracle) <= est.half_width + err
     checks["union-grid"] = union_ok
 
-    # spatial index against the linear scan, exact, 10^4 probes
+    # ball index against the brute-force scan, exact, 10^4 probes
     rng = substream(7, "ac7-index")
     centers = rng.uniform(-10.0, 10.0, size=(400, 3))
     radii = np.exp(rng.uniform(math.log(0.01), math.log(2.0), size=400))
     index = BallIndex(centers, radii)
     probes = rng.uniform(-11.0, 11.0, size=(AC7_PROBES, 3))
-    index_ok = all(
-        np.array_equal(ball_index_query(index, p),
-                       linear_scan_query(centers, radii, p))
-        for p in probes)
-    index_ok &= np.array_equal(index.query_any(probes),
-                               contains_any(probes, centers, radii))
+    index_ok = np.array_equal(index.contains_any(probes),
+                              brute_contains_any(probes, centers, radii))
+    index_ok &= all(np.array_equal(a, b) for a, b in
+                    zip(index.pairs(), brute_pairs(centers, radii)))
     checks["index-scan"] = index_ok
 
     # graph extraction round trip through forward evaluation

@@ -10,8 +10,8 @@ from porous import (Ball, BuildConfig, ConstructionFailure, NeedsMoreSamples,
                     plane_for_index, plane_schedule, sample_truncated_P,
                     serialize_family, substream, truncated_P,
                     unit_ball_volume)
-from porous.construction import (HALF_MARGIN, StageSpace, far_fraction,
-                                 lift, validate_epsilons)
+from porous.construction import (HALF_MARGIN, StageSpace, _greedy_select,
+                                 far_fraction, lift, validate_epsilons)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,32 @@ def test_sample_uncovered_respects_coverage():
     assert len(pts) == 500
     assert not space.covered(pts).any()
     assert np.all(np.linalg.norm(pts - 0.5, axis=1) <= 0.25)
+
+
+def test_covered_follows_each_added_level():
+    cfg = BuildConfig()
+    space = _space(cfg)
+    rng = substream(1, "levels")
+    pts = rng.uniform(0.25, 0.75, size=(2000, 3))
+    for t, count in ((0.03, 20), (0.01, 200)):
+        space.add_level(rng.uniform(0.25, 0.75, size=(count, 3)), t)
+        reach = cfg.cover_factor * space.radii
+        naive = (((pts[:, None, :] - space.centers[None]) ** 2).sum(axis=2)
+                 < reach**2).any(axis=1)
+        assert np.array_equal(space.covered(pts), naive)
+
+
+def test_greedy_select_keeps_each_point_far_from_earlier_picks():
+    rng = substream(2, "greedy")
+    pool = rng.uniform(0.0, 1.0, size=(1500, 3))
+    min_sep = 0.08
+    chosen = []
+    for p in pool:
+        if all(((p - q) ** 2).sum() >= min_sep**2 for q in chosen):
+            chosen.append(p)
+    got = _greedy_select(pool, min_sep)
+    assert np.array_equal(got, np.array(chosen))
+    assert len(_greedy_select(pool[:0], min_sep)) == 0
 
 
 def test_sample_uncovered_exhausted_raises():

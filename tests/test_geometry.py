@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from oracles import brute_contains_any, brute_pairs
 from porous import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                     PorosityWitness, SamplingBudget, ScalarField,
-                    ball_index_query, complement_measure, cross_section_area,
-                    enlarge, pullback_porosity_witness, substream,
-                    union_measure, unit_ball_volume)
-from porous.geometry import contains_any, linear_scan_query
+                    complement_measure, cross_section_area, enlarge,
+                    pullback_porosity_witness, substream, union_measure,
+                    unit_ball_volume)
+from porous import geometry
+from porous.geometry import contains_any
 from porous.sampling import sample_shell
 
 
@@ -121,14 +123,51 @@ def test_contains_any_matches_per_ball_or(seed):
     assert np.array_equal(contains_any(pts, centers, radii), naive)
 
 
-def test_contains_any_blocking_invariance():
+def test_contains_any_blocking_invariance(monkeypatch):
     rng = substream(1, "blocking")
     centers = rng.uniform(0.0, 1.0, size=(5, 3))
     radii = rng.uniform(0.1, 0.3, size=5)
     pts = rng.uniform(0.0, 1.0, size=(1000, 3))
     full = contains_any(pts, centers, radii)
-    small = contains_any(pts, centers, radii, block=7)
-    assert np.array_equal(full, small)
+    pairs = BallIndex(centers, radii).pairs()
+    monkeypatch.setattr(geometry, "INDEX_BLOCK", 7)
+    assert np.array_equal(contains_any(pts, centers, radii), full)
+    small = BallIndex(centers, radii).pairs()
+    assert all(np.array_equal(a, b) for a, b in zip(small, pairs))
+
+
+def test_index_blocks_bound_a_cell_holding_every_ball(monkeypatch):
+    # one huge ball makes a single cell hold all the small ones, so a
+    # query's candidates outnumber the block many times over
+    rng = substream(2, "one-cell")
+    centers = np.vstack([rng.uniform(0.0, 0.1, size=(300, 3)), [[0, 0, 0]]])
+    radii = np.append(rng.uniform(0.001, 0.01, size=300), 5.0)
+    pts = rng.uniform(-0.2, 0.3, size=(200, 3))
+    index = BallIndex(centers, radii)
+    seen = []
+    real = index._candidates
+
+    def spy(*args):
+        for q, j in real(*args):
+            seen.append(len(q))
+            yield q, j
+    monkeypatch.setattr(geometry, "INDEX_BLOCK", 64)
+    monkeypatch.setattr(index, "_candidates", spy)
+    assert np.array_equal(index.contains_any(pts),
+                          brute_contains_any(pts, centers, radii))
+    _assert_pairs(index, centers, radii)
+    assert max(seen) <= 64 and sum(seen) > 100 * 64
+
+
+def test_union_measure_exact_beyond_four_thousand_disjoint_balls():
+    axis = np.linspace(-0.5, 0.5, 17)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    balls = [Ball(c, 0.02) for c in grid]
+    est = union_measure(balls, Ball(np.zeros(3), 1.0), SamplingBudget(4, 8))
+    assert len(balls) == 4913
+    assert est.method == "exact"
+    assert est.value == pytest.approx(4913 * unit_ball_volume(3) * 0.02**3)
 
 
 def _grid_union_oracle(balls, region, res=256):
@@ -226,31 +265,81 @@ def _random_family(seed, count, spread=10.0):
     return centers, radii
 
 
+def _assert_pairs(index, centers, radii):
+    got, want = index.pairs(), brute_pairs(centers, radii)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_ball_index_matches_linear_scan_on_probes():
     centers, radii = _random_family(3, 400)
     index = BallIndex(centers, radii)
     rng = substream(4, "probes")
     probes = rng.uniform(-11.0, 11.0, size=(10_000, 3))
-    for p in probes[:200]:
-        assert np.array_equal(ball_index_query(index, p),
-                              linear_scan_query(centers, radii, p))
-    any_idx = index.query_any(probes)
-    any_scan = contains_any(probes, centers, radii)
-    assert np.array_equal(any_idx, any_scan)
+    assert np.array_equal(index.contains_any(probes),
+                          brute_contains_any(probes, centers, radii))
+    _assert_pairs(index, centers, radii)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=0, max_value=60),
+       st.integers(min_value=1, max_value=5),
+       st.floats(min_value=0.01, max_value=2.0))
+def test_ball_index_matches_brute_force(seed, count, dim, spread):
+    rng = substream(seed, "index-hypothesis")
+    centers = rng.uniform(-spread, spread, size=(count, dim))
+    radii = np.exp(rng.uniform(math.log(0.01), math.log(2.0), size=count))
+    probes = rng.uniform(-spread - 2.0, spread + 2.0, size=(300, dim))
+    index = BallIndex(centers, radii)
+    assert np.array_equal(index.contains_any(probes),
+                          brute_contains_any(probes, centers, radii))
+    _assert_pairs(index, centers, radii)
 
 
 def test_ball_index_boundary_points_are_outside():
     centers = np.array([[0.0, 0.0, 0.0]])
     radii = np.array([1.0])
     index = BallIndex(centers, radii)
-    assert index.query(np.array([1.0, 0.0, 0.0])).size == 0
-    assert index.query(np.array([0.999, 0.0, 0.0])).tolist() == [0]
+    assert index.contains_any(np.array([[1.0, 0.0, 0.0], [0.999, 0.0, 0.0],
+                                        [0.0, -1.0, 0.0]])).tolist() \
+        == [False, True, False]
+    # tangent balls are reported as a candidate pair, not as members
+    touching = BallIndex(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+                         np.array([1.0, 1.0]))
+    assert [a.tolist() for a in touching.pairs()] == [[0], [1]]
+    assert not touching.contains_any(np.array([[1.0, 0.0, 0.0]]))[0]
 
 
 def test_ball_index_empty_family():
     index = BallIndex(np.zeros((0, 3)), np.zeros(0))
-    assert index.query(np.zeros(3)).size == 0
-    assert not index.query_any(np.zeros((4, 3))).any()
+    assert not index.contains_any(np.zeros((4, 3))).any()
+    assert not contains_any(np.zeros((4, 3)), np.zeros((0, 3)), np.zeros(0)).any()
+    assert all(len(a) == 0 for a in index.pairs())
+
+
+def test_ball_index_extreme_extents():
+    # radii of 1e-9 make cells of about PAIR_SLACK: 1e6 per axis here, and
+    # 8e11 per axis of the 4-D case below, far past a dense int64 cell number
+    rng = substream(5, "tiny-balls")
+    centers = rng.uniform(0.0, 1.0, size=(500, 3))
+    radii = np.full(500, 1e-9)
+    probes = np.vstack([centers + rng.uniform(-8e-10, 8e-10, size=(500, 3)),
+                        rng.uniform(0.0, 1.0, size=(500, 3))])
+    index = BallIndex(centers, radii)
+    hits = index.contains_any(probes)
+    assert hits[:500].sum() > 0
+    assert np.array_equal(hits, brute_contains_any(probes, centers, radii))
+    _assert_pairs(index, centers, radii)
+    # lifted 4-D centres: tiny holes beside a far-away one
+    lifted = np.vstack([rng.uniform(0.25, 0.75, size=(300, 4)),
+                        [[1e6, -1e6, 1e6, -1e6]]])
+    radii4 = np.append(np.full(300, 1e-7), 1e-7)
+    probes4 = np.vstack([lifted + rng.uniform(-6e-8, 6e-8, size=(301, 4)),
+                         rng.uniform(0.25, 0.75, size=(300, 4))])
+    index4 = BallIndex(lifted, radii4)
+    assert np.array_equal(index4.contains_any(probes4),
+                          brute_contains_any(probes4, lifted, radii4))
+    _assert_pairs(index4, lifted, radii4)
 
 
 # ---------------------------------------------------------------------------

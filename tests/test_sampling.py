@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from porous import SamplingBudget, substream, unit_ball_volume
-from porous.sampling import (fraction_confident_above,
-                             fraction_confident_below, sample_shell,
+from porous.sampling import (Z99, bernoulli_half_width, sample_shell,
                              shell_edges, stratified_ball_integral,
                              stratified_ball_mean)
 
@@ -109,8 +108,8 @@ def test_budget_rejects_nonpositive():
         SamplingBudget(8, 0)
 
 
-def test_fraction_confidence_helpers():
-    assert fraction_confident_above(0.9, 0.05, 0.5)
-    assert not fraction_confident_above(0.52, 0.05, 0.5)
-    assert fraction_confident_below(0.1, 0.05, 0.5)
-    assert not fraction_confident_below(0.48, 0.05, 0.5)
+def test_bernoulli_half_width():
+    assert bernoulli_half_width(0.5, 100) == Z99 * math.sqrt(0.25 / 100)
+    # the variance floor keeps a width at the ends of the interval
+    assert bernoulli_half_width(0.0, 4096) == Z99 * math.sqrt(1e-12 / 4096)
+    assert bernoulli_half_width(1.0, 4096) == bernoulli_half_width(0.0, 4096)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,119 @@ def test_subfamily_selection_rejects_partial_overlap():
                          [t, t])
     with pytest.raises(AuditFailure):
         select_smoothing_subfamily(fam, [0, 1])
+
+
+def _quadratic_selection(family, d_ids):
+    """The selection as a scan of every d-hole against every pick: the
+    reference the indexed selection must reproduce, failures included."""
+    d_ids = np.asarray(sorted(int(i) for i in d_ids), dtype=np.int64)
+    order = sorted(range(len(d_ids)),
+                   key=lambda i: (-family.ts[d_ids[i]], i))
+    selected = []
+    for pos in order:
+        hole_id = int(d_ids[pos])
+        x = family.base_centers[hole_id]
+        rad = family.E * float(family.ts[hole_id])
+        keep = True
+        for other in selected:
+            gap = float(np.linalg.norm(x - family.base_centers[other]))
+            orad = family.E * float(family.ts[other])
+            if gap <= orad - rad + 1e-12:
+                keep = False
+                break
+            if gap < orad + rad - 1e-12:
+                raise AuditFailure("partial overlap", pair=(hole_id, other))
+        if keep:
+            selected.append(hole_id)
+    sel = np.array(sorted(selected), dtype=np.int64)
+    for hole_id in d_ids:
+        x = family.base_centers[hole_id]
+        rad = family.E * float(family.ts[hole_id])
+        owners = [int(o) for o in sel if np.linalg.norm(
+            x - family.base_centers[o])
+            <= family.E * float(family.ts[o]) - rad + 1e-12]
+        if len(owners) != 1:
+            raise AuditFailure("owners", hole_id=int(hole_id), owners=owners)
+    return sel
+
+
+def _outcome(select, family, d_ids):
+    try:
+        return select(family, d_ids).tolist()
+    except AuditFailure as exc:
+        return exc.details
+
+
+def _nested_or_disjoint_family(seed, count=400, overlap=False):
+    """Three radius levels, each ball disjoint from or nested in every
+    earlier one (primed radii); ``overlap`` plants one partial overlap."""
+    rng = substream(seed, "nested-family")
+    centers, ts = np.zeros((0, 3)), np.zeros(0)
+    for t in (0.02, 0.008, 0.003):
+        for c in rng.uniform(0.3, 0.7, size=(count, 3)):
+            gap = np.linalg.norm(centers - c, axis=1)
+            if ((gap >= 1.5 * (t + ts) + 1e-6)
+                    | (gap <= 1.5 * (ts - t) - 1e-6)).all():
+                centers = np.vstack([centers, c])
+                ts = np.append(ts, t)
+    if overlap:
+        # primed radii 0.03 and 0.012 at distance 0.03: neither disjoint
+        # nor nested
+        centers = np.vstack([centers, centers[0] + [0.03, 0.0, 0.0]])
+        ts = np.append(ts, 0.008)
+    return _manual_family(centers, ts)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_subfamily_selection_matches_the_quadratic_scan(seed):
+    fam = _nested_or_disjoint_family(seed)
+    rng = substream(seed, "d-ids")
+    for share in (1.0, 0.5, 0.2):
+        d_ids = np.flatnonzero(rng.random(len(fam)) < share)
+        want = _outcome(_quadratic_selection, fam, d_ids)
+        assert isinstance(want, list) and want
+        assert _outcome(select_smoothing_subfamily, fam, d_ids) == want
+
+
+def test_subfamily_selection_names_the_planted_overlap():
+    fam = _nested_or_disjoint_family(3, overlap=True)
+    d_ids = np.arange(len(fam))
+    want = _outcome(_quadratic_selection, fam, d_ids)
+    assert want == {"pair": (len(fam) - 1, 0)}
+    assert _outcome(select_smoothing_subfamily, fam, d_ids) == want
+
+
+def _grid_stage(count, t):
+    """One stage of ``count`` equal disjoint holes on a grid in the window."""
+    side = math.ceil(count ** (1.0 / 3.0))
+    axis = np.linspace(0.36, 0.64, side)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                    axis=-1).reshape(-1, 3)[:count]
+    return _manual_family(grid, np.full(count, t))
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_audits_of_four_thousand_holes_need_no_dense_table():
+    fam = _grid_stage(4000, 0.003)
+    rows = []
+    peak = _traced_peak_mb(
+        lambda: rows.extend(family_invariant_audit(fam, floor_samples=256)))
+    assert peak <= 64.0
+    assert [r.status for r in rows if r.check == "packing-pairs"] == ["pass"]
+    audits = []
+    peak = _traced_peak_mb(lambda: audits.append(disjointness_audit(
+        fam, 1, _tilt_patch(0.01), np.arange(4000), probes_per_hole=16)))
+    assert peak <= 64.0
+    assert audits[0].pair_count == 4000 * 3999 // 2
+    assert audits[0].probe_count == 4000 * 16
 
 
 # ---------------------------------------------------------------------------
