@@ -190,17 +190,22 @@ def _porosity_rows(family, cfg: LoadedConfig) -> list[AuditRow]:
 
 def _budget_rows(entries, family, cfg: LoadedConfig) -> list[AuditRow]:
     def one(entry):
-        return ledger_rows(budget(
+        return budget(
             entry.patch, family, budget_cfg=cfg.audit.budget,
             dbound_budget=cfg.audit.dbound_budget, seed=cfg.audit.seed,
-            c_ledger=cfg.audit.c_ledger, c_dbound=cfg.audit.c_dbound))
+            c_ledger=cfg.audit.c_ledger, c_dbound=cfg.audit.c_dbound)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            per_entry = list(pool.map(one, entries))
+            ledgers = list(pool.map(one, entries))
     else:
-        per_entry = [one(entry) for entry in entries]
-    return [row for rows in per_entry for row in rows]
+        ledgers = [one(entry) for entry in entries]
+    for ledger in ledgers:
+        for stage in ledger.stages:
+            for violation in stage.disjointness.violations:
+                print(f"audit failure: {ledger.source}: "
+                      f"{violation.message}", file=sys.stderr)
+    return [row for ledger in ledgers for row in ledger_rows(ledger)]
 
 
 def _holes_mass_rows(entries, family, cfg: LoadedConfig) -> list[AuditRow]:

@@ -6,6 +6,15 @@ volume radial strata over balls, and two-sided 99% normal-approximation
 intervals.  Streams are keyed by (seed, label, indices), never by call
 order, so sweeps can be chunked or parallelised without changing a single
 sampled coordinate.
+
+Drawing is split from placing: ``shell_draws`` takes a stream's Gaussian
+directions and radial uniforms, and ``place_shell`` maps any stack of such
+draws into their shells in one array operation.  ``stratified_ball_means``
+uses the split to estimate many balls at once: each (ball, stratum) point
+set still comes from its own substream, and the integrand is evaluated on
+blocks of nearby whole balls of at most ``SAMPLE_BLOCK`` points, so
+per-call overhead is paid once per block instead of once per ball.
+``stratified_ball_mean`` is its one-ball case.
 """
 from __future__ import annotations
 
@@ -38,21 +47,36 @@ class SamplingBudget:
         return SamplingBudget(self.strata, self.per_stratum * factor)
 
 
+def _words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence
+    splits an int entropy entry (zero is the single word 0)."""
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
 def substream(seed: int, *key) -> np.random.Generator:
     """Generator whose stream depends only on ``(seed, key)``.
 
-    String parts are folded in bytewise; integer parts directly.  Two calls
-    with equal keys return generators producing identical streams.
+    String parts are folded in bytewise; integer parts directly, reduced
+    to 64 bits.  Two calls with equal keys return generators producing
+    identical streams.  The entropy is handed to ``SeedSequence`` as one
+    uint32 array holding the words it would split the same key list into,
+    which gives the same stream and skips its per-entry coercion.
     """
-    material = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    words = _words(int(seed) & 0xFFFFFFFFFFFFFFFF)
     for part in key:
         if isinstance(part, str):
-            material.extend(part.encode())
+            words.extend(part.encode())
         elif isinstance(part, (int, np.integer)):
-            material.append(int(part) & 0xFFFFFFFFFFFFFFFF)
+            words.extend(_words(int(part) & 0xFFFFFFFFFFFFFFFF))
         else:
             raise TypeError(f"substream key parts must be str or int, got {type(part)!r}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(material)))
+    entropy = np.array(words, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def bernoulli_half_width(fraction: float, count: int) -> float:
@@ -61,24 +85,142 @@ def bernoulli_half_width(fraction: float, count: int) -> float:
     return Z99 * math.sqrt(max(fraction * (1 - fraction), 1e-12) / count)
 
 
-def sample_shell(rng: np.random.Generator, center: np.ndarray,
-                 r_inner: float, r_outer: float, count: int) -> np.ndarray:
-    """Uniform points in the spherical shell r_inner <= |x - center| <= r_outer."""
-    n = center.size
-    d = rng.standard_normal((count, n))
-    norms = np.linalg.norm(d, axis=1, keepdims=True)
+def shell_draws(rng: np.random.Generator, d: np.ndarray,
+                u: np.ndarray) -> None:
+    """The random part of ``sample_shell``: fill ``d`` (``(count, n)``)
+    with Gaussian directions, then ``u`` (``(count,)``) with radial
+    uniforms."""
+    rng.standard_normal(out=d)
+    rng.random(out=u)
+
+
+def _powers(radius, n: int):
+    # one scalar power per radius: numpy's vectorised power rounds some
+    # results differently, and the shells must not move
+    if np.ndim(radius) == 0:
+        return radius**n
+    radius = np.asarray(radius)
+    return np.array([r**n for r in radius.flat]).reshape(radius.shape)
+
+
+def place_shell(d: np.ndarray, u: np.ndarray, center: np.ndarray,
+                r_inner, r_outer) -> np.ndarray:
+    """Map draws of ``shell_draws`` to uniform points of their shells.
+
+    ``d`` is ``(..., count, n)`` and ``u`` is ``(..., count)``; the centre
+    broadcasts against ``d`` and the radii against ``u``, so one call
+    places a whole stack of streams, each point as ``sample_shell`` would.
+    """
+    n = d.shape[-1]
+    norms = np.linalg.norm(d, axis=-1, keepdims=True)
     # standard_normal never returns an exactly zero vector in practice, but
     # guard the division anyway
     np.maximum(norms, 1e-300, out=norms)
-    d /= norms
-    u = rng.random(count)
-    rho = (r_inner**n + u * (r_outer**n - r_inner**n)) ** (1.0 / n)
-    return center + d * rho[:, None]
+    d = d / norms
+    inner, outer = _powers(r_inner, n), _powers(r_outer, n)
+    rho = (inner + u * (outer - inner)) ** (1.0 / n)
+    return center + d * rho[..., None]
+
+
+def sample_shell(rng: np.random.Generator, center: np.ndarray,
+                 r_inner: float, r_outer: float, count: int) -> np.ndarray:
+    """Uniform points in the spherical shell r_inner <= |x - center| <= r_outer."""
+    d, u = np.empty((count, center.size)), np.empty(count)
+    shell_draws(rng, d, u)
+    return place_shell(d, u, center, r_inner, r_outer)
+
+
+def sample_shells(seed: int, keys: Sequence[Sequence], centers: np.ndarray,
+                  r_inner, r_outer, count: int) -> np.ndarray:
+    """``(len(keys), count, n)`` shell points: row ``b`` is what
+    ``sample_shell(substream(seed, *keys[b]), centers[b], ...)`` draws,
+    with radii that broadcast against ``(len(keys), count)``.  The
+    streams are drawn one by one and placed together."""
+    centers = np.asarray(centers, dtype=float)
+    d = np.empty((len(keys), count, centers.shape[-1]))
+    u = np.empty((len(keys), count))
+    for b, key in enumerate(keys):
+        shell_draws(substream(seed, *key), d[b], u[b])
+    return place_shell(d, u, centers[:, None, :], r_inner, r_outer)
 
 
 def shell_edges(radius: float, strata: int, n: int) -> np.ndarray:
     """Radii splitting a ball into ``strata`` equal-volume shells."""
     return radius * (np.arange(strata + 1) / strata) ** (1.0 / n)
+
+
+def local_order(points: np.ndarray) -> np.ndarray:
+    """A permutation of ``points`` along a Z-order (Morton) curve over
+    their bounding box, so that runs of consecutive points stay close
+    together."""
+    points = np.asarray(points, dtype=float)
+    count, n = points.shape
+    if count < 2:
+        return np.arange(count)
+    bits = min(10, 62 // n)
+    lo = points.min(axis=0)
+    span = np.maximum(points.max(axis=0) - lo, 1e-300)
+    cells = ((points - lo) / span * (2**bits - 1)).astype(np.int64)
+    code = np.zeros(count, dtype=np.int64)
+    for bit in range(bits):
+        for axis in range(n):
+            code |= ((cells[:, axis] >> bit) & 1) << (bit * n + axis)
+    return np.argsort(code, kind="stable")
+
+
+# most points one integrand call of stratified_ball_means receives, unless
+# a single ball's budget is larger
+SAMPLE_BLOCK = 1 << 14
+
+
+def stratified_ball_means(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                          centers: np.ndarray, radii: np.ndarray,
+                          seed: int, budget: SamplingBudget,
+                          keys: Sequence[Sequence]) -> list[tuple[float, float, int]]:
+    """Estimate the mean of ``fn`` over each of several balls.
+
+    Ball ``b`` draws stratum ``j`` from ``substream(seed, "stratum", j,
+    *keys[b])``, exactly as ``stratified_ball_mean`` does for one ball, and
+    gets the same ``(mean, half_width, total_points)``.  Whole balls are
+    evaluated together, at most ``SAMPLE_BLOCK`` points (and at least one
+    ball) per call, nearby balls in one call (``local_order``): integrands
+    that look up what lies near their points then search a small box.
+    ``fn`` maps an ``(m, n)`` array of points and the ``(m,)`` index of
+    each point's ball to ``(m,)`` values; ``fn`` must evaluate each point
+    independently of the others.
+    """
+    radii = np.asarray(radii, dtype=float)
+    centers = np.asarray(centers, dtype=float)
+    count, n = centers.shape
+    strata, m = budget.strata, budget.per_stratum
+    unit_edges = shell_edges(1.0, strata, n)
+    per_block = max(1, SAMPLE_BLOCK // budget.total)
+    order = local_order(centers)
+    out = [None] * count
+    for lo in range(0, count, per_block):
+        balls = order[lo:lo + per_block]
+        # radius * unit edge is the product shell_edges(radius) forms
+        edges = radii[balls, None] * unit_edges
+        pts = sample_shells(
+            seed, [("stratum", j, *keys[b])
+                   for b in balls.tolist() for j in range(strata)],
+            np.repeat(centers[balls], strata, axis=0),
+            edges[:, :-1].reshape(-1, 1), edges[:, 1:].reshape(-1, 1),
+            m).reshape(-1, n)
+        vals = np.asarray(fn(pts, np.repeat(balls, budget.total)),
+                          dtype=float)
+        if vals.shape != (len(pts),):
+            raise ValueError("integrand must return one value per point")
+        by_stratum = vals.reshape(len(balls), strata, m)
+        means = by_stratum.mean(axis=2)
+        variances = by_stratum.var(axis=2, ddof=1)
+        # equal-volume strata: each shell carries weight 1/strata
+        mean = means.mean(axis=1)
+        var_of_mean = variances.sum(axis=1) / (strata**2 * m)
+        half = Z99 * np.sqrt(var_of_mean)
+        for b, a, h in zip(balls.tolist(), mean, half):
+            out[b] = (float(a), float(h), budget.total)
+    return out
 
 
 def stratified_ball_mean(fn: Callable[[np.ndarray], np.ndarray],
@@ -89,29 +231,12 @@ def stratified_ball_mean(fn: Callable[[np.ndarray], np.ndarray],
 
     Returns ``(mean, half_width, total_points)`` where the half-width is the
     99% two-sided normal-approximation interval for the mean.  ``fn`` maps an
-    ``(m, n)`` array of points to ``(m,)`` values.
+    ``(m, n)`` array of points to ``(m,)`` values.  Every stratum is drawn
+    up front and evaluated in one call, so expensive integrands amortise
+    their per-call overhead.
     """
-    center = np.asarray(center, dtype=float)
-    n = center.size
-    edges = shell_edges(radius, budget.strata, n)
-    m = budget.per_stratum
-    # draw every stratum up front and evaluate in one call: streams are
-    # keyed per stratum, so the coordinates match a stratum-by-stratum loop,
-    # and expensive integrands amortise their per-call overhead
-    pts = np.concatenate([
-        sample_shell(substream(seed, "stratum", j, *key), center,
-                     edges[j], edges[j + 1], m)
-        for j in range(budget.strata)])
-    vals = np.asarray(fn(pts), dtype=float)
-    if vals.shape != (budget.strata * m,):
-        raise ValueError("integrand must return one value per point")
-    by_stratum = vals.reshape(budget.strata, m)
-    means = by_stratum.mean(axis=1)
-    variances = by_stratum.var(axis=1, ddof=1)
-    # equal-volume strata: each shell carries weight 1/strata
-    mean = means.mean()
-    var_of_mean = variances.sum() / (budget.strata**2 * m)
-    return float(mean), float(Z99 * np.sqrt(var_of_mean)), budget.total
+    return stratified_ball_means(lambda pts, _: fn(pts), [center], [radius],
+                                 seed, budget, [tuple(key)])[0]
 
 
 def stratified_ball_integral(fn: Callable[[np.ndarray], np.ndarray],

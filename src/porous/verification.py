@@ -36,8 +36,10 @@ from .errors import AuditFailure, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                        PorosityWitness, ScalarField, contains_any,
                        unit_ball_volume)
-from .sampling import (SamplingBudget, bernoulli_half_width, sample_shell,
-                       stratified_ball_integral, substream)
+from .sampling import (SAMPLE_BLOCK, SamplingBudget, bernoulli_half_width,
+                       local_order, sample_shell, sample_shells,
+                       stratified_ball_integral, stratified_ball_means,
+                       substream)
 from .surfaces import GraphPatch, graph_measure_in
 
 # decision margins; the hit margin is the declared safety band of the scan
@@ -202,7 +204,16 @@ class ResidueRegion:
     indicator: Callable[[np.ndarray], np.ndarray]
 
 
-def _region(family: HoleFamily, hole_id: int, patch: GraphPatch) -> ResidueRegion:
+def _escapes(g: ScalarField, plane: AffinePlane, pts: np.ndarray,
+             threshold) -> np.ndarray:
+    """Where the field leaves the plane band: |g - plane| > threshold."""
+    return np.abs(g.values(pts) - plane.heights(pts)) > threshold
+
+
+def _region(family: HoleFamily, hole_id: int, patch: GraphPatch,
+            plane: Optional[AffinePlane] = None) -> ResidueRegion:
+    """The hole's residue region; ``plane`` is its stage's plane, built
+    here when not given."""
     if patch.c1_bound > RESIDUE_GRAD_CAP + 1e-12:
         raise PreconditionError(
             f"field {patch.source!r} exceeds the C1 ceiling for residue "
@@ -218,12 +229,11 @@ def _region(family: HoleFamily, hole_id: int, patch: GraphPatch) -> ResidueRegio
         raise AuditFailure(
             f"primed ball of hole {hole_id} leaves the window by {-slack:.3e}",
             hole_id=hole_id, overhang=-slack)
-    plane = family.plane(k)
+    plane = family.plane(k) if plane is None else plane
     thresh = t / 4.0
 
     def indicator(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return np.abs(patch.g.values(pts) - plane.heights(pts)) > thresh
+        return _escapes(patch.g, plane, np.atleast_2d(pts), thresh)
 
     return ResidueRegion(hole_id, primed, thresh, indicator)
 
@@ -242,23 +252,51 @@ def residue_region(family: HoleFamily, hole_id: int, patch: GraphPatch,
     return region, est
 
 
+def residue_energies(family: HoleFamily, hole_ids: Sequence[int],
+                     patch: GraphPatch, budget: SamplingBudget,
+                     seed: int = 0) -> list[MeasureEstimate]:
+    """Sampled ∫ over each hole's residue region of |grad(g - plane)|^2.
+
+    The holes must share one stage, whose plane is built once.  Every hole
+    is checked as ``residue_region`` checks it, in order, so the first
+    steep-field or overhanging hole raises before anything is sampled.
+    The estimates are those of one ``residue_energy`` call per hole: each
+    (hole, stratum) keeps its own substream, and only the evaluation of
+    the field is shared, in blocks of whole holes.
+    """
+    hole_ids = [int(h) for h in hole_ids]
+    stages = {int(family.ks[h]) for h in hole_ids}
+    if len(stages) > 1:
+        raise ValueError(f"residue energies span stages {sorted(stages)}")
+    if not hole_ids:
+        return []
+    plane = family.plane(stages.pop())
+    regions = [_region(family, h, patch, plane) for h in hole_ids]
+    grad_a = np.asarray(plane.gradient, dtype=float)
+    thresholds = np.array([reg.threshold for reg in regions])
+
+    def integrand(pts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        diff = patch.g.gradients(pts) - grad_a
+        return _escapes(patch.g, plane, pts, thresholds[owner]) \
+            * (diff**2).sum(axis=1)
+
+    means = stratified_ball_means(
+        integrand, [reg.primed.center for reg in regions],
+        [reg.primed.radius for reg in regions], seed, budget,
+        [("residue-energy", h) for h in hole_ids])
+    wn = unit_ball_volume(family.n)
+    out = []
+    for reg, (mean, hw, count) in zip(regions, means):
+        vol = wn * reg.primed.radius ** family.n
+        out.append(MeasureEstimate(mean * vol, hw * vol, "monte_carlo",
+                                   count))
+    return out
+
+
 def residue_energy(family: HoleFamily, hole_id: int, patch: GraphPatch,
                    budget: SamplingBudget, seed: int = 0) -> MeasureEstimate:
     """Sampled ∫ over the residue region of |grad(g - plane)|^2."""
-    region = _region(family, hole_id, patch)
-    plane = family.plane(int(family.ks[hole_id]))
-    grad_a = np.asarray(plane.gradient, dtype=float)
-
-    def integrand(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        diff = patch.g.gradients(pts) - grad_a
-        return region.indicator(pts) * (diff**2).sum(axis=1)
-
-    vol = unit_ball_volume(family.n) * region.primed.radius ** family.n
-    val, hw, count = stratified_ball_integral(
-        integrand, region.primed.center, region.primed.radius, vol,
-        seed, budget, key=("residue-energy", hole_id))
-    return MeasureEstimate(val, hw, "monte_carlo", count)
+    return residue_energies(family, [hole_id], patch, budget, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -327,6 +365,15 @@ def classify_holes(family: HoleFamily, k: int, patch: GraphPatch,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class DisjointnessViolation:
+    """Two hit holes of one stage whose primed balls overlap or whose
+    residue regions share a probe."""
+
+    pair: tuple
+    message: str
+
+
+@dataclass(frozen=True)
 class DisjointnessAudit:
     k: int
     pair_count: int
@@ -353,7 +400,10 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
     Geometric disjointness of the primed balls is checked first and
     exactly; the sampled pass then draws residue points per hole and
     requires that none land inside another hit hole's residue region.
-    Any joint hit raises, naming the pair and the probe.
+    Every overlapping pair, and every pair sharing a probe (with the first
+    such probe), is recorded as a violation naming both holes.  Each
+    hole's probes come from its own substream; the field is evaluated on
+    blocks of at most ``SAMPLE_BLOCK`` probes of nearby holes.
     """
     hit_ids = np.asarray(hit_ids, dtype=np.int64)
     m = len(hit_ids)
@@ -365,13 +415,13 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
     first, second = BallIndex(x, rad).pairs()
     gaps = np.linalg.norm(x[first] - x[second], axis=1) \
         - (rad[first] + rad[second])
-    bad = np.flatnonzero(gaps < -1e-9)
-    if len(bad):
-        i, j, gap = first[bad[0]], second[bad[0]], gaps[bad[0]]
-        raise AuditFailure(
-            f"stage {k}: primed balls of holes {int(hit_ids[i])} and "
-            f"{int(hit_ids[j])} overlap by {-gap:.3e}",
-            pair=(int(hit_ids[i]), int(hit_ids[j])), overlap=float(-gap))
+    violations = []
+    for i, j, gap in zip(first.tolist(), second.tolist(), gaps.tolist()):
+        if gap < -1e-9:
+            pair = (int(hit_ids[i]), int(hit_ids[j]))
+            violations.append(DisjointnessViolation(pair, (
+                f"stage {k}: primed balls of holes {pair[0]} and "
+                f"{pair[1]} overlap by {-gap:.3e}")))
     # a probe in the closed ball i lies in the open ball j only when
     # |x_i - x_j| < r_i + r_j, i.e. gap < 0; balls farther apart cannot
     # hold it, so only near neighbours are tested (the 1e-9 slack absorbs
@@ -379,33 +429,44 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
     near = gaps < 1e-9
     neighbours = _neighbour_lists(m, first[near], second[near])
 
-    regions = {int(h): _region(family, int(h), patch) for h in hit_ids}
-    probe_count = 0
-    for pos, hole_id in enumerate(hit_ids):
-        hole_id = int(hole_id)
-        reg = regions[hole_id]
-        rng = substream(seed, "disjoint", k, hole_id)
-        pts = sample_shell(rng, reg.primed.center, 0.0, reg.primed.radius,
-                           probes_per_hole)
-        pts = pts[reg.indicator(pts)]
-        probe_count += len(pts)
-        if len(pts) == 0:
+    plane = family.plane(k)
+    regions = [_region(family, int(h), patch, plane) for h in hit_ids]
+    thresholds = np.array([reg.threshold for reg in regions])
+    pts = sample_shells(seed, [("disjoint", k, int(h)) for h in hit_ids],
+                        x, 0.0, rad[:, None], probes_per_hole)
+    # nearby holes' probes share a block, as in stratified_ball_means
+    order = local_order(x)
+    flat = pts[order].reshape(-1, family.n)
+    limits = np.repeat(thresholds[order], probes_per_hole)
+    kept = np.empty((m, probes_per_hole), dtype=bool)
+    kept[order] = np.concatenate([
+        _escapes(patch.g, plane, flat[lo:lo + SAMPLE_BLOCK],
+                 limits[lo:lo + SAMPLE_BLOCK])
+        for lo in range(0, len(flat), SAMPLE_BLOCK)]
+    ).reshape(m, probes_per_hole)
+    shared: dict[tuple, DisjointnessViolation] = {}
+    for pos, others in enumerate(neighbours):
+        probes = pts[pos][kept[pos]]
+        if not (others and len(probes)):
             continue
-        others = np.array(neighbours[pos], dtype=np.int64)
-        if len(others) == 0:
+        others = np.array(others, dtype=np.int64)
+        inside = ((probes[:, None, :] - x[others]) ** 2).sum(axis=2) \
+            < rad[others] ** 2
+        at, of = np.nonzero(inside)
+        if not len(at):
             continue
-        inside = contains_any(pts, x[others], rad[others])
-        if inside.any():
-            probe = pts[np.flatnonzero(inside)[0]]
-            dist = np.linalg.norm(x[others] - probe, axis=1) - rad[others]
-            other = int(hit_ids[others[int(np.argmin(dist))]])
-            if regions[other].indicator(probe[None])[0]:
-                raise AuditFailure(
+        also = _escapes(patch.g, plane, probes[at], thresholds[others[of]])
+        for p, o in zip(at[also].tolist(), of[also].tolist()):
+            hole_id, other = int(hit_ids[pos]), int(hit_ids[others[o]])
+            pair = (min(hole_id, other), max(hole_id, other))
+            if pair not in shared:
+                shared[pair] = DisjointnessViolation(pair, (
                     f"stage {k}: residue regions of holes {hole_id} and "
-                    f"{other} share probe {probe.tolist()}",
-                    pair=(hole_id, other), probe=probe.tolist())
+                    f"{other} share probe {probes[p].tolist()}"))
     return DisjointnessAudit(k=k, pair_count=m * (m - 1) // 2,
-                             probe_count=probe_count, violations=())
+                             probe_count=int(kept.sum()),
+                             violations=tuple(violations)
+                             + tuple(shared.values()))
 
 
 def select_smoothing_subfamily(family: HoleFamily,
@@ -625,9 +686,10 @@ def budget(patch: GraphPatch, family: HoleFamily,
 
         dmax = 0.0
         dbound_ok = True
-        for hole_id in cls.d_ids:
-            den = residue_energy(family, hole_id, current, dbound_budget,
-                                 seed).lower()
+        energies = residue_energies(family, cls.d_ids, current,
+                                    dbound_budget, seed)
+        for hole_id, energy_d in zip(cls.d_ids, energies):
+            den = energy_d.lower()
             vol_b = wn * float(family.ts[hole_id]) ** family.n
             ratio = math.inf if den <= 0.0 else vol_b / den
             dmax = max(dmax, ratio)

@@ -1,8 +1,19 @@
-"""Brute-force references for the ball index: every point against every
-ball, every ball against every other, with the index's exact arithmetic."""
+"""Slow or superseded references the tests compare the package against.
+
+* the ball index: every point against every ball, every ball against
+  every other, with the index's exact arithmetic;
+* sampling as it was before batching: the list-seeded ``substream``,
+  ``sample_shell`` drawing and placing in one step, and the one-ball
+  stratified mean;
+* union grids: the counting oracle of union measures, and the same count
+  evaluating every ball on every grid point.
+"""
+import math
+
 import numpy as np
 
 from porous.geometry import PAIR_SLACK
+from porous.sampling import Z99, shell_edges
 
 
 def brute_contains_any(points, centers, radii):
@@ -27,3 +38,114 @@ def brute_pairs(centers, radii):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     return (np.concatenate(first).astype(np.int64),
             np.concatenate(second).astype(np.int64))
+
+
+def list_seeded_substream(seed, *key):
+    """``sampling.substream`` as first written: the key list handed to
+    ``SeedSequence`` as Python ints, one per byte of a string part."""
+    material = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    for part in key:
+        if isinstance(part, str):
+            material.extend(part.encode())
+        elif isinstance(part, (int, np.integer)):
+            material.append(int(part) & 0xFFFFFFFFFFFFFFFF)
+        else:
+            raise TypeError(f"substream key parts must be str or int, got {type(part)!r}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(material)))
+
+
+def unsplit_sample_shell(rng, center, r_inner, r_outer, count):
+    """``sampling.sample_shell`` drawing and placing in one step."""
+    n = center.size
+    d = rng.standard_normal((count, n))
+    norms = np.linalg.norm(d, axis=1, keepdims=True)
+    np.maximum(norms, 1e-300, out=norms)
+    d /= norms
+    u = rng.random(count)
+    rho = (r_inner**n + u * (r_outer**n - r_inner**n)) ** (1.0 / n)
+    return center + d * rho[:, None]
+
+
+def one_ball_stratified_mean(fn, center, radius, seed, budget, key=()):
+    """The per-ball stratified mean before batching: one shell draw per
+    stratum, concatenated, evaluated in one call."""
+    center = np.asarray(center, dtype=float)
+    edges = shell_edges(radius, budget.strata, center.size)
+    m = budget.per_stratum
+    pts = np.concatenate([
+        unsplit_sample_shell(list_seeded_substream(seed, "stratum", j, *key),
+                             center, edges[j], edges[j + 1], m)
+        for j in range(budget.strata)])
+    by_stratum = np.asarray(fn(pts), dtype=float).reshape(budget.strata, m)
+    means = by_stratum.mean(axis=1)
+    variances = by_stratum.var(axis=1, ddof=1)
+    var_of_mean = variances.sum() / (budget.strata**2 * m)
+    return float(means.mean()), float(Z99 * np.sqrt(var_of_mean)), \
+        budget.total
+
+
+def dense_grid_union_oracle(balls, region, res):
+    """Grid volume of the union of ``balls`` inside ``region`` on res^3
+    cell centres, plus the volume of cells within half a cell diagonal of
+    its boundary; every ball is evaluated on every grid point."""
+    lo = region.center - region.radius
+    h = 2.0 * region.radius / res
+    steps = h * (np.arange(res) + 0.5)
+    half_diag = h * math.sqrt(3.0) / 2.0
+    X, Y = np.meshgrid(lo[0] + steps, lo[1] + steps, indexing="ij")
+    flat = np.stack([X.ravel(), Y.ravel()], axis=1)
+    inside = straddle = 0
+    for z in lo[2] + steps:
+        pts = np.concatenate([flat, np.full((len(flat), 1), z)], axis=1)
+        signed = np.full(len(pts), np.inf)
+        for b in balls:
+            d = np.linalg.norm(pts - b.center, axis=1) - b.radius
+            np.minimum(signed, d, out=signed)
+        signed = np.maximum(
+            signed,
+            np.linalg.norm(pts - region.center, axis=1) - region.radius)
+        inside += int((signed < 0.0).sum())
+        straddle += int((np.abs(signed) < half_diag).sum())
+    return inside * h ** 3, straddle * h ** 3
+
+
+def grid_union_oracle(balls, region, res):
+    """``dense_grid_union_oracle``, evaluating each ball only on
+    the grid points of its bounding box widened by half a cell diagonal
+    (and one more cell against rounding).  A point outside that box lies
+    more than half a diagonal outside the ball, where the ball changes
+    neither the inside count nor the straddle count."""
+    lo = region.center - region.radius
+    h = 2.0 * region.radius / res
+    steps = h * (np.arange(res) + 0.5)
+    half_diag = h * math.sqrt(3.0) / 2.0
+    axes = [lo[i] + steps for i in range(3)]
+    boxes = []
+    for b in balls:
+        reach = b.radius + half_diag + h
+        spans = [np.flatnonzero(np.abs(ax - c) <= reach)
+                 for ax, c in zip(axes, b.center)]
+        if all(len(span) for span in spans):
+            boxes.append((b, *(slice(span[0], span[-1] + 1)
+                               for span in spans)))
+    inside = straddle = 0
+    for iz, z in enumerate(axes[2]):
+        signed = np.full((res, res), np.inf)
+        for b, sx, sy, sz in boxes:
+            if not sz.start <= iz < sz.stop:
+                continue
+            X, Y = np.meshgrid(axes[0][sx], axes[1][sy], indexing="ij")
+            pts = np.stack([X.ravel(), Y.ravel(), np.full(X.size, z)],
+                           axis=1)
+            d = np.linalg.norm(pts - b.center, axis=1) - b.radius
+            np.minimum(signed[sx, sy], d.reshape(X.shape),
+                       out=signed[sx, sy])
+        ix, iy = np.nonzero(np.isfinite(signed))
+        pts = np.stack([axes[0][ix], axes[1][iy], np.full(len(ix), z)],
+                       axis=1)
+        near = np.maximum(
+            signed[ix, iy],
+            np.linalg.norm(pts - region.center, axis=1) - region.radius)
+        inside += int((near < 0.0).sum())
+        straddle += int((np.abs(near) < half_diag).sum())
+    return inside * h ** 3, straddle * h ** 3

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import brute_contains_any, brute_pairs
+from oracles import (brute_contains_any, brute_pairs,
+                     dense_grid_union_oracle, grid_union_oracle)
 from porous import (AffinePlane, Ball, BumpSpec, GraphPatch, ScalarField,
                     SurfaceC1, alpha_relaxed, budget,
                     build_family, bump_field, family_invariant_audit,
@@ -346,26 +347,21 @@ def test_ac6_hole_mass(demo_family, demo_config, mass_checks):
 # 7. oracle equivalences
 # ---------------------------------------------------------------------------
 
-def _grid_union_oracle(balls, region, res):
-    lo = region.center - region.radius
-    h = 2.0 * region.radius / res
-    steps = h * (np.arange(res) + 0.5)
-    half_diag = h * math.sqrt(3.0) / 2.0
-    X, Y = np.meshgrid(lo[0] + steps, lo[1] + steps, indexing="ij")
-    flat = np.stack([X.ravel(), Y.ravel()], axis=1)
-    inside = straddle = 0
-    for z in lo[2] + steps:
-        pts = np.concatenate([flat, np.full((len(flat), 1), z)], axis=1)
-        signed = np.full(len(pts), np.inf)
-        for b in balls:
-            d = np.linalg.norm(pts - b.center, axis=1) - b.radius
-            np.minimum(signed, d, out=signed)
-        signed = np.maximum(
-            signed,
-            np.linalg.norm(pts - region.center, axis=1) - region.radius)
-        inside += int((signed < 0.0).sum())
-        straddle += int((np.abs(signed) < half_diag).sum())
-    return inside * h ** 3, straddle * h ** 3
+def _ac7_union_family(fi):
+    rng = substream(7, "ac7-union", fi)
+    count = 8 + int(rng.integers(0, 12))
+    return [Ball(rng.uniform(0.25, 0.75, 3),
+                 float(np.exp(rng.uniform(math.log(0.02), math.log(0.1)))))
+            for _ in range(count)]
+
+
+def test_ac7_union_grid_oracle_matches_dense_scan():
+    balls = _ac7_union_family(0)
+    # the AC7 region, and one that cuts through the balls so that the
+    # region's own boundary decides some cells
+    for region in (Ball(np.full(3, 0.5), 0.8), Ball(np.full(3, 0.5), 0.2)):
+        assert grid_union_oracle(balls, region, 64) == \
+            dense_grid_union_oracle(balls, region, 64)
 
 
 def _replay_ledger(entry, family, ledger):
@@ -412,15 +408,10 @@ def test_ac7_oracle_equivalences(demo_family, corpus_entries,
     # union measure against a 256^3 counting grid on 20 random families
     union_ok = True
     for fi in range(AC7_FAMILIES):
-        rng = substream(7, "ac7-union", fi)
-        count = 8 + int(rng.integers(0, 12))
-        balls = [Ball(rng.uniform(0.25, 0.75, 3),
-                      float(np.exp(rng.uniform(math.log(0.02),
-                                               math.log(0.1)))))
-                 for _ in range(count)]
+        balls = _ac7_union_family(fi)
         region = Ball(np.full(3, 0.5), 0.8)
         est = union_measure(balls, region, SamplingBudget(32, 512))
-        oracle, err = _grid_union_oracle(balls, region, AC7_GRID_RES)
+        oracle, err = grid_union_oracle(balls, region, AC7_GRID_RES)
         union_ok &= abs(est.value - oracle) <= est.half_width + err
     checks["union-grid"] = union_ok
 

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from porous import AuditReport, deserialize_family, serialize_family
@@ -165,6 +166,42 @@ def test_audit_flags_tampered_family(build_dir, tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "pair-" in capsys.readouterr().err
+
+
+def test_audit_budget_fails_the_row_of_overlapping_hit_holes(tmp_path,
+                                                            capsys):
+    # two stage-1 holes whose primed balls overlap (gap 2.5t < 2Et = 3t),
+    # both hit by a gentle plane: the residue-disjoint row must read fail
+    # and name the holes instead of aborting the audit
+    t = 0.004
+    base = np.array([[0.5, 0.5, 0.5], [0.5 + 2.5 * t, 0.5, 0.5]])
+    ts = np.array([t, t])
+    family = HoleFamily(
+        n=3, s=0.25, r=1.0 / 64.0, L=10.0 ** 0.5, E=1.5, epsilons=(0.0025,),
+        seed=0, config_hash="", ks=np.ones(2, dtype=np.int64),
+        levels=np.ones(2, dtype=np.int64), ms=np.ones(2, dtype=np.int64),
+        base_centers=base, ts=ts,
+        lifted_centers=np.hstack([base, (2.0 * ts)[:, None]]),
+        stage_radii=(t,), target_reached=(True,))
+    family_path = tmp_path / "overlap.jsonl"
+    family_path.write_text(serialize_family(family))
+    corpus = tmp_path / "plane.json"
+    corpus.write_text(json.dumps([{
+        "kind": "plane", "seed": 0,
+        "params": {"gradients": [[0.011, 0.0, 0.0]], "offsets": [2.0 * t]}}]))
+    out = tmp_path / "budget"
+    rc = main(["audit", "--config", str(DEMO_CONFIG),
+               "--family", str(family_path), "--corpus", str(corpus),
+               "--which", "budget", "--out", str(out)])
+    assert rc == 2
+    report = AuditReport.from_json((out / "audit_report.json").read_text())
+    status = {r["id"].split("/", 2)[2]: r["status"]
+              for r in report.budget_ledgers}
+    assert status.pop("stage-1/residue-disjoint") == "fail"
+    assert set(status.values()) == {"pass"}
+    err = capsys.readouterr().err
+    assert "primed balls of holes 0 and 1 overlap" in err
+    assert "residue regions of holes 0 and 1 share probe" in err
 
 
 def test_invalid_config_is_a_usage_error(tmp_path, capsys):

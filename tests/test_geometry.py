@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from oracles import brute_contains_any, brute_pairs
+from oracles import brute_contains_any, brute_pairs, grid_union_oracle
 from porous import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                     PorosityWitness, SamplingBudget, ScalarField,
                     complement_measure, cross_section_area, enlarge,
@@ -170,35 +170,6 @@ def test_union_measure_exact_beyond_four_thousand_disjoint_balls():
     assert est.value == pytest.approx(4913 * unit_ball_volume(3) * 0.02**3)
 
 
-def _grid_union_oracle(balls, region, res=256):
-    """Counting oracle on a res^3 grid over the region's bounding cube.
-
-    Returns (estimate, error bound); the error bound counts the cells the
-    union-or-region boundary can straddle, via the signed distance being
-    within half a cell diagonal of zero.
-    """
-    lo = region.center - region.radius
-    h = 2.0 * region.radius / res
-    steps = h * (np.arange(res) + 0.5)
-    half_diag = h * math.sqrt(3.0) / 2.0
-    X, Y = np.meshgrid(lo[0] + steps, lo[1] + steps, indexing="ij")
-    flat = np.stack([X.ravel(), Y.ravel()], axis=1)
-    inside = straddle = 0
-    for z in lo[2] + steps:
-        pts = np.concatenate([flat, np.full((len(flat), 1), z)], axis=1)
-        signed = np.full(len(pts), np.inf)
-        for b in balls:
-            d = np.linalg.norm(pts - b.center, axis=1) - b.radius
-            np.minimum(signed, d, out=signed)
-        # intersect with the region ball: inside iff both signs negative
-        signed = np.maximum(
-            signed, np.linalg.norm(pts - region.center, axis=1) - region.radius)
-        inside += int((signed < 0.0).sum())
-        straddle += int((np.abs(signed) < half_diag).sum())
-    cell = h**3
-    return inside * cell, straddle * cell
-
-
 def test_union_measure_exact_for_disjoint_family():
     region = Ball([0.0, 0.0, 0.0], 2.0)
     balls = [Ball([0.8, 0.0, 0.0], 0.3), Ball([-0.8, 0.0, 0.0], 0.3),
@@ -231,7 +202,7 @@ def test_union_measure_monte_carlo_on_overlap():
     balls = [Ball([0.15, 0.0, 0.0], 0.5), Ball([-0.15, 0.0, 0.0], 0.5)]
     est = union_measure(balls, region, SamplingBudget(32, 512))
     assert est.method == "monte_carlo"
-    oracle, err = _grid_union_oracle(balls, region, res=128)
+    oracle, err = grid_union_oracle(balls, region, res=128)
     assert abs(est.value - oracle) <= est.half_width + err
 
 
@@ -241,7 +212,7 @@ def test_union_measure_against_dense_grid_fifty_balls():
     balls = [Ball(rng.uniform(0.2, 0.8, 3), rng.uniform(0.02, 0.12))
              for _ in range(50)]
     est = union_measure(balls, region, SamplingBudget(64, 1024))
-    oracle, err = _grid_union_oracle(balls, region, res=256)
+    oracle, err = grid_union_oracle(balls, region, res=256)
     assert abs(est.value - oracle) <= est.half_width + err
 
 

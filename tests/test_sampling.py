@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from porous import SamplingBudget, substream, unit_ball_volume
-from porous.sampling import (Z99, bernoulli_half_width, sample_shell,
-                             shell_edges, stratified_ball_integral,
-                             stratified_ball_mean)
+from oracles import (list_seeded_substream, one_ball_stratified_mean,
+                     unsplit_sample_shell)
+from porous import SamplingBudget, sampling, substream, unit_ball_volume
+from porous.sampling import (Z99, bernoulli_half_width, local_order,
+                             sample_shell,
+                             sample_shells, shell_edges,
+                             stratified_ball_integral, stratified_ball_mean,
+                             stratified_ball_means)
 
 
 def test_substream_is_reproducible():
@@ -113,3 +117,122 @@ def test_bernoulli_half_width():
     # the variance floor keeps a width at the ends of the interval
     assert bernoulli_half_width(0.0, 4096) == Z99 * math.sqrt(1e-12 / 4096)
     assert bernoulli_half_width(1.0, 4096) == bernoulli_half_width(0.0, 4096)
+
+
+# ---------------------------------------------------------------------------
+# substreams and batched means against the unbatched code
+# ---------------------------------------------------------------------------
+
+_KEY_PART = st.one_of(
+    st.integers(min_value=2**32, max_value=2**80),
+    st.integers(max_value=-1, min_value=-2**80),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64),
+    st.integers(min_value=0, max_value=2**64 - 1).map(np.uint64),
+    st.integers(min_value=-128, max_value=127).map(np.int8),
+    st.text(max_size=6),
+    st.sampled_from(["", "é", "ß∂", "漢字", "🙂x"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-2**70, max_value=2**70),
+       st.lists(_KEY_PART, max_size=5))
+def test_substream_matches_the_list_seeded_stream(seed, key):
+    got = substream(seed, *key).random(4)
+    want = list_seeded_substream(seed, *key).random(4)
+    assert np.array_equal(got, want)
+
+
+def test_substream_rejects_other_key_types():
+    with pytest.raises(TypeError):
+        substream(0, 1.5)
+
+
+def test_sample_shell_matches_the_unsplit_draw():
+    for n in range(1, 6):
+        center = np.linspace(-1.0, 1.0, n)
+        got = sample_shell(substream(n, "shell"), center, 0.1, 0.3, 40)
+        want = unsplit_sample_shell(substream(n, "shell"), center, 0.1, 0.3,
+                                    40)
+        assert np.array_equal(got, want)
+
+
+def test_sample_shells_rows_match_sample_shell():
+    rng = np.random.default_rng(3)
+    centers = rng.normal(size=(5, 3))
+    r_in, r_out = rng.uniform(0.0, 0.1, 5), rng.uniform(0.2, 1.0, 5)
+    keys = [("row", i, "é") for i in range(5)]
+    pts = sample_shells(9, keys, centers, r_in[:, None], r_out[:, None], 33)
+    assert pts.shape == (5, 33, 3)
+    for b in range(5):
+        assert np.array_equal(pts[b], sample_shell(
+            substream(9, *keys[b]), centers[b], r_in[b], r_out[b], 33))
+    # a scalar radius serves every row
+    full = sample_shells(9, keys, centers, 0.0, r_out[:, None], 33)
+    assert np.array_equal(full[2], sample_shell(
+        substream(9, *keys[2]), centers[2], 0.0, r_out[2], 33))
+
+
+def _wavy(pts):
+    return np.sin(7.0 * pts).sum(axis=1) * (pts[:, 0] > pts[:, -1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("block", [1, 100, 1000, sampling.SAMPLE_BLOCK])
+def test_batched_means_equal_the_one_ball_mean(monkeypatch, n, block):
+    monkeypatch.setattr(sampling, "SAMPLE_BLOCK", block)
+    rng = np.random.default_rng(n)
+    balls = 7
+    centers = rng.normal(size=(balls, n))
+    radii = np.exp(rng.uniform(np.log(1e-3), np.log(2.0), balls))
+    keys = [("wavy", int(rng.integers(0, 2**40)), "ключ"[:i])
+            for i in range(balls)]
+    budget = SamplingBudget(int(rng.integers(1, 9)),
+                            int(rng.integers(2, 40)))
+    owners = []
+
+    def fn(pts, owner):
+        owners.append(owner)
+        return _wavy(pts) * (1.0 + owner)
+
+    got = stratified_ball_means(fn, centers, radii, 11, budget, keys)
+    per_call = max(1, block // budget.total)
+    assert [len(o) for o in owners] == [
+        budget.total * min(per_call, balls - lo)
+        for lo in range(0, balls, per_call)]
+    for b in range(balls):
+        def one(pts, b=b):
+            return _wavy(pts) * (1.0 + b)
+        single = stratified_ball_mean(one, centers[b], radii[b], 11, budget,
+                                      key=keys[b])
+        assert got[b] == single
+        assert single == one_ball_stratified_mean(
+            one, centers[b], radii[b], 11, budget, key=keys[b])
+
+
+def test_batched_means_check_the_integrand_shape():
+    with pytest.raises(ValueError):
+        stratified_ball_means(lambda pts, owner: np.ones(3), np.zeros((2, 3)),
+                              [1.0, 1.0], 0, SamplingBudget(2, 4),
+                              [("a",), ("b",)])
+    assert stratified_ball_means(lambda pts, owner: pts[:, 0],
+                                 np.zeros((0, 3)), [], 0,
+                                 SamplingBudget(2, 4), []) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 80])
+def test_local_order_is_a_permutation(n):
+    rng = np.random.default_rng(n)
+    for count in (0, 1, 2, 50):
+        pts = rng.normal(size=(count, n))
+        pts[count // 2:] = pts[:count - count // 2]     # repeated points
+        assert sorted(local_order(pts).tolist()) == list(range(count))
+
+
+def test_local_order_keeps_runs_together():
+    # a 4 x 4 grid: every run of four along the curve is a 2 x 2 square
+    grid = np.array([[x, y] for y in range(4) for x in range(4)], float)
+    order = local_order(grid)
+    for lo in range(0, 16, 4):
+        square = grid[order[lo:lo + 4]]
+        assert np.ptp(square, axis=0).tolist() == [1.0, 1.0]

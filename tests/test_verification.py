@@ -14,8 +14,10 @@ from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
                     sample_truncated_P, select_smoothing_subfamily,
                     strict_deficit_bound, truncated_P, unit_ball_volume)
 from porous.sampling import sample_shell, substream
+from porous import verification
 from porous.verification import (CSV_HEADER, DBOUND_C, K_constant, LEDGER_C,
                                  _ball_probes, graph_hit_scan,
+                                 residue_energies, residue_energy,
                                  smooth_over_subfamily)
 
 W3 = unit_ball_volume(3)
@@ -249,13 +251,32 @@ def test_disjointness_audit_accepts_separated_holes():
     assert audit.pair_count == 1
 
 
-def test_disjointness_audit_raises_on_overlapping_primed_balls():
+def test_disjointness_audit_records_overlapping_primed_balls():
     t = 0.004
     fam = _manual_family([[0.5, 0.5, 0.5], [0.5 + 2.5 * t, 0.5, 0.5]],
                          [t, t])   # gap 2.5t < 2Et = 3t
-    with pytest.raises(AuditFailure) as err:
-        disjointness_audit(fam, 1, _flat_patch(), np.array([0, 1]))
-    assert err.value.details["pair"] == (0, 1)
+    audit = disjointness_audit(fam, 1, _flat_patch(), np.array([0, 1]))
+    # the flat field has no residue, so only the geometric check fires
+    assert [v.pair for v in audit.violations] == [(0, 1)]
+    assert "overlap by 2.000e-03" in audit.violations[0].message   # 3t - 2.5t
+    assert audit.probe_count == 0
+
+
+def test_disjointness_audit_records_shared_residue_probes():
+    t = 0.004
+    fam = _manual_family([[0.5, 0.5, 0.5], [0.5 + 2.5 * t, 0.5, 0.5]],
+                         [t, t])
+    # offset t/2 leaves the t/4 band everywhere: both balls are residue,
+    # so probes in the overlap lie in both residue regions
+    audit = disjointness_audit(fam, 1, _tilt_patch(t / 2.0, slope=0.0),
+                               np.array([0, 1]))
+    assert [v.pair for v in audit.violations] == [(0, 1), (0, 1)]
+    assert "overlap" in audit.violations[0].message
+    assert "share probe" in audit.violations[1].message
+    probe = np.array(eval(audit.violations[1].message.split("probe ")[1]))
+    for hole in (0, 1):
+        assert np.linalg.norm(probe - fam.base_centers[hole]) < fam.E * t
+    assert audit.probe_count == 256
 
 
 def test_family_audit_accepts_nested_primed_balls():
@@ -271,15 +292,34 @@ def test_family_audit_accepts_nested_primed_balls():
     assert floor_rows and all(r.status == "fail" for r in floor_rows)
 
 
+def test_disjointness_probe_count_matches_a_per_hole_loop(monkeypatch):
+    # one probe block per two holes, so holes are evaluated out of order
+    monkeypatch.setattr(verification, "SAMPLE_BLOCK", 256)
+    t = 0.01
+    centers = [[0.4 + 0.04 * i, 0.5 + 0.03 * (i % 3), 0.5] for i in range(6)]
+    fam = _manual_family(centers, [t] * 6)
+    R = fam.E * t
+    patch = _tilt_patch(t / 4.0 + 0.02 * R / 3.0, 0.02)
+    audit = disjointness_audit(fam, 1, patch, np.arange(6), seed=5)
+    expect = 0
+    for h in range(6):
+        region = verification._region(fam, h, patch)
+        pts = sample_shell(substream(5, "disjoint", 1, h),
+                           region.primed.center, 0.0, region.primed.radius,
+                           128)
+        expect += int(region.indicator(pts).sum())
+    assert 0 < audit.probe_count == expect < 6 * 128
+    assert audit.violations == ()
+
+
 def test_disjointness_audit_is_strict_about_nested_hit_pairs():
     # nesting satisfies the packing invariant, but two *hit* holes whose
-    # primed balls touch still abort loudly rather than accounting twice
+    # primed balls touch still fail loudly rather than accounting twice
     t1, t2 = 0.012, 0.004
     fam = _manual_family([[0.5, 0.5, 0.5], [0.502, 0.5, 0.5]], [t1, t2],
                          levels=[1, 2])
-    with pytest.raises(AuditFailure) as err:
-        disjointness_audit(fam, 1, _flat_patch(), np.array([0, 1]))
-    assert err.value.details["pair"] == (0, 1)
+    audit = disjointness_audit(fam, 1, _flat_patch(), np.array([0, 1]))
+    assert [v.pair for v in audit.violations] == [(0, 1)]
 
 
 def test_subfamily_selection_covers_each_d_hole_once():
@@ -487,6 +527,60 @@ def test_ledger_rows_report_the_run_dbound_constant(demo_family,
     assert row.bound == 1000.0
     assert row.margin == 1000.0 - ledger.stages[0].dbound_max_ratio
     assert row.status == "fail" and ledger.status == "fail"
+
+
+def test_budget_d_energy_equals_a_per_hole_residue_energy_loop(
+        demo_family, plane_entries, monkeypatch):
+    # record what each stage hands the batched estimator, then redo it
+    # one residue_energy call per hole
+    calls = []
+
+    def spy(family, hole_ids, patch, budget_cfg, seed=0):
+        out = residue_energies(family, hole_ids, patch, budget_cfg, seed)
+        calls.append((list(hole_ids), patch, budget_cfg, seed, out))
+        return out
+
+    monkeypatch.setattr(verification, "residue_energies", spy)
+    ledger = budget(plane_entries[0].patch, demo_family)
+    assert len(calls) == ledger.depth == 2
+    for st, (ids, patch, budget_cfg, seed, batched) in zip(ledger.stages,
+                                                           calls):
+        assert tuple(ids) == st.classification.d_ids and ids
+        singles = [residue_energy(demo_family, h, patch, budget_cfg, seed)
+                   for h in ids]
+        assert singles == batched
+        ratios = [W3 * float(demo_family.ts[h]) ** 3 / est.lower()
+                  for h, est in zip(ids, singles)]
+        assert max(ratios) == st.dbound_max_ratio
+
+
+def test_residue_energies_name_the_first_bad_hole_of_a_batch():
+    t = 0.01
+    fam = _manual_family([[0.5, 0.5, 0.5], [0.745, 0.5, 0.5],
+                          [0.5, 0.745, 0.5]], [t, t, t])
+    patch, small = _tilt_patch(0.003), SamplingBudget(4, 16)
+    for order, first in (([0, 1, 2], 1), ([0, 2, 1], 2)):
+        with pytest.raises(AuditFailure) as single:
+            residue_energy(fam, first, patch, small)
+        with pytest.raises(AuditFailure) as batch:
+            residue_energies(fam, order, patch, small)
+        assert str(batch.value) == str(single.value)
+        assert batch.value.details == single.value.details
+        assert batch.value.details["hole_id"] == first
+    with pytest.raises(PreconditionError) as single:
+        residue_energy(fam, 0, _flat_patch(c1=1.0), small)
+    with pytest.raises(PreconditionError) as batch:
+        residue_energies(fam, [0, 1, 2], _flat_patch(c1=1.0), small)
+    assert str(batch.value) == str(single.value)
+
+
+def test_residue_energies_take_one_stage_at_a_time(demo_family):
+    ids = [int(demo_family.stage_ids(1)[0]), int(demo_family.stage_ids(2)[0])]
+    with pytest.raises(ValueError):
+        residue_energies(demo_family, ids, _flat_patch(),
+                         SamplingBudget(4, 16))
+    assert residue_energies(demo_family, [], _flat_patch(),
+                            SamplingBudget(4, 16)) == []
 
 
 # ---------------------------------------------------------------------------
