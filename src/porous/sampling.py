@@ -149,6 +149,10 @@ def shell_edges(radius: float, strata: int, n: int) -> np.ndarray:
     return radius * (np.arange(strata + 1) / strata) ** (1.0 / n)
 
 
+# most points a block of local_blocks holds, unless one centre brings more
+SAMPLE_BLOCK = 1 << 14
+
+
 def local_order(points: np.ndarray) -> np.ndarray:
     """A permutation of ``points`` along a Z-order (Morton) curve over
     their bounding box, so that runs of consecutive points stay close
@@ -168,9 +172,13 @@ def local_order(points: np.ndarray) -> np.ndarray:
     return np.argsort(code, kind="stable")
 
 
-# most points one integrand call of stratified_ball_means receives, unless
-# a single ball's budget is larger
-SAMPLE_BLOCK = 1 << 14
+def local_blocks(centers: np.ndarray, points_each: int) -> list[np.ndarray]:
+    """The indices of ``centers`` in ``local_order``, cut into runs of at
+    most ``SAMPLE_BLOCK`` points (and at least one centre) when each
+    centre brings ``points_each`` points."""
+    order = local_order(centers)
+    per_block = max(1, SAMPLE_BLOCK // points_each)
+    return [order[lo:lo + per_block] for lo in range(0, len(order), per_block)]
 
 
 def stratified_ball_means(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -182,9 +190,9 @@ def stratified_ball_means(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     Ball ``b`` draws stratum ``j`` from ``substream(seed, "stratum", j,
     *keys[b])``, exactly as ``stratified_ball_mean`` does for one ball, and
     gets the same ``(mean, half_width, total_points)``.  Whole balls are
-    evaluated together, at most ``SAMPLE_BLOCK`` points (and at least one
-    ball) per call, nearby balls in one call (``local_order``): integrands
-    that look up what lies near their points then search a small box.
+    evaluated together, nearby balls in one call of at most
+    ``SAMPLE_BLOCK`` points (``local_blocks``): integrands that look up
+    what lies near their points then search a small box.
     ``fn`` maps an ``(m, n)`` array of points and the ``(m,)`` index of
     each point's ball to ``(m,)`` values; ``fn`` must evaluate each point
     independently of the others.
@@ -194,11 +202,8 @@ def stratified_ball_means(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     count, n = centers.shape
     strata, m = budget.strata, budget.per_stratum
     unit_edges = shell_edges(1.0, strata, n)
-    per_block = max(1, SAMPLE_BLOCK // budget.total)
-    order = local_order(centers)
     out = [None] * count
-    for lo in range(0, count, per_block):
-        balls = order[lo:lo + per_block]
+    for balls in local_blocks(centers, budget.total):
         # radius * unit edge is the product shell_edges(radius) forms
         edges = radii[balls, None] * unit_edges
         pts = sample_shells(

@@ -36,8 +36,8 @@ from .errors import AuditFailure, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                        PorosityWitness, ScalarField, contains_any,
                        unit_ball_volume)
-from .sampling import (SAMPLE_BLOCK, SamplingBudget, bernoulli_half_width,
-                       local_order, sample_shell, sample_shells,
+from .sampling import (SamplingBudget, bernoulli_half_width,
+                       local_blocks, sample_shell, sample_shells,
                        stratified_ball_integral, stratified_ball_means,
                        substream)
 from .surfaces import GraphPatch, graph_measure_in
@@ -403,7 +403,7 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
     Every overlapping pair, and every pair sharing a probe (with the first
     such probe), is recorded as a violation naming both holes.  Each
     hole's probes come from its own substream; the field is evaluated on
-    blocks of at most ``SAMPLE_BLOCK`` probes of nearby holes.
+    blocks of nearby whole holes (``local_blocks``).
     """
     hit_ids = np.asarray(hit_ids, dtype=np.int64)
     m = len(hit_ids)
@@ -432,39 +432,41 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
     plane = family.plane(k)
     regions = [_region(family, int(h), patch, plane) for h in hit_ids]
     thresholds = np.array([reg.threshold for reg in regions])
-    pts = sample_shells(seed, [("disjoint", k, int(h)) for h in hit_ids],
-                        x, 0.0, rad[:, None], probes_per_hole)
-    # nearby holes' probes share a block, as in stratified_ball_means
-    order = local_order(x)
-    flat = pts[order].reshape(-1, family.n)
-    limits = np.repeat(thresholds[order], probes_per_hole)
-    kept = np.empty((m, probes_per_hole), dtype=bool)
-    kept[order] = np.concatenate([
-        _escapes(patch.g, plane, flat[lo:lo + SAMPLE_BLOCK],
-                 limits[lo:lo + SAMPLE_BLOCK])
-        for lo in range(0, len(flat), SAMPLE_BLOCK)]
-    ).reshape(m, probes_per_hole)
-    shared: dict[tuple, DisjointnessViolation] = {}
-    for pos, others in enumerate(neighbours):
-        probes = pts[pos][kept[pos]]
-        if not (others and len(probes)):
-            continue
-        others = np.array(others, dtype=np.int64)
-        inside = ((probes[:, None, :] - x[others]) ** 2).sum(axis=2) \
-            < rad[others] ** 2
-        at, of = np.nonzero(inside)
-        if not len(at):
-            continue
-        also = _escapes(patch.g, plane, probes[at], thresholds[others[of]])
-        for p, o in zip(at[also].tolist(), of[also].tolist()):
-            hole_id, other = int(hit_ids[pos]), int(hit_ids[others[o]])
-            pair = (min(hole_id, other), max(hole_id, other))
-            if pair not in shared:
-                shared[pair] = DisjointnessViolation(pair, (
+    probe_count = 0
+    # per hole, the shared probes it finds, reported in hole order
+    found: list[list[DisjointnessViolation]] = [[] for _ in range(m)]
+    for block in local_blocks(x, probes_per_hole):
+        pts = sample_shells(
+            seed, [("disjoint", k, int(h)) for h in hit_ids[block]],
+            x[block], 0.0, rad[block, None], probes_per_hole)
+        kept = _escapes(patch.g, plane, pts.reshape(-1, family.n),
+                        np.repeat(thresholds[block], probes_per_hole)
+                        ).reshape(len(block), probes_per_hole)
+        probe_count += int(kept.sum())
+        for row, pos in enumerate(block.tolist()):
+            probes = pts[row][kept[row]]
+            if not (neighbours[pos] and len(probes)):
+                continue
+            others = np.array(neighbours[pos], dtype=np.int64)
+            inside = ((probes[:, None, :] - x[others]) ** 2).sum(axis=2) \
+                < rad[others] ** 2
+            at, of = np.nonzero(inside)
+            if not len(at):
+                continue
+            also = _escapes(patch.g, plane, probes[at],
+                            thresholds[others[of]])
+            for p, o in zip(at[also].tolist(), of[also].tolist()):
+                hole_id, other = int(hit_ids[pos]), int(hit_ids[others[o]])
+                found[pos].append(DisjointnessViolation(
+                    (min(hole_id, other), max(hole_id, other)),
                     f"stage {k}: residue regions of holes {hole_id} and "
                     f"{other} share probe {probes[p].tolist()}"))
+    shared: dict[tuple, DisjointnessViolation] = {}
+    for per_hole in found:
+        for violation in per_hole:
+            shared.setdefault(violation.pair, violation)
     return DisjointnessAudit(k=k, pair_count=m * (m - 1) // 2,
-                             probe_count=int(kept.sum()),
+                             probe_count=probe_count,
                              violations=tuple(violations)
                              + tuple(shared.values()))
 
@@ -599,8 +601,9 @@ class StageLedger:
 
     @property
     def status(self) -> str:
-        if not (self.ubound_ok and self.dbound_ok) or \
-                (self.smoothing is not None and not self.smoothing.ok):
+        if not (self.ubound_ok and self.dbound_ok) \
+                or self.disjointness.violations \
+                or (self.smoothing is not None and not self.smoothing.ok):
             return "fail"
         if self.classification.indeterminate_ids:
             return "indeterminate"
@@ -644,8 +647,10 @@ def budget(patch: GraphPatch, family: HoleFamily,
     residue disjointness, account the u-mass against eps_k and each
     d-hole against its residue Dirichlet energy, then (below the last
     stage) replace the comparison field by its smoothed version over the
-    selected subfamily and check the hit-consistency implication.  The
-    final verdict bounds the summed hit mass by c * (energy + sum eps).
+    selected subfamily and check the hit-consistency implication.  A
+    stage whose disjointness audit records violations fails and is not
+    smoothed.  The final verdict bounds the summed hit mass by
+    c * (energy + sum eps).
     """
     if patch.c1_bound > BUDGET_GRAD_CAP + 1e-12:
         raise PreconditionError(
@@ -697,7 +702,10 @@ def budget(patch: GraphPatch, family: HoleFamily,
                 dbound_ok = False
 
         smoothing = None
-        if k < depth:
+        # overlapping hit holes break the selection's disjoint-or-nested
+        # precondition; the stage fails on them, so its smoothing is
+        # skipped and the later stages keep the current field
+        if k < depth and not disj.violations:
             eps_next = float(family.epsilons[k])
             r_k = float(family.stage_radii[k - 1])
             tol = eps_next * r_k

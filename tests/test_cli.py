@@ -168,21 +168,23 @@ def test_audit_flags_tampered_family(build_dir, tmp_path, capsys):
     assert "pair-" in capsys.readouterr().err
 
 
-def test_audit_budget_fails_the_row_of_overlapping_hit_holes(tmp_path,
-                                                            capsys):
-    # two stage-1 holes whose primed balls overlap (gap 2.5t < 2Et = 3t),
-    # both hit by a gentle plane: the residue-disjoint row must read fail
-    # and name the holes instead of aborting the audit
-    t = 0.004
-    base = np.array([[0.5, 0.5, 0.5], [0.5 + 2.5 * t, 0.5, 0.5]])
-    ts = np.array([t, t])
+def _audit_overlapping_hit_holes(tmp_path, stages):
+    """``porous audit --which budget`` on two stage-1 holes whose primed
+    balls overlap (gap 2.5t < 2Et = 3t), both hit by a gentle plane, plus
+    one separate stage-2 hole when ``stages`` is 2; returns the exit code
+    and the status of each budget row."""
+    t, t2 = 0.004, 0.002
+    base = np.array([[0.5, 0.5, 0.5], [0.5 + 2.5 * t, 0.5, 0.5],
+                     [0.45, 0.45, 0.5]])[:stages + 1]
+    ts = np.array([t, t, t2])[:stages + 1]
+    count = len(ts)
     family = HoleFamily(
-        n=3, s=0.25, r=1.0 / 64.0, L=10.0 ** 0.5, E=1.5, epsilons=(0.0025,),
-        seed=0, config_hash="", ks=np.ones(2, dtype=np.int64),
-        levels=np.ones(2, dtype=np.int64), ms=np.ones(2, dtype=np.int64),
-        base_centers=base, ts=ts,
+        n=3, s=0.25, r=1.0 / 64.0, L=10.0 ** 0.5, E=1.5,
+        epsilons=(0.0025, 0.00125)[:stages], seed=0, config_hash="",
+        ks=np.array([1, 1, 2])[:count], levels=np.ones(count, dtype=np.int64),
+        ms=np.ones(count, dtype=np.int64), base_centers=base, ts=ts,
         lifted_centers=np.hstack([base, (2.0 * ts)[:, None]]),
-        stage_radii=(t,), target_reached=(True,))
+        stage_radii=(t, t2)[:stages], target_reached=(True,) * stages)
     family_path = tmp_path / "overlap.jsonl"
     family_path.write_text(serialize_family(family))
     corpus = tmp_path / "plane.json"
@@ -193,15 +195,35 @@ def test_audit_budget_fails_the_row_of_overlapping_hit_holes(tmp_path,
     rc = main(["audit", "--config", str(DEMO_CONFIG),
                "--family", str(family_path), "--corpus", str(corpus),
                "--which", "budget", "--out", str(out)])
-    assert rc == 2
     report = AuditReport.from_json((out / "audit_report.json").read_text())
-    status = {r["id"].split("/", 2)[2]: r["status"]
-              for r in report.budget_ledgers}
+    return rc, {r["id"].split("/", 2)[2]: r["status"]
+                for r in report.budget_ledgers}
+
+
+def test_audit_budget_fails_the_row_of_overlapping_hit_holes(tmp_path,
+                                                            capsys):
+    # the residue-disjoint row must read fail and name the holes instead
+    # of aborting the audit
+    rc, status = _audit_overlapping_hit_holes(tmp_path, stages=1)
+    assert rc == 2
     assert status.pop("stage-1/residue-disjoint") == "fail"
     assert set(status.values()) == {"pass"}
     err = capsys.readouterr().err
     assert "primed balls of holes 0 and 1 overlap" in err
     assert "residue regions of holes 0 and 1 share probe" in err
+
+
+def test_audit_budget_skips_smoothing_over_overlapping_hit_holes(tmp_path):
+    # below the last stage the overlapping d-holes would break the
+    # smoothing selection; the stage fails without it and stage 2 runs
+    rc, status = _audit_overlapping_hit_holes(tmp_path, stages=2)
+    assert rc == 2
+    assert status.pop("stage-1/residue-disjoint") == "fail"
+    assert not any(row.startswith("stage-1/smoothing") for row in status)
+    assert "stage-1/hit-consistency" not in status
+    assert {"stage-2/u-mass", "stage-2/d-energy",
+            "stage-2/residue-disjoint"} <= set(status)
+    assert set(status.values()) == {"pass"}
 
 
 def test_invalid_config_is_a_usage_error(tmp_path, capsys):

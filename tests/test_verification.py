@@ -14,7 +14,7 @@ from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
                     sample_truncated_P, select_smoothing_subfamily,
                     strict_deficit_bound, truncated_P, unit_ball_volume)
 from porous.sampling import sample_shell, substream
-from porous import verification
+from porous import sampling, verification
 from porous.verification import (CSV_HEADER, DBOUND_C, K_constant, LEDGER_C,
                                  _ball_probes, graph_hit_scan,
                                  residue_energies, residue_energy,
@@ -279,6 +279,20 @@ def test_disjointness_audit_records_shared_residue_probes():
     assert audit.probe_count == 256
 
 
+def test_budget_fails_a_stage_with_overlapping_hit_holes():
+    # every accounting check passes; the recorded overlap alone must fail
+    # the stage and the ledger
+    t = 0.004
+    fam = _manual_family([[0.5, 0.5, 0.5], [0.5 + 2.5 * t, 0.5, 0.5]],
+                         [t, t])
+    ledger = budget(_tilt_patch(2.0 * t, 0.011), fam)
+    (stage,) = ledger.stages
+    assert stage.hit_ids == (0, 1)
+    assert [v.pair for v in stage.disjointness.violations] == [(0, 1)] * 2
+    assert stage.ubound_ok and stage.dbound_ok and ledger.verdict_ok
+    assert stage.status == ledger.status == "fail"
+
+
 def test_family_audit_accepts_nested_primed_balls():
     t1, t2 = 0.012, 0.004
     fam = _manual_family([[0.5, 0.5, 0.5], [0.502, 0.5, 0.5]], [t1, t2],
@@ -294,7 +308,7 @@ def test_family_audit_accepts_nested_primed_balls():
 
 def test_disjointness_probe_count_matches_a_per_hole_loop(monkeypatch):
     # one probe block per two holes, so holes are evaluated out of order
-    monkeypatch.setattr(verification, "SAMPLE_BLOCK", 256)
+    monkeypatch.setattr(sampling, "SAMPLE_BLOCK", 256)
     t = 0.01
     centers = [[0.4 + 0.04 * i, 0.5 + 0.03 * (i % 3), 0.5] for i in range(6)]
     fam = _manual_family(centers, [t] * 6)
