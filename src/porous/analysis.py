@@ -21,16 +21,15 @@ import numpy as np
 from .errors import BlendPreconditionError, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, ScalarField,
                        unit_ball_volume)
-from .sampling import (SamplingBudget, sample_shell, shell_edges,
-                       stratified_ball_mean, substream)
+from .sampling import (SamplingBudget, place_shell, sample_shell,
+                       shell_draws, shell_edges, stratified_ball_mean,
+                       substream)
 
 DEFAULT_NODES_PER_AXIS = 9
 _RADIAL_ORDER = 400
 # shifted points per batched field evaluation in mollify; caps its memory
 # independently of nodes_per_axis
 MOLLIFY_BLOCK = 1 << 14
-# entries per points-by-balls distance table in blend_disjoint
-BLEND_BLOCK = 1 << 18
 
 
 def _bump_profile(rho2: np.ndarray) -> np.ndarray:
@@ -338,30 +337,32 @@ def blend_disjoint(outer: ScalarField,
     outer`` where cutoff w is positive and ``outer`` elsewhere.  That is
     the arithmetic of nesting one ``blend`` per piece, in order, without
     the nesting.  Each piece's precondition is audited against ``outer`` as
-    ``blend`` does, and the certified gradient bound accumulates
-    ``max(inner, running) + 3 * eps`` piece by piece.  Points are matched to
-    cutoff balls through a points-by-balls distance table of at most about
-    ``BLEND_BLOCK`` entries at a time.
+    ``blend`` does, on the same probe draws placed in each piece's
+    annulus, and the certified gradient bound accumulates ``max(inner,
+    running) + 3 * eps`` piece by piece.  A point belongs to the lowest
+    cutoff ball that holds it, found by one ``BallIndex`` over the balls.
     """
+    n = outer.domain.dim
     centers = np.array([cut.ball.center for _, cut in pieces]
-                       ).reshape(len(pieces), outer.domain.dim)
+                       ).reshape(len(pieces), n)
     radii = np.array([cut.ball.radius for _, cut in pieces])
-    r2 = radii**2
     support = np.array([cut.support_radius for _, cut in pieces])
+    index = BallIndex(centers, radii)
     # supports lie inside their balls, so only index pairs can meet
-    i, j = BallIndex(centers, radii).pairs()
+    i, j = index.pairs()
     dist = np.linalg.norm(centers[i] - centers[j], axis=1)
     if ((dist < radii[i] + support[j]) | (dist < radii[j] + support[i])).any():
         raise ValueError("a cutoff ball meets another cutoff's support")
 
     bound, fd_step = outer.grad_bound, outer.step
+    d, u = np.empty((check_budget, n)), np.empty(check_budget)
+    shell_draws(substream(seed, "blend-precheck"), d, u)
     for inner, cut in pieces:
         eps, t = cut.eps, cut.ball.radius
         tol = eps * eps * t if match_tol is None else match_tol
-        rng = substream(seed, "blend-precheck")
         # probes on the closed annulus [t - 2 eps t, t - eps t]
-        probes = sample_shell(rng, cut.ball.center, cut.plateau_radius,
-                              cut.support_radius, check_budget)
+        probes = place_shell(d, u, cut.ball.center, cut.plateau_radius,
+                             cut.support_radius)
         gap = np.abs(inner.values(probes) - outer.values(probes))
         worst = int(np.argmax(gap))
         if gap[worst] > tol:
@@ -375,33 +376,13 @@ def blend_disjoint(outer: ScalarField,
 
     def owned(pts: np.ndarray):
         """(inner, cutoff, point ids, cutoff values) per cutoff positive
-        somewhere on pts, the ids ascending.
-
-        Not routed through ``BallIndex``: single-point ``mollify`` evaluates
-        the field once per quadrature node, and an index build per call
-        costs more there than this bounding-box filter and table.
-        """
-        if not pieces or pts.shape[0] == 0:
-            return
-        # only balls meeting the points' bounding box can own any of them
-        near = np.flatnonzero(
-            ((centers + radii[:, None] > pts.min(axis=0))
-             & (centers - radii[:, None] < pts.max(axis=0))).all(axis=1))
-        if len(near) == 0:
-            return
-        near_centers, near_r2 = centers[near], r2[near]
-        owner = np.full(pts.shape[0], -1)
-        rows = max(1, BLEND_BLOCK // len(near))
-        for lo in range(0, pts.shape[0], rows):
-            chunk = pts[lo:lo + rows]
-            d2 = ((chunk[:, None, :] - near_centers[None]) ** 2).sum(axis=2)
-            inside = d2 < near_r2
-            hit = inside.any(axis=1)
-            owner[lo:lo + rows][hit] = near[inside[hit].argmax(axis=1)]
-        ids = np.flatnonzero(owner >= 0)
-        ids = ids[np.argsort(owner[ids], kind="stable")]
-        js, starts = np.unique(owner[ids], return_index=True)
-        for j, idx in zip(js, np.split(ids, starts[1:])):
+        somewhere on pts, the ids ascending."""
+        q, ball = index.members(pts)
+        q, first = np.unique(q, return_index=True)
+        owner = ball[first]
+        order = np.argsort(owner, kind="stable")
+        js, starts = np.unique(owner[order], return_index=True)
+        for j, idx in zip(js, np.split(q[order], starts[1:])):
             inner, cut = pieces[j]
             w = cut.values(pts[idx])
             keep = w > 0.0

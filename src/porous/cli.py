@@ -140,15 +140,8 @@ def _parse_which(raw: Optional[str]) -> tuple[str, ...]:
 
 
 def _construction_rows(family, cfg: LoadedConfig) -> list[AuditRow]:
-    try:
-        return family_invariant_audit(family, seed=cfg.audit.seed,
-                                      floor_samples=cfg.audit.floor_samples)
-    except AuditFailure as exc:
-        print(f"audit failure: {exc}", file=sys.stderr)
-        return [AuditRow(id="construction/violation",
-                         check="disjoint-or-nested",
-                         measured=1.0, bound=0.0, margin=-1.0,
-                         status="fail")]
+    return family_invariant_audit(family, seed=cfg.audit.seed,
+                                  floor_samples=cfg.audit.floor_samples)
 
 
 def _cover_rows(family, cfg: LoadedConfig) -> list[AuditRow]:
@@ -326,40 +319,24 @@ def cmd_report(args) -> int:
             "refusing to merge reports with mixed config hashes: "
             + ", ".join(sorted(str(h)[:12] for h in hashes)))
 
-    merged = AuditReport(
-        config=reports[0].config,
-        construction_audits=[row for r in reports
-                             for row in r.construction_audits],
-        analysis_audits=[row for r in reports for row in r.analysis_audits],
-        budget_ledgers=[row for r in reports for row in r.budget_ledgers],
-        porosity=[row for r in reports for row in r.porosity],
-        verdicts={})
-    statuses = [row.status for row in merged.rows()]
-    overall = ("fail" if "fail" in statuses
-               else "indeterminate" if "indeterminate" in statuses
-               else "pass")
-    merged = AuditReport(
-        config=merged.config,
-        construction_audits=merged.construction_audits,
-        analysis_audits=merged.analysis_audits,
-        budget_ledgers=merged.budget_ledgers,
-        porosity=merged.porosity,
-        verdicts={"overall": overall,
-                  "pass": statuses.count("pass"),
-                  "fail": statuses.count("fail"),
-                  "indeterminate": statuses.count("indeterminate")})
+    merged = emit_report(reports[0].config, **{
+        section: [AuditRow.from_dict(d) for r in reports
+                  for d in getattr(r, section)]
+        for section in ("construction_audits", "analysis_audits",
+                        "budget_ledgers", "porosity")})
 
     out = Path(args.out)
     _write(out / "merged_report.json", merged.to_json())
     _write(out / "merged_report.csv", merged.to_csv())
     # plot-ready: one series per check, rows sorted by (check, id)
-    series_rows = sorted(merged.rows(), key=lambda r: (r.check, r.id))
+    rows = merged.rows()
+    series_rows = sorted(rows, key=lambda r: (r.check, r.id))
     lines = ["check,id,measured,bound,margin"]
     lines += [f"{r.check},{r.id},{r.measured!r},{r.bound!r},{r.margin!r}"
               for r in series_rows]
     _write(out / "series.csv", "\n".join(lines) + "\n")
-    print(f"merged {len(reports)} report(s), {len(statuses)} rows "
-          f"-> {out / 'merged_report.json'} [{overall}]")
+    print(f"merged {len(reports)} report(s), {len(rows)} rows "
+          f"-> {out / 'merged_report.json'} [{merged.verdicts['overall']}]")
     return EXIT_PASS
 
 

@@ -30,6 +30,7 @@ from .sampling import (SamplingBudget, bernoulli_half_width, sample_shell,
 FORMAT_VERSION = 1
 HALF_MARGIN = 0.01          # slack on every "at least half" certification
 MAX_HALVINGS = 60
+UNCOVERED_BATCHES = 400     # rejection draws before giving up
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +238,14 @@ class StageSpace:
         return d
 
     def sample_uncovered(self, rng: np.random.Generator, count: int,
-                         max_batches: int = 400) -> np.ndarray:
-        """Uniform points of window-minus-coverage, by rejection."""
+                         batch: int) -> np.ndarray:
+        """Uniform points of window-minus-coverage, by rejection from
+        draws of ``batch`` window points at a time."""
         out = []
         have = 0
-        for _ in range(max_batches):
+        for _ in range(UNCOVERED_BATCHES):
             cand = sample_shell(rng, self.window.center, 0.0,
-                                self.window.radius, max(count, 1024))
+                                self.window.radius, batch)
             keep = cand[~self.covered(cand)]
             if len(keep):
                 out.append(keep)
@@ -251,7 +253,7 @@ class StageSpace:
             if have >= count:
                 return np.vstack(out)[:count]
         raise NeedsMoreSamples(
-            f"could not draw {count} uncovered points in {max_batches} "
+            f"could not draw {count} uncovered points in {UNCOVERED_BATCHES} "
             f"batches; uncovered region is likely below the stop threshold")
 
     def uncovered_measure(self, budget: SamplingBudget, seed: int,
@@ -284,9 +286,6 @@ class LevelFamily:
     def __len__(self) -> int:
         return len(self.centers)
 
-    def balls(self) -> list[Ball]:
-        return [Ball(c, self.radius) for c in self.centers]
-
 
 def far_fraction(space: StageSpace, pts: np.ndarray, r_new: float,
                  E: float) -> np.ndarray:
@@ -303,7 +302,8 @@ def choose_level_radius(space: StageSpace, r_prev: float, E: float,
         rng = substream(seed, "radius", *key, attempt)
         total = budget.total
         for escalation in (1, 4):
-            pts = space.sample_uncovered(rng, total * escalation)
+            count = total * escalation
+            pts = space.sample_uncovered(rng, count, max(count, 1024))
             far = far_fraction(space, pts, r, E)
             frac = float(far.mean())
             hw = bernoulli_half_width(frac, len(pts))
@@ -359,7 +359,7 @@ def pack_level(space: StageSpace, k: int, level: int, r_new: float, E: float,
     for round_idx in range(4):
         rng = substream(cfg.seed, "pack", k, level, round_idx)
         pool_size = cfg.pool_size * (2 ** round_idx)
-        pts = space.sample_uncovered(rng, pool_size)
+        pts = space.sample_uncovered(rng, pool_size, max(pool_size, 1024))
         pts = pts[far_fraction(space, pts, r_new, E)]
         pts = pts[rng.permutation(len(pts))]
         if target is None:
@@ -370,7 +370,8 @@ def pack_level(space: StageSpace, k: int, level: int, r_new: float, E: float,
         target = centers
 
         check_rng = substream(cfg.seed, "pack-check", k, level, round_idx)
-        probe = space.sample_uncovered(check_rng, cfg.budget.total)
+        probe = space.sample_uncovered(check_rng, cfg.budget.total,
+                                       max(cfg.budget.total, 1024))
         pair_cov = contains_any(probe, centers,
                                 np.full(len(centers), 2.0 * E * r_new))
         ball_cov = contains_any(probe, centers,
@@ -485,11 +486,6 @@ class HoleFamily:
 
     def stage_ids(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.ks == k)
-
-    def lifted_balls(self, ids: Optional[np.ndarray] = None) -> list[Ball]:
-        if ids is None:
-            ids = np.arange(len(self))
-        return [Ball(self.lifted_centers[i], self.ts[i]) for i in ids]
 
     def plane(self, k: int) -> AffinePlane:
         return plane_for_index(plane_schedule(k), self.n, self.r)

@@ -211,10 +211,14 @@ _CELL_HASH = np.cumprod(np.full(64, -0x61C8864680B583EB, dtype=np.int64))
 class BallIndex:
     """Cell-list index over a ball family (Allen & Tildesley's cell list).
 
-    Centres are bucketed by the grid cell ``floor(center / cell)`` with cell
-    size twice the largest radius plus ``PAIR_SLACK``, and sorted once by a
-    hash of the cell.  A query looks up, with ``searchsorted``, every cell
-    its reach box meets: about 2 per axis for membership and 3 for pairs.
+    The grid's cell size is twice the largest radius plus ``PAIR_SLACK``.
+    Each ball is registered in every cell that its box of half-width
+    ``r + PAIR_SLACK / 2`` meets, at most 2 per axis, and the registrations
+    are sorted once by a hash of the cell.  A point inside a ball lies in
+    the ball's box, so a point query looks up, with ``searchsorted``, its
+    own cell alone.  Two balls closer than ``PAIR_SLACK`` to touching have
+    overlapping boxes, so they share a cell, and the pair query tests them
+    in one: the cell holding the lowest corner of the boxes' intersection.
     Cell hashes wrap in int64; a collision only adds candidates, and every
     candidate is tested exactly.  Candidates are examined in chunks of at
     most ``INDEX_BLOCK`` entries, however many balls share a cell.
@@ -229,64 +233,88 @@ class BallIndex:
             raise ValueError("all radii must be positive")
         self.centers = centers
         self.radii = radii
-        self.rmax = float(radii.max()) if len(radii) else 0.0
-        self.cell = 2.0 * self.rmax + PAIR_SLACK
-        keys = self._hash(self._cells(centers))
-        self._order = np.argsort(keys, kind="stable")
-        # occupied cells: hash, first slot in _order, and ball count
-        self._keys, self._start, self._count = np.unique(
-            keys[self._order], return_index=True, return_counts=True)
+        self.cell = 2.0 * float(radii.max(initial=0.0)) + PAIR_SLACK
+        half = (radii + PAIR_SLACK / 2.0)[:, None]
+        lo = self._cells(centers - half)
+        span = self._cells(centers + half) - lo
+        dim = centers.shape[1]
+        grid = np.indices((int(span.max(initial=0)) + 1,) * dim
+                          ).reshape(dim, -1).T
+        ball, g = np.nonzero((grid[None] <= span[:, None]).all(axis=2))
+        keys = self._hash(lo)[ball] + self._hash(grid)[g]
+        # per registration, the axes on which its cell lies above the
+        # box's lowest cell, as bits
+        above = ((grid > 0) << np.arange(dim)).sum(axis=1)[g]
+        order = np.argsort(keys, kind="stable")    # balls ascending per key
+        keys, ball, above = keys[order], ball[order], above[order]
+        # a ball meeting two cells of one hash is registered there once,
+        # with the axes that both cells lie above (the pair rule in
+        # pairs() then only admits more candidates)
+        once = np.ones(len(keys), dtype=bool)
+        once[1:] = (keys[1:] != keys[:-1]) | (ball[1:] != ball[:-1])
+        runs = np.flatnonzero(once)
+        self._keys, self._ball = keys[runs], ball[runs]
+        self._above = np.bitwise_and.reduceat(above, runs)
+        # occupied cell hashes: first registration and registration count
+        self._cell_keys, self._start, self._count = np.unique(
+            self._keys, return_index=True, return_counts=True)
 
     def _cells(self, pts: np.ndarray) -> np.ndarray:
-        # clipping is monotone, so it keeps every centre inside the cell
-        # range of the reach boxes that contain it
+        # clipping is monotone, so it keeps every point inside the cell
+        # range of the boxes that contain it
         return np.clip(np.floor(pts / self.cell), -2.0**62, 2.0**62
                        ).astype(np.int64)
 
     def _hash(self, cells: np.ndarray) -> np.ndarray:
         return (cells * _CELL_HASH[:cells.shape[1]]).sum(axis=1)
 
-    def _candidates(self, pts: np.ndarray, reach: np.ndarray):
-        """Yield ``(query ids, ball ids)`` chunks covering every ball whose
-        centre lies within ``reach`` of a query point on each axis."""
-        lo = self._cells(pts - reach[:, None])
-        span = self._cells(pts + reach[:, None]) - lo
-        width = int(span.max(initial=0)) + 1
-        grid = np.indices((width,) * pts.shape[1]).reshape(pts.shape[1], -1).T
-        base, step = self._hash(lo), self._hash(grid)
-        per = max(1, INDEX_BLOCK // len(grid))
-        for first in range(0, len(pts), per):
-            block = span[first:first + per]
-            q, g = np.nonzero((grid[None] <= block[:, None]).all(axis=2))
-            keys = base[first + q] + step[g]
-            at = np.minimum(np.searchsorted(self._keys, keys),
-                            len(self._keys) - 1)
-            count = np.where(self._keys[at] == keys, self._count[at], 0)
-            ends = np.cumsum(count)
-            before = ends - count      # candidates of the rows before each
-            total = int(ends[-1]) if len(ends) else 0
-            for chunk in range(0, total, INDEX_BLOCK):
-                stop = min(chunk + INDEX_BLOCK, total)
-                rows = np.arange(np.searchsorted(ends, chunk, side="right"),
-                                 np.searchsorted(ends, stop - 1, side="right")
-                                 + 1)
-                row = np.repeat(rows, np.minimum(ends[rows], stop)
-                                - np.maximum(before[rows], chunk))
-                pos = self._start[at[row]] + np.arange(chunk, stop) - before[row]
-                yield first + q[row], self._order[pos]
+    def _slots(self, first: np.ndarray, count: np.ndarray):
+        """Yield ``(row, slot)`` chunks of at most ``INDEX_BLOCK`` entries
+        listing, row by row, the registration slots ``first[row]`` up to
+        ``first[row] + count[row] - 1``."""
+        ends = np.cumsum(count)
+        before = ends - count      # entries of the rows before each
+        total = int(ends[-1]) if len(ends) else 0
+        for chunk in range(0, total, INDEX_BLOCK):
+            stop = min(chunk + INDEX_BLOCK, total)
+            rows = np.arange(np.searchsorted(ends, chunk, side="right"),
+                             np.searchsorted(ends, stop - 1, side="right")
+                             + 1)
+            row = np.repeat(rows, np.minimum(ends[rows], stop)
+                            - np.maximum(before[rows], chunk))
+            yield row, first[row] + np.arange(chunk, stop) - before[row]
+
+    def _hits(self, pts: np.ndarray):
+        """Yield chunks of the ``(point, ball)`` pairs with the point in
+        the open ball, in (point, ball) order: each point looks up the
+        balls registered in its own cell."""
+        if len(self._cell_keys) == 0:
+            return
+        keys = self._hash(self._cells(pts))
+        at = np.minimum(np.searchsorted(self._cell_keys, keys),
+                        len(self._cell_keys) - 1)
+        count = np.where(self._cell_keys[at] == keys, self._count[at], 0)
+        for q, slot in self._slots(self._start[at], count):
+            j = self._ball[slot]
+            hit = ((pts[q] - self.centers[j]) ** 2).sum(axis=1) \
+                < self.radii[j] ** 2
+            yield q[hit], j[hit]
 
     def contains_any(self, points: np.ndarray) -> np.ndarray:
         """Open-union membership of an (m, dim) array of points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(pts.shape[0], dtype=bool)
-        if len(self.radii) == 0:
-            return out
-        reach = np.full(pts.shape[0], self.rmax)
-        for q, j in self._candidates(pts, reach):
-            hit = ((pts[q] - self.centers[j]) ** 2).sum(axis=1) \
-                < self.radii[j] ** 2
-            out[q[hit]] = True
+        for q, _ in self._hits(pts):
+            out[q] = True
         return out
+
+    def members(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(point, ball)`` index pairs with the point inside the open
+        ball, sorted by point, then ball."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        found = [(np.zeros(0, dtype=np.int64),) * 2, *self._hits(pts)]
+        return (np.concatenate([q for q, _ in found]),
+                np.concatenate([j for _, j in found]))
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Ball pairs ``i < j`` with ``|c_i - c_j| < r_i + r_j + PAIR_SLACK``,
@@ -294,14 +322,20 @@ class BallIndex:
         apply their own exact tests and tolerances."""
         n = len(self.radii)
         codes = [np.zeros(0, dtype=np.int64)]
-        if n:
-            reach = self.radii + self.rmax + PAIR_SLACK
-            for q, j in self._candidates(self.centers, reach):
-                q, j = q[q < j], j[q < j]
-                d2 = ((self.centers[q] - self.centers[j]) ** 2).sum(axis=1)
-                near = d2 < (self.radii[q] + self.radii[j] + PAIR_SLACK) ** 2
-                codes.append(q[near] * n + j[near])
-        # colliding cell hashes can report a pair twice
+        # each registration with every later one of its cell hash, where
+        # the balls ascend
+        slot = np.arange(len(self._keys))
+        last = np.repeat(self._start + self._count, self._count)
+        for row, other in self._slots(slot + 1, last - slot - 1):
+            # boxes sharing cells share the one holding the lowest corner
+            # of their intersection, the one that no axis finds above both
+            # boxes' lowest cells: test each pair there only
+            there = (self._above[row] & self._above[other]) == 0
+            i, j = self._ball[row[there]], self._ball[other[there]]
+            d2 = ((self.centers[i] - self.centers[j]) ** 2).sum(axis=1)
+            near = d2 < (self.radii[i] + self.radii[j] + PAIR_SLACK) ** 2
+            codes.append(i[near] * n + j[near])
+        # colliding cell hashes can still report a pair twice
         first, second = np.divmod(np.unique(np.concatenate(codes)), max(n, 1))
         return first, second
 

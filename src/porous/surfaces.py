@@ -118,7 +118,8 @@ class C1Norm:
     declared_bound: Optional[float]
 
 
-def _unit_lattice(n: int, per_axis: int) -> np.ndarray:
+def unit_lattice(n: int, per_axis: int) -> np.ndarray:
+    """The ``per_axis``-point axis lattice of [0,1]^n, in C order."""
     axes = [np.linspace(0.0, 1.0, per_axis)] * n
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
@@ -131,7 +132,7 @@ def c1_norm(f: SurfaceC1, probe_per_axis: int = 17) -> C1Norm:
     certified upper bound, returned alongside the lattice estimate.
     """
     n = f.dim
-    pts = _unit_lattice(n, probe_per_axis)
+    pts = unit_lattice(n, probe_per_axis)
     sup_map = float(np.linalg.norm(f.value(pts), axis=1).max())
     jac = f.jacobian(pts)
     sup_partials = tuple(
@@ -143,7 +144,7 @@ def c1_norm(f: SurfaceC1, probe_per_axis: int = 17) -> C1Norm:
 
 def _declared_c1_bound(f: SurfaceC1) -> Optional[float]:
     n = f.dim
-    corners = _unit_lattice(n, 2)
+    corners = unit_lattice(n, 2)
     sup_plane = float(np.linalg.norm(f.plane.embed(corners), axis=1).max())
     amp = sum(abs(b.amplitude) for _, b in f.components)
     sup_map = sup_plane + amp
@@ -163,7 +164,7 @@ def reference_distance(f: SurfaceC1, probe_per_axis: int = 17
     declared bump maxima; it is what extraction preconditions audit against.
     """
     n = f.dim
-    pts = _unit_lattice(n, probe_per_axis)
+    pts = unit_lattice(n, probe_per_axis)
     dev = f.value(pts)
     dev[:, :n] -= pts
     sup_map = float(np.linalg.norm(dev, axis=1).max())
@@ -173,7 +174,7 @@ def reference_distance(f: SurfaceC1, probe_per_axis: int = 17
         float(np.linalg.norm(jac[:, :, j], axis=1).max()) for j in range(n))
     probe = max(sup_map, sup_partial)
 
-    corners = _unit_lattice(n, 2)
+    corners = unit_lattice(n, 2)
     heights = np.abs(f.plane.heights(corners)).max()
     amp = sum(abs(b.amplitude) for _, b in f.components)
     slope = sum(b.slope_max for _, b in f.components)
@@ -271,7 +272,7 @@ def graph_extract(f: SurfaceC1, window: Ball, r_bound: float,
     patch = GraphPatch(g=gfield, source=f.label, c1_bound=bound)
 
     probes = window.center + (window.radius / math.sqrt(n)) * (
-        _unit_lattice(n, audit_per_axis) * 2.0 - 1.0)
+        unit_lattice(n, audit_per_axis) * 2.0 - 1.0)
     sup_g = float(np.abs(gfield.values(probes)).max())
     sup_dg = float(np.linalg.norm(gfield.gradients(probes), axis=1).max())
     if max(sup_g, sup_dg) > r_bound:
@@ -367,7 +368,7 @@ def _plane_patch(plane: AffinePlane, window: Ball, bumps: Sequence[BumpSpec],
         return out
 
     slope = plane.slope + sum(b.slope_max for b in bumps)
-    corners = _unit_lattice(window.dim, 2) * (2 * window.radius) \
+    corners = unit_lattice(window.dim, 2) * (2 * window.radius) \
         + (window.center - window.radius)
     sup = float(np.abs(plane.heights(corners)).max()) \
         + sum(abs(b.amplitude) for b in bumps)

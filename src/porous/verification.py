@@ -32,7 +32,7 @@ from .analysis import (BUMP_SLOPE_SUP, area_lower_bound_check, blend,
                        smoothed_gradient_check, sobolev_ratio)
 from .construction import (HoleFamily, StageSpace, assemble_H, assemble_Pk,
                            footprint_factor, plane_for_index)
-from .errors import AuditFailure, PreconditionError
+from .errors import AuditFailure, NeedsMoreSamples, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                        PorosityWitness, ScalarField, contains_any,
                        unit_ball_volume)
@@ -40,13 +40,14 @@ from .sampling import (SamplingBudget, bernoulli_half_width,
                        local_blocks, sample_shell, sample_shells,
                        stratified_ball_integral, stratified_ball_means,
                        substream)
-from .surfaces import GraphPatch, graph_measure_in
+from .surfaces import GraphPatch, graph_measure_in, unit_lattice
 
 # decision margins; the hit margin is the declared safety band of the scan
 HIT_MARGIN = 1e-6
 HIT_LATTICE = 7
 REFINE_ITERS = 40
 REFINE_SHRINK = 0.65
+HIT_SCAN_BLOCK = 1 << 20    # lattice probes per batched field evaluation
 
 # audited C1 ceilings for the two field classes the engine accepts
 RESIDUE_GRAD_CAP = 1.0 / 32.0
@@ -109,19 +110,8 @@ class HitScan:
         return self.ids[self.hit]
 
 
-def _unit_lattice(n: int, per_axis: int) -> np.ndarray:
-    """Axis lattice of [-1,1]^n clipped to the unit ball; includes 0."""
-    axis = np.linspace(-1.0, 1.0, per_axis)
-    grid = np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1)
-    pts = grid.reshape(-1, n)
-    return pts[(pts**2).sum(axis=1) <= 1.0 + 1e-12]
-
-
 def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
-                   K: float, *, margin: float = HIT_MARGIN,
-                   lattice: int = HIT_LATTICE,
-                   refine_iters: int = REFINE_ITERS,
-                   prefilter: bool = True, chunk: int = 1 << 20) -> HitScan:
+                   K: float, *, prefilter: bool = True) -> HitScan:
     """Decide G(g) ∩ K·B ≠ ∅ for each listed hole.
 
     Minimises |(y, g(y)) - centre| - K t over the base disc by a probe
@@ -146,14 +136,16 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
     if prefilter:
         v0 = np.abs(g.values(x) - h)
         lower = v0 / math.sqrt(1.0 + rho * rho) - K * t
-        pre = lower > margin
+        pre = lower > HIT_MARGIN
         gap[pre] = lower[pre]
     todo = np.flatnonzero(~pre)
     if len(todo) == 0:
         return HitScan(ids, float(K), hit, gap, pre)
 
-    offs = _unit_lattice(n, lattice)
-    per = max(1, chunk // len(offs))
+    # the axis lattice of [-1,1]^n inside the unit ball; includes 0
+    offs = unit_lattice(n, HIT_LATTICE) * 2.0 - 1.0
+    offs = offs[(offs**2).sum(axis=1) <= 1.0 + 1e-12]
+    per = max(1, HIT_SCAN_BLOCK // len(offs))
     eye = np.eye(n)
     steps = np.vstack([eye, -eye])
     for lo in range(0, len(todo), per):
@@ -166,8 +158,8 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
         phi = np.hypot(horiz, vals - h[sub, None]) - radius[:, None]
         best_phi = phi.min(axis=1)
         best = probes[np.arange(len(sub)), phi.argmin(axis=1)]
-        step = radius * (2.0 / (lattice - 1))
-        for _ in range(refine_iters):
+        step = radius * (2.0 / (HIT_LATTICE - 1))
+        for _ in range(REFINE_ITERS):
             cand = best[:, None, :] + step[:, None, None] * steps[None]
             rel = cand - x[sub, None, :]
             nrm = np.linalg.norm(rel, axis=2)
@@ -186,7 +178,7 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
                 best_phi = np.minimum(best_phi, cbest)
             step = step * REFINE_SHRINK
         gap[sub] = best_phi
-        hit[sub] = best_phi <= margin
+        hit[sub] = best_phi <= HIT_MARGIN
     return HitScan(ids, float(K), hit, gap, pre)
 
 
@@ -412,7 +404,8 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
                                  violations=())
     x = family.base_centers[hit_ids]
     rad = family.E * family.ts[hit_ids]
-    first, second = BallIndex(x, rad).pairs()
+    index = BallIndex(x, rad)
+    first, second = index.pairs()
     gaps = np.linalg.norm(x[first] - x[second], axis=1) \
         - (rad[first] + rad[second])
     violations = []
@@ -422,12 +415,6 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
             violations.append(DisjointnessViolation(pair, (
                 f"stage {k}: primed balls of holes {pair[0]} and "
                 f"{pair[1]} overlap by {-gap:.3e}")))
-    # a probe in the closed ball i lies in the open ball j only when
-    # |x_i - x_j| < r_i + r_j, i.e. gap < 0; balls farther apart cannot
-    # hold it, so only near neighbours are tested (the 1e-9 slack absorbs
-    # rounding in the gaps and in the probes' radii)
-    near = gaps < 1e-9
-    neighbours = _neighbour_lists(m, first[near], second[near])
 
     plane = family.plane(k)
     regions = [_region(family, int(h), patch, plane) for h in hit_ids]
@@ -443,24 +430,23 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
                         np.repeat(thresholds[block], probes_per_hole)
                         ).reshape(len(block), probes_per_hole)
         probe_count += int(kept.sum())
-        for row, pos in enumerate(block.tolist()):
-            probes = pts[row][kept[row]]
-            if not (neighbours[pos] and len(probes)):
-                continue
-            others = np.array(neighbours[pos], dtype=np.int64)
-            inside = ((probes[:, None, :] - x[others]) ** 2).sum(axis=2) \
-                < rad[others] ** 2
-            at, of = np.nonzero(inside)
-            if not len(at):
-                continue
-            also = _escapes(patch.g, plane, probes[at],
-                            thresholds[others[of]])
-            for p, o in zip(at[also].tolist(), of[also].tolist()):
-                hole_id, other = int(hit_ids[pos]), int(hit_ids[others[o]])
-                found[pos].append(DisjointnessViolation(
-                    (min(hole_id, other), max(hole_id, other)),
-                    f"stage {k}: residue regions of holes {hole_id} and "
-                    f"{other} share probe {probes[p].tolist()}"))
+        row, col = np.nonzero(kept)
+        probes = pts[row, col]
+        # the other hit holes whose open primed ball holds a kept probe
+        at, other = index.members(probes)
+        own = block[row[at]]
+        apart = other != own
+        at, own, other = at[apart], own[apart], other[apart]
+        if not len(at):
+            continue
+        also = _escapes(patch.g, plane, probes[at], thresholds[other])
+        for p, pos, o in zip(at[also].tolist(), own[also].tolist(),
+                             other[also].tolist()):
+            hole_id, other_id = int(hit_ids[pos]), int(hit_ids[o])
+            found[pos].append(DisjointnessViolation(
+                (min(hole_id, other_id), max(hole_id, other_id)),
+                f"stage {k}: residue regions of holes {hole_id} and "
+                f"{other_id} share probe {probes[p].tolist()}"))
     shared: dict[tuple, DisjointnessViolation] = {}
     for per_hole in found:
         for violation in per_hole:
@@ -894,7 +880,9 @@ def family_invariant_audit(family: HoleFamily, seed: int = 0,
     Covers: primed balls inside the window; within-stage pairwise
     disjoint-or-nested; strict radius decay along levels and across
     stages; and, replayed on fresh samples, each level's covered share of
-    the then-uncovered set against the (1/(2E))^n / 2 floor.
+    the then-uncovered set against the (1/(2E))^n / 2 floor.  A level whose
+    then-uncovered set yields too few replay samples raises
+    ``NeedsMoreSamples`` naming the stage and level.
     """
     rows: list[AuditRow] = []
     window = family.window
@@ -963,17 +951,13 @@ def family_invariant_audit(family: HoleFamily, seed: int = 0,
             sel = ids[family.levels[ids] == lvl]
             t_lvl = float(family.ts[sel][0])
             rng = substream(seed, "floor-replay", k, int(lvl))
-            kept: list[np.ndarray] = []
-            need = floor_samples
-            for _ in range(400):
-                draw = sample_shell(rng, window.center, 0.0, window.radius,
-                                    4 * floor_samples)
-                draw = draw[~space.covered(draw)]
-                kept.append(draw)
-                need -= len(draw)
-                if need <= 0:
-                    break
-            pts = np.vstack(kept)[:floor_samples]
+            try:
+                pts = space.sample_uncovered(rng, floor_samples,
+                                             4 * floor_samples)
+            except NeedsMoreSamples as exc:
+                raise NeedsMoreSamples(
+                    f"floor replay of stage {k} level {int(lvl)}: {exc}"
+                    ) from exc
             inside = contains_any(pts, family.base_centers[sel],
                                   np.full(len(sel), t_lvl))
             frac = float(inside.mean())

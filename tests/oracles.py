@@ -24,6 +24,17 @@ def brute_contains_any(points, centers, radii):
     return out
 
 
+def brute_members(points, centers, radii):
+    """Pairs (point, ball) with the point inside the open ball, sorted by
+    point, then ball."""
+    points = np.atleast_2d(points)
+    inside = np.zeros((len(points), len(radii)), dtype=bool)
+    for j, (c, r) in enumerate(zip(centers, radii)):
+        inside[:, j] = ((points - c) ** 2).sum(axis=1) < r**2
+    q, j = np.nonzero(inside)
+    return q.astype(np.int64), j.astype(np.int64)
+
+
 def brute_pairs(centers, radii):
     """Pairs i < j with |c_i - c_j| < r_i + r_j + PAIR_SLACK, in (i, j)
     order."""

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import (brute_contains_any, brute_pairs,
+from oracles import (brute_contains_any, brute_members, brute_pairs,
                      dense_grid_union_oracle, grid_union_oracle)
 from porous import (AffinePlane, Ball, BumpSpec, GraphPatch, ScalarField,
                     SurfaceC1, alpha_relaxed, budget,
@@ -425,6 +425,9 @@ def test_ac7_oracle_equivalences(demo_family, corpus_entries,
                               brute_contains_any(probes, centers, radii))
     index_ok &= all(np.array_equal(a, b) for a, b in
                     zip(index.pairs(), brute_pairs(centers, radii)))
+    index_ok &= all(np.array_equal(a, b) for a, b in
+                    zip(index.members(probes),
+                        brute_members(probes, centers, radii)))
     checks["index-scan"] = index_ok
 
     # graph extraction round trip through forward evaluation

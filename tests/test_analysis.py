@@ -447,6 +447,33 @@ def test_blend_disjoint_prechecks_every_piece(bad):
     assert err.value.details["gap"] > err.value.details["tol"]
 
 
+def test_blend_disjoint_lens_of_two_cutoff_balls_keeps_outer():
+    # the balls overlap in a lens that misses both supports, so a lens
+    # point belongs to the first ball, whose cutoff is zero there
+    dom = Ball(CENTER, 0.5)
+    g = _wavy_plane_field(dom)
+    shift = np.array([0.0775, 0.0, 0.0])
+    pieces = _disjoint_pieces(g, [(CENTER - shift, 0.08),
+                                  (CENTER + shift, 0.08)])
+    flat = blend_disjoint(g, pieces, match_tol=1e-2)
+    rng = substream(14, "lens")
+    lens = CENTER + np.hstack([np.zeros((64, 1)),
+                               rng.uniform(-0.01, 0.01, size=(64, 2))])
+    for _, cut in pieces:
+        rho = np.linalg.norm(lens - cut.ball.center, axis=1)
+        assert ((rho > cut.support_radius) & (rho < cut.ball.radius)).all()
+    assert np.array_equal(flat.values(lens), g.values(lens))
+    assert np.array_equal(flat.gradients(lens), g.gradients(lens))
+    pts = np.vstack([lens] + [sample_shell(rng, cut.ball.center, 0.0,
+                                           cut.ball.radius, 256)
+                              for _, cut in pieces])
+    ref = g
+    for inner, cut in pieces:
+        ref = _two_field_blend(inner, ref, cut)
+    assert np.array_equal(flat.values(pts), ref.values(pts))
+    assert np.array_equal(flat.gradients(pts), ref.gradients(pts))
+
+
 def test_blend_disjoint_rejects_overlapping_cutoffs():
     dom = Ball(CENTER, 0.5)
     g = _wavy_plane_field(dom)

@@ -168,6 +168,28 @@ def test_audit_flags_tampered_family(build_dir, tmp_path, capsys):
     assert "pair-" in capsys.readouterr().err
 
 
+def test_audit_construction_fails_an_exhausted_floor_replay(tmp_path,
+                                                           capsys):
+    # the level-1 hole's footprint covers the whole window, so the level-2
+    # floor replay draws no uncovered point
+    base = np.array([[0.5, 0.5, 0.5], [0.52, 0.5, 0.5]])
+    ts = np.array([0.11, 0.01])
+    family = HoleFamily(
+        n=3, s=0.25, r=1.0 / 64.0, L=10.0 ** 0.5, E=1.5, epsilons=(0.0025,),
+        seed=0, config_hash="", ks=np.ones(2, dtype=np.int64),
+        levels=np.array([1, 2]), ms=np.ones(2, dtype=np.int64),
+        base_centers=base, ts=ts,
+        lifted_centers=np.hstack([base, (2.0 * ts)[:, None]]),
+        stage_radii=(0.01,), target_reached=(True,))
+    family_path = tmp_path / "covered.jsonl"
+    family_path.write_text(serialize_family(family))
+    rc = main(["audit", "--config", str(DEMO_CONFIG),
+               "--family", str(family_path), "--which", "construction",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "floor replay of stage 1 level 2" in capsys.readouterr().err
+
+
 def _audit_overlapping_hit_holes(tmp_path, stages):
     """``porous audit --which budget`` on two stage-1 holes whose primed
     balls overlap (gap 2.5t < 2Et = 3t), both hit by a gentle plane, plus

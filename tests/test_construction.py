@@ -151,7 +151,7 @@ def test_sample_uncovered_respects_coverage():
     space = _space(cfg)
     space.add_level(np.array([[0.5, 0.5, 0.5]]), 0.02)
     rng = substream(0, "uncovered")
-    pts = space.sample_uncovered(rng, 500)
+    pts = space.sample_uncovered(rng, 500, 1024)
     assert len(pts) == 500
     assert not space.covered(pts).any()
     assert np.all(np.linalg.norm(pts - 0.5, axis=1) <= 0.25)
@@ -188,7 +188,7 @@ def test_sample_uncovered_exhausted_raises():
     space = _space(cfg)
     space.add_level(np.array([[0.5, 0.5, 0.5]]), 0.25)  # footprint swallows all
     with pytest.raises(NeedsMoreSamples):
-        space.sample_uncovered(substream(1, "x"), 10, max_batches=5)
+        space.sample_uncovered(substream(1, "x"), 10, 64)
 
 
 def test_uncovered_measure_empty_is_exact_window_volume():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from oracles import brute_contains_any, brute_pairs, grid_union_oracle
+from oracles import (brute_contains_any, brute_members, brute_pairs,
+                     grid_union_oracle)
 from porous import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                     PorosityWitness, SamplingBudget, ScalarField,
                     complement_measure, cross_section_area, enlarge,
@@ -145,16 +146,17 @@ def test_index_blocks_bound_a_cell_holding_every_ball(monkeypatch):
     pts = rng.uniform(-0.2, 0.3, size=(200, 3))
     index = BallIndex(centers, radii)
     seen = []
-    real = index._candidates
+    real = index._slots
 
     def spy(*args):
         for q, j in real(*args):
             seen.append(len(q))
             yield q, j
     monkeypatch.setattr(geometry, "INDEX_BLOCK", 64)
-    monkeypatch.setattr(index, "_candidates", spy)
+    monkeypatch.setattr(index, "_slots", spy)
     assert np.array_equal(index.contains_any(pts),
                           brute_contains_any(pts, centers, radii))
+    _assert_members(index, pts, centers, radii)
     _assert_pairs(index, centers, radii)
     assert max(seen) <= 64 and sum(seen) > 100 * 64
 
@@ -241,6 +243,11 @@ def _assert_pairs(index, centers, radii):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def _assert_members(index, probes, centers, radii):
+    got, want = index.members(probes), brute_members(probes, centers, radii)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_ball_index_matches_linear_scan_on_probes():
     centers, radii = _random_family(3, 400)
     index = BallIndex(centers, radii)
@@ -248,6 +255,7 @@ def test_ball_index_matches_linear_scan_on_probes():
     probes = rng.uniform(-11.0, 11.0, size=(10_000, 3))
     assert np.array_equal(index.contains_any(probes),
                           brute_contains_any(probes, centers, radii))
+    _assert_members(index, probes, centers, radii)
     _assert_pairs(index, centers, radii)
 
 
@@ -264,6 +272,30 @@ def test_ball_index_matches_brute_force(seed, count, dim, spread):
     index = BallIndex(centers, radii)
     assert np.array_equal(index.contains_any(probes),
                           brute_contains_any(probes, centers, radii))
+    _assert_members(index, probes, centers, radii)
+    _assert_pairs(index, centers, radii)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=0, max_value=12),
+       st.integers(min_value=1, max_value=5))
+def test_ball_index_members_on_boundaries_and_tangencies(seed, count, dim):
+    # a chain of tangent balls along one axis, probed at every tangency,
+    # on each ball's boundary along every axis, and at its centre
+    rng = substream(seed, "index-boundaries")
+    radii = rng.uniform(0.01, 2.0, size=count)
+    centers = np.zeros((count, dim))
+    centers[:, 0] = np.cumsum(2.0 * radii) - radii
+    centers[:, 1:] = rng.uniform(-1.0, 1.0, size=dim - 1)
+    touch = centers + radii[:, None] * np.eye(dim)[0]
+    axes = (centers[:, None, :] + radii[:, None, None]
+            * np.vstack([np.eye(dim), -np.eye(dim)])[None]).reshape(-1, dim)
+    probes = np.vstack([touch, axes, centers, np.zeros((1, dim))])
+    index = BallIndex(centers, radii)
+    assert np.array_equal(index.contains_any(probes),
+                          brute_contains_any(probes, centers, radii))
+    _assert_members(index, probes, centers, radii)
     _assert_pairs(index, centers, radii)
 
 
@@ -279,6 +311,23 @@ def test_ball_index_boundary_points_are_outside():
                          np.array([1.0, 1.0]))
     assert [a.tolist() for a in touching.pairs()] == [[0], [1]]
     assert not touching.contains_any(np.array([[1.0, 0.0, 0.0]]))[0]
+    assert [a.tolist() for a in touching.members(
+        np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.5, 0.0, 0.0]]))] \
+        == [[1, 2], [0, 1]]
+
+
+def test_ball_index_with_every_cell_hash_colliding(monkeypatch):
+    # one hash for every cell: each ball is registered once, every query
+    # meets every ball, and the exact tests must still sort it out
+    monkeypatch.setattr(geometry, "_CELL_HASH", np.zeros(64, dtype=np.int64))
+    centers, radii = _random_family(6, 80, spread=1.0)
+    probes = substream(7, "collide").uniform(-1.5, 1.5, size=(500, 3))
+    index = BallIndex(centers, radii)
+    assert len(index._keys) == 80
+    assert np.array_equal(index.contains_any(probes),
+                          brute_contains_any(probes, centers, radii))
+    _assert_members(index, probes, centers, radii)
+    _assert_pairs(index, centers, radii)
 
 
 def test_ball_index_empty_family():
@@ -286,6 +335,7 @@ def test_ball_index_empty_family():
     assert not index.contains_any(np.zeros((4, 3))).any()
     assert not contains_any(np.zeros((4, 3)), np.zeros((0, 3)), np.zeros(0)).any()
     assert all(len(a) == 0 for a in index.pairs())
+    assert all(len(a) == 0 for a in index.members(np.zeros((4, 3))))
 
 
 def test_ball_index_extreme_extents():
@@ -310,6 +360,7 @@ def test_ball_index_extreme_extents():
     index4 = BallIndex(lifted, radii4)
     assert np.array_equal(index4.contains_any(probes4),
                           brute_contains_any(probes4, lifted, radii4))
+    _assert_members(index4, probes4, lifted, radii4)
     _assert_pairs(index4, lifted, radii4)
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
-                    HoleFamily, PreconditionError, SamplingBudget,
+                    HoleFamily, NeedsMoreSamples, PreconditionError,
+                    SamplingBudget,
                     ScalarField, alpha_relaxed, analysis_suite, blend,
                     budget, bump_field, classify_holes, coverage_deficit,
                     disjointness_audit, emit_report, family_invariant_audit,
@@ -304,6 +305,15 @@ def test_family_audit_accepts_nested_primed_balls():
     # coverage floor, so those rows must come back red
     floor_rows = [r for r in rows if r.check == "packing-floor"]
     assert floor_rows and all(r.status == "fail" for r in floor_rows)
+
+
+def test_floor_replay_of_a_covered_window_needs_more_samples():
+    # the level-1 hole's footprint covers the whole window, so the level-2
+    # replay has no uncovered point to draw
+    fam = _manual_family([[0.5, 0.5, 0.5], [0.52, 0.5, 0.5]], [0.11, 0.01],
+                         levels=[1, 2])
+    with pytest.raises(NeedsMoreSamples, match="stage 1 level 2"):
+        family_invariant_audit(fam, floor_samples=64)
 
 
 def test_disjointness_probe_count_matches_a_per_hole_loop(monkeypatch):
