@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,19 +26,17 @@ from .construction import (build_family, deserialize_family,
 from .errors import (AuditFailure, ConfigError, ConstructionFailure,
                      ParseError, PorousError, PreconditionError)
 from .surfaces import generate_from_spec, load_corpus_spec
-from .verification import (AuditReport, AuditRow, alpha_relaxed,
+from .verification import (ANALYSIS, BUDGET, CONSTRUCTION, POROSITY,
+                           AuditReport, AuditRow, alpha_relaxed,
                            analysis_suite, budget, coverage_deficit,
-                           emit_report, family_invariant_audit,
-                           hole_intersection_mass, ledger_rows, mode_map,
-                           porosity_witness)
+                           family_invariant_audit, hole_intersection_mass,
+                           ledger_rows, mode_map, porosity_witness)
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_FAIL = 2
 EXIT_INDETERMINATE = 3
 
-WHICH_CHOICES = ("construction", "analysis", "cover", "budget", "porosity",
-                 "holes-mass")
 _STATUS_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL,
                 "indeterminate": EXIT_INDETERMINATE}
 
@@ -78,13 +75,7 @@ def _report_config(cfg: LoadedConfig) -> dict:
 
 
 def _load(args) -> LoadedConfig:
-    cfg = load_config(args.config)
-    cfg = cfg.with_seed(args.seed)
-    if getattr(args, "workers", None):
-        cfg = LoadedConfig(path=cfg.path, raw=cfg.raw, doc=cfg.doc,
-                           config_hash=cfg.config_hash, build=cfg.build,
-                           audit=cfg.audit, workers=int(args.workers))
-    return cfg
+    return load_config(args.config).with_seed(args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +97,8 @@ def cmd_build(args) -> int:
     family_path = out / "family.jsonl"
     _write(family_path, serialize_family(family))
 
-    rows = family_invariant_audit(family, seed=cfg.audit.seed,
-                                  floor_samples=cfg.audit.floor_samples)
-    report = emit_report(_report_config(cfg), construction_audits=rows)
+    report = AuditReport(_report_config(cfg), {
+        CONSTRUCTION: _construction_rows(family, [], cfg)})
     _write(out / "build_report.json", report.to_json())
     _write(out / "build_report.csv", report.to_csv())
     _write(out / "build_log.json",
@@ -127,40 +117,29 @@ def cmd_build(args) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
-def _parse_which(raw: Optional[str]) -> tuple[str, ...]:
-    if not raw:
-        return WHICH_CHOICES
-    picked = tuple(part.strip() for part in raw.split(",") if part.strip())
-    bad = [p for p in picked if p not in WHICH_CHOICES]
-    if bad:
-        raise ConfigError(
-            f"unknown audit selection {bad}; choose from "
-            + ", ".join(WHICH_CHOICES))
-    return picked
-
-
-def _construction_rows(family, cfg: LoadedConfig) -> list[AuditRow]:
+def _construction_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
     return family_invariant_audit(family, seed=cfg.audit.seed,
                                   floor_samples=cfg.audit.floor_samples)
 
 
-def _cover_rows(family, cfg: LoadedConfig) -> list[AuditRow]:
+def _analysis_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
+    return analysis_suite(seed=cfg.audit.seed)
+
+
+def _cover_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
     rows = []
     for k in range(1, family.depth + 1):
         deficit = coverage_deficit(
             family, m=family.plane(k).index, k=k,
             stop_fraction=cfg.build.stop_fractions[k - 1],
             budget_cfg=cfg.audit.budget, seed=cfg.audit.seed)
-        upper = deficit.estimate.upper()
-        rows.append(AuditRow(
-            id=f"cover/stage-{k}", check="plane-cover-deficit",
-            measured=upper, bound=deficit.bound,
-            margin=deficit.bound - upper,
-            status="pass" if deficit.ok else "fail"))
+        rows.append(AuditRow.at_most(
+            f"cover/stage-{k}", "plane-cover-deficit",
+            deficit.estimate.upper(), deficit.bound))
     return rows
 
 
-def _porosity_rows(family, cfg: LoadedConfig) -> list[AuditRow]:
+def _porosity_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
     points = sample_truncated_P(truncated_P(family),
                                 cfg.audit.porosity_samples,
                                 seed=cfg.audit.seed)
@@ -172,36 +151,28 @@ def _porosity_rows(family, cfg: LoadedConfig) -> list[AuditRow]:
                 point, family, tol=cfg.audit.porosity_tol).ratio)
         except AuditFailure as exc:
             print(f"audit failure: {exc}", file=sys.stderr)
-            return [AuditRow(id="porosity/witness", check="porosity-witness",
-                             measured=0.0, bound=floor, margin=-floor,
-                             status="fail")]
-    return [AuditRow(
-        id="porosity/witness", check="porosity-witness",
-        measured=worst, bound=floor, margin=worst - floor,
-        status="pass" if worst >= floor else "fail")]
+            return [AuditRow.at_least("porosity/witness", "porosity-witness",
+                                      0.0, floor, ok=False)]
+    return [AuditRow.at_least("porosity/witness", "porosity-witness",
+                              worst, floor)]
 
 
-def _budget_rows(entries, family, cfg: LoadedConfig) -> list[AuditRow]:
-    def one(entry):
-        return budget(
+def _budget_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
+    rows = []
+    for entry in entries:
+        ledger = budget(
             entry.patch, family, budget_cfg=cfg.audit.budget,
             dbound_budget=cfg.audit.dbound_budget, seed=cfg.audit.seed,
             c_ledger=cfg.audit.c_ledger, c_dbound=cfg.audit.c_dbound)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            ledgers = list(pool.map(one, entries))
-    else:
-        ledgers = [one(entry) for entry in entries]
-    for ledger in ledgers:
         for stage in ledger.stages:
             for violation in stage.disjointness.violations:
                 print(f"audit failure: {ledger.source}: "
                       f"{violation.message}", file=sys.stderr)
-    return [row for ledger in ledgers for row in ledger_rows(ledger)]
+        rows += ledger_rows(ledger)
+    return rows
 
 
-def _holes_mass_rows(entries, family, cfg: LoadedConfig) -> list[AuditRow]:
+def _holes_mass_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
     quarter_alpha = alpha_relaxed(family.n, family.s,
                                   cfg.build.stop_fractions[0]) / 4.0
     rows = []
@@ -210,17 +181,39 @@ def _holes_mass_rows(entries, family, cfg: LoadedConfig) -> list[AuditRow]:
                                        budget_cfg=cfg.audit.budget,
                                        seed=cfg.audit.seed)
         upper = check.mass.upper()
-        rows.append(AuditRow(
-            id=f"holes-mass/{entry.patch.source}", check="graph-hole-mass",
-            measured=upper, bound=check.cap, margin=check.cap - upper,
-            status="pass" if check.ok else "fail"))
+        source = entry.patch.source
+        rows.append(AuditRow.at_most(f"holes-mass/{source}",
+                                     "graph-hole-mass", upper, check.cap))
         if entry.kind == "plane":
-            rows.append(AuditRow(
-                id=f"holes-mass/{entry.patch.source}/alpha",
-                check="plane-mass-alpha", measured=upper,
-                bound=quarter_alpha, margin=quarter_alpha - upper,
-                status="pass" if upper <= quarter_alpha else "fail"))
+            rows.append(AuditRow.at_most(f"holes-mass/{source}/alpha",
+                                         "plane-mass-alpha", upper,
+                                         quarter_alpha))
     return rows
+
+
+# audit group -> (report section, rows of the group); a section lists the
+# rows of its groups in this order
+AUDITS = {
+    "construction": (CONSTRUCTION, _construction_rows),
+    "analysis": (ANALYSIS, _analysis_rows),
+    "cover": (CONSTRUCTION, _cover_rows),
+    "budget": (BUDGET, _budget_rows),
+    "porosity": (POROSITY, _porosity_rows),
+    "holes-mass": (BUDGET, _holes_mass_rows),
+}
+WHICH_CHOICES = tuple(AUDITS)
+
+
+def _parse_which(raw: Optional[str]) -> tuple[str, ...]:
+    if not raw:
+        return WHICH_CHOICES
+    picked = tuple(part.strip() for part in raw.split(",") if part.strip())
+    bad = [p for p in picked if p not in WHICH_CHOICES]
+    if bad:
+        raise ConfigError(
+            f"unknown audit selection {bad}; choose from "
+            + ", ".join(WHICH_CHOICES))
+    return picked
 
 
 def cmd_audit(args) -> int:
@@ -257,32 +250,16 @@ def cmd_audit(args) -> int:
         entries = generate_from_spec(load_corpus_spec(corpus_path),
                                      window=family.window)
 
-    construction_rows: list[AuditRow] = []
-    analysis_rows: list[AuditRow] = []
-    budget_rows: list[AuditRow] = []
-    porosity_rows: list[AuditRow] = []
-    if "construction" in which:
-        construction_rows += _construction_rows(family, cfg)
-    if "cover" in which:
-        construction_rows += _cover_rows(family, cfg)
-    if "analysis" in which:
-        analysis_rows += analysis_suite(seed=cfg.audit.seed)
-    if "budget" in which:
-        budget_rows += _budget_rows(entries, family, cfg)
-    if "holes-mass" in which:
-        budget_rows += _holes_mass_rows(entries, family, cfg)
-    if "porosity" in which:
-        porosity_rows += _porosity_rows(family, cfg)
-
-    for row in construction_rows:
+    sections: dict[str, list[AuditRow]] = {}
+    for group, (section, rows_of) in AUDITS.items():
+        if group in which:
+            sections.setdefault(section, []).extend(
+                rows_of(family, entries, cfg))
+    report = AuditReport(_report_config(cfg), sections)
+    for row in report.rows():
         if row.status == "fail":
             print(f"audit failure: {row.id}: measured {row.measured:.6g} "
                   f"vs bound {row.bound:.6g}", file=sys.stderr)
-    report = emit_report(_report_config(cfg),
-                         construction_audits=construction_rows,
-                         analysis_audits=analysis_rows,
-                         budget_ledgers=budget_rows,
-                         porosity=porosity_rows)
     _write(out / "audit_report.json", report.to_json())
     _write(out / "audit_report.csv", report.to_csv())
     _write(out / "manifest-audit.json", json.dumps(_manifest(
@@ -310,7 +287,7 @@ def cmd_report(args) -> int:
             raise ConfigError(f"report not found: {p}")
         try:
             reports.append(AuditReport.from_json(p.read_text()))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"cannot parse report {p}: {exc}") from exc
 
     hashes = {r.config.get("config_hash") for r in reports}
@@ -319,11 +296,7 @@ def cmd_report(args) -> int:
             "refusing to merge reports with mixed config hashes: "
             + ", ".join(sorted(str(h)[:12] for h in hashes)))
 
-    merged = emit_report(reports[0].config, **{
-        section: [AuditRow.from_dict(d) for r in reports
-                  for d in getattr(r, section)]
-        for section in ("construction_audits", "analysis_audits",
-                        "budget_ledgers", "porosity")})
+    merged = AuditReport.merge(reports)
 
     out = Path(args.out)
     _write(out / "merged_report.json", merged.to_json())
@@ -337,7 +310,7 @@ def cmd_report(args) -> int:
     _write(out / "series.csv", "\n".join(lines) + "\n")
     print(f"merged {len(reports)} report(s), {len(rows)} rows "
           f"-> {out / 'merged_report.json'} [{merged.verdicts['overall']}]")
-    return EXIT_PASS
+    return _STATUS_EXIT[merged.verdicts["overall"]]
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +339,6 @@ def _parser() -> argparse.ArgumentParser:
     audit.add_argument("--out", default="porous-out", help="output directory")
     audit.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    audit.add_argument("--workers", type=int, default=None,
-                       help="worker threads for per-field audits")
     audit.add_argument("--which", default=None,
                        help="comma-separated subset of: "
                        + ", ".join(WHICH_CHOICES))

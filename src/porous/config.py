@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -85,7 +85,8 @@ CONFIG_SCHEMA = {
                 "floor_samples": {"type": "integer", "minimum": 64},
             },
         },
-        "workers": {"type": "integer", "minimum": 1},
+        # audits run serially; the key stays for existing config files
+        "workers": {"const": 1},
     },
 }
 
@@ -114,20 +115,13 @@ class LoadedConfig:
     config_hash: str
     build: BuildConfig
     audit: AuditSettings
-    workers: int = 1
 
     def with_seed(self, seed: Optional[int]) -> "LoadedConfig":
         """Copy with the seed overridden in both build and audit settings."""
         if seed is None:
             return self
-        build = BuildConfig(**{**_build_kwargs(self.doc["build"]),
-                               "seed": int(seed),
-                               "config_hash": self.config_hash})
-        audit = AuditSettings(**{**_audit_kwargs(self.doc.get("audit", {})),
-                                 "seed": int(seed)})
-        return LoadedConfig(path=self.path, raw=self.raw, doc=self.doc,
-                            config_hash=self.config_hash, build=build,
-                            audit=audit, workers=self.workers)
+        return replace(self, build=replace(self.build, seed=int(seed)),
+                       audit=replace(self.audit, seed=int(seed)))
 
 
 def config_hash_of(raw: bytes) -> str:
@@ -214,8 +208,7 @@ def parse_config(raw: bytes, path: str = "<memory>") -> LoadedConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
     audit = AuditSettings(**_audit_kwargs(doc.get("audit", {})))
     return LoadedConfig(path=path, raw=raw, doc=doc, config_hash=digest,
-                        build=build, audit=audit,
-                        workers=int(doc.get("workers", 1)))
+                        build=build, audit=audit)
 
 
 def load_config(path: Union[str, Path]) -> LoadedConfig:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -426,13 +426,8 @@ def build_stage(k: int, cfg: BuildConfig, r_prev: float) -> StageResult:
         space.add_level(fam.centers, r_level)
         uncovered = space.uncovered_measure(cfg.budget, cfg.seed,
                                             key=("stage", k, level))
-        logs.append(LevelLog(
-            k=log.k, level=log.level, radius=log.radius, count=log.count,
-            far_fraction=log.far_fraction,
-            pair_cover_fraction=log.pair_cover_fraction,
-            ball_fraction=log.ball_fraction,
-            uncovered_after=uncovered.value,
-            uncovered_after_hw=uncovered.half_width))
+        logs.append(replace(log, uncovered_after=uncovered.value,
+                            uncovered_after_hw=uncovered.half_width))
         levels.append(fam)
     reached = uncovered.upper() <= threshold
     if not reached and not cfg.accept_partial:
@@ -494,23 +489,17 @@ class HoleFamily:
 def lift(levels: Sequence[LevelFamily], plane: AffinePlane
          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each base ball B(x,t) becomes a hole centred at (x, a(x) + 2t)."""
-    ks, ls, centers, ts = [], [], [], []
-    for fam in levels:
-        for c in fam.centers:
-            ks.append(fam.k)
-            ls.append(fam.level)
-            centers.append(c)
-            ts.append(fam.radius)
-    if not ts:
+    sizes = [len(fam.centers) for fam in levels]
+    if not sum(sizes):
         n = plane.dim
         return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                np.zeros((0, n)), np.zeros(0))
-    base = np.array(centers)
-    ts_arr = np.array(ts)
-    heights = plane.heights(base) + 2.0 * ts_arr
-    lifted = np.hstack([base, heights[:, None]])
-    return (np.array(ks, dtype=np.int64), np.array(ls, dtype=np.int64),
-            lifted, ts_arr)
+                np.zeros((0, n + 1)), np.zeros(0))
+    ks = np.repeat([fam.k for fam in levels], sizes).astype(np.int64)
+    ls = np.repeat([fam.level for fam in levels], sizes).astype(np.int64)
+    ts = np.repeat([float(fam.radius) for fam in levels], sizes)
+    base = np.vstack([fam.centers for fam in levels])
+    heights = plane.heights(base) + 2.0 * ts
+    return ks, ls, np.hstack([base, heights[:, None]]), ts
 
 
 def build_family(cfg: BuildConfig) -> tuple[HoleFamily, dict]:
@@ -530,7 +519,7 @@ def build_family(cfg: BuildConfig) -> tuple[HoleFamily, dict]:
         m = plane_schedule(k)
         plane = plane_for_index(m, cfg.n, cfg.r)
         ks, ls, lifted, ts = lift(result.levels, plane)
-        base = lifted[:, : cfg.n] if len(ts) else np.zeros((0, cfg.n))
+        base = lifted[:, : cfg.n]
         ks_all.append(ks)
         ls_all.append(ls)
         ms_all.append(np.full(len(ts), m, dtype=np.int64))

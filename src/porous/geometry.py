@@ -68,22 +68,6 @@ class Ball:
         return f"Ball(center={tuple(self.center)}, radius={self.radius})"
 
 
-def enlarge(b: Ball, factor: float) -> Ball:
-    """Concentric enlargement; shrinking is rejected."""
-    if factor < 1.0:
-        raise ValueError(f"enlargement factor must be >= 1, got {factor}")
-    return Ball(b.center, b.radius * factor)
-
-
-def cross_section_area(b: Ball, n: int) -> float:
-    """n-dimensional content carried by a lifted ball: omega_n * radius^n."""
-    if n < 3:
-        raise ValueError("cross sections are defined for base dimension n >= 3")
-    if not b.radius > 0:
-        raise ValueError("ball radius must be positive")
-    return unit_ball_volume(n) * b.radius**n
-
-
 @dataclass(frozen=True, eq=False)
 class AffinePlane:
     """Constant-slope height function a(x) = offset + <gradient, x - anchor>.
@@ -395,15 +379,6 @@ def union_measure(balls: Sequence[Ball], region: Ball,
         region.center, region.radius, seed, budget, key=("union_measure",))
     vol = region.volume()
     return MeasureEstimate(max(0.0, mean * vol), hw * vol, "monte_carlo", count)
-
-
-def complement_measure(balls: Sequence[Ball], region: Ball,
-                       budget: SamplingBudget, seed: int = 0) -> MeasureEstimate:
-    """Measure of region minus the union, with the same error model."""
-    est = union_measure(balls, region, budget, seed)
-    vol = region.volume()
-    return MeasureEstimate(max(0.0, vol - est.value), est.half_width,
-                           est.method, est.sample_count)
 
 
 # ---------------------------------------------------------------------------

@@ -110,50 +110,11 @@ def reference_surface(n: int) -> SurfaceC1:
     return SurfaceC1(plane=plane, label="reference")
 
 
-@dataclass(frozen=True)
-class C1Norm:
-    value: float
-    sup_map: float
-    sup_partials: tuple
-    declared_bound: Optional[float]
-
-
 def unit_lattice(n: int, per_axis: int) -> np.ndarray:
     """The ``per_axis``-point axis lattice of [0,1]^n, in C order."""
     axes = [np.linspace(0.0, 1.0, per_axis)] * n
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def c1_norm(f: SurfaceC1, probe_per_axis: int = 17) -> C1Norm:
-    """Max of sup |f| and the sup of each partial, probed on a lattice.
-
-    When all perturbations are declared bumps the closed-form maxima give a
-    certified upper bound, returned alongside the lattice estimate.
-    """
-    n = f.dim
-    pts = unit_lattice(n, probe_per_axis)
-    sup_map = float(np.linalg.norm(f.value(pts), axis=1).max())
-    jac = f.jacobian(pts)
-    sup_partials = tuple(
-        float(np.linalg.norm(jac[:, :, j], axis=1).max()) for j in range(n))
-    declared = _declared_c1_bound(f)
-    return C1Norm(value=max(sup_map, *sup_partials), sup_map=sup_map,
-                  sup_partials=sup_partials, declared_bound=declared)
-
-
-def _declared_c1_bound(f: SurfaceC1) -> Optional[float]:
-    n = f.dim
-    corners = unit_lattice(n, 2)
-    sup_plane = float(np.linalg.norm(f.plane.embed(corners), axis=1).max())
-    amp = sum(abs(b.amplitude) for _, b in f.components)
-    sup_map = sup_plane + amp
-    partial_bounds = []
-    for j in range(n):
-        base = math.sqrt(1.0 + float(f.plane.gradient[j]) ** 2)
-        slope = sum(b.slope_max for _, b in f.components)
-        partial_bounds.append(base + slope)
-    return max(sup_map, *partial_bounds)
 
 
 def reference_distance(f: SurfaceC1, probe_per_axis: int = 17

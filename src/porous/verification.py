@@ -893,10 +893,9 @@ def family_invariant_audit(family: HoleFamily, seed: int = 0,
         - np.linalg.norm(family.base_centers - window.center, axis=1) \
         - family.E * family.ts
     worst = float(slack.min()) if len(slack) else math.inf
-    rows.append(AuditRow(
-        id="family/window-containment", check="packing-window",
-        measured=worst, bound=0.0, margin=worst,
-        status="pass" if worst >= -1e-9 else "fail"))
+    rows.append(AuditRow.at_least(
+        "family/window-containment", "packing-window", worst, 0.0,
+        ok=worst >= -1e-9))
 
     # pairwise disjoint-or-nested per stage, exact
     for k in range(1, family.depth + 1):
@@ -909,21 +908,18 @@ def family_invariant_audit(family: HoleFamily, seed: int = 0,
         nested = np.abs(rad[first] - rad[second]) - sep
         bad = np.flatnonzero(~((disjoint >= -1e-9) | (nested >= -1e-9)))
         if len(bad) == 0:
-            rows.append(AuditRow(
-                id=f"family/stage-{k}/disjoint-or-nested",
-                check="packing-pairs", measured=0.0, bound=0.0, margin=0.0,
-                status="pass"))
+            rows.append(AuditRow.zero_count(
+                f"family/stage-{k}/disjoint-or-nested", "packing-pairs", 0))
         else:
             # name the worst offending pair by its family hole ids, the
             # lowest (i, j) among equals
             worst = bad[int(np.argmin(disjoint[bad]))]
             i, j = first[worst], second[worst]
             worst_gap = float(disjoint[worst])
-            rows.append(AuditRow(
-                id=f"family/stage-{k}/disjoint-or-nested/"
-                   f"pair-{int(ids[i])}-{int(ids[j])}",
-                check="packing-pairs", measured=worst_gap, bound=0.0,
-                margin=worst_gap, status="fail"))
+            rows.append(AuditRow.at_least(
+                f"family/stage-{k}/disjoint-or-nested/"
+                f"pair-{int(ids[i])}-{int(ids[j])}",
+                "packing-pairs", worst_gap, 0.0))
 
     # radius decay: strictly down levels, and across stage boundaries
     decay_ok = True
@@ -975,7 +971,19 @@ def family_invariant_audit(family: HoleFamily, seed: int = 0,
 # report plumbing
 # ---------------------------------------------------------------------------
 
+REPORT_FORMAT = "audit-report/1"
 CSV_HEADER = "id,lemma_ref,measured,bound,margin,status"
+STATUSES = ("pass", "fail", "indeterminate")
+# the report's row sections, in file order
+SECTIONS = ("construction_audits", "analysis_audits", "budget_ledgers",
+            "porosity")
+CONSTRUCTION, ANALYSIS, BUDGET, POROSITY = SECTIONS
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -989,6 +997,32 @@ class AuditRow:
     margin: float
     status: str
 
+    @classmethod
+    def at_most(cls, id: str, check: str, measured: float, bound: float,
+                ok: Optional[bool] = None) -> "AuditRow":
+        """A measured value bounded above; ``ok`` overrides measured <= bound
+        where the verdict carries a tolerance."""
+        measured, bound = float(measured), float(bound)
+        ok = measured <= bound if ok is None else ok
+        return cls(id, check, measured, bound, bound - measured,
+                   "pass" if ok else "fail")
+
+    @classmethod
+    def at_least(cls, id: str, check: str, measured: float, bound: float,
+                 ok: Optional[bool] = None) -> "AuditRow":
+        """A measured value bounded below; ``ok`` as for ``at_most``."""
+        measured, bound = float(measured), float(bound)
+        ok = measured >= bound if ok is None else ok
+        return cls(id, check, measured, bound, measured - bound,
+                   "pass" if ok else "fail")
+
+    @classmethod
+    def zero_count(cls, id: str, check: str, count: int,
+                   nonzero: str = "fail") -> "AuditRow":
+        """A count of offending cases, which passes only at zero."""
+        return cls(id, check, float(count), 0.0, 0.0,
+                   "pass" if count == 0 else nonzero)
+
     def as_dict(self) -> dict:
         return {"id": self.id, "lemma_ref": self.check,
                 "measured": self.measured, "bound": self.bound,
@@ -996,9 +1030,13 @@ class AuditRow:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AuditRow":
-        return cls(id=d["id"], check=d["lemma_ref"],
-                   measured=float(d["measured"]), bound=float(d["bound"]),
-                   margin=float(d["margin"]), status=d["status"])
+        row = cls(id=d["id"], check=d["lemma_ref"],
+                  measured=_number(d["measured"]), bound=_number(d["bound"]),
+                  margin=_number(d["margin"]), status=d["status"])
+        if not (isinstance(row.id, str) and isinstance(row.check, str)) \
+                or row.status not in STATUSES:
+            raise ValueError(f"malformed row {d!r}")
+        return row
 
 
 def mode_map(E: float, epsilons: Sequence[float],
@@ -1028,46 +1066,67 @@ def mode_map(E: float, epsilons: Sequence[float],
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Deterministic aggregation of all verdicts for one family + corpus."""
+    """Deterministic aggregation of all verdicts for one family + corpus.
+
+    ``sections`` maps each name of ``SECTIONS`` to its rows; absent
+    sections are empty.  The verdicts are derived from the rows.
+    """
 
     config: dict
-    construction_audits: list
-    analysis_audits: list
-    budget_ledgers: list
-    porosity: list
-    verdicts: dict = field(default_factory=dict)
+    sections: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        unknown = sorted(set(self.sections) - set(SECTIONS))
+        if unknown:
+            raise ValueError(f"unknown report sections {unknown}")
+        object.__setattr__(self, "sections", {
+            name: list(self.sections.get(name, ())) for name in SECTIONS})
+
+    @classmethod
+    def merge(cls, reports: Sequence["AuditReport"]) -> "AuditReport":
+        """All rows of the reports, section by section, under the first
+        report's config."""
+        return cls(reports[0].config, {
+            name: [row for r in reports for row in r.sections[name]]
+            for name in SECTIONS})
 
     def rows(self) -> list[AuditRow]:
-        out = []
-        for section in (self.construction_audits, self.analysis_audits,
-                        self.budget_ledgers, self.porosity):
-            for entry in section:
-                out.append(AuditRow.from_dict(entry))
-        return out
+        return [row for rows in self.sections.values() for row in rows]
+
+    @property
+    def verdicts(self) -> dict:
+        counts = {status: 0 for status in STATUSES}
+        for row in self.rows():
+            counts[row.status] += 1
+        overall = ("fail" if counts["fail"] else "indeterminate"
+                   if counts["indeterminate"] else "pass")
+        return {"overall": overall, **counts}
 
     def to_json(self) -> str:
-        doc = {
-            "format": "audit-report/1",
-            "config": self.config,
-            "construction_audits": self.construction_audits,
-            "analysis_audits": self.analysis_audits,
-            "budget_ledgers": self.budget_ledgers,
-            "porosity": self.porosity,
-            "verdicts": self.verdicts,
-        }
+        doc = {"format": REPORT_FORMAT, "config": self.config,
+               **{name: [row.as_dict() for row in rows]
+                  for name, rows in self.sections.items()},
+               "verdicts": self.verdicts}
         return json.dumps(doc, separators=(",", ":"), allow_nan=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "AuditReport":
-        doc = json.loads(text)
-        if doc.get("format") != "audit-report/1":
-            raise ValueError(
-                f"unsupported report format {doc.get('format')!r}")
-        return cls(config=doc["config"],
-                   construction_audits=doc["construction_audits"],
-                   analysis_audits=doc["analysis_audits"],
-                   budget_ledgers=doc["budget_ledgers"],
-                   porosity=doc["porosity"], verdicts=doc["verdicts"])
+        """Parse a report; anything malformed raises ``ValueError``."""
+        try:
+            doc = json.loads(text)
+            if doc.get("format") != REPORT_FORMAT:
+                raise ValueError(
+                    f"unsupported report format {doc.get('format')!r}")
+            if not isinstance(doc["config"], dict):
+                raise ValueError("report config is not an object")
+            report = cls(doc["config"], {
+                name: [AuditRow.from_dict(d) for d in doc[name]]
+                for name in SECTIONS})
+            if doc["verdicts"] != report.verdicts:
+                raise ValueError("report verdicts disagree with its rows")
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed report: {exc!r}") from exc
+        return report
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
@@ -1078,84 +1137,41 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def emit_report(config: dict,
-                construction_audits: Sequence[AuditRow] = (),
-                analysis_audits: Sequence[AuditRow] = (),
-                budget_ledgers: Sequence[AuditRow] = (),
-                porosity: Sequence[AuditRow] = ()) -> AuditReport:
-    """Assemble rows into a report and derive the overall verdict."""
-    sections = {
-        "construction_audits": [r.as_dict() for r in construction_audits],
-        "analysis_audits": [r.as_dict() for r in analysis_audits],
-        "budget_ledgers": [r.as_dict() for r in budget_ledgers],
-        "porosity": [r.as_dict() for r in porosity],
-    }
-    statuses = [r["status"] for rows in sections.values() for r in rows]
-    if any(s == "fail" for s in statuses):
-        overall = "fail"
-    elif any(s == "indeterminate" for s in statuses):
-        overall = "indeterminate"
-    else:
-        overall = "pass"
-    verdicts = {
-        "overall": overall,
-        "pass": sum(s == "pass" for s in statuses),
-        "fail": sum(s == "fail" for s in statuses),
-        "indeterminate": sum(s == "indeterminate" for s in statuses),
-    }
-    return AuditReport(config=config, verdicts=verdicts, **sections)
-
-
 def ledger_rows(ledger: BudgetLedger) -> list[AuditRow]:
     """Flatten one field's budget ledger into report rows."""
-    rows = [AuditRow(
-        id=f"budget/{ledger.source}/verdict", check="budget-total",
-        measured=ledger.total_hit_mass,
-        bound=ledger.c_ledger * (max(ledger.energy.lower(), 0.0)
-                                 + ledger.epsilon_sum),
-        margin=ledger.c_ledger * (max(ledger.energy.lower(), 0.0)
-                                  + ledger.epsilon_sum)
-        - ledger.total_hit_mass,
-        status="pass" if ledger.verdict_ok else "fail")]
+    rows = [AuditRow.at_most(
+        f"budget/{ledger.source}/verdict", "budget-total",
+        ledger.total_hit_mass,
+        ledger.c_ledger * (max(ledger.energy.lower(), 0.0)
+                           + ledger.epsilon_sum),
+        ok=ledger.verdict_ok)]
     for st in ledger.stages:
         base = f"budget/{ledger.source}/stage-{st.k}"
-        rows.append(AuditRow(
-            id=f"{base}/u-mass", check="u-mass",
-            measured=st.ubound_sum, bound=st.classification.epsilon,
-            margin=st.classification.epsilon - st.ubound_sum,
-            status="pass" if st.ubound_ok else "fail"))
-        rows.append(AuditRow(
-            id=f"{base}/d-energy", check="d-energy",
-            measured=st.dbound_max_ratio, bound=ledger.c_dbound,
-            margin=ledger.c_dbound - st.dbound_max_ratio,
-            status="pass" if st.dbound_ok else "fail"))
-        rows.append(AuditRow(
-            id=f"{base}/residue-disjoint", check="residue-disjoint",
-            measured=float(len(st.disjointness.violations)), bound=0.0,
-            margin=0.0, status="pass" if not st.disjointness.violations
-            else "fail"))
+        rows.append(AuditRow.at_most(
+            f"{base}/u-mass", "u-mass", st.ubound_sum,
+            st.classification.epsilon, ok=st.ubound_ok))
+        rows.append(AuditRow.at_most(
+            f"{base}/d-energy", "d-energy", st.dbound_max_ratio,
+            ledger.c_dbound))
+        rows.append(AuditRow.zero_count(
+            f"{base}/residue-disjoint", "residue-disjoint",
+            len(st.disjointness.violations)))
         if st.classification.indeterminate_ids:
-            rows.append(AuditRow(
-                id=f"{base}/classification", check="u-d-split",
-                measured=float(len(st.classification.indeterminate_ids)),
-                bound=0.0, margin=0.0, status="indeterminate"))
+            rows.append(AuditRow.zero_count(
+                f"{base}/classification", "u-d-split",
+                len(st.classification.indeterminate_ids),
+                nonzero="indeterminate"))
         if st.smoothing is not None:
             sm = st.smoothing
-            rows.append(AuditRow(
-                id=f"{base}/smoothing-drift", check="smoothing-drift",
-                measured=sm.sup_diff, bound=sm.diff_tol,
-                margin=sm.diff_tol - sm.sup_diff,
-                status="pass" if sm.sup_diff <= sm.diff_tol else "fail"))
-            rows.append(AuditRow(
-                id=f"{base}/smoothing-gradient", check="smoothing-gradient",
-                measured=sm.grad_sup, bound=sm.grad_cap,
-                margin=sm.grad_cap - sm.grad_sup,
-                status="pass" if sm.grad_sup <= sm.grad_cap else "fail"))
-            rows.append(AuditRow(
-                id=f"{base}/hit-consistency", check="hit-consistency",
-                measured=float(len(sm.consistency_violations)), bound=0.0,
-                margin=0.0,
-                status="pass" if not sm.consistency_violations else "fail"))
+            rows.append(AuditRow.at_most(
+                f"{base}/smoothing-drift", "smoothing-drift", sm.sup_diff,
+                sm.diff_tol))
+            rows.append(AuditRow.at_most(
+                f"{base}/smoothing-gradient", "smoothing-gradient",
+                sm.grad_sup, sm.grad_cap))
+            rows.append(AuditRow.zero_count(
+                f"{base}/hit-consistency", "hit-consistency",
+                len(sm.consistency_violations)))
     return rows
 
 
@@ -1183,13 +1199,8 @@ def _suite_sup(fn, ball: Ball, seed: int, count: int = 4096) -> float:
     return float(max(vals.max(), centre[0]))
 
 
-def _row(slug: str, measured: float, bound: float,
-         prefix: str = "analysis") -> AuditRow:
-    measured = float(measured)
-    bound = float(bound)
-    return AuditRow(id=f"{prefix}/{slug}", check=slug, measured=measured,
-                    bound=bound, margin=bound - measured,
-                    status="pass" if measured <= bound else "fail")
+def _row(slug: str, measured: float, bound: float) -> AuditRow:
+    return AuditRow.at_most(f"analysis/{slug}", slug, measured, bound)
 
 
 def analysis_suite(seed: int = 0) -> list[AuditRow]:

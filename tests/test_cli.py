@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from porous import AuditReport, deserialize_family, serialize_family
+from porous import AuditReport, AuditRow, deserialize_family, serialize_family
 from porous.cli import main
 from porous.construction import HoleFamily
 from porous.verification import CSV_HEADER
@@ -55,6 +55,13 @@ def test_build_writes_all_artifacts(build_dir):
     assert csv[0] == CSV_HEADER
 
 
+def test_reports_parse_and_rewrite_byte_identically(build_dir, audit_dir):
+    for path in (build_dir / "build_report.json",
+                 audit_dir / "audit_report.json"):
+        text = path.read_text()
+        assert AuditReport.from_json(text).to_json() == text, path.name
+
+
 def test_build_is_reproducible(build_dir, tmp_path):
     out = tmp_path / "again"
     assert main(["build", "--config", str(DEMO_CONFIG),
@@ -94,8 +101,8 @@ def test_audit_analysis_needs_no_family(tmp_path):
     assert main(["audit", "--config", str(DEMO_CONFIG),
                  "--which", "analysis", "--out", str(out)]) == 0
     report = AuditReport.from_json((out / "audit_report.json").read_text())
-    assert len(report.analysis_audits) == 10
-    assert report.construction_audits == []
+    assert len(report.sections["analysis_audits"]) == 10
+    assert report.sections["construction_audits"] == []
 
 
 def test_audit_budget_on_mini_corpus(build_dir, tmp_path):
@@ -108,7 +115,7 @@ def test_audit_budget_on_mini_corpus(build_dir, tmp_path):
                "--which", "budget,holes-mass", "--out", str(out)])
     assert rc == 0
     report = AuditReport.from_json((out / "audit_report.json").read_text())
-    ids = [r["id"] for r in report.budget_ledgers]
+    ids = [r.id for r in report.sections["budget_ledgers"]]
     assert any(i.endswith("/verdict") for i in ids)
     assert any(i.startswith("holes-mass/") for i in ids)
     assert any(i.endswith("/alpha") for i in ids)
@@ -218,8 +225,8 @@ def _audit_overlapping_hit_holes(tmp_path, stages):
                "--family", str(family_path), "--corpus", str(corpus),
                "--which", "budget", "--out", str(out)])
     report = AuditReport.from_json((out / "audit_report.json").read_text())
-    return rc, {r["id"].split("/", 2)[2]: r["status"]
-                for r in report.budget_ledgers}
+    return rc, {r.id.split("/", 2)[2]: r.status
+                for r in report.sections["budget_ledgers"]}
 
 
 def test_audit_budget_fails_the_row_of_overlapping_hit_holes(tmp_path,
@@ -302,11 +309,7 @@ def test_report_merges_reports_of_one_run(build_dir, audit_dir, tmp_path):
 
 
 def test_report_refuses_mixed_hashes(audit_dir, tmp_path, capsys):
-    foreign = AuditReport(config={"config_hash": "f" * 64},
-                          construction_audits=[], analysis_audits=[],
-                          budget_ledgers=[], porosity=[],
-                          verdicts={"overall": "pass", "pass": 0, "fail": 0,
-                                    "indeterminate": 0})
+    foreign = AuditReport(config={"config_hash": "f" * 64})
     path = tmp_path / "foreign.json"
     path.write_text(foreign.to_json())
     rc = main(["report", str(audit_dir / "audit_report.json"), str(path),
@@ -321,6 +324,50 @@ def test_report_rejects_unknown_format(tmp_path, capsys):
     rc = main(["report", str(path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "cannot parse report" in capsys.readouterr().err
+
+
+_EMPTY_REPORT = json.loads(AuditReport({}).to_json())
+_ROW = AuditRow("a", "c", 1.0, 2.0, 1.0, "pass").as_dict()
+MALFORMED_REPORTS = {
+    "row-missing-keys": {**_EMPTY_REPORT,
+                         "porosity": [{"id": "a", "status": "pass"}]},
+    "measured-not-a-number": {**_EMPTY_REPORT,
+                              "porosity": [{**_ROW, "measured": "high"}]},
+    "row-not-an-object": {**_EMPTY_REPORT, "porosity": ["a"]},
+    "top-level-list": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_report_rejects_malformed_input(tmp_path, capsys, case):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(MALFORMED_REPORTS[case]))
+    rc = main(["report", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "cannot parse report" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("row, code", [
+    (AuditRow.at_least("porosity/witness", "porosity-witness", 0.0, 0.3), 2),
+    (AuditRow.zero_count("budget/f/stage-1/classification", "u-d-split", 1,
+                         nonzero="indeterminate"), 3),
+])
+def test_report_exit_code_is_the_merged_verdict(tmp_path, row, code):
+    path = tmp_path / "report.json"
+    path.write_text(AuditReport({"config_hash": "h"},
+                                {"porosity": [row]}).to_json())
+    assert main(["report", str(path), "--out", str(tmp_path / "out")]) \
+        == code
+
+
+def test_audit_no_longer_takes_workers(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--config", str(DEMO_CONFIG), "--which", "analysis",
+              "--workers", "2", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_report_missing_input(tmp_path, capsys):

@@ -22,7 +22,6 @@ def test_default_doc_parses_cleanly():
     cfg = parse_config(_raw(doc))
     assert cfg.build.n == 3
     assert cfg.build.depth == len(cfg.build.epsilons)
-    assert cfg.workers == 1
     assert cfg.audit == AuditSettings()
 
 
@@ -107,7 +106,6 @@ def test_audit_section_is_optional_with_defaults():
     del doc["workers"]
     cfg = parse_config(_raw(doc))
     assert cfg.audit == AuditSettings()
-    assert cfg.workers == 1
 
 
 def test_audit_overrides_apply():
@@ -132,9 +130,12 @@ def test_with_seed_overrides_both_sides():
 
 
 def test_workers_knob():
+    # audits run serially: the key may be absent or 1, nothing else
     doc = default_config_doc()
+    assert doc["workers"] == 1
+    parse_config(_raw(doc))
+    del doc["workers"]
+    parse_config(_raw(doc))
     doc["workers"] = 4
-    assert parse_config(_raw(doc)).workers == 4
-    doc["workers"] = 0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="at /workers"):
         parse_config(_raw(doc))

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from porous import (Ball, BuildConfig, ConstructionFailure, NeedsMoreSamples,
-                    ParseError, SamplingBudget, assemble_H, assemble_Pk,
-                    build_family, build_stage, choose_level_radius,
+from porous import (Ball, BuildConfig, ConstructionFailure, LevelFamily,
+                    NeedsMoreSamples, ParseError, SamplingBudget, assemble_H,
+                    assemble_Pk, build_family, build_stage, choose_level_radius,
                     deserialize_family, footprint_factor, pack_level,
                     plane_for_index, plane_schedule, sample_truncated_P,
                     serialize_family, substream, truncated_P,
@@ -300,6 +300,26 @@ def test_lift_places_holes_above_plane():
     assert lifted.shape == (1, 4)
     assert lifted[0, 3] == pytest.approx(plane.heights(
         np.array([[0.5, 0.5, 0.5]]))[0] + 2 * 0.02)
+
+
+def test_lift_matches_a_per_centre_loop():
+    plane = plane_for_index(2, 3, 1.0 / 64.0)
+    rng = substream(5, "lift")
+    levels = [LevelFamily(k=k, level=lvl, radius=t,
+                          centers=rng.uniform(0.3, 0.7, (count, 3)))
+              for k, lvl, t, count in ((1, 1, 0.02, 4), (1, 2, 0.01, 0),
+                                       (2, 1, 0.005, 3))]
+    ks, ls, lifted, ts = lift(levels, plane)
+    rows = [(fam.k, fam.level, c, fam.radius)
+            for fam in levels for c in fam.centers]
+    assert ks.tolist() == [r[0] for r in rows] and ks.dtype == np.int64
+    assert ls.tolist() == [r[1] for r in rows] and ls.dtype == np.int64
+    assert ts.tolist() == [r[3] for r in rows]
+    base = np.array([r[2] for r in rows])
+    heights = plane.heights(base) + 2.0 * np.array([r[3] for r in rows])
+    assert np.array_equal(lifted, np.hstack([base, heights[:, None]]))
+    empty = lift([], plane)
+    assert [a.shape for a in empty] == [(0,), (0,), (0, 4), (0,)]
 
 
 def test_demo_family_shape_and_lift(demo_family):

@@ -9,7 +9,6 @@ from oracles import (brute_contains_any, brute_members, brute_pairs,
                      grid_union_oracle)
 from porous import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                     PorosityWitness, SamplingBudget, ScalarField,
-                    complement_measure, cross_section_area, enlarge,
                     pullback_porosity_witness, substream, union_measure,
                     unit_ball_volume)
 from porous import geometry
@@ -45,23 +44,6 @@ def test_ball_equality_and_hash():
     c = Ball([0.5, 0.5, 0.5], 0.5)
     assert a == b and hash(a) == hash(b)
     assert a != c
-
-
-def test_enlarge_scales_in_place():
-    b = Ball([1.0, 2.0, 3.0], 0.5)
-    big = enlarge(b, 3.0)
-    assert big.radius == pytest.approx(1.5)
-    assert np.array_equal(big.center, b.center)
-    with pytest.raises(ValueError):
-        enlarge(b, 0.9)
-
-
-def test_cross_section_area_is_base_content():
-    b = Ball(np.zeros(4), 0.1)
-    assert cross_section_area(b, 3) == pytest.approx(
-        unit_ball_volume(3) * 1e-3)
-    with pytest.raises(ValueError):
-        cross_section_area(b, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +198,6 @@ def test_union_measure_against_dense_grid_fifty_balls():
     est = union_measure(balls, region, SamplingBudget(64, 1024))
     oracle, err = grid_union_oracle(balls, region, res=256)
     assert abs(est.value - oracle) <= est.half_width + err
-
-
-def test_complement_measure_is_region_minus_union():
-    region = Ball([0.0, 0.0, 0.0], 1.0)
-    balls = [Ball([0.0, 0.0, 0.0], 0.5)]
-    comp = complement_measure(balls, region, SamplingBudget(8, 64))
-    assert comp.value == pytest.approx(region.volume() - 0.5**3
-                                       * unit_ball_volume(3), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

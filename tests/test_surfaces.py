@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from porous import (AffinePlane, Ball, BumpSpec, ParseError,
-                    PreconditionError, SamplingBudget, SurfaceC1, c1_norm,
+                    PreconditionError, SamplingBudget, SurfaceC1,
                     corpus_generate, graph_extract, graph_measure_in,
                     load_corpus_spec, reference_distance, reference_surface,
                     sn_membership, substream)
@@ -109,22 +109,6 @@ def test_surface_jacobian_matches_finite_differences():
 # ---------------------------------------------------------------------------
 # norms and distances
 # ---------------------------------------------------------------------------
-
-def test_c1_norm_probe_close_to_declared_on_bump_corpus():
-    rng = substream(3, "norm-corpus")
-    for i in range(10):
-        amp = float(rng.uniform(0.002, 0.01))
-        width = float(rng.uniform(0.15, 0.3))
-        center = tuple(rng.uniform(0.3, 0.7, 3))
-        plane = AffinePlane(index=1, gradient=np.zeros(3), offset=0.0,
-                            anchor=np.full(3, 0.5))
-        f = SurfaceC1(plane=plane, components=((3, BumpSpec(center, amp,
-                                                            width)),))
-        norm = c1_norm(f, probe_per_axis=33)
-        assert norm.declared_bound is not None
-        assert norm.value <= norm.declared_bound
-        assert norm.declared_bound <= 1.01 * norm.value
-
 
 def test_reference_distance_flat_surface_is_zero():
     probe, certified = reference_distance(reference_surface(3))

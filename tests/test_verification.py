@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
                     SamplingBudget,
                     ScalarField, alpha_relaxed, analysis_suite, blend,
                     budget, bump_field, classify_holes, coverage_deficit,
-                    disjointness_audit, emit_report, family_invariant_audit,
+                    disjointness_audit, family_invariant_audit,
                     hole_intersection_mass, ledger_rows, mode_map,
                     make_cutoff, mollify, porosity_witness, residue_region,
                     sample_truncated_P, select_smoothing_subfamily,
@@ -17,7 +18,7 @@ from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
 from porous.sampling import sample_shell, substream
 from porous import sampling, verification
 from porous.verification import (CSV_HEADER, DBOUND_C, K_constant, LEDGER_C,
-                                 _ball_probes, graph_hit_scan,
+                                 SECTIONS, _ball_probes, graph_hit_scan,
                                  residue_energies, residue_energy,
                                  smooth_over_subfamily)
 
@@ -801,30 +802,67 @@ def test_audit_row_round_trip():
                                   "margin", "status"}
 
 
+def test_row_constructors_derive_margin_and_status():
+    above = AuditRow.at_most("a", "c", 1.0, 3.0)
+    assert (above.margin, above.status) == (2.0, "pass")
+    assert AuditRow.at_most("a", "c", 3.0, 1.0).status == "fail"
+    assert AuditRow.at_most("a", "c", 1.0 + 1e-16, 1.0, ok=True).status \
+        == "pass"
+    below = AuditRow.at_least("a", "c", 1.0, 3.0)
+    assert (below.margin, below.status) == (-2.0, "fail")
+    assert AuditRow.at_least("a", "c", 3.0, 1.0).status == "pass"
+    assert AuditRow.zero_count("a", "c", 0) == AuditRow(
+        "a", "c", 0.0, 0.0, 0.0, "pass")
+    assert AuditRow.zero_count("a", "c", 2).status == "fail"
+    assert AuditRow.zero_count("a", "c", 2, nonzero="indeterminate").status \
+        == "indeterminate"
+
+
 def test_report_round_trip_and_verdicts():
     rows = [AuditRow("a", "c1", 1.0, 2.0, 1.0, "pass"),
             AuditRow("b", "c2", 3.0, 2.0, -1.0, "fail"),
             AuditRow("c", "c3", 2.0, 2.0, 0.0, "indeterminate")]
-    report = emit_report({"config_hash": "h"}, construction_audits=rows[:1],
-                         budget_ledgers=rows[1:2], porosity=rows[2:])
+    report = AuditReport({"config_hash": "h"}, {
+        "construction_audits": rows[:1], "budget_ledgers": rows[1:2],
+        "porosity": rows[2:]})
     assert report.verdicts == {"overall": "fail", "pass": 1, "fail": 1,
                                "indeterminate": 1}
+    assert list(report.sections) == list(SECTIONS)
+    assert report.sections["analysis_audits"] == []
     back = AuditReport.from_json(report.to_json())
+    assert back == report
     assert back.to_json() == report.to_json()
     csv = report.to_csv().splitlines()
     assert csv[0] == CSV_HEADER
     assert len(csv) == 4
 
-    clean = emit_report({}, construction_audits=rows[:1])
+    clean = AuditReport({}, {"construction_audits": rows[:1]})
     assert clean.verdicts["overall"] == "pass"
-    mixed = emit_report({}, construction_audits=rows[:1],
-                        porosity=rows[2:])
+    mixed = AuditReport({}, {"construction_audits": rows[:1],
+                             "porosity": rows[2:]})
     assert mixed.verdicts["overall"] == "indeterminate"
+    merged = AuditReport.merge([report, mixed])
+    assert merged.config == report.config
+    assert [r.id for r in merged.rows()] == ["a", "a", "b", "c", "c"]
 
 
 def test_report_rejects_unknown_format():
     with pytest.raises(ValueError):
         AuditReport.from_json('{"format": "audit-report/9"}')
+
+
+def test_report_rejects_unknown_section():
+    with pytest.raises(ValueError, match="unknown report sections"):
+        AuditReport({}, {"porosity_audits": []})
+
+
+def test_report_rejects_verdicts_that_disagree_with_its_rows():
+    row = AuditRow("a", "c", 3.0, 2.0, -1.0, "fail")
+    doc = json.loads(AuditReport({}, {"porosity": [row]}).to_json())
+    doc["verdicts"] = {"overall": "pass", "pass": 1, "fail": 0,
+                       "indeterminate": 0}
+    with pytest.raises(ValueError, match="verdicts disagree"):
+        AuditReport.from_json(json.dumps(doc))
 
 
 def test_mode_map_documents_every_translated_constant():
