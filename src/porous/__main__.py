@@ -1,0 +1,7 @@
+"""``python -m porous``: the ``porous`` command without an installed script."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BlendPreconditionError, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, ScalarField,
+                       displacements, scale_rows, sq_norms,
                        unit_ball_volume)
 from .sampling import (SamplingBudget, place_shell, sample_shell,
                        shell_draws, shell_edges, stratified_ball_mean,
@@ -124,24 +125,43 @@ def mollify(g: ScalarField, eps: float,
     shifts = eps * offsets
 
     def fold(evaluate, pts: np.ndarray, shape: tuple) -> np.ndarray:
-        # one evaluation per block of shifted copies of pts; the running sum
-        # is the left fold acc += w_q * v_q over the nodes in order from
-        # +0.0, and add.accumulate along axis 0 is that fold by definition.
-        # A single point keeps one evaluation per node: numpy rounds a
-        # one-row matrix product differently from a multi-row one.
-        m = pts.shape[0]
-        per = max(1, MOLLIFY_BLOCK // m) if m > 1 else 1
+        # The left fold acc += w_q * v_q over the nodes in order from +0.0.
+        m, n = pts.shape
+        w = wts.reshape((-1,) + (1,) * len(shape))
+        if m == 1:
+            # A single point keeps one evaluation per node: numpy rounds a
+            # one-row matrix product differently from a multi-row one.  The
+            # values fill rows 1.. of one buffer, weighted in place, and
+            # add.accumulate along it is the fold by definition.
+            shifted = pts + shifts
+            terms = np.empty((len(wts) + 1,) + shape)
+            terms[0] = 0.0
+            for q in range(len(wts)):
+                terms[q + 1] = evaluate(shifted[q:q + 1])[0]
+            np.multiply(w, terms[1:], out=terms[1:])
+            return np.add.accumulate(terms, axis=0, out=terms)[-1:].copy()
+        # One evaluation per block of shifted copies of pts, written column
+        # by column into one (per, m, n) buffer that every block reuses.
+        # The block's weighted terms fill rows 1.. of a reused
+        # (per + 1, m, ...) buffer whose row 0 holds the running sum, and
+        # add.reduce along that node axis adds the rows one after another
+        # (numpy sums pairwise only along a contiguous axis, which the node
+        # axis is not while a row holds two or more numbers).  The arrays
+        # the field returns are only read, never written.
+        per = min(len(wts), max(1, MOLLIFY_BLOCK // max(m, 1)))
+        shifted = np.empty((per, m, n))
+        terms = np.empty((per + 1, m) + shape)
         acc = np.zeros((m,) + shape)
         for lo in range(0, len(wts), per):
-            w = wts[lo:lo + per]
-            block = (pts[None, :, :] + shifts[lo:lo + per, None, :]
-                     ).reshape(-1, pts.shape[1])
-            vals = evaluate(block).reshape((len(w), m) + shape)
-            terms = np.empty((len(w) + 1, m) + shape)
+            k = min(per, len(wts) - lo)
+            block = shifted[:k]
+            for j in range(n):
+                np.add(pts[:, j], shifts[lo:lo + k, None, j],
+                       out=block[:, :, j])
+            vals = evaluate(block.reshape(k * m, n)).reshape((k, m) + shape)
             terms[0] = acc
-            np.multiply(w.reshape((-1, 1) + (1,) * len(shape)), vals,
-                        out=terms[1:])
-            acc = np.add.accumulate(terms, axis=0)[-1]
+            np.multiply(w[lo:lo + k, None], vals, out=terms[1:k + 1])
+            np.add.reduce(terms[:k + 1], axis=0, out=acc)
         return acc
 
     def fn(pts: np.ndarray) -> np.ndarray:
@@ -182,27 +202,34 @@ def bump_field(center: np.ndarray, radius: float, amplitude: float,
     if radius <= 0:
         raise ValueError("bump radius must be positive")
     center = np.asarray(center, dtype=float)
+    r2 = radius**2
+    k = -2.0 * amplitude / r2
+
+    # masked ufuncs evaluate the profile on the support only, writing in
+    # place; outside it every value and gradient component is +0.0
+    def profile(pts: np.ndarray):
+        """pts - center, then s = q - 1 and exp(1 + 1/s) on the support
+        q = |pts - center|^2 / r^2 < 1, and the support mask."""
+        delta = displacements(np.atleast_2d(pts), center)
+        s = sq_norms(delta)
+        s /= r2
+        inside = s < 1.0
+        np.subtract(s, 1.0, out=s, where=inside)
+        e = np.divide(1.0, s, out=np.empty_like(s), where=inside)
+        np.add(1.0, e, out=e, where=inside)
+        np.exp(e, out=e, where=inside)
+        return delta, s, e, inside
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        q = ((pts - center) ** 2).sum(axis=1) / radius**2
-        out = np.zeros(pts.shape[0])
-        inside = q < 1.0
-        out[inside] = amplitude * np.exp(1.0 + 1.0 / (q[inside] - 1.0))
-        return out
+        _, _, e, inside = profile(pts)
+        return np.multiply(amplitude, e, out=np.zeros(len(e)), where=inside)
 
     def grad_fn(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        delta = pts - center
-        q = (delta**2).sum(axis=1) / radius**2
-        out = np.zeros_like(pts)
-        inside = q < 1.0
-        scale = np.zeros(pts.shape[0])
-        scale[inside] = (-2.0 * amplitude / radius**2
-                         * np.exp(1.0 + 1.0 / (q[inside] - 1.0))
-                         / (q[inside] - 1.0) ** 2)
-        out[inside] = scale[inside, None] * delta[inside]
-        return out
+        delta, s, scale, inside = profile(pts)
+        np.multiply(k, scale, out=scale, where=inside)
+        np.divide(scale, np.square(s, out=s, where=inside), out=scale,
+                  where=inside)
+        return scale_rows(scale, delta, inside)
 
     return ScalarField(domain=Ball(center, radius), fn=fn, grad_fn=grad_fn,
                        grad_bound=abs(amplitude) * BUMP_SLOPE_SUP / radius,

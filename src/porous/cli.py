@@ -290,11 +290,13 @@ def cmd_report(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"cannot parse report {p}: {exc}") from exc
 
-    hashes = {r.config.get("config_hash") for r in reports}
-    if len(hashes) > 1:
-        raise ConfigError(
-            "refusing to merge reports with mixed config hashes: "
-            + ", ".join(sorted(str(h)[:12] for h in hashes)))
+    # the config hash covers the config file's bytes, not a --seed override
+    for key, what in (("config_hash", "config hashes"), ("seed", "seeds")):
+        values = {r.config.get(key) for r in reports}
+        if len(values) > 1:
+            raise ConfigError(
+                f"refusing to merge reports with mixed {what}: "
+                + ", ".join(sorted(str(v)[:12] for v in values)))
 
     merged = AuditReport.merge(reports)
 

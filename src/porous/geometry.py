@@ -23,6 +23,45 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
+# Row kernels for (m, n) point arrays.  numpy runs a broadcast (m, n) by
+# (n,) operation as m inner loops of n numbers, which is slow for the small
+# n used here, so these work column by column; each matches the plain
+# expression bit for bit.
+
+def displacements(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """``pts - center`` as a C-ordered array."""
+    out = np.empty(pts.shape)
+    for j in range(pts.shape[1]):
+        np.subtract(pts[:, j], center[j], out=out[:, j])
+    return out
+
+
+def sq_norms(d: np.ndarray) -> np.ndarray:
+    """``(d**2).sum(axis=1)`` for a C-ordered ``d``.
+
+    numpy adds a row of fewer than 8 entries left to right, which adding
+    the squared columns in order reproduces; longer rows keep the
+    reduction's pairwise order.
+    """
+    if d.shape[1] >= 8:
+        return (d**2).sum(axis=1)
+    out = np.square(d[:, 0])
+    col = np.empty_like(out)
+    for j in range(1, d.shape[1]):
+        out += np.square(d[:, j], out=col)
+    return out
+
+
+def scale_rows(scale: np.ndarray, d: np.ndarray,
+               where: np.ndarray) -> np.ndarray:
+    """``scale[:, None] * d`` on the rows ``where`` selects, +0.0 on the
+    others."""
+    out = np.zeros(d.shape)
+    for j in range(d.shape[1]):
+        np.multiply(scale, d[:, j], out=out[:, j], where=where)
+    return out
+
+
 def _as_point(p) -> np.ndarray:
     arr = np.array(p, dtype=float)
     if arr.ndim != 1:

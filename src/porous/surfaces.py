@@ -16,7 +16,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ExtractionError, ParseError, PreconditionError
-from .geometry import AffinePlane, Ball, MeasureEstimate, ScalarField
+from .geometry import (AffinePlane, Ball, MeasureEstimate, ScalarField,
+                       displacements, scale_rows, sq_norms)
 from .sampling import SamplingBudget, stratified_ball_integral, substream
 
 # max of u (1-u^2)^2 on [0,1] sits at u = 1/sqrt(5); the slope of the cubic
@@ -45,23 +46,27 @@ class BumpSpec:
     def slope_max(self) -> float:
         return SLOPE_FACTOR * abs(self.amplitude) / self.width
 
+    # evaluated in place; masked ufuncs keep the result, and the costly
+    # cube, to the support: outside it every value and gradient component
+    # is +0.0
     def values(self, pts: np.ndarray) -> np.ndarray:
-        u = (np.atleast_2d(pts) - np.array(self.center)) / self.width
-        rho2 = (u**2).sum(axis=1)
-        out = np.zeros(len(u))
-        m = rho2 < 1.0
-        out[m] = self.amplitude * (1.0 - rho2[m]) ** 3
-        return out
+        u = displacements(np.atleast_2d(pts), np.array(self.center))
+        u /= self.width
+        s = sq_norms(u)
+        m = s < 1.0
+        np.subtract(1.0, s, out=s)
+        np.power(s, 3, out=s, where=m)
+        return np.multiply(self.amplitude, s, out=np.zeros(len(s)), where=m)
 
     def gradients(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        d = pts - np.array(self.center)
-        rho2 = (d**2).sum(axis=1) / self.width**2
-        out = np.zeros_like(pts)
-        m = rho2 < 1.0
-        out[m] = (-6.0 * self.amplitude / self.width**2
-                  * (1.0 - rho2[m])[:, None] ** 2 * d[m])
-        return out
+        d = displacements(np.atleast_2d(pts), np.array(self.center))
+        s = sq_norms(d)
+        s /= self.width**2
+        m = s < 1.0
+        np.subtract(1.0, s, out=s)
+        np.square(s, out=s)
+        np.multiply(-6.0 * self.amplitude / self.width**2, s, out=s)
+        return scale_rows(s, d, m)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@
   ``sample_shell`` drawing and placing in one step, and the one-ball
   stratified mean;
 * union grids: the counting oracle of union measures, and the same count
-  evaluating every ball on every grid point.
+  evaluating every ball on every grid point;
+* bump kernels as first written, gathering the support with a boolean
+  mask and scattering the result back: ``analysis.bump_field`` and
+  ``surfaces.BumpSpec``.
 """
 import math
 
@@ -160,3 +163,53 @@ def grid_union_oracle(balls, region, res):
         inside += int((near < 0.0).sum())
         straddle += int((np.abs(near) < half_diag).sum())
     return inside * h ** 3, straddle * h ** 3
+
+
+def gathered_bump_field(center, radius, amplitude):
+    """``analysis.bump_field``'s (fn, grad_fn) as first written."""
+    center = np.asarray(center, dtype=float)
+
+    def fn(pts):
+        pts = np.atleast_2d(pts)
+        q = ((pts - center) ** 2).sum(axis=1) / radius**2
+        out = np.zeros(pts.shape[0])
+        inside = q < 1.0
+        out[inside] = amplitude * np.exp(1.0 + 1.0 / (q[inside] - 1.0))
+        return out
+
+    def grad_fn(pts):
+        pts = np.atleast_2d(pts)
+        delta = pts - center
+        q = (delta**2).sum(axis=1) / radius**2
+        out = np.zeros_like(pts)
+        inside = q < 1.0
+        scale = np.zeros(pts.shape[0])
+        scale[inside] = (-2.0 * amplitude / radius**2
+                         * np.exp(1.0 + 1.0 / (q[inside] - 1.0))
+                         / (q[inside] - 1.0) ** 2)
+        out[inside] = scale[inside, None] * delta[inside]
+        return out
+
+    return fn, grad_fn
+
+
+def gathered_bump_spec_values(spec, pts):
+    """``surfaces.BumpSpec.values`` as first written."""
+    u = (np.atleast_2d(pts) - np.array(spec.center)) / spec.width
+    rho2 = (u**2).sum(axis=1)
+    out = np.zeros(len(u))
+    m = rho2 < 1.0
+    out[m] = spec.amplitude * (1.0 - rho2[m]) ** 3
+    return out
+
+
+def gathered_bump_spec_gradients(spec, pts):
+    """``surfaces.BumpSpec.gradients`` as first written."""
+    pts = np.atleast_2d(pts)
+    d = pts - np.array(spec.center)
+    rho2 = (d**2).sum(axis=1) / spec.width**2
+    out = np.zeros_like(pts)
+    m = rho2 < 1.0
+    out[m] = (-6.0 * spec.amplitude / spec.width**2
+              * (1.0 - rho2[m])[:, None] ** 2 * d[m])
+    return out

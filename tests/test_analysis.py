@@ -185,6 +185,44 @@ def test_mollify_batched_matches_per_node_loop_at_default_cap():
     assert np.array_equal(smooth.gradients(pts), gradients(pts))
 
 
+@pytest.mark.parametrize("m", [1, 2, 256])
+def test_mollify_batched_matches_per_node_loop_on_suite_instance(m):
+    # the analysis suite's smoothed-gradient instance: a bump capped at
+    # eps^2 t on B(c, t), smoothed at eps t with 25 nodes per axis; at
+    # m = 256 its 3,489 nodes fill 54 blocks of 64 and a short one of 33
+    dom, eps = Ball(CENTER, 0.25), 0.05
+    bump = bump_field(CENTER, dom.radius, eps**2 * dom.radius)
+    capped = ScalarField(domain=dom, fn=bump.fn, grad_fn=bump.grad_fn,
+                         grad_bound=min(bump.grad_bound, 1.0))
+    smooth = mollify(capped, eps * dom.radius, nodes_per_axis=25)
+    values, gradients = _mollify_per_node(capped, eps * dom.radius, 25)
+    per = analysis.MOLLIFY_BLOCK // 256
+    assert len(convolution_nodes(3, 25)[1]) % per == 33
+    pts = sample_shell(substream(13, "suite-instance", m), CENTER, 0.0,
+                       smooth.domain.radius, m)
+    assert smooth.values(pts).tobytes() == values(pts).tobytes()
+    assert smooth.gradients(pts).tobytes() == gradients(pts).tobytes()
+
+
+def test_mollify_never_writes_into_the_fields_arrays():
+    # a field handing out views of one cached array, as a memoising field
+    # would: smoothing reads them and must leave the cache as it was
+    rng = np.random.default_rng(3)
+    cache_v = rng.standard_normal(analysis.MOLLIFY_BLOCK)
+    cache_g = rng.standard_normal((analysis.MOLLIFY_BLOCK, 3))
+    kept_v, kept_g = cache_v.copy(), cache_g.copy()
+    g = ScalarField(domain=Ball(CENTER, 1.0),
+                    fn=lambda pts: cache_v[:len(pts)],
+                    grad_fn=lambda pts: cache_g[:len(pts)], grad_bound=1.0)
+    smooth = mollify(g, 0.05)
+    pts = sample_shell(substream(14, "cached"), CENTER, 0.0, 0.9, 100)
+    for p in (pts, pts[:1]):
+        smooth.values(p)
+        smooth.gradients(p)
+    assert np.array_equal(cache_v, kept_v)
+    assert np.array_equal(cache_g, kept_g)
+
+
 def test_mollify_rejects_eps_outside_domain():
     ball = Ball(CENTER, 0.1)
     g = _affine_field([1.0, 0.0, 0.0], 0.0, ball)

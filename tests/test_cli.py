@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +321,22 @@ def test_report_refuses_mixed_hashes(audit_dir, tmp_path, capsys):
     assert "mixed config hashes" in capsys.readouterr().err
 
 
+def test_report_refuses_mixed_seeds(audit_dir, tmp_path, capsys):
+    # same config file, so the same hash, run with another --seed
+    report = AuditReport.from_json((audit_dir / "audit_report.json")
+                                   .read_text())
+    reseeded = AuditReport({**report.config,
+                            "seed": report.config["seed"] + 2},
+                           report.sections)
+    path = tmp_path / "reseeded.json"
+    path.write_text(reseeded.to_json())
+    rc = main(["report", str(audit_dir / "audit_report.json"), str(path),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "mixed seeds" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_rejects_unknown_format(tmp_path, capsys):
     path = tmp_path / "weird.json"
     path.write_text('{"format": "audit-report/9"}')
@@ -375,3 +394,15 @@ def test_report_missing_input(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "report not found" in capsys.readouterr().err
+
+
+def test_python_m_porous_runs_the_cli(tmp_path):
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run(
+        [sys.executable, "-m", "porous", "report",
+         str(tmp_path / "absent.json"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert "report not found" in done.stderr
