@@ -24,13 +24,15 @@ import numpy as np
 from .errors import ConstructionFailure, NeedsMoreSamples, ParseError
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                        contains_any)
-from .sampling import (SamplingBudget, bernoulli_half_width, sample_shell,
-                       stratified_ball_mean, substream)
+from .sampling import (SamplingBudget, bernoulli_half_width, place_shell,
+                       sample_shell, shell_draws, stratified_ball_mean,
+                       substream)
 
 FORMAT_VERSION = 1
 HALF_MARGIN = 0.01          # slack on every "at least half" certification
 MAX_HALVINGS = 60
 UNCOVERED_BATCHES = 400     # rejection draws before giving up
+FAR_SLACK = 1e-9            # relative widening of the far test's index reach
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +201,9 @@ class StageSpace:
     """Mutable per-stage view: coverage balls accrue as levels finish.
 
     Coverage (what the stop rule measures) uses the plane-footprint factor
-    sqrt(L^2-4); the far condition measures distance to the spheres of the
-    E-enlargements, the objects the packing keeps disjoint.
+    sqrt(L^2-4); the far condition (``far_fraction``) asks for distance to
+    the window complement and to the spheres of the E-enlargements, the
+    objects the packing keeps disjoint.
     """
 
     window: Ball
@@ -224,7 +227,11 @@ class StageSpace:
         return self.index.contains_any(pts)
 
     def boundary_distance(self, pts: np.ndarray) -> np.ndarray:
-        """Distance to the window complement and all enlarged-ball spheres."""
+        """Distance to the window complement and all enlarged-ball spheres.
+
+        The dense reference of ``far_fraction``: it allocates a block of
+        points x min(balls, 4096) x dim, so the pipeline never calls it.
+        Kept for the tests and the bench tracer."""
         pts = np.atleast_2d(pts)
         d = self.window.radius - np.linalg.norm(pts - self.window.center,
                                                 axis=1)
@@ -289,7 +296,28 @@ class LevelFamily:
 
 def far_fraction(space: StageSpace, pts: np.ndarray, r_new: float,
                  E: float) -> np.ndarray:
-    return space.boundary_distance(pts) >= E * r_new
+    """Which points lie at least ``E * r_new`` inside the window and
+    outside every annulus ``| |p - c_i| - space.E t_i | < E r_new`` around
+    the spheres of the stage's E-enlargements.
+
+    The annulus pairs come from one ``BallIndex`` query on radii
+    ``(space.E t_i + E r_new)(1 + FAR_SLACK)``, a superset of the near
+    pairs, and each candidate gets the dense expressions of
+    ``StageSpace.boundary_distance``.  Since ``min(a, b) >= x`` holds
+    exactly when ``a >= x`` and ``b >= x``, and a row norm rounds alike
+    in any array, the booleans equal ``boundary_distance(pts) >= E * r_new``
+    bit for bit, without its points x balls block.
+    """
+    pts = np.atleast_2d(pts)
+    gap = E * r_new
+    far = (space.window.radius
+           - np.linalg.norm(pts - space.window.center, axis=1)) >= gap
+    sphere = space.E * space.radii
+    q, j = BallIndex(space.centers, (sphere + gap) * (1.0 + FAR_SLACK)
+                     ).members(pts)
+    dist = np.linalg.norm(pts[q] - space.centers[j], axis=1)
+    far[q[np.abs(dist - sphere[j]) < gap]] = False
+    return far
 
 
 def choose_level_radius(space: StageSpace, r_prev: float, E: float,
@@ -625,15 +653,17 @@ def sample_truncated_P(tp: TruncatedP, count: int, seed: int,
     weights = radii ** (fam.n + 1)
     weights = weights / weights.sum()
     rng = substream(seed, "sample-P")
+    d, u = np.empty((count, fam.n + 1)), np.empty(count)
     out: list[np.ndarray] = []
     have = 0
     for _ in range(max_tries):
-        picks = rng.choice(len(eligible), size=count, p=weights)
-        for i, pick in enumerate(picks):
-            hid = eligible[pick]
-            pt = sample_shell(rng, fam.lifted_centers[hid], 0.0,
-                              fam.L * fam.ts[hid], 1)
-            out.append(pt)
+        hids = eligible[rng.choice(len(eligible), size=count, p=weights)]
+        # each point's draws in stream order, as one-point sample_shell
+        # calls take them, then placed together
+        for i in range(count):
+            shell_draws(rng, d[i], u[i:i + 1])
+        out.append(place_shell(d, u, fam.lifted_centers[hids], 0.0,
+                               fam.L * fam.ts[hids]))
         pts = np.vstack(out)
         keep = pts[tp.contains(pts)]
         if len(keep) >= count:

@@ -4,7 +4,8 @@
   every other, with the index's exact arithmetic;
 * sampling as it was before batching: the list-seeded ``substream``,
   ``sample_shell`` drawing and placing in one step, and the one-ball
-  stratified mean;
+  stratified mean, and ``sample_truncated_P`` placing one point per
+  ``sample_shell`` call;
 * union grids: the counting oracle of union measures, and the same count
   evaluating every ball on every grid point;
 * bump kernels as first written, gathering the support with a boolean
@@ -15,8 +16,9 @@ import math
 
 import numpy as np
 
+from porous.errors import NeedsMoreSamples
 from porous.geometry import PAIR_SLACK
-from porous.sampling import Z99, shell_edges
+from porous.sampling import Z99, sample_shell, shell_edges, substream
 
 
 def brute_contains_any(points, centers, radii):
@@ -78,6 +80,34 @@ def unsplit_sample_shell(rng, center, r_inner, r_outer, count):
     u = rng.random(count)
     rho = (r_inner**n + u * (r_outer**n - r_inner**n)) ** (1.0 / n)
     return center + d * rho[:, None]
+
+
+def pointwise_sample_truncated_P(tp, count, seed, max_tries=200):
+    """``construction.sample_truncated_P`` drawing and placing each point
+    with its own one-point ``sample_shell`` call."""
+    fam = tp.family
+    eligible = np.flatnonzero(2.0 * fam.ts < 1.0 / tp.depth)
+    radii = fam.L * fam.ts[eligible]
+    weights = radii ** (fam.n + 1)
+    weights = weights / weights.sum()
+    rng = substream(seed, "sample-P")
+    out = []
+    have = 0
+    for _ in range(max_tries):
+        picks = rng.choice(len(eligible), size=count, p=weights)
+        for pick in picks:
+            hid = eligible[pick]
+            out.append(sample_shell(rng, fam.lifted_centers[hid], 0.0,
+                                    fam.L * fam.ts[hid], 1))
+        pts = np.vstack(out)
+        keep = pts[tp.contains(pts)]
+        if len(keep) >= count:
+            return keep[:count]
+        out = [keep]
+        have = len(keep)
+    raise NeedsMoreSamples(
+        f"could not sample {count} points of the truncated set "
+        f"(have {have})")
 
 
 def one_ball_stratified_mean(fn, center, radius, seed, budget, key=()):

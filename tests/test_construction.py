@@ -1,10 +1,20 @@
 import math
+import os
+import resource
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from porous import (Ball, BuildConfig, ConstructionFailure, LevelFamily,
-                    NeedsMoreSamples, ParseError, SamplingBudget, assemble_H,
+from oracles import pointwise_sample_truncated_P
+from porous import (Ball, BuildConfig, ConstructionFailure, HoleFamily,
+                    LevelFamily, NeedsMoreSamples, ParseError, SamplingBudget,
+                    assemble_H,
                     assemble_Pk, build_family, build_stage, choose_level_radius,
                     deserialize_family, footprint_factor, pack_level,
                     plane_for_index, plane_schedule, sample_truncated_P,
@@ -132,6 +142,69 @@ def test_boundary_distance_includes_enlarged_spheres():
     assert d[0] == pytest.approx(0.03)
     assert d[1] == pytest.approx(0.01)
     assert d[2] == pytest.approx(0.05)
+
+
+def _far_probes(rng, space, r_new, extra):
+    """Random window points plus points on every annulus edge
+    |p - c_i| = E t_i +- E r_new, at the centres, and on the window's edge
+    and its E r_new offset."""
+    dim, gap = space.window.dim, space.E * r_new
+    w = space.window
+
+    def directions(count):
+        v = rng.standard_normal((count, dim))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    probes = [w.center + rng.uniform(-w.radius, w.radius, size=(extra, dim)),
+              space.centers]
+    axes = np.vstack([np.eye(dim), -np.eye(dim)])
+    for shell in (space.E * space.radii - gap, space.E * space.radii + gap):
+        probes.append(space.centers + directions(len(space.radii))
+                      * shell[:, None])
+        probes.append((space.centers[:, None, :] + shell[:, None, None]
+                       * axes[None]).reshape(-1, dim))
+    for radius in (w.radius, w.radius - gap):
+        probes.append(w.center + radius * axes)
+        probes.append(w.center + radius * directions(extra))
+    return np.vstack(probes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=3))
+def test_far_fraction_matches_dense_distance(seed, dim, levels):
+    # the index-backed far test against the dense distance, bit for bit,
+    # including points on every edge it decides
+    rng = substream(seed, "far-fraction")
+    space = StageSpace(window=Ball(np.full(dim, 0.5), 0.25),
+                       cover_factor=2.4, E=1.5)
+    t = 0.25 / space.E
+    for _ in range(levels):
+        t *= rng.uniform(0.2, 0.7)
+        space.add_level(rng.uniform(0.25, 0.75, size=(int(rng.integers(
+            1, 40)), dim)), t)
+    r_new = t * rng.uniform(0.05, 0.7)
+    pts = _far_probes(rng, space, r_new, extra=200)
+    dense = space.boundary_distance(pts) >= space.E * r_new
+    got = far_fraction(space, pts, r_new, space.E)
+    assert got.dtype == bool
+    assert np.array_equal(got, dense)
+
+
+def test_far_fraction_on_the_demo_stage_matches_dense_distance():
+    # the first demo stage after two levels, probed where the packer
+    # probes: uncovered points of the window
+    cfg = BuildConfig()
+    space = _space(cfg)
+    rng = substream(3, "far-demo")
+    for t, count in ((0.06, 30), (0.02, 300)):
+        space.add_level(rng.uniform(0.3, 0.7, size=(count, 3)), t)
+    pts = space.sample_uncovered(rng, 4000, 4096)
+    pts = np.vstack([pts, _far_probes(rng, space, 0.005, extra=0)])
+    for r_new in (0.001, 0.005, 0.02):
+        assert np.array_equal(far_fraction(space, pts, r_new, cfg.E),
+                              space.boundary_distance(pts) >= cfg.E * r_new)
 
 
 def test_covered_uses_footprint_radius():
@@ -392,6 +465,56 @@ def test_sample_truncated_P_yields_members(demo_family):
     assert tp.contains(pts).all()
 
 
+def test_sample_truncated_P_matches_pointwise_loop(demo_family):
+    # the porosity audit's points, with every bit (signs of zeros too)
+    tp = truncated_P(demo_family)
+    got = sample_truncated_P(tp, 1000, seed=0)
+    assert got.tobytes() == pointwise_sample_truncated_P(tp, 1000,
+                                                         seed=0).tobytes()
+
+
+def _hand_family(lifted_centers, ts):
+    lifted = np.asarray(lifted_centers, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    count = len(ts)
+    return HoleFamily(
+        n=3, s=0.25, r=1.0 / 64.0, L=math.sqrt(10.0), E=1.5,
+        epsilons=(0.0025,), seed=0, config_hash="",
+        ks=np.ones(count, dtype=np.int64),
+        levels=np.ones(count, dtype=np.int64),
+        ms=np.ones(count, dtype=np.int64), base_centers=lifted[:, :3],
+        ts=ts, lifted_centers=lifted)
+
+
+def _sampling_outcome(sample, tp, seed, max_tries):
+    try:
+        return sample(tp, 60, seed=seed, max_tries=max_tries).tobytes()
+    except NeedsMoreSamples as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("offset", [0.6, 0.0])
+def test_sample_truncated_P_retries_like_pointwise_loop(offset):
+    # hole 1 is too wide for stage 1, and its raw ball swallows half
+    # (offset 0.6) or all (offset 0) of hole 0's enlargement, so sampling
+    # needs several tries or exhausts them
+    fam = _hand_family([[0.5, 0.5, 0.5, 0.02],
+                        [0.5 + offset, 0.5, 0.5, 0.02]], [0.01, 0.6])
+    tp = truncated_P(fam)
+    for seed in range(3):
+        outcomes = [_sampling_outcome(sample_truncated_P, tp, seed, tries)
+                    for tries in (1, 4)]
+        assert outcomes == [
+            _sampling_outcome(pointwise_sample_truncated_P, tp, seed, tries)
+            for tries in (1, 4)]
+        assert isinstance(outcomes[0], str)       # one try is never enough
+        if offset:
+            assert tp.contains(np.frombuffer(outcomes[1]).reshape(-1, 4)
+                               ).all()
+        else:
+            assert outcomes[1].endswith("(have 0)")
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -469,3 +592,42 @@ def test_single_stage_build_is_self_consistent():
     assert np.all(fam.ks == 1)
     text = serialize_family(fam)
     assert deserialize_family(text).stage_radii == fam.stage_radii
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+def test_demo_build_memory_peak_is_bounded(demo_config):
+    # no block of the build grows with points x balls
+    tracemalloc.start()
+    try:
+        build_family(demo_config.build)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
+def _cap_address_space():
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = 2**30 if hard == resource.RLIM_INFINITY else min(2**30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+
+@pytest.mark.parametrize("seed", [5, 8])
+def test_large_demo_seeds_build_under_one_gib(seed, tmp_path):
+    # demo seeds 5 and 8 pack over 6,600 holes; the cap applies to the
+    # child process only
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
+                               if p])}
+    done = subprocess.run(
+        [sys.executable, "-m", "porous", "build", "--config",
+         str(root / "demos" / "config" / "demo.json"), "--seed", str(seed),
+         "--out", str(tmp_path)],
+        env=env, preexec_fn=_cap_address_space, capture_output=True,
+        text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "family.jsonl").read_text().count("\n") > 6000
