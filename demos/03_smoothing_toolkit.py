@@ -17,7 +17,7 @@ import argparse
 
 import numpy as np
 
-from porous import analysis_suite, bump_field, mollify
+from porous import AuditRow, analysis_suite, bump_field, mollify
 from porous.analysis import BUMP_SLOPE_SUP
 
 
@@ -52,10 +52,11 @@ def main() -> int:
               f"{row.margin:12.4e}  {row.status}")
     failing = [r.id for r in rows if r.status != "pass"]
 
-    drift, bound = worked_example(args.eps, args.seed)
+    row = AuditRow.at_most("worked-example", "mollify-drift",
+                           *worked_example(args.eps, args.seed))
     print(f"\nworked example: unit-gradient bump, eps={args.eps}")
-    print(f"  sup |g_eps - g| = {drift:.4e}  <=  eps * ||grad|| "
-          f"= {bound:.4e}:  {drift <= bound}")
+    print(f"  sup |g_eps - g| = {row.measured:.4e}  <=  eps * ||grad|| "
+          f"= {row.bound:.4e}:  {row.status}")
 
     if failing:
         print(f"\nFAILING: {failing}")

@@ -24,8 +24,7 @@ import numpy as np
 
 from porous import (Ball, GraphPatch, ScalarField, budget, build_family,
                     deserialize_family, generate_from_spec,
-                    hole_intersection_mass, ledger_rows, load_config,
-                    load_corpus_spec)
+                    hole_intersection_mass, load_config, load_corpus_spec)
 
 HERE = Path(__file__).resolve().parent
 
@@ -64,10 +63,9 @@ def report(name: str, ledger, cap_check=None) -> bool:
           f"total_mass={ledger.total_hit_mass:.4e}")
     print(f"  empirical C = {ledger.c_empirical:.3g}  "
           f"(ceiling {ledger.c_ledger:g})  -> {ledger.status}")
-    for row in ledger_rows(ledger):
-        if row.id.endswith("/verdict"):
-            print(f"  {row.id}: measured={row.measured:.4e}  "
-                  f"bound={row.bound:.4e}  {row.status}")
+    row = ledger.verdict
+    print(f"  {row.id}: measured={row.measured:.4e}  "
+          f"bound={row.bound:.4e}  {row.status}")
     ok = ledger.status == "pass"
     if cap_check is not None:
         print(f"  graph mass in holes: upper={cap_check.mass.upper():.4e}  "

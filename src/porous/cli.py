@@ -30,7 +30,7 @@ from .verification import (ANALYSIS, BUDGET, CONSTRUCTION, POROSITY,
                            AuditReport, AuditRow, alpha_relaxed,
                            analysis_suite, budget, coverage_deficit,
                            family_invariant_audit, hole_intersection_mass,
-                           ledger_rows, mode_map, porosity_witness)
+                           ledger_rows, mode_map, porosity_row)
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -127,34 +127,21 @@ def _analysis_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
 
 
 def _cover_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
-    rows = []
-    for k in range(1, family.depth + 1):
-        deficit = coverage_deficit(
-            family, m=family.plane(k).index, k=k,
-            stop_fraction=cfg.build.stop_fractions[k - 1],
-            budget_cfg=cfg.audit.budget, seed=cfg.audit.seed)
-        rows.append(AuditRow.at_most(
-            f"cover/stage-{k}", "plane-cover-deficit",
-            deficit.estimate.upper(), deficit.bound))
-    return rows
+    return [coverage_deficit(
+        family, m=family.plane(k).index, k=k,
+        stop_fraction=cfg.build.stop_fractions[k - 1],
+        budget_cfg=cfg.audit.budget, seed=cfg.audit.seed).row
+        for k in range(1, family.depth + 1)]
 
 
 def _porosity_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
     points = sample_truncated_P(truncated_P(family),
                                 cfg.audit.porosity_samples,
                                 seed=cfg.audit.seed)
-    floor = 1.0 / family.L - cfg.audit.porosity_tol
-    worst = float("inf")
-    for point in points:
-        try:
-            worst = min(worst, porosity_witness(
-                point, family, tol=cfg.audit.porosity_tol).ratio)
-        except AuditFailure as exc:
-            print(f"audit failure: {exc}", file=sys.stderr)
-            return [AuditRow.at_least("porosity/witness", "porosity-witness",
-                                      0.0, floor, ok=False)]
-    return [AuditRow.at_least("porosity/witness", "porosity-witness",
-                              worst, floor)]
+    row, _, failure = porosity_row(points, family, cfg.audit.porosity_tol)
+    if failure is not None:
+        print(f"audit failure: {failure}", file=sys.stderr)
+    return [row]
 
 
 def _budget_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
@@ -177,17 +164,13 @@ def _holes_mass_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
                                   cfg.build.stop_fractions[0]) / 4.0
     rows = []
     for entry in entries:
-        check = hole_intersection_mass(entry.patch, family,
-                                       budget_cfg=cfg.audit.budget,
-                                       seed=cfg.audit.seed)
-        upper = check.mass.upper()
-        source = entry.patch.source
-        rows.append(AuditRow.at_most(f"holes-mass/{source}",
-                                     "graph-hole-mass", upper, check.cap))
+        row = hole_intersection_mass(entry.patch, family,
+                                     budget_cfg=cfg.audit.budget,
+                                     seed=cfg.audit.seed).row
+        rows.append(row)
         if entry.kind == "plane":
-            rows.append(AuditRow.at_most(f"holes-mass/{source}/alpha",
-                                         "plane-mass-alpha", upper,
-                                         quarter_alpha))
+            rows.append(AuditRow.at_most(f"{row.id}/alpha", "plane-mass-alpha",
+                                         row.measured, quarter_alpha))
     return rows
 
 

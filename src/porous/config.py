@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -143,7 +143,8 @@ def validate_config_doc(doc: dict) -> None:
         raise ConfigError("invalid config:\n" + "\n".join(lines))
 
 
-def _budget(obj: Optional[dict], default: SamplingBudget) -> SamplingBudget:
+def _budget(obj: Optional[dict],
+            default: Optional[SamplingBudget] = None) -> SamplingBudget:
     if obj is None:
         return default
     return SamplingBudget(int(obj["strata"]), int(obj["per_stratum"]))
@@ -168,7 +169,7 @@ def _build_kwargs(build: dict) -> dict:
     if "pool_size" in build:
         kwargs["pool_size"] = int(build["pool_size"])
     if "budget" in build:
-        kwargs["budget"] = _budget(build["budget"], SamplingBudget(32, 128))
+        kwargs["budget"] = _budget(build["budget"])
     return kwargs
 
 
@@ -239,19 +240,9 @@ def default_config_doc() -> dict:
             "max_levels": cfg.max_levels,
             "accept_partial": cfg.accept_partial,
             "pool_size": cfg.pool_size,
-            "budget": {"strata": cfg.budget.strata,
-                       "per_stratum": cfg.budget.per_stratum},
+            "budget": asdict(cfg.budget),
         },
-        "audit": {
-            "seed": 0,
-            "budget": {"strata": 32, "per_stratum": 128},
-            "dbound_budget": {"strata": 8, "per_stratum": 32},
-            "c_ledger": LEDGER_C,
-            "c_dbound": DBOUND_C,
-            "porosity_samples": 1000,
-            "porosity_tol": 1e-6,
-            "floor_samples": 4096,
-        },
+        "audit": asdict(AuditSettings()),
         "workers": 1,
     }
 

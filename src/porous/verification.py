@@ -19,6 +19,7 @@ are escalated once, then reported as indeterminate rather than assigned.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from .sampling import (SamplingBudget, bernoulli_half_width,
                        local_blocks, sample_shell, sample_shells,
                        stratified_ball_integral, stratified_ball_means,
                        substream)
-from .surfaces import GraphPatch, graph_measure_in, unit_lattice
+from .surfaces import GraphPatch, _plane_patch, graph_measure_in, unit_lattice
 
 # decision margins; the hit margin is the declared safety band of the scan
 HIT_MARGIN = 1e-6
@@ -60,6 +61,7 @@ LEDGER_C = 2000.0
 DBOUND_C = 4000.0
 
 WITNESS_TOL = 1e-6
+WITNESS_SLACK = 1e-9   # relative widening of the witness query's index reach
 
 
 def K_constant(k: int) -> float:
@@ -81,14 +83,6 @@ def strict_deficit_bound(n: int, s: float, k: int) -> float:
 
 def _hole_volumes(family: HoleFamily, ids: np.ndarray) -> np.ndarray:
     return unit_ball_volume(family.n) * family.ts[ids] ** family.n
-
-
-def _plane_field(plane: AffinePlane, window: Ball, label: str) -> ScalarField:
-    g = np.asarray(plane.gradient, dtype=float)
-    return ScalarField(
-        domain=window, fn=plane.heights, grad_bound=plane.slope,
-        grad_fn=lambda pts: np.broadcast_to(g, np.atleast_2d(pts).shape).copy(),
-        label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +113,10 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
     when the refined minimum exceeds the safety margin.  The prefilter
     skips holes whose vertical gap at the base centre already certifies a
     miss (gap / sqrt(1+rho^2) - Kt > margin for gradient bound rho), so
-    disabling it changes cost, never verdicts.
+    disabling it changes cost, never verdicts.  Only a prefiltered miss
+    carries a certificate: a miss of the scanned branch means the lattice
+    and descent found no probe within the margin, which is a local search,
+    not a proof that the graph avoids the hole.
     """
     ids = np.asarray(ids, dtype=np.int64)
     n = family.n
@@ -520,12 +517,6 @@ class SmoothingAudit:
     consistency_checked: int
     consistency_violations: tuple
 
-    @property
-    def ok(self) -> bool:
-        return (self.sup_diff <= self.diff_tol
-                and self.grad_sup <= self.grad_cap
-                and not self.consistency_violations)
-
 
 def smooth_over_subfamily(patch: GraphPatch, family: HoleFamily,
                           selected: np.ndarray, eps_next: float,
@@ -579,21 +570,14 @@ class StageLedger:
     hit_mass: float
     classification: HoleClassification
     ubound_sum: float
-    ubound_ok: bool
     dbound_max_ratio: float
-    dbound_ok: bool
     disjointness: DisjointnessAudit
     smoothing: Optional[SmoothingAudit]
+    rows: tuple              # the stage's report rows
 
     @property
     def status(self) -> str:
-        if not (self.ubound_ok and self.dbound_ok) \
-                or self.disjointness.violations \
-                or (self.smoothing is not None and not self.smoothing.ok):
-            return "fail"
-        if self.classification.indeterminate_ids:
-            return "indeterminate"
-        return "pass"
+        return merged_status(self.rows)
 
 
 @dataclass(frozen=True)
@@ -610,15 +594,11 @@ class BudgetLedger:
     c_empirical: float
     c_ledger: float
     c_dbound: float
-    verdict_ok: bool
+    verdict: "AuditRow"      # the summed hit mass against its ceiling
 
     @property
     def status(self) -> str:
-        if not self.verdict_ok or any(s.status == "fail" for s in self.stages):
-            return "fail"
-        if any(s.status == "indeterminate" for s in self.stages):
-            return "indeterminate"
-        return "pass"
+        return merged_status(ledger_rows(self))
 
 
 def budget(patch: GraphPatch, family: HoleFamily,
@@ -636,7 +616,8 @@ def budget(patch: GraphPatch, family: HoleFamily,
     selected subfamily and check the hit-consistency implication.  A
     stage whose disjointness audit records violations fails and is not
     smoothed.  The final verdict bounds the summed hit mass by
-    c * (energy + sum eps).
+    c * (energy + sum eps).  Every check becomes a report row here, and
+    the stage and ledger statuses are read from those rows.
     """
     if patch.c1_bound > BUDGET_GRAD_CAP + 1e-12:
         raise PreconditionError(
@@ -673,19 +654,24 @@ def budget(patch: GraphPatch, family: HoleFamily,
 
         u_sum = float(np.sum(_hole_volumes(
             family, np.asarray(cls.u_ids, dtype=np.int64))))
-        ubound_ok = u_sum <= eps[k - 1] + 1e-15
-
         dmax = 0.0
-        dbound_ok = True
         energies = residue_energies(family, cls.d_ids, current,
                                     dbound_budget, seed)
         for hole_id, energy_d in zip(cls.d_ids, energies):
             den = energy_d.lower()
             vol_b = wn * float(family.ts[hole_id]) ** family.n
-            ratio = math.inf if den <= 0.0 else vol_b / den
-            dmax = max(dmax, ratio)
-            if ratio > c_dbound:
-                dbound_ok = False
+            dmax = max(dmax, math.inf if den <= 0.0 else vol_b / den)
+        base = f"budget/{patch.source}/stage-{k}"
+        rows = [AuditRow.at_most(f"{base}/u-mass", "u-mass", u_sum,
+                                 eps[k - 1], ok=u_sum <= eps[k - 1] + 1e-15),
+                AuditRow.at_most(f"{base}/d-energy", "d-energy", dmax,
+                                 c_dbound),
+                AuditRow.zero_count(f"{base}/residue-disjoint",
+                                    "residue-disjoint", len(disj.violations))]
+        if cls.indeterminate_ids:
+            rows.append(AuditRow.zero_count(
+                f"{base}/classification", "u-d-split",
+                len(cls.indeterminate_ids), nonzero="indeterminate"))
 
         smoothing = None
         # overlapping hit holes break the selection's disjoint-or-nested
@@ -724,25 +710,33 @@ def budget(patch: GraphPatch, family: HoleFamily,
                 diff_tol=tol, grad_sup=grad_sup, grad_cap=grad_cap,
                 consistency_checked=int(len(scope)),
                 consistency_violations=tuple(int(b) for b in bad))
+            rows += [AuditRow.at_most(f"{base}/smoothing-drift",
+                                      "smoothing-drift", sup_diff, tol),
+                     AuditRow.at_most(f"{base}/smoothing-gradient",
+                                      "smoothing-gradient", grad_sup, grad_cap),
+                     AuditRow.zero_count(f"{base}/hit-consistency",
+                                         "hit-consistency", len(bad))]
             current = GraphPatch(
                 g=scanned, source=f"{patch.source}|smoothed:{k}",
                 c1_bound=max(current.c1_bound + sup_diff, grad_cap))
         stages.append(StageLedger(
             k=k, K=K_k, hit_ids=tuple(int(i) for i in hit_ids),
             hit_mass=hit_mass, classification=cls, ubound_sum=u_sum,
-            ubound_ok=ubound_ok, dbound_max_ratio=dmax, dbound_ok=dbound_ok,
-            disjointness=disj, smoothing=smoothing))
+            dbound_max_ratio=dmax, disjointness=disj, smoothing=smoothing,
+            rows=tuple(rows)))
 
     eps_sum = float(sum(eps))
     rhs_base = max(energy.lower(), 0.0) + eps_sum
     c_emp = total / rhs_base if rhs_base > 0 else math.inf
-    verdict_ok = total <= c_ledger * rhs_base + 1e-15
+    ceiling = c_ledger * rhs_base
     return BudgetLedger(
         source=patch.source, depth=depth,
         K=tuple(K_constant(k) for k in range(1, depth + 1)),
         stages=tuple(stages), energy=energy, epsilon_sum=eps_sum,
         total_hit_mass=total, c_empirical=c_emp, c_ledger=c_ledger,
-        c_dbound=c_dbound, verdict_ok=verdict_ok)
+        c_dbound=c_dbound, verdict=AuditRow.at_most(
+            f"budget/{patch.source}/verdict", "budget-total", total, ceiling,
+            ok=total <= ceiling + 1e-15))
 
 
 def smoothed_field_for_scan(smoothed: ScalarField, prev: GraphPatch,
@@ -753,10 +747,8 @@ def smoothed_field_for_scan(smoothed: ScalarField, prev: GraphPatch,
     blended ball; the budget instead audits the gradient sup directly and
     uses the stage cap, which downstream prefilters may rely on.
     """
-    return ScalarField(domain=smoothed.domain, fn=smoothed.values,
-                       grad_bound=min(smoothed.grad_bound, grad_cap),
-                       grad_fn=smoothed.gradients, fd_step=smoothed.fd_step,
-                       label=smoothed.label)
+    return dataclasses.replace(
+        smoothed, grad_bound=min(smoothed.grad_bound, grad_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -770,10 +762,11 @@ class CoverageDeficit:
     estimate: MeasureEstimate
     bound: float
     jacobian_sup: float
+    row: "AuditRow"          # the deficit's upper end against its bound
 
     @property
     def ok(self) -> bool:
-        return self.estimate.upper() <= self.bound
+        return self.row.status == "pass"
 
 
 def coverage_deficit(family: HoleFamily, m: int, k: int,
@@ -781,11 +774,8 @@ def coverage_deficit(family: HoleFamily, m: int, k: int,
                      budget_cfg: SamplingBudget = SamplingBudget(32, 128),
                      seed: int = 0) -> CoverageDeficit:
     """Surface mass of a base plane missed by the stage-k truncation union."""
-    window = family.window
     plane = plane_for_index(m, family.n, family.r)
-    patch = GraphPatch(
-        g=_plane_field(plane, window, f"plane-{m}"), source=f"plane-{m}",
-        c1_bound=max(plane.slope, 1.0))   # bound unused by the estimate
+    patch = _plane_patch(plane, family.window, (), f"plane-{m}")
     pk = assemble_Pk(family, k)
     est = graph_measure_in(patch, lambda pts: ~pk.contains(pts),
                            budget_cfg, seed, key=("cover", m, k))
@@ -793,7 +783,9 @@ def coverage_deficit(family: HoleFamily, m: int, k: int,
     bound = 2.0 * stop_fraction * unit_ball_volume(family.n) \
         * family.s**family.n * jac
     return CoverageDeficit(m=m, k=k, estimate=est, bound=bound,
-                           jacobian_sup=jac)
+                           jacobian_sup=jac, row=AuditRow.at_most(
+                               f"cover/stage-{k}", "plane-cover-deficit",
+                               est.upper(), bound))
 
 
 @dataclass(frozen=True)
@@ -803,35 +795,74 @@ class WitnessResult:
     witness: PorosityWitness
 
 
+def porosity_witnesses(points: np.ndarray, family: HoleFamily,
+                       L: Optional[float] = None,
+                       tol: float = WITNESS_TOL) -> list[WitnessResult]:
+    """Best hole witnessing porosity at each point of the residual set.
+
+    Among the holes whose L-enlargement contains a point but whose own
+    ball does not, the witness maximises radius over centre distance, the
+    lowest hole id among equals.  One ``BallIndex`` query on the
+    enlargements, widened by ``WITNESS_SLACK``, finds the candidates, and
+    the exact tests run on those.  A point with no witness, or whose best
+    ratio lies below 1/L - tol (it should not have been in the
+    truncation), raises ``AuditFailure``, the first such point in order.
+    """
+    L = family.L if L is None else float(L)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    ts, centers = family.ts, family.lifted_centers
+    at, hole = BallIndex(centers, L * ts * (1.0 + WITNESS_SLACK)
+                         ).members(pts)
+    dist = np.linalg.norm(centers[hole] - pts[at], axis=1)
+    eligible = (dist < L * ts[hole]) & (dist >= ts[hole])
+    at, hole, dist = at[eligible], hole[eligible], dist[eligible]
+    ratio = ts[hole] / np.maximum(dist, 1e-300)
+    # per point, the first pair by descending ratio, then ascending hole
+    order = np.lexsort((hole, -ratio, at))
+    first = order[np.unique(at[order], return_index=True)[1]]
+    best = np.full(len(pts), -1)
+    best[at[first]] = first
+    out = []
+    for p, b in zip(pts, best.tolist()):
+        if b < 0:
+            raise AuditFailure(
+                f"no hole's enlargement contains the point {p.tolist()}",
+                point=p.tolist())
+        if ratio[b] < 1.0 / L - tol:
+            raise AuditFailure(
+                f"best witness ratio {ratio[b]:.8f} below 1/L - tol "
+                f"({1.0 / L - tol:.8f}) at {p.tolist()}",
+                point=p.tolist(), ratio=float(ratio[b]))
+        h = int(hole[b])
+        out.append(WitnessResult(h, float(ratio[b]), PorosityWitness(
+            direction=(centers[h] - p) / dist[b], step=float(dist[b]),
+            radius=float(ts[h]))))
+    return out
+
+
 def porosity_witness(point: np.ndarray, family: HoleFamily,
                      L: Optional[float] = None,
                      tol: float = WITNESS_TOL) -> WitnessResult:
-    """Best hole witnessing porosity at a point of the residual set.
+    """``porosity_witnesses`` at one point."""
+    return porosity_witnesses(point, family, L, tol)[0]
 
-    Scans the holes whose L-enlargement contains the point and returns
-    the one maximising radius over centre distance; anything below
-    1/L - tol means the point should not have been in the truncation.
-    """
-    L = family.L if L is None else float(L)
-    p = np.asarray(point, dtype=float)
-    dist = np.linalg.norm(family.lifted_centers - p, axis=1)
-    eligible = (dist < L * family.ts) & (dist >= family.ts)
-    if not eligible.any():
-        raise AuditFailure(
-            f"no hole's enlargement contains the point {p.tolist()}",
-            point=p.tolist())
-    ratios = np.where(eligible, family.ts / np.maximum(dist, 1e-300), -1.0)
-    best = int(np.argmax(ratios))
-    ratio = float(ratios[best])
-    if ratio < 1.0 / L - tol:
-        raise AuditFailure(
-            f"best witness ratio {ratio:.8f} below 1/L - tol "
-            f"({1.0 / L - tol:.8f}) at {p.tolist()}",
-            point=p.tolist(), ratio=ratio)
-    direction = (family.lifted_centers[best] - p) / dist[best]
-    wit = PorosityWitness(direction=direction, step=float(dist[best]),
-                          radius=float(family.ts[best]))
-    return WitnessResult(hole_id=best, ratio=ratio, witness=wit)
+
+def porosity_row(points: np.ndarray, family: HoleFamily,
+                 tol: float = WITNESS_TOL
+                 ) -> tuple["AuditRow", list[WitnessResult], Optional[str]]:
+    """The porosity row: the worst witness ratio at the points against
+    1/L - tol, with the witnesses.  When a point has none the row fails
+    at measured 0, with no witnesses and the failure's message, which
+    names the point."""
+    floor = 1.0 / family.L - tol
+    try:
+        found = porosity_witnesses(points, family, tol=tol)
+    except AuditFailure as exc:
+        return (AuditRow.at_least("porosity/witness", "porosity-witness",
+                                  0.0, floor, ok=False), [], str(exc))
+    worst = min((w.ratio for w in found), default=math.inf)
+    return (AuditRow.at_least("porosity/witness", "porosity-witness", worst,
+                              floor), found, None)
 
 
 @dataclass(frozen=True)
@@ -840,10 +871,11 @@ class HoleMassCheck:
     hit_count: int
     hit_mass: float
     cap: float
+    row: "AuditRow"          # the mass's upper end against the cap
 
     @property
     def ok(self) -> bool:
-        return self.mass.upper() <= self.cap
+        return self.row.status == "pass"
 
 
 def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
@@ -866,7 +898,9 @@ def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
     hit_mass = float(np.sum(_hole_volumes(family, scan.hit_ids)))
     cap = math.sqrt(1.0 + family.r**2) * hit_mass
     return HoleMassCheck(mass=est, hit_count=int(scan.hit.sum()),
-                         hit_mass=hit_mass, cap=cap)
+                         hit_mass=hit_mass, cap=cap, row=AuditRow.at_most(
+                             f"holes-mass/{patch.source}", "graph-hole-mass",
+                             est.upper(), cap))
 
 
 # ---------------------------------------------------------------------------
@@ -1039,6 +1073,13 @@ class AuditRow:
         return row
 
 
+def merged_status(rows: Sequence[AuditRow]) -> str:
+    """The status of a group of rows: fail, else indeterminate, else pass."""
+    statuses = {row.status for row in rows}
+    return next((s for s in ("fail", "indeterminate") if s in statuses),
+                "pass")
+
+
 def mode_map(E: float, epsilons: Sequence[float],
              stop_fractions: Sequence[float]) -> list[dict]:
     """How each strict-regime constant is re-derived for the relaxed run."""
@@ -1098,9 +1139,7 @@ class AuditReport:
         counts = {status: 0 for status in STATUSES}
         for row in self.rows():
             counts[row.status] += 1
-        overall = ("fail" if counts["fail"] else "indeterminate"
-                   if counts["indeterminate"] else "pass")
-        return {"overall": overall, **counts}
+        return {"overall": merged_status(self.rows()), **counts}
 
     def to_json(self) -> str:
         doc = {"format": REPORT_FORMAT, "config": self.config,
@@ -1138,41 +1177,9 @@ class AuditReport:
 
 
 def ledger_rows(ledger: BudgetLedger) -> list[AuditRow]:
-    """Flatten one field's budget ledger into report rows."""
-    rows = [AuditRow.at_most(
-        f"budget/{ledger.source}/verdict", "budget-total",
-        ledger.total_hit_mass,
-        ledger.c_ledger * (max(ledger.energy.lower(), 0.0)
-                           + ledger.epsilon_sum),
-        ok=ledger.verdict_ok)]
-    for st in ledger.stages:
-        base = f"budget/{ledger.source}/stage-{st.k}"
-        rows.append(AuditRow.at_most(
-            f"{base}/u-mass", "u-mass", st.ubound_sum,
-            st.classification.epsilon, ok=st.ubound_ok))
-        rows.append(AuditRow.at_most(
-            f"{base}/d-energy", "d-energy", st.dbound_max_ratio,
-            ledger.c_dbound))
-        rows.append(AuditRow.zero_count(
-            f"{base}/residue-disjoint", "residue-disjoint",
-            len(st.disjointness.violations)))
-        if st.classification.indeterminate_ids:
-            rows.append(AuditRow.zero_count(
-                f"{base}/classification", "u-d-split",
-                len(st.classification.indeterminate_ids),
-                nonzero="indeterminate"))
-        if st.smoothing is not None:
-            sm = st.smoothing
-            rows.append(AuditRow.at_most(
-                f"{base}/smoothing-drift", "smoothing-drift", sm.sup_diff,
-                sm.diff_tol))
-            rows.append(AuditRow.at_most(
-                f"{base}/smoothing-gradient", "smoothing-gradient",
-                sm.grad_sup, sm.grad_cap))
-            rows.append(AuditRow.zero_count(
-                f"{base}/hit-consistency", "hit-consistency",
-                len(sm.consistency_violations)))
-    return rows
+    """One field's budget ledger as report rows: its verdict, then the
+    rows of each stage."""
+    return [ledger.verdict, *(row for st in ledger.stages for row in st.rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -295,14 +295,16 @@ def test_ac5_budget_corpus(demo_family, corpus_entries, corpus_ledgers):
     corpus_ok = (len(corpus_entries) == 50
                  and all(e.patch.c1_bound <= 1.0 / 64.0 + 1e-12
                          for e in corpus_entries))
-    ubound_ok = all(
-        st.ubound_ok and st.ubound_sum
-        <= demo_family.epsilons[st.k - 1] + AC5_UBOUND_SLACK
+    statuses = [{r.check: r.status for r in st.rows}
+                for led in ledgers for st in led.stages]
+    ubound_ok = all(s["u-mass"] == "pass" for s in statuses) and all(
+        st.ubound_sum <= demo_family.epsilons[st.k - 1] + AC5_UBOUND_SLACK
         for led in ledgers for st in led.stages)
-    dbound_ok = all(st.dbound_ok for led in ledgers for st in led.stages)
+    dbound_ok = all(s["d-energy"] == "pass" for s in statuses)
     disjoint_ok = all(st.disjointness.violations == ()
                       for led in ledgers for st in led.stages)
-    global_c_ok = all(led.c_ledger == LEDGER_C and led.verdict_ok
+    global_c_ok = all(led.c_ledger == LEDGER_C
+                      and led.verdict.status == "pass"
                       and led.status == "pass" for led in ledgers)
 
     zero = budget(_flat_patch(), demo_family)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -19,8 +20,8 @@ from porous.sampling import sample_shell, substream
 from porous import sampling, verification
 from porous.verification import (CSV_HEADER, DBOUND_C, K_constant, LEDGER_C,
                                  SECTIONS, _ball_probes, graph_hit_scan,
-                                 residue_energies, residue_energy,
-                                 smooth_over_subfamily)
+                                 porosity_witnesses, residue_energies,
+                                 residue_energy, smooth_over_subfamily)
 
 W3 = unit_ball_volume(3)
 
@@ -291,7 +292,9 @@ def test_budget_fails_a_stage_with_overlapping_hit_holes():
     (stage,) = ledger.stages
     assert stage.hit_ids == (0, 1)
     assert [v.pair for v in stage.disjointness.violations] == [(0, 1)] * 2
-    assert stage.ubound_ok and stage.dbound_ok and ledger.verdict_ok
+    assert {r.check: r.status for r in ledger_rows(ledger)} == {
+        "budget-total": "pass", "u-mass": "pass", "d-energy": "pass",
+        "residue-disjoint": "fail"}
     assert stage.status == ledger.status == "fail"
 
 
@@ -510,7 +513,7 @@ def test_budget_plane_hitter_single_stage(demo_family, plane_entries):
     expect = float(np.sum(W3 * demo_family.ts[list(st.hit_ids)] ** 3))
     assert ledger.total_hit_mass == expect
     assert ledger.c_empirical <= LEDGER_C
-    assert ledger.verdict_ok
+    assert ledger.verdict.status == "pass"
 
 
 def test_budget_rejects_steep_field(demo_family):
@@ -711,22 +714,57 @@ def test_coverage_deficit_within_relaxed_bound(demo_family, demo_config):
     assert deficit.jacobian_sup == pytest.approx(1.0)   # flat plane
 
 
-def test_porosity_witness_matches_exhaustive_scan(demo_family):
+def _exhaustive_witness(fam, p):
+    """Best (hole id, ratio) by a scan over every hole: the highest
+    ratio, the lowest id among equals."""
+    dist = np.linalg.norm(fam.lifted_centers - p, axis=1)
+    eligible = (dist < fam.L * fam.ts) & (dist >= fam.ts)
+    ratios = np.where(eligible, fam.ts / dist, -1.0)
+    best = int(np.argmax(ratios))
+    return best, float(ratios[best])
+
+
+def test_porosity_witness_matches_exhaustive_scan(demo_family, demo_config):
     fam = demo_family
-    tp = truncated_P(fam)
-    pts = sample_truncated_P(tp, 50, seed=17)
-    for p in pts:
-        res = porosity_witness(p, fam)
+    # the audit's own points: its sample count and seed
+    pts = sample_truncated_P(truncated_P(fam),
+                             demo_config.audit.porosity_samples,
+                             seed=demo_config.audit.seed)
+    assert len(pts) == 1000
+    found = porosity_witnesses(pts, fam)
+    assert len(found) == len(pts)
+    for p, res in zip(pts, found):
         assert res.ratio >= 1.0 / fam.L - 1e-6
-        # exhaustive scan over every hole is the oracle
-        dist = np.linalg.norm(fam.lifted_centers - p, axis=1)
-        eligible = (dist < fam.L * fam.ts) & (dist >= fam.ts)
-        best = float((fam.ts[eligible] / dist[eligible]).max())
-        assert res.ratio == pytest.approx(best, rel=1e-12)
+        assert (res.hole_id, res.ratio) == _exhaustive_witness(fam, p)
         # the witness ball is the hole itself, which the set avoids
-        assert res.witness.radius == pytest.approx(float(fam.ts[res.hole_id]))
+        assert res.witness.radius == float(fam.ts[res.hole_id])
         assert np.allclose(res.witness.hole_center(p),
                            fam.lifted_centers[res.hole_id], atol=1e-12)
+    # the one-point case is the same answer
+    for i in (0, 499, 999):
+        one = porosity_witness(pts[i], fam)
+        assert (one.hole_id, one.ratio) == (found[i].hole_id, found[i].ratio)
+
+    # a planted tie: holes 1 and 2 sit at the same distance 2^-6 from the
+    # point, with the same radius, so their ratios tie exactly; hole 0 is
+    # eligible but farther
+    d, t = 2.0**-6, 0.01
+    fam = _manual_family([[0.5, 0.5, 0.5]] * 3, [t, t, t])
+    p = np.array([0.5, 0.5, 0.5, 2.0 * t])
+    fam = dataclasses.replace(fam, lifted_centers=p + np.array(
+        [[0.0, 1.5 * d, 0.0, 0.0], [d, 0.0, 0.0, 0.0],
+         [-d, 0.0, 0.0, 0.0]]))
+    res = porosity_witness(p, fam)
+    assert (res.hole_id, res.ratio) == (1, t / d) == _exhaustive_witness(fam, p)
+    assert res.witness.direction.tolist() == [1.0, 0.0, 0.0, 0.0]
+    # swapping the tied holes keeps id 1, now the hole on the other side
+    swapped = dataclasses.replace(
+        fam, lifted_centers=fam.lifted_centers[[0, 2, 1]])
+    res = porosity_witness(p, swapped)
+    assert res.hole_id == 1
+    assert res.witness.direction.tolist() == [-1.0, 0.0, 0.0, 0.0]
+    assert [w.hole_id for w in porosity_witnesses(
+        np.vstack([p, p]), fam)] == [1, 1]
 
 
 def test_porosity_witness_rejects_far_points(demo_family):
