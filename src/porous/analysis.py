@@ -172,7 +172,6 @@ def mollify(g: ScalarField, eps: float,
 
     return ScalarField(domain=Ball(dom.center, dom.radius - eps),
                        fn=fn, grad_fn=grad_fn, grad_bound=g.grad_bound,
-                       fd_step=g.fd_step,
                        label=label or f"{g.label}^({eps:g})")
 
 
@@ -381,7 +380,7 @@ def blend_disjoint(outer: ScalarField,
     if ((dist < radii[i] + support[j]) | (dist < radii[j] + support[i])).any():
         raise ValueError("a cutoff ball meets another cutoff's support")
 
-    bound, fd_step = outer.grad_bound, outer.step
+    bound = outer.grad_bound
     d, u = np.empty((check_budget, n)), np.empty(check_budget)
     shell_draws(substream(seed, "blend-precheck"), d, u)
     for inner, cut in pieces:
@@ -399,7 +398,6 @@ def blend_disjoint(outer: ScalarField,
                 gap=float(gap[worst]), tol=float(tol),
                 point=probes[worst].copy())
         bound = max(inner.grad_bound, bound) + 3.0 * eps
-        fd_step = min(inner.step, fd_step)
 
     def owned(pts: np.ndarray):
         """(inner, cutoff, point ids, cutoff values) per cutoff positive
@@ -435,7 +433,7 @@ def blend_disjoint(outer: ScalarField,
         return gout
 
     return ScalarField(domain=outer.domain, fn=fn, grad_fn=grad_fn,
-                       grad_bound=bound, fd_step=fd_step, label=label)
+                       grad_bound=bound, label=label)
 
 
 # ---------------------------------------------------------------------------

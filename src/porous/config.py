@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_type_hints
 
 import jsonschema
 
@@ -143,52 +143,21 @@ def validate_config_doc(doc: dict) -> None:
         raise ConfigError("invalid config:\n" + "\n".join(lines))
 
 
-def _budget(obj: Optional[dict],
-            default: Optional[SamplingBudget] = None) -> SamplingBudget:
-    if obj is None:
-        return default
-    return SamplingBudget(int(obj["strata"]), int(obj["per_stratum"]))
+# converters of parsed JSON values, by the type of the field they fill
+_CONVERT = {
+    int: int, float: float, bool: bool,
+    tuple: lambda v: tuple(float(x) for x in v),
+    SamplingBudget: lambda v: SamplingBudget(int(v["strata"]),
+                                             int(v["per_stratum"])),
+}
 
 
-def _build_kwargs(build: dict) -> dict:
-    kwargs = {
-        "n": int(build["n"]),
-        "s": float(build["s"]),
-        "r": float(build["r"]),
-        "L": float(build["L"]),
-        "E": float(build["E"]),
-        "epsilons": tuple(float(e) for e in build["epsilons"]),
-        "stop_fractions": tuple(float(f) for f in build["stop_fractions"]),
-        "depth": int(build["depth"]),
-        "seed": int(build["seed"]),
-    }
-    if "max_levels" in build:
-        kwargs["max_levels"] = int(build["max_levels"])
-    if "accept_partial" in build:
-        kwargs["accept_partial"] = bool(build["accept_partial"])
-    if "pool_size" in build:
-        kwargs["pool_size"] = int(build["pool_size"])
-    if "budget" in build:
-        kwargs["budget"] = _budget(build["budget"])
-    return kwargs
-
-
-def _audit_kwargs(audit: dict) -> dict:
-    defaults = AuditSettings()
-    return {
-        "seed": int(audit.get("seed", defaults.seed)),
-        "budget": _budget(audit.get("budget"), defaults.budget),
-        "dbound_budget": _budget(audit.get("dbound_budget"),
-                                 defaults.dbound_budget),
-        "c_ledger": float(audit.get("c_ledger", defaults.c_ledger)),
-        "c_dbound": float(audit.get("c_dbound", defaults.c_dbound)),
-        "porosity_samples": int(audit.get("porosity_samples",
-                                          defaults.porosity_samples)),
-        "porosity_tol": float(audit.get("porosity_tol",
-                                        defaults.porosity_tol)),
-        "floor_samples": int(audit.get("floor_samples",
-                                       defaults.floor_samples)),
-    }
+def _settings(cls, section: dict, **extra):
+    """``cls`` from a config section: each present key converted by the
+    type of its dataclass field; absent keys keep the field defaults."""
+    types = get_type_hints(cls)
+    return cls(**{f.name: _CONVERT[types[f.name]](section[f.name])
+                  for f in fields(cls) if f.name in section}, **extra)
 
 
 def parse_config(raw: bytes, path: str = "<memory>") -> LoadedConfig:
@@ -202,12 +171,11 @@ def parse_config(raw: bytes, path: str = "<memory>") -> LoadedConfig:
     validate_config_doc(doc)
     digest = config_hash_of(raw)
     try:
-        build = BuildConfig(**_build_kwargs(doc["build"]),
-                            config_hash=digest)
+        build = _settings(BuildConfig, doc["build"], config_hash=digest)
     except ValueError as exc:
         # cross-field constraints the schema cannot express
         raise ConfigError(f"invalid config: {exc}") from exc
-    audit = AuditSettings(**_audit_kwargs(doc.get("audit", {})))
+    audit = _settings(AuditSettings, doc.get("audit", {}))
     return LoadedConfig(path=path, raw=raw, doc=doc, config_hash=digest,
                         build=build, audit=audit)
 

@@ -5,9 +5,11 @@ lift each ball above a scheduled base plane, and expose the resulting
 descriptors (per-stage enlarged unions, the union of raw holes, and the
 truncated intersection set) as membership predicates.
 
-Coverage bookkeeping uses the projection radius sqrt(L^2 - 4): that is the
-base-plane footprint of a lifted hole's L-enlargement, so "covered" during
-packing is exactly what the per-stage union will later cover on its plane.
+Coverage bookkeeping uses the footprint radius ``footprint_factor(L,
+slope)`` times t, for the slope of the stage's plane: within it, a base
+point lies under the L-enlargement of the lifted hole, so "covered" during
+packing is at most what the per-stage union will later cover on its plane.
+Zero slope gives sqrt(L^2 - 4).
 New centers are sampled from uncovered points far from all prior coverage
 spheres, which keeps each new E-enlarged ball wholly inside uncovered
 territory — the packing and disjointness guarantees follow from that alone.
@@ -84,11 +86,6 @@ class BuildConfig:
     @property
     def window(self) -> Ball:
         return Ball(np.full(self.n, 0.5), self.s)
-
-    @property
-    def cover_factor(self) -> float:
-        """Base-plane footprint radius of an L-enlarged lifted hole, over t."""
-        return math.sqrt(self.L**2 - 4.0)
 
     def stop_threshold(self, k: int) -> float:
         """Absolute uncovered-measure target for stage k (1-based)."""
@@ -200,10 +197,11 @@ def plane_for_index(m: int, n: int, r: float,
 class StageSpace:
     """Mutable per-stage view: coverage balls accrue as levels finish.
 
-    Coverage (what the stop rule measures) uses the plane-footprint factor
-    sqrt(L^2-4); the far condition (``far_fraction``) asks for distance to
-    the window complement and to the spheres of the E-enlargements, the
-    objects the packing keeps disjoint.
+    Coverage (what the stop rule measures) uses ``cover_factor`` times t;
+    the build and the floor replay pass ``footprint_factor(L, slope)`` for
+    the stage plane's slope.  The far condition (``far_fraction``) asks
+    for distance to the window complement and to the spheres of the
+    E-enlargements, the objects the packing keeps disjoint.
     """
 
     window: Ball

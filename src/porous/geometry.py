@@ -149,25 +149,19 @@ class AffinePlane:
 class ScalarField:
     """Scalar field over a ball domain with a certified gradient bound.
 
-    ``fn`` maps an (m, n) array to (m,) values.  ``grad_fn`` is optional;
-    absent, gradients fall back to centred finite differences with step
-    ``fd_step`` (default 1e-5 times the domain radius).
+    ``fn`` maps an (m, n) array to (m,) values and ``grad_fn`` to the
+    (m, n) gradients.
     """
 
     domain: Ball
     fn: Callable[[np.ndarray], np.ndarray]
     grad_bound: float
-    grad_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: Optional[float] = None
+    grad_fn: Callable[[np.ndarray], np.ndarray]
     label: str = "field"
 
     def __post_init__(self) -> None:
         if not (self.grad_bound >= 0 and math.isfinite(self.grad_bound)):
             raise ValueError("grad_bound must be finite and >= 0")
-
-    @property
-    def step(self) -> float:
-        return self.fd_step if self.fd_step is not None else 1e-5 * self.domain.radius
 
     def values(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -178,19 +172,10 @@ class ScalarField:
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.grad_fn is not None:
-            out = np.asarray(self.grad_fn(pts), dtype=float)
-            if out.shape != pts.shape:
-                raise ValueError(f"grad of {self.label!r} returned shape {out.shape}")
-            return out
-        h = self.step
-        n = pts.shape[1]
-        grads = np.empty_like(pts)
-        for i in range(n):
-            shift = np.zeros(n)
-            shift[i] = h
-            grads[:, i] = (self.values(pts + shift) - self.values(pts - shift)) / (2 * h)
-        return grads
+        out = np.asarray(self.grad_fn(pts), dtype=float)
+        if out.shape != pts.shape:
+            raise ValueError(f"grad of {self.label!r} returned shape {out.shape}")
+        return out
 
 
 @dataclass(frozen=True)

@@ -183,62 +183,75 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
 # residue regions and classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidueRegion:
-    """Part of a primed ball where the field escapes the hole's plane band."""
-
-    hole_id: int
-    primed: Ball
-    threshold: float     # t/4
-    indicator: Callable[[np.ndarray], np.ndarray]
-
-
 def _escapes(g: ScalarField, plane: AffinePlane, pts: np.ndarray,
              threshold) -> np.ndarray:
     """Where the field leaves the plane band: |g - plane| > threshold."""
     return np.abs(g.values(pts) - plane.heights(pts)) > threshold
 
 
-def _region(family: HoleFamily, hole_id: int, patch: GraphPatch,
-            plane: Optional[AffinePlane] = None) -> ResidueRegion:
-    """The hole's residue region; ``plane`` is its stage's plane, built
-    here when not given."""
+def _residue_balls(family: HoleFamily, ids: np.ndarray,
+                   patch: GraphPatch) -> tuple[np.ndarray, np.ndarray]:
+    """The primed radii E·t and the t/4 thresholds of the holes' residue
+    regions.
+
+    The field must lie under the residue C1 ceiling and every primed ball
+    inside the window; the first hole in order whose ball leaves it
+    raises ``AuditFailure``.
+    """
     if patch.c1_bound > RESIDUE_GRAD_CAP + 1e-12:
         raise PreconditionError(
             f"field {patch.source!r} exceeds the C1 ceiling for residue "
             f"accounting ({patch.c1_bound:.4g} > {RESIDUE_GRAD_CAP:.4g})",
             c1_bound=patch.c1_bound, cap=RESIDUE_GRAD_CAP)
-    k = int(family.ks[hole_id])
-    t = float(family.ts[hole_id])
-    x = family.base_centers[hole_id]
-    primed = Ball(x, family.E * t)
+    t = family.ts[ids]
+    radii = family.E * t
     window = family.window
-    slack = window.radius - np.linalg.norm(x - window.center) - primed.radius
-    if slack < -1e-9:
+    slack = window.radius - np.linalg.norm(
+        family.base_centers[ids] - window.center, axis=1) - radii
+    out = np.flatnonzero(slack < -1e-9)
+    if len(out):
+        hole_id, overhang = int(ids[out[0]]), float(-slack[out[0]])
         raise AuditFailure(
-            f"primed ball of hole {hole_id} leaves the window by {-slack:.3e}",
-            hole_id=hole_id, overhang=-slack)
-    plane = family.plane(k) if plane is None else plane
-    thresh = t / 4.0
-
-    def indicator(pts: np.ndarray) -> np.ndarray:
-        return _escapes(patch.g, plane, np.atleast_2d(pts), thresh)
-
-    return ResidueRegion(hole_id, primed, thresh, indicator)
+            f"primed ball of hole {hole_id} leaves the window by "
+            f"{overhang:.3e}", hole_id=hole_id, overhang=overhang)
+    return radii, t / 4.0
 
 
-def residue_region(family: HoleFamily, hole_id: int, patch: GraphPatch,
-                   budget: SamplingBudget, seed: int = 0,
-                   key: Sequence = ()) -> tuple[ResidueRegion, MeasureEstimate]:
-    """Region descriptor plus a sampled measure of its base volume."""
-    region = _region(family, hole_id, patch)
-    primed = region.primed
-    vol = unit_ball_volume(family.n) * primed.radius ** family.n
-    val, hw, count = stratified_ball_integral(
-        lambda pts: region.indicator(pts).astype(float), primed.center,
-        primed.radius, vol, seed, budget, key=("residue", hole_id, *key))
-    est = MeasureEstimate(val, hw, "monte_carlo", count)
-    return region, est
+def _stage_plane(family: HoleFamily,
+                 ids: Sequence[int]) -> Optional[AffinePlane]:
+    """The plane of the one stage the holes share; None without holes."""
+    stages = sorted({int(family.ks[h]) for h in ids})
+    if len(stages) > 1:
+        raise ValueError(f"residue holes span stages {stages}")
+    return family.plane(stages[0]) if stages else None
+
+
+def _residue_integrals(family: HoleFamily, ids: Sequence[int],
+                       patch: GraphPatch, plane: AffinePlane,
+                       budget: SamplingBudget, seed: int, keys: list,
+                       weight: Optional[Callable] = None
+                       ) -> list[MeasureEstimate]:
+    """Sampled ∫ of ``weight`` (1 when absent) over each hole's residue
+    region, all holes in one ``stratified_ball_means`` call: ball ``b``
+    draws from the substreams of ``keys[b]``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if not len(ids):
+        return []
+    radii, thresholds = _residue_balls(family, ids, patch)
+
+    def integrand(pts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        inside = _escapes(patch.g, plane, pts, thresholds[owner])
+        return inside if weight is None else inside * weight(pts)
+
+    means = stratified_ball_means(integrand, family.base_centers[ids],
+                                  radii, seed, budget, keys)
+    wn = unit_ball_volume(family.n)
+    out = []
+    for radius, (mean, hw, count) in zip(radii.tolist(), means):
+        vol = wn * radius ** family.n
+        out.append(MeasureEstimate(mean * vol, hw * vol, "monte_carlo",
+                                   count))
+    return out
 
 
 def residue_energies(family: HoleFamily, hole_ids: Sequence[int],
@@ -246,40 +259,23 @@ def residue_energies(family: HoleFamily, hole_ids: Sequence[int],
                      seed: int = 0) -> list[MeasureEstimate]:
     """Sampled ∫ over each hole's residue region of |grad(g - plane)|^2.
 
-    The holes must share one stage, whose plane is built once.  Every hole
-    is checked as ``residue_region`` checks it, in order, so the first
-    steep-field or overhanging hole raises before anything is sampled.
-    The estimates are those of one ``residue_energy`` call per hole: each
-    (hole, stratum) keeps its own substream, and only the evaluation of
-    the field is shared, in blocks of whole holes.
+    The holes must share one stage.  Each (hole, stratum) keeps its own
+    substream, so the estimates do not depend on which holes are listed
+    together; the first steep-field or overhanging hole raises before
+    anything is sampled.
     """
     hole_ids = [int(h) for h in hole_ids]
-    stages = {int(family.ks[h]) for h in hole_ids}
-    if len(stages) > 1:
-        raise ValueError(f"residue energies span stages {sorted(stages)}")
-    if not hole_ids:
+    plane = _stage_plane(family, hole_ids)
+    if plane is None:
         return []
-    plane = family.plane(stages.pop())
-    regions = [_region(family, h, patch, plane) for h in hole_ids]
     grad_a = np.asarray(plane.gradient, dtype=float)
-    thresholds = np.array([reg.threshold for reg in regions])
 
-    def integrand(pts: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        diff = patch.g.gradients(pts) - grad_a
-        return _escapes(patch.g, plane, pts, thresholds[owner]) \
-            * (diff**2).sum(axis=1)
+    def grad_sq(pts: np.ndarray) -> np.ndarray:
+        return ((patch.g.gradients(pts) - grad_a)**2).sum(axis=1)
 
-    means = stratified_ball_means(
-        integrand, [reg.primed.center for reg in regions],
-        [reg.primed.radius for reg in regions], seed, budget,
-        [("residue-energy", h) for h in hole_ids])
-    wn = unit_ball_volume(family.n)
-    out = []
-    for reg, (mean, hw, count) in zip(regions, means):
-        vol = wn * reg.primed.radius ** family.n
-        out.append(MeasureEstimate(mean * vol, hw * vol, "monte_carlo",
-                                   count))
-    return out
+    return _residue_integrals(family, hole_ids, patch, plane, budget, seed,
+                              [("residue-energy", h) for h in hole_ids],
+                              grad_sq)
 
 
 def residue_energy(family: HoleFamily, hole_id: int, patch: GraphPatch,
@@ -311,42 +307,39 @@ def classify_holes(family: HoleFamily, k: int, patch: GraphPatch,
     for the winning side; straddles get a single 4x escalation and are
     then reported as indeterminate.  When eps_k times the full primed
     volume cannot reach |B| the d verdict is algebraic and needs no
-    samples at all.
+    samples at all.  The hit holes must share one stage; the sampled ones
+    are estimated together, then the straddling ones together.
     """
     eps_k = float(family.epsilons[k - 1])
     wn = unit_ball_volume(family.n)
-    u_ids, d_ids, indet, escal = [], [], [], []
-    measures: dict = {}
-    for hole_id in np.asarray(hit_ids, dtype=np.int64):
-        hole_id = int(hole_id)
-        t = float(family.ts[hole_id])
-        vol_b = wn * t**family.n
-        primed_vol = wn * (family.E * t) ** family.n
-        if vol_b > eps_k * primed_vol:
-            d_ids.append(hole_id)      # even a full residue stays below |B|
-            measures[hole_id] = None
-            continue
-        _, est = residue_region(family, hole_id, patch, budget, seed)
-        if vol_b <= eps_k * est.lower():
-            u_ids.append(hole_id)
-        elif vol_b > eps_k * est.upper():
-            d_ids.append(hole_id)
-        else:
-            _, est = residue_region(family, hole_id, patch,
-                                    budget.scaled(4), seed, key=("escalated",))
-            escal.append(hole_id)
-            if vol_b <= eps_k * est.lower():
-                u_ids.append(hole_id)
-            elif vol_b > eps_k * est.upper():
-                d_ids.append(hole_id)
-            else:
-                indet.append(hole_id)
-        measures[hole_id] = est
+    hit = [int(h) for h in np.asarray(hit_ids, dtype=np.int64)]
+    plane = _stage_plane(family, hit)
+    vol_b = {h: wn * float(family.ts[h]) ** family.n for h in hit}
+    # even a full residue keeps eps_k times the primed volume below |B|
+    algebraic = {h for h in hit if vol_b[h] > eps_k * (
+        wn * (family.E * float(family.ts[h])) ** family.n)}
+    sampled = [h for h in hit if h not in algebraic]
+    est = dict(zip(sampled, _residue_integrals(
+        family, sampled, patch, plane, budget, seed,
+        [("residue", h) for h in sampled])))
+
+    def side(h: int) -> Optional[str]:
+        if vol_b[h] <= eps_k * est[h].lower():
+            return "u"
+        return "d" if vol_b[h] > eps_k * est[h].upper() else None
+
+    escal = [h for h in sampled if side(h) is None]
+    est.update(zip(escal, _residue_integrals(
+        family, escal, patch, plane, budget.scaled(4), seed,
+        [("residue", h, "escalated") for h in escal])))
+    split: dict = {"u": [], "d": [], None: []}
+    for h in hit:
+        split["d" if h in algebraic else side(h)].append(h)
     return HoleClassification(
-        k=k, epsilon=eps_k, hit_ids=tuple(int(i) for i in hit_ids),
-        u_ids=tuple(u_ids), d_ids=tuple(d_ids),
-        indeterminate_ids=tuple(indet), escalated_ids=tuple(escal),
-        residue_measures=measures)
+        k=k, epsilon=eps_k, hit_ids=tuple(hit), u_ids=tuple(split["u"]),
+        d_ids=tuple(split["d"]), indeterminate_ids=tuple(split[None]),
+        escalated_ids=tuple(escal),
+        residue_measures={h: est.get(h) for h in hit})
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +393,7 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
         return DisjointnessAudit(k=k, pair_count=0, probe_count=0,
                                  violations=())
     x = family.base_centers[hit_ids]
-    rad = family.E * family.ts[hit_ids]
+    rad, thresholds = _residue_balls(family, hit_ids, patch)
     index = BallIndex(x, rad)
     first, second = index.pairs()
     gaps = np.linalg.norm(x[first] - x[second], axis=1) \
@@ -414,8 +407,6 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
                 f"{pair[1]} overlap by {-gap:.3e}")))
 
     plane = family.plane(k)
-    regions = [_region(family, int(h), patch, plane) for h in hit_ids]
-    thresholds = np.array([reg.threshold for reg in regions])
     probe_count = 0
     # per hole, the shared probes it finds, reported in hole order
     found: list[list[DisjointnessViolation]] = [[] for _ in range(m)]

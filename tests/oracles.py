@@ -10,15 +10,19 @@
   evaluating every ball on every grid point;
 * bump kernels as first written, gathering the support with a boolean
   mask and scattering the result back: ``analysis.bump_field`` and
-  ``surfaces.BumpSpec``.
+  ``surfaces.BumpSpec``;
+* hole classification as first written: one residue region and one
+  single-ball estimate per hit hole.
 """
 import math
 
 import numpy as np
 
-from porous.errors import NeedsMoreSamples
-from porous.geometry import PAIR_SLACK
-from porous.sampling import Z99, sample_shell, shell_edges, substream
+from porous.errors import AuditFailure, NeedsMoreSamples, PreconditionError
+from porous.geometry import PAIR_SLACK, Ball, MeasureEstimate, unit_ball_volume
+from porous.sampling import (Z99, sample_shell, shell_edges,
+                             stratified_ball_integral, substream)
+from porous.verification import RESIDUE_GRAD_CAP, HoleClassification
 
 
 def brute_contains_any(points, centers, radii):
@@ -243,3 +247,71 @@ def gathered_bump_spec_gradients(spec, pts):
     out[m] = (-6.0 * spec.amplitude / spec.width**2
               * (1.0 - rho2[m])[:, None] ** 2 * d[m])
     return out
+
+
+def residue_region(family, hole_id, patch, budget, seed=0, key=()):
+    """One hole's residue region, checked and sampled on its own: the
+    primed ball, the t/4 threshold, the indicator of the points where the
+    field leaves the plane band, and the sampled measure."""
+    if patch.c1_bound > RESIDUE_GRAD_CAP + 1e-12:
+        raise PreconditionError("field exceeds the residue C1 ceiling")
+    t = float(family.ts[hole_id])
+    primed = Ball(family.base_centers[hole_id], family.E * t)
+    window = family.window
+    slack = window.radius - np.linalg.norm(primed.center - window.center) \
+        - primed.radius
+    if slack < -1e-9:
+        raise AuditFailure(f"primed ball of hole {hole_id} leaves the window")
+    plane = family.plane(int(family.ks[hole_id]))
+    threshold = t / 4.0
+
+    def indicator(pts):
+        pts = np.atleast_2d(pts)
+        return np.abs(patch.g.values(pts) - plane.heights(pts)) > threshold
+
+    vol = unit_ball_volume(family.n) * primed.radius ** family.n
+    val, hw, count = stratified_ball_integral(
+        lambda pts: indicator(pts).astype(float), primed.center,
+        primed.radius, vol, seed, budget, key=("residue", hole_id, *key))
+    return primed, threshold, indicator, \
+        MeasureEstimate(val, hw, "monte_carlo", count)
+
+
+def per_hole_classify_holes(family, k, patch, hit_ids, budget, seed=0):
+    """``verification.classify_holes`` as first written: hole by hole, an
+    algebraic d, else a ``residue_region`` estimate, escalated once at 4x
+    budget when it straddles."""
+    eps_k = float(family.epsilons[k - 1])
+    wn = unit_ball_volume(family.n)
+    u_ids, d_ids, indet, escal = [], [], [], []
+    measures = {}
+    for hole_id in np.asarray(hit_ids, dtype=np.int64):
+        hole_id = int(hole_id)
+        t = float(family.ts[hole_id])
+        vol_b = wn * t**family.n
+        primed_vol = wn * (family.E * t) ** family.n
+        if vol_b > eps_k * primed_vol:
+            d_ids.append(hole_id)
+            measures[hole_id] = None
+            continue
+        est = residue_region(family, hole_id, patch, budget, seed)[-1]
+        if vol_b <= eps_k * est.lower():
+            u_ids.append(hole_id)
+        elif vol_b > eps_k * est.upper():
+            d_ids.append(hole_id)
+        else:
+            est = residue_region(family, hole_id, patch, budget.scaled(4),
+                                 seed, key=("escalated",))[-1]
+            escal.append(hole_id)
+            if vol_b <= eps_k * est.lower():
+                u_ids.append(hole_id)
+            elif vol_b > eps_k * est.upper():
+                d_ids.append(hole_id)
+            else:
+                indet.append(hole_id)
+        measures[hole_id] = est
+    return HoleClassification(
+        k=k, epsilon=eps_k, hit_ids=tuple(int(i) for i in hit_ids),
+        u_ids=tuple(u_ids), d_ids=tuple(d_ids),
+        indeterminate_ids=tuple(indet), escalated_ids=tuple(escal),
+        residue_measures=measures)

@@ -108,7 +108,11 @@ def test_mollify_drift_bounded_by_eps_times_slope():
         rho2 = ((np.atleast_2d(pts) - CENTER) ** 2).sum(axis=1)
         return scale * np.sin(20.0 * rho2)
 
-    g = ScalarField(domain=ball, fn=fn, grad_bound=1.0)
+    def grad_fn(pts):
+        d = np.atleast_2d(pts) - CENTER
+        return (40.0 * scale * np.cos(20.0 * (d**2).sum(axis=1)))[:, None] * d
+
+    g = ScalarField(domain=ball, fn=fn, grad_fn=grad_fn, grad_bound=1.0)
     eps = 0.05
     smooth = mollify(g, eps)
     probes = sample_shell(substream(1, "drift"), CENTER, 0.0, 0.9, 1000)
@@ -304,12 +308,20 @@ def test_cutoff_band_matches_unshortcut_convolution():
     hi = t - 5.0 * eps * t / 3.0
     lo = t - 4.0 * eps * t / 3.0
     slope = 3.0 / (eps * t)
+
+    def ramp_grad(pts):
+        d = np.atleast_2d(pts) - CENTER
+        rho = np.linalg.norm(d, axis=1)
+        sloped = (rho > lo - 1.0 / slope) & (rho < lo)
+        return np.where(sloped[:, None],
+                        -slope * d / np.maximum(rho, 1e-300)[:, None], 0.0)
+
     raw = ScalarField(
         domain=ball,
         fn=lambda pts: np.clip(
             (lo - np.linalg.norm(np.atleast_2d(pts) - CENTER, axis=1))
             * slope, 0.0, 1.0),
-        grad_bound=slope)
+        grad_fn=ramp_grad, grad_bound=slope)
     full = mollify(raw, eps * t / 3.0)
     pts = sample_shell(substream(5, "band"), CENTER, hi * 0.5,
                        t * (1 - eps) * 0.999, 2000)
@@ -458,7 +470,6 @@ def test_blend_disjoint_matches_nested_blend_chain():
     assert np.array_equal(flat.values(pts), chain.values(pts))
     assert np.array_equal(flat.gradients(pts), chain.gradients(pts))
     assert flat.grad_bound == chain.grad_bound
-    assert flat.fd_step == chain.fd_step
     assert flat.domain == chain.domain and flat.label == chain.label
     # and the arithmetic of a chain that evaluates every cutoff everywhere
     ref = g
@@ -606,7 +617,7 @@ def test_area_check_preconditions():
     with pytest.raises(PreconditionError):
         area_lower_bound_check(_cone_field(h, b), b, 0.5)   # never reaches h
     steep = ScalarField(domain=b, fn=lambda pts: np.zeros(len(pts)),
-                        grad_bound=2.0)
+                        grad_fn=np.zeros_like, grad_bound=2.0)
     with pytest.raises(PreconditionError):
         area_lower_bound_check(steep, b, h)
 
@@ -654,7 +665,7 @@ def test_boundary_cross_term_needs_three_dimensions():
     plane = AffinePlane(index=1, gradient=np.zeros(4), offset=0.0,
                         anchor=np.zeros(4))
     g = ScalarField(domain=b, fn=lambda pts: np.zeros(len(np.atleast_2d(pts))),
-                    grad_bound=0.0)
+                    grad_fn=np.zeros_like, grad_bound=0.0)
     with pytest.raises(ValueError):
         boundary_cross_term(g, plane, b)
 

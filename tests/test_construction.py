@@ -95,7 +95,7 @@ def test_plane_for_index_enumeration():
 def test_build_config_defaults_and_validation():
     cfg = BuildConfig()
     assert cfg.window == Ball(np.full(3, 0.5), 0.25)
-    assert cfg.cover_factor == pytest.approx(math.sqrt(6.0))
+    assert footprint_factor(cfg.L, 0.0) == pytest.approx(math.sqrt(6.0))
     assert cfg.stop_threshold(1) == pytest.approx(0.25 * cfg.window.volume())
     assert not cfg.strict_mode
     for bad in (dict(n=2), dict(s=0.5), dict(r=0.5), dict(L=2.0),
@@ -120,8 +120,8 @@ def test_strict_parameters_are_recognised_and_refused():
 # ---------------------------------------------------------------------------
 
 def _space(cfg):
-    return StageSpace(window=cfg.window, cover_factor=cfg.cover_factor,
-                      E=cfg.E)
+    return StageSpace(window=cfg.window,
+                      cover_factor=footprint_factor(cfg.L, 0.0), E=cfg.E)
 
 
 def test_empty_space_boundary_distance_is_window_slack():
@@ -212,7 +212,7 @@ def test_covered_uses_footprint_radius():
     space = _space(cfg)
     t = 0.02
     space.add_level(np.array([[0.5, 0.5, 0.5]]), t)
-    reach = cfg.cover_factor * t
+    reach = space.cover_factor * t
     inside = np.array([[0.5 + 0.99 * reach, 0.5, 0.5]])
     outside = np.array([[0.5 + 1.01 * reach, 0.5, 0.5]])
     assert space.covered(inside)[0]
@@ -237,7 +237,7 @@ def test_covered_follows_each_added_level():
     pts = rng.uniform(0.25, 0.75, size=(2000, 3))
     for t, count in ((0.03, 20), (0.01, 200)):
         space.add_level(rng.uniform(0.25, 0.75, size=(count, 3)), t)
-        reach = cfg.cover_factor * space.radii
+        reach = space.cover_factor * space.radii
         naive = (((pts[:, None, :] - space.centers[None]) ** 2).sum(axis=2)
                  < reach**2).any(axis=1)
         assert np.array_equal(space.covered(pts), naive)

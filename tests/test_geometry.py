@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from oracles import (brute_contains_any, brute_members, brute_pairs,
                      grid_union_oracle)
 from porous import (AffinePlane, Ball, BallIndex, MeasureEstimate,
-                    PorosityWitness, SamplingBudget, ScalarField,
+                    PorosityWitness, SamplingBudget,
                     pullback_porosity_witness, substream, union_measure,
                     unit_ball_volume)
 from porous import geometry
 from porous.geometry import contains_any
-from porous.sampling import sample_shell
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +65,6 @@ def test_affine_plane_index_validation():
     with pytest.raises(ValueError):
         AffinePlane(index=0, gradient=np.zeros(3), offset=0.0,
                     anchor=np.zeros(3))
-
-
-def test_scalar_field_fd_gradient_matches_analytic():
-    b = Ball(np.zeros(3), 1.0)
-    fn = lambda pts: (pts**2).sum(axis=1)
-    with_grad = ScalarField(domain=b, fn=fn, grad_bound=2.0,
-                            grad_fn=lambda pts: 2.0 * np.atleast_2d(pts))
-    fd_only = ScalarField(domain=b, fn=fn, grad_bound=2.0)
-    pts = sample_shell(substream(0, "fd"), np.zeros(3), 0.0, 0.9, 64)
-    assert np.allclose(fd_only.gradients(pts), with_grad.gradients(pts),
-                       atol=1e-6)
 
 
 def test_measure_estimate_interval_and_exactness():

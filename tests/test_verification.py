@@ -13,7 +13,7 @@ from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
                     budget, bump_field, classify_holes, coverage_deficit,
                     disjointness_audit, family_invariant_audit,
                     hole_intersection_mass, ledger_rows, mode_map,
-                    make_cutoff, mollify, porosity_witness, residue_region,
+                    make_cutoff, mollify, porosity_witness,
                     sample_truncated_P, select_smoothing_subfamily,
                     strict_deficit_bound, truncated_P, unit_ball_volume)
 from porous.sampling import sample_shell, substream
@@ -22,6 +22,8 @@ from porous.verification import (CSV_HEADER, DBOUND_C, K_constant, LEDGER_C,
                                  SECTIONS, _ball_probes, graph_hit_scan,
                                  porosity_witnesses, residue_energies,
                                  residue_energy, smooth_over_subfamily)
+
+from oracles import per_hole_classify_holes, residue_region
 
 W3 = unit_ball_volume(3)
 
@@ -164,44 +166,89 @@ def test_hit_scan_shrinking_constant_is_monotone(demo_family, plane_entries):
 def test_residue_region_measure_matches_closed_form_and_grid():
     t = 0.01
     center = [0.5, 0.5, 0.5]
-    fam = _manual_family([center], [t])
+    fam = _manual_family([center], [t], epsilons=(0.5,))
     R = fam.E * t
     slope = 0.02
     # offset puts the t/4 exceedance boundary at x0 - 1/2 = -R/3: the
     # residue region is the spherical cap {d > -R/3} of the primed ball
     patch = _tilt_patch(t / 4.0 + slope * R / 3.0, slope)
-    region, est = residue_region(fam, 0, patch, SamplingBudget(32, 256))
+    budget_cfg = SamplingBudget(32, 256)
+    cls = classify_holes(fam, 1, patch, np.array([0]), budget_cfg)
+    assert cls.escalated_ids == ()
+    est = cls.residue_measures[0]
+    assert est == residue_region(fam, 0, patch, budget_cfg)[-1]
     a0 = -R / 3.0
     exact = math.pi * (R - a0) ** 2 * (2.0 * R + a0) / 3.0
-    assert region.threshold == pytest.approx(t / 4.0)
     assert abs(est.value - exact) <= est.half_width + 5e-3 * exact
 
     # dense-grid rasterization of the indicator over the primed ball
     res = 128
-    ax = np.linspace(-region.primed.radius, region.primed.radius, res)
+    ax = np.linspace(-R, R, res)
     X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1) \
-        + region.primed.center
-    inball = np.linalg.norm(pts - region.primed.center, axis=1) \
-        < region.primed.radius
-    frac = region.indicator(pts[inball]).mean()
-    grid = frac * W3 * region.primed.radius**3
+    pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1) + center
+    pts = pts[np.linalg.norm(pts - center, axis=1) < R]
+    plane = fam.plane(1)
+    frac = (np.abs(patch.g.values(pts) - plane.heights(pts)) > t / 4.0).mean()
+    grid = frac * W3 * R**3
     assert abs(est.value - grid) <= est.half_width + 0.02 * exact
 
 
 def test_residue_region_rejects_steep_fields():
     t = 0.004
-    fam = _manual_family([[0.5, 0.5, 0.5]], [t])
+    fam = _manual_family([[0.5, 0.5, 0.5]], [t], epsilons=(0.5,))
     steep = _flat_patch(c1=1.0)
     with pytest.raises(PreconditionError):
-        residue_region(fam, 0, steep, SamplingBudget(4, 16))
+        classify_holes(fam, 1, steep, np.array([0]), SamplingBudget(4, 16))
+    with pytest.raises(PreconditionError):
+        residue_energies(fam, [0], steep, SamplingBudget(4, 16))
 
 
 def test_residue_region_rejects_overhanging_hole():
     t = 0.01
-    fam = _manual_family([[0.5 + 0.245, 0.5, 0.5]], [t])
-    with pytest.raises(AuditFailure):
-        residue_region(fam, 0, _flat_patch(), SamplingBudget(4, 16))
+    fam = _manual_family([[0.5, 0.5, 0.5], [0.5 + 0.245, 0.5, 0.5]],
+                         [t, t], epsilons=(0.5,))
+    for run in (lambda ids: classify_holes(fam, 1, _flat_patch(), ids,
+                                           SamplingBudget(4, 16)),
+                lambda ids: residue_energies(fam, ids, _flat_patch(),
+                                             SamplingBudget(4, 16))):
+        with pytest.raises(AuditFailure, match="hole 1 leaves the window"):
+            run(np.array([0, 1]))
+
+
+@pytest.mark.parametrize("offset, eps, indeterminate, u", [
+    (0.0025, 0.577, (0,), ()), (0.0026, 0.41, (), (0,))],
+    ids=["indeterminate", "u"])
+def test_classification_escalates_straddling_holes(offset, eps,
+                                                   indeterminate, u):
+    fam = _manual_family([[0.5, 0.5, 0.5]], [0.01], epsilons=(eps,))
+    args = (fam, 1, _tilt_patch(offset), np.array([0]),
+            SamplingBudget(16, 64))
+    cls = classify_holes(*args)
+    assert cls == per_hole_classify_holes(*args)
+    assert cls.escalated_ids == (0,)
+    assert cls.residue_measures[0].sample_count == 4 * 16 * 64
+    assert cls.indeterminate_ids == indeterminate and cls.u_ids == u
+    assert cls.d_ids == ()
+
+
+def test_classification_matches_per_hole_reference_on_a_mixed_stage():
+    # at eps = E^-3 the algebraic test |B| > eps |B'| is decided by
+    # rounding, which makes hole 0 an algebraic d; the others are sampled:
+    # hole 5 misses the t/4 band (d), holes 3, 1 and 4 lie wholly in the
+    # residue (u), and hole 2 straddles and is escalated
+    ts = [0.004, 0.006, 0.011, 0.012, 0.007, 0.011]
+    centers = [[0.35 + 0.07 * i, 0.5, 0.5] for i in range(5)] \
+        + [[0.30, 0.55, 0.5]]
+    fam = _manual_family(centers, ts, epsilons=(1.0 / 1.5**3,))
+    args = (fam, 1, _tilt_patch(0.003, 0.01), np.array([5, 3, 0, 2, 1, 4]),
+            SamplingBudget(16, 64))
+    cls = classify_holes(*args)
+    assert cls == per_hole_classify_holes(*args)
+    assert list(cls.residue_measures) == [5, 3, 0, 2, 1, 4]
+    algebraic = [h for h, est in cls.residue_measures.items() if est is None]
+    assert algebraic == [0]
+    assert cls.u_ids == (3, 1, 4) and cls.d_ids == (5, 0, 2)
+    assert cls.escalated_ids == (2,) and cls.indeterminate_ids == ()
 
 
 def test_classification_u_branch_with_full_residue():
@@ -330,12 +377,12 @@ def test_disjointness_probe_count_matches_a_per_hole_loop(monkeypatch):
     patch = _tilt_patch(t / 4.0 + 0.02 * R / 3.0, 0.02)
     audit = disjointness_audit(fam, 1, patch, np.arange(6), seed=5)
     expect = 0
+    plane = fam.plane(1)
     for h in range(6):
-        region = verification._region(fam, h, patch)
         pts = sample_shell(substream(5, "disjoint", 1, h),
-                           region.primed.center, 0.0, region.primed.radius,
-                           128)
-        expect += int(region.indicator(pts).sum())
+                           fam.base_centers[h], 0.0, R, 128)
+        expect += int((np.abs(patch.g.values(pts) - plane.heights(pts))
+                       > t / 4.0).sum())
     assert 0 < audit.probe_count == expect < 6 * 128
     assert audit.violations == ()
 
@@ -604,9 +651,12 @@ def test_residue_energies_name_the_first_bad_hole_of_a_batch():
 
 def test_residue_energies_take_one_stage_at_a_time(demo_family):
     ids = [int(demo_family.stage_ids(1)[0]), int(demo_family.stage_ids(2)[0])]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="span stages"):
         residue_energies(demo_family, ids, _flat_patch(),
                          SamplingBudget(4, 16))
+    with pytest.raises(ValueError, match="span stages"):
+        classify_holes(demo_family, 1, _flat_patch(), ids,
+                       SamplingBudget(4, 16))
     assert residue_energies(demo_family, [], _flat_patch(),
                             SamplingBudget(4, 16)) == []
 
@@ -674,7 +724,6 @@ def test_smooth_over_subfamily_matches_nested_blend_chain(demo_family,
     assert np.array_equal(vals, chain.values(pts))
     assert np.array_equal(flat.gradients(pts), chain.gradients(pts))
     assert flat.grad_bound == chain.grad_bound
-    assert flat.fd_step == chain.fd_step
     assert flat.domain == chain.domain and flat.label == chain.label
 
 
