@@ -19,9 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from porous import (alpha_relaxed, build_family, coverage_deficit,
-                    deserialize_family, load_config, plane_schedule,
-                    porosity_row, sample_truncated_P, strict_deficit_bound,
-                    truncated_P)
+                    deserialize_family, load_config, porosity_row,
+                    sample_truncated_P, strict_deficit_bound, truncated_P)
 
 HERE = Path(__file__).resolve().parent
 
@@ -54,13 +53,13 @@ def main() -> int:
     print("\nplane coverage deficit (upper 99% CI vs relaxed bound):")
     ok = True
     for k in range(1, family.depth + 1):
-        m = plane_schedule(k)
-        res = coverage_deficit(family, m, k, b.stop_fractions[k - 1],
+        row = coverage_deficit(family, k, b.stop_fractions[k - 1],
                                budget_cfg=cfg.audit.budget,
-                               seed=cfg.audit.seed)
-        ok &= res.ok
-        print(f"  stage {k} (plane m={m}):  upper={res.estimate.upper():.4e}"
-              f"  bound={res.bound:.4e}  ok={res.ok}")
+                               seed=cfg.audit.seed).row
+        ok &= row.status == "pass"
+        print(f"  stage {k} (plane m={family.plane(k).index}):  "
+              f"upper={row.measured:.4e}  bound={row.bound:.4e}  "
+              f"{row.status}")
     strict = strict_deficit_bound(b.n, b.s, 1)
     relaxed = alpha_relaxed(b.n, b.s, b.stop_fractions[0])
     print(f"  strict stage-1 bound (arithmetic only): {strict:.6e}")

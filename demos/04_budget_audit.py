@@ -54,24 +54,23 @@ def report(name: str, ledger, cap_check=None) -> bool:
     print(f"\n=== {name} ===")
     for st in ledger.stages:
         cls = st.classification
-        print(f"  stage {st.k} (K={st.K}): hits={len(st.hit_ids)}  "
+        rows = {r.check: r for r in st.rows}
+        print(f"  stage {st.k}: hits={len(st.hit_ids)}  "
               f"mass={st.hit_mass:.4e}  u={len(cls.u_ids)} d={len(cls.d_ids)}"
-              f"  ubound_sum={st.ubound_sum:.3e}  "
-              f"dbound_ratio={st.dbound_max_ratio:.3g}  -> {st.status}")
-    print(f"  energy={ledger.energy.value:.4e}  "
-          f"eps_sum={ledger.epsilon_sum:.4e}  "
-          f"total_mass={ledger.total_hit_mass:.4e}")
-    print(f"  empirical C = {ledger.c_empirical:.3g}  "
-          f"(ceiling {ledger.c_ledger:g})  -> {ledger.status}")
+              f"  u_mass={rows['u-mass'].measured:.3e}  "
+              f"dbound_ratio={rows['d-energy'].measured:.3g}  -> {st.status}")
     row = ledger.verdict
-    print(f"  {row.id}: measured={row.measured:.4e}  "
+    print(f"  energy={ledger.energy.value:.4e}  "
+          f"empirical C = {ledger.c_empirical:.3g}")
+    print(f"  {row.id}: total_mass={row.measured:.4e}  "
           f"bound={row.bound:.4e}  {row.status}")
     ok = ledger.status == "pass"
     if cap_check is not None:
-        print(f"  graph mass in holes: upper={cap_check.mass.upper():.4e}  "
-              f"cap={cap_check.cap:.4e}  hit_count={cap_check.hit_count}  "
-              f"ok={cap_check.ok}")
-        ok &= cap_check.ok
+        cap = cap_check.row
+        print(f"  graph mass in holes: upper={cap.measured:.4e}  "
+              f"cap={cap.bound:.4e}  hit_count={cap_check.hit_count}  "
+              f"{cap.status}")
+        ok &= cap.status == "pass"
     return ok
 
 
@@ -104,7 +103,7 @@ def main() -> int:
                  dbound_budget=s.dbound_budget, seed=s.seed,
                  c_ledger=s.c_ledger, c_dbound=s.c_dbound)
     ok &= report("zero field", led)
-    exact_zero = led.total_hit_mass == 0.0
+    exact_zero = led.verdict.measured == 0.0
     print(f"\n  zero field hit mass exactly 0.0: {exact_zero}")
     ok &= exact_zero
 

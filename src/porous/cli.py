@@ -128,8 +128,7 @@ def _analysis_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
 
 def _cover_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
     return [coverage_deficit(
-        family, m=family.plane(k).index, k=k,
-        stop_fraction=cfg.build.stop_fractions[k - 1],
+        family, k, cfg.build.stop_fractions[k - 1],
         budget_cfg=cfg.audit.budget, seed=cfg.audit.seed).row
         for k in range(1, family.depth + 1)]
 
@@ -188,14 +187,14 @@ WHICH_CHOICES = tuple(AUDITS)
 
 
 def _parse_which(raw: Optional[str]) -> tuple[str, ...]:
-    if not raw:
+    if raw is None:
         return WHICH_CHOICES
     picked = tuple(part.strip() for part in raw.split(",") if part.strip())
     bad = [p for p in picked if p not in WHICH_CHOICES]
-    if bad:
-        raise ConfigError(
-            f"unknown audit selection {bad}; choose from "
-            + ", ".join(WHICH_CHOICES))
+    if bad or not picked:
+        what = f"unknown audit selection {bad}" if bad \
+            else f"empty audit selection {raw!r}"
+        raise ConfigError(f"{what}; choose from " + ", ".join(WHICH_CHOICES))
     return picked
 
 

@@ -453,6 +453,8 @@ def load_corpus_spec(path) -> list[dict]:
         missing = {"kind", "params", "seed"} - set(item)
         if missing:
             raise ParseError(f"{path}: entry {i} missing {sorted(missing)}")
+        if not isinstance(item["params"], dict):
+            raise ParseError(f"{path}: entry {i} params is not an object")
         if item["kind"] not in CORPUS_KINDS:
             raise ParseError(f"{path}: entry {i} has unknown kind "
                              f"{item['kind']!r}")
@@ -461,8 +463,17 @@ def load_corpus_spec(path) -> list[dict]:
 
 def generate_from_spec(spec: list[dict], window: Optional[Ball] = None
                        ) -> list[CorpusEntry]:
+    """The entries of every corpus group of a spec; a group the generator
+    rejects raises ``ParseError`` naming it."""
     out = []
-    for item in spec:
-        out.extend(corpus_generate(item["kind"], item["params"],
-                                   int(item["seed"]), window=window))
+    for i, item in enumerate(spec):
+        try:
+            out.extend(corpus_generate(item["kind"], item["params"],
+                                       int(item["seed"]), window=window))
+        except KeyError as exc:
+            raise ParseError(f"corpus entry {i} ({item['kind']}): missing "
+                             f"parameter {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ParseError(
+                f"corpus entry {i} ({item['kind']}): {exc}") from exc
     return out

@@ -32,7 +32,7 @@ from .analysis import (BUMP_SLOPE_SUP, area_lower_bound_check, blend,
                        make_cutoff, make_mollifier, mollifier_mass, mollify,
                        smoothed_gradient_check, sobolev_ratio)
 from .construction import (HoleFamily, StageSpace, assemble_H, assemble_Pk,
-                           footprint_factor, plane_for_index)
+                           footprint_factor)
 from .errors import AuditFailure, NeedsMoreSamples, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                        PorosityWitness, ScalarField, contains_any,
@@ -305,20 +305,19 @@ def classify_holes(family: HoleFamily, k: int, patch: GraphPatch,
 
     The comparison uses the conservative end of the confidence interval
     for the winning side; straddles get a single 4x escalation and are
-    then reported as indeterminate.  When eps_k times the full primed
-    volume cannot reach |B| the d verdict is algebraic and needs no
-    samples at all.  The hit holes must share one stage; the sampled ones
-    are estimated together, then the straddling ones together.
+    then reported as indeterminate.  |B| / |B'| is E^-n for every hole,
+    so when eps_k * E^n < 1 even a full residue cannot reach |B|: every
+    hit hole of the stage is then an algebraic d, with no samples drawn.
+    The hit holes must share one stage; the sampled ones are estimated
+    together, then the straddling ones together.
     """
     eps_k = float(family.epsilons[k - 1])
     wn = unit_ball_volume(family.n)
     hit = [int(h) for h in np.asarray(hit_ids, dtype=np.int64)]
     plane = _stage_plane(family, hit)
     vol_b = {h: wn * float(family.ts[h]) ** family.n for h in hit}
-    # even a full residue keeps eps_k times the primed volume below |B|
-    algebraic = {h for h in hit if vol_b[h] > eps_k * (
-        wn * (family.E * float(family.ts[h])) ** family.n)}
-    sampled = [h for h in hit if h not in algebraic]
+    algebraic = eps_k * family.E ** family.n < 1.0
+    sampled = [] if algebraic else hit
     est = dict(zip(sampled, _residue_integrals(
         family, sampled, patch, plane, budget, seed,
         [("residue", h) for h in sampled])))
@@ -334,7 +333,7 @@ def classify_holes(family: HoleFamily, k: int, patch: GraphPatch,
         [("residue", h, "escalated") for h in escal])))
     split: dict = {"u": [], "d": [], None: []}
     for h in hit:
-        split["d" if h in algebraic else side(h)].append(h)
+        split["d" if algebraic else side(h)].append(h)
     return HoleClassification(
         k=k, epsilon=eps_k, hit_ids=tuple(hit), u_ids=tuple(split["u"]),
         d_ids=tuple(split["d"]), indeterminate_ids=tuple(split[None]),
@@ -495,20 +494,6 @@ def select_smoothing_subfamily(family: HoleFamily,
 # smoothing step
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmoothingAudit:
-    """Probe audit of one stage's smoothed comparison field."""
-
-    k: int
-    selected_count: int
-    sup_diff: float
-    diff_tol: float
-    grad_sup: float
-    grad_cap: float
-    consistency_checked: int
-    consistency_violations: tuple
-
-
 def smooth_over_subfamily(patch: GraphPatch, family: HoleFamily,
                           selected: np.ndarray, eps_next: float,
                           match_tol: float, seed: int = 0,
@@ -556,15 +541,12 @@ def _ball_probes(family: HoleFamily, selected: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class StageLedger:
     k: int
-    K: float
     hit_ids: tuple
     hit_mass: float
     classification: HoleClassification
-    ubound_sum: float
-    dbound_max_ratio: float
     disjointness: DisjointnessAudit
-    smoothing: Optional[SmoothingAudit]
     rows: tuple              # the stage's report rows
+    inconsistent_ids: tuple  # hit-consistency failures; () when unsmoothed
 
     @property
     def status(self) -> str:
@@ -576,15 +558,9 @@ class BudgetLedger:
     """Mass accounting of one field against the whole family."""
 
     source: str
-    depth: int
-    K: tuple
     stages: tuple
     energy: MeasureEstimate
-    epsilon_sum: float
-    total_hit_mass: float
     c_empirical: float
-    c_ledger: float
-    c_dbound: float
     verdict: "AuditRow"      # the summed hit mass against its ceiling
 
     @property
@@ -592,13 +568,12 @@ class BudgetLedger:
         return merged_status(ledger_rows(self))
 
 
-def budget(patch: GraphPatch, family: HoleFamily,
-           depth: Optional[int] = None, *,
+def budget(patch: GraphPatch, family: HoleFamily, *,
            budget_cfg: SamplingBudget = SamplingBudget(32, 128),
            dbound_budget: SamplingBudget = SamplingBudget(8, 32),
            seed: int = 0, c_ledger: float = LEDGER_C,
            c_dbound: float = DBOUND_C) -> BudgetLedger:
-    """Staged hit-mass ledger for one field.
+    """Staged hit-mass ledger for one field over every stage.
 
     Per stage: scan hits at the stage constant, classify them, audit
     residue disjointness, account the u-mass against eps_k and each
@@ -615,9 +590,7 @@ def budget(patch: GraphPatch, family: HoleFamily,
             f"field {patch.source!r} exceeds the budget C1 ceiling "
             f"({patch.c1_bound:.4g} > {BUDGET_GRAD_CAP:.4g})",
             c1_bound=patch.c1_bound, cap=BUDGET_GRAD_CAP)
-    depth = family.depth if depth is None else depth
-    if depth < 1 or depth > family.depth:
-        raise ValueError(f"depth must lie in 1..{family.depth}")
+    depth = family.depth
     window = family.window
 
     def grad_sq(pts: np.ndarray) -> np.ndarray:
@@ -664,7 +637,7 @@ def budget(patch: GraphPatch, family: HoleFamily,
                 f"{base}/classification", "u-d-split",
                 len(cls.indeterminate_ids), nonzero="indeterminate"))
 
-        smoothing = None
+        inconsistent = ()
         # overlapping hit holes break the selection's disjoint-or-nested
         # precondition; the stage fails on them, so its smoothing is
         # skipped and the later stages keep the current field
@@ -687,59 +660,42 @@ def budget(patch: GraphPatch, family: HoleFamily,
             gnorm = np.linalg.norm(smoothed.gradients(probes), axis=1)
             grad_sup = float(gnorm.max()) if len(gnorm) else 0.0
             grad_cap = 1.0 / 32.0 - 3.0 * sum(eps[:k])
+            # the smoothed field's own declared bound compounds the worst
+            # case of every blended ball; the scans use the stage cap,
+            # which the gradient row audits
+            scanned = dataclasses.replace(
+                smoothed, grad_bound=min(smoothed.grad_bound, grad_cap))
             # implication: tight hits of the old field stay loose hits of
             # the new one whenever the drift fits the enlargement slack
             K_next = K_constant(k + 1)
             scope = np.flatnonzero(
                 (K_k - K_next) * family.ts >= sup_diff - 1e-15)
-            scanned = smoothed_field_for_scan(smoothed, current, grad_cap)
             before = graph_hit_scan(current.g, family, scope, K_next)
             after = graph_hit_scan(scanned, family, scope, K_k)
-            bad = scope[before.hit & ~after.hit]
-            smoothing = SmoothingAudit(
-                k=k, selected_count=int(len(selected)), sup_diff=sup_diff,
-                diff_tol=tol, grad_sup=grad_sup, grad_cap=grad_cap,
-                consistency_checked=int(len(scope)),
-                consistency_violations=tuple(int(b) for b in bad))
+            inconsistent = tuple(
+                int(b) for b in scope[before.hit & ~after.hit])
             rows += [AuditRow.at_most(f"{base}/smoothing-drift",
                                       "smoothing-drift", sup_diff, tol),
                      AuditRow.at_most(f"{base}/smoothing-gradient",
                                       "smoothing-gradient", grad_sup, grad_cap),
                      AuditRow.zero_count(f"{base}/hit-consistency",
-                                         "hit-consistency", len(bad))]
+                                         "hit-consistency", len(inconsistent))]
             current = GraphPatch(
                 g=scanned, source=f"{patch.source}|smoothed:{k}",
                 c1_bound=max(current.c1_bound + sup_diff, grad_cap))
         stages.append(StageLedger(
-            k=k, K=K_k, hit_ids=tuple(int(i) for i in hit_ids),
-            hit_mass=hit_mass, classification=cls, ubound_sum=u_sum,
-            dbound_max_ratio=dmax, disjointness=disj, smoothing=smoothing,
-            rows=tuple(rows)))
+            k=k, hit_ids=tuple(int(i) for i in hit_ids), hit_mass=hit_mass,
+            classification=cls, disjointness=disj, rows=tuple(rows),
+            inconsistent_ids=inconsistent))
 
-    eps_sum = float(sum(eps))
-    rhs_base = max(energy.lower(), 0.0) + eps_sum
+    rhs_base = max(energy.lower(), 0.0) + float(sum(eps))
     c_emp = total / rhs_base if rhs_base > 0 else math.inf
     ceiling = c_ledger * rhs_base
     return BudgetLedger(
-        source=patch.source, depth=depth,
-        K=tuple(K_constant(k) for k in range(1, depth + 1)),
-        stages=tuple(stages), energy=energy, epsilon_sum=eps_sum,
-        total_hit_mass=total, c_empirical=c_emp, c_ledger=c_ledger,
-        c_dbound=c_dbound, verdict=AuditRow.at_most(
+        source=patch.source, stages=tuple(stages), energy=energy,
+        c_empirical=c_emp, verdict=AuditRow.at_most(
             f"budget/{patch.source}/verdict", "budget-total", total, ceiling,
             ok=total <= ceiling + 1e-15))
-
-
-def smoothed_field_for_scan(smoothed: ScalarField, prev: GraphPatch,
-                            grad_cap: float) -> ScalarField:
-    """Re-wrap a smoothed field with its probe-audited gradient bound.
-
-    The field's own declared bound compounds the worst case of every
-    blended ball; the budget instead audits the gradient sup directly and
-    uses the stage cap, which downstream prefilters may rely on.
-    """
-    return dataclasses.replace(
-        smoothed, grad_bound=min(smoothed.grad_bound, grad_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -748,35 +704,25 @@ def smoothed_field_for_scan(smoothed: ScalarField, prev: GraphPatch,
 
 @dataclass(frozen=True)
 class CoverageDeficit:
-    m: int
-    k: int
     estimate: MeasureEstimate
-    bound: float
-    jacobian_sup: float
     row: "AuditRow"          # the deficit's upper end against its bound
 
-    @property
-    def ok(self) -> bool:
-        return self.row.status == "pass"
 
-
-def coverage_deficit(family: HoleFamily, m: int, k: int,
-                     stop_fraction: float,
+def coverage_deficit(family: HoleFamily, k: int, stop_fraction: float,
                      budget_cfg: SamplingBudget = SamplingBudget(32, 128),
                      seed: int = 0) -> CoverageDeficit:
-    """Surface mass of a base plane missed by the stage-k truncation union."""
-    plane = plane_for_index(m, family.n, family.r)
+    """Surface mass of stage k's base plane missed by the stage-k
+    truncation union."""
+    plane = family.plane(k)
+    m = plane.index
     patch = _plane_patch(plane, family.window, (), f"plane-{m}")
     pk = assemble_Pk(family, k)
     est = graph_measure_in(patch, lambda pts: ~pk.contains(pts),
                            budget_cfg, seed, key=("cover", m, k))
-    jac = math.sqrt(1.0 + plane.slope**2)
     bound = 2.0 * stop_fraction * unit_ball_volume(family.n) \
-        * family.s**family.n * jac
-    return CoverageDeficit(m=m, k=k, estimate=est, bound=bound,
-                           jacobian_sup=jac, row=AuditRow.at_most(
-                               f"cover/stage-{k}", "plane-cover-deficit",
-                               est.upper(), bound))
+        * family.s**family.n * math.sqrt(1.0 + plane.slope**2)
+    return CoverageDeficit(estimate=est, row=AuditRow.at_most(
+        f"cover/stage-{k}", "plane-cover-deficit", est.upper(), bound))
 
 
 @dataclass(frozen=True)
@@ -861,12 +807,7 @@ class HoleMassCheck:
     mass: MeasureEstimate
     hit_count: int
     hit_mass: float
-    cap: float
-    row: "AuditRow"          # the mass's upper end against the cap
-
-    @property
-    def ok(self) -> bool:
-        return self.row.status == "pass"
+    row: "AuditRow"          # the mass's upper end against its cap
 
 
 def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
@@ -889,7 +830,7 @@ def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
     hit_mass = float(np.sum(_hole_volumes(family, scan.hit_ids)))
     cap = math.sqrt(1.0 + family.r**2) * hit_mass
     return HoleMassCheck(mass=est, hit_count=int(scan.hit.sum()),
-                         hit_mass=hit_mass, cap=cap, row=AuditRow.at_most(
+                         hit_mass=hit_mass, row=AuditRow.at_most(
                              f"holes-mass/{patch.source}", "graph-hole-mass",
                              est.upper(), cap))
 
@@ -956,10 +897,8 @@ def family_invariant_audit(family: HoleFamily, seed: int = 0,
             if t_lvl >= prev_min - 1e-15 and not math.isinf(prev_min):
                 decay_ok = False
             prev_min = min(prev_min, t_lvl)
-    rows.append(AuditRow(
-        id="family/radius-decay", check="packing-decay",
-        measured=float(decay_ok), bound=1.0, margin=0.0,
-        status="pass" if decay_ok else "fail"))
+    rows.append(AuditRow.at_least("family/radius-decay", "packing-decay",
+                                  float(decay_ok), 1.0))
 
     # replayed per-level floors
     for k in range(1, family.depth + 1):

@@ -278,19 +278,19 @@ def residue_region(family, hole_id, patch, budget, seed=0, key=()):
 
 
 def per_hole_classify_holes(family, k, patch, hit_ids, budget, seed=0):
-    """``verification.classify_holes`` as first written: hole by hole, an
-    algebraic d, else a ``residue_region`` estimate, escalated once at 4x
-    budget when it straddles."""
+    """``verification.classify_holes`` hole by hole: an algebraic d for
+    every hole of a stage with eps_k * E^n < 1, else a ``residue_region``
+    estimate, escalated once at 4x budget when it straddles."""
     eps_k = float(family.epsilons[k - 1])
     wn = unit_ball_volume(family.n)
+    algebraic = eps_k * family.E ** family.n < 1.0
     u_ids, d_ids, indet, escal = [], [], [], []
     measures = {}
     for hole_id in np.asarray(hit_ids, dtype=np.int64):
         hole_id = int(hole_id)
         t = float(family.ts[hole_id])
         vol_b = wn * t**family.n
-        primed_vol = wn * (family.E * t) ** family.n
-        if vol_b > eps_k * primed_vol:
+        if algebraic:
             d_ids.append(hole_id)
             measures[hole_id] = None
             continue

@@ -5,6 +5,7 @@ expensive corpus sweeps (full budget ledgers, hole-mass checks) run once
 in session fixtures and are shared.  Run with ``pytest -s`` to see every
 verdict line; a plain run prints them only for failures.
 """
+import dataclasses
 import json
 import math
 import time
@@ -31,8 +32,7 @@ from porous.geometry import BallIndex
 from porous.sampling import SamplingBudget, sample_shell
 from porous.verification import (DBOUND_C, FLATTEN_C, K_constant, LEDGER_C,
                                  analysis_suite, coverage_deficit,
-                                 graph_hit_scan, smooth_over_subfamily,
-                                 smoothed_field_for_scan)
+                                 graph_hit_scan, smooth_over_subfamily)
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = ROOT / "demos" / "config" / "demo.json"
@@ -140,17 +140,17 @@ def test_ac1_construction_invariants(demo_config):
 
 def test_ac2_plane_cover_deficit(demo_family, demo_config):
     deficits = [
-        coverage_deficit(demo_family, m=demo_family.plane(k).index, k=k,
+        coverage_deficit(demo_family, k=k,
                          stop_fraction=demo_config.build.stop_fractions[k - 1],
                          budget_cfg=demo_config.audit.budget,
-                         seed=demo_config.audit.seed)
+                         seed=demo_config.audit.seed).row
         for k in range(1, demo_family.depth + 1)]
-    relaxed_ok = all(d.estimate.upper() <= d.bound for d in deficits)
+    relaxed_ok = all(d.measured <= d.bound for d in deficits)
 
     strict = strict_deficit_bound(3, 0.25, 1)
     arithmetic_ok = (strict == W3 * 0.25 ** 3 / 2 ** 3
                      and abs(strict - AC2_STRICT_APPROX) < 5e-6)
-    worst = max(d.estimate.upper() / d.bound for d in deficits)
+    worst = max(d.measured / d.bound for d in deficits)
     _verdict("AC2 plane-cover-deficit", relaxed_ok and arithmetic_ok,
              f"worst upper-CI/bound {worst:.3f}, strict instance "
              f"{strict:.6g} ~ {AC2_STRICT_APPROX:g}")
@@ -295,31 +295,37 @@ def test_ac5_budget_corpus(demo_family, corpus_entries, corpus_ledgers):
     corpus_ok = (len(corpus_entries) == 50
                  and all(e.patch.c1_bound <= 1.0 / 64.0 + 1e-12
                          for e in corpus_entries))
-    statuses = [{r.check: r.status for r in st.rows}
-                for led in ledgers for st in led.stages]
-    ubound_ok = all(s["u-mass"] == "pass" for s in statuses) and all(
-        st.ubound_sum <= demo_family.epsilons[st.k - 1] + AC5_UBOUND_SLACK
-        for led in ledgers for st in led.stages)
-    dbound_ok = all(s["d-energy"] == "pass" for s in statuses)
+    checks = [({r.check: r for r in st.rows}, st)
+              for led in ledgers for st in led.stages]
+    ubound_ok = all(
+        rows["u-mass"].status == "pass" and rows["u-mass"].measured
+        <= demo_family.epsilons[st.k - 1] + AC5_UBOUND_SLACK
+        for rows, st in checks)
+    dbound_ok = all(rows["d-energy"].status == "pass"
+                    and rows["d-energy"].bound == DBOUND_C
+                    for rows, _ in checks)
     disjoint_ok = all(st.disjointness.violations == ()
-                      for led in ledgers for st in led.stages)
-    global_c_ok = all(led.c_ledger == LEDGER_C
+                      for _, st in checks)
+    global_c_ok = all(led.verdict.bound == pytest.approx(
+                          LEDGER_C * (max(led.energy.lower(), 0.0)
+                                      + sum(demo_family.epsilons[
+                                          :demo_family.depth])))
                       and led.verdict.status == "pass"
                       and led.status == "pass" for led in ledgers)
 
     zero = budget(_flat_patch(), demo_family)
-    zero_ok = zero.total_hit_mass == 0.0 and zero.status == "pass"
+    zero_ok = zero.verdict.measured == 0.0 and zero.status == "pass"
 
     worst_c = max(led.c_empirical for led in ledgers)
-    worst_d = max((st.dbound_max_ratio for led in ledgers
-                   for st in led.stages), default=0.0)
+    worst_d = max((rows["d-energy"].measured for rows, _ in checks),
+                  default=0.0)
     ok = (not errors and corpus_ok and ubound_ok and dbound_ok
           and disjoint_ok and global_c_ok and zero_ok)
     _verdict("AC5 budget-corpus", ok,
              f"{len(ledgers)}/50 ledgers, errors {sorted(errors) or 'none'}, "
              f"global C {LEDGER_C:g} (empirical max {worst_c:.1f}), dbound C "
              f"{DBOUND_C:g} (max {worst_d:.0f}), flat-field mass "
-             f"{zero.total_hit_mass}")
+             f"{zero.verdict.measured}")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +335,7 @@ def test_ac5_budget_corpus(demo_family, corpus_entries, corpus_ledgers):
 def test_ac6_hole_mass(demo_family, demo_config, mass_checks):
     cap_factor = math.sqrt(1.0 + demo_family.r ** 2)
     assert cap_factor == AC6_CAP_FACTOR
-    cap_ok = all(check.ok and check.cap
+    cap_ok = all(check.row.status == "pass" and check.row.bound
                  == pytest.approx(cap_factor * check.hit_mass)
                  for _, check in mass_checks)
 
@@ -371,7 +377,7 @@ def _replay_ledger(entry, family, ledger):
     current_field = entry.patch.g
     current_patch = entry.patch
     total = 0.0
-    for k in range(1, ledger.depth + 1):
+    for k in range(1, family.depth + 1):
         st = ledger.stages[k - 1]
         scan = graph_hit_scan(current_field, family, family.stage_ids(k),
                               K_constant(k), prefilter=False)
@@ -381,7 +387,7 @@ def _replay_ledger(entry, family, ledger):
         if mass != st.hit_mass:
             return False, f"{entry.patch.source} stage {k} mass differs"
         total += mass
-        if k < ledger.depth:
+        if k < family.depth:
             eps_next = float(family.epsilons[k])
             tol = eps_next * float(family.stage_radii[k - 1])
             selected = select_smoothing_subfamily(
@@ -392,13 +398,14 @@ def _replay_ledger(entry, family, ledger):
             else:
                 smoothed = current_patch.g
             grad_cap = 1.0 / 32.0 - 3.0 * sum(family.epsilons[:k])
-            current_field = smoothed_field_for_scan(smoothed, current_patch,
-                                                    grad_cap)
+            current_field = dataclasses.replace(
+                smoothed, grad_bound=min(smoothed.grad_bound, grad_cap))
+            drift = next(r.measured for r in st.rows
+                         if r.check == "smoothing-drift")
             current_patch = GraphPatch(
                 g=current_field, source=current_patch.source,
-                c1_bound=max(current_patch.c1_bound + st.smoothing.sup_diff,
-                             grad_cap))
-    if total != ledger.total_hit_mass:
+                c1_bound=max(current_patch.c1_bound + drift, grad_cap))
+    if total != ledger.verdict.measured:
         return False, f"{entry.patch.source} total mass differs"
     return True, f"{entry.patch.source} {total:.6e}"
 

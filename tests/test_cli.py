@@ -146,6 +146,39 @@ def test_audit_rejects_unknown_selection(tmp_path, capsys):
     assert "unknown audit selection" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", [",", ""])
+def test_audit_rejects_an_empty_selection(tmp_path, capsys, which):
+    out = tmp_path / "out"
+    rc = main(["audit", "--config", str(DEMO_CONFIG),
+               "--which", which, "--out", str(out)])
+    assert rc == 1
+    assert "empty audit selection" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"kind": "bump", "params": {}, "seed": 0},
+     "corpus entry 0 (bump): missing parameter 'count'"),
+    ({"kind": "plane", "seed": 0,
+      "params": {"gradients": [[0.02, 0.0, 0.0]], "offsets": [0.0]}},
+     "corpus entry 0 (plane): plane[0]: certified C¹ bound"),
+    ({"kind": "bump", "params": [], "seed": 0},
+     "entry 0 params is not an object")],
+    ids=["missing-parameter", "over-ceiling", "params-not-object"])
+def test_audit_malformed_corpus_entry_is_a_usage_error(
+        build_dir, tmp_path, capsys, entry, message):
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([entry]))
+    rc = main(["audit", "--config", str(DEMO_CONFIG),
+               "--family", str(build_dir / "family.jsonl"),
+               "--corpus", str(corpus), "--which", "budget",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_audit_refuses_mismatched_config(build_dir, tmp_path, capsys):
     # same parameters, different bytes: the config hash is byte-exact
     doc = json.loads(DEMO_CONFIG.read_text())

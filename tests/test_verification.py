@@ -232,10 +232,11 @@ def test_classification_escalates_straddling_holes(offset, eps,
 
 
 def test_classification_matches_per_hole_reference_on_a_mixed_stage():
-    # at eps = E^-3 the algebraic test |B| > eps |B'| is decided by
-    # rounding, which makes hole 0 an algebraic d; the others are sampled:
-    # hole 5 misses the t/4 band (d), holes 3, 1 and 4 lie wholly in the
-    # residue (u), and hole 2 straddles and is escalated
+    # at eps = E^-3 the product eps E^3 is exactly 1, so no hole of the
+    # stage is an algebraic d and all are sampled: hole 5 misses the t/4
+    # band (d), holes 3, 1 and 4 lie wholly in the residue (u), hole 2
+    # straddles and is escalated, and hole 0's residue fills its primed
+    # ball, which puts it at |B| = eps |B'|, where rounding makes it d
     ts = [0.004, 0.006, 0.011, 0.012, 0.007, 0.011]
     centers = [[0.35 + 0.07 * i, 0.5, 0.5] for i in range(5)] \
         + [[0.30, 0.55, 0.5]]
@@ -245,10 +246,25 @@ def test_classification_matches_per_hole_reference_on_a_mixed_stage():
     cls = classify_holes(*args)
     assert cls == per_hole_classify_holes(*args)
     assert list(cls.residue_measures) == [5, 3, 0, 2, 1, 4]
-    algebraic = [h for h, est in cls.residue_measures.items() if est is None]
-    assert algebraic == [0]
+    assert None not in cls.residue_measures.values()
     assert cls.u_ids == (3, 1, 4) and cls.d_ids == (5, 0, 2)
     assert cls.escalated_ids == (2,) and cls.indeterminate_ids == ()
+
+
+def test_classification_shortcut_takes_every_hole_of_a_stage_alike():
+    # |B| / |B'| is E^-3 for every radius, so the algebraic shortcut takes
+    # all holes of a stage or none of them, also at eps = E^-3 exactly
+    ts = [0.004, 0.005, 0.006, 0.007, 0.008, 0.009, 0.01, 0.011, 0.012,
+          0.013]
+    centers = [[0.30 + 0.045 * i, 0.5, 0.5] for i in range(len(ts))]
+    ids = np.arange(len(ts))
+    for eps, algebraic in ((1.0 / 1.5**3, False), (0.0025, True)):
+        fam = _manual_family(centers, ts, epsilons=(eps,))
+        cls = classify_holes(fam, 1, _flat_patch(), ids,
+                             SamplingBudget(4, 16))
+        assert [est is None for est in cls.residue_measures.values()] \
+            == [algebraic] * len(ts)
+        assert cls.d_ids == tuple(ids.tolist())
 
 
 def test_classification_u_branch_with_full_residue():
@@ -343,6 +359,15 @@ def test_budget_fails_a_stage_with_overlapping_hit_holes():
         "budget-total": "pass", "u-mass": "pass", "d-energy": "pass",
         "residue-disjoint": "fail"}
     assert stage.status == ledger.status == "fail"
+
+
+def test_family_audit_fails_a_level_whose_radius_grows():
+    fam = _manual_family([[0.4, 0.5, 0.5], [0.6, 0.5, 0.5]], [0.004, 0.01],
+                         levels=[1, 2])
+    rows = family_invariant_audit(fam, floor_samples=256)
+    (decay,) = [r for r in rows if r.id == "family/radius-decay"]
+    assert (decay.measured, decay.bound, decay.margin, decay.status) == (
+        0.0, 1.0, -1.0, "fail")
 
 
 def test_family_audit_accepts_nested_primed_balls():
@@ -538,27 +563,39 @@ def test_pair_audits_of_four_thousand_holes_need_no_dense_table():
 # budget ledgers
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def plane_ledger(demo_family, plane_entries):
+    return budget(plane_entries[0].patch, demo_family)
+
+
+def _checks(rows):
+    return {r.check: r for r in rows}
+
+
 def test_budget_zero_field_has_zero_hit_mass(demo_family):
     ledger = budget(_flat_patch(), demo_family)
-    assert ledger.total_hit_mass == 0.0
+    assert ledger.verdict.measured == 0.0
     assert ledger.energy.value == 0.0
     assert ledger.status == "pass"
-    assert all(s.ubound_sum == 0.0 for s in ledger.stages)
+    assert all(_checks(s.rows)["u-mass"].measured == 0.0
+               for s in ledger.stages)
     assert all(not s.hit_ids for s in ledger.stages)
 
 
-def test_budget_plane_hitter_single_stage(demo_family, plane_entries):
-    patch = plane_entries[0].patch
-    ledger = budget(patch, demo_family, depth=1)
-    assert ledger.depth == 1
+def test_budget_plane_hitter_single_stage(demo_family, plane_ledger):
+    ledger = plane_ledger
+    assert len(ledger.stages) == demo_family.depth == 2
     assert ledger.status == "pass"
     st = ledger.stages[0]
     assert st.hit_ids                       # the offset plane reaches holes
-    assert st.ubound_sum == 0.0             # all hits are d-classified
-    assert 0 < st.dbound_max_ratio <= DBOUND_C
-    # independent mass sum straight from the family arrays
-    expect = float(np.sum(W3 * demo_family.ts[list(st.hit_ids)] ** 3))
-    assert ledger.total_hit_mass == expect
+    rows = _checks(st.rows)
+    assert rows["u-mass"].measured == 0.0   # all hits are d-classified
+    assert 0 < rows["d-energy"].measured <= DBOUND_C
+    # independent mass sums straight from the family arrays
+    expect = [float(np.sum(W3 * demo_family.ts[list(s.hit_ids)] ** 3))
+              for s in ledger.stages]
+    assert st.hit_mass == expect[0]
+    assert ledger.verdict.measured == sum(expect)
     assert ledger.c_empirical <= LEDGER_C
     assert ledger.verdict.status == "pass"
 
@@ -568,40 +605,40 @@ def test_budget_rejects_steep_field(demo_family):
         budget(_flat_patch(c1=0.1), demo_family)
 
 
-def test_budget_depth_validation(demo_family):
-    with pytest.raises(ValueError):
-        budget(_flat_patch(), demo_family, depth=0)
-    with pytest.raises(ValueError):
-        budget(_flat_patch(), demo_family, depth=demo_family.depth + 1)
-
-
-def test_ledger_rows_flatten_verdicts(demo_family, plane_entries):
-    ledger = budget(plane_entries[0].patch, demo_family, depth=1)
+def test_ledger_rows_flatten_verdicts(demo_family, plane_ledger):
+    ledger = plane_ledger
     rows = ledger_rows(ledger)
     ids = [r.id for r in rows]
     src = ledger.source
     assert f"budget/{src}/verdict" in ids
-    assert f"budget/{src}/stage-1/u-mass" in ids
-    assert f"budget/{src}/stage-1/d-energy" in ids
-    assert f"budget/{src}/stage-1/residue-disjoint" in ids
+    for k in (1, 2):
+        assert f"budget/{src}/stage-{k}/u-mass" in ids
+        assert f"budget/{src}/stage-{k}/d-energy" in ids
+        assert f"budget/{src}/stage-{k}/residue-disjoint" in ids
+    assert f"budget/{src}/stage-1/hit-consistency" in ids
     assert all(r.status == "pass" for r in rows)
+    assert all(st.inconsistent_ids == () for st in ledger.stages)
+    eps_sum = sum(demo_family.epsilons[:demo_family.depth])
     verdict = rows[0]
     assert verdict.bound == pytest.approx(
-        ledger.c_ledger * (max(ledger.energy.lower(), 0.0)
-                           + ledger.epsilon_sum))
+        LEDGER_C * (max(ledger.energy.lower(), 0.0) + eps_sum))
+    assert [r.bound for r in rows if r.check == "u-mass"] == \
+        list(demo_family.epsilons[:demo_family.depth])
 
 
 def test_ledger_rows_report_the_run_dbound_constant(demo_family,
-                                                   plane_entries):
+                                                   plane_entries,
+                                                   plane_ledger):
     # the shipped planes sit near ratio 2449, so a constant of 1000 must
-    # turn the d-energy row red and be the bound it reports
-    ledger = budget(plane_entries[0].patch, demo_family, depth=1,
-                    c_dbound=1000.0)
-    assert ledger.c_dbound == 1000.0
-    row = next(r for r in ledger_rows(ledger) if r.check == "d-energy")
-    assert row.bound == 1000.0
-    assert row.margin == 1000.0 - ledger.stages[0].dbound_max_ratio
-    assert row.status == "fail" and ledger.status == "fail"
+    # turn the d-energy rows red and be the bound they report
+    ledger = budget(plane_entries[0].patch, demo_family, c_dbound=1000.0)
+    for st, ref in zip(ledger.stages, plane_ledger.stages):
+        row = _checks(st.rows)["d-energy"]
+        assert row.bound == 1000.0
+        assert row.measured == _checks(ref.rows)["d-energy"].measured
+        assert row.margin == 1000.0 - row.measured
+        assert row.status == "fail"
+    assert ledger.status == "fail"
 
 
 def test_budget_d_energy_equals_a_per_hole_residue_energy_loop(
@@ -617,7 +654,7 @@ def test_budget_d_energy_equals_a_per_hole_residue_energy_loop(
 
     monkeypatch.setattr(verification, "residue_energies", spy)
     ledger = budget(plane_entries[0].patch, demo_family)
-    assert len(calls) == ledger.depth == 2
+    assert len(calls) == len(ledger.stages) == 2
     for st, (ids, patch, budget_cfg, seed, batched) in zip(ledger.stages,
                                                            calls):
         assert tuple(ids) == st.classification.d_ids and ids
@@ -626,7 +663,7 @@ def test_budget_d_energy_equals_a_per_hole_residue_energy_loop(
         assert singles == batched
         ratios = [W3 * float(demo_family.ts[h]) ** 3 / est.lower()
                   for h, est in zip(ids, singles)]
-        assert max(ratios) == st.dbound_max_ratio
+        assert max(ratios) == _checks(st.rows)["d-energy"].measured
 
 
 def test_residue_energies_name_the_first_bad_hole_of_a_batch():
@@ -755,12 +792,13 @@ def test_smooth_over_a_thousand_disjoint_balls():
 # ---------------------------------------------------------------------------
 
 def test_coverage_deficit_within_relaxed_bound(demo_family, demo_config):
-    deficit = coverage_deficit(demo_family, m=1, k=1,
-                               stop_fraction=demo_config.build
-                               .stop_fractions[0])
-    assert deficit.ok
-    assert deficit.estimate.upper() <= deficit.bound
-    assert deficit.jacobian_sup == pytest.approx(1.0)   # flat plane
+    stop = demo_config.build.stop_fractions[0]
+    deficit = coverage_deficit(demo_family, k=1, stop_fraction=stop)
+    assert demo_family.plane(1).slope == 0.0
+    assert deficit.row.status == "pass"
+    assert deficit.row.measured == deficit.estimate.upper()
+    # a flat plane's area element is 1
+    assert deficit.row.bound == pytest.approx(2.0 * stop * W3 * 0.25**3)
 
 
 def _exhaustive_witness(fam, p):
@@ -824,10 +862,10 @@ def test_porosity_witness_rejects_far_points(demo_family):
 def test_hole_mass_capped_by_hit_cross_sections(demo_family, plane_entries):
     patch = plane_entries[0].patch
     check = hole_intersection_mass(patch, demo_family)
-    assert check.ok
-    assert check.cap == pytest.approx(
+    assert check.row.status == "pass"
+    assert check.row.bound == pytest.approx(
         math.sqrt(1.0 + demo_family.r**2) * check.hit_mass)
-    assert check.mass.upper() <= check.cap
+    assert check.row.measured == check.mass.upper() <= check.row.bound
     assert check.hit_count > 0
 
 
@@ -836,7 +874,7 @@ def test_hole_mass_zero_for_certified_missers(demo_family, nonplane_entries):
     check = hole_intersection_mass(patch, demo_family)
     assert check.hit_count == 0
     assert check.mass.value == 0.0
-    assert check.cap == 0.0
+    assert check.row.bound == 0.0
 
 
 def test_hole_mass_rejects_out_of_class_field(demo_family):
