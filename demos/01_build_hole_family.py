@@ -45,7 +45,7 @@ def main() -> int:
         print(f"  stage {k}: plane m={plane_schedule(k)}  "
               f"holes={len(ids)}  levels={len(stage['levels'])}  "
               f"radius={family.stage_radii[k - 1]:.3e}  "
-              f"reached={family.target_reached[k - 1]}")
+              f"reached={stage['target_reached']}")
 
     rows = family_invariant_audit(family, seed=cfg.audit.seed,
                                   floor_samples=cfg.audit.floor_samples)

@@ -55,7 +55,7 @@ def report(name: str, ledger, cap_check=None) -> bool:
     for st in ledger.stages:
         cls = st.classification
         rows = {r.check: r for r in st.rows}
-        print(f"  stage {st.k}: hits={len(st.hit_ids)}  "
+        print(f"  stage {st.k}: hits={len(cls.hit_ids)}  "
               f"mass={st.hit_mass:.4e}  u={len(cls.u_ids)} d={len(cls.d_ids)}"
               f"  u_mass={rows['u-mass'].measured:.3e}  "
               f"dbound_ratio={rows['d-energy'].measured:.3g}  -> {st.status}")

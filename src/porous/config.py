@@ -65,7 +65,9 @@ CONFIG_SCHEMA = {
                 "seed": {"type": "integer", "minimum": 0,
                          "maximum": 2**64 - 1},
                 "max_levels": {"type": "integer", "minimum": 1},
-                "accept_partial": {"type": "boolean"},
+                # a stage that misses its target fails the build; the
+                # key stays for existing config files
+                "accept_partial": {"const": False},
                 "pool_size": {"type": "integer", "minimum": 64},
                 "budget": _BUDGET_SCHEMA,
             },
@@ -145,7 +147,7 @@ def validate_config_doc(doc: dict) -> None:
 
 # converters of parsed JSON values, by the type of the field they fill
 _CONVERT = {
-    int: int, float: float, bool: bool,
+    int: int, float: float,
     tuple: lambda v: tuple(float(x) for x in v),
     SamplingBudget: lambda v: SamplingBudget(int(v["strata"]),
                                              int(v["per_stratum"])),
@@ -206,7 +208,7 @@ def default_config_doc() -> dict:
             "depth": cfg.depth,
             "seed": cfg.seed,
             "max_levels": cfg.max_levels,
-            "accept_partial": cfg.accept_partial,
+            "accept_partial": False,
             "pool_size": cfg.pool_size,
             "budget": asdict(cfg.budget),
         },

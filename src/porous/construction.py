@@ -2,8 +2,8 @@
 
 Stages pack the window ball with shrinking levels of equal-radius balls,
 lift each ball above a scheduled base plane, and expose the resulting
-descriptors (per-stage enlarged unions, the union of raw holes, and the
-truncated intersection set) as membership predicates.
+ball indices (per-stage enlarged unions and the union of raw holes) and
+the truncated intersection set as membership predicates.
 
 Coverage bookkeeping uses the footprint radius ``footprint_factor(L,
 slope)`` times t, for the slope of the stage's plane: within it, a base
@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,7 +54,6 @@ class BuildConfig:
     depth: int = 2
     seed: int = 0
     max_levels: int = 12
-    accept_partial: bool = False
     budget: SamplingBudget = SamplingBudget(32, 128)
     pool_size: int = 4096
     config_hash: str = ""
@@ -425,13 +425,13 @@ class StageResult:
     levels: tuple
     stage_radius: float
     uncovered: MeasureEstimate
-    target_reached: bool
     logs: tuple
 
 
 def build_stage(k: int, cfg: BuildConfig, r_prev: float) -> StageResult:
     """Run levels until the uncovered upper confidence bound meets the
-    stage target, the level cap intervenes, or certification fails."""
+    stage target; the level cap or a failed certification raises
+    ``ConstructionFailure``."""
     stage_plane = plane_for_index(plane_schedule(k), cfg.n, cfg.r)
     space = StageSpace(window=cfg.window,
                        cover_factor=footprint_factor(cfg.L, stage_plane.slope),
@@ -455,27 +455,29 @@ def build_stage(k: int, cfg: BuildConfig, r_prev: float) -> StageResult:
         logs.append(replace(log, uncovered_after=uncovered.value,
                             uncovered_after_hw=uncovered.half_width))
         levels.append(fam)
-    reached = uncovered.upper() <= threshold
-    if not reached and not cfg.accept_partial:
+    if uncovered.upper() > threshold:
         raise ConstructionFailure(
             f"stage {k}: uncovered {uncovered.value:.4e} "
             f"(+{uncovered.half_width:.1e}) above target {threshold:.4e} "
             f"after {len(levels)} levels",
             partial=tuple(levels), stage=k,
             uncovered=uncovered.value, threshold=threshold)
-    stage_radius = levels[-1].radius if levels else r_prev
-    return StageResult(k=k, levels=tuple(levels), stage_radius=stage_radius,
-                       uncovered=uncovered, target_reached=reached,
+    return StageResult(k=k, levels=tuple(levels),
+                       stage_radius=levels[-1].radius, uncovered=uncovered,
                        logs=tuple(logs))
 
 
 # ---------------------------------------------------------------------------
-# lifting and family assembly
+# the family: stored records and derived lifts
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HoleFamily:
-    """Immutable array-of-records view of a finished build."""
+    """Immutable array-of-records view of a finished build.
+
+    A hole is fully given by its stage, level, base centre and radius;
+    its lifted centre and each stage's radius are derived from those, once.
+    """
 
     n: int
     s: float
@@ -487,12 +489,8 @@ class HoleFamily:
     config_hash: str
     ks: np.ndarray             # (N,) stage indices
     levels: np.ndarray         # (N,) level indices
-    ms: np.ndarray             # (N,) plane indices
     base_centers: np.ndarray   # (N, n)
     ts: np.ndarray             # (N,)
-    lifted_centers: np.ndarray  # (N, n+1)
-    stage_radii: tuple = ()
-    target_reached: tuple = ()
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -511,21 +509,22 @@ class HoleFamily:
     def plane(self, k: int) -> AffinePlane:
         return plane_for_index(plane_schedule(k), self.n, self.r)
 
+    @cached_property
+    def lifted_centers(self) -> np.ndarray:
+        """(N, n+1): each base ball B(x, t) of stage k becomes a hole
+        centred at (x, a(x) + 2t) over the stage's plane a."""
+        heights = np.empty(len(self.ts))
+        for k in range(1, self.depth + 1):
+            ids = self.stage_ids(k)
+            heights[ids] = (self.plane(k).heights(self.base_centers[ids])
+                            + 2.0 * self.ts[ids])
+        return np.hstack([self.base_centers, heights[:, None]])
 
-def lift(levels: Sequence[LevelFamily], plane: AffinePlane
-         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each base ball B(x,t) becomes a hole centred at (x, a(x) + 2t)."""
-    sizes = [len(fam.centers) for fam in levels]
-    if not sum(sizes):
-        n = plane.dim
-        return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                np.zeros((0, n + 1)), np.zeros(0))
-    ks = np.repeat([fam.k for fam in levels], sizes).astype(np.int64)
-    ls = np.repeat([fam.level for fam in levels], sizes).astype(np.int64)
-    ts = np.repeat([float(fam.radius) for fam in levels], sizes)
-    base = np.vstack([fam.centers for fam in levels])
-    heights = plane.heights(base) + 2.0 * ts
-    return ks, ls, np.hstack([base, heights[:, None]]), ts
+    @cached_property
+    def stage_radii(self) -> tuple:
+        """r_k: the smallest (last-level) radius of each stage."""
+        return tuple(float(self.ts[self.stage_ids(k)].min())
+                     for k in range(1, self.depth + 1))
 
 
 def build_family(cfg: BuildConfig) -> tuple[HoleFamily, dict]:
@@ -536,78 +535,48 @@ def build_family(cfg: BuildConfig) -> tuple[HoleFamily, dict]:
             "(per-level coverage ~(eps^3)^n); rerun in relaxed mode with a "
             "configured enlargement factor E and stop fractions",
             reason="strict-infeasible")
-    ks_all, ls_all, ms_all = [], [], []
-    base_all, ts_all, lifted_all = [], [], []
-    stage_radii, reached_flags, stage_logs = [], [], []
+    levels: list[LevelFamily] = []
+    stage_logs = []
     r_prev = cfg.s
     for k in range(1, cfg.depth + 1):
         result = build_stage(k, cfg, r_prev)
-        m = plane_schedule(k)
-        plane = plane_for_index(m, cfg.n, cfg.r)
-        ks, ls, lifted, ts = lift(result.levels, plane)
-        base = lifted[:, : cfg.n]
-        ks_all.append(ks)
-        ls_all.append(ls)
-        ms_all.append(np.full(len(ts), m, dtype=np.int64))
-        base_all.append(base)
-        ts_all.append(ts)
-        lifted_all.append(lifted)
-        stage_radii.append(result.stage_radius)
-        reached_flags.append(result.target_reached)
+        levels += result.levels
         stage_logs.append({
             "k": k,
-            "plane_index": m,
+            "plane_index": plane_schedule(k),
             "levels": [log.__dict__ for log in result.logs],
             "uncovered": result.uncovered.value,
             "uncovered_half_width": result.uncovered.half_width,
             "threshold": cfg.stop_threshold(k),
-            "target_reached": result.target_reached,
+            "target_reached": result.uncovered.upper()
+            <= cfg.stop_threshold(k),
         })
         r_prev = result.stage_radius
+    sizes = [len(fam) for fam in levels]
     family = HoleFamily(
         n=cfg.n, s=cfg.s, r=cfg.r, L=cfg.L, E=cfg.E,
         epsilons=cfg.epsilons, seed=cfg.seed, config_hash=cfg.config_hash,
-        ks=np.concatenate(ks_all), levels=np.concatenate(ls_all),
-        ms=np.concatenate(ms_all), base_centers=np.vstack(base_all),
-        ts=np.concatenate(ts_all), lifted_centers=np.vstack(lifted_all),
-        stage_radii=tuple(stage_radii), target_reached=tuple(reached_flags))
+        ks=np.repeat([fam.k for fam in levels], sizes).astype(np.int64),
+        levels=np.repeat([fam.level for fam in levels], sizes
+                         ).astype(np.int64),
+        base_centers=np.vstack([fam.centers for fam in levels]),
+        ts=np.repeat([float(fam.radius) for fam in levels], sizes))
     return family, {"stages": stage_logs}
 
 
 # ---------------------------------------------------------------------------
-# membership descriptors
+# membership indices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PkDescriptor:
-    """Union-of-balls membership for one truncation stage (or for H)."""
-
-    k: Optional[int]
-    member_ids: np.ndarray
-    centers: np.ndarray
-    radii: np.ndarray
-    index: BallIndex
-
-    def contains(self, pts: np.ndarray) -> np.ndarray:
-        return self.index.contains_any(pts)
-
-
-def assemble_Pk(family: HoleFamily, k: int) -> PkDescriptor:
+def assemble_Pk(family: HoleFamily, k: int) -> BallIndex:
     """L-enlargements of all holes of diameter below 1/k."""
     ids = np.flatnonzero(2.0 * family.ts < 1.0 / k)
-    centers = family.lifted_centers[ids]
-    radii = family.L * family.ts[ids]
-    return PkDescriptor(k=k, member_ids=ids, centers=centers, radii=radii,
-                        index=BallIndex(centers, radii))
+    return BallIndex(family.lifted_centers[ids], family.L * family.ts[ids])
 
 
-def assemble_H(family: HoleFamily) -> PkDescriptor:
+def assemble_H(family: HoleFamily) -> BallIndex:
     """All raw holes, unenlarged."""
-    ids = np.arange(len(family))
-    centers = family.lifted_centers
-    radii = family.ts.copy()
-    return PkDescriptor(k=None, member_ids=ids, centers=centers, radii=radii,
-                        index=BallIndex(centers, radii))
+    return BallIndex(family.lifted_centers, family.ts)
 
 
 @dataclass(frozen=True)
@@ -617,14 +586,14 @@ class TruncatedP:
     family: HoleFamily
     depth: int
     pks: tuple
-    holes: PkDescriptor
+    holes: BallIndex
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         inside = np.ones(len(pts), dtype=bool)
         for pk in self.pks:
-            inside &= pk.contains(pts)
-        inside &= ~self.holes.contains(pts)
+            inside &= pk.contains_any(pts)
+        inside &= ~self.holes.contains_any(pts)
         return inside
 
 
@@ -678,6 +647,8 @@ def sample_truncated_P(tp: TruncatedP, count: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def serialize_family(family: HoleFamily) -> str:
+    """A header line, then one record per hole in (stage, level) order;
+    the derived ``m`` and ``lifted_center`` are repeated for readers."""
     header = {
         "format_version": FORMAT_VERSION,
         "n": family.n,
@@ -695,7 +666,7 @@ def serialize_family(family: HoleFamily) -> str:
         rec = {
             "k": int(family.ks[i]),
             "l": int(family.levels[i]),
-            "m": int(family.ms[i]),
+            "m": plane_schedule(int(family.ks[i])),
             "base_center": [float(v) for v in family.base_centers[i]],
             "t": float(family.ts[i]),
             "lifted_center": [float(v) for v in family.lifted_centers[i]],
@@ -704,7 +675,46 @@ def serialize_family(family: HoleFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
+# what _record_columns raises on a record whose values do not convert
+_COLUMN_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _matrix(rows: list, width: int) -> np.ndarray:
+    out = np.array(rows, dtype=float)
+    if rows and out.shape[1:] != (width,):
+        raise ValueError("wrong center dimension")
+    return out.reshape(len(rows), width)
+
+
+def _record_columns(recs: list, n: int) -> tuple:
+    """k, l, m, t, base centres and lifted centres of parsed records."""
+    ints = [np.array([rec[key] for rec in recs], dtype=np.int64)
+            for key in ("k", "l", "m")]
+    ts = np.array([rec["t"] for rec in recs], dtype=float)
+    return (*ints, ts, _matrix([rec["base_center"] for rec in recs], n),
+            _matrix([rec["lifted_center"] for rec in recs], n + 1))
+
+
+def _reject_first(linenos: list, rules: dict) -> None:
+    """``ParseError`` at the first record that breaks a rule (message ->
+    bool per record), with the first rule it breaks."""
+    broken = np.array(list(rules.values())).reshape(len(rules), -1)
+    if broken.any():
+        i = int(np.argmax(broken.any(axis=0)))
+        rule = list(rules)[int(np.argmax(broken[:, i]))]
+        raise ParseError(f"line {linenos[i]}: {rule}")
+
+
 def deserialize_family(text: str) -> HoleFamily:
+    """Parse ``serialize_family`` output; records keep their file order.
+
+    Every record must convert, with indices >= 1, finite numbers and a
+    positive radius, and must repeat what the family derives: ``m`` is
+    its stage's scheduled plane and ``lifted_center`` its lift, bit for
+    bit, so that the file serializes back to itself.  The checks run over
+    the parsed columns; a ``ParseError`` names the first line that breaks
+    one.
+    """
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty family stream")
@@ -721,54 +731,46 @@ def deserialize_family(text: str) -> HoleFamily:
         raise ParseError(
             f"line 1: unsupported format_version {header['format_version']}")
     n = int(header["n"])
-    ks, ls, ms, bases, ts, lifted = [], [], [], [], [], []
+    recs, linenos = [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         try:
-            rec = json.loads(raw)
+            recs.append(json.loads(raw))
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {lineno}: invalid JSON: {exc}") from exc
-        try:
-            k, l, m = int(rec["k"]), int(rec["l"]), int(rec["m"])
-            base = [float(v) for v in rec["base_center"]]
-            t = float(rec["t"])
-            lift_c = [float(v) for v in rec["lifted_center"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"line {lineno}: malformed record: {exc}") from exc
-        if k < 1 or l < 1 or m < 1:
-            raise ParseError(f"line {lineno}: indices must be >= 1")
-        if t <= 0:
-            raise ParseError(f"line {lineno}: non-positive radius {t}")
-        if len(base) != n or len(lift_c) != n + 1:
-            raise ParseError(f"line {lineno}: wrong center dimension")
-        ks.append(k)
-        ls.append(l)
-        ms.append(m)
-        bases.append(base)
-        ts.append(t)
-        lifted.append(lift_c)
-    count = len(ts)
-    ks_arr = np.array(ks, dtype=np.int64)
-    ts_arr = np.array(ts)
-    # stage radii are not in the header: recover r_k as the smallest
-    # (last-level) radius of each stage, which is how the build defined it
-    depth = int(ks_arr.max()) if count else 0
-    stage_radii = []
-    for k in range(1, depth + 1):
-        sel = ks_arr == k
-        if not sel.any():
-            raise ParseError(f"stage {k} has no records (stages 1..{depth})")
-        stage_radii.append(float(ts_arr[sel].min()))
-    return HoleFamily(
+        linenos.append(lineno)
+    try:
+        ks, ls, ms, ts, base, lifted = _record_columns(recs, n)
+    except _COLUMN_ERRORS as exc:
+        for lineno, rec in zip(linenos, recs):
+            try:
+                _record_columns([rec], n)
+            except _COLUMN_ERRORS as one:
+                raise ParseError(
+                    f"line {lineno}: malformed record: {one!r}") from one
+        raise ParseError(f"malformed records: {exc!r}") from exc
+    stages, at = np.unique(ks, return_inverse=True)
+    scheduled = np.array([plane_schedule(k) if k >= 1 else 0
+                          for k in stages.tolist()], dtype=np.int64)[at]
+    _reject_first(linenos, {
+        "indices must be >= 1": (ks < 1) | (ls < 1) | (ms < 1),
+        "non-finite number": ~(np.isfinite(ts) & np.isfinite(base).all(axis=1)
+                               & np.isfinite(lifted).all(axis=1)),
+        "non-positive radius": ts <= 0,
+        "plane index m is not the stage's scheduled plane": ms != scheduled})
+    depth = int(stages[-1]) if len(stages) else 0
+    if len(stages) != depth:
+        gap = int(np.argmax(stages != np.arange(1, len(stages) + 1))) + 1
+        raise ParseError(f"stage {gap} has no records (stages 1..{depth})")
+
+    family = HoleFamily(
         n=n, s=float(header["s"]), r=float(header["r"]),
         L=float(header["L"]), E=float(header["E"]),
         epsilons=tuple(float(e) for e in header["epsilons"]),
         seed=int(header["seed"]), config_hash=str(header["config_hash"]),
-        ks=ks_arr,
-        levels=np.array(ls, dtype=np.int64),
-        ms=np.array(ms, dtype=np.int64),
-        base_centers=np.array(bases) if count else np.zeros((0, n)),
-        ts=ts_arr,
-        lifted_centers=np.array(lifted) if count else np.zeros((0, n + 1)),
-        stage_radii=tuple(stage_radii))
+        ks=ks, levels=ls, base_centers=base, ts=ts)
+    _reject_first(linenos, {"lifted_center is not the lift (x, a_m(x) + 2t)":
+                            (family.lifted_centers.view(np.int64)
+                             != lifted.view(np.int64)).any(axis=1)})
+    return family

@@ -237,7 +237,7 @@ class BallIndex:
         radii = np.asarray(radii, dtype=float)
         if centers.shape[0] != radii.shape[0]:
             raise ValueError("centers and radii length mismatch")
-        if (radii <= 0).any():
+        if not (radii > 0).all():     # NaN fails too
             raise ValueError("all radii must be positive")
         self.centers = centers
         self.radii = radii

@@ -289,7 +289,6 @@ class HoleClassification:
     """The u/d split of the hit holes of one stage."""
 
     k: int
-    epsilon: float
     hit_ids: tuple
     u_ids: tuple
     d_ids: tuple
@@ -335,7 +334,7 @@ def classify_holes(family: HoleFamily, k: int, patch: GraphPatch,
     for h in hit:
         split["d" if algebraic else side(h)].append(h)
     return HoleClassification(
-        k=k, epsilon=eps_k, hit_ids=tuple(hit), u_ids=tuple(split["u"]),
+        k=k, hit_ids=tuple(hit), u_ids=tuple(split["u"]),
         d_ids=tuple(split["d"]), indeterminate_ids=tuple(split[None]),
         escalated_ids=tuple(escal),
         residue_measures={h: est.get(h) for h in hit})
@@ -356,8 +355,6 @@ class DisjointnessViolation:
 
 @dataclass(frozen=True)
 class DisjointnessAudit:
-    k: int
-    pair_count: int
     probe_count: int
     violations: tuple
 
@@ -389,8 +386,7 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
     hit_ids = np.asarray(hit_ids, dtype=np.int64)
     m = len(hit_ids)
     if m == 0:
-        return DisjointnessAudit(k=k, pair_count=0, probe_count=0,
-                                 violations=())
+        return DisjointnessAudit(probe_count=0, violations=())
     x = family.base_centers[hit_ids]
     rad, thresholds = _residue_balls(family, hit_ids, patch)
     index = BallIndex(x, rad)
@@ -438,8 +434,7 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
     for per_hole in found:
         for violation in per_hole:
             shared.setdefault(violation.pair, violation)
-    return DisjointnessAudit(k=k, pair_count=m * (m - 1) // 2,
-                             probe_count=probe_count,
+    return DisjointnessAudit(probe_count=probe_count,
                              violations=tuple(violations)
                              + tuple(shared.values()))
 
@@ -541,7 +536,6 @@ def _ball_probes(family: HoleFamily, selected: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class StageLedger:
     k: int
-    hit_ids: tuple
     hit_mass: float
     classification: HoleClassification
     disjointness: DisjointnessAudit
@@ -684,9 +678,8 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
                 g=scanned, source=f"{patch.source}|smoothed:{k}",
                 c1_bound=max(current.c1_bound + sup_diff, grad_cap))
         stages.append(StageLedger(
-            k=k, hit_ids=tuple(int(i) for i in hit_ids), hit_mass=hit_mass,
-            classification=cls, disjointness=disj, rows=tuple(rows),
-            inconsistent_ids=inconsistent))
+            k=k, hit_mass=hit_mass, classification=cls, disjointness=disj,
+            rows=tuple(rows), inconsistent_ids=inconsistent))
 
     rhs_base = max(energy.lower(), 0.0) + float(sum(eps))
     c_emp = total / rhs_base if rhs_base > 0 else math.inf
@@ -717,7 +710,7 @@ def coverage_deficit(family: HoleFamily, k: int, stop_fraction: float,
     m = plane.index
     patch = _plane_patch(plane, family.window, (), f"plane-{m}")
     pk = assemble_Pk(family, k)
-    est = graph_measure_in(patch, lambda pts: ~pk.contains(pts),
+    est = graph_measure_in(patch, lambda pts: ~pk.contains_any(pts),
                            budget_cfg, seed, key=("cover", m, k))
     bound = 2.0 * stop_fraction * unit_ball_volume(family.n) \
         * family.s**family.n * math.sqrt(1.0 + plane.slope**2)
@@ -823,9 +816,8 @@ def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
             f"field {patch.source!r} exceeds the configured C1 class "
             f"({patch.c1_bound:.4g} > {family.r:.4g})",
             c1_bound=patch.c1_bound, cap=family.r)
-    holes = assemble_H(family)
-    est = graph_measure_in(patch, holes.contains, budget_cfg, seed,
-                           key=("hole-mass", patch.source))
+    est = graph_measure_in(patch, assemble_H(family).contains_any,
+                           budget_cfg, seed, key=("hole-mass", patch.source))
     scan = graph_hit_scan(patch.g, family, np.arange(len(family)), 1.0)
     hit_mass = float(np.sum(_hole_volumes(family, scan.hit_ids)))
     cap = math.sqrt(1.0 + family.r**2) * hit_mass

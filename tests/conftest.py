@@ -1,10 +1,12 @@
 """Shared fixtures: the demo build and corpus are expensive, so build once."""
+import json
+import math
 from pathlib import Path
 
 import pytest
 
 from porous import build_family, generate_from_spec, load_config, \
-    load_corpus_spec
+    load_corpus_spec, serialize_family
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIG_PATH = ROOT / "demos" / "config" / "demo.json"
@@ -29,6 +31,45 @@ def demo_family(demo_build):
 @pytest.fixture(scope="session")
 def demo_log(demo_build):
     return demo_build[1]
+
+
+def _raise_lift(rec):
+    rec["lifted_center"][-1] += 0.5
+
+
+def _other_plane(rec):
+    rec["m"] = 7
+
+
+def _nan_radius(rec):
+    rec["t"] = math.nan
+
+
+def _infinite_base(rec):
+    rec["base_center"][0] = math.inf
+
+
+# one edit of one record each, all of which the family loader must reject
+FAMILY_TAMPERS = {"lifted-center-raised": _raise_lift,
+                  "plane-index-7": _other_plane,
+                  "radius-nan": _nan_radius,
+                  "base-infinite": _infinite_base}
+TAMPERED_LINE = 10
+
+
+@pytest.fixture(scope="session")
+def tampered_families(demo_family):
+    """Per name in ``FAMILY_TAMPERS``, the demo family's file text with
+    that edit made on line ``TAMPERED_LINE``."""
+    lines = serialize_family(demo_family).split("\n")
+    out = {}
+    for name, edit in FAMILY_TAMPERS.items():
+        rec = json.loads(lines[TAMPERED_LINE - 1])
+        edit(rec)
+        edited = json.dumps(rec, separators=(",", ":"))
+        out[name] = "\n".join(
+            lines[:TAMPERED_LINE - 1] + [edited] + lines[TAMPERED_LINE:])
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -311,7 +311,7 @@ def per_hole_classify_holes(family, k, patch, hit_ids, budget, seed=0):
                 indet.append(hole_id)
         measures[hole_id] = est
     return HoleClassification(
-        k=k, epsilon=eps_k, hit_ids=tuple(int(i) for i in hit_ids),
+        k=k, hit_ids=tuple(int(i) for i in hit_ids),
         u_ids=tuple(u_ids), d_ids=tuple(d_ids),
         indeterminate_ids=tuple(indet), escalated_ids=tuple(escal),
         residue_measures=measures)

@@ -381,7 +381,7 @@ def _replay_ledger(entry, family, ledger):
         st = ledger.stages[k - 1]
         scan = graph_hit_scan(current_field, family, family.stage_ids(k),
                               K_constant(k), prefilter=False)
-        if tuple(int(i) for i in scan.hit_ids) != st.hit_ids:
+        if tuple(int(i) for i in scan.hit_ids) != st.classification.hit_ids:
             return False, f"{entry.patch.source} stage {k} hit set differs"
         mass = float(np.sum(W3 * family.ts[scan.hit_ids] ** family.n))
         if mass != st.hit_mass:

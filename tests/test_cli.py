@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import FAMILY_TAMPERS, TAMPERED_LINE
 from porous import AuditReport, AuditRow, deserialize_family, serialize_family
 from porous.cli import main
 from porous.construction import HoleFamily
@@ -196,12 +198,7 @@ def test_audit_flags_tampered_family(build_dir, tmp_path, capsys):
     ids = fam.stage_ids(1)
     centers = fam.base_centers.copy()
     centers[ids[1]] = centers[ids[0]] + 1e-4
-    broken = HoleFamily(
-        n=fam.n, s=fam.s, r=fam.r, L=fam.L, E=fam.E, epsilons=fam.epsilons,
-        seed=fam.seed, config_hash=fam.config_hash, ks=fam.ks,
-        levels=fam.levels, ms=fam.ms, base_centers=centers, ts=fam.ts,
-        lifted_centers=fam.lifted_centers, stage_radii=fam.stage_radii,
-        target_reached=fam.target_reached)
+    broken = dataclasses.replace(fam, base_centers=centers)
     bad_path = tmp_path / "tampered.jsonl"
     bad_path.write_text(serialize_family(broken))
     rc = main(["audit", "--config", str(DEMO_CONFIG),
@@ -209,6 +206,21 @@ def test_audit_flags_tampered_family(build_dir, tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "pair-" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper", sorted(FAMILY_TAMPERS))
+def test_audit_rejects_a_tampered_family_file(tampered_families, tamper,
+                                              tmp_path, capsys):
+    # a record that no longer repeats its derived plane index or lift, or
+    # that holds NaN or Infinity, is a usage error naming its line
+    path = tmp_path / "tampered.jsonl"
+    path.write_text(tampered_families[tamper])
+    rc = main(["audit", "--config", str(DEMO_CONFIG), "--family", str(path),
+               "--which", "construction,cover,porosity",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"line {TAMPERED_LINE}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_audit_construction_fails_an_exhausted_floor_replay(tmp_path,
@@ -220,10 +232,7 @@ def test_audit_construction_fails_an_exhausted_floor_replay(tmp_path,
     family = HoleFamily(
         n=3, s=0.25, r=1.0 / 64.0, L=10.0 ** 0.5, E=1.5, epsilons=(0.0025,),
         seed=0, config_hash="", ks=np.ones(2, dtype=np.int64),
-        levels=np.array([1, 2]), ms=np.ones(2, dtype=np.int64),
-        base_centers=base, ts=ts,
-        lifted_centers=np.hstack([base, (2.0 * ts)[:, None]]),
-        stage_radii=(0.01,), target_reached=(True,))
+        levels=np.array([1, 2]), base_centers=base, ts=ts)
     family_path = tmp_path / "covered.jsonl"
     family_path.write_text(serialize_family(family))
     rc = main(["audit", "--config", str(DEMO_CONFIG),
@@ -247,9 +256,7 @@ def _audit_overlapping_hit_holes(tmp_path, stages):
         n=3, s=0.25, r=1.0 / 64.0, L=10.0 ** 0.5, E=1.5,
         epsilons=(0.0025, 0.00125)[:stages], seed=0, config_hash="",
         ks=np.array([1, 1, 2])[:count], levels=np.ones(count, dtype=np.int64),
-        ms=np.ones(count, dtype=np.int64), base_centers=base, ts=ts,
-        lifted_centers=np.hstack([base, (2.0 * ts)[:, None]]),
-        stage_radii=(t, t2)[:stages], target_reached=(True,) * stages)
+        base_centers=base, ts=ts)
     family_path = tmp_path / "overlap.jsonl"
     family_path.write_text(serialize_family(family))
     corpus = tmp_path / "plane.json"

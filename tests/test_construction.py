@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import resource
@@ -11,17 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from conftest import FAMILY_TAMPERS, TAMPERED_LINE
 from oracles import pointwise_sample_truncated_P
 from porous import (Ball, BuildConfig, ConstructionFailure, HoleFamily,
-                    LevelFamily, NeedsMoreSamples, ParseError, SamplingBudget,
-                    assemble_H,
+                    NeedsMoreSamples, ParseError, SamplingBudget, assemble_H,
                     assemble_Pk, build_family, build_stage, choose_level_radius,
                     deserialize_family, footprint_factor, pack_level,
                     plane_for_index, plane_schedule, sample_truncated_P,
                     serialize_family, substream, truncated_P,
                     unit_ball_volume)
 from porous.construction import (HALF_MARGIN, StageSpace, _greedy_select,
-                                 far_fraction, lift, validate_epsilons)
+                                 far_fraction, validate_epsilons)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +356,6 @@ def test_pack_level_centers_stay_far_from_boundary():
 def test_build_stage_reaches_target_within_decay_bound():
     cfg = BuildConfig()
     result = build_stage(1, cfg, r_prev=cfg.s)
-    assert result.target_reached
     assert result.uncovered.upper() <= cfg.stop_threshold(1)
     decay_bound = math.ceil(math.log(1.0 / cfg.stop_fractions[0])
                             / ((1.0 / (2.0 * cfg.E)) ** 3 / 2.0))
@@ -365,34 +365,46 @@ def test_build_stage_reaches_target_within_decay_bound():
     assert result.stage_radius == radii[-1]
 
 
+def _hand_family(base_centers, ts, ks=None, levels=None, epsilons=(0.0025,)):
+    """A family placed through its records alone: stage, level, base
+    centre and radius; ``ks`` and ``levels`` default to all 1."""
+    base = np.asarray(base_centers, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    ones = np.ones(len(ts), dtype=np.int64)
+    return HoleFamily(
+        n=3, s=0.25, r=1.0 / 64.0, L=math.sqrt(10.0), E=1.5,
+        epsilons=tuple(epsilons), seed=0, config_hash="",
+        ks=ones if ks is None else np.asarray(ks, dtype=np.int64),
+        levels=ones if levels is None else np.asarray(levels, dtype=np.int64),
+        base_centers=base, ts=ts)
+
+
 def test_lift_places_holes_above_plane():
+    fam = _hand_family([[0.5, 0.5, 0.5]], [0.02])
     plane = plane_for_index(1, 3, 1.0 / 64.0)
-    levels = [type("L", (), {"k": 1, "level": 1, "radius": 0.02,
-                             "centers": np.array([[0.5, 0.5, 0.5]])})()]
-    ks, ls, lifted, ts = lift(levels, plane)
-    assert lifted.shape == (1, 4)
-    assert lifted[0, 3] == pytest.approx(plane.heights(
+    assert fam.lifted_centers.shape == (1, 4)
+    assert fam.lifted_centers[0, 3] == pytest.approx(plane.heights(
         np.array([[0.5, 0.5, 0.5]]))[0] + 2 * 0.02)
 
 
 def test_lift_matches_a_per_centre_loop():
-    plane = plane_for_index(2, 3, 1.0 / 64.0)
+    # stages 1 and 6 lie on planes 1 (zero) and 3 (gradient (1/256, 0, 0));
+    # dyadic centres make every height exact
     rng = substream(5, "lift")
-    levels = [LevelFamily(k=k, level=lvl, radius=t,
-                          centers=rng.uniform(0.3, 0.7, (count, 3)))
-              for k, lvl, t, count in ((1, 1, 0.02, 4), (1, 2, 0.01, 0),
-                                       (2, 1, 0.005, 3))]
-    ks, ls, lifted, ts = lift(levels, plane)
-    rows = [(fam.k, fam.level, c, fam.radius)
-            for fam in levels for c in fam.centers]
-    assert ks.tolist() == [r[0] for r in rows] and ks.dtype == np.int64
-    assert ls.tolist() == [r[1] for r in rows] and ls.dtype == np.int64
-    assert ts.tolist() == [r[3] for r in rows]
-    base = np.array([r[2] for r in rows])
-    heights = plane.heights(base) + 2.0 * np.array([r[3] for r in rows])
-    assert np.array_equal(lifted, np.hstack([base, heights[:, None]]))
-    empty = lift([], plane)
-    assert [a.shape for a in empty] == [(0,), (0,), (0, 4), (0,)]
+    rows = [(k, lvl, c, t) for k, lvl, t, count in (
+        (1, 1, 0.02, 4), (1, 2, 0.01, 2), (6, 1, 0.004, 3))
+        for c in np.round(rng.uniform(0.3, 0.7, (count, 3)) * 1024) / 1024]
+    fam = _hand_family([r[2] for r in rows], [r[3] for r in rows],
+                       ks=[r[0] for r in rows], levels=[r[1] for r in rows])
+    assert fam.plane(6).index == 3
+    assert fam.plane(6).gradient.tolist() == [1 / 256, 0.0, 0.0]
+    for i, (k, _, c, t) in enumerate(rows):
+        slope = 1 / 256 if k == 6 else 0.0
+        height = (c[0] - 0.5) * slope + 2.0 * t
+        assert fam.lifted_centers[i].tolist() == [*c.tolist(), height]
+    empty = _hand_family(np.zeros((0, 3)), [])
+    assert empty.lifted_centers.shape == (0, 4)
+    assert empty.stage_radii == ()
 
 
 def test_demo_family_shape_and_lift(demo_family):
@@ -402,17 +414,14 @@ def test_demo_family_shape_and_lift(demo_family):
     for k in (1, 2):
         ids = fam.stage_ids(k)
         assert len(ids) > 0
-        assert np.all(fam.ms[ids] == plane_schedule(k))
         plane = fam.plane(k)
         expect = plane.heights(fam.base_centers[ids]) + 2.0 * fam.ts[ids]
-        assert np.allclose(fam.lifted_centers[ids, 3], expect)
-        assert np.allclose(fam.lifted_centers[ids, :3],
-                           fam.base_centers[ids])
-        assert fam.stage_radii[k - 1] == pytest.approx(
-            float(fam.ts[ids].min()))
+        assert np.array_equal(fam.lifted_centers[ids, 3], expect)
+        assert np.array_equal(fam.lifted_centers[ids, :3],
+                              fam.base_centers[ids])
+        assert fam.stage_radii[k - 1] == float(fam.ts[ids].min())
     # stage radii strictly decrease
     assert fam.stage_radii[0] > fam.stage_radii[1]
-    assert all(fam.target_reached)
 
 
 def test_demo_log_reports_levels(demo_log):
@@ -432,11 +441,11 @@ def test_assemble_pk_filters_by_diameter(demo_family):
     fam = demo_family
     pk = assemble_Pk(fam, 2)
     expect = np.flatnonzero(2.0 * fam.ts < 0.5)
-    assert np.array_equal(pk.member_ids, expect)
-    assert np.allclose(pk.radii, fam.L * fam.ts[expect])
+    assert np.array_equal(pk.centers, fam.lifted_centers[expect])
+    assert np.array_equal(pk.radii, fam.L * fam.ts[expect])
     h = assemble_H(fam)
-    assert len(h.member_ids) == len(fam)
-    assert np.allclose(h.radii, fam.ts)
+    assert np.array_equal(h.centers, fam.lifted_centers)
+    assert np.array_equal(h.radii, fam.ts)
 
 
 def test_truncated_membership_matches_direct_definition(demo_family):
@@ -473,19 +482,6 @@ def test_sample_truncated_P_matches_pointwise_loop(demo_family):
                                                          seed=0).tobytes()
 
 
-def _hand_family(lifted_centers, ts):
-    lifted = np.asarray(lifted_centers, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    count = len(ts)
-    return HoleFamily(
-        n=3, s=0.25, r=1.0 / 64.0, L=math.sqrt(10.0), E=1.5,
-        epsilons=(0.0025,), seed=0, config_hash="",
-        ks=np.ones(count, dtype=np.int64),
-        levels=np.ones(count, dtype=np.int64),
-        ms=np.ones(count, dtype=np.int64), base_centers=lifted[:, :3],
-        ts=ts, lifted_centers=lifted)
-
-
 def _sampling_outcome(sample, tp, seed, max_tries):
     try:
         return sample(tp, 60, seed=seed, max_tries=max_tries).tobytes()
@@ -495,12 +491,14 @@ def _sampling_outcome(sample, tp, seed, max_tries):
 
 @pytest.mark.parametrize("offset", [0.6, 0.0])
 def test_sample_truncated_P_retries_like_pointwise_loop(offset):
-    # hole 1 is too wide for stage 1, and its raw ball swallows half
-    # (offset 0.6) or all (offset 0) of hole 0's enlargement, so sampling
-    # needs several tries or exhausts them
-    fam = _hand_family([[0.5, 0.5, 0.5, 0.02],
-                        [0.5 + offset, 0.5, 0.5, 0.02]], [0.01, 0.6])
-    tp = truncated_P(fam)
+    # hole 1 (t = 0.03) sits on hole 0's base or ``offset`` t beside it;
+    # it is too wide for the depth-17 truncation (2t >= 1/17), and its raw
+    # ball, lifted to height 0.06, cuts the top of hole 0's enlargement,
+    # so one try never keeps enough of hole 0's draws
+    t = 0.01
+    fam = _hand_family([[0.5, 0.5, 0.5], [0.5 + offset * t, 0.5, 0.5]],
+                       [t, 3.0 * t])
+    tp = truncated_P(fam, depth=17)
     for seed in range(3):
         outcomes = [_sampling_outcome(sample_truncated_P, tp, seed, tries)
                     for tries in (1, 4)]
@@ -508,11 +506,7 @@ def test_sample_truncated_P_retries_like_pointwise_loop(offset):
             _sampling_outcome(pointwise_sample_truncated_P, tp, seed, tries)
             for tries in (1, 4)]
         assert isinstance(outcomes[0], str)       # one try is never enough
-        if offset:
-            assert tp.contains(np.frombuffer(outcomes[1]).reshape(-1, 4)
-                               ).all()
-        else:
-            assert outcomes[1].endswith("(have 0)")
+        assert tp.contains(np.frombuffer(outcomes[1]).reshape(-1, 4)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +535,47 @@ def test_round_trip_recovers_stage_radii(demo_family):
     back = deserialize_family(serialize_family(demo_family))
     assert back.stage_radii == demo_family.stage_radii
     assert back.depth == demo_family.depth
+    # the records are already in (stage, level) order, so the derived
+    # lifts line up bit for bit
+    assert back.lifted_centers.tobytes() == \
+        demo_family.lifted_centers.tobytes()
+
+
+def test_family_round_trip_over_six_stages():
+    # stages 1..6 lie on planes 1, 1, 2, 1, 2, 3; plane 3 has gradient
+    # (1/256, 0, 0), and dyadic base centres make its heights exact
+    ts = [0.04, 0.03, 0.02, 0.01, 0.008, 0.004]
+    base = [[0.5 + k / 64.0, 0.5 - k / 128.0, 0.5] for k in range(1, 7)]
+    base.append([0.375, 0.5, 0.625])
+    fam = _hand_family(base, ts + [0.002], ks=[1, 2, 3, 4, 5, 6, 6],
+                       levels=[1, 1, 1, 1, 1, 1, 2], epsilons=(0.001,) * 6)
+    text = serialize_family(fam)
+    assert [json.loads(line)["m"] for line in text.splitlines()[1:]] == \
+        [1, 1, 2, 1, 2, 3, 3]
+    back = deserialize_family(text)
+    assert serialize_family(back) == text
+    assert back.stage_radii == (0.04, 0.03, 0.02, 0.01, 0.008, 0.002)
+    assert back.plane(6).gradient.tolist() == [1 / 256, 0.0, 0.0]
+    for i in back.stage_ids(6):
+        x, t = back.base_centers[i], back.ts[i]
+        assert back.lifted_centers[i, 3] == (x[0] - 0.5) / 256 + 2.0 * t
+    assert back.lifted_centers[5, 3] != 2.0 * back.ts[5]   # tilted
+
+
+@pytest.mark.parametrize("tamper", sorted(FAMILY_TAMPERS))
+def test_deserialize_rejects_a_tampered_record(tampered_families, tamper):
+    with pytest.raises(ParseError, match=f"^line {TAMPERED_LINE}: "):
+        deserialize_family(tampered_families[tamper])
+
+
+def test_deserialize_rejects_a_lift_off_by_one_ulp(demo_family):
+    lines = serialize_family(demo_family).splitlines()
+    rec = json.loads(lines[-1])
+    rec["lifted_center"][-1] = float(np.nextafter(rec["lifted_center"][-1],
+                                                  1.0))
+    lines[-1] = json.dumps(rec, separators=(",", ":"))
+    with pytest.raises(ParseError, match=f"^line {len(lines)}: lifted_center"):
+        deserialize_family("\n".join(lines) + "\n")
 
 
 def test_deserialize_rejects_malformed_input(demo_family):
@@ -571,10 +606,9 @@ def test_deserialize_tolerates_blank_lines(demo_family):
 def test_serialized_radius_fails_when_negative(demo_family):
     good = serialize_family(demo_family)
     lines = good.splitlines()
-    import json as _json
-    rec = _json.loads(lines[1])
+    rec = json.loads(lines[1])
     rec["t"] = -rec["t"]
-    lines[1] = _json.dumps(rec, separators=(",", ":"))
+    lines[1] = json.dumps(rec, separators=(",", ":"))
     with pytest.raises(ParseError):
         deserialize_family("\n".join(lines) + "\n")
 

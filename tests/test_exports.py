@@ -1,5 +1,8 @@
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 import porous
 from porous import analysis, geometry, verification
@@ -14,13 +17,20 @@ def test_every_export_resolves_once():
     assert missing == []
 
 
+def _bench_module(name: str):
+    """A module of the benchmark harness, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module      # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_tracer_patches_every_name_it_names():
     # the benchmark's tracer patches porous functions and methods by name,
     # so dropping or renaming one breaks the benchmark, not the package
-    spec = importlib.util.spec_from_file_location(
-        "bench_layers", ROOT / "bench" / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    layers = _bench_module("layers")
     originals = (verification.budget, analysis.mollify,
                  geometry.ScalarField.values)
     tracer = layers.Tracer()
@@ -33,3 +43,19 @@ def test_bench_tracer_patches_every_name_it_names():
     assert patched > 0
     assert (verification.budget, analysis.mollify,
             geometry.ScalarField.values) == originals
+
+
+@pytest.mark.parametrize("workload, key", [
+    ("build", "build/demo-seed-0"),
+    ("audit-planes", "audit-planes/plane[0]"),
+    ("audit-sweep", "audit-sweep/analysis")])
+def test_bench_operation_matches_its_reference_rows(workload, key, tmp_path):
+    # one operation of each benchmark workload, set up, run and gated as
+    # the benchmark does; the gate raises when a report's row ids or
+    # statuses differ from the stored reference.  The byte digests it
+    # returns depend on the numpy version, so they are not compared.
+    workloads = _bench_module("workloads")
+    ws = workloads.setup(workload, 0, tmp_path / "setup")
+    (op,) = [op for op in ws.ops if op.key == key]
+    reports = workloads.run_op(ws, op, tmp_path / "op")
+    workloads.check(op, reports, workloads.load_reference())

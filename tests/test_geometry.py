@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -324,6 +325,14 @@ def test_ball_index_extreme_extents():
                           brute_contains_any(probes4, lifted, radii4))
     _assert_members(index4, probes4, lifted, radii4)
     _assert_pairs(index4, lifted, radii4)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan])
+def test_ball_index_rejects_a_radius_that_is_not_positive(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no cast of a NaN cell
+        with pytest.raises(ValueError, match="radii must be positive"):
+            BallIndex(np.zeros((2, 3)), np.array([0.1, bad]))
 
 
 # ---------------------------------------------------------------------------

@@ -60,21 +60,17 @@ def test_strict_deficit_bound_arithmetic_instance():
 
 def _manual_family(base_centers, ts, levels=None, epsilons=(0.0025,),
                    E=1.5):
+    """One stage on the zero plane, so each hole is lifted to height 2t."""
     base = np.asarray(base_centers, dtype=float)
     ts = np.asarray(ts, dtype=float)
     count = len(ts)
     levels = np.ones(count, dtype=np.int64) if levels is None \
         else np.asarray(levels, dtype=np.int64)
-    lifted = np.hstack([base, (2.0 * ts)[:, None]])   # zero reference plane
-    order = np.argsort(ts)[::-1]
-    stage_radii = (float(ts.min()),)
     return HoleFamily(
         n=3, s=0.25, r=1.0 / 64.0, L=math.sqrt(10.0), E=E,
         epsilons=tuple(epsilons), seed=0, config_hash="",
         ks=np.ones(count, dtype=np.int64), levels=levels,
-        ms=np.ones(count, dtype=np.int64), base_centers=base, ts=ts,
-        lifted_centers=lifted, stage_radii=stage_radii,
-        target_reached=(True,))
+        base_centers=base, ts=ts)
 
 
 def _field_patch(field, label, c1):
@@ -314,7 +310,6 @@ def test_disjointness_audit_accepts_separated_holes():
     patch = _flat_patch()
     audit = disjointness_audit(fam, 1, patch, np.array([0, 1]))
     assert audit.violations == ()
-    assert audit.pair_count == 1
 
 
 def test_disjointness_audit_records_overlapping_primed_balls():
@@ -353,7 +348,7 @@ def test_budget_fails_a_stage_with_overlapping_hit_holes():
                          [t, t])
     ledger = budget(_tilt_patch(2.0 * t, 0.011), fam)
     (stage,) = ledger.stages
-    assert stage.hit_ids == (0, 1)
+    assert stage.classification.hit_ids == (0, 1)
     assert [v.pair for v in stage.disjointness.violations] == [(0, 1)] * 2
     assert {r.check: r.status for r in ledger_rows(ledger)} == {
         "budget-total": "pass", "u-mass": "pass", "d-energy": "pass",
@@ -555,7 +550,6 @@ def test_pair_audits_of_four_thousand_holes_need_no_dense_table():
     peak = _traced_peak_mb(lambda: audits.append(disjointness_audit(
         fam, 1, _tilt_patch(0.01), np.arange(4000), probes_per_hole=16)))
     assert peak <= 64.0
-    assert audits[0].pair_count == 4000 * 3999 // 2
     assert audits[0].probe_count == 4000 * 16
 
 
@@ -579,7 +573,7 @@ def test_budget_zero_field_has_zero_hit_mass(demo_family):
     assert ledger.status == "pass"
     assert all(_checks(s.rows)["u-mass"].measured == 0.0
                for s in ledger.stages)
-    assert all(not s.hit_ids for s in ledger.stages)
+    assert all(not s.classification.hit_ids for s in ledger.stages)
 
 
 def test_budget_plane_hitter_single_stage(demo_family, plane_ledger):
@@ -587,12 +581,13 @@ def test_budget_plane_hitter_single_stage(demo_family, plane_ledger):
     assert len(ledger.stages) == demo_family.depth == 2
     assert ledger.status == "pass"
     st = ledger.stages[0]
-    assert st.hit_ids                       # the offset plane reaches holes
+    assert st.classification.hit_ids        # the offset plane reaches holes
     rows = _checks(st.rows)
     assert rows["u-mass"].measured == 0.0   # all hits are d-classified
     assert 0 < rows["d-energy"].measured <= DBOUND_C
     # independent mass sums straight from the family arrays
-    expect = [float(np.sum(W3 * demo_family.ts[list(s.hit_ids)] ** 3))
+    expect = [float(np.sum(W3 * demo_family.ts[
+        list(s.classification.hit_ids)] ** 3))
               for s in ledger.stages]
     assert st.hit_mass == expect[0]
     assert ledger.verdict.measured == sum(expect)
@@ -836,17 +831,15 @@ def test_porosity_witness_matches_exhaustive_scan(demo_family, demo_config):
     # point, with the same radius, so their ratios tie exactly; hole 0 is
     # eligible but farther
     d, t = 2.0**-6, 0.01
-    fam = _manual_family([[0.5, 0.5, 0.5]] * 3, [t, t, t])
-    p = np.array([0.5, 0.5, 0.5, 2.0 * t])
-    fam = dataclasses.replace(fam, lifted_centers=p + np.array(
-        [[0.0, 1.5 * d, 0.0, 0.0], [d, 0.0, 0.0, 0.0],
-         [-d, 0.0, 0.0, 0.0]]))
+    base = np.array([[0.5, 0.5 + 1.5 * d, 0.5], [0.5 + d, 0.5, 0.5],
+                     [0.5 - d, 0.5, 0.5]])
+    fam = _manual_family(base, [t, t, t])
+    p = np.array([0.5, 0.5, 0.5, 2.0 * t])    # at the holes' height
     res = porosity_witness(p, fam)
     assert (res.hole_id, res.ratio) == (1, t / d) == _exhaustive_witness(fam, p)
     assert res.witness.direction.tolist() == [1.0, 0.0, 0.0, 0.0]
     # swapping the tied holes keeps id 1, now the hole on the other side
-    swapped = dataclasses.replace(
-        fam, lifted_centers=fam.lifted_centers[[0, 2, 1]])
+    swapped = _manual_family(base[[0, 2, 1]], [t, t, t])
     res = porosity_witness(p, swapped)
     assert res.hole_id == 1
     assert res.witness.direction.tolist() == [-1.0, 0.0, 0.0, 0.0]
@@ -901,12 +894,7 @@ def test_family_invariants_name_offending_pair(demo_family):
     bad_centers = fam.base_centers.copy()
     # drag the second stage-1 hole next to the first: partial overlap
     bad_centers[ids[1]] = bad_centers[ids[0]] + 1e-4
-    broken = HoleFamily(
-        n=fam.n, s=fam.s, r=fam.r, L=fam.L, E=fam.E, epsilons=fam.epsilons,
-        seed=fam.seed, config_hash=fam.config_hash, ks=fam.ks,
-        levels=fam.levels, ms=fam.ms, base_centers=bad_centers, ts=fam.ts,
-        lifted_centers=fam.lifted_centers, stage_radii=fam.stage_radii,
-        target_reached=fam.target_reached)
+    broken = dataclasses.replace(fam, base_centers=bad_centers)
     rows = family_invariant_audit(broken, floor_samples=256)
     fails = [r for r in rows if r.status == "fail"]
     assert fails
