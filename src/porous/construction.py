@@ -679,6 +679,41 @@ def serialize_family(family: HoleFamily) -> str:
 _COLUMN_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
+def _header_fields(header: dict) -> dict:
+    """The family's header fields, converted and checked: n >= 1 and seed
+    >= 0 are integers, config_hash a string, and s, r, L, E and each of a
+    non-empty list of epsilons a finite positive number.  A ValueError
+    names the first field that is not."""
+    def number(key, value):
+        try:
+            finite = math.isfinite(value) and value > 0
+        except (TypeError, OverflowError):    # not a number, or a huge int
+            finite = False
+        if isinstance(value, bool) or not finite:
+            raise ValueError(f"{key} must be a finite positive number, "
+                             f"got {value!r}")
+        return float(value)
+
+    def integer(key, least):
+        value = header[key]
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < least:
+            raise ValueError(f"{key} must be an integer >= {least}, "
+                             f"got {value!r}")
+        return value
+
+    eps, config_hash = header["epsilons"], header["config_hash"]
+    if not isinstance(eps, list) or not eps:
+        raise ValueError(f"epsilons must be a non-empty list, got {eps!r}")
+    if not isinstance(config_hash, str):
+        raise ValueError(f"config_hash must be a string, got {config_hash!r}")
+    return dict(n=integer("n", 1), seed=integer("seed", 0),
+                config_hash=config_hash,
+                epsilons=tuple(number("epsilons", e) for e in eps),
+                **{key: number(key, header[key])
+                   for key in ("s", "r", "L", "E")})
+
+
 def _matrix(rows: list, width: int) -> np.ndarray:
     out = np.array(rows, dtype=float)
     if rows and out.shape[1:] != (width,):
@@ -708,12 +743,13 @@ def _reject_first(linenos: list, rules: dict) -> None:
 def deserialize_family(text: str) -> HoleFamily:
     """Parse ``serialize_family`` output; records keep their file order.
 
-    Every record must convert, with indices >= 1, finite numbers and a
-    positive radius, and must repeat what the family derives: ``m`` is
-    its stage's scheduled plane and ``lifted_center`` its lift, bit for
-    bit, so that the file serializes back to itself.  The checks run over
-    the parsed columns; a ``ParseError`` names the first line that breaks
-    one.
+    The header's fields must pass ``_header_fields``, or a ``ParseError``
+    names line 1.  Every record must convert, with indices >= 1, finite
+    numbers and a positive radius, and must repeat what the family
+    derives: ``m`` is its stage's scheduled plane and ``lifted_center``
+    its lift, bit for bit, so that the file serializes back to itself.
+    The checks run over the parsed columns; a ``ParseError`` names the
+    first line that breaks one.
     """
     lines = text.splitlines()
     if not lines:
@@ -722,6 +758,8 @@ def deserialize_family(text: str) -> HoleFamily:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ParseError(f"line 1: invalid JSON header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ParseError("line 1: header is not a JSON object")
     required = {"format_version", "n", "s", "r", "L", "E", "epsilons",
                 "seed", "config_hash"}
     missing = required - set(header)
@@ -730,7 +768,11 @@ def deserialize_family(text: str) -> HoleFamily:
     if header["format_version"] != FORMAT_VERSION:
         raise ParseError(
             f"line 1: unsupported format_version {header['format_version']}")
-    n = int(header["n"])
+    try:
+        fields = _header_fields(header)
+    except ValueError as exc:
+        raise ParseError(f"line 1: {exc}") from exc
+    n = fields["n"]
     recs, linenos = [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -764,12 +806,8 @@ def deserialize_family(text: str) -> HoleFamily:
         gap = int(np.argmax(stages != np.arange(1, len(stages) + 1))) + 1
         raise ParseError(f"stage {gap} has no records (stages 1..{depth})")
 
-    family = HoleFamily(
-        n=n, s=float(header["s"]), r=float(header["r"]),
-        L=float(header["L"]), E=float(header["E"]),
-        epsilons=tuple(float(e) for e in header["epsilons"]),
-        seed=int(header["seed"]), config_hash=str(header["config_hash"]),
-        ks=ks, levels=ls, base_centers=base, ts=ts)
+    family = HoleFamily(**fields, ks=ks, levels=ls, base_centers=base,
+                        ts=ts)
     _reject_first(linenos, {"lifted_center is not the lift (x, a_m(x) + 2t)":
                             (family.lifted_centers.view(np.int64)
                              != lifted.view(np.int64)).any(axis=1)})

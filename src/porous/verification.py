@@ -96,7 +96,9 @@ class HitScan:
     ids: np.ndarray
     K: float
     hit: np.ndarray          # bool per id
-    min_gap: np.ndarray      # distance-to-enlargement at the best probe
+    # a hit: phi at the witnessing probe; a prefiltered miss: the
+    # certified lower bound; a scanned miss: the descent's minimum
+    min_gap: np.ndarray
     prefiltered: np.ndarray  # decided by the certified miss bound alone
 
     @property
@@ -108,15 +110,26 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
                    K: float, *, prefilter: bool = True) -> HitScan:
     """Decide G(g) ∩ K·B ≠ ∅ for each listed hole.
 
-    Minimises |(y, g(y)) - centre| - K t over the base disc by a probe
-    lattice plus lockstep pattern descent; a hole is declared missed only
-    when the refined minimum exceeds the safety margin.  The prefilter
-    skips holes whose vertical gap at the base centre already certifies a
-    miss (gap / sqrt(1+rho^2) - Kt > margin for gradient bound rho), so
-    disabling it changes cost, never verdicts.  Only a prefiltered miss
-    carries a certificate: a miss of the scanned branch means the lattice
-    and descent found no probe within the margin, which is a local search,
-    not a proof that the graph avoids the hole.
+    With phi(y) = |(y, g(y)) - centre| - K t over the base disc, a hole is
+    hit once some probe has phi <= margin.  Each hole is decided by the
+    first of four steps that settles it, and the field is evaluated only
+    for holes still open:
+
+    1. the prefilter certificate: the vertical gap v0 at the base centre
+       gives a miss when v0 / sqrt(1+rho^2) - Kt > margin (rho the
+       gradient bound); disabling it changes cost, never verdicts;
+    2. the centre witness: the centre is the lattice's zero probe, where
+       phi = v0 - Kt;
+    3. the probe lattice;
+    4. lockstep pattern descent from the lattice's best probe; a hole
+       leaves the descent in the round a probe witnesses it, and each
+       hole's rounds depend on its own probes only.
+
+    A hit's ``min_gap`` is phi at its witnessing probe.  A miss's is the
+    prefilter's certified lower bound, or for a scanned miss the minimum
+    phi after all descent rounds.  Only the prefiltered miss carries a
+    certificate: a scanned miss found no probe within the margin, which
+    is a local search, not a proof that the graph avoids the hole.
     """
     ids = np.asarray(ids, dtype=np.int64)
     n = family.n
@@ -130,12 +143,15 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
     t = family.ts[ids]
     h = family.lifted_centers[ids][:, n]
     rho = float(g.grad_bound)
+    v0 = np.abs(g.values(x) - h)
     if prefilter:
-        v0 = np.abs(g.values(x) - h)
         lower = v0 / math.sqrt(1.0 + rho * rho) - K * t
         pre = lower > HIT_MARGIN
         gap[pre] = lower[pre]
-    todo = np.flatnonzero(~pre)
+    centre = v0 - K * t
+    hit = ~pre & (centre <= HIT_MARGIN)
+    gap[hit] = centre[hit]
+    todo = np.flatnonzero(~pre & ~hit)
     if len(todo) == 0:
         return HitScan(ids, float(K), hit, gap, pre)
 
@@ -156,24 +172,28 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
         best_phi = phi.min(axis=1)
         best = probes[np.arange(len(sub)), phi.argmin(axis=1)]
         step = radius * (2.0 / (HIT_LATTICE - 1))
+        live = np.flatnonzero(best_phi > HIT_MARGIN)
         for _ in range(REFINE_ITERS):
-            cand = best[:, None, :] + step[:, None, None] * steps[None]
-            rel = cand - x[sub, None, :]
+            if len(live) == 0:
+                break
+            xl, rl = x[sub[live], None, :], radius[live, None]
+            cand = best[live, None, :] + step[live, None, None] * steps[None]
+            rel = cand - xl
             nrm = np.linalg.norm(rel, axis=2)
-            over = nrm > radius[:, None]
+            over = nrm > rl
             if over.any():   # project wanderers back onto the probe disc
-                scale = np.where(over, radius[:, None] / np.maximum(nrm, 1e-300), 1.0)
-                cand = x[sub, None, :] + rel * scale[:, :, None]
-            cvals = g.values(cand.reshape(-1, n)).reshape(len(sub), -1)
-            chor = np.linalg.norm(cand - x[sub, None, :], axis=2)
-            cphi = np.hypot(chor, cvals - h[sub, None]) - radius[:, None]
+                proj = xl + rel * (rl / np.maximum(nrm, 1e-300))[:, :, None]
+                cand = np.where(over[:, :, None], proj, cand)
+            cvals = g.values(cand.reshape(-1, n)).reshape(len(live), -1)
+            chor = np.linalg.norm(cand - xl, axis=2)
+            cphi = np.hypot(chor, cvals - h[sub[live], None]) - rl
             cbest = cphi.min(axis=1)
-            better = cbest < best_phi
-            if better.any():
-                pick = cphi.argmin(axis=1)
-                best[better] = cand[better, pick[better]]
-                best_phi = np.minimum(best_phi, cbest)
+            better = cbest < best_phi[live]
+            pick = cphi.argmin(axis=1)
+            best[live[better]] = cand[better, pick[better]]
+            best_phi[live[better]] = cbest[better]
             step = step * REFINE_SHRINK
+            live = live[best_phi[live] > HIT_MARGIN]
         gap[sub] = best_phi
         hit[sub] = best_phi <= HIT_MARGIN
     return HitScan(ids, float(K), hit, gap, pre)

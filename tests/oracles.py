@@ -12,7 +12,9 @@
   mask and scattering the result back: ``analysis.bump_field`` and
   ``surfaces.BumpSpec``;
 * hole classification as first written: one residue region and one
-  single-ball estimate per hit hole.
+  single-ball estimate per hit hole;
+* the hit scan before its early exits: the probe lattice and every
+  descent round for each hole the prefilter leaves.
 """
 import math
 
@@ -22,7 +24,11 @@ from porous.errors import AuditFailure, NeedsMoreSamples, PreconditionError
 from porous.geometry import PAIR_SLACK, Ball, MeasureEstimate, unit_ball_volume
 from porous.sampling import (Z99, sample_shell, shell_edges,
                              stratified_ball_integral, substream)
-from porous.verification import RESIDUE_GRAD_CAP, HoleClassification
+from porous.surfaces import unit_lattice
+from porous.verification import (HIT_LATTICE, HIT_MARGIN, HIT_SCAN_BLOCK,
+                                 REFINE_ITERS, REFINE_SHRINK,
+                                 RESIDUE_GRAD_CAP, HitScan,
+                                 HoleClassification)
 
 
 def brute_contains_any(points, centers, radii):
@@ -315,3 +321,68 @@ def per_hole_classify_holes(family, k, patch, hit_ids, budget, seed=0):
         u_ids=tuple(u_ids), d_ids=tuple(d_ids),
         indeterminate_ids=tuple(indet), escalated_ids=tuple(escal),
         residue_measures=measures)
+
+
+def full_hit_scan(g, family, ids, K, *, prefilter=True):
+    """``verification.graph_hit_scan`` before its early exits: the probe
+    lattice and all ``REFINE_ITERS`` descent rounds for every hole the
+    prefilter leaves, witnessed or not."""
+    ids = np.asarray(ids, dtype=np.int64)
+    n = family.n
+    m = len(ids)
+    hit = np.zeros(m, dtype=bool)
+    gap = np.full(m, np.inf)
+    pre = np.zeros(m, dtype=bool)
+    if m == 0:
+        return HitScan(ids, float(K), hit, gap, pre)
+    x = family.base_centers[ids]
+    t = family.ts[ids]
+    h = family.lifted_centers[ids][:, n]
+    rho = float(g.grad_bound)
+    if prefilter:
+        v0 = np.abs(g.values(x) - h)
+        lower = v0 / math.sqrt(1.0 + rho * rho) - K * t
+        pre = lower > HIT_MARGIN
+        gap[pre] = lower[pre]
+    todo = np.flatnonzero(~pre)
+    if len(todo) == 0:
+        return HitScan(ids, float(K), hit, gap, pre)
+
+    # the axis lattice of [-1,1]^n inside the unit ball; includes 0
+    offs = unit_lattice(n, HIT_LATTICE) * 2.0 - 1.0
+    offs = offs[(offs**2).sum(axis=1) <= 1.0 + 1e-12]
+    per = max(1, HIT_SCAN_BLOCK // len(offs))
+    eye = np.eye(n)
+    steps = np.vstack([eye, -eye])
+    for lo in range(0, len(todo), per):
+        sub = todo[lo:lo + per]
+        radius = K * t[sub]
+        probes = x[sub, None, :] + radius[:, None, None] * offs[None]
+        flat = probes.reshape(-1, n)
+        vals = g.values(flat).reshape(len(sub), -1)
+        horiz = np.linalg.norm(probes - x[sub, None, :], axis=2)
+        phi = np.hypot(horiz, vals - h[sub, None]) - radius[:, None]
+        best_phi = phi.min(axis=1)
+        best = probes[np.arange(len(sub)), phi.argmin(axis=1)]
+        step = radius * (2.0 / (HIT_LATTICE - 1))
+        for _ in range(REFINE_ITERS):
+            cand = best[:, None, :] + step[:, None, None] * steps[None]
+            rel = cand - x[sub, None, :]
+            nrm = np.linalg.norm(rel, axis=2)
+            over = nrm > radius[:, None]
+            if over.any():   # project wanderers back onto the probe disc
+                scale = np.where(over, radius[:, None] / np.maximum(nrm, 1e-300), 1.0)
+                cand = x[sub, None, :] + rel * scale[:, :, None]
+            cvals = g.values(cand.reshape(-1, n)).reshape(len(sub), -1)
+            chor = np.linalg.norm(cand - x[sub, None, :], axis=2)
+            cphi = np.hypot(chor, cvals - h[sub, None]) - radius[:, None]
+            cbest = cphi.min(axis=1)
+            better = cbest < best_phi
+            if better.any():
+                pick = cphi.argmin(axis=1)
+                best[better] = cand[better, pick[better]]
+                best_phi = np.minimum(best_phi, cbest)
+            step = step * REFINE_SHRINK
+        gap[sub] = best_phi
+        hit[sub] = best_phi <= HIT_MARGIN
+    return HitScan(ids, float(K), hit, gap, pre)

@@ -436,6 +436,29 @@ def test_report_missing_input(tmp_path, capsys):
     assert "report not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [("n", "x"), ("s", float("nan")),
+                                       ("E", -1.0)])
+def test_audit_rejects_a_malformed_family_header(demo_family, tmp_path, key,
+                                                 value):
+    header, rest = serialize_family(demo_family).split("\n", 1)
+    edited = json.loads(header)
+    edited[key] = value
+    path = tmp_path / "family.jsonl"
+    path.write_text(json.dumps(edited) + "\n" + rest)
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run(
+        [sys.executable, "-m", "porous", "audit", "--config",
+         str(DEMO_CONFIG), "--family", str(path), "--which", "construction",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"error: line 1: {key} ")
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_python_m_porous_runs_the_cli(tmp_path):
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

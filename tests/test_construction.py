@@ -597,6 +597,31 @@ def test_deserialize_rejects_malformed_input(demo_family):
                            .replace('"k":1', '"k":0') + "\n")
 
 
+# one edit of the header line each; the loader must name line 1
+HEADER_TAMPERS = [("n", "x"), ("n", 3.5), ("n", True), ("seed", "z"),
+                  ("seed", -1), ("epsilons", ["a"]), ("epsilons", []),
+                  ("epsilons", [math.inf]), ("s", math.nan),
+                  ("r", math.inf), ("L", 0.0), ("E", -1.0),
+                  ("E", 10**400), ("config_hash", 7)]
+
+
+@pytest.mark.parametrize("key,value", HEADER_TAMPERS,
+                         ids=[f"{k}={v!r}"[:24] for k, v in HEADER_TAMPERS])
+def test_deserialize_rejects_a_malformed_header(demo_family, key, value):
+    header, rest = serialize_family(demo_family).split("\n", 1)
+    edited = json.loads(header)
+    edited[key] = value
+    with pytest.raises(ParseError, match=f"^line 1: {key} "):
+        deserialize_family(json.dumps(edited) + "\n" + rest)
+
+
+def test_deserialize_rejects_a_header_that_is_not_an_object(demo_family):
+    rest = serialize_family(demo_family).split("\n", 1)[1]
+    for header in ("[1]", "7", "null"):
+        with pytest.raises(ParseError, match="^line 1: header is not"):
+            deserialize_family(header + "\n" + rest)
+
+
 def test_deserialize_tolerates_blank_lines(demo_family):
     text = serialize_family(demo_family)
     padded = text.replace("\n", "\n\n", 3)

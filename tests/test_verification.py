@@ -18,12 +18,15 @@ from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
                     strict_deficit_bound, truncated_P, unit_ball_volume)
 from porous.sampling import sample_shell, substream
 from porous import sampling, verification
-from porous.verification import (CSV_HEADER, DBOUND_C, K_constant, LEDGER_C,
-                                 SECTIONS, _ball_probes, graph_hit_scan,
-                                 porosity_witnesses, residue_energies,
-                                 residue_energy, smooth_over_subfamily)
+from porous.surfaces import unit_lattice
+from porous.verification import (CSV_HEADER, DBOUND_C, HIT_LATTICE,
+                                 HIT_MARGIN, K_constant, LEDGER_C,
+                                 REFINE_ITERS, SECTIONS, _ball_probes,
+                                 graph_hit_scan, porosity_witnesses,
+                                 residue_energies, residue_energy,
+                                 smooth_over_subfamily)
 
-from oracles import per_hole_classify_holes, residue_region
+from oracles import full_hit_scan, per_hole_classify_holes, residue_region
 
 W3 = unit_ball_volume(3)
 
@@ -153,6 +156,157 @@ def test_hit_scan_shrinking_constant_is_monotone(demo_family, plane_entries):
     wide = graph_hit_scan(patch.g, fam, ids, K=1.5)
     narrow = graph_hit_scan(patch.g, fam, ids, K=1.25)
     assert np.all(wide.hit | ~narrow.hit)   # narrow hits are wide hits
+
+
+BENCH_PLANES = (0, 3, 6)     # the planes of the audit-planes workload
+
+
+def _counted(g):
+    """``g`` with the point count of every ``values`` call recorded."""
+    sizes = []
+
+    def fn(pts):
+        sizes.append(len(pts))
+        return g.fn(pts)
+
+    return dataclasses.replace(g, fn=fn), sizes
+
+
+def _lattice_size(n):
+    offs = unit_lattice(n, HIT_LATTICE) * 2.0 - 1.0
+    inside = offs[(offs**2).sum(axis=1) <= 1.0 + 1e-12]
+    assert (inside == 0.0).all(axis=1).sum() == 1     # the centre is a probe
+    return len(inside)
+
+
+def _assert_same_scan(new, full):
+    """Same verdicts; a miss keeps its gap bit for bit, a hit's gap is the
+    witnessing probe's, at least the full descent's minimum."""
+    assert np.array_equal(new.hit, full.hit)
+    assert np.array_equal(new.prefiltered, full.prefiltered)
+    assert np.array_equal(new.min_gap[~new.hit], full.min_gap[~full.hit])
+    assert np.all(new.min_gap[new.hit] <= HIT_MARGIN)
+    assert np.all(new.min_gap[new.hit] >= full.min_gap[full.hit])
+
+
+@pytest.mark.parametrize("prefilter", [True, False])
+@pytest.mark.parametrize("K", [1.0, 1.25, 1.5])
+def test_hit_scan_matches_the_full_scan_on_the_bench_planes(
+        demo_family, plane_entries, K, prefilter):
+    ids = np.arange(len(demo_family))
+    for i in BENCH_PLANES:
+        g = plane_entries[i].patch.g
+        _assert_same_scan(
+            graph_hit_scan(g, demo_family, ids, K, prefilter=prefilter),
+            full_hit_scan(g, demo_family, ids, K, prefilter=prefilter))
+
+
+@pytest.mark.parametrize("index", BENCH_PLANES)
+def test_hit_scan_matches_the_full_scan_in_budget(demo_family, plane_entries,
+                                                  monkeypatch, index):
+    # every scan of a plane's ledger: stage 1, the hit-consistency pair
+    # and the smoothed field's stage-2 scan; between them they hold
+    # scanned misses and hits that only the lattice or descent witnesses
+    scans = []
+
+    def recording(g, family, ids, K, **kwargs):
+        scans.append((g, ids, K))
+        return graph_hit_scan(g, family, ids, K, **kwargs)
+
+    monkeypatch.setattr(verification, "graph_hit_scan", recording)
+    budget(plane_entries[index].patch, demo_family)
+    assert len(scans) == 4
+    assert scans[3][0].label != plane_entries[index].patch.g.label
+    searched = 0
+    for g, ids, K in scans:
+        scan = graph_hit_scan(g, demo_family, ids, K)
+        _assert_same_scan(scan, full_hit_scan(g, demo_family, ids, K))
+        centre = np.abs(g.values(demo_family.base_centers[ids])
+                        - demo_family.lifted_centers[ids, 3]) \
+            - K * demo_family.ts[ids]
+        searched += int((~scan.prefiltered & (centre > HIT_MARGIN)).sum())
+    assert searched > 0        # the lattice and descent ran somewhere
+
+
+def _dips_family():
+    """Four holes of radius t on the zero plane, each under its own bump,
+    so that at K = 1.5 hole 0 is witnessed only by a lattice probe off its
+    centre, hole 1 only by the descent, hole 2 by nothing (a scanned miss:
+    the graph's nearest point is the centre, 0.05t outside the
+    enlargement), and hole 3 at its centre."""
+    t = 0.004
+    centres = [[0.45, 0.5, 0.5], [0.5, 0.5, 0.5], [0.55, 0.5, 0.5],
+               [0.5, 0.45, 0.5]]
+    # (offset from the hole centre along x, bump radius, amplitude) in t;
+    # lattice probes lie at multiples of K t / 3 = t / 2 on each axis
+    dips = [(0.5, 0.3, 0.8), (0.25, 0.2, 1.2), (0.0, 1.0, 0.45),
+            (0.0, 1.0, 0.6)]
+    bumps = [bump_field(np.asarray(c) + [dx * t, 0.0, 0.0], w * t, a * t)
+             for c, (dx, w, a) in zip(centres, dips)]
+    g = ScalarField(
+        domain=Ball(np.full(3, 0.5), 0.25),
+        fn=lambda pts: sum(b.values(pts) for b in bumps),
+        grad_fn=lambda pts: sum(b.gradients(pts) for b in bumps),
+        grad_bound=max(b.grad_bound for b in bumps), label="dips")
+    return _manual_family(centres, [t] * 4), g
+
+
+@pytest.mark.parametrize("prefilter", [True, False])
+def test_hit_scan_matches_the_full_scan_off_centre(prefilter):
+    fam, g = _dips_family()
+    ids = np.arange(4)
+    scan = graph_hit_scan(g, fam, ids, 1.5, prefilter=prefilter)
+    assert scan.hit.tolist() == [True, True, False, True]
+    _assert_same_scan(scan, full_hit_scan(g, fam, ids, 1.5,
+                                          prefilter=prefilter))
+    # each hole's search is its own: scanned alone it ends the same
+    for i in ids:
+        alone = graph_hit_scan(g, fam, ids[i:i + 1], 1.5, prefilter=prefilter)
+        assert alone.min_gap.tobytes() == scan.min_gap[i:i + 1].tobytes()
+
+
+def test_hit_scan_decides_each_hole_at_its_first_witness():
+    fam, g = _dips_family()
+    lattice = _lattice_size(3)
+    routes = []
+    for i in range(4):
+        counted, sizes = _counted(g)
+        graph_hit_scan(counted, fam, np.array([i]), 1.5)
+        routes.append(sizes)
+    assert routes[0] == [1, lattice]                      # lattice witness
+    assert routes[1][:2] == [1, lattice]                  # descent witness
+    assert set(routes[1][2:]) == {6} and \
+        0 < len(routes[1]) - 2 < REFINE_ITERS
+    assert routes[2] == [1, lattice] + [6] * REFINE_ITERS  # scanned miss
+    assert routes[3] == [1]                               # centre witness
+
+
+def test_hit_scan_evaluates_once_when_the_centres_decide(demo_family,
+                                                         plane_entries):
+    # plane[0] at K = 1.5: every hole is either prefiltered or hit at its
+    # centre, so one batched evaluation at the base centres decides all
+    ids = np.arange(len(demo_family))
+    g, sizes = _counted(plane_entries[0].patch.g)
+    scan = graph_hit_scan(g, demo_family, ids, 1.5)
+    assert sizes == [len(ids)]
+    assert scan.prefiltered.any() and scan.hit.any()
+    assert np.array_equal(scan.hit, ~scan.prefiltered)
+
+
+def test_hit_scan_searches_only_the_undecided_holes(demo_family,
+                                                    plane_entries):
+    # plane[3], stage 1 at K = 1.5: one hole is neither prefiltered nor hit
+    # at its centre, and only it gets the lattice and the descent
+    ids = demo_family.stage_ids(1)
+    g, sizes = _counted(plane_entries[3].patch.g)
+    graph_hit_scan(g, demo_family, ids, 1.5)
+    assert sizes[:2] == [len(ids), _lattice_size(3)]
+    assert set(sizes[2:]) <= {6} and len(sizes) - 2 <= REFINE_ITERS
+    # a centre-decided set plus one scanned miss: 40 rounds for it alone
+    fam, dips = _dips_family()
+    g, sizes = _counted(dips)
+    graph_hit_scan(g, fam, np.array([3, 2, 3]), 1.5)
+    assert sizes == [3, _lattice_size(3)] + [6] * REFINE_ITERS
 
 
 # ---------------------------------------------------------------------------
