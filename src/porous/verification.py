@@ -107,7 +107,7 @@ class HitScan:
 
 
 def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
-                   K: float, *, prefilter: bool = True) -> HitScan:
+                   K: float) -> HitScan:
     """Decide G(g) ∩ K·B ≠ ∅ for each listed hole.
 
     With phi(y) = |(y, g(y)) - centre| - K t over the base disc, a hole is
@@ -117,7 +117,7 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
 
     1. the prefilter certificate: the vertical gap v0 at the base centre
        gives a miss when v0 / sqrt(1+rho^2) - Kt > margin (rho the
-       gradient bound); disabling it changes cost, never verdicts;
+       gradient bound), a certified miss that no probe could contradict;
     2. the centre witness: the centre is the lattice's zero probe, where
        phi = v0 - Kt;
     3. the probe lattice;
@@ -144,10 +144,9 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
     h = family.lifted_centers[ids][:, n]
     rho = float(g.grad_bound)
     v0 = np.abs(g.values(x) - h)
-    if prefilter:
-        lower = v0 / math.sqrt(1.0 + rho * rho) - K * t
-        pre = lower > HIT_MARGIN
-        gap[pre] = lower[pre]
+    lower = v0 / math.sqrt(1.0 + rho * rho) - K * t
+    pre = lower > HIT_MARGIN
+    gap[pre] = lower[pre]
     centre = v0 - K * t
     hit = ~pre & (centre <= HIT_MARGIN)
     gap[hit] = centre[hit]
@@ -237,13 +236,14 @@ def _residue_balls(family: HoleFamily, ids: np.ndarray,
     return radii, t / 4.0
 
 
-def _stage_plane(family: HoleFamily,
-                 ids: Sequence[int]) -> Optional[AffinePlane]:
-    """The plane of the one stage the holes share; None without holes."""
-    stages = sorted({int(family.ks[h]) for h in ids})
-    if len(stages) > 1:
-        raise ValueError(f"residue holes span stages {stages}")
-    return family.plane(stages[0]) if stages else None
+def _of_stage(family: HoleFamily, k: int, ids: Sequence[int]) -> np.ndarray:
+    """The holes as an id array; the first not of stage k raises."""
+    ids = np.asarray(ids, dtype=np.int64)
+    other = ids[family.ks[ids] != k]
+    if len(other):
+        raise ValueError(f"hole {int(other[0])} is of stage "
+                         f"{int(family.ks[other[0]])}, not stage {k}")
+    return ids
 
 
 def _residue_integrals(family: HoleFamily, ids: Sequence[int],
@@ -274,20 +274,18 @@ def _residue_integrals(family: HoleFamily, ids: Sequence[int],
     return out
 
 
-def residue_energies(family: HoleFamily, hole_ids: Sequence[int],
+def residue_energies(family: HoleFamily, k: int, hole_ids: Sequence[int],
                      patch: GraphPatch, budget: SamplingBudget,
                      seed: int = 0) -> list[MeasureEstimate]:
-    """Sampled ∫ over each hole's residue region of |grad(g - plane)|^2.
+    """Sampled ∫ over each stage-k hole's residue region of
+    |grad(g - plane)|^2.
 
-    The holes must share one stage.  Each (hole, stratum) keeps its own
-    substream, so the estimates do not depend on which holes are listed
-    together; the first steep-field or overhanging hole raises before
-    anything is sampled.
+    Each (hole, stratum) keeps its own substream, so the estimates do not
+    depend on which holes are listed together; the first steep-field or
+    overhanging hole raises before anything is sampled.
     """
-    hole_ids = [int(h) for h in hole_ids]
-    plane = _stage_plane(family, hole_ids)
-    if plane is None:
-        return []
+    hole_ids = _of_stage(family, k, hole_ids).tolist()
+    plane = family.plane(k)
     grad_a = np.asarray(plane.gradient, dtype=float)
 
     def grad_sq(pts: np.ndarray) -> np.ndarray:
@@ -301,7 +299,8 @@ def residue_energies(family: HoleFamily, hole_ids: Sequence[int],
 def residue_energy(family: HoleFamily, hole_id: int, patch: GraphPatch,
                    budget: SamplingBudget, seed: int = 0) -> MeasureEstimate:
     """Sampled ∫ over the residue region of |grad(g - plane)|^2."""
-    return residue_energies(family, [hole_id], patch, budget, seed)[0]
+    return residue_energies(family, int(family.ks[hole_id]), [hole_id],
+                            patch, budget, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -327,13 +326,13 @@ def classify_holes(family: HoleFamily, k: int, patch: GraphPatch,
     then reported as indeterminate.  |B| / |B'| is E^-n for every hole,
     so when eps_k * E^n < 1 even a full residue cannot reach |B|: every
     hit hole of the stage is then an algebraic d, with no samples drawn.
-    The hit holes must share one stage; the sampled ones are estimated
+    The hit holes must be of stage k; the sampled ones are estimated
     together, then the straddling ones together.
     """
     eps_k = float(family.epsilons[k - 1])
     wn = unit_ball_volume(family.n)
-    hit = [int(h) for h in np.asarray(hit_ids, dtype=np.int64)]
-    plane = _stage_plane(family, hit)
+    hit = _of_stage(family, k, hit_ids).tolist()
+    plane = family.plane(k)
     vol_b = {h: wn * float(family.ts[h]) ** family.n for h in hit}
     algebraic = eps_k * family.E ** family.n < 1.0
     sampled = [] if algebraic else hit
@@ -361,7 +360,7 @@ def classify_holes(family: HoleFamily, k: int, patch: GraphPatch,
 
 
 # ---------------------------------------------------------------------------
-# disjointness and subfamily selection
+# disjointness
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -379,17 +378,6 @@ class DisjointnessAudit:
     violations: tuple
 
 
-def _neighbour_lists(count: int, first: np.ndarray,
-                     second: np.ndarray) -> list[list[int]]:
-    """Per ball of ``count``, the ascending ids of its partners in the
-    pairs ``(first, second)``."""
-    near: list[list[int]] = [[] for _ in range(count)]
-    for a, b in zip(first.tolist(), second.tolist()):
-        near[a].append(b)
-        near[b].append(a)
-    return [sorted(partners) for partners in near]
-
-
 def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
                        hit_ids: np.ndarray, seed: int = 0,
                        probes_per_hole: int = 128) -> DisjointnessAudit:
@@ -403,7 +391,7 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
     hole's probes come from its own substream; the field is evaluated on
     blocks of nearby whole holes (``local_blocks``).
     """
-    hit_ids = np.asarray(hit_ids, dtype=np.int64)
+    hit_ids = _of_stage(family, k, hit_ids)
     m = len(hit_ids)
     if m == 0:
         return DisjointnessAudit(probe_count=0, violations=())
@@ -459,52 +447,6 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
                              + tuple(shared.values()))
 
 
-def select_smoothing_subfamily(family: HoleFamily,
-                               d_ids: Sequence[int]) -> np.ndarray:
-    """Maximal primed balls covering every d-hole's primed ball.
-
-    Candidates are taken largest radius first (record order breaking
-    ties); a ball nested in an already-selected one is skipped, and any
-    partial overlap means the construction's disjoint-or-nested invariant
-    broke upstream.
-    """
-    d_ids = np.asarray(sorted(int(i) for i in d_ids), dtype=np.int64)
-    x = family.base_centers[d_ids]
-    rad = family.E * family.ts[d_ids]
-    # only balls within reach of each other can nest or overlap
-    near = _neighbour_lists(len(d_ids), *BallIndex(x, rad).pairs())
-    order = sorted(range(len(d_ids)),
-                   key=lambda i: (-family.ts[d_ids[i]], i))
-    rank = {pos: r for r, pos in enumerate(order)}
-    chosen = [False] * len(d_ids)
-    for pos in order:
-        hole_id = int(d_ids[pos])
-        keep = True
-        # selected balls in the order they were selected
-        for other in sorted((o for o in near[pos] if chosen[o]), key=rank.get):
-            gap = float(np.linalg.norm(x[pos] - x[other]))
-            if gap <= rad[other] - rad[pos] + 1e-12:
-                keep = False              # nested in a selected ball
-                break
-            if gap < rad[other] + rad[pos] - 1e-12:
-                raise AuditFailure(
-                    f"primed balls of holes {hole_id} and {int(d_ids[other])} "
-                    "partially overlap; disjoint-or-nested invariant broken "
-                    "upstream", pair=(hole_id, int(d_ids[other])))
-        chosen[pos] = keep
-    # containment scan: every d-hole under exactly one pick
-    for pos, hole_id in enumerate(d_ids):
-        owners = sorted({int(d_ids[o]) for o in [pos] + near[pos]
-                         if chosen[o] and np.linalg.norm(x[pos] - x[o])
-                         <= rad[o] - rad[pos] + 1e-12})
-        if len(owners) != 1:
-            raise AuditFailure(
-                f"d-hole {int(hole_id)} covered by {len(owners)} selected "
-                "primed balls, expected exactly one",
-                hole_id=int(hole_id), owners=owners)
-    return d_ids[np.array(chosen, dtype=bool)]
-
-
 # ---------------------------------------------------------------------------
 # smoothing step
 # ---------------------------------------------------------------------------
@@ -515,8 +457,10 @@ def smooth_over_subfamily(patch: GraphPatch, family: HoleFamily,
                           check_budget: int = 128) -> ScalarField:
     """Blend a mollified copy of the field over each selected primed ball.
 
-    Selected balls are pairwise disjoint, so every inner field mollifies
-    the stage-entry field directly and one flat blend covers all balls.
+    The budget selects a stage's d-holes, whose primed balls its
+    disjointness audit certified pairwise disjoint, so every inner field
+    mollifies the stage-entry field directly and one flat blend covers
+    all balls; with none selected the field is returned as it is.
     Mollifications are cached per radius since levels share radii.
     """
     g = patch.g
@@ -593,8 +537,9 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
     residue disjointness, account the u-mass against eps_k and each
     d-hole against its residue Dirichlet energy, then (below the last
     stage) replace the comparison field by its smoothed version over the
-    selected subfamily and check the hit-consistency implication.  A
-    stage whose disjointness audit records violations fails and is not
+    primed balls of the stage's d-holes and check the hit-consistency
+    implication.  The disjointness audit certifies those balls pairwise
+    disjoint; a stage whose audit records violations fails and is not
     smoothed.  The final verdict bounds the summed hit mass by
     c * (energy + sum eps).  Every check becomes a report row here, and
     the stage and ledger statuses are read from those rows.
@@ -633,7 +578,8 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
         u_sum = float(np.sum(_hole_volumes(
             family, np.asarray(cls.u_ids, dtype=np.int64))))
         dmax = 0.0
-        energies = residue_energies(family, cls.d_ids, current,
+        d_ids = np.asarray(cls.d_ids, dtype=np.int64)
+        energies = residue_energies(family, k, d_ids, current,
                                     dbound_budget, seed)
         for hole_id, energy_d in zip(cls.d_ids, energies):
             den = energy_d.lower()
@@ -652,23 +598,19 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
                 len(cls.indeterminate_ids), nonzero="indeterminate"))
 
         inconsistent = ()
-        # overlapping hit holes break the selection's disjoint-or-nested
-        # precondition; the stage fails on them, so its smoothing is
+        # the smoothing needs the d-holes' primed balls disjoint; a stage
+        # whose audit found overlapping hit holes fails, its smoothing is
         # skipped and the later stages keep the current field
         if k < depth and not disj.violations:
             eps_next = float(family.epsilons[k])
             r_k = float(family.stage_radii[k - 1])
             tol = eps_next * r_k
-            selected = select_smoothing_subfamily(family, cls.d_ids)
-            if len(selected):
-                smoothed = smooth_over_subfamily(
-                    current, family, selected, eps_next, tol, seed)
-            else:
-                smoothed = current.g
+            smoothed = smooth_over_subfamily(current, family, d_ids,
+                                             eps_next, tol, seed)
             probes = np.vstack([
                 sample_shell(substream(seed, "smooth-probe", k),
                              window.center, 0.0, window.radius, 4096),
-                _ball_probes(family, selected)])
+                _ball_probes(family, d_ids)])
             diff = np.abs(smoothed.values(probes) - current.g.values(probes))
             sup_diff = float(diff.max()) if len(diff) else 0.0
             gnorm = np.linalg.norm(smoothed.gradients(probes), axis=1)
@@ -746,7 +688,6 @@ class WitnessResult:
 
 
 def porosity_witnesses(points: np.ndarray, family: HoleFamily,
-                       L: Optional[float] = None,
                        tol: float = WITNESS_TOL) -> list[WitnessResult]:
     """Best hole witnessing porosity at each point of the residual set.
 
@@ -758,7 +699,7 @@ def porosity_witnesses(points: np.ndarray, family: HoleFamily,
     ratio lies below 1/L - tol (it should not have been in the
     truncation), raises ``AuditFailure``, the first such point in order.
     """
-    L = family.L if L is None else float(L)
+    L = family.L
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ts, centers = family.ts, family.lifted_centers
     at, hole = BallIndex(centers, L * ts * (1.0 + WITNESS_SLACK)
@@ -791,10 +732,9 @@ def porosity_witnesses(points: np.ndarray, family: HoleFamily,
 
 
 def porosity_witness(point: np.ndarray, family: HoleFamily,
-                     L: Optional[float] = None,
                      tol: float = WITNESS_TOL) -> WitnessResult:
     """``porosity_witnesses`` at one point."""
-    return porosity_witnesses(point, family, L, tol)[0]
+    return porosity_witnesses(point, family, tol)[0]
 
 
 def porosity_row(points: np.ndarray, family: HoleFamily,

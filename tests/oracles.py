@@ -326,7 +326,8 @@ def per_hole_classify_holes(family, k, patch, hit_ids, budget, seed=0):
 def full_hit_scan(g, family, ids, K, *, prefilter=True):
     """``verification.graph_hit_scan`` before its early exits: the probe
     lattice and all ``REFINE_ITERS`` descent rounds for every hole the
-    prefilter leaves, witnessed or not."""
+    prefilter leaves, witnessed or not; with ``prefilter`` off, the
+    exhaustive scan of every hole that the scan's verdicts must match."""
     ids = np.asarray(ids, dtype=np.int64)
     n = family.n
     m = len(ids)

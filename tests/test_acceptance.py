@@ -16,15 +16,16 @@ import numpy as np
 import pytest
 
 from oracles import (brute_contains_any, brute_members, brute_pairs,
-                     dense_grid_union_oracle, grid_union_oracle)
+                     dense_grid_union_oracle, full_hit_scan,
+                     grid_union_oracle)
 from porous import (AffinePlane, Ball, BumpSpec, GraphPatch, ScalarField,
                     SurfaceC1, alpha_relaxed, budget,
                     build_family, bump_field, family_invariant_audit,
                     graph_extract, hole_intersection_mass, ledger_rows,
                     make_mollifier, mollifier_mass, mollify,
                     porosity_witness, sample_truncated_P,
-                    select_smoothing_subfamily, strict_deficit_bound,
-                    substream, truncated_P, union_measure, unit_ball_volume)
+                    strict_deficit_bound, substream, truncated_P,
+                    union_measure, unit_ball_volume)
 from porous.analysis import (BUMP_SLOPE_SUP, area_lower_bound_check,
                              flatten_residual, sobolev_ratio)
 from porous.cli import main
@@ -32,7 +33,7 @@ from porous.geometry import BallIndex
 from porous.sampling import SamplingBudget, sample_shell
 from porous.verification import (DBOUND_C, FLATTEN_C, K_constant, LEDGER_C,
                                  analysis_suite, coverage_deficit,
-                                 graph_hit_scan, smooth_over_subfamily)
+                                 smooth_over_subfamily)
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = ROOT / "demos" / "config" / "demo.json"
@@ -373,14 +374,15 @@ def test_ac7_union_grid_oracle_matches_dense_scan():
 
 
 def _replay_ledger(entry, family, ledger):
-    """Recompute every stage's hit set and mass through the public API."""
+    """Recompute every stage's hit set and mass: the exhaustive scan of
+    ``oracles``, and the public API for the smoothing."""
     current_field = entry.patch.g
     current_patch = entry.patch
     total = 0.0
     for k in range(1, family.depth + 1):
         st = ledger.stages[k - 1]
-        scan = graph_hit_scan(current_field, family, family.stage_ids(k),
-                              K_constant(k), prefilter=False)
+        scan = full_hit_scan(current_field, family, family.stage_ids(k),
+                             K_constant(k), prefilter=False)
         if tuple(int(i) for i in scan.hit_ids) != st.classification.hit_ids:
             return False, f"{entry.patch.source} stage {k} hit set differs"
         mass = float(np.sum(W3 * family.ts[scan.hit_ids] ** family.n))
@@ -390,13 +392,9 @@ def _replay_ledger(entry, family, ledger):
         if k < family.depth:
             eps_next = float(family.epsilons[k])
             tol = eps_next * float(family.stage_radii[k - 1])
-            selected = select_smoothing_subfamily(
-                family, st.classification.d_ids)
-            if len(selected):
-                smoothed = smooth_over_subfamily(
-                    current_patch, family, selected, eps_next, tol, seed=0)
-            else:
-                smoothed = current_patch.g
+            smoothed = smooth_over_subfamily(
+                current_patch, family, st.classification.d_ids, eps_next,
+                tol, seed=0)
             grad_cap = 1.0 / 32.0 - 3.0 * sum(family.epsilons[:k])
             current_field = dataclasses.replace(
                 smoothed, grad_bound=min(smoothed.grad_bound, grad_cap))

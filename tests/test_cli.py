@@ -286,8 +286,8 @@ def test_audit_budget_fails_the_row_of_overlapping_hit_holes(tmp_path,
 
 
 def test_audit_budget_skips_smoothing_over_overlapping_hit_holes(tmp_path):
-    # below the last stage the overlapping d-holes would break the
-    # smoothing selection; the stage fails without it and stage 2 runs
+    # below the last stage the overlapping d-holes cannot be smoothed
+    # over; the stage fails without smoothing and stage 2 runs
     rc, status = _audit_overlapping_hit_holes(tmp_path, stages=2)
     assert rc == 2
     assert status.pop("stage-1/residue-disjoint") == "fail"

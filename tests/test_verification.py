@@ -14,8 +14,8 @@ from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
                     disjointness_audit, family_invariant_audit,
                     hole_intersection_mass, ledger_rows, mode_map,
                     make_cutoff, mollify, porosity_witness,
-                    sample_truncated_P, select_smoothing_subfamily,
-                    strict_deficit_bound, truncated_P, unit_ball_volume)
+                    sample_truncated_P, strict_deficit_bound, truncated_P,
+                    unit_ball_volume)
 from porous.sampling import sample_shell, substream
 from porous import sampling, verification
 from porous.surfaces import unit_lattice
@@ -143,7 +143,7 @@ def test_hit_scan_prefilter_never_changes_verdicts(demo_family, plane_entries):
     patch = plane_entries[0].patch
     ids = fam.stage_ids(1)
     fast = graph_hit_scan(patch.g, fam, ids, K=1.5)
-    slow = graph_hit_scan(patch.g, fam, ids, K=1.5, prefilter=False)
+    slow = full_hit_scan(patch.g, fam, ids, K=1.5, prefilter=False)
     assert np.array_equal(fast.hit, slow.hit)
     assert fast.prefiltered.any()          # the shortcut did real work
     assert not slow.prefiltered.any()
@@ -189,6 +189,16 @@ def _assert_same_scan(new, full):
     assert np.all(new.min_gap[new.hit] >= full.min_gap[full.hit])
 
 
+def _assert_scan_matches_the_oracle(new, full, prefilter):
+    """``new`` against the full scan; without the oracle's prefilter only
+    the verdicts can agree, since the scan always prefilters."""
+    if prefilter:
+        _assert_same_scan(new, full)
+    else:
+        assert np.array_equal(new.hit, full.hit)
+        assert not full.prefiltered.any()
+
+
 @pytest.mark.parametrize("prefilter", [True, False])
 @pytest.mark.parametrize("K", [1.0, 1.25, 1.5])
 def test_hit_scan_matches_the_full_scan_on_the_bench_planes(
@@ -196,9 +206,10 @@ def test_hit_scan_matches_the_full_scan_on_the_bench_planes(
     ids = np.arange(len(demo_family))
     for i in BENCH_PLANES:
         g = plane_entries[i].patch.g
-        _assert_same_scan(
-            graph_hit_scan(g, demo_family, ids, K, prefilter=prefilter),
-            full_hit_scan(g, demo_family, ids, K, prefilter=prefilter))
+        _assert_scan_matches_the_oracle(
+            graph_hit_scan(g, demo_family, ids, K),
+            full_hit_scan(g, demo_family, ids, K, prefilter=prefilter),
+            prefilter)
 
 
 @pytest.mark.parametrize("index", BENCH_PLANES)
@@ -209,9 +220,9 @@ def test_hit_scan_matches_the_full_scan_in_budget(demo_family, plane_entries,
     # scanned misses and hits that only the lattice or descent witnesses
     scans = []
 
-    def recording(g, family, ids, K, **kwargs):
+    def recording(g, family, ids, K):
         scans.append((g, ids, K))
-        return graph_hit_scan(g, family, ids, K, **kwargs)
+        return graph_hit_scan(g, family, ids, K)
 
     monkeypatch.setattr(verification, "graph_hit_scan", recording)
     budget(plane_entries[index].patch, demo_family)
@@ -255,13 +266,14 @@ def _dips_family():
 def test_hit_scan_matches_the_full_scan_off_centre(prefilter):
     fam, g = _dips_family()
     ids = np.arange(4)
-    scan = graph_hit_scan(g, fam, ids, 1.5, prefilter=prefilter)
+    scan = graph_hit_scan(g, fam, ids, 1.5)
     assert scan.hit.tolist() == [True, True, False, True]
-    _assert_same_scan(scan, full_hit_scan(g, fam, ids, 1.5,
-                                          prefilter=prefilter))
+    _assert_scan_matches_the_oracle(
+        scan, full_hit_scan(g, fam, ids, 1.5, prefilter=prefilter),
+        prefilter)
     # each hole's search is its own: scanned alone it ends the same
     for i in ids:
-        alone = graph_hit_scan(g, fam, ids[i:i + 1], 1.5, prefilter=prefilter)
+        alone = graph_hit_scan(g, fam, ids[i:i + 1], 1.5)
         assert alone.min_gap.tobytes() == scan.min_gap[i:i + 1].tobytes()
 
 
@@ -350,7 +362,7 @@ def test_residue_region_rejects_steep_fields():
     with pytest.raises(PreconditionError):
         classify_holes(fam, 1, steep, np.array([0]), SamplingBudget(4, 16))
     with pytest.raises(PreconditionError):
-        residue_energies(fam, [0], steep, SamplingBudget(4, 16))
+        residue_energies(fam, 1, [0], steep, SamplingBudget(4, 16))
 
 
 def test_residue_region_rejects_overhanging_hole():
@@ -359,7 +371,7 @@ def test_residue_region_rejects_overhanging_hole():
                          [t, t], epsilons=(0.5,))
     for run in (lambda ids: classify_holes(fam, 1, _flat_patch(), ids,
                                            SamplingBudget(4, 16)),
-                lambda ids: residue_energies(fam, ids, _flat_patch(),
+                lambda ids: residue_energies(fam, 1, ids, _flat_patch(),
                                              SamplingBudget(4, 16))):
         with pytest.raises(AuditFailure, match="hole 1 leaves the window"):
             run(np.array([0, 1]))
@@ -510,6 +522,25 @@ def test_budget_fails_a_stage_with_overlapping_hit_holes():
     assert stage.status == ledger.status == "fail"
 
 
+def test_budget_smooths_over_hit_holes_the_disjointness_audit_passes():
+    # the primed balls of the two stage-1 hit d-holes overlap by 5e-10,
+    # inside the audit's 1e-9 tolerance: the stage passes the audit and
+    # is smoothed over both holes, as it is for tangent balls
+    t = 0.004
+    fam = dataclasses.replace(
+        _manual_family([[0.5, 0.5, 0.5], [0.5 + 3.0 * t - 5e-10, 0.5, 0.5],
+                        [0.6, 0.5, 0.5]], [t, t, t / 2.0],
+                       epsilons=(0.0025, 0.00125)),
+        ks=np.array([1, 1, 2]))
+    ledger = budget(_tilt_patch(2.0 * t, 0.0), fam)
+    stage = ledger.stages[0]
+    assert stage.classification.d_ids == (0, 1)
+    assert stage.disjointness.violations == ()
+    rows = _checks(stage.rows)
+    assert rows["residue-disjoint"].status == "pass"
+    assert "smoothing-drift" in rows
+
+
 def test_family_audit_fails_a_level_whose_radius_grows():
     fam = _manual_family([[0.4, 0.5, 0.5], [0.6, 0.5, 0.5]], [0.004, 0.01],
                          levels=[1, 2])
@@ -569,110 +600,6 @@ def test_disjointness_audit_is_strict_about_nested_hit_pairs():
                          levels=[1, 2])
     audit = disjointness_audit(fam, 1, _flat_patch(), np.array([0, 1]))
     assert [v.pair for v in audit.violations] == [(0, 1)]
-
-
-def test_subfamily_selection_covers_each_d_hole_once():
-    t = 0.004
-    centers = [[0.44, 0.5, 0.5], [0.56, 0.5, 0.5], [0.5, 0.56, 0.5]]
-    fam = _manual_family(centers, [t, t, t])
-    sel = select_smoothing_subfamily(fam, [0, 1, 2])
-    assert sel.tolist() == [0, 1, 2]    # pairwise disjoint: all kept
-
-
-def test_subfamily_selection_skips_nested():
-    t1, t2 = 0.012, 0.003
-    fam = _manual_family([[0.5, 0.5, 0.5], [0.501, 0.5, 0.5]], [t1, t2],
-                         levels=[1, 2])
-    sel = select_smoothing_subfamily(fam, [0, 1])
-    assert sel.tolist() == [0]
-
-
-def test_subfamily_selection_rejects_partial_overlap():
-    t = 0.004
-    fam = _manual_family([[0.5, 0.5, 0.5], [0.5 + 2.5 * t, 0.5, 0.5]],
-                         [t, t])
-    with pytest.raises(AuditFailure):
-        select_smoothing_subfamily(fam, [0, 1])
-
-
-def _quadratic_selection(family, d_ids):
-    """The selection as a scan of every d-hole against every pick: the
-    reference the indexed selection must reproduce, failures included."""
-    d_ids = np.asarray(sorted(int(i) for i in d_ids), dtype=np.int64)
-    order = sorted(range(len(d_ids)),
-                   key=lambda i: (-family.ts[d_ids[i]], i))
-    selected = []
-    for pos in order:
-        hole_id = int(d_ids[pos])
-        x = family.base_centers[hole_id]
-        rad = family.E * float(family.ts[hole_id])
-        keep = True
-        for other in selected:
-            gap = float(np.linalg.norm(x - family.base_centers[other]))
-            orad = family.E * float(family.ts[other])
-            if gap <= orad - rad + 1e-12:
-                keep = False
-                break
-            if gap < orad + rad - 1e-12:
-                raise AuditFailure("partial overlap", pair=(hole_id, other))
-        if keep:
-            selected.append(hole_id)
-    sel = np.array(sorted(selected), dtype=np.int64)
-    for hole_id in d_ids:
-        x = family.base_centers[hole_id]
-        rad = family.E * float(family.ts[hole_id])
-        owners = [int(o) for o in sel if np.linalg.norm(
-            x - family.base_centers[o])
-            <= family.E * float(family.ts[o]) - rad + 1e-12]
-        if len(owners) != 1:
-            raise AuditFailure("owners", hole_id=int(hole_id), owners=owners)
-    return sel
-
-
-def _outcome(select, family, d_ids):
-    try:
-        return select(family, d_ids).tolist()
-    except AuditFailure as exc:
-        return exc.details
-
-
-def _nested_or_disjoint_family(seed, count=400, overlap=False):
-    """Three radius levels, each ball disjoint from or nested in every
-    earlier one (primed radii); ``overlap`` plants one partial overlap."""
-    rng = substream(seed, "nested-family")
-    centers, ts = np.zeros((0, 3)), np.zeros(0)
-    for t in (0.02, 0.008, 0.003):
-        for c in rng.uniform(0.3, 0.7, size=(count, 3)):
-            gap = np.linalg.norm(centers - c, axis=1)
-            if ((gap >= 1.5 * (t + ts) + 1e-6)
-                    | (gap <= 1.5 * (ts - t) - 1e-6)).all():
-                centers = np.vstack([centers, c])
-                ts = np.append(ts, t)
-    if overlap:
-        # primed radii 0.03 and 0.012 at distance 0.03: neither disjoint
-        # nor nested
-        centers = np.vstack([centers, centers[0] + [0.03, 0.0, 0.0]])
-        ts = np.append(ts, 0.008)
-    return _manual_family(centers, ts)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_subfamily_selection_matches_the_quadratic_scan(seed):
-    fam = _nested_or_disjoint_family(seed)
-    rng = substream(seed, "d-ids")
-    for share in (1.0, 0.5, 0.2):
-        d_ids = np.flatnonzero(rng.random(len(fam)) < share)
-        want = _outcome(_quadratic_selection, fam, d_ids)
-        assert isinstance(want, list) and want
-        assert _outcome(select_smoothing_subfamily, fam, d_ids) == want
-
-
-def test_subfamily_selection_names_the_planted_overlap():
-    fam = _nested_or_disjoint_family(3, overlap=True)
-    d_ids = np.arange(len(fam))
-    want = _outcome(_quadratic_selection, fam, d_ids)
-    assert want == {"pair": (len(fam) - 1, 0)}
-    assert _outcome(select_smoothing_subfamily, fam, d_ids) == want
 
 
 def _grid_stage(count, t):
@@ -796,8 +723,8 @@ def test_budget_d_energy_equals_a_per_hole_residue_energy_loop(
     # one residue_energy call per hole
     calls = []
 
-    def spy(family, hole_ids, patch, budget_cfg, seed=0):
-        out = residue_energies(family, hole_ids, patch, budget_cfg, seed)
+    def spy(family, k, hole_ids, patch, budget_cfg, seed=0):
+        out = residue_energies(family, k, hole_ids, patch, budget_cfg, seed)
         calls.append((list(hole_ids), patch, budget_cfg, seed, out))
         return out
 
@@ -824,31 +751,34 @@ def test_residue_energies_name_the_first_bad_hole_of_a_batch():
         with pytest.raises(AuditFailure) as single:
             residue_energy(fam, first, patch, small)
         with pytest.raises(AuditFailure) as batch:
-            residue_energies(fam, order, patch, small)
+            residue_energies(fam, 1, order, patch, small)
         assert str(batch.value) == str(single.value)
         assert batch.value.details == single.value.details
         assert batch.value.details["hole_id"] == first
     with pytest.raises(PreconditionError) as single:
         residue_energy(fam, 0, _flat_patch(c1=1.0), small)
     with pytest.raises(PreconditionError) as batch:
-        residue_energies(fam, [0, 1, 2], _flat_patch(c1=1.0), small)
+        residue_energies(fam, 1, [0, 1, 2], _flat_patch(c1=1.0), small)
     assert str(batch.value) == str(single.value)
 
 
 def test_residue_energies_take_one_stage_at_a_time(demo_family):
     ids = [int(demo_family.stage_ids(1)[0]), int(demo_family.stage_ids(2)[0])]
-    with pytest.raises(ValueError, match="span stages"):
-        residue_energies(demo_family, ids, _flat_patch(),
+    wrong = f"hole {ids[1]} is of stage 2, not stage 1"
+    with pytest.raises(ValueError, match=wrong):
+        residue_energies(demo_family, 1, ids, _flat_patch(),
                          SamplingBudget(4, 16))
-    with pytest.raises(ValueError, match="span stages"):
+    with pytest.raises(ValueError, match=wrong):
         classify_holes(demo_family, 1, _flat_patch(), ids,
                        SamplingBudget(4, 16))
-    assert residue_energies(demo_family, [], _flat_patch(),
+    with pytest.raises(ValueError, match=wrong):
+        disjointness_audit(demo_family, 1, _flat_patch(), ids)
+    assert residue_energies(demo_family, 1, [], _flat_patch(),
                             SamplingBudget(4, 16)) == []
 
 
 # ---------------------------------------------------------------------------
-# smoothing over the selected subfamily
+# smoothing over a stage's d-holes
 # ---------------------------------------------------------------------------
 
 def _smoothing_chain(patch, family, selected, eps_next, match_tol, seed=0,
@@ -876,8 +806,7 @@ def test_smooth_over_subfamily_matches_nested_blend_chain(demo_family,
                                                           plane_entries):
     fam = demo_family
     plane = plane_entries[0].patch
-    hits = graph_hit_scan(plane.g, fam, fam.stage_ids(1), K=1.5).hit_ids
-    selected = select_smoothing_subfamily(fam, hits)
+    selected = graph_hit_scan(plane.g, fam, fam.stage_ids(1), K=1.5).hit_ids
     assert len(selected) >= 2
     # smoothing leaves a plane unchanged to rounding, so smooth a wavy
     # field over the plane's balls to make the blend move the values
