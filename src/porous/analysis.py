@@ -117,6 +117,11 @@ def mollify(g: ScalarField, eps: float,
     unit mass and nonnegative weights supported in the eps-ball, the sup
     distance to ``g`` is at most ``eps * g.grad_bound`` and the certified
     gradient bound carries over unchanged.
+
+    Every batch takes one left fold over the nodes, and ``g`` sees a lone
+    point's shifted copies as multi-row blocks too, so a point's smoothed
+    value and gradient are the same bytes alone as in any batch, provided
+    ``g`` itself evaluates each row independently of the batch.
     """
     dom = g.domain
     if not (0 < eps < dom.radius):
@@ -126,32 +131,23 @@ def mollify(g: ScalarField, eps: float,
 
     def fold(evaluate, pts: np.ndarray, shape: tuple) -> np.ndarray:
         # The left fold acc += w_q * v_q over the nodes in order from +0.0.
-        m, n = pts.shape
-        w = wts.reshape((-1,) + (1,) * len(shape))
-        if m == 1:
-            # A single point keeps one evaluation per node: numpy rounds a
-            # one-row matrix product differently from a multi-row one.  The
-            # values fill rows 1.. of one buffer, weighted in place, and
-            # add.accumulate along it is the fold by definition.
-            shifted = pts + shifts
-            terms = np.empty((len(wts) + 1,) + shape)
-            terms[0] = 0.0
-            for q in range(len(wts)):
-                terms[q + 1] = evaluate(shifted[q:q + 1])[0]
-            np.multiply(w, terms[1:], out=terms[1:])
-            return np.add.accumulate(terms, axis=0, out=terms)[-1:].copy()
         # One evaluation per block of shifted copies of pts, written column
         # by column into one (per, m, n) buffer that every block reuses.
         # The block's weighted terms fill rows 1.. of a reused
-        # (per + 1, m, ...) buffer whose row 0 holds the running sum, and
+        # (per + 1, rows, ...) buffer whose row 0 holds the running sum, and
         # add.reduce along that node axis adds the rows one after another
         # (numpy sums pairwise only along a contiguous axis, which the node
-        # axis is not while a row holds two or more numbers).  The arrays
+        # axis is not while a row holds two or more numbers).  So a lone
+        # point gets a spare column of zeros: rows = max(m, 2).  The arrays
         # the field returns are only read, never written.
+        m, n = pts.shape
+        rows = max(m, 2)
+        w = wts.reshape((-1,) + (1,) * len(shape))
         per = min(len(wts), max(1, MOLLIFY_BLOCK // max(m, 1)))
         shifted = np.empty((per, m, n))
-        terms = np.empty((per + 1, m) + shape)
-        acc = np.zeros((m,) + shape)
+        terms = np.empty((per + 1, rows) + shape)
+        terms[:, m:] = 0.0
+        acc = np.zeros((rows,) + shape)
         for lo in range(0, len(wts), per):
             k = min(per, len(wts) - lo)
             block = shifted[:k]
@@ -160,9 +156,9 @@ def mollify(g: ScalarField, eps: float,
                        out=block[:, :, j])
             vals = evaluate(block.reshape(k * m, n)).reshape((k, m) + shape)
             terms[0] = acc
-            np.multiply(w[lo:lo + k, None], vals, out=terms[1:k + 1])
+            np.multiply(w[lo:lo + k, None], vals, out=terms[1:k + 1, :m])
             np.add.reduce(terms[:k + 1], axis=0, out=acc)
-        return acc
+        return acc[:m]
 
     def fn(pts: np.ndarray) -> np.ndarray:
         return fold(g.values, pts, ())

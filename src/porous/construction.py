@@ -743,11 +743,12 @@ def _reject_first(linenos: list, rules: dict) -> None:
 def deserialize_family(text: str) -> HoleFamily:
     """Parse ``serialize_family`` output; records keep their file order.
 
-    The header's fields must pass ``_header_fields``, or a ``ParseError``
-    names line 1.  Every record must convert, with indices >= 1, finite
-    numbers and a positive radius, and must repeat what the family
-    derives: ``m`` is its stage's scheduled plane and ``lifted_center``
-    its lift, bit for bit, so that the file serializes back to itself.
+    The header's fields must pass ``_header_fields`` and list an epsilon
+    for every stage the records reach, or a ``ParseError`` names line 1.
+    Every record must convert, with indices >= 1, finite numbers and a
+    positive radius, and must repeat what the family derives: ``m`` is
+    its stage's scheduled plane and ``lifted_center`` its lift, bit for
+    bit, so that the file serializes back to itself.
     The checks run over the parsed columns; a ``ParseError`` names the
     first line that breaks one.
     """
@@ -805,6 +806,10 @@ def deserialize_family(text: str) -> HoleFamily:
     if len(stages) != depth:
         gap = int(np.argmax(stages != np.arange(1, len(stages) + 1))) + 1
         raise ParseError(f"stage {gap} has no records (stages 1..{depth})")
+    if len(fields["epsilons"]) < depth:
+        count = len(fields["epsilons"])
+        raise ParseError(f"line 1: epsilons lists {count} "
+                         f"value{'s' * (count != 1)} for {depth} stages")
 
     family = HoleFamily(**fields, ks=ks, levels=ls, base_centers=base,
                         ts=ts)

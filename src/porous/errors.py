@@ -31,10 +31,6 @@ class ConstructionFailure(PorousError):
         self.details = details
 
 
-class ExtractionError(PorousError):
-    """Graph extraction failed to converge at some probe point."""
-
-
 class AuditFailure(PorousError):
     """A verification audit found a concrete violation; carries diagnostics."""
 

@@ -140,10 +140,6 @@ class AffinePlane:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.offset + (pts - self.anchor) @ self.gradient
 
-    def embed(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.hstack([pts, self.heights(pts)[:, None]])
-
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:

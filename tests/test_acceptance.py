@@ -18,10 +18,10 @@ import pytest
 from oracles import (brute_contains_any, brute_members, brute_pairs,
                      dense_grid_union_oracle, full_hit_scan,
                      grid_union_oracle)
-from porous import (AffinePlane, Ball, BumpSpec, GraphPatch, ScalarField,
-                    SurfaceC1, alpha_relaxed, budget,
+from porous import (AffinePlane, Ball, GraphPatch, ScalarField,
+                    alpha_relaxed, budget,
                     build_family, bump_field, family_invariant_audit,
-                    graph_extract, hole_intersection_mass, ledger_rows,
+                    hole_intersection_mass, ledger_rows,
                     make_mollifier, mollifier_mass, mollify,
                     porosity_witness, sample_truncated_P,
                     strict_deficit_bound, substream, truncated_P,
@@ -61,7 +61,6 @@ AC6_CAP_FACTOR = math.sqrt(1.0 + (1.0 / 64.0) ** 2)
 AC7_FAMILIES = 20
 AC7_GRID_RES = 256
 AC7_PROBES = 10_000
-AC7_ROUNDTRIP_TOL = 1e-10
 
 
 def _verdict(tag: str, ok: bool, detail: str = "") -> None:
@@ -437,20 +436,6 @@ def test_ac7_oracle_equivalences(demo_family, corpus_entries,
                         brute_members(probes, centers, radii)))
     checks["index-scan"] = index_ok
 
-    # graph extraction round trip through forward evaluation
-    plane = AffinePlane(index=1, gradient=np.array([0.001, 0.0, 0.0]),
-                        offset=0.0, anchor=np.full(3, 0.5))
-    surface = SurfaceC1(plane=plane, components=(
-        (0, BumpSpec((0.5, 0.5, 0.5), 0.0006, 0.3)),
-        (3, BumpSpec((0.55, 0.45, 0.5), 0.0006, 0.3))))
-    patch = graph_extract(surface, WINDOW, r_bound=1.0)
-    u = sample_shell(substream(7, "ac7-roundtrip"), WINDOW.center, 0.0,
-                     WINDOW.radius * 0.8, 1000)
-    image = surface.value(u)
-    residual = float(np.max(np.abs(patch.g.values(image[:, :3])
-                                   - image[:, 3])))
-    checks["round-trip"] = residual <= AC7_ROUNDTRIP_TOL
-
     # ledger hit masses replayed by an exhaustive unprefiltered scan
     by_source = {e.patch.source: e for e in corpus_entries}
     replays = []
@@ -462,7 +447,7 @@ def test_ac7_oracle_equivalences(demo_family, corpus_entries,
 
     bad = [name for name, ok in checks.items() if not ok]
     _verdict("AC7 oracle-equivalences", not bad,
-             f"failing: {bad or 'none'}, round-trip {residual:.2e}, "
+             f"failing: {bad or 'none'}, "
              f"replayed {', '.join(note for _, note in replays)}")
 
 

@@ -145,23 +145,24 @@ def _wavy_plane_field(ball):
 
 
 def _mollify_per_node(g, eps, nodes_per_axis):
-    """Reference: one evaluation of g per quadrature node, summed in order."""
+    """Reference: one evaluation of g per quadrature node, summed in order.
+
+    Each node evaluates the points stacked twice and keeps the first m
+    rows, so that g never forms a one-row product: numpy rounds those
+    differently from multi-row ones, and mollify never forms them.
+    """
     offsets, wts = convolution_nodes(g.domain.dim, nodes_per_axis)
     shifts = eps * offsets
 
-    def values(pts):
-        acc = np.zeros(pts.shape[0])
+    def fold(evaluate, pts):
+        twice = np.concatenate([pts, pts])
+        acc = 0.0
         for q in range(shifts.shape[0]):
-            acc += wts[q] * g.values(pts + shifts[q])
+            acc = acc + wts[q] * evaluate(twice + shifts[q])[:len(pts)]
         return acc
 
-    def gradients(pts):
-        acc = np.zeros_like(pts)
-        for q in range(shifts.shape[0]):
-            acc += wts[q] * g.gradients(pts + shifts[q])
-        return acc
-
-    return values, gradients
+    return (lambda pts: fold(g.values, pts),
+            lambda pts: fold(g.gradients, pts))
 
 
 @pytest.mark.parametrize("nodes_per_axis", [9, 25])
@@ -206,6 +207,24 @@ def test_mollify_batched_matches_per_node_loop_on_suite_instance(m):
                        smooth.domain.radius, m)
     assert smooth.values(pts).tobytes() == values(pts).tobytes()
     assert smooth.gradients(pts).tobytes() == gradients(pts).tobytes()
+
+
+@pytest.mark.parametrize("cap", [analysis.MOLLIFY_BLOCK, 64])
+@pytest.mark.parametrize("nodes_per_axis", [9, 25])
+def test_mollify_lone_point_equals_its_batch_row(monkeypatch, nodes_per_axis,
+                                                 cap):
+    # a smoothed field's value at a point does not depend on its batch:
+    # the wavy field's matrix products see multi-row blocks either way
+    monkeypatch.setattr(analysis, "MOLLIFY_BLOCK", cap)
+    g = _wavy_plane_field(Ball(CENTER, 1.0))
+    smooth = mollify(g, 0.05, nodes_per_axis=nodes_per_axis)
+    pts = sample_shell(substream(15, "lone", nodes_per_axis), CENTER, 0.0,
+                       0.9, 200)
+    vals, grads = smooth.values(pts), smooth.gradients(pts)
+    for i in range(len(pts)):
+        assert smooth.values(pts[i:i + 1]).tobytes() == vals[i:i + 1].tobytes()
+        assert (smooth.gradients(pts[i:i + 1]).tobytes()
+                == grads[i:i + 1].tobytes())
 
 
 def test_mollify_never_writes_into_the_fields_arrays():

@@ -459,6 +459,26 @@ def test_audit_rejects_a_malformed_family_header(demo_family, tmp_path, key,
     assert not (tmp_path / "out").exists()
 
 
+def test_audit_rejects_a_family_header_with_too_few_epsilons(
+        demo_family, tmp_path, capsys):
+    # the budget reads one epsilon per stage; a header listing fewer is a
+    # parse error on line 1, not an IndexError inside the audit
+    header, rest = serialize_family(demo_family).split("\n", 1)
+    edited = json.loads(header)
+    edited["epsilons"] = edited["epsilons"][:1]
+    path = tmp_path / "family.jsonl"
+    path.write_text(json.dumps(edited) + "\n" + rest)
+    corpus = tmp_path / "mini_corpus.json"
+    corpus.write_text(json.dumps(MINI_CORPUS))
+    rc = main(["audit", "--config", str(DEMO_CONFIG), "--family", str(path),
+               "--corpus", str(corpus), "--which", "budget",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert ("line 1: epsilons lists 1 value for 2 stages"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_python_m_porous_runs_the_cli(tmp_path):
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from oracles import (brute_contains_any, brute_members, brute_pairs,
                      grid_union_oracle)
+from parametric import SurfaceC1
 from porous import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                     PorosityWitness, SamplingBudget,
                     pullback_porosity_witness, substream, union_measure,
@@ -55,7 +56,7 @@ def test_affine_plane_heights_and_embedding():
                         offset=0.25, anchor=np.zeros(3))
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
     assert plane.heights(pts) == pytest.approx([0.25, 0.75])
-    emb = plane.embed(pts)
+    emb = SurfaceC1(plane=plane).value(pts)
     assert emb.shape == (2, 4)
     assert np.allclose(emb[:, :3], pts)
     assert emb[:, 3] == pytest.approx([0.25, 0.75])

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from porous import (AffinePlane, Ball, BumpSpec, ParseError,
-                    PreconditionError, SamplingBudget, SurfaceC1,
-                    corpus_generate, graph_extract, graph_measure_in,
-                    load_corpus_spec, reference_distance, reference_surface,
+from parametric import (ExtractionError, SurfaceC1, graph_extract,
+                        reference_distance, reference_surface)
+from porous import (AffinePlane, Ball, BumpSpec, GraphPatch, ParseError,
+                    PreconditionError, SamplingBudget, ScalarField,
+                    corpus_generate, graph_measure_in, load_corpus_spec,
                     sn_membership, substream)
 from porous.surfaces import SLOPE_FACTOR
 from porous.sampling import sample_shell
@@ -57,7 +58,7 @@ def test_bump_spec_rejects_bad_width():
 
 
 # ---------------------------------------------------------------------------
-# surfaces
+# parametric surfaces (tests/parametric.py)
 # ---------------------------------------------------------------------------
 
 def test_reference_surface_is_flat_embedding():
@@ -145,18 +146,19 @@ def test_graph_extract_affine_recovers_plane_heights():
 
 def test_graph_extract_round_trip_with_horizontal_bump():
     # horizontal perturbation makes the inversion non-trivial; forward
-    # evaluation of the surface is the oracle for the recovered heights
+    # evaluation of the surface is the oracle for the recovered heights,
+    # on two draws of 1,000 base points (the second was AC7's)
     plane = AffinePlane(index=1, gradient=np.array([0.001, 0.0, 0.0]),
                         offset=0.0, anchor=np.full(3, 0.5))
     f = SurfaceC1(plane=plane, components=(
         (0, BumpSpec((0.5, 0.5, 0.5), 0.0006, 0.3)),
         (3, BumpSpec((0.55, 0.45, 0.5), 0.0006, 0.3))))
     patch = graph_extract(f, WINDOW, r_bound=1.0)
-    u = sample_shell(substream(5, "roundtrip"), WINDOW.center, 0.0,
-                     WINDOW.radius * 0.8, 1000)
-    image = f.value(u)
-    heights = patch.g.values(image[:, :3])
-    assert np.max(np.abs(heights - image[:, 3])) <= 1e-10
+    for rng in (substream(5, "roundtrip"), substream(7, "ac7-roundtrip")):
+        u = sample_shell(rng, WINDOW.center, 0.0, WINDOW.radius * 0.8, 1000)
+        image = f.value(u)
+        heights = patch.g.values(image[:, :3])
+        assert np.max(np.abs(heights - image[:, 3])) <= 1e-10
 
 
 def test_graph_extract_rejects_distant_surface():
@@ -164,17 +166,28 @@ def test_graph_extract_rejects_distant_surface():
                         offset=0.3, anchor=np.full(3, 0.5))
     with pytest.raises(PreconditionError):
         graph_extract(SurfaceC1(plane=plane), WINDOW, r_bound=1.0 / 64.0)
+    # inside a wider basin the extraction converges, and the probed size
+    # of the extracted field is what fails
+    with pytest.raises(ExtractionError, match="probed C¹ size"):
+        graph_extract(SurfaceC1(plane=plane), WINDOW, r_bound=1.0 / 64.0,
+                      delta=1.0)
+
+
+def _flat_patch():
+    zeros = ScalarField(domain=WINDOW, fn=lambda pts: np.zeros(len(pts)),
+                        grad_fn=np.zeros_like, grad_bound=0.0, label="flat")
+    return GraphPatch(g=zeros, source="flat", c1_bound=0.0)
 
 
 def test_graph_measure_of_flat_patch_is_window_volume():
-    patch = graph_extract(reference_surface(3), WINDOW, r_bound=1.0)
+    patch = _flat_patch()
     est = graph_measure_in(patch, lambda pts: np.ones(len(pts), dtype=bool),
                            SamplingBudget(8, 64))
     assert est.value == pytest.approx(WINDOW.volume(), rel=1e-9)
 
 
 def test_sn_membership_verdicts():
-    patch = graph_extract(reference_surface(3), WINDOW, r_bound=1.0)
+    patch = _flat_patch()
     everything = lambda pts: np.ones(len(pts), dtype=bool)
     nothing = lambda pts: np.zeros(len(pts), dtype=bool)
     budget = SamplingBudget(8, 64)

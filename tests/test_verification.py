@@ -10,7 +10,7 @@ from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
                     HoleFamily, NeedsMoreSamples, PreconditionError,
                     SamplingBudget,
                     ScalarField, alpha_relaxed, analysis_suite, blend,
-                    budget, bump_field, classify_holes, coverage_deficit,
+                    blend_disjoint, budget, bump_field, classify_holes, coverage_deficit,
                     disjointness_audit, family_invariant_audit,
                     hole_intersection_mass, ledger_rows, mode_map,
                     make_cutoff, mollify, porosity_witness,
@@ -18,7 +18,7 @@ from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
                     unit_ball_volume)
 from porous.sampling import sample_shell, substream
 from porous import sampling, verification
-from porous.surfaces import unit_lattice
+from porous.surfaces import corpus_generate, unit_lattice
 from porous.verification import (CSV_HEADER, DBOUND_C, HIT_LATTICE,
                                  HIT_MARGIN, K_constant, LEDGER_C,
                                  REFINE_ITERS, SECTIONS, _ball_probes,
@@ -840,6 +840,25 @@ def test_smooth_over_subfamily_matches_nested_blend_chain(demo_family,
     assert np.array_equal(flat.gradients(pts), chain.gradients(pts))
     assert flat.grad_bound == chain.grad_bound
     assert flat.domain == chain.domain and flat.label == chain.label
+
+
+def test_smoothed_plane_at_a_lone_point_equals_its_batch_row():
+    # the budget's smoothing recipe on a corpus plane: blend_disjoint's
+    # values and gradients at each point alone are its batch row's bytes
+    g = corpus_generate("plane", {"gradients": [[0.0085, 0.0085, 0.0]],
+                                  "offsets": [0.0082]}, 0)[0].patch.g
+    eps, t = 0.00125, 0.03
+    centers = [np.array([0.45, 0.5, 0.5]), np.array([0.56, 0.5, 0.5])]
+    pieces = [(mollify(g, eps * t / 3.0), make_cutoff(Ball(c, t), eps))
+              for c in centers]
+    smoothed = blend_disjoint(g, pieces, check_budget=128, match_tol=1e-3)
+    rng = substream(23, "lone-smoothed")
+    pts = np.vstack([sample_shell(rng, c, 0.0, t, 300) for c in centers])
+    vals, grads = smoothed.values(pts), smoothed.gradients(pts)
+    for i in range(len(pts)):
+        p = pts[i:i + 1]
+        assert smoothed.values(p).tobytes() == vals[i:i + 1].tobytes()
+        assert smoothed.gradients(p).tobytes() == grads[i:i + 1].tobytes()
 
 
 def test_smooth_over_a_thousand_disjoint_balls():
