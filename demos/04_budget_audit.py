@@ -85,7 +85,7 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg, family = load_or_build(args.config, args.family)
-    entries = generate_from_spec(load_corpus_spec(args.corpus))
+    entries = generate_from_spec(load_corpus_spec(args.corpus), family.window)
     plane = next(e for e in entries if e.kind == "plane")
     bump = next(e for e in entries if e.kind == "bump")
     s = cfg.audit

@@ -151,7 +151,7 @@ def _budget_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
             dbound_budget=cfg.audit.dbound_budget, seed=cfg.audit.seed,
             c_ledger=cfg.audit.c_ledger, c_dbound=cfg.audit.c_dbound)
         for stage in ledger.stages:
-            for violation in stage.disjointness.violations:
+            for violation in stage.violations:
                 print(f"audit failure: {ledger.source}: "
                       f"{violation.message}", file=sys.stderr)
         rows += ledger_rows(ledger)

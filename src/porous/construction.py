@@ -207,13 +207,14 @@ class StageSpace:
     window: Ball
     cover_factor: float
     E: float
-    centers: np.ndarray = field(
-        default_factory=lambda: np.zeros((0, 3)))
-    radii: np.ndarray = field(default_factory=lambda: np.zeros(0))  # base t
+    # the levels added so far, only through ``add_level``
+    centers: np.ndarray = field(init=False)
+    radii: np.ndarray = field(init=False)              # base t
     index: BallIndex = field(init=False, repr=False)   # of the coverage balls
 
     def __post_init__(self) -> None:
         self.centers = np.zeros((0, self.window.dim))
+        self.radii = np.zeros(0)
         self.index = BallIndex(self.centers, self.radii)
 
     def add_level(self, centers: np.ndarray, t: float) -> None:

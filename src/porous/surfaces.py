@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -189,8 +189,9 @@ def _entry(plane: AffinePlane, bumps: Sequence[BumpSpec], window: Ball,
 
 
 def corpus_generate(kind: str, params: dict, seed: int,
-                    window: Optional[Ball] = None) -> list[CorpusEntry]:
-    """Deterministic corpus of test fields with certified C¹ bounds.
+                    window: Ball) -> list[CorpusEntry]:
+    """Deterministic corpus of test fields with certified C¹ bounds over
+    ``window``, the family's window of the run.
 
     params:
       plane           gradients: list of vectors; offsets: list of reals
@@ -202,8 +203,6 @@ def corpus_generate(kind: str, params: dict, seed: int,
     if kind not in CORPUS_KINDS:
         raise ValueError(f"unknown corpus kind {kind!r}; "
                          f"expected one of {CORPUS_KINDS}")
-    if window is None:
-        window = Ball([0.5, 0.5, 0.5], 0.25)
     n = window.dim
     ceiling = float(params.get("c1_ceiling", 1.0 / 64.0))
     anchor = window.center
@@ -300,7 +299,7 @@ def load_corpus_spec(path) -> list[dict]:
     return doc
 
 
-def generate_from_spec(spec: list[dict], window: Optional[Ball] = None
+def generate_from_spec(spec: list[dict], window: Ball
                        ) -> list[CorpusEntry]:
     """The entries of every corpus group of a spec; a group the generator
     rejects raises ``ParseError`` naming it."""

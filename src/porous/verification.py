@@ -6,8 +6,10 @@ The checks come in four groups:
   enlarged balls, radius decay, and replayed per-level coverage floors;
 * per-field accounting — hit detection of holes by a graph, residue
   regions above the quarter-radius threshold, the u/d split of hit holes,
-  and the staged mass budget that bounds hit cross-sections by the
-  field's Dirichlet energy plus the epsilon string;
+  the exact pairwise disjointness of the hit holes' primed balls (which
+  holds each stage's residue regions apart), and the staged mass budget
+  that bounds hit cross-sections by the field's Dirichlet energy plus
+  the epsilon string;
 * coverage and porosity — base-plane coverage deficits of the truncation
   unions, porosity witnesses for sampled points of the residual set, and
   the total hole mass met by a surface;
@@ -37,14 +39,15 @@ from .errors import AuditFailure, NeedsMoreSamples, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                        PorosityWitness, ScalarField, contains_any,
                        unit_ball_volume)
-from .sampling import (SamplingBudget, bernoulli_half_width,
-                       local_blocks, sample_shell, sample_shells,
+from .sampling import (SamplingBudget, bernoulli_half_width, sample_shell,
                        stratified_ball_integral, stratified_ball_means,
                        substream)
 from .surfaces import GraphPatch, _plane_patch, graph_measure_in, unit_lattice
 
-# decision margins; the hit margin is the declared safety band of the scan
+# decision margins: the scan's declared safety band, and the absolute slack
+# of every exact ball check (window containment, overlap, nesting)
 HIT_MARGIN = 1e-6
+GEOMETRY_TOL = 1e-9
 HIT_LATTICE = 7
 REFINE_ITERS = 40
 REFINE_SHRINK = 0.65
@@ -227,7 +230,7 @@ def _residue_balls(family: HoleFamily, ids: np.ndarray,
     window = family.window
     slack = window.radius - np.linalg.norm(
         family.base_centers[ids] - window.center, axis=1) - radii
-    out = np.flatnonzero(slack < -1e-9)
+    out = np.flatnonzero(slack < -GEOMETRY_TOL)
     if len(out):
         hole_id, overhang = int(ids[out[0]]), float(-slack[out[0]])
         raise AuditFailure(
@@ -365,86 +368,42 @@ def classify_holes(family: HoleFamily, k: int, patch: GraphPatch,
 
 @dataclass(frozen=True)
 class DisjointnessViolation:
-    """Two hit holes of one stage whose primed balls overlap or whose
-    residue regions share a probe."""
+    """Two hit holes of one stage whose primed balls overlap by more than
+    ``GEOMETRY_TOL``."""
 
     pair: tuple
     message: str
 
 
-@dataclass(frozen=True)
-class DisjointnessAudit:
-    probe_count: int
-    violations: tuple
-
-
 def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
-                       hit_ids: np.ndarray, seed: int = 0,
-                       probes_per_hole: int = 128) -> DisjointnessAudit:
-    """Sampled pairwise-emptiness of residue-region intersections.
+                       hit_ids: np.ndarray
+                       ) -> tuple[DisjointnessViolation, ...]:
+    """The pairs of stage-k hit holes whose primed balls B(x, E·t) overlap
+    by more than ``GEOMETRY_TOL``, one violation per pair.
 
-    Geometric disjointness of the primed balls is checked first and
-    exactly; the sampled pass then draws residue points per hole and
-    requires that none land inside another hit hole's residue region.
-    Every overlapping pair, and every pair sharing a probe (with the first
-    such probe), is recorded as a violation naming both holes.  Each
-    hole's probes come from its own substream; the field is evaluated on
-    blocks of nearby whole holes (``local_blocks``).
+    Each residue region lies inside its hole's primed ball, so without
+    such a pair the stage's residue regions are pairwise disjoint.  The
+    check is exact: it draws no samples and evaluates no field.  The
+    field and the balls must pass ``_residue_balls``, so a steep field or
+    a primed ball leaving the window raises as it does for the residue
+    integrals.
     """
     hit_ids = _of_stage(family, k, hit_ids)
-    m = len(hit_ids)
-    if m == 0:
-        return DisjointnessAudit(probe_count=0, violations=())
+    if len(hit_ids) == 0:
+        return ()
     x = family.base_centers[hit_ids]
-    rad, thresholds = _residue_balls(family, hit_ids, patch)
-    index = BallIndex(x, rad)
-    first, second = index.pairs()
+    rad, _ = _residue_balls(family, hit_ids, patch)
+    first, second = BallIndex(x, rad).pairs()
     gaps = np.linalg.norm(x[first] - x[second], axis=1) \
         - (rad[first] + rad[second])
     violations = []
     for i, j, gap in zip(first.tolist(), second.tolist(), gaps.tolist()):
-        if gap < -1e-9:
+        if gap < -GEOMETRY_TOL:
             pair = (int(hit_ids[i]), int(hit_ids[j]))
             violations.append(DisjointnessViolation(pair, (
                 f"stage {k}: primed balls of holes {pair[0]} and "
                 f"{pair[1]} overlap by {-gap:.3e}")))
-
-    plane = family.plane(k)
-    probe_count = 0
-    # per hole, the shared probes it finds, reported in hole order
-    found: list[list[DisjointnessViolation]] = [[] for _ in range(m)]
-    for block in local_blocks(x, probes_per_hole):
-        pts = sample_shells(
-            seed, [("disjoint", k, int(h)) for h in hit_ids[block]],
-            x[block], 0.0, rad[block, None], probes_per_hole)
-        kept = _escapes(patch.g, plane, pts.reshape(-1, family.n),
-                        np.repeat(thresholds[block], probes_per_hole)
-                        ).reshape(len(block), probes_per_hole)
-        probe_count += int(kept.sum())
-        row, col = np.nonzero(kept)
-        probes = pts[row, col]
-        # the other hit holes whose open primed ball holds a kept probe
-        at, other = index.members(probes)
-        own = block[row[at]]
-        apart = other != own
-        at, own, other = at[apart], own[apart], other[apart]
-        if not len(at):
-            continue
-        also = _escapes(patch.g, plane, probes[at], thresholds[other])
-        for p, pos, o in zip(at[also].tolist(), own[also].tolist(),
-                             other[also].tolist()):
-            hole_id, other_id = int(hit_ids[pos]), int(hit_ids[o])
-            found[pos].append(DisjointnessViolation(
-                (min(hole_id, other_id), max(hole_id, other_id)),
-                f"stage {k}: residue regions of holes {hole_id} and "
-                f"{other_id} share probe {probes[p].tolist()}"))
-    shared: dict[tuple, DisjointnessViolation] = {}
-    for per_hole in found:
-        for violation in per_hole:
-            shared.setdefault(violation.pair, violation)
-    return DisjointnessAudit(probe_count=probe_count,
-                             violations=tuple(violations)
-                             + tuple(shared.values()))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +412,7 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
 
 def smooth_over_subfamily(patch: GraphPatch, family: HoleFamily,
                           selected: np.ndarray, eps_next: float,
-                          match_tol: float, seed: int = 0,
-                          check_budget: int = 128) -> ScalarField:
+                          match_tol: float, seed: int = 0) -> ScalarField:
     """Blend a mollified copy of the field over each selected primed ball.
 
     The budget selects a stage's d-holes, whose primed balls its
@@ -477,7 +435,7 @@ def smooth_over_subfamily(patch: GraphPatch, family: HoleFamily,
             inners[t] = mollify(g, sigma, label=f"{g.label}^{sigma:.2e}")
         pieces.append((inners[t], make_cutoff(
             Ball(family.base_centers[hole_id], primed_radius), eps_next)))
-    return blend_disjoint(g, pieces, check_budget=check_budget, seed=seed,
+    return blend_disjoint(g, pieces, check_budget=128, seed=seed,
                           match_tol=match_tol,
                           label=f"{g.label}~{int(selected[-1])}")
 
@@ -502,7 +460,7 @@ class StageLedger:
     k: int
     hit_mass: float
     classification: HoleClassification
-    disjointness: DisjointnessAudit
+    violations: tuple        # DisjointnessViolation per overlapping hit pair
     rows: tuple              # the stage's report rows
     inconsistent_ids: tuple  # hit-consistency failures; () when unsmoothed
 
@@ -573,7 +531,7 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
         hit_mass = float(np.sum(_hole_volumes(family, hit_ids)))
         total += hit_mass
         cls = classify_holes(family, k, current, hit_ids, budget_cfg, seed)
-        disj = disjointness_audit(family, k, current, hit_ids, seed)
+        violations = disjointness_audit(family, k, current, hit_ids)
 
         u_sum = float(np.sum(_hole_volumes(
             family, np.asarray(cls.u_ids, dtype=np.int64))))
@@ -591,7 +549,7 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
                 AuditRow.at_most(f"{base}/d-energy", "d-energy", dmax,
                                  c_dbound),
                 AuditRow.zero_count(f"{base}/residue-disjoint",
-                                    "residue-disjoint", len(disj.violations))]
+                                    "residue-disjoint", len(violations))]
         if cls.indeterminate_ids:
             rows.append(AuditRow.zero_count(
                 f"{base}/classification", "u-d-split",
@@ -601,7 +559,7 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
         # the smoothing needs the d-holes' primed balls disjoint; a stage
         # whose audit found overlapping hit holes fails, its smoothing is
         # skipped and the later stages keep the current field
-        if k < depth and not disj.violations:
+        if k < depth and not violations:
             eps_next = float(family.epsilons[k])
             r_k = float(family.stage_radii[k - 1])
             tol = eps_next * r_k
@@ -615,7 +573,9 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
             sup_diff = float(diff.max()) if len(diff) else 0.0
             gnorm = np.linalg.norm(smoothed.gradients(probes), axis=1)
             grad_sup = float(gnorm.max()) if len(gnorm) else 0.0
-            grad_cap = 1.0 / 32.0 - 3.0 * sum(eps[:k])
+            # the residue ceiling, which the next stage's residue checks
+            # enforce on the smoothed patch, less 3 eps per smoothing
+            grad_cap = RESIDUE_GRAD_CAP - 3.0 * sum(eps[:k])
             # the smoothed field's own declared bound compounds the worst
             # case of every blended ball; the scans use the stage cap,
             # which the gradient row audits
@@ -640,8 +600,9 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
                 g=scanned, source=f"{patch.source}|smoothed:{k}",
                 c1_bound=max(current.c1_bound + sup_diff, grad_cap))
         stages.append(StageLedger(
-            k=k, hit_mass=hit_mass, classification=cls, disjointness=disj,
-            rows=tuple(rows), inconsistent_ids=inconsistent))
+            k=k, hit_mass=hit_mass, classification=cls,
+            violations=violations, rows=tuple(rows),
+            inconsistent_ids=inconsistent))
 
     rhs_base = max(energy.lower(), 0.0) + float(sum(eps))
     c_emp = total / rhs_base if rhs_base > 0 else math.inf
@@ -813,7 +774,7 @@ def family_invariant_audit(family: HoleFamily, seed: int = 0,
     worst = float(slack.min()) if len(slack) else math.inf
     rows.append(AuditRow.at_least(
         "family/window-containment", "packing-window", worst, 0.0,
-        ok=worst >= -1e-9))
+        ok=worst >= -GEOMETRY_TOL))
 
     # pairwise disjoint-or-nested per stage, exact
     for k in range(1, family.depth + 1):
@@ -824,7 +785,8 @@ def family_invariant_audit(family: HoleFamily, seed: int = 0,
         sep = np.linalg.norm(x[first] - x[second], axis=1)
         disjoint = sep - (rad[first] + rad[second])
         nested = np.abs(rad[first] - rad[second]) - sep
-        bad = np.flatnonzero(~((disjoint >= -1e-9) | (nested >= -1e-9)))
+        bad = np.flatnonzero(~((disjoint >= -GEOMETRY_TOL)
+                               | (nested >= -GEOMETRY_TOL)))
         if len(bad) == 0:
             rows.append(AuditRow.zero_count(
                 f"family/stage-{k}/disjoint-or-nested", "packing-pairs", 0))

@@ -78,8 +78,8 @@ def corpus_spec():
 
 
 @pytest.fixture(scope="session")
-def corpus_entries(corpus_spec):
-    return generate_from_spec(corpus_spec)
+def corpus_entries(corpus_spec, demo_config):
+    return generate_from_spec(corpus_spec, demo_config.build.window)
 
 
 @pytest.fixture(scope="session")

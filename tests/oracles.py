@@ -14,14 +14,17 @@
 * hole classification as first written: one residue region and one
   single-ball estimate per hit hole;
 * the hit scan before its early exits: the probe lattice and every
-  descent round for each hole the prefilter leaves.
+  descent round for each hole the prefilter leaves;
+* residue disjointness as it was once also sampled: probes of each hit
+  hole's residue region tested against every other hit hole's.
 """
 import math
 
 import numpy as np
 
 from porous.errors import AuditFailure, NeedsMoreSamples, PreconditionError
-from porous.geometry import PAIR_SLACK, Ball, MeasureEstimate, unit_ball_volume
+from porous.geometry import (PAIR_SLACK, Ball, BallIndex, MeasureEstimate,
+                             unit_ball_volume)
 from porous.sampling import (Z99, sample_shell, shell_edges,
                              stratified_ball_integral, substream)
 from porous.surfaces import unit_lattice
@@ -387,3 +390,40 @@ def full_hit_scan(g, family, ids, K, *, prefilter=True):
         gap[sub] = best_phi
         hit[sub] = best_phi <= HIT_MARGIN
     return HitScan(ids, float(K), hit, gap, pre)
+
+
+def sampled_shared_probes(family, k, patch, hit_ids, seed=0,
+                          probes_per_hole=128):
+    """The sampled residue-disjointness pass.
+
+    Each hit hole draws ``probes_per_hole`` points of its closed primed
+    ball from ``substream(seed, "disjoint", k, h)`` and keeps those where
+    the field leaves its t/4 band around the stage plane; a kept probe
+    inside another hit hole's open primed ball and outside that hole's
+    band lies in both residue regions.  Returns, per pair (lower id,
+    higher id), the first such probe, the holes taken in order.  A probe
+    in both primed balls puts the centres less than E(t_i + t_j) apart,
+    so only overlapping primed balls can share one.
+    """
+    hit_ids = np.asarray(hit_ids, dtype=np.int64)
+    plane = family.plane(k)
+    x = family.base_centers[hit_ids]
+    t = family.ts[hit_ids]
+    rad = family.E * t
+    probes = np.vstack([
+        sample_shell(substream(seed, "disjoint", k, int(hole)), x[pos], 0.0,
+                     rad[pos], probes_per_hole)
+        for pos, hole in enumerate(hit_ids)] or [np.zeros((0, family.n))])
+    owner = np.repeat(np.arange(len(hit_ids)), probes_per_hole)
+    off = np.abs(patch.g.values(probes) - plane.heights(probes))
+    kept = off > t[owner] / 4.0
+    probes, owner, off = probes[kept], owner[kept], off[kept]
+    # the other hit holes whose open primed ball holds a kept probe, in
+    # probe order, and of those the ones whose residue region holds it
+    at, other = BallIndex(x, rad).members(probes)
+    both = (other != owner[at]) & (off[at] > t[other] / 4.0)
+    shared = {}
+    for p, o in zip(at[both].tolist(), other[both].tolist()):
+        pair = sorted((int(hit_ids[owner[p]]), int(hit_ids[o])))
+        shared.setdefault(tuple(pair), probes[p])
+    return shared

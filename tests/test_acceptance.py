@@ -304,8 +304,7 @@ def test_ac5_budget_corpus(demo_family, corpus_entries, corpus_ledgers):
     dbound_ok = all(rows["d-energy"].status == "pass"
                     and rows["d-energy"].bound == DBOUND_C
                     for rows, _ in checks)
-    disjoint_ok = all(st.disjointness.violations == ()
-                      for _, st in checks)
+    disjoint_ok = all(st.violations == () for _, st in checks)
     global_c_ok = all(led.verdict.bound == pytest.approx(
                           LEDGER_C * (max(led.energy.lower(), 0.0)
                                       + sum(demo_family.epsilons[

@@ -281,8 +281,7 @@ def test_audit_budget_fails_the_row_of_overlapping_hit_holes(tmp_path,
     assert status.pop("stage-1/residue-disjoint") == "fail"
     assert set(status.values()) == {"pass"}
     err = capsys.readouterr().err
-    assert "primed balls of holes 0 and 1 overlap" in err
-    assert "residue regions of holes 0 and 1 share probe" in err
+    assert err.count("primed balls of holes 0 and 1 overlap") == 1
 
 
 def test_audit_budget_skips_smoothing_over_overlapping_hit_holes(tmp_path):

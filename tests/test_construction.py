@@ -133,6 +133,19 @@ def test_empty_space_boundary_distance_is_window_slack():
     assert not space.covered(pts).any()
 
 
+@pytest.mark.parametrize("given_level", [
+    {"centers": np.array([[0.5, 0.5, 0.5]])}, {"radii": np.array([0.02])}])
+def test_stage_space_takes_levels_only_through_add_level(given_level):
+    # a passed centres array was dropped silently, and passed radii made
+    # the coverage index raise a length mismatch
+    cfg = BuildConfig()
+    with pytest.raises(TypeError):
+        StageSpace(window=cfg.window, cover_factor=2.4, E=cfg.E,
+                   **given_level)
+    space = _space(cfg)
+    assert space.centers.shape == (0, 3) and space.radii.shape == (0,)
+
+
 def test_boundary_distance_includes_enlarged_spheres():
     cfg = BuildConfig()
     space = _space(cfg)

@@ -7,8 +7,8 @@ from parametric import (ExtractionError, SurfaceC1, graph_extract,
                         reference_distance, reference_surface)
 from porous import (AffinePlane, Ball, BumpSpec, GraphPatch, ParseError,
                     PreconditionError, SamplingBudget, ScalarField,
-                    corpus_generate, graph_measure_in, load_corpus_spec,
-                    sn_membership, substream)
+                    corpus_generate, generate_from_spec, graph_measure_in,
+                    load_corpus_spec, sn_membership, substream)
 from porous.surfaces import SLOPE_FACTOR
 from porous.sampling import sample_shell
 
@@ -209,7 +209,7 @@ def test_sn_membership_verdicts():
 def test_plane_corpus_is_the_full_grid():
     params = {"gradients": [[0.01, 0.0, 0.0], [0.0, 0.01, 0.0]],
               "offsets": [0.005, 0.006, 0.007]}
-    entries = corpus_generate("plane", params, seed=0)
+    entries = corpus_generate("plane", params, seed=0, window=WINDOW)
     assert len(entries) == 6
     assert all(e.kind == "plane" for e in entries)
     assert [e.index for e in entries] == list(range(6))
@@ -217,33 +217,49 @@ def test_plane_corpus_is_the_full_grid():
 
 def test_corpus_generation_is_deterministic():
     params = {"count": 5, "amplitude": [1e-4, 3e-4], "width": [0.1, 0.2]}
-    a = corpus_generate("bump", params, seed=11)
-    b = corpus_generate("bump", params, seed=11)
+    a = corpus_generate("bump", params, seed=11, window=WINDOW)
+    b = corpus_generate("bump", params, seed=11, window=WINDOW)
     for ea, eb in zip(a, b):
         pts = sample_shell(substream(6, "det"), WINDOW.center, 0.0, 0.2, 64)
         assert np.array_equal(ea.patch.g.values(pts), eb.patch.g.values(pts))
         assert ea.patch.c1_bound == eb.patch.c1_bound
-    c = corpus_generate("bump", params, seed=12)
+    c = corpus_generate("bump", params, seed=12, window=WINDOW)
     assert any(a[i].patch.c1_bound != c[i].patch.c1_bound for i in range(5))
+
+
+def test_bump_corpus_lives_on_the_window_it_is_given():
+    # a 4-D window of radius 0.2: the fields take (m, 4) points, and each
+    # bump, centred in the window, rises somewhere inside it
+    window = Ball(np.full(4, 0.3), 0.2)
+    params = {"count": 4, "amplitude": [1e-4, 3e-4], "width": [0.1, 0.2]}
+    spec = [{"kind": "bump", "params": params, "seed": 5}]
+    entries = corpus_generate("bump", params, seed=5, window=window)
+    pts = sample_shell(substream(9, "4d"), window.center, 0.0, 0.2, 4096)
+    for e, again in zip(entries, generate_from_spec(spec, window)):
+        assert e.patch.g.domain is window
+        vals = e.patch.g.values(pts)
+        assert vals.shape == (4096,) and np.abs(vals).max() > 0.0
+        assert e.patch.g.gradients(pts).shape == (4096, 4)
+        assert np.array_equal(again.patch.g.values(pts), vals)
 
 
 def test_corpus_ceiling_is_enforced():
     params = {"count": 1, "amplitude": [0.5, 0.5], "width": [0.1, 0.1]}
     with pytest.raises(ValueError):
-        corpus_generate("bump", params, seed=0)
+        corpus_generate("bump", params, seed=0, window=WINDOW)
     params["c1_ceiling"] = 20.0
-    assert len(corpus_generate("bump", params, seed=0)) == 1
+    assert len(corpus_generate("bump", params, seed=0, window=WINDOW)) == 1
 
 
 def test_corpus_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        corpus_generate("spline", {}, seed=0)
+        corpus_generate("spline", {}, seed=0, window=WINDOW)
 
 
 def test_noise_corpus_certified_exactly_at_strength():
     params = {"count": 3, "grains": 12, "grain_width": 0.12,
               "strength": 0.004, "c1_ceiling": 0.005}
-    entries = corpus_generate("mollified-noise", params, seed=7)
+    entries = corpus_generate("mollified-noise", params, seed=7, window=WINDOW)
     for e in entries:
         assert e.patch.c1_bound == pytest.approx(0.004, rel=1e-12)
 

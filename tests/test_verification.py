@@ -3,8 +3,10 @@ import json
 import math
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
                     HoleFamily, NeedsMoreSamples, PreconditionError,
@@ -17,16 +19,17 @@ from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
                     sample_truncated_P, strict_deficit_bound, truncated_P,
                     unit_ball_volume)
 from porous.sampling import sample_shell, substream
-from porous import sampling, verification
+from porous import verification
 from porous.surfaces import corpus_generate, unit_lattice
-from porous.verification import (CSV_HEADER, DBOUND_C, HIT_LATTICE,
-                                 HIT_MARGIN, K_constant, LEDGER_C,
-                                 REFINE_ITERS, SECTIONS, _ball_probes,
-                                 graph_hit_scan, porosity_witnesses,
-                                 residue_energies, residue_energy,
-                                 smooth_over_subfamily)
+from porous.verification import (CSV_HEADER, DBOUND_C, GEOMETRY_TOL,
+                                 HIT_LATTICE, HIT_MARGIN, K_constant,
+                                 LEDGER_C, REFINE_ITERS, SECTIONS,
+                                 _ball_probes, graph_hit_scan,
+                                 porosity_witnesses, residue_energies,
+                                 residue_energy, smooth_over_subfamily)
 
-from oracles import full_hit_scan, per_hole_classify_holes, residue_region
+from oracles import (full_hit_scan, per_hole_classify_holes, residue_region,
+                     sampled_shared_probes)
 
 W3 = unit_ball_volume(3)
 
@@ -474,36 +477,80 @@ def test_disjointness_audit_accepts_separated_holes():
     t = 0.004
     fam = _manual_family([[0.45, 0.5, 0.5], [0.55, 0.5, 0.5]], [t, t])
     patch = _flat_patch()
-    audit = disjointness_audit(fam, 1, patch, np.array([0, 1]))
-    assert audit.violations == ()
+    assert disjointness_audit(fam, 1, patch, np.array([0, 1])) == ()
 
 
 def test_disjointness_audit_records_overlapping_primed_balls():
     t = 0.004
     fam = _manual_family([[0.5, 0.5, 0.5], [0.5 + 2.5 * t, 0.5, 0.5]],
                          [t, t])   # gap 2.5t < 2Et = 3t
-    audit = disjointness_audit(fam, 1, _flat_patch(), np.array([0, 1]))
-    # the flat field has no residue, so only the geometric check fires
-    assert [v.pair for v in audit.violations] == [(0, 1)]
-    assert "overlap by 2.000e-03" in audit.violations[0].message   # 3t - 2.5t
-    assert audit.probe_count == 0
+    # the flat field has no residue: the exact check needs none
+    violations = disjointness_audit(fam, 1, _flat_patch(), np.array([0, 1]))
+    assert [v.pair for v in violations] == [(0, 1)]
+    assert "overlap by 2.000e-03" in violations[0].message   # 3t - 2.5t
 
 
-def test_disjointness_audit_records_shared_residue_probes():
+def test_sampled_shared_probes_find_the_overlap_of_two_residue_balls():
+    # positive control of the sampled oracle: offset t/2 leaves the t/4
+    # band everywhere, so both primed balls are residue and probes in
+    # their overlap lie in both residue regions
     t = 0.004
     fam = _manual_family([[0.5, 0.5, 0.5], [0.5 + 2.5 * t, 0.5, 0.5]],
                          [t, t])
-    # offset t/2 leaves the t/4 band everywhere: both balls are residue,
-    # so probes in the overlap lie in both residue regions
-    audit = disjointness_audit(fam, 1, _tilt_patch(t / 2.0, slope=0.0),
-                               np.array([0, 1]))
-    assert [v.pair for v in audit.violations] == [(0, 1), (0, 1)]
-    assert "overlap" in audit.violations[0].message
-    assert "share probe" in audit.violations[1].message
-    probe = np.array(eval(audit.violations[1].message.split("probe ")[1]))
+    patch = _tilt_patch(t / 2.0, slope=0.0)
+    shared = sampled_shared_probes(fam, 1, patch, np.array([0, 1]))
+    assert list(shared) == [(0, 1)]
     for hole in (0, 1):
-        assert np.linalg.norm(probe - fam.base_centers[hole]) < fam.E * t
-    assert audit.probe_count == 256
+        assert np.linalg.norm(shared[(0, 1)] - fam.base_centers[hole]) \
+            < fam.E * t
+    # the exact check names the pair once
+    violations = disjointness_audit(fam, 1, patch, np.array([0, 1]))
+    assert [v.pair for v in violations] == [(0, 1)]
+
+
+# gaps |c_i - c_j| - E(t_i + t_j) of a hole to an earlier one: tangent,
+# inside and beyond the audit's tolerance, overlapping, apart; "nested"
+# puts the centres less than E|t_i - t_j| apart
+PAIR_GAPS = (0.0, -5e-10, -2e-9, -1e-3, 1e-3, "nested")
+
+
+@st.composite
+def _one_stage_families(draw):
+    """2-5 holes of one stage near the window centre, each placed at a
+    ``PAIR_GAPS`` gap from a random earlier hole."""
+    count = draw(st.integers(2, 5))
+    ts = [draw(st.floats(0.002, 0.01)) for _ in range(count)]
+    unit = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(
+        np.array).filter(lambda v: np.linalg.norm(v) > 0.1)
+    centers = [np.full(3, 0.5) + 0.05 * draw(unit) / math.sqrt(3.0)]
+    for j in range(1, count):
+        i = draw(st.integers(0, j - 1))
+        u = draw(unit)
+        gap = draw(st.sampled_from(PAIR_GAPS))
+        reach = 1.5 * (ts[i] + ts[j])
+        dist = draw(st.floats(0.0, 0.9)) * 1.5 * abs(ts[i] - ts[j]) \
+            if gap == "nested" else reach + gap
+        centers.append(centers[i] + dist * u / np.linalg.norm(u))
+    return _manual_family(centers, ts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_one_stage_families())
+def test_disjointness_audit_names_each_overlapping_pair_once(fam):
+    ids = np.arange(len(fam))
+    # every primed ball lies in its residue region: offset - slope / 4
+    # clears the largest t / 4
+    patch = _tilt_patch(0.01)
+    x, rad = fam.base_centers, fam.E * fam.ts
+    i, j = np.triu_indices(len(fam), 1)
+    gaps = np.linalg.norm(x[i] - x[j], axis=1) - (rad[i] + rad[j])
+    overlap = {(int(a), int(b)): g for a, b, g in zip(i, j, gaps)}
+    # the oracle only ever finds primed balls that overlap
+    for pair in sampled_shared_probes(fam, 1, patch, ids, seed=3):
+        assert overlap[pair] < 0.0
+    pairs = [v.pair for v in disjointness_audit(fam, 1, patch, ids)]
+    assert sorted(pairs) == sorted(
+        p for p, g in overlap.items() if g < -GEOMETRY_TOL)
 
 
 def test_budget_fails_a_stage_with_overlapping_hit_holes():
@@ -515,7 +562,7 @@ def test_budget_fails_a_stage_with_overlapping_hit_holes():
     ledger = budget(_tilt_patch(2.0 * t, 0.011), fam)
     (stage,) = ledger.stages
     assert stage.classification.hit_ids == (0, 1)
-    assert [v.pair for v in stage.disjointness.violations] == [(0, 1)] * 2
+    assert [v.pair for v in stage.violations] == [(0, 1)]
     assert {r.check: r.status for r in ledger_rows(ledger)} == {
         "budget-total": "pass", "u-mass": "pass", "d-energy": "pass",
         "residue-disjoint": "fail"}
@@ -535,7 +582,7 @@ def test_budget_smooths_over_hit_holes_the_disjointness_audit_passes():
     ledger = budget(_tilt_patch(2.0 * t, 0.0), fam)
     stage = ledger.stages[0]
     assert stage.classification.d_ids == (0, 1)
-    assert stage.disjointness.violations == ()
+    assert stage.violations == ()
     rows = _checks(stage.rows)
     assert rows["residue-disjoint"].status == "pass"
     assert "smoothing-drift" in rows
@@ -572,24 +619,24 @@ def test_floor_replay_of_a_covered_window_needs_more_samples():
         family_invariant_audit(fam, floor_samples=64)
 
 
-def test_disjointness_probe_count_matches_a_per_hole_loop(monkeypatch):
-    # one probe block per two holes, so holes are evaluated out of order
-    monkeypatch.setattr(sampling, "SAMPLE_BLOCK", 256)
-    t = 0.01
-    centers = [[0.4 + 0.04 * i, 0.5 + 0.03 * (i % 3), 0.5] for i in range(6)]
-    fam = _manual_family(centers, [t] * 6)
-    R = fam.E * t
-    patch = _tilt_patch(t / 4.0 + 0.02 * R / 3.0, 0.02)
-    audit = disjointness_audit(fam, 1, patch, np.arange(6), seed=5)
-    expect = 0
-    plane = fam.plane(1)
-    for h in range(6):
-        pts = sample_shell(substream(5, "disjoint", 1, h),
-                           fam.base_centers[h], 0.0, R, 128)
-        expect += int((np.abs(patch.g.values(pts) - plane.heights(pts))
-                       > t / 4.0).sum())
-    assert 0 < audit.probe_count == expect < 6 * 128
-    assert audit.violations == ()
+def test_sampled_shared_probes_find_nothing_on_the_demo_planes(
+        demo_family, plane_entries, monkeypatch):
+    # every stage's hit set of every demo plane's ledger, with the field
+    # the stage audits: no probe lies in two residue regions
+    audited = []
+
+    def recording(family, k, patch, hit_ids):
+        audited.append((k, patch, hit_ids))
+        return disjointness_audit(family, k, patch, hit_ids)
+
+    monkeypatch.setattr(verification, "disjointness_audit", recording)
+    assert len(plane_entries) == 16
+    for entry in plane_entries:
+        budget(entry.patch, demo_family)
+    assert len(audited) == 16 * demo_family.depth
+    assert sum(len(ids) for _, _, ids in audited) > 0
+    for k, patch, hit_ids in audited:
+        assert sampled_shared_probes(demo_family, k, patch, hit_ids) == {}
 
 
 def test_disjointness_audit_is_strict_about_nested_hit_pairs():
@@ -598,8 +645,8 @@ def test_disjointness_audit_is_strict_about_nested_hit_pairs():
     t1, t2 = 0.012, 0.004
     fam = _manual_family([[0.5, 0.5, 0.5], [0.502, 0.5, 0.5]], [t1, t2],
                          levels=[1, 2])
-    audit = disjointness_audit(fam, 1, _flat_patch(), np.array([0, 1]))
-    assert [v.pair for v in audit.violations] == [(0, 1)]
+    violations = disjointness_audit(fam, 1, _flat_patch(), np.array([0, 1]))
+    assert [v.pair for v in violations] == [(0, 1)]
 
 
 def _grid_stage(count, t):
@@ -629,9 +676,9 @@ def test_pair_audits_of_four_thousand_holes_need_no_dense_table():
     assert [r.status for r in rows if r.check == "packing-pairs"] == ["pass"]
     audits = []
     peak = _traced_peak_mb(lambda: audits.append(disjointness_audit(
-        fam, 1, _tilt_patch(0.01), np.arange(4000), probes_per_hole=16)))
+        fam, 1, _tilt_patch(0.01), np.arange(4000))))
     assert peak <= 64.0
-    assert audits[0].probe_count == 4000 * 16
+    assert audits == [()]
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +893,8 @@ def test_smoothed_plane_at_a_lone_point_equals_its_batch_row():
     # the budget's smoothing recipe on a corpus plane: blend_disjoint's
     # values and gradients at each point alone are its batch row's bytes
     g = corpus_generate("plane", {"gradients": [[0.0085, 0.0085, 0.0]],
-                                  "offsets": [0.0082]}, 0)[0].patch.g
+                                  "offsets": [0.0082]}, 0,
+                        Ball(np.full(3, 0.5), 0.25))[0].patch.g
     eps, t = 0.00125, 0.03
     centers = [np.array([0.45, 0.5, 0.5]), np.array([0.56, 0.5, 0.5])]
     pieces = [(mollify(g, eps * t / 3.0), make_cutoff(Ball(c, t), eps))
@@ -870,8 +918,7 @@ def test_smooth_over_a_thousand_disjoint_balls():
     fam = _manual_family(grid, np.full(len(grid), 0.004))
     patch = _tilt_patch(0.001)
     selected = np.arange(len(grid))
-    smoothed = smooth_over_subfamily(patch, fam, selected, 0.05, 1e-3,
-                                     check_budget=16)
+    smoothed = smooth_over_subfamily(patch, fam, selected, 0.05, 1e-3)
     probes = np.vstack([_ball_probes(fam, selected),
                         sample_shell(substream(22, "thousand"),
                                      fam.window.center, 0.0,
