@@ -47,8 +47,7 @@ def main() -> int:
               f"radius={family.stage_radii[k - 1]:.3e}  "
               f"reached={stage['target_reached']}")
 
-    rows = family_invariant_audit(family, seed=cfg.audit.seed,
-                                  floor_samples=cfg.audit.floor_samples)
+    rows = family_invariant_audit(family, cfg.audit)
     by_check: dict[str, list] = {}
     for row in rows:
         by_check.setdefault(row.check, []).append(row)

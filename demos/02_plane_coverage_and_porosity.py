@@ -54,8 +54,7 @@ def main() -> int:
     ok = True
     for k in range(1, family.depth + 1):
         row = coverage_deficit(family, k, b.stop_fractions[k - 1],
-                               budget_cfg=cfg.audit.budget,
-                               seed=cfg.audit.seed).row
+                               cfg.audit).row
         ok &= row.status == "pass"
         print(f"  stage {k} (plane m={family.plane(k).index}):  "
               f"upper={row.measured:.4e}  bound={row.bound:.4e}  "
@@ -67,7 +66,7 @@ def main() -> int:
 
     tp = truncated_P(family)
     pts = sample_truncated_P(tp, args.points, seed=cfg.audit.seed)
-    row, found, failure = porosity_row(pts, family, cfg.audit.porosity_tol)
+    row, found, failure = porosity_row(pts, family)
     print(f"\nporosity witnesses at {len(pts)} points of the truncated set:")
     if failure is not None:
         print(f"  {failure}")

@@ -88,20 +88,13 @@ def main() -> int:
     entries = generate_from_spec(load_corpus_spec(args.corpus), family.window)
     plane = next(e for e in entries if e.kind == "plane")
     bump = next(e for e in entries if e.kind == "bump")
-    s = cfg.audit
-
     ok = True
     for entry in (plane, bump):
-        led = budget(entry.patch, family, budget_cfg=s.budget,
-                     dbound_budget=s.dbound_budget, seed=s.seed,
-                     c_ledger=s.c_ledger, c_dbound=s.c_dbound)
-        cap = hole_intersection_mass(entry.patch, family,
-                                     budget_cfg=s.budget, seed=s.seed)
+        led = budget(entry.patch, family, cfg.audit)
+        cap = hole_intersection_mass(entry.patch, family, cfg.audit)
         ok &= report(entry.patch.source, led, cap)
 
-    led = budget(zero_patch(family.window), family, budget_cfg=s.budget,
-                 dbound_budget=s.dbound_budget, seed=s.seed,
-                 c_ledger=s.c_ledger, c_dbound=s.c_dbound)
+    led = budget(zero_patch(family.window), family, cfg.audit)
     ok &= report("zero field", led)
     exact_zero = led.verdict.measured == 0.0
     print(f"\n  zero field hit mass exactly 0.0: {exact_zero}")

@@ -58,11 +58,11 @@ class Mollifier:
         return self.density(pts / eps) / eps**self.n
 
 
-def make_mollifier(n: int, radial_order: int = _RADIAL_ORDER) -> Mollifier:
+def make_mollifier(n: int) -> Mollifier:
     """Kernel with unit mass; the normaliser comes from a radial quadrature."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    nodes, weights = np.polynomial.legendre.leggauss(radial_order)
+    nodes, weights = np.polynomial.legendre.leggauss(_RADIAL_ORDER)
     rho = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     radial = float((w * _bump_profile(rho**2) * rho ** (n - 1)).sum())
@@ -70,12 +70,11 @@ def make_mollifier(n: int, radial_order: int = _RADIAL_ORDER) -> Mollifier:
     return Mollifier(n=n, kappa=1.0 / (sphere_area * radial))
 
 
-def mollifier_mass(mollifier: Mollifier, eps: float,
-                   radial_order: int = _RADIAL_ORDER) -> float:
+def mollifier_mass(mollifier: Mollifier, eps: float) -> float:
     """Independent radial quadrature of the scaled kernel's total mass."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    nodes, weights = np.polynomial.legendre.leggauss(radial_order)
+    nodes, weights = np.polynomial.legendre.leggauss(_RADIAL_ORDER)
     rho = 0.5 * eps * (nodes + 1.0)
     w = 0.5 * eps * weights
     n = mollifier.n
@@ -266,8 +265,7 @@ class CutoffField:
         return self.field.gradients(pts)
 
 
-def make_cutoff(ball: Ball, eps: float,
-                nodes_per_axis: int = DEFAULT_NODES_PER_AXIS) -> CutoffField:
+def make_cutoff(ball: Ball, eps: float) -> CutoffField:
     """Radial ramp between t - 5*eps*t/3 and t - 4*eps*t/3, smoothed at eps*t/3.
 
     The ramp slope is exactly 3/(eps*t); smoothing by a unit-mass kernel of
@@ -300,7 +298,7 @@ def make_cutoff(ball: Ball, eps: float,
 
     raw = ScalarField(domain=Ball(center, t), fn=ramp, grad_fn=ramp_grad,
                       grad_bound=slope, label="cutoff-ramp")
-    smooth = mollify(raw, eps * t / 3.0, nodes_per_axis, label="cutoff")
+    smooth = mollify(raw, eps * t / 3.0, label="cutoff")
     # kernel radius eps*t/3 bounds every quadrature shift, so the smoothed
     # ramp is exactly 1 inside t - 2*eps*t and exactly 0 outside t - eps*t;
     # only the band in between needs the convolution
@@ -597,8 +595,7 @@ def flatten_residual(g: ScalarField, plane: AffinePlane, b: Ball, eps: float,
                         sample_count=count)
 
 
-def boundary_cross_term(g: ScalarField, plane: AffinePlane, b: Ball,
-                        theta_nodes: int = 64, phi_nodes: int = 128) -> float:
+def boundary_cross_term(g: ScalarField, plane: AffinePlane, b: Ball) -> float:
     """Divergence-theorem form of the cross term, for 3-dimensional balls.
 
     2 * integral over the sphere of (g - a) <grad a, nu>; serves as the
@@ -606,6 +603,7 @@ def boundary_cross_term(g: ScalarField, plane: AffinePlane, b: Ball,
     """
     if b.dim != 3:
         raise ValueError("boundary quadrature implemented for n = 3")
+    theta_nodes, phi_nodes = 64, 128    # Gauss in cos(theta), midpoint in phi
     nodes, weights = np.polynomial.legendre.leggauss(theta_nodes)
     cos_t = nodes
     sin_t = np.sqrt(1.0 - cos_t**2)

@@ -118,8 +118,7 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _construction_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
-    return family_invariant_audit(family, seed=cfg.audit.seed,
-                                  floor_samples=cfg.audit.floor_samples)
+    return family_invariant_audit(family, cfg.audit)
 
 
 def _analysis_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
@@ -127,17 +126,16 @@ def _analysis_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
 
 
 def _cover_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
-    return [coverage_deficit(
-        family, k, cfg.build.stop_fractions[k - 1],
-        budget_cfg=cfg.audit.budget, seed=cfg.audit.seed).row
-        for k in range(1, family.depth + 1)]
+    return [coverage_deficit(family, k, cfg.build.stop_fractions[k - 1],
+                             cfg.audit).row
+            for k in range(1, family.depth + 1)]
 
 
 def _porosity_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
     points = sample_truncated_P(truncated_P(family),
                                 cfg.audit.porosity_samples,
                                 seed=cfg.audit.seed)
-    row, _, failure = porosity_row(points, family, cfg.audit.porosity_tol)
+    row, _, failure = porosity_row(points, family)
     if failure is not None:
         print(f"audit failure: {failure}", file=sys.stderr)
     return [row]
@@ -146,10 +144,7 @@ def _porosity_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
 def _budget_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
     rows = []
     for entry in entries:
-        ledger = budget(
-            entry.patch, family, budget_cfg=cfg.audit.budget,
-            dbound_budget=cfg.audit.dbound_budget, seed=cfg.audit.seed,
-            c_ledger=cfg.audit.c_ledger, c_dbound=cfg.audit.c_dbound)
+        ledger = budget(entry.patch, family, cfg.audit)
         for stage in ledger.stages:
             for violation in stage.violations:
                 print(f"audit failure: {ledger.source}: "
@@ -163,9 +158,7 @@ def _holes_mass_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
                                   cfg.build.stop_fractions[0]) / 4.0
     rows = []
     for entry in entries:
-        row = hole_intersection_mass(entry.patch, family,
-                                     budget_cfg=cfg.audit.budget,
-                                     seed=cfg.audit.seed).row
+        row = hole_intersection_mass(entry.patch, family, cfg.audit).row
         rows.append(row)
         if entry.kind == "plane":
             rows.append(AuditRow.at_most(f"{row.id}/alpha", "plane-mass-alpha",

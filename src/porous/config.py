@@ -2,10 +2,13 @@
 
 The run config is a single JSON document.  Validation is schema-driven and
 exhaustive: every violation in the file is reported at once, and unknown
-keys are rejected so nothing silently defaults.  The canonical hash is the
-sha256 of the raw file bytes; it is stamped into every artifact a run
-produces and lets downstream tools refuse to merge results from different
-configurations.
+keys are rejected so nothing silently defaults.  The verdict bounds are
+not settings: the ``audit`` keys ``c_ledger``, ``c_dbound`` and
+``porosity_tol`` are accepted only at the code's constants, and the
+settable audit values are the fields of ``AuditSettings``.  The canonical
+hash is the sha256 of the raw file bytes; it is stamped into every
+artifact a run produces and lets downstream tools refuse to merge results
+from different configurations.
 """
 from __future__ import annotations
 
@@ -20,9 +23,10 @@ import jsonschema
 from .construction import BuildConfig
 from .errors import ConfigError
 from .sampling import SamplingBudget
-from .verification import DBOUND_C, LEDGER_C
+from .verification import DBOUND_C, LEDGER_C, WITNESS_TOL, AuditSettings
 
 CONFIG_FORMAT_VERSION = 1
+SEED_MAX = 2**64 - 1
 
 _BUDGET_SCHEMA = {
     "type": "object",
@@ -63,7 +67,7 @@ CONFIG_SCHEMA = {
                                              "exclusiveMaximum": 1}},
                 "depth": {"type": "integer", "minimum": 1},
                 "seed": {"type": "integer", "minimum": 0,
-                         "maximum": 2**64 - 1},
+                         "maximum": SEED_MAX},
                 "max_levels": {"type": "integer", "minimum": 1},
                 # a stage that misses its target fails the build; the
                 # key stays for existing config files
@@ -77,13 +81,14 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "seed": {"type": "integer", "minimum": 0,
-                         "maximum": 2**64 - 1},
+                         "maximum": SEED_MAX},
                 "budget": _BUDGET_SCHEMA,
                 "dbound_budget": _BUDGET_SCHEMA,
-                "c_ledger": {"type": "number", "exclusiveMinimum": 0},
-                "c_dbound": {"type": "number", "exclusiveMinimum": 0},
+                # frozen verdict bounds; the keys stay for existing files
+                "c_ledger": {"const": LEDGER_C},
+                "c_dbound": {"const": DBOUND_C},
                 "porosity_samples": {"type": "integer", "minimum": 1},
-                "porosity_tol": {"type": "number", "minimum": 0},
+                "porosity_tol": {"const": WITNESS_TOL},
                 "floor_samples": {"type": "integer", "minimum": 64},
             },
         },
@@ -91,20 +96,6 @@ CONFIG_SCHEMA = {
         "workers": {"const": 1},
     },
 }
-
-
-@dataclass(frozen=True)
-class AuditSettings:
-    """Knobs for the audit orchestration, all overridable from the config."""
-
-    seed: int = 0
-    budget: SamplingBudget = SamplingBudget(32, 128)
-    dbound_budget: SamplingBudget = SamplingBudget(8, 32)
-    c_ledger: float = LEDGER_C
-    c_dbound: float = DBOUND_C
-    porosity_samples: int = 1000
-    porosity_tol: float = 1e-6
-    floor_samples: int = 4096
 
 
 @dataclass(frozen=True)
@@ -119,9 +110,12 @@ class LoadedConfig:
     audit: AuditSettings
 
     def with_seed(self, seed: Optional[int]) -> "LoadedConfig":
-        """Copy with the seed overridden in both build and audit settings."""
+        """Copy with the seed overridden in both build and audit settings;
+        a seed outside the schema's range [0, SEED_MAX] raises."""
         if seed is None:
             return self
+        if not 0 <= seed <= SEED_MAX:
+            raise ConfigError(f"seed must lie in [0, 2^64 - 1], got {seed}")
         return replace(self, build=replace(self.build, seed=int(seed)),
                        audit=replace(self.audit, seed=int(seed)))
 
@@ -212,7 +206,8 @@ def default_config_doc() -> dict:
             "pool_size": cfg.pool_size,
             "budget": asdict(cfg.budget),
         },
-        "audit": asdict(AuditSettings()),
+        "audit": {**asdict(AuditSettings()), "c_ledger": LEDGER_C,
+                  "c_dbound": DBOUND_C, "porosity_tol": WITNESS_TOL},
         "workers": 1,
     }
 

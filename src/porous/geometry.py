@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -426,13 +426,14 @@ class PorosityWitness:
         return np.asarray(point, dtype=float) + self.step * self.direction
 
 
-def pullback_porosity_witness(matrix: np.ndarray, operator_norm: Optional[float],
+def pullback_porosity_witness(matrix: np.ndarray,
                               witness: PorosityWitness) -> PorosityWitness:
     """Pull a hole witness back through a surjection onto R^(n+1).
 
     ``matrix`` maps a higher-dimensional space onto the ambient space of the
     witness; the preimage of the hole under the map contains a ball around
-    the pulled-back centre of radius ``witness.radius / operator_norm``.
+    the pulled-back centre of radius ``witness.radius`` over the matrix's
+    spectral norm.
     """
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
     ambient, source = mat.shape
@@ -446,10 +447,7 @@ def pullback_porosity_witness(matrix: np.ndarray, operator_norm: Optional[float]
     residual = float(np.linalg.norm(mat @ pre - witness.direction))
     if residual > 1e-9:
         raise ValueError(f"right inverse failed, residual {residual:.2e}")
-    if operator_norm is None:
-        operator_norm = float(np.linalg.norm(mat, 2))
-    if operator_norm <= 0:
-        raise ValueError("operator norm must be positive")
+    operator_norm = float(np.linalg.norm(mat, 2))
     scale = float(np.linalg.norm(pre))
     return PorosityWitness(direction=pre / scale,
                            step=witness.step * scale,

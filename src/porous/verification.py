@@ -16,8 +16,8 @@ The checks come in four groups:
 * reporting — a deterministic JSON report with a flat CSV companion.
 
 Sampled verdicts always carry 99% confidence half-widths and compare the
-conservative end of the interval against the configured bound; straddles
-are escalated once, then reported as indeterminate rather than assigned.
+conservative end of the interval against its bound; straddles are
+escalated once, then reported as indeterminate rather than assigned.
 """
 from __future__ import annotations
 
@@ -57,14 +57,26 @@ HIT_SCAN_BLOCK = 1 << 20    # lattice probes per batched field evaluation
 RESIDUE_GRAD_CAP = 1.0 / 32.0
 BUDGET_GRAD_CAP = 1.0 / 64.0
 
-# configured global constants the verdicts compare against, frozen; the
-# largest empirical ledger constant on the shipped corpus is about 2.05,
-# far below LEDGER_C
+# global constants the verdicts compare against, frozen; the largest
+# empirical ledger constant on the shipped corpus is about 2.05, far below
+# LEDGER_C
 LEDGER_C = 2000.0
 DBOUND_C = 4000.0
 
 WITNESS_TOL = 1e-6
 WITNESS_SLACK = 1e-9   # relative widening of the witness query's index reach
+
+
+@dataclass(frozen=True)
+class AuditSettings:
+    """Seed and sample sizes of the audits, each settable in a config's
+    ``audit`` section; the verdict bounds are module constants."""
+
+    seed: int = 0
+    budget: SamplingBudget = SamplingBudget(32, 128)
+    dbound_budget: SamplingBudget = SamplingBudget(8, 32)
+    porosity_samples: int = 1000
+    floor_samples: int = 4096
 
 
 def K_constant(k: int) -> float:
@@ -484,11 +496,8 @@ class BudgetLedger:
         return merged_status(ledger_rows(self))
 
 
-def budget(patch: GraphPatch, family: HoleFamily, *,
-           budget_cfg: SamplingBudget = SamplingBudget(32, 128),
-           dbound_budget: SamplingBudget = SamplingBudget(8, 32),
-           seed: int = 0, c_ledger: float = LEDGER_C,
-           c_dbound: float = DBOUND_C) -> BudgetLedger:
+def budget(patch: GraphPatch, family: HoleFamily,
+           settings: AuditSettings = AuditSettings()) -> BudgetLedger:
     """Staged hit-mass ledger for one field over every stage.
 
     Per stage: scan hits at the stage constant, classify them, audit
@@ -499,8 +508,8 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
     implication.  The disjointness audit certifies those balls pairwise
     disjoint; a stage whose audit records violations fails and is not
     smoothed.  The final verdict bounds the summed hit mass by
-    c * (energy + sum eps).  Every check becomes a report row here, and
-    the stage and ledger statuses are read from those rows.
+    LEDGER_C * (energy + sum eps).  Every check becomes a report row here,
+    and the stage and ledger statuses are read from those rows.
     """
     if patch.c1_bound > BUDGET_GRAD_CAP + 1e-12:
         raise PreconditionError(
@@ -509,13 +518,14 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
             c1_bound=patch.c1_bound, cap=BUDGET_GRAD_CAP)
     depth = family.depth
     window = family.window
+    seed = settings.seed
 
     def grad_sq(pts: np.ndarray) -> np.ndarray:
         return (patch.g.gradients(pts)**2).sum(axis=1)
 
     e_val, e_hw, e_count = stratified_ball_integral(
         grad_sq, window.center, window.radius, window.volume(), seed,
-        budget_cfg.scaled(4), key=("energy", patch.source))
+        settings.budget.scaled(4), key=("energy", patch.source))
     energy = MeasureEstimate(e_val, e_hw, "monte_carlo", e_count)
 
     eps = tuple(float(e) for e in family.epsilons[:depth])
@@ -530,7 +540,8 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
         hit_ids = scan.hit_ids
         hit_mass = float(np.sum(_hole_volumes(family, hit_ids)))
         total += hit_mass
-        cls = classify_holes(family, k, current, hit_ids, budget_cfg, seed)
+        cls = classify_holes(family, k, current, hit_ids, settings.budget,
+                             seed)
         violations = disjointness_audit(family, k, current, hit_ids)
 
         u_sum = float(np.sum(_hole_volumes(
@@ -538,7 +549,7 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
         dmax = 0.0
         d_ids = np.asarray(cls.d_ids, dtype=np.int64)
         energies = residue_energies(family, k, d_ids, current,
-                                    dbound_budget, seed)
+                                    settings.dbound_budget, seed)
         for hole_id, energy_d in zip(cls.d_ids, energies):
             den = energy_d.lower()
             vol_b = wn * float(family.ts[hole_id]) ** family.n
@@ -547,7 +558,7 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
         rows = [AuditRow.at_most(f"{base}/u-mass", "u-mass", u_sum,
                                  eps[k - 1], ok=u_sum <= eps[k - 1] + 1e-15),
                 AuditRow.at_most(f"{base}/d-energy", "d-energy", dmax,
-                                 c_dbound),
+                                 DBOUND_C),
                 AuditRow.zero_count(f"{base}/residue-disjoint",
                                     "residue-disjoint", len(violations))]
         if cls.indeterminate_ids:
@@ -606,7 +617,7 @@ def budget(patch: GraphPatch, family: HoleFamily, *,
 
     rhs_base = max(energy.lower(), 0.0) + float(sum(eps))
     c_emp = total / rhs_base if rhs_base > 0 else math.inf
-    ceiling = c_ledger * rhs_base
+    ceiling = LEDGER_C * rhs_base
     return BudgetLedger(
         source=patch.source, stages=tuple(stages), energy=energy,
         c_empirical=c_emp, verdict=AuditRow.at_most(
@@ -625,8 +636,8 @@ class CoverageDeficit:
 
 
 def coverage_deficit(family: HoleFamily, k: int, stop_fraction: float,
-                     budget_cfg: SamplingBudget = SamplingBudget(32, 128),
-                     seed: int = 0) -> CoverageDeficit:
+                     settings: AuditSettings = AuditSettings()
+                     ) -> CoverageDeficit:
     """Surface mass of stage k's base plane missed by the stage-k
     truncation union."""
     plane = family.plane(k)
@@ -634,7 +645,7 @@ def coverage_deficit(family: HoleFamily, k: int, stop_fraction: float,
     patch = _plane_patch(plane, family.window, (), f"plane-{m}")
     pk = assemble_Pk(family, k)
     est = graph_measure_in(patch, lambda pts: ~pk.contains_any(pts),
-                           budget_cfg, seed, key=("cover", m, k))
+                           settings.budget, settings.seed, key=("cover", m, k))
     bound = 2.0 * stop_fraction * unit_ball_volume(family.n) \
         * family.s**family.n * math.sqrt(1.0 + plane.slope**2)
     return CoverageDeficit(estimate=est, row=AuditRow.at_most(
@@ -648,8 +659,8 @@ class WitnessResult:
     witness: PorosityWitness
 
 
-def porosity_witnesses(points: np.ndarray, family: HoleFamily,
-                       tol: float = WITNESS_TOL) -> list[WitnessResult]:
+def porosity_witnesses(points: np.ndarray, family: HoleFamily
+                       ) -> list[WitnessResult]:
     """Best hole witnessing porosity at each point of the residual set.
 
     Among the holes whose L-enlargement contains a point but whose own
@@ -657,7 +668,7 @@ def porosity_witnesses(points: np.ndarray, family: HoleFamily,
     lowest hole id among equals.  One ``BallIndex`` query on the
     enlargements, widened by ``WITNESS_SLACK``, finds the candidates, and
     the exact tests run on those.  A point with no witness, or whose best
-    ratio lies below 1/L - tol (it should not have been in the
+    ratio lies below 1/L - ``WITNESS_TOL`` (it should not have been in the
     truncation), raises ``AuditFailure``, the first such point in order.
     """
     L = family.L
@@ -680,10 +691,10 @@ def porosity_witnesses(points: np.ndarray, family: HoleFamily,
             raise AuditFailure(
                 f"no hole's enlargement contains the point {p.tolist()}",
                 point=p.tolist())
-        if ratio[b] < 1.0 / L - tol:
+        if ratio[b] < 1.0 / L - WITNESS_TOL:
             raise AuditFailure(
                 f"best witness ratio {ratio[b]:.8f} below 1/L - tol "
-                f"({1.0 / L - tol:.8f}) at {p.tolist()}",
+                f"({1.0 / L - WITNESS_TOL:.8f}) at {p.tolist()}",
                 point=p.tolist(), ratio=float(ratio[b]))
         h = int(hole[b])
         out.append(WitnessResult(h, float(ratio[b]), PorosityWitness(
@@ -692,22 +703,20 @@ def porosity_witnesses(points: np.ndarray, family: HoleFamily,
     return out
 
 
-def porosity_witness(point: np.ndarray, family: HoleFamily,
-                     tol: float = WITNESS_TOL) -> WitnessResult:
+def porosity_witness(point: np.ndarray, family: HoleFamily) -> WitnessResult:
     """``porosity_witnesses`` at one point."""
-    return porosity_witnesses(point, family, tol)[0]
+    return porosity_witnesses(point, family)[0]
 
 
-def porosity_row(points: np.ndarray, family: HoleFamily,
-                 tol: float = WITNESS_TOL
+def porosity_row(points: np.ndarray, family: HoleFamily
                  ) -> tuple["AuditRow", list[WitnessResult], Optional[str]]:
     """The porosity row: the worst witness ratio at the points against
-    1/L - tol, with the witnesses.  When a point has none the row fails
-    at measured 0, with no witnesses and the failure's message, which
-    names the point."""
-    floor = 1.0 / family.L - tol
+    1/L - ``WITNESS_TOL``, with the witnesses.  When a point has none the
+    row fails at measured 0, with no witnesses and the failure's message,
+    which names the point."""
+    floor = 1.0 / family.L - WITNESS_TOL
     try:
-        found = porosity_witnesses(points, family, tol=tol)
+        found = porosity_witnesses(points, family)
     except AuditFailure as exc:
         return (AuditRow.at_least("porosity/witness", "porosity-witness",
                                   0.0, floor, ok=False), [], str(exc))
@@ -725,8 +734,8 @@ class HoleMassCheck:
 
 
 def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
-                           budget_cfg: SamplingBudget = SamplingBudget(32, 128),
-                           seed: int = 0) -> HoleMassCheck:
+                           settings: AuditSettings = AuditSettings()
+                           ) -> HoleMassCheck:
     """Surface mass of the graph inside the raw holes, with its cap.
 
     The cap multiplies the summed cross-sections of the holes the graph
@@ -738,7 +747,8 @@ def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
             f"({patch.c1_bound:.4g} > {family.r:.4g})",
             c1_bound=patch.c1_bound, cap=family.r)
     est = graph_measure_in(patch, assemble_H(family).contains_any,
-                           budget_cfg, seed, key=("hole-mass", patch.source))
+                           settings.budget, settings.seed,
+                           key=("hole-mass", patch.source))
     scan = graph_hit_scan(patch.g, family, np.arange(len(family)), 1.0)
     hit_mass = float(np.sum(_hole_volumes(family, scan.hit_ids)))
     cap = math.sqrt(1.0 + family.r**2) * hit_mass
@@ -752,8 +762,9 @@ def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
 # family invariants (exact + replayed floors)
 # ---------------------------------------------------------------------------
 
-def family_invariant_audit(family: HoleFamily, seed: int = 0,
-                           floor_samples: int = 4096) -> list["AuditRow"]:
+def family_invariant_audit(family: HoleFamily,
+                           settings: AuditSettings = AuditSettings()
+                           ) -> list["AuditRow"]:
     """Exact packing invariants plus replayed per-level coverage floors.
 
     Covers: primed balls inside the window; within-stage pairwise
@@ -824,10 +835,10 @@ def family_invariant_audit(family: HoleFamily, seed: int = 0,
         for lvl in np.unique(family.levels[ids]):
             sel = ids[family.levels[ids] == lvl]
             t_lvl = float(family.ts[sel][0])
-            rng = substream(seed, "floor-replay", k, int(lvl))
+            rng = substream(settings.seed, "floor-replay", k, int(lvl))
             try:
-                pts = space.sample_uncovered(rng, floor_samples,
-                                             4 * floor_samples)
+                pts = space.sample_uncovered(rng, settings.floor_samples,
+                                             4 * settings.floor_samples)
             except NeedsMoreSamples as exc:
                 raise NeedsMoreSamples(
                     f"floor replay of stage {k} level {int(lvl)}: {exc}"
@@ -1042,9 +1053,9 @@ SOBOLEV_C = 3.0          # ratio ~0.27, scale-stable across dilations
 SMOOTHED_GRAD_C = 2.0    # worst observed gradient/eps 0.11
 
 
-def _suite_sup(fn, ball: Ball, seed: int, count: int = 4096) -> float:
+def _suite_sup(fn, ball: Ball, seed: int) -> float:
     rng = substream(seed, "suite-sup", ball.dim)
-    pts = sample_shell(rng, ball.center, 0.0, ball.radius, count)
+    pts = sample_shell(rng, ball.center, 0.0, ball.radius, 4096)
     vals = np.asarray(fn(pts), dtype=float)
     centre = np.asarray(fn(ball.center[None, :]), dtype=float)
     return float(max(vals.max(), centre[0]))

@@ -1,12 +1,14 @@
 """Shared fixtures: the demo build and corpus are expensive, so build once."""
 import json
 import math
+from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from porous import build_family, generate_from_spec, load_config, \
-    load_corpus_spec, serialize_family
+from porous import budget, build_family, generate_from_spec, load_config, \
+    load_corpus_spec, serialize_family, verification
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIG_PATH = ROOT / "demos" / "config" / "demo.json"
@@ -80,6 +82,38 @@ def corpus_spec():
 @pytest.fixture(scope="session")
 def corpus_entries(corpus_spec, demo_config):
     return generate_from_spec(corpus_spec, demo_config.build.window)
+
+
+@pytest.fixture(scope="session")
+def corpus_budgets(demo_family, corpus_entries):
+    """Per corpus field, keyed by source: its budget ledger (or the
+    exception it raised, kept for honest reporting), and the
+    ``(k, patch, hit_ids)`` that each of its stages handed the
+    disjointness audit, in stage order."""
+    audit = verification.disjointness_audit
+    stages = defaultdict(list)
+
+    def recording(family, k, patch, hit_ids):
+        # a smoothed stage's patch is named "<source>|smoothed:<k>"
+        stages[patch.source.split("|")[0]].append((k, patch, hit_ids))
+        return audit(family, k, patch, hit_ids)
+
+    def one(entry):
+        try:
+            return entry.patch.source, budget(entry.patch, demo_family)
+        except Exception as exc:                    # noqa: BLE001
+            return entry.patch.source, exc
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "disjointness_audit", recording)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            ledgers = dict(pool.map(one, corpus_entries))
+    return ledgers, dict(stages)
+
+
+@pytest.fixture(scope="session")
+def corpus_ledgers(corpus_budgets):
+    return corpus_budgets[0]
 
 
 @pytest.fixture(scope="session")

@@ -80,19 +80,6 @@ def _flat_patch() -> GraphPatch:
 
 
 @pytest.fixture(scope="session")
-def corpus_ledgers(demo_family, corpus_entries):
-    """Budget ledger per corpus field; exceptions kept for honest reporting."""
-    def one(entry):
-        try:
-            return entry.patch.source, budget(entry.patch, demo_family)
-        except Exception as exc:                    # noqa: BLE001
-            return entry.patch.source, exc
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        return dict(pool.map(one, corpus_entries))
-
-
-@pytest.fixture(scope="session")
 def mass_checks(demo_family, corpus_entries):
     def one(entry):
         return hole_intersection_mass(entry.patch, demo_family)
@@ -113,9 +100,7 @@ def test_ac1_construction_invariants(demo_config):
 
     t0 = time.perf_counter()
     family, _ = build_family(b)
-    rows = family_invariant_audit(
-        family, seed=demo_config.audit.seed,
-        floor_samples=demo_config.audit.floor_samples)
+    rows = family_invariant_audit(family, demo_config.audit)
     elapsed = time.perf_counter() - t0
 
     floor = (1.0 / (2.0 * b.E)) ** b.n / 2.0
@@ -142,8 +127,7 @@ def test_ac2_plane_cover_deficit(demo_family, demo_config):
     deficits = [
         coverage_deficit(demo_family, k=k,
                          stop_fraction=demo_config.build.stop_fractions[k - 1],
-                         budget_cfg=demo_config.audit.budget,
-                         seed=demo_config.audit.seed).row
+                         settings=demo_config.audit).row
         for k in range(1, demo_family.depth + 1)]
     relaxed_ok = all(d.measured <= d.bound for d in deficits)
 

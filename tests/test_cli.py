@@ -307,6 +307,18 @@ def test_invalid_config_is_a_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["build"],
+                                     ["audit", "--which", "analysis"]])
+def test_seed_outside_the_schema_range_is_a_usage_error(tmp_path, capsys,
+                                                        command):
+    out = tmp_path / "out"
+    rc = main([*command, "--config", str(DEMO_CONFIG), "--seed", "-1",
+               "--out", str(out)])
+    assert rc == 1
+    assert "seed must lie in [0, 2^64 - 1], got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_strict_regime_config_is_refused(tmp_path, capsys):
     doc = json.loads(DEMO_CONFIG.read_text())
     eps = 0.002

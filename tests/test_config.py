@@ -6,8 +6,9 @@ import pytest
 
 from porous import (AuditSettings, ConfigError, default_config_doc,
                     load_config, parse_config)
-from porous.config import config_hash_of, validate_config_doc
+from porous.config import CONFIG_SCHEMA, config_hash_of, validate_config_doc
 from porous.sampling import SamplingBudget
+from porous.verification import DBOUND_C, LEDGER_C, WITNESS_TOL
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "config" \
     / "demo.json"
@@ -23,6 +24,10 @@ def test_default_doc_parses_cleanly():
     assert cfg.build.n == 3
     assert cfg.build.depth == len(cfg.build.epsilons)
     assert cfg.audit == AuditSettings()
+
+
+def test_default_doc_is_the_shipped_demo_config():
+    assert default_config_doc() == json.loads(DEMO_CONFIG.read_text())
 
 
 def test_demo_config_loads():
@@ -127,6 +132,26 @@ def test_with_seed_overrides_both_sides():
     assert reseeded.config_hash == cfg.config_hash
     assert cfg.build.seed == 0                 # original untouched
     assert cfg.with_seed(None) is cfg
+    # the schema's seed range, [0, 2^64 - 1]
+    assert cfg.with_seed(2**64 - 1).audit.seed == 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed must lie in"):
+            cfg.with_seed(seed)
+
+
+@pytest.mark.parametrize("key, constant", [
+    ("c_ledger", LEDGER_C), ("c_dbound", DBOUND_C),
+    ("porosity_tol", WITNESS_TOL)])
+def test_verdict_bounds_are_frozen(key, constant):
+    # the key may be absent or the code's constant, nothing else
+    schema = CONFIG_SCHEMA["properties"]["audit"]["properties"][key]
+    assert schema == {"const": constant}
+    doc = default_config_doc()
+    assert doc["audit"][key] == constant
+    parse_config(_raw(doc))
+    doc["audit"][key] = 2.0 * constant
+    with pytest.raises(ConfigError, match=f"at /audit/{key}:"):
+        parse_config(_raw(doc))
 
 
 def test_workers_knob():

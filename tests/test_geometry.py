@@ -362,7 +362,7 @@ def test_pullback_witness_maps_hole_into_hole():
     mat = rng.normal(size=(4, 6))
     direction = np.array([1.0, 0.0, 0.0, 0.0])
     wit = PorosityWitness(direction=direction, step=1.0, radius=0.25)
-    back = pullback_porosity_witness(mat, None, wit)
+    back = pullback_porosity_witness(mat, wit)
     assert math.isclose(np.linalg.norm(back.direction), 1.0, abs_tol=1e-9)
 
     base = rng.normal(size=6)
@@ -384,8 +384,11 @@ def test_pullback_rejects_rank_deficient_and_square():
     wit = PorosityWitness(direction=np.array([1.0, 0.0, 0.0, 0.0]), step=1.0,
                           radius=0.25)
     with pytest.raises(ValueError):
-        pullback_porosity_witness(np.eye(4), None, wit)
+        pullback_porosity_witness(np.eye(4), wit)
+    # the zero map fails the rank check, so its norm is never divided by
+    with pytest.raises(ValueError, match="not surjective"):
+        pullback_porosity_witness(np.zeros((4, 6)), wit)
     degenerate = np.zeros((4, 6))
     degenerate[0, 0] = 1.0
     with pytest.raises(ValueError):
-        pullback_porosity_witness(degenerate, None, wit)
+        pullback_porosity_witness(degenerate, wit)

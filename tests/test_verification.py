@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from porous import (AuditFailure, AuditReport, AuditRow, Ball, GraphPatch,
+from porous import (AuditFailure, AuditReport, AuditRow, AuditSettings,
+                    Ball, GraphPatch,
                     HoleFamily, NeedsMoreSamples, PreconditionError,
                     SamplingBudget,
                     ScalarField, alpha_relaxed, analysis_suite, blend,
@@ -591,7 +592,7 @@ def test_budget_smooths_over_hit_holes_the_disjointness_audit_passes():
 def test_family_audit_fails_a_level_whose_radius_grows():
     fam = _manual_family([[0.4, 0.5, 0.5], [0.6, 0.5, 0.5]], [0.004, 0.01],
                          levels=[1, 2])
-    rows = family_invariant_audit(fam, floor_samples=256)
+    rows = family_invariant_audit(fam, AuditSettings(floor_samples=256))
     (decay,) = [r for r in rows if r.id == "family/radius-decay"]
     assert (decay.measured, decay.bound, decay.margin, decay.status) == (
         0.0, 1.0, -1.0, "fail")
@@ -601,7 +602,7 @@ def test_family_audit_accepts_nested_primed_balls():
     t1, t2 = 0.012, 0.004
     fam = _manual_family([[0.5, 0.5, 0.5], [0.502, 0.5, 0.5]], [t1, t2],
                          levels=[1, 2])
-    rows = family_invariant_audit(fam, floor_samples=256)
+    rows = family_invariant_audit(fam, AuditSettings(floor_samples=256))
     pair_rows = [r for r in rows if r.check == "packing-pairs"]
     assert pair_rows and all(r.status == "pass" for r in pair_rows)
     # negative control: a two-ball toy family cannot meet the replayed
@@ -616,24 +617,20 @@ def test_floor_replay_of_a_covered_window_needs_more_samples():
     fam = _manual_family([[0.5, 0.5, 0.5], [0.52, 0.5, 0.5]], [0.11, 0.01],
                          levels=[1, 2])
     with pytest.raises(NeedsMoreSamples, match="stage 1 level 2"):
-        family_invariant_audit(fam, floor_samples=64)
+        family_invariant_audit(fam, AuditSettings(floor_samples=64))
 
 
 def test_sampled_shared_probes_find_nothing_on_the_demo_planes(
-        demo_family, plane_entries, monkeypatch):
+        demo_family, plane_entries, corpus_budgets):
     # every stage's hit set of every demo plane's ledger, with the field
     # the stage audits: no probe lies in two residue regions
-    audited = []
-
-    def recording(family, k, patch, hit_ids):
-        audited.append((k, patch, hit_ids))
-        return disjointness_audit(family, k, patch, hit_ids)
-
-    monkeypatch.setattr(verification, "disjointness_audit", recording)
+    _, stages = corpus_budgets
     assert len(plane_entries) == 16
-    for entry in plane_entries:
-        budget(entry.patch, demo_family)
+    audited = [stage for entry in plane_entries
+               for stage in stages[entry.patch.source]]
     assert len(audited) == 16 * demo_family.depth
+    assert [k for k, _, _ in audited] == \
+        list(range(1, demo_family.depth + 1)) * 16
     assert sum(len(ids) for _, _, ids in audited) > 0
     for k, patch, hit_ids in audited:
         assert sampled_shared_probes(demo_family, k, patch, hit_ids) == {}
@@ -670,8 +667,8 @@ def _traced_peak_mb(fn):
 def test_pair_audits_of_four_thousand_holes_need_no_dense_table():
     fam = _grid_stage(4000, 0.003)
     rows = []
-    peak = _traced_peak_mb(
-        lambda: rows.extend(family_invariant_audit(fam, floor_samples=256)))
+    peak = _traced_peak_mb(lambda: rows.extend(family_invariant_audit(
+        fam, AuditSettings(floor_samples=256))))
     assert peak <= 64.0
     assert [r.status for r in rows if r.check == "packing-pairs"] == ["pass"]
     audits = []
@@ -751,10 +748,12 @@ def test_ledger_rows_flatten_verdicts(demo_family, plane_ledger):
 
 def test_ledger_rows_report_the_run_dbound_constant(demo_family,
                                                    plane_entries,
-                                                   plane_ledger):
+                                                   plane_ledger,
+                                                   monkeypatch):
     # the shipped planes sit near ratio 2449, so a constant of 1000 must
     # turn the d-energy rows red and be the bound they report
-    ledger = budget(plane_entries[0].patch, demo_family, c_dbound=1000.0)
+    monkeypatch.setattr(verification, "DBOUND_C", 1000.0)
+    ledger = budget(plane_entries[0].patch, demo_family)
     for st, ref in zip(ledger.stages, plane_ledger.stages):
         row = _checks(st.rows)["d-energy"]
         assert row.bound == 1000.0
@@ -1044,7 +1043,7 @@ def test_family_invariants_name_offending_pair(demo_family):
     # drag the second stage-1 hole next to the first: partial overlap
     bad_centers[ids[1]] = bad_centers[ids[0]] + 1e-4
     broken = dataclasses.replace(fam, base_centers=bad_centers)
-    rows = family_invariant_audit(broken, floor_samples=256)
+    rows = family_invariant_audit(broken, AuditSettings(floor_samples=256))
     fails = [r for r in rows if r.status == "fail"]
     assert fails
     named = [r for r in fails if f"pair-{ids[0]}-{ids[1]}" in r.id
