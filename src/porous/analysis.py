@@ -53,10 +53,6 @@ class Mollifier:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.kappa * _bump_profile((pts**2).sum(axis=1))
 
-    def scaled_density(self, points: np.ndarray, eps: float) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.density(pts / eps) / eps**self.n
-
 
 def make_mollifier(n: int) -> Mollifier:
     """Kernel with unit mass; the normaliser comes from a radial quadrature."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Union, get_type_hints
 
@@ -184,30 +184,3 @@ def load_config(path: Union[str, Path]) -> LoadedConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     return parse_config(raw, path=str(p))
-
-
-def default_config_doc() -> dict:
-    """The shipped demo parameters as a config document."""
-    cfg = BuildConfig()
-    return {
-        "format_version": CONFIG_FORMAT_VERSION,
-        "build": {
-            "n": cfg.n,
-            "s": cfg.s,
-            "r": cfg.r,
-            "L": cfg.L,
-            "E": cfg.E,
-            "epsilons": list(cfg.epsilons),
-            "stop_fractions": list(cfg.stop_fractions),
-            "depth": cfg.depth,
-            "seed": cfg.seed,
-            "max_levels": cfg.max_levels,
-            "accept_partial": False,
-            "pool_size": cfg.pool_size,
-            "budget": asdict(cfg.budget),
-        },
-        "audit": {**asdict(AuditSettings()), "c_ledger": LEDGER_C,
-                  "c_dbound": DBOUND_C, "porosity_tol": WITNESS_TOL},
-        "workers": 1,
-    }
-

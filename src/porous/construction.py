@@ -293,22 +293,22 @@ class LevelFamily:
         return len(self.centers)
 
 
-def far_fraction(space: StageSpace, pts: np.ndarray, r_new: float,
-                 E: float) -> np.ndarray:
+def far_fraction(space: StageSpace, pts: np.ndarray,
+                 r_new: float) -> np.ndarray:
     """Which points lie at least ``E * r_new`` inside the window and
-    outside every annulus ``| |p - c_i| - space.E t_i | < E r_new`` around
-    the spheres of the stage's E-enlargements.
+    outside every annulus ``| |p - c_i| - E t_i | < E r_new`` around the
+    spheres of the stage's E-enlargements, with ``E = space.E``.
 
     The annulus pairs come from one ``BallIndex`` query on radii
-    ``(space.E t_i + E r_new)(1 + FAR_SLACK)``, a superset of the near
-    pairs, and each candidate gets the dense expressions of
+    ``(E t_i + E r_new)(1 + FAR_SLACK)``, a superset of the near pairs,
+    and each candidate gets the dense expressions of
     ``StageSpace.boundary_distance``.  Since ``min(a, b) >= x`` holds
     exactly when ``a >= x`` and ``b >= x``, and a row norm rounds alike
     in any array, the booleans equal ``boundary_distance(pts) >= E * r_new``
     bit for bit, without its points x balls block.
     """
     pts = np.atleast_2d(pts)
-    gap = E * r_new
+    gap = space.E * r_new
     far = (space.window.radius
            - np.linalg.norm(pts - space.window.center, axis=1)) >= gap
     sphere = space.E * space.radii
@@ -319,19 +319,19 @@ def far_fraction(space: StageSpace, pts: np.ndarray, r_new: float,
     return far
 
 
-def choose_level_radius(space: StageSpace, r_prev: float, E: float,
-                        seed: int, budget: SamplingBudget,
+def choose_level_radius(space: StageSpace, r_prev: float, seed: int,
+                        budget: SamplingBudget,
                         key: Sequence = ()) -> tuple[float, float]:
     """Largest halving of r_prev/E whose far condition holds for half the
     uncovered mass; returns (radius, certified far fraction)."""
-    r = r_prev / E
+    r = r_prev / space.E
     for attempt in range(MAX_HALVINGS):
         rng = substream(seed, "radius", *key, attempt)
         total = budget.total
         for escalation in (1, 4):
             count = total * escalation
             pts = space.sample_uncovered(rng, count, max(count, 1024))
-            far = far_fraction(space, pts, r, E)
+            far = far_fraction(space, pts, r)
             frac = float(far.mean())
             hw = bernoulli_half_width(frac, len(pts))
             if frac - hw >= 0.5 + HALF_MARGIN:
@@ -373,28 +373,25 @@ def _greedy_select(pool: np.ndarray, min_sep: float) -> np.ndarray:
     return pool[np.array(keep)]
 
 
-def pack_level(space: StageSpace, k: int, level: int, r_new: float, E: float,
+def pack_level(space: StageSpace, k: int, level: int, r_new: float,
                cfg: BuildConfig, far_frac: float) -> tuple[LevelFamily, LevelLog]:
-    """Greedy packing of certified-far uncovered points at separation 2 E r.
+    """Greedy packing of certified-far uncovered points at separation 2 E r,
+    with ``E = space.E``.
 
     Certifies that the doubled enlargements cover at least half of the
     uncovered region and that the balls themselves cover at least
     (1/(2E))^n / 2 of it.
     """
+    E = space.E
     floor = (1.0 / (2.0 * E)) ** cfg.n / 2.0
-    target = None
+    centers = np.zeros((0, space.window.dim))
     for round_idx in range(4):
         rng = substream(cfg.seed, "pack", k, level, round_idx)
         pool_size = cfg.pool_size * (2 ** round_idx)
         pts = space.sample_uncovered(rng, pool_size, max(pool_size, 1024))
-        pts = pts[far_fraction(space, pts, r_new, E)]
+        pts = pts[far_fraction(space, pts, r_new)]
         pts = pts[rng.permutation(len(pts))]
-        if target is None:
-            centers = _greedy_select(pts, 2.0 * E * r_new)
-        else:
-            merged = np.vstack([target, pts])
-            centers = _greedy_select(merged, 2.0 * E * r_new)
-        target = centers
+        centers = _greedy_select(np.vstack([centers, pts]), 2.0 * E * r_new)
 
         check_rng = substream(cfg.seed, "pack-check", k, level, round_idx)
         probe = space.sample_uncovered(check_rng, cfg.budget.total,
@@ -447,8 +444,8 @@ def build_stage(k: int, cfg: BuildConfig, r_prev: float) -> StageResult:
         if uncovered.upper() <= threshold:
             break
         r_level, far_frac = choose_level_radius(
-            space, r_level, cfg.E, cfg.seed, cfg.budget, key=(k, level))
-        fam, log = pack_level(space, k, level, r_level, cfg.E, far_frac=far_frac,
+            space, r_level, cfg.seed, cfg.budget, key=(k, level))
+        fam, log = pack_level(space, k, level, r_level, far_frac=far_frac,
                               cfg=cfg)
         space.add_level(fam.centers, r_level)
         uncovered = space.uncovered_measure(cfg.budget, cfg.seed,
@@ -461,7 +458,7 @@ def build_stage(k: int, cfg: BuildConfig, r_prev: float) -> StageResult:
             f"stage {k}: uncovered {uncovered.value:.4e} "
             f"(+{uncovered.half_width:.1e}) above target {threshold:.4e} "
             f"after {len(levels)} levels",
-            partial=tuple(levels), stage=k,
+            stage=k,
             uncovered=uncovered.value, threshold=threshold)
     return StageResult(k=k, levels=tuple(levels),
                        stage_radius=levels[-1].radius, uncovered=uncovered,

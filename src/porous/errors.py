@@ -19,15 +19,10 @@ class BlendPreconditionError(PreconditionError):
 
 
 class ConstructionFailure(PorousError):
-    """A build stage could not certify its guarantees.
+    """A build stage could not certify its guarantees; carries diagnostics."""
 
-    ``partial`` carries whatever family material was completed before the
-    failure so callers can inspect or persist it.
-    """
-
-    def __init__(self, message: str, partial=None, **details):
+    def __init__(self, message: str, **details):
         super().__init__(message)
-        self.partial = partial
         self.details = details
 
 

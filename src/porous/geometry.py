@@ -1,19 +1,18 @@
-"""Core geometric types and measure estimators.
+"""Core geometric types and the ball index.
 
 Open balls, constant-slope height functions ("planes"), scalar fields over
-ball domains, and the measure estimates every audit consumes.  Dimension
-conventions: base points live in R^n, lifted points in R^(n+1); the cross
-section weight of a lifted ball is the volume of its n-dimensional shadow.
+ball domains, the measure estimates every audit consumes, and the cell-list
+index behind every point-in-ball question.  Dimension conventions: base
+points live in R^n, lifted points in R^(n+1); the cross section weight of
+a lifted ball is the volume of its n-dimensional shadow.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-
-from .sampling import SamplingBudget, stratified_ball_mean
 
 
 def unit_ball_volume(n: int) -> float:
@@ -88,12 +87,6 @@ class Ball:
 
     def volume(self) -> float:
         return unit_ball_volume(self.dim) * self.radius ** self.dim
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Open-interior membership for an (m, dim) array of points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d2 = ((pts - self.center) ** 2).sum(axis=1)
-        return d2 < self.radius**2
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Ball)
@@ -186,7 +179,7 @@ class MeasureEstimate:
     def __post_init__(self) -> None:
         if self.value < 0 or self.half_width < 0:
             raise ValueError("estimate and half-width must be >= 0")
-        if self.method not in ("exact", "monte_carlo", "grid"):
+        if self.method not in ("exact", "monte_carlo"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "exact" and self.half_width != 0:
             raise ValueError("exact estimates carry zero half-width")
@@ -348,57 +341,6 @@ def contains_any(points: np.ndarray, centers: np.ndarray,
                  radii: np.ndarray) -> np.ndarray:
     """Open-union membership of points in a family given as arrays."""
     return BallIndex(centers, radii).contains_any(points)
-
-
-# ---------------------------------------------------------------------------
-# union measure
-# ---------------------------------------------------------------------------
-
-def _dedupe(balls: Sequence[Ball]) -> list[Ball]:
-    seen = set()
-    out = []
-    for b in balls:
-        key = (tuple(b.center), b.radius)
-        if key not in seen:
-            seen.add(key)
-            out.append(b)
-    return out
-
-
-def _certify_disjoint_in_region(index: BallIndex, region: Ball) -> bool:
-    centers, radii = index.centers, index.radii
-    inside = np.linalg.norm(centers - region.center, axis=1) + radii <= region.radius
-    if not inside.all():
-        return False
-    i, j = index.pairs()
-    dist = np.sqrt(((centers[i] - centers[j]) ** 2).sum(axis=1))
-    return bool((dist >= radii[i] + radii[j]).all())
-
-
-def union_measure(balls: Sequence[Ball], region: Ball,
-                  budget: SamplingBudget, seed: int = 0) -> MeasureEstimate:
-    """Measure of (union of balls) intersected with an open region ball.
-
-    Exact summation applies when the (deduplicated) family is certified
-    pairwise disjoint and contained in the region; otherwise stratified
-    sampling over the region with membership tests.
-    """
-    balls = _dedupe(list(balls))
-    if not balls:
-        return MeasureEstimate(0.0, 0.0, "exact", 0)
-    for b in balls:
-        if b.dim != region.dim:
-            raise ValueError("ball and region dimensions differ")
-    index = BallIndex(np.array([b.center for b in balls]),
-                      np.array([b.radius for b in balls]))
-    if _certify_disjoint_in_region(index, region):
-        total = sum(b.volume() for b in balls)
-        return MeasureEstimate(float(total), 0.0, "exact", 0)
-    mean, hw, count = stratified_ball_mean(
-        lambda pts: index.contains_any(pts).astype(float),
-        region.center, region.radius, seed, budget, key=("union_measure",))
-    vol = region.volume()
-    return MeasureEstimate(max(0.0, mean * vol), hw * vol, "monte_carlo", count)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,10 @@ def shell_edges(radius: float, strata: int, n: int) -> np.ndarray:
     return radius * (np.arange(strata + 1) / strata) ** (1.0 / n)
 
 
-# most points a block of local_blocks holds, unless one centre brings more
+# most points a block of local_blocks holds, unless one centre brings more.
+# Blocks never change a value; their Z-order keeps each call's points close,
+# so blend_disjoint meets fewer cutoffs per call: 267 (call, cutoff) groups
+# on the budget ledgers of demo planes 0, 3 and 6, 381 in centre order.
 SAMPLE_BLOCK = 1 << 14
 
 
@@ -191,8 +194,9 @@ def stratified_ball_means(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *keys[b])``, exactly as ``stratified_ball_mean`` does for one ball, and
     gets the same ``(mean, half_width, total_points)``.  Whole balls are
     evaluated together, nearby balls in one call of at most
-    ``SAMPLE_BLOCK`` points (``local_blocks``): integrands that look up
-    what lies near their points then search a small box.
+    ``SAMPLE_BLOCK`` points (``local_blocks``): an integrand whose work
+    grows with the cutoffs or balls its points meet then meets fewer per
+    call (see ``SAMPLE_BLOCK``).
     ``fn`` maps an ``(m, n)`` array of points and the ``(m,)`` index of
     each point's ball to ``(m,)`` values; ``fn`` must evaluate each point
     independently of the others.

@@ -59,13 +59,6 @@ def test_mollifier_density_supported_on_unit_ball():
     assert dens[3] == 0.0 and dens[4] == 0.0
 
 
-def test_scaled_density_integrates_like_unscaled():
-    moll = make_mollifier(3)
-    pts = np.array([[0.05, 0.0, 0.0]])
-    assert moll.scaled_density(pts, 0.1) == pytest.approx(
-        moll.density(pts / 0.1)[0] / 0.1**3)
-
-
 def test_convolution_nodes_unit_mass_inside_ball():
     for npa in (5, 9, 13):
         offsets, weights = convolution_nodes(3, npa)

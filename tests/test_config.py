@@ -1,11 +1,12 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from porous import (AuditSettings, ConfigError, default_config_doc,
-                    load_config, parse_config)
+from porous import (AuditSettings, BuildConfig, ConfigError, load_config,
+                    parse_config)
 from porous.config import CONFIG_SCHEMA, config_hash_of, validate_config_doc
 from porous.sampling import SamplingBudget
 from porous.verification import DBOUND_C, LEDGER_C, WITNESS_TOL
@@ -14,20 +15,23 @@ DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "config" \
     / "demo.json"
 
 
+def _demo_doc():
+    return json.loads(DEMO_CONFIG.read_text())
+
+
 def _raw(doc):
     return json.dumps(doc, indent=2).encode()
 
 
 def test_default_doc_parses_cleanly():
-    doc = default_config_doc()
+    doc = _demo_doc()
     cfg = parse_config(_raw(doc))
     assert cfg.build.n == 3
     assert cfg.build.depth == len(cfg.build.epsilons)
+    # the field defaults are the shipped demo, which the tests build from
+    assert cfg.build == dataclasses.replace(BuildConfig(),
+                                            config_hash=cfg.config_hash)
     assert cfg.audit == AuditSettings()
-
-
-def test_default_doc_is_the_shipped_demo_config():
-    assert default_config_doc() == json.loads(DEMO_CONFIG.read_text())
 
 
 def test_demo_config_loads():
@@ -40,7 +44,7 @@ def test_demo_config_loads():
 
 
 def test_hash_covers_exact_bytes():
-    doc = default_config_doc()
+    doc = _demo_doc()
     a = parse_config(_raw(doc))
     b = parse_config(json.dumps(doc).encode())     # same doc, fewer bytes
     assert a.doc == b.doc
@@ -64,7 +68,7 @@ def test_non_object_raises():
 
 
 def test_every_schema_violation_is_reported():
-    doc = default_config_doc()
+    doc = _demo_doc()
     doc["build"]["n"] = 2              # below minimum
     doc["build"]["s"] = 0.5            # at the open upper bound
     doc["build"]["seed"] = -1          # negative
@@ -77,7 +81,7 @@ def test_every_schema_violation_is_reported():
 
 
 def test_unknown_keys_are_rejected():
-    doc = default_config_doc()
+    doc = _demo_doc()
     doc["extra"] = 1
     doc["build"]["typo_knob"] = 2
     with pytest.raises(ConfigError) as err:
@@ -92,21 +96,21 @@ def test_missing_required_section_points_at_root():
 
 
 def test_format_version_is_pinned():
-    doc = default_config_doc()
+    doc = _demo_doc()
     doc["format_version"] = 2
     with pytest.raises(ConfigError, match="format_version"):
         parse_config(_raw(doc))
 
 
 def test_cross_field_errors_become_config_errors():
-    doc = default_config_doc()
+    doc = _demo_doc()
     doc["build"]["depth"] = 3          # schedule lists only have length 2
     with pytest.raises(ConfigError, match="invalid config"):
         parse_config(_raw(doc))
 
 
 def test_audit_section_is_optional_with_defaults():
-    doc = default_config_doc()
+    doc = _demo_doc()
     del doc["audit"]
     del doc["workers"]
     cfg = parse_config(_raw(doc))
@@ -114,7 +118,7 @@ def test_audit_section_is_optional_with_defaults():
 
 
 def test_audit_overrides_apply():
-    doc = default_config_doc()
+    doc = _demo_doc()
     doc["audit"] = {"seed": 7, "porosity_samples": 50,
                     "budget": {"strata": 4, "per_stratum": 16}}
     cfg = parse_config(_raw(doc))
@@ -125,7 +129,7 @@ def test_audit_overrides_apply():
 
 
 def test_with_seed_overrides_both_sides():
-    cfg = parse_config(_raw(default_config_doc()))
+    cfg = parse_config(_raw(_demo_doc()))
     reseeded = cfg.with_seed(99)
     assert reseeded.build.seed == 99
     assert reseeded.audit.seed == 99
@@ -146,7 +150,7 @@ def test_verdict_bounds_are_frozen(key, constant):
     # the key may be absent or the code's constant, nothing else
     schema = CONFIG_SCHEMA["properties"]["audit"]["properties"][key]
     assert schema == {"const": constant}
-    doc = default_config_doc()
+    doc = _demo_doc()
     assert doc["audit"][key] == constant
     parse_config(_raw(doc))
     doc["audit"][key] = 2.0 * constant
@@ -156,7 +160,7 @@ def test_verdict_bounds_are_frozen(key, constant):
 
 def test_workers_knob():
     # audits run serially: the key may be absent or 1, nothing else
-    doc = default_config_doc()
+    doc = _demo_doc()
     assert doc["workers"] == 1
     parse_config(_raw(doc))
     del doc["workers"]

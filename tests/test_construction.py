@@ -201,7 +201,7 @@ def test_far_fraction_matches_dense_distance(seed, dim, levels):
     r_new = t * rng.uniform(0.05, 0.7)
     pts = _far_probes(rng, space, r_new, extra=200)
     dense = space.boundary_distance(pts) >= space.E * r_new
-    got = far_fraction(space, pts, r_new, space.E)
+    got = far_fraction(space, pts, r_new)
     assert got.dtype == bool
     assert np.array_equal(got, dense)
 
@@ -217,7 +217,7 @@ def test_far_fraction_on_the_demo_stage_matches_dense_distance():
     pts = space.sample_uncovered(rng, 4000, 4096)
     pts = np.vstack([pts, _far_probes(rng, space, 0.005, extra=0)])
     for r_new in (0.001, 0.005, 0.02):
-        assert np.array_equal(far_fraction(space, pts, r_new, cfg.E),
+        assert np.array_equal(far_fraction(space, pts, r_new),
                               space.boundary_distance(pts) >= cfg.E * r_new)
 
 
@@ -299,17 +299,17 @@ def _grid_uncovered(space, res=128):
 def test_choose_level_radius_certifies_half_mass():
     cfg = BuildConfig()
     space = _space(cfg)
-    r_new, frac = choose_level_radius(space, r_prev=0.25, E=cfg.E, seed=0,
+    r_new, frac = choose_level_radius(space, r_prev=0.25, seed=0,
                                       budget=cfg.budget)
     assert r_new <= 0.25 / cfg.E + 1e-12
     assert frac >= 0.5 + HALF_MARGIN
     # dense-grid distance transform as the oracle for the far fraction
     grid = _grid_uncovered(space)
-    far = far_fraction(space, grid, r_new, cfg.E)
+    far = far_fraction(space, grid, r_new)
     assert float(far.mean()) >= 0.5
     # the next halving up must have been rejected for a reason: its exact
     # far fraction cannot clear the certification line
-    coarse = far_fraction(space, grid, 2.0 * r_new, cfg.E)
+    coarse = far_fraction(space, grid, 2.0 * r_new)
     assert float(coarse.mean()) < 0.5 + HALF_MARGIN + 0.05
 
 
@@ -317,10 +317,10 @@ def test_choose_level_radius_with_existing_spheres():
     cfg = BuildConfig()
     space = _space(cfg)
     space.add_level(np.array([[0.45, 0.5, 0.5], [0.58, 0.47, 0.5]]), 0.015)
-    r_new, frac = choose_level_radius(space, r_prev=0.02, E=cfg.E, seed=0,
+    r_new, frac = choose_level_radius(space, r_prev=0.02, seed=0,
                                       budget=cfg.budget)
     grid = _grid_uncovered(space)
-    far = far_fraction(space, grid, r_new, cfg.E)
+    far = far_fraction(space, grid, r_new)
     assert float(far.mean()) >= 0.5
 
 
@@ -331,9 +331,9 @@ def test_choose_level_radius_with_existing_spheres():
 def test_pack_level_separation_and_floor():
     cfg = BuildConfig()
     space = _space(cfg)
-    r_new, far_frac = choose_level_radius(space, r_prev=0.25, E=cfg.E,
-                                          seed=0, budget=cfg.budget)
-    fam, log = pack_level(space, k=1, level=1, r_new=r_new, E=cfg.E,
+    r_new, far_frac = choose_level_radius(space, r_prev=0.25, seed=0,
+                                          budget=cfg.budget)
+    fam, log = pack_level(space, k=1, level=1, r_new=r_new,
                           cfg=cfg, far_frac=far_frac)
     assert len(fam) >= 1
     if len(fam) > 1:
@@ -354,9 +354,9 @@ def test_pack_level_separation_and_floor():
 def test_pack_level_centers_stay_far_from_boundary():
     cfg = BuildConfig()
     space = _space(cfg)
-    r_new, far_frac = choose_level_radius(space, r_prev=0.25, E=cfg.E,
-                                          seed=0, budget=cfg.budget)
-    fam, _ = pack_level(space, k=1, level=1, r_new=r_new, E=cfg.E,
+    r_new, far_frac = choose_level_radius(space, r_prev=0.25, seed=0,
+                                          budget=cfg.budget)
+    fam, _ = pack_level(space, k=1, level=1, r_new=r_new,
                         cfg=cfg, far_frac=far_frac)
     assert np.all(space.boundary_distance(fam.centers)
                   >= cfg.E * r_new - 1e-12)

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from oracles import (brute_contains_any, brute_members, brute_pairs,
-                     grid_union_oracle)
+from oracles import brute_contains_any, brute_members, brute_pairs
 from parametric import SurfaceC1
 from porous import (AffinePlane, Ball, BallIndex, MeasureEstimate,
-                    PorosityWitness, SamplingBudget,
-                    pullback_porosity_witness, substream, union_measure,
+                    PorosityWitness, pullback_porosity_witness, substream,
                     unit_ball_volume)
 from porous import geometry
 from porous.geometry import contains_any
@@ -31,7 +29,8 @@ def test_ball_volume_and_open_membership():
     assert b.volume() == pytest.approx(unit_ball_volume(3) * 8.0)
     pts = np.array([[0, 0, 0], [1.999, 0, 0], [2.0, 0, 0], [2.1, 0, 0]],
                    dtype=float)
-    assert b.contains(pts).tolist() == [True, True, False, False]
+    index = BallIndex(b.center[None], [b.radius])
+    assert index.contains_any(pts).tolist() == [True, True, False, False]
 
 
 def test_ball_rejects_nonpositive_radius():
@@ -131,63 +130,6 @@ def test_index_blocks_bound_a_cell_holding_every_ball(monkeypatch):
     _assert_members(index, pts, centers, radii)
     _assert_pairs(index, centers, radii)
     assert max(seen) <= 64 and sum(seen) > 100 * 64
-
-
-def test_union_measure_exact_beyond_four_thousand_disjoint_balls():
-    axis = np.linspace(-0.5, 0.5, 17)
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
-                    axis=-1).reshape(-1, 3)
-    balls = [Ball(c, 0.02) for c in grid]
-    est = union_measure(balls, Ball(np.zeros(3), 1.0), SamplingBudget(4, 8))
-    assert len(balls) == 4913
-    assert est.method == "exact"
-    assert est.value == pytest.approx(4913 * unit_ball_volume(3) * 0.02**3)
-
-
-def test_union_measure_exact_for_disjoint_family():
-    region = Ball([0.0, 0.0, 0.0], 2.0)
-    balls = [Ball([0.8, 0.0, 0.0], 0.3), Ball([-0.8, 0.0, 0.0], 0.3),
-             Ball([0.0, 0.9, 0.0], 0.25)]
-    est = union_measure(balls, region, SamplingBudget(8, 64))
-    assert est.method == "exact"
-    assert est.value == pytest.approx(sum(b.volume() for b in balls),
-                                      rel=1e-12)
-
-
-def test_union_measure_dedupes_exact_duplicates():
-    region = Ball([0.0, 0.0, 0.0], 2.0)
-    big = Ball([0.0, 0.0, 0.0], 0.5)
-    est = union_measure([big, big, big], region, SamplingBudget(8, 64))
-    assert est.method == "exact"
-    assert est.value == pytest.approx(big.volume(), rel=1e-12)
-
-
-def test_union_measure_nested_ball_falls_back_to_sampling():
-    region = Ball([0.0, 0.0, 0.0], 2.0)
-    big = Ball([0.0, 0.0, 0.0], 0.5)
-    nested = Ball([0.1, 0.0, 0.0], 0.2)
-    est = union_measure([big, nested], region, SamplingBudget(32, 512))
-    assert est.method == "monte_carlo"
-    assert abs(est.value - big.volume()) <= est.half_width
-
-
-def test_union_measure_monte_carlo_on_overlap():
-    region = Ball([0.0, 0.0, 0.0], 1.5)
-    balls = [Ball([0.15, 0.0, 0.0], 0.5), Ball([-0.15, 0.0, 0.0], 0.5)]
-    est = union_measure(balls, region, SamplingBudget(32, 512))
-    assert est.method == "monte_carlo"
-    oracle, err = grid_union_oracle(balls, region, res=128)
-    assert abs(est.value - oracle) <= est.half_width + err
-
-
-def test_union_measure_against_dense_grid_fifty_balls():
-    rng = substream(42, "fifty")
-    region = Ball([0.5, 0.5, 0.5], 0.9)
-    balls = [Ball(rng.uniform(0.2, 0.8, 3), rng.uniform(0.02, 0.12))
-             for _ in range(50)]
-    est = union_measure(balls, region, SamplingBudget(64, 1024))
-    oracle, err = grid_union_oracle(balls, region, res=256)
-    assert abs(est.value - oracle) <= est.half_width + err
 
 
 # ---------------------------------------------------------------------------

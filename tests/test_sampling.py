@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from oracles import (list_seeded_substream, one_ball_stratified_mean,
-                     unsplit_sample_shell)
-from porous import SamplingBudget, sampling, substream, unit_ball_volume
+from oracles import (grid_union_oracle, list_seeded_substream,
+                     one_ball_stratified_mean, unsplit_sample_shell)
+from porous import (Ball, BallIndex, SamplingBudget, sampling, substream,
+                    unit_ball_volume)
 from porous.sampling import (Z99, bernoulli_half_width, local_order,
                              sample_shell,
                              sample_shells, shell_edges,
@@ -97,6 +98,35 @@ def test_stratified_integral_unit_ball_volume():
         SamplingBudget(8, 32))
     assert val == pytest.approx(vol, rel=1e-12)
     assert hw <= 1e-9
+
+
+def _union_estimate(balls, region, budget):
+    """Measure of the balls' union inside the region, with its 99%
+    half-width: the stratified mean of ``BallIndex.contains_any``."""
+    index = BallIndex(np.array([b.center for b in balls]),
+                      np.array([b.radius for b in balls]))
+    mean, hw, _ = stratified_ball_mean(
+        lambda pts: index.contains_any(pts).astype(float),
+        region.center, region.radius, 0, budget, key=("union",))
+    return mean * region.volume(), hw * region.volume()
+
+
+def test_stratified_union_interval_covers_the_grid_on_two_overlapping_balls():
+    region = Ball([0.0, 0.0, 0.0], 1.5)
+    balls = [Ball([0.15, 0.0, 0.0], 0.5), Ball([-0.15, 0.0, 0.0], 0.5)]
+    value, hw = _union_estimate(balls, region, SamplingBudget(32, 512))
+    oracle, err = grid_union_oracle(balls, region, res=128)
+    assert abs(value - oracle) <= hw + err
+
+
+def test_stratified_union_against_dense_grid_fifty_balls():
+    rng = substream(42, "fifty")
+    region = Ball([0.5, 0.5, 0.5], 0.9)
+    balls = [Ball(rng.uniform(0.2, 0.8, 3), rng.uniform(0.02, 0.12))
+             for _ in range(50)]
+    value, hw = _union_estimate(balls, region, SamplingBudget(64, 1024))
+    oracle, err = grid_union_oracle(balls, region, res=256)
+    assert abs(value - oracle) <= hw + err
 
 
 def test_budget_scaled_multiplies_per_stratum():
