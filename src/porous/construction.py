@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -217,7 +217,8 @@ class StageSpace:
         self.radii = np.zeros(0)
         self.index = BallIndex(self.centers, self.radii)
 
-    def add_level(self, centers: np.ndarray, t: float) -> None:
+    def add_level(self, centers: np.ndarray, t) -> None:
+        """Add balls at ``centers`` of radius ``t``, one or one per ball."""
         self.centers = np.vstack([self.centers, centers])
         self.radii = np.concatenate([self.radii, np.full(len(centers), t)])
         self.index = BallIndex(self.centers, self.cover_factor * self.radii)
@@ -282,17 +283,6 @@ class StageSpace:
 # level construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LevelFamily:
-    k: int
-    level: int
-    radius: float
-    centers: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.centers)
-
-
 def far_fraction(space: StageSpace, pts: np.ndarray,
                  r_new: float) -> np.ndarray:
     """Which points lie at least ``E * r_new`` inside the window and
@@ -344,19 +334,6 @@ def choose_level_radius(space: StageSpace, r_prev: float, seed: int,
         f"(reached r={r:g})")
 
 
-@dataclass(frozen=True)
-class LevelLog:
-    k: int
-    level: int
-    radius: float
-    count: int
-    far_fraction: float
-    pair_cover_fraction: float      # by the 2E enlargements, of uncovered
-    ball_fraction: float            # by the balls themselves, of uncovered
-    uncovered_after: float
-    uncovered_after_hw: float
-
-
 def _greedy_select(pool: np.ndarray, min_sep: float) -> np.ndarray:
     """Greedy prefix of the pool with pairwise separation >= min_sep."""
     if len(pool) == 0:
@@ -374,13 +351,13 @@ def _greedy_select(pool: np.ndarray, min_sep: float) -> np.ndarray:
 
 
 def pack_level(space: StageSpace, k: int, level: int, r_new: float,
-               cfg: BuildConfig, far_frac: float) -> tuple[LevelFamily, LevelLog]:
+               cfg: BuildConfig) -> tuple[np.ndarray, float, float]:
     """Greedy packing of certified-far uncovered points at separation 2 E r,
     with ``E = space.E``.
 
     Certifies that the doubled enlargements cover at least half of the
     uncovered region and that the balls themselves cover at least
-    (1/(2E))^n / 2 of it.
+    (1/(2E))^n / 2 of it; returns the centres and those two fractions.
     """
     E = space.E
     floor = (1.0 / (2.0 * E)) ** cfg.n / 2.0
@@ -405,38 +382,25 @@ def pack_level(space: StageSpace, k: int, level: int, r_new: float,
         hw_p = bernoulli_half_width(pc, len(probe))
         hw_b = bernoulli_half_width(bc, len(probe))
         if pc - hw_p >= 0.5 and bc - hw_b >= floor:
-            fam = LevelFamily(k=k, level=level, radius=r_new, centers=centers)
-            log = LevelLog(k=k, level=level, radius=r_new, count=len(centers),
-                           far_fraction=far_frac, pair_cover_fraction=pc,
-                           ball_fraction=bc, uncovered_after=math.nan,
-                           uncovered_after_hw=math.nan)
-            return fam, log
+            return centers, pc, bc
     raise ConstructionFailure(
         f"stage {k} level {level}: could not certify coverage guarantees "
         f"(pair {pc:.3f}, ball {bc:.3f} vs floor {floor:.3e})",
         stage=k, level=level, pair_fraction=pc, ball_fraction=bc)
 
 
-@dataclass(frozen=True)
-class StageResult:
-    k: int
-    levels: tuple
-    stage_radius: float
-    uncovered: MeasureEstimate
-    logs: tuple
-
-
-def build_stage(k: int, cfg: BuildConfig, r_prev: float) -> StageResult:
+def build_stage(k: int, cfg: BuildConfig,
+                r_prev: float) -> tuple[StageSpace, dict]:
     """Run levels until the uncovered upper confidence bound meets the
-    stage target; the level cap or a failed certification raises
-    ``ConstructionFailure``."""
+    stage target, or raise ``ConstructionFailure`` at the level cap or a
+    failed certification.  Returns the stage's space, which holds every
+    level's centres and radii, and its log with one entry per level."""
     stage_plane = plane_for_index(plane_schedule(k), cfg.n, cfg.r)
     space = StageSpace(window=cfg.window,
                        cover_factor=footprint_factor(cfg.L, stage_plane.slope),
                        E=cfg.E)
     threshold = cfg.stop_threshold(k)
-    levels: list[LevelFamily] = []
-    logs: list[LevelLog] = []
+    levels: list[dict] = []
     r_level = r_prev
     uncovered = space.uncovered_measure(cfg.budget, cfg.seed,
                                         key=("stage", k, 0))
@@ -445,14 +409,17 @@ def build_stage(k: int, cfg: BuildConfig, r_prev: float) -> StageResult:
             break
         r_level, far_frac = choose_level_radius(
             space, r_level, cfg.seed, cfg.budget, key=(k, level))
-        fam, log = pack_level(space, k, level, r_level, far_frac=far_frac,
-                              cfg=cfg)
-        space.add_level(fam.centers, r_level)
+        centers, pair_frac, ball_frac = pack_level(space, k, level, r_level,
+                                                   cfg)
+        space.add_level(centers, r_level)
         uncovered = space.uncovered_measure(cfg.budget, cfg.seed,
                                             key=("stage", k, level))
-        logs.append(replace(log, uncovered_after=uncovered.value,
-                            uncovered_after_hw=uncovered.half_width))
-        levels.append(fam)
+        levels.append({"k": k, "level": level, "radius": r_level,
+                       "count": len(centers), "far_fraction": far_frac,
+                       "pair_cover_fraction": pair_frac,
+                       "ball_fraction": ball_frac,
+                       "uncovered_after": uncovered.value,
+                       "uncovered_after_hw": uncovered.half_width})
     if uncovered.upper() > threshold:
         raise ConstructionFailure(
             f"stage {k}: uncovered {uncovered.value:.4e} "
@@ -460,9 +427,11 @@ def build_stage(k: int, cfg: BuildConfig, r_prev: float) -> StageResult:
             f"after {len(levels)} levels",
             stage=k,
             uncovered=uncovered.value, threshold=threshold)
-    return StageResult(k=k, levels=tuple(levels),
-                       stage_radius=levels[-1].radius, uncovered=uncovered,
-                       logs=tuple(logs))
+    return space, {"k": k, "plane_index": plane_schedule(k),
+                   "levels": levels, "uncovered": uncovered.value,
+                   "uncovered_half_width": uncovered.half_width,
+                   "threshold": threshold,
+                   "target_reached": uncovered.upper() <= threshold}
 
 
 # ---------------------------------------------------------------------------
@@ -533,32 +502,23 @@ def build_family(cfg: BuildConfig) -> tuple[HoleFamily, dict]:
             "(per-level coverage ~(eps^3)^n); rerun in relaxed mode with a "
             "configured enlargement factor E and stop fractions",
             reason="strict-infeasible")
-    levels: list[LevelFamily] = []
-    stage_logs = []
+    spaces, stage_logs = [], []
     r_prev = cfg.s
     for k in range(1, cfg.depth + 1):
-        result = build_stage(k, cfg, r_prev)
-        levels += result.levels
-        stage_logs.append({
-            "k": k,
-            "plane_index": plane_schedule(k),
-            "levels": [log.__dict__ for log in result.logs],
-            "uncovered": result.uncovered.value,
-            "uncovered_half_width": result.uncovered.half_width,
-            "threshold": cfg.stop_threshold(k),
-            "target_reached": result.uncovered.upper()
-            <= cfg.stop_threshold(k),
-        })
-        r_prev = result.stage_radius
-    sizes = [len(fam) for fam in levels]
+        space, log = build_stage(k, cfg, r_prev)
+        spaces.append(space)
+        stage_logs.append(log)
+        r_prev = float(space.radii[-1])
+    level_logs = [lv for log in stage_logs for lv in log["levels"]]
+    sizes = [lv["count"] for lv in level_logs]
     family = HoleFamily(
         n=cfg.n, s=cfg.s, r=cfg.r, L=cfg.L, E=cfg.E,
         epsilons=cfg.epsilons, seed=cfg.seed, config_hash=cfg.config_hash,
-        ks=np.repeat([fam.k for fam in levels], sizes).astype(np.int64),
-        levels=np.repeat([fam.level for fam in levels], sizes
+        ks=np.repeat([lv["k"] for lv in level_logs], sizes).astype(np.int64),
+        levels=np.repeat([lv["level"] for lv in level_logs], sizes
                          ).astype(np.int64),
-        base_centers=np.vstack([fam.centers for fam in levels]),
-        ts=np.repeat([float(fam.radius) for fam in levels], sizes))
+        base_centers=np.vstack([space.centers for space in spaces]),
+        ts=np.concatenate([space.radii for space in spaces]))
     return family, {"stages": stage_logs}
 
 

@@ -3,15 +3,16 @@ from __future__ import annotations
 
 
 class PorousError(Exception):
-    """Base class for package-specific failures."""
-
-
-class PreconditionError(PorousError):
-    """An audited precondition of an operation failed; carries diagnostics."""
+    """Base class for package-specific failures; keyword arguments are
+    kept as ``details``, the failure's diagnostics."""
 
     def __init__(self, message: str, **details):
         super().__init__(message)
         self.details = details
+
+
+class PreconditionError(PorousError):
+    """An audited precondition of an operation failed; carries diagnostics."""
 
 
 class BlendPreconditionError(PreconditionError):
@@ -21,17 +22,9 @@ class BlendPreconditionError(PreconditionError):
 class ConstructionFailure(PorousError):
     """A build stage could not certify its guarantees; carries diagnostics."""
 
-    def __init__(self, message: str, **details):
-        super().__init__(message)
-        self.details = details
-
 
 class AuditFailure(PorousError):
     """A verification audit found a concrete violation; carries diagnostics."""
-
-    def __init__(self, message: str, **details):
-        super().__init__(message)
-        self.details = details
 
 
 class ParseError(PorousError):

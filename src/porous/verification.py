@@ -812,20 +812,11 @@ def family_invariant_audit(family: HoleFamily,
                 f"pair-{int(ids[i])}-{int(ids[j])}",
                 "packing-pairs", worst_gap, 0.0))
 
-    # radius decay: strictly down levels, and across stage boundaries
-    decay_ok = True
-    prev_min = math.inf
-    for k in range(1, family.depth + 1):
-        ids = family.stage_ids(k)
-        for lvl in np.unique(family.levels[ids]):
-            t_lvl = float(family.ts[ids][family.levels[ids] == lvl][0])
-            if t_lvl >= prev_min - 1e-15 and not math.isinf(prev_min):
-                decay_ok = False
-            prev_min = min(prev_min, t_lvl)
-    rows.append(AuditRow.at_least("family/radius-decay", "packing-decay",
-                                  float(decay_ok), 1.0))
-
-    # replayed per-level floors
+    # one walk over the levels in (stage, level) order: each level's
+    # largest radius lies below every earlier level's smallest, and the
+    # replayed floor measures and adds every hole with its own radius
+    decay_ok, prev_min = True, math.inf
+    floor_rows: list[AuditRow] = []
     for k in range(1, family.depth + 1):
         plane = family.plane(k)
         space = StageSpace(window=window,
@@ -834,7 +825,9 @@ def family_invariant_audit(family: HoleFamily,
         ids = family.stage_ids(k)
         for lvl in np.unique(family.levels[ids]):
             sel = ids[family.levels[ids] == lvl]
-            t_lvl = float(family.ts[sel][0])
+            ts = family.ts[sel]
+            decay_ok = decay_ok and float(ts.max()) < prev_min - 1e-15
+            prev_min = min(prev_min, float(ts.min()))
             rng = substream(settings.seed, "floor-replay", k, int(lvl))
             try:
                 pts = space.sample_uncovered(rng, settings.floor_samples,
@@ -843,17 +836,16 @@ def family_invariant_audit(family: HoleFamily,
                 raise NeedsMoreSamples(
                     f"floor replay of stage {k} level {int(lvl)}: {exc}"
                     ) from exc
-            inside = contains_any(pts, family.base_centers[sel],
-                                  np.full(len(sel), t_lvl))
-            frac = float(inside.mean())
-            hw = bernoulli_half_width(frac, len(pts))
-            status = "pass" if frac - hw >= wn_floor else "fail"
-            rows.append(AuditRow(
-                id=f"family/stage-{k}/level-{int(lvl)}/ball-floor",
-                check="packing-floor", measured=frac, bound=wn_floor,
-                margin=frac - hw - wn_floor, status=status))
-            space.add_level(family.base_centers[sel], t_lvl)
-    return rows
+            frac = float(contains_any(pts, family.base_centers[sel],
+                                      ts).mean())
+            floor_rows.append(AuditRow.at_least(
+                f"family/stage-{k}/level-{int(lvl)}/ball-floor",
+                "packing-floor", frac, wn_floor,
+                half_width=bernoulli_half_width(frac, len(pts))))
+            space.add_level(family.base_centers[sel], ts)
+    rows.append(AuditRow.at_least("family/radius-decay", "packing-decay",
+                                  float(decay_ok), 1.0))
+    return rows + floor_rows
 
 
 # ---------------------------------------------------------------------------
@@ -898,11 +890,15 @@ class AuditRow:
 
     @classmethod
     def at_least(cls, id: str, check: str, measured: float, bound: float,
-                 ok: Optional[bool] = None) -> "AuditRow":
-        """A measured value bounded below; ``ok`` as for ``at_most``."""
+                 ok: Optional[bool] = None,
+                 half_width: float = 0.0) -> "AuditRow":
+        """A measured value bounded below; ``ok`` as for ``at_most``.  A
+        sampled value's margin and status come from the lower end of its
+        interval, ``measured - half_width``."""
         measured, bound = float(measured), float(bound)
-        ok = measured >= bound if ok is None else ok
-        return cls(id, check, measured, bound, measured - bound,
+        low = measured - half_width
+        ok = low >= bound if ok is None else ok
+        return cls(id, check, measured, bound, low - bound,
                    "pass" if ok else "fail")
 
     @classmethod
@@ -1084,12 +1080,8 @@ def analysis_suite(seed: int = 0) -> list[AuditRow]:
     # affine fields are fixed points of discrete smoothing
     grad = np.array([0.2, -0.1, 0.15])
     window = Ball(c, 0.25)
-    affine = ScalarField(
-        domain=window,
-        fn=lambda pts: 0.004 + (np.atleast_2d(pts) - c) @ grad,
-        grad_fn=lambda pts: np.broadcast_to(
-            grad, np.atleast_2d(pts).shape).copy(),
-        grad_bound=float(np.linalg.norm(grad)), label="affine")
+    affine = _plane_patch(AffinePlane(index=1, gradient=grad, offset=0.004,
+                                      anchor=c), window, (), "affine").g
     eps = 0.01
     smooth_aff = mollify(affine, eps)
     rows.append(_row(
@@ -1118,15 +1110,11 @@ def analysis_suite(seed: int = 0) -> list[AuditRow]:
 
     # blended field obeys max(grad bounds) + 3*eps
     t = cut.ball.radius
-    inner_bump = bump_field(c, cut.support_radius,
-                            0.9 * cut.eps**2 * t, label="inner-bump")
-    inner = ScalarField(domain=cut.ball, fn=inner_bump.fn,
-                        grad_fn=inner_bump.grad_fn,
-                        grad_bound=inner_bump.grad_bound, label="inner")
-    outer = ScalarField(domain=cut.ball,
-                        fn=lambda pts: np.zeros(np.atleast_2d(pts).shape[0]),
-                        grad_fn=lambda pts: np.zeros_like(np.atleast_2d(pts)),
-                        grad_bound=0.0, label="outer")
+    inner = bump_field(c, cut.support_radius, 0.9 * cut.eps**2 * t,
+                       label="inner")
+    outer = _plane_patch(AffinePlane(index=1, gradient=np.zeros(3),
+                                     offset=0.0, anchor=c),
+                         cut.ball, (), "outer").g
     mixed = blend(inner, outer, cut, seed=seed)
     blend_bound = max(inner.grad_bound, outer.grad_bound) + 3.0 * cut.eps
     sup_mixed = _suite_sup(
@@ -1163,10 +1151,7 @@ def analysis_suite(seed: int = 0) -> list[AuditRow]:
     # gradient collapse under smoothing of a capped field
     dom = Ball(c, 0.25)
     cap = 0.05**2 * dom.radius
-    small = bump_field(c, dom.radius, cap, label="capped")
-    capped = ScalarField(domain=dom, fn=small.fn, grad_fn=small.grad_fn,
-                         grad_bound=min(small.grad_bound, 1.0),
-                         label="capped")
+    capped = bump_field(c, dom.radius, cap, label="capped")
     sg = smoothed_gradient_check(capped, 0.05, seed=seed)
     rows.append(_row("smoothed-gradient", sg.gradient_over_eps,
                      SMOOTHED_GRAD_C))

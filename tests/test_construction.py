@@ -331,22 +331,22 @@ def test_choose_level_radius_with_existing_spheres():
 def test_pack_level_separation_and_floor():
     cfg = BuildConfig()
     space = _space(cfg)
-    r_new, far_frac = choose_level_radius(space, r_prev=0.25, seed=0,
-                                          budget=cfg.budget)
-    fam, log = pack_level(space, k=1, level=1, r_new=r_new,
-                          cfg=cfg, far_frac=far_frac)
-    assert len(fam) >= 1
-    if len(fam) > 1:
-        d = np.linalg.norm(fam.centers[:, None] - fam.centers[None], axis=2)
+    r_new, _ = choose_level_radius(space, r_prev=0.25, seed=0,
+                                   budget=cfg.budget)
+    centers, pair_fraction, ball_fraction = pack_level(
+        space, k=1, level=1, r_new=r_new, cfg=cfg)
+    assert len(centers) >= 1
+    if len(centers) > 1:
+        d = np.linalg.norm(centers[:, None] - centers[None], axis=2)
         np.fill_diagonal(d, np.inf)
         assert d.min() >= 2.0 * cfg.E * r_new - 1e-12
     floor = (1.0 / (2.0 * cfg.E)) ** 3 / 2.0
-    assert log.ball_fraction >= floor
-    assert log.pair_cover_fraction >= 0.5
+    assert ball_fraction >= floor
+    assert pair_fraction >= 0.5
     # independent grid estimate of the covered share of the uncovered set
     grid = _grid_uncovered(space)
     inside = np.zeros(len(grid), dtype=bool)
-    for c in fam.centers:
+    for c in centers:
         inside |= np.linalg.norm(grid - c, axis=1) < r_new
     assert float(inside.mean()) >= floor * 0.9
 
@@ -354,11 +354,10 @@ def test_pack_level_separation_and_floor():
 def test_pack_level_centers_stay_far_from_boundary():
     cfg = BuildConfig()
     space = _space(cfg)
-    r_new, far_frac = choose_level_radius(space, r_prev=0.25, seed=0,
-                                          budget=cfg.budget)
-    fam, _ = pack_level(space, k=1, level=1, r_new=r_new,
-                        cfg=cfg, far_frac=far_frac)
-    assert np.all(space.boundary_distance(fam.centers)
+    r_new, _ = choose_level_radius(space, r_prev=0.25, seed=0,
+                                   budget=cfg.budget)
+    centers, _, _ = pack_level(space, k=1, level=1, r_new=r_new, cfg=cfg)
+    assert np.all(space.boundary_distance(centers)
                   >= cfg.E * r_new - 1e-12)
 
 
@@ -368,14 +367,18 @@ def test_pack_level_centers_stay_far_from_boundary():
 
 def test_build_stage_reaches_target_within_decay_bound():
     cfg = BuildConfig()
-    result = build_stage(1, cfg, r_prev=cfg.s)
-    assert result.uncovered.upper() <= cfg.stop_threshold(1)
+    space, log = build_stage(1, cfg, r_prev=cfg.s)
+    assert log["uncovered"] + log["uncovered_half_width"] \
+        <= cfg.stop_threshold(1)
     decay_bound = math.ceil(math.log(1.0 / cfg.stop_fractions[0])
                             / ((1.0 / (2.0 * cfg.E)) ** 3 / 2.0))
-    assert len(result.levels) <= decay_bound
-    radii = [lv.radius for lv in result.levels]
+    assert len(log["levels"]) <= decay_bound
+    radii = [lv["radius"] for lv in log["levels"]]
     assert all(a > b for a, b in zip(radii, radii[1:]))
-    assert result.stage_radius == radii[-1]
+    # the space holds every level's centres at its radius
+    counts = [lv["count"] for lv in log["levels"]]
+    assert np.array_equal(space.radii, np.repeat(radii, counts))
+    assert space.radii[-1] == radii[-1]
 
 
 def _hand_family(base_centers, ts, ks=None, levels=None, epsilons=(0.0025,)):
@@ -444,6 +447,13 @@ def test_demo_log_reports_levels(demo_log):
         assert s["target_reached"]
         assert s["uncovered"] <= s["threshold"]
         assert len(s["levels"]) >= 1
+        # one entry per level, written once its uncovered mass is known
+        for lv in s["levels"]:
+            assert list(lv) == [
+                "k", "level", "radius", "count", "far_fraction",
+                "pair_cover_fraction", "ball_fraction", "uncovered_after",
+                "uncovered_after_hw"]
+            assert math.isfinite(lv["uncovered_after"])
 
 
 # ---------------------------------------------------------------------------

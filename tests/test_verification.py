@@ -590,12 +590,27 @@ def test_budget_smooths_over_hit_holes_the_disjointness_audit_passes():
 
 
 def test_family_audit_fails_a_level_whose_radius_grows():
-    fam = _manual_family([[0.4, 0.5, 0.5], [0.6, 0.5, 0.5]], [0.004, 0.01],
-                         levels=[1, 2])
-    rows = family_invariant_audit(fam, AuditSettings(floor_samples=256))
-    (decay,) = [r for r in rows if r.id == "family/radius-decay"]
-    assert (decay.measured, decay.bound, decay.margin, decay.status) == (
-        0.0, 1.0, -1.0, "fail")
+    # level 2 grows in its only hole, or in a hole after a smaller first
+    # one: the decay check reads every hole of a level, not its first
+    for centers, ts, levels in [
+            ([[0.4, 0.5, 0.5], [0.6, 0.5, 0.5]], [0.004, 0.01], [1, 2]),
+            ([[0.4, 0.5, 0.5], [0.6, 0.5, 0.5], [0.5, 0.6, 0.5]],
+             [0.004, 0.002, 0.01], [1, 2, 2])]:
+        fam = _manual_family(centers, ts, levels=levels)
+        rows = family_invariant_audit(fam, AuditSettings(floor_samples=256))
+        (decay,) = [r for r in rows if r.id == "family/radius-decay"]
+        assert (decay.measured, decay.bound, decay.margin, decay.status) \
+            == (0.0, 1.0, -1.0, "fail")
+
+
+def test_floor_replay_measures_every_hole_with_its_own_radius():
+    # one level of a small hole, then a large one: the replayed share
+    # counts the large ball, about (0.05 / 0.25)^3 = 0.008 of the window
+    fam = _manual_family([[0.4, 0.5, 0.5], [0.6, 0.5, 0.5]], [0.001, 0.05])
+    rows = family_invariant_audit(fam)
+    (floor,) = [r for r in rows if r.check == "packing-floor"]
+    assert floor.id == "family/stage-1/level-1/ball-floor"
+    assert 0.004 < floor.measured < 0.012
 
 
 def test_family_audit_accepts_nested_primed_balls():
@@ -1072,6 +1087,12 @@ def test_row_constructors_derive_margin_and_status():
     below = AuditRow.at_least("a", "c", 1.0, 3.0)
     assert (below.margin, below.status) == (-2.0, "fail")
     assert AuditRow.at_least("a", "c", 3.0, 1.0).status == "pass"
+    # a sampled value: margin and status from the lower end of its interval
+    sampled = AuditRow.at_least("a", "c", 0.5, 0.25, half_width=0.25)
+    assert (sampled.measured, sampled.margin, sampled.status) == (
+        0.5, 0.0, "pass")
+    short = AuditRow.at_least("a", "c", 0.5, 0.25, half_width=0.375)
+    assert (short.margin, short.status) == (-0.125, "fail")
     assert AuditRow.zero_count("a", "c", 0) == AuditRow(
         "a", "c", 0.0, 0.0, 0.0, "pass")
     assert AuditRow.zero_count("a", "c", 2).status == "fail"
