@@ -2,8 +2,8 @@
 """Build the shipped hole family and audit its packing invariants.
 
 Loads demos/config/demo.json, runs the staged construction, prints a
-per-stage summary (plane index, hole count, stage radius, whether the
-stop threshold was reached), then replays the exact packing audits:
+per-stage summary (plane index, hole count, stage radius, the uncovered
+mass against the stop threshold), then replays the exact packing audits:
 window containment, pairwise disjoint-or-nested enlarged balls, radius
 decay, and the per-level coverage floor (1/(2E))^n / 2.
 
@@ -45,7 +45,8 @@ def main() -> int:
         print(f"  stage {k}: plane m={plane_schedule(k)}  "
               f"holes={len(ids)}  levels={len(stage['levels'])}  "
               f"radius={family.stage_radii[k - 1]:.3e}  "
-              f"reached={stage['target_reached']}")
+              f"uncovered={stage['uncovered']:.3e} "
+              f"(threshold {stage['threshold']:.3e})")
 
     rows = family_invariant_audit(family, cfg.audit)
     by_check: dict[str, list] = {}

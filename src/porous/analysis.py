@@ -22,9 +22,9 @@ from .errors import BlendPreconditionError, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, ScalarField,
                        displacements, scale_rows, sq_norms,
                        unit_ball_volume)
-from .sampling import (SamplingBudget, place_shell, sample_shell,
-                       shell_draws, shell_edges, stratified_ball_mean,
-                       substream)
+from .sampling import (SamplingBudget, place_shell, sample_shells,
+                       shell_draws, shell_edges, stratified_ball_integral,
+                       stratified_ball_mean, substream)
 
 DEFAULT_NODES_PER_AXIS = 9
 _RADIAL_ORDER = 400
@@ -468,18 +468,16 @@ def sobolev_ratio(g: ScalarField, b: Ball, alpha: float, seed: int = 0,
             f"field vanishes on {frac:.3f} < alpha={alpha} of the ball",
             fraction=frac, alpha=alpha)
 
-    vol = b.volume()
-    mean_p, _, count = stratified_ball_mean(
-        lambda pts: np.abs(g.values(pts)) ** p,
-        b.center, b.radius, seed, budget, key=("sobolev-lp",))
-    mean_e, _, _ = stratified_ball_mean(
+    lp_p = stratified_ball_integral(lambda pts: np.abs(g.values(pts)) ** p,
+                                    b, seed, budget, key=("sobolev-lp",))
+    energy_sq = stratified_ball_integral(
         lambda pts: (g.gradients(pts) ** 2).sum(axis=1),
-        b.center, b.radius, seed, budget, key=("sobolev-energy",))
-    lp = (mean_p * vol) ** (1.0 / p)
-    energy = math.sqrt(max(mean_e, 0.0) * vol)
+        b, seed, budget, key=("sobolev-energy",))
+    lp = lp_p.value ** (1.0 / p)
+    energy = math.sqrt(energy_sq.value)
     ratio = 0.0 if lp == 0.0 else (math.inf if energy == 0.0 else lp / energy)
     return SobolevCheck(exponent=p, lp_norm=lp, energy=energy, ratio=ratio,
-                        vanish_fraction=frac, sample_count=count)
+                        vanish_fraction=frac, sample_count=lp_p.sample_count)
 
 
 @dataclass(frozen=True)
@@ -527,15 +525,13 @@ def area_lower_bound_check(g: ScalarField, b: Ball, h: float, seed: int = 0,
         e = (g.gradients(pts) ** 2).sum(axis=1)
         return np.where(vals >= h / 2.0, e, 0.0)
 
-    mean_e, hw_e, count = stratified_ball_mean(
-        energy_on_superlevel, b.center, b.radius, seed, budget,
-        key=("area-energy",))
-    vol = b.volume()
-    rhs = mean_e * vol
+    rhs = stratified_ball_integral(energy_on_superlevel, b, seed, budget,
+                                   key=("area-energy",))
     lhs = unit_ball_volume(b.dim) * h ** b.dim
-    ratio = math.inf if rhs == 0 else lhs / rhs
-    return AreaCheck(h=h, lhs=lhs, rhs=rhs, rhs_half_width=hw_e * vol,
-                     ratio=ratio, low_fraction=low, sample_count=count)
+    ratio = math.inf if rhs.value == 0 else lhs / rhs.value
+    return AreaCheck(h=h, lhs=lhs, rhs=rhs.value,
+                     rhs_half_width=rhs.half_width, ratio=ratio,
+                     low_fraction=low, sample_count=rhs.sample_count)
 
 
 @dataclass(frozen=True)
@@ -657,11 +653,9 @@ def smoothed_gradient_check(g: ScalarField, eps: float, seed: int = 0,
 
 def _sampled_sup(fn, b: Ball, seed: int, budget: SamplingBudget) -> float:
     """Deterministic stratified probe of a sup, including the centre point."""
-    best = float(np.max(fn(b.center[None, :])))
     edges = shell_edges(b.radius, budget.strata, b.dim)
-    for j in range(budget.strata):
-        rng = substream(seed, "sup", j)
-        pts = sample_shell(rng, b.center, edges[j], edges[j + 1],
-                           budget.per_stratum)
-        best = max(best, float(np.max(fn(pts))))
-    return best
+    pts = sample_shells(seed, [("sup", j) for j in range(budget.strata)],
+                        np.repeat(b.center[None, :], budget.strata, axis=0),
+                        edges[:-1, None], edges[1:, None], budget.per_stratum)
+    return max(float(np.max(fn(b.center[None, :]))),
+               float(np.max(fn(pts.reshape(-1, b.dim)))))

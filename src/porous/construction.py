@@ -28,7 +28,7 @@ from .errors import ConstructionFailure, NeedsMoreSamples, ParseError
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                        contains_any)
 from .sampling import (SamplingBudget, bernoulli_half_width, place_shell,
-                       sample_shell, shell_draws, stratified_ball_mean,
+                       sample_shell, shell_draws, stratified_ball_integral,
                        substream)
 
 FORMAT_VERSION = 1
@@ -267,16 +267,12 @@ class StageSpace:
                           key: Sequence = ()) -> MeasureEstimate:
         if len(self.radii) == 0:
             return MeasureEstimate(self.window.volume(), 0.0, "exact", 0)
-        w = self.window
 
         def outside(pts: np.ndarray) -> np.ndarray:
             return (~self.covered(pts)).astype(float)
 
-        frac, hw, count = stratified_ball_mean(
-            outside, w.center, w.radius, seed, budget,
-            key=("uncovered", *key))
-        vol = w.volume()
-        return MeasureEstimate(frac * vol, hw * vol, "monte_carlo", count)
+        return stratified_ball_integral(outside, self.window, seed, budget,
+                                        key=("uncovered", *key))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +426,7 @@ def build_stage(k: int, cfg: BuildConfig,
     return space, {"k": k, "plane_index": plane_schedule(k),
                    "levels": levels, "uncovered": uncovered.value,
                    "uncovered_half_width": uncovered.half_width,
-                   "threshold": threshold,
-                   "target_reached": uncovered.upper() <= threshold}
+                   "threshold": threshold}
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ directions and radial uniforms, and ``place_shell`` maps any stack of such
 draws into their shells in one array operation.  ``stratified_ball_means``
 uses the split to estimate many balls at once: each (ball, stratum) point
 set still comes from its own substream, and the integrand is evaluated on
-blocks of nearby whole balls of at most ``SAMPLE_BLOCK`` points, so
-per-call overhead is paid once per block instead of once per ball.
-``stratified_ball_mean`` is its one-ball case.
+runs of whole balls, in the caller's order, of at most ``SAMPLE_BLOCK``
+points, so per-call overhead is paid once per run instead of once per ball.
+``stratified_ball_mean`` is its one-ball case.  Every sampled ball
+integral's ``MeasureEstimate`` is made here, as mean times volume.
 """
 from __future__ import annotations
 
@@ -23,6 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .geometry import Ball, MeasureEstimate, unit_ball_volume
 
 # Two-sided 99% quantile of the standard normal distribution.
 Z99 = 2.5758293035489004
@@ -149,39 +152,8 @@ def shell_edges(radius: float, strata: int, n: int) -> np.ndarray:
     return radius * (np.arange(strata + 1) / strata) ** (1.0 / n)
 
 
-# most points a block of local_blocks holds, unless one centre brings more.
-# Blocks never change a value; their Z-order keeps each call's points close,
-# so blend_disjoint meets fewer cutoffs per call: 267 (call, cutoff) groups
-# on the budget ledgers of demo planes 0, 3 and 6, 381 in centre order.
+# memory cap: most points per integrand call, unless one ball brings more
 SAMPLE_BLOCK = 1 << 14
-
-
-def local_order(points: np.ndarray) -> np.ndarray:
-    """A permutation of ``points`` along a Z-order (Morton) curve over
-    their bounding box, so that runs of consecutive points stay close
-    together."""
-    points = np.asarray(points, dtype=float)
-    count, n = points.shape
-    if count < 2:
-        return np.arange(count)
-    bits = min(10, 62 // n)
-    lo = points.min(axis=0)
-    span = np.maximum(points.max(axis=0) - lo, 1e-300)
-    cells = ((points - lo) / span * (2**bits - 1)).astype(np.int64)
-    code = np.zeros(count, dtype=np.int64)
-    for bit in range(bits):
-        for axis in range(n):
-            code |= ((cells[:, axis] >> bit) & 1) << (bit * n + axis)
-    return np.argsort(code, kind="stable")
-
-
-def local_blocks(centers: np.ndarray, points_each: int) -> list[np.ndarray]:
-    """The indices of ``centers`` in ``local_order``, cut into runs of at
-    most ``SAMPLE_BLOCK`` points (and at least one centre) when each
-    centre brings ``points_each`` points."""
-    order = local_order(centers)
-    per_block = max(1, SAMPLE_BLOCK // points_each)
-    return [order[lo:lo + per_block] for lo in range(0, len(order), per_block)]
 
 
 def stratified_ball_means(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -193,10 +165,8 @@ def stratified_ball_means(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     Ball ``b`` draws stratum ``j`` from ``substream(seed, "stratum", j,
     *keys[b])``, exactly as ``stratified_ball_mean`` does for one ball, and
     gets the same ``(mean, half_width, total_points)``.  Whole balls are
-    evaluated together, nearby balls in one call of at most
-    ``SAMPLE_BLOCK`` points (``local_blocks``): an integrand whose work
-    grows with the cutoffs or balls its points meet then meets fewer per
-    call (see ``SAMPLE_BLOCK``).
+    evaluated together, in runs of the given order holding at most
+    ``SAMPLE_BLOCK`` points (and at least one ball).
     ``fn`` maps an ``(m, n)`` array of points and the ``(m,)`` index of
     each point's ball to ``(m,)`` values; ``fn`` must evaluate each point
     independently of the others.
@@ -207,7 +177,9 @@ def stratified_ball_means(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     strata, m = budget.strata, budget.per_stratum
     unit_edges = shell_edges(1.0, strata, n)
     out = [None] * count
-    for balls in local_blocks(centers, budget.total):
+    per_block = max(1, SAMPLE_BLOCK // budget.total)
+    for lo in range(0, count, per_block):
+        balls = np.arange(lo, min(lo + per_block, count))
         # radius * unit edge is the product shell_edges(radius) forms
         edges = radii[balls, None] * unit_edges
         pts = sample_shells(
@@ -248,10 +220,29 @@ def stratified_ball_mean(fn: Callable[[np.ndarray], np.ndarray],
                                  seed, budget, [tuple(key)])[0]
 
 
+def _integral(mean: float, half_width: float, count: int,
+              volume: float) -> MeasureEstimate:
+    return MeasureEstimate(mean * volume, half_width * volume, "monte_carlo",
+                           count)
+
+
 def stratified_ball_integral(fn: Callable[[np.ndarray], np.ndarray],
-                             center: np.ndarray, radius: float, ball_volume: float,
-                             seed: int, budget: SamplingBudget,
-                             key: Sequence = ()) -> tuple[float, float, int]:
-    """Estimate the integral of ``fn`` over a ball of known volume."""
-    mean, hw, total = stratified_ball_mean(fn, center, radius, seed, budget, key)
-    return mean * ball_volume, hw * ball_volume, total
+                             ball: Ball, seed: int, budget: SamplingBudget,
+                             key: Sequence = ()) -> MeasureEstimate:
+    """Estimate the integral of a non-negative ``fn`` over a ball: its
+    ``stratified_ball_mean`` times the ball's volume."""
+    return _integral(*stratified_ball_mean(fn, ball.center, ball.radius,
+                                           seed, budget, key), ball.volume())
+
+
+def stratified_ball_integrals(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                              centers: np.ndarray, radii: np.ndarray,
+                              seed: int, budget: SamplingBudget,
+                              keys: Sequence[Sequence]) -> list[MeasureEstimate]:
+    """``stratified_ball_means`` of a non-negative ``fn``, each times its
+    ball's volume ω_n r^n."""
+    means = stratified_ball_means(fn, centers, radii, seed, budget, keys)
+    n = np.shape(centers)[1]
+    wn = unit_ball_volume(n)
+    return [_integral(*est, wn * r ** n)
+            for est, r in zip(means, np.asarray(radii, dtype=float).tolist())]

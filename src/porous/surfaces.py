@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,19 +95,14 @@ def graph_measure_in(patch: GraphPatch, target: Callable[[np.ndarray], np.ndarra
     Integrates the area element sqrt(1 + |grad g|^2) over base points whose
     lifted image satisfies the target predicate.
     """
-    w = patch.window
-
     def integrand(pts: np.ndarray) -> np.ndarray:
         lifted = patch.graph_points(pts)
         inside = np.asarray(target(lifted), dtype=bool)
         jac = np.sqrt(1.0 + (patch.g.gradients(pts) ** 2).sum(axis=1))
         return np.where(inside, jac, 0.0)
 
-    value, hw, count = stratified_ball_integral(
-        integrand, w.center, w.radius, w.volume(), seed, budget,
-        key=("graph-measure", *key))
-    return MeasureEstimate(value=value, half_width=hw, method="monte_carlo",
-                           sample_count=count)
+    return stratified_ball_integral(integrand, patch.window, seed, budget,
+                                    key=("graph-measure", *key))
 
 
 @dataclass(frozen=True)

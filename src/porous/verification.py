@@ -40,7 +40,7 @@ from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                        PorosityWitness, ScalarField, contains_any,
                        unit_ball_volume)
 from .sampling import (SamplingBudget, bernoulli_half_width, sample_shell,
-                       stratified_ball_integral, stratified_ball_means,
+                       stratified_ball_integral, stratified_ball_integrals,
                        substream)
 from .surfaces import GraphPatch, _plane_patch, graph_measure_in, unit_lattice
 
@@ -223,6 +223,16 @@ def _escapes(g: ScalarField, plane: AffinePlane, pts: np.ndarray,
     return np.abs(g.values(pts) - plane.heights(pts)) > threshold
 
 
+def _require_c1(patch: GraphPatch, cap: float, what: str) -> None:
+    """Raise ``PreconditionError`` when the field's C1 bound exceeds
+    ``cap`` (by more than 1e-12)."""
+    if patch.c1_bound > cap + 1e-12:
+        raise PreconditionError(
+            f"field {patch.source!r} exceeds the {what} "
+            f"({patch.c1_bound:.4g} > {cap:.4g})",
+            c1_bound=patch.c1_bound, cap=cap)
+
+
 def _residue_balls(family: HoleFamily, ids: np.ndarray,
                    patch: GraphPatch) -> tuple[np.ndarray, np.ndarray]:
     """The primed radii E·t and the t/4 thresholds of the holes' residue
@@ -232,11 +242,7 @@ def _residue_balls(family: HoleFamily, ids: np.ndarray,
     inside the window; the first hole in order whose ball leaves it
     raises ``AuditFailure``.
     """
-    if patch.c1_bound > RESIDUE_GRAD_CAP + 1e-12:
-        raise PreconditionError(
-            f"field {patch.source!r} exceeds the C1 ceiling for residue "
-            f"accounting ({patch.c1_bound:.4g} > {RESIDUE_GRAD_CAP:.4g})",
-            c1_bound=patch.c1_bound, cap=RESIDUE_GRAD_CAP)
+    _require_c1(patch, RESIDUE_GRAD_CAP, "C1 ceiling for residue accounting")
     t = family.ts[ids]
     radii = family.E * t
     window = family.window
@@ -278,15 +284,8 @@ def _residue_integrals(family: HoleFamily, ids: Sequence[int],
         inside = _escapes(patch.g, plane, pts, thresholds[owner])
         return inside if weight is None else inside * weight(pts)
 
-    means = stratified_ball_means(integrand, family.base_centers[ids],
-                                  radii, seed, budget, keys)
-    wn = unit_ball_volume(family.n)
-    out = []
-    for radius, (mean, hw, count) in zip(radii.tolist(), means):
-        vol = wn * radius ** family.n
-        out.append(MeasureEstimate(mean * vol, hw * vol, "monte_carlo",
-                                   count))
-    return out
+    return stratified_ball_integrals(integrand, family.base_centers[ids],
+                                     radii, seed, budget, keys)
 
 
 def residue_energies(family: HoleFamily, k: int, hole_ids: Sequence[int],
@@ -511,11 +510,7 @@ def budget(patch: GraphPatch, family: HoleFamily,
     LEDGER_C * (energy + sum eps).  Every check becomes a report row here,
     and the stage and ledger statuses are read from those rows.
     """
-    if patch.c1_bound > BUDGET_GRAD_CAP + 1e-12:
-        raise PreconditionError(
-            f"field {patch.source!r} exceeds the budget C1 ceiling "
-            f"({patch.c1_bound:.4g} > {BUDGET_GRAD_CAP:.4g})",
-            c1_bound=patch.c1_bound, cap=BUDGET_GRAD_CAP)
+    _require_c1(patch, BUDGET_GRAD_CAP, "budget C1 ceiling")
     depth = family.depth
     window = family.window
     seed = settings.seed
@@ -523,10 +518,9 @@ def budget(patch: GraphPatch, family: HoleFamily,
     def grad_sq(pts: np.ndarray) -> np.ndarray:
         return (patch.g.gradients(pts)**2).sum(axis=1)
 
-    e_val, e_hw, e_count = stratified_ball_integral(
-        grad_sq, window.center, window.radius, window.volume(), seed,
-        settings.budget.scaled(4), key=("energy", patch.source))
-    energy = MeasureEstimate(e_val, e_hw, "monte_carlo", e_count)
+    energy = stratified_ball_integral(grad_sq, window, seed,
+                                      settings.budget.scaled(4),
+                                      key=("energy", patch.source))
 
     eps = tuple(float(e) for e in family.epsilons[:depth])
     wn = unit_ball_volume(family.n)
@@ -741,11 +735,7 @@ def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
     The cap multiplies the summed cross-sections of the holes the graph
     actually meets by the area element bound sqrt(1 + r^2).
     """
-    if patch.c1_bound > family.r + 1e-12:
-        raise PreconditionError(
-            f"field {patch.source!r} exceeds the configured C1 class "
-            f"({patch.c1_bound:.4g} > {family.r:.4g})",
-            c1_bound=patch.c1_bound, cap=family.r)
+    _require_c1(patch, family.r, "configured C1 class")
     est = graph_measure_in(patch, assemble_H(family).contains_any,
                            settings.budget, settings.seed,
                            key=("hole-mass", patch.source))

@@ -4,8 +4,9 @@
   every other, with the index's exact arithmetic;
 * sampling as it was before batching: the list-seeded ``substream``,
   ``sample_shell`` drawing and placing in one step, and the one-ball
-  stratified mean, and ``sample_truncated_P`` placing one point per
-  ``sample_shell`` call;
+  stratified mean, ``sample_truncated_P`` placing one point per
+  ``sample_shell`` call, and the sampled sup drawing and evaluating one
+  stratum at a time;
 * union grids: the counting oracle of union measures, and the same count
   evaluating every ball on every grid point;
 * bump kernels as first written, gathering the support with a boolean
@@ -23,8 +24,7 @@ import math
 import numpy as np
 
 from porous.errors import AuditFailure, NeedsMoreSamples, PreconditionError
-from porous.geometry import (PAIR_SLACK, Ball, BallIndex, MeasureEstimate,
-                             unit_ball_volume)
+from porous.geometry import PAIR_SLACK, Ball, BallIndex, unit_ball_volume
 from porous.sampling import (Z99, sample_shell, shell_edges,
                              stratified_ball_integral, substream)
 from porous.surfaces import unit_lattice
@@ -139,6 +139,19 @@ def one_ball_stratified_mean(fn, center, radius, seed, budget, key=()):
     var_of_mean = variances.sum() / (budget.strata**2 * m)
     return float(means.mean()), float(Z99 * np.sqrt(var_of_mean)), \
         budget.total
+
+
+def per_stratum_sampled_sup(fn, b, seed, budget):
+    """``analysis._sampled_sup`` before batching: the centre value, then
+    one substream, shell draw and ``fn`` call per stratum."""
+    best = float(np.max(fn(b.center[None, :])))
+    edges = shell_edges(b.radius, budget.strata, b.dim)
+    for j in range(budget.strata):
+        rng = substream(seed, "sup", j)
+        pts = sample_shell(rng, b.center, edges[j], edges[j + 1],
+                           budget.per_stratum)
+        best = max(best, float(np.max(fn(pts))))
+    return best
 
 
 def dense_grid_union_oracle(balls, region, res):
@@ -278,12 +291,9 @@ def residue_region(family, hole_id, patch, budget, seed=0, key=()):
         pts = np.atleast_2d(pts)
         return np.abs(patch.g.values(pts) - plane.heights(pts)) > threshold
 
-    vol = unit_ball_volume(family.n) * primed.radius ** family.n
-    val, hw, count = stratified_ball_integral(
-        lambda pts: indicator(pts).astype(float), primed.center,
-        primed.radius, vol, seed, budget, key=("residue", hole_id, *key))
-    return primed, threshold, indicator, \
-        MeasureEstimate(val, hw, "monte_carlo", count)
+    return primed, threshold, indicator, stratified_ball_integral(
+        lambda pts: indicator(pts).astype(float), primed, seed, budget,
+        key=("residue", hole_id, *key))
 
 
 def per_hole_classify_holes(family, k, patch, hit_ids, budget, seed=0):

@@ -14,6 +14,8 @@ from porous import (AffinePlane, Ball, BlendPreconditionError,
 from porous.analysis import BUMP_SLOPE_SUP, convolution_nodes
 from porous.sampling import sample_shell
 
+from oracles import per_stratum_sampled_sup
+
 CENTER = np.array([0.5, 0.5, 0.5])
 
 
@@ -542,6 +544,34 @@ def test_blend_disjoint_rejects_overlapping_cutoffs():
                                   (CENTER + [0.1, 0.0, 0.0], 0.08)])
     with pytest.raises(ValueError):
         blend_disjoint(g, pieces)
+
+
+# ---------------------------------------------------------------------------
+# sampled sups
+# ---------------------------------------------------------------------------
+
+def _suite_plane_gap():
+    """|tilted - plane| of the analysis suite's flatten-identity row."""
+    plane = AffinePlane(index=1, gradient=np.array([0.3, 0.0, 0.0]),
+                        offset=0.0, anchor=CENTER)
+    wobble = bump_field(CENTER, 0.15, 0.9 * 0.01 * 0.25)
+    return lambda pts: np.abs(plane.heights(pts) + wobble.values(pts)
+                              - plane.heights(pts))
+
+
+@pytest.mark.parametrize("name", ["bump", "mollified-bump", "plane-gap"])
+@pytest.mark.parametrize("budget", [SamplingBudget(32, 512),
+                                    SamplingBudget(24, 256),
+                                    SamplingBudget(1, 2)])
+def test_sampled_sup_equals_the_per_stratum_loop(name, budget):
+    bump = bump_field(CENTER, 0.2, 0.2 / BUMP_SLOPE_SUP)
+    smooth = mollify(bump, 0.005)
+    fn, b = {"bump": (bump.values, bump.domain),
+             "mollified-bump": (smooth.values, smooth.domain),
+             "plane-gap": (_suite_plane_gap(), Ball(CENTER, 0.25))}[name]
+    for seed in (0, 7):
+        assert analysis._sampled_sup(fn, b, seed, budget) == \
+            per_stratum_sampled_sup(fn, b, seed, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -444,8 +444,7 @@ def test_demo_log_reports_levels(demo_log):
     stages = demo_log["stages"]
     assert [s["k"] for s in stages] == [1, 2]
     for s in stages:
-        assert s["target_reached"]
-        assert s["uncovered"] <= s["threshold"]
+        assert s["uncovered"] + s["uncovered_half_width"] <= s["threshold"]
         assert len(s["levels"]) >= 1
         # one entry per level, written once its uncovered mass is known
         for lv in s["levels"]:

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -15,6 +16,13 @@ def test_every_export_resolves_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(porous, name)]
     assert missing == []
+    # and every public name the package imports is exported
+    tree = ast.parse(Path(porous.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert sorted(name for name in imported
+                  if not name.startswith("_") and name not in names) == []
 
 
 def _bench_module(name: str):

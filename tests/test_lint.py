@@ -1,0 +1,48 @@
+"""Static checks of the package source that no installed linter makes."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "porous"
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with its line."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Every name the module reads, quoted annotations included."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        ann = getattr(node, "annotation", None) or getattr(node, "returns",
+                                                           None)
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            names |= _used(ast.parse(ann.value, mode="eval"))
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "__init__.py"))
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    used = _used(tree)
+    unused = sorted(f"{name} (line {line})"
+                    for name, line in _imported(tree).items()
+                    if name not in used)
+    assert unused == []
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse("import math\nfrom os import path, sep\n"
+                     "x: 'path' = sep\n")
+    assert set(_imported(tree)) - _used(tree) == {"math"}

@@ -9,10 +9,10 @@ from oracles import (grid_union_oracle, list_seeded_substream,
                      one_ball_stratified_mean, unsplit_sample_shell)
 from porous import (Ball, BallIndex, SamplingBudget, sampling, substream,
                     unit_ball_volume)
-from porous.sampling import (Z99, bernoulli_half_width, local_order,
-                             sample_shell,
+from porous.sampling import (Z99, bernoulli_half_width, sample_shell,
                              sample_shells, shell_edges,
-                             stratified_ball_integral, stratified_ball_mean,
+                             stratified_ball_integral,
+                             stratified_ball_integrals, stratified_ball_mean,
                              stratified_ball_means)
 
 
@@ -93,11 +93,21 @@ def test_stratified_mean_depends_only_on_seed_and_key():
 
 def test_stratified_integral_unit_ball_volume():
     vol = unit_ball_volume(3)
-    val, hw, _ = stratified_ball_integral(
-        lambda pts: np.ones(len(pts)), np.zeros(3), 1.0, vol, 0,
-        SamplingBudget(8, 32))
-    assert val == pytest.approx(vol, rel=1e-12)
-    assert hw <= 1e-9
+    budget = SamplingBudget(8, 32)
+    est = stratified_ball_integral(lambda pts: np.ones(len(pts)),
+                                   Ball(np.zeros(3), 1.0), 0, budget)
+    assert est.value == pytest.approx(vol, rel=1e-12)
+    assert est.half_width <= 1e-9
+    # a varying integrand: its mean times the ball's volume, bit for bit
+    ball = Ball([0.2, -0.1, 0.4], 0.3)
+    est = stratified_ball_integral(lambda pts: np.abs(_wavy(pts)), ball, 5,
+                                   budget, key=("k",))
+    mean, hw, _ = stratified_ball_mean(lambda pts: np.abs(_wavy(pts)),
+                                       ball.center, ball.radius, 5, budget,
+                                       key=("k",))
+    assert (est.value, est.half_width) == (mean * ball.volume(),
+                                           hw * ball.volume())
+    assert est.method == "monte_carlo" and est.sample_count == budget.total
 
 
 def _union_estimate(balls, region, budget):
@@ -250,19 +260,18 @@ def test_batched_means_check_the_integrand_shape():
                                  SamplingBudget(2, 4), []) == []
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 80])
-def test_local_order_is_a_permutation(n):
-    rng = np.random.default_rng(n)
-    for count in (0, 1, 2, 50):
-        pts = rng.normal(size=(count, n))
-        pts[count // 2:] = pts[:count - count // 2]     # repeated points
-        assert sorted(local_order(pts).tolist()) == list(range(count))
+def test_batched_integrals_are_the_means_times_each_volume():
+    centers = np.array([[0.0, 0.0, 0.0], [1.0, 0.5, -0.2]])
+    radii = np.array([0.3, 0.05])
+    budget = SamplingBudget(4, 16)
+    keys = [("a",), ("b", 2)]
 
+    def fn(pts, owner):
+        return np.abs(_wavy(pts)) * (1.0 + owner)
 
-def test_local_order_keeps_runs_together():
-    # a 4 x 4 grid: every run of four along the curve is a 2 x 2 square
-    grid = np.array([[x, y] for y in range(4) for x in range(4)], float)
-    order = local_order(grid)
-    for lo in range(0, 16, 4):
-        square = grid[order[lo:lo + 4]]
-        assert np.ptp(square, axis=0).tolist() == [1.0, 1.0]
+    means = stratified_ball_means(fn, centers, radii, 3, budget, keys)
+    got = stratified_ball_integrals(fn, centers, radii, 3, budget, keys)
+    for (mean, hw, count), r, est in zip(means, radii.tolist(), got):
+        vol = Ball(np.zeros(3), r).volume()
+        assert (est.value, est.half_width, est.sample_count) == (
+            mean * vol, hw * vol, count)

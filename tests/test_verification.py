@@ -359,14 +359,30 @@ def test_residue_region_measure_matches_closed_form_and_grid():
     assert abs(est.value - grid) <= est.half_width + 0.02 * exact
 
 
-def test_residue_region_rejects_steep_fields():
-    t = 0.004
-    fam = _manual_family([[0.5, 0.5, 0.5]], [t], epsilons=(0.5,))
-    steep = _flat_patch(c1=1.0)
-    with pytest.raises(PreconditionError):
-        classify_holes(fam, 1, steep, np.array([0]), SamplingBudget(4, 16))
-    with pytest.raises(PreconditionError):
-        residue_energies(fam, 1, [0], steep, SamplingBudget(4, 16))
+@pytest.mark.parametrize("cap, what, run", [
+    pytest.param(verification.RESIDUE_GRAD_CAP,
+                 "the C1 ceiling for residue accounting",
+                 lambda fam, patch: classify_holes(
+                     fam, 1, patch, np.array([0]), SamplingBudget(4, 16)),
+                 id="classify_holes"),
+    pytest.param(verification.RESIDUE_GRAD_CAP,
+                 "the C1 ceiling for residue accounting",
+                 lambda fam, patch: residue_energies(
+                     fam, 1, [0], patch, SamplingBudget(4, 16)),
+                 id="residue_energies"),
+    pytest.param(verification.BUDGET_GRAD_CAP, "the budget C1 ceiling",
+                 lambda fam, patch: budget(patch, fam), id="budget"),
+    pytest.param(1.0 / 64.0, "the configured C1 class",
+                 lambda fam, patch: hole_intersection_mass(patch, fam),
+                 id="hole_intersection_mass")])
+def test_c1_ceiling_is_checked_at_every_entry_point(cap, what, run):
+    fam = _manual_family([[0.5, 0.5, 0.5]], [0.004], epsilons=(0.5,))
+    assert fam.r == 1.0 / 64.0               # the configured class's cap
+    run(fam, _flat_patch(c1=cap))            # a field at the cap passes
+    for c1 in (cap + 2e-12, 1.0):
+        with pytest.raises(PreconditionError, match=f"exceeds {what} ") as err:
+            run(fam, _flat_patch(c1=c1))
+        assert err.value.details == {"c1_bound": c1, "cap": cap}
 
 
 def test_residue_region_rejects_overhanging_hole():
@@ -735,11 +751,6 @@ def test_budget_plane_hitter_single_stage(demo_family, plane_ledger):
     assert ledger.verdict.status == "pass"
 
 
-def test_budget_rejects_steep_field(demo_family):
-    with pytest.raises(PreconditionError):
-        budget(_flat_patch(c1=0.1), demo_family)
-
-
 def test_ledger_rows_flatten_verdicts(demo_family, plane_ledger):
     ledger = plane_ledger
     rows = ledger_rows(ledger)
@@ -1031,11 +1042,6 @@ def test_hole_mass_zero_for_certified_missers(demo_family, nonplane_entries):
     assert check.hit_count == 0
     assert check.mass.value == 0.0
     assert check.row.bound == 0.0
-
-
-def test_hole_mass_rejects_out_of_class_field(demo_family):
-    with pytest.raises(PreconditionError):
-        hole_intersection_mass(_flat_patch(c1=0.5), demo_family)
 
 
 # ---------------------------------------------------------------------------
