@@ -116,7 +116,9 @@ def mollify(g: ScalarField, eps: float,
     Every batch takes one left fold over the nodes, and ``g`` sees a lone
     point's shifted copies as multi-row blocks too, so a point's smoothed
     value and gradient are the same bytes alone as in any batch, provided
-    ``g`` itself evaluates each row independently of the batch.
+    ``g`` itself evaluates each row independently of the batch.  The
+    result's ``values_and_gradients`` folds both over one
+    ``g.values_and_gradients`` call per block.
     """
     dom = g.domain
     if not (0 < eps < dom.radius):
@@ -124,8 +126,9 @@ def mollify(g: ScalarField, eps: float,
     offsets, wts = convolution_nodes(dom.dim, nodes_per_axis)
     shifts = eps * offsets
 
-    def fold(evaluate, pts: np.ndarray, shape: tuple) -> np.ndarray:
-        # The left fold acc += w_q * v_q over the nodes in order from +0.0.
+    def fold(evaluate, pts: np.ndarray, shapes: tuple) -> list:
+        # The left fold acc += w_q * v_q over the nodes in order from +0.0,
+        # once for each array ``evaluate`` returns, of the given shapes.
         # One evaluation per block of shifted copies of pts, written column
         # by column into one (per, m, n) buffer that every block reuses.
         # The block's weighted terms fill rows 1.. of a reused
@@ -137,33 +140,43 @@ def mollify(g: ScalarField, eps: float,
         # the field returns are only read, never written.
         m, n = pts.shape
         rows = max(m, 2)
-        w = wts.reshape((-1,) + (1,) * len(shape))
         per = min(len(wts), max(1, MOLLIFY_BLOCK // max(m, 1)))
         shifted = np.empty((per, m, n))
-        terms = np.empty((per + 1, rows) + shape)
-        terms[:, m:] = 0.0
-        acc = np.zeros((rows,) + shape)
+        folds = []
+        for shape in shapes:
+            terms = np.empty((per + 1, rows) + shape)
+            terms[:, m:] = 0.0
+            folds.append((wts.reshape((-1,) + (1,) * len(shape)), shape,
+                          terms, np.zeros((rows,) + shape)))
         for lo in range(0, len(wts), per):
             k = min(per, len(wts) - lo)
             block = shifted[:k]
             for j in range(n):
                 np.add(pts[:, j], shifts[lo:lo + k, None, j],
                        out=block[:, :, j])
-            vals = evaluate(block.reshape(k * m, n)).reshape((k, m) + shape)
-            terms[0] = acc
-            np.multiply(w[lo:lo + k, None], vals, out=terms[1:k + 1, :m])
-            np.add.reduce(terms[:k + 1], axis=0, out=acc)
-        return acc[:m]
+            outs = evaluate(block.reshape(k * m, n))
+            for vals, (w, shape, terms, acc) in zip(outs, folds):
+                terms[0] = acc
+                np.multiply(w[lo:lo + k, None], vals.reshape((k, m) + shape),
+                            out=terms[1:k + 1, :m])
+                np.add.reduce(terms[:k + 1], axis=0, out=acc)
+        return [acc[:m] for _, _, _, acc in folds]
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        return fold(g.values, pts, ())
+        return fold(lambda block: (g.values(block),), pts, ((),))[0]
 
     def grad_fn(pts: np.ndarray) -> np.ndarray:
-        return fold(g.gradients, pts, (pts.shape[1],))
+        return fold(lambda block: (g.gradients(block),), pts,
+                    ((pts.shape[1],),))[0]
+
+    def joint_fn(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(fold(g.values_and_gradients, pts,
+                          ((), (pts.shape[1],))))
 
     return ScalarField(domain=Ball(dom.center, dom.radius - eps),
                        fn=fn, grad_fn=grad_fn, grad_bound=g.grad_bound,
-                       label=label or f"{g.label}^({eps:g})")
+                       label=label or f"{g.label}^({eps:g})",
+                       joint_fn=joint_fn)
 
 
 def _bump_slope_sup() -> float:
@@ -261,6 +274,15 @@ class CutoffField:
         return self.field.gradients(pts)
 
 
+def _joint_field(domain: Ball, joint, grad_bound: float,
+                 label: str) -> ScalarField:
+    """The field whose values and gradients are the two halves of
+    ``joint``, evaluated together or alone."""
+    return ScalarField(domain=domain, fn=lambda pts: joint(pts)[0],
+                       grad_fn=lambda pts: joint(pts)[1],
+                       grad_bound=grad_bound, label=label, joint_fn=joint)
+
+
 def make_cutoff(ball: Ball, eps: float) -> CutoffField:
     """Radial ramp between t - 5*eps*t/3 and t - 4*eps*t/3, smoothed at eps*t/3.
 
@@ -278,51 +300,40 @@ def make_cutoff(ball: Ball, eps: float) -> CutoffField:
     slope = 3.0 / (eps * t)
     center = ball.center
 
-    def ramp(pts: np.ndarray) -> np.ndarray:
-        rho = np.linalg.norm(np.atleast_2d(pts) - center, axis=1)
-        return np.clip((lo - rho) * slope, 0.0, 1.0)
-
-    def ramp_grad(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
+    # the ramp and the cutoff evaluate values and gradients in one pass:
+    # the gradients cost little beside the norms, and the cutoff's
+    # smoothing runs on its thin band alone
+    def ramp(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         delta = pts - center
         rho = np.linalg.norm(delta, axis=1)
-        out = np.zeros_like(pts)
+        grads = np.zeros_like(pts)
         band = (rho > hi) & (rho < lo)
         if band.any():
-            out[band] = -slope * delta[band] / rho[band, None]
-        return out
+            grads[band] = -slope * delta[band] / rho[band, None]
+        return np.clip((lo - rho) * slope, 0.0, 1.0), grads
 
-    raw = ScalarField(domain=Ball(center, t), fn=ramp, grad_fn=ramp_grad,
-                      grad_bound=slope, label="cutoff-ramp")
-    smooth = mollify(raw, eps * t / 3.0, label="cutoff")
+    smooth = mollify(_joint_field(Ball(center, t), ramp, slope,
+                                  "cutoff-ramp"),
+                     eps * t / 3.0, label="cutoff")
     # kernel radius eps*t/3 bounds every quadrature shift, so the smoothed
     # ramp is exactly 1 inside t - 2*eps*t and exactly 0 outside t - eps*t;
     # only the band in between needs the convolution
     plateau = t - 2.0 * eps * t
     support = t - eps * t
 
-    def fn(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
+    def cutoff(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rho = np.linalg.norm(pts - center, axis=1)
-        out = np.zeros(pts.shape[0])
-        out[rho <= plateau] = 1.0
+        vals = np.zeros(pts.shape[0])
+        vals[rho <= plateau] = 1.0
+        grads = np.zeros_like(pts)
         band = (rho > plateau) & (rho < support)
         if band.any():
+            v, grads[band] = smooth.values_and_gradients(pts[band])
             # convex combination of ramp values; clip float accumulation
-            out[band] = np.clip(smooth.fn(pts[band]), 0.0, 1.0)
-        return out
+            vals[band] = np.clip(v, 0.0, 1.0)
+        return vals, grads
 
-    def grad_fn(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        rho = np.linalg.norm(pts - center, axis=1)
-        out = np.zeros_like(pts)
-        band = (rho > plateau) & (rho < support)
-        if band.any():
-            out[band] = smooth.grad_fn(pts[band])
-        return out
-
-    field = ScalarField(domain=ball, fn=fn, grad_fn=grad_fn,
-                        grad_bound=slope, label="cutoff")
+    field = _joint_field(ball, cutoff, slope, "cutoff")
     return CutoffField(ball=ball, eps=eps, field=field)
 
 
@@ -390,8 +401,8 @@ def blend_disjoint(outer: ScalarField,
         bound = max(inner.grad_bound, bound) + 3.0 * eps
 
     def owned(pts: np.ndarray):
-        """(inner, cutoff, point ids, cutoff values) per cutoff positive
-        somewhere on pts, the ids ascending."""
+        """(inner, point ids, cutoff values, cutoff gradients) per cutoff
+        positive somewhere on pts, the ids ascending."""
         q, ball = index.members(pts)
         q, first = np.unique(q, return_index=True)
         owner = ball[first]
@@ -399,31 +410,31 @@ def blend_disjoint(outer: ScalarField,
         js, starts = np.unique(owner[order], return_index=True)
         for j, idx in zip(js, np.split(q[order], starts[1:])):
             inner, cut = pieces[j]
-            w = cut.values(pts[idx])
+            w, gw = cut.field.values_and_gradients(pts[idx])
             keep = w > 0.0
             if keep.any():
-                yield inner, cut, idx[keep], w[keep]
+                yield inner, idx[keep], w[keep], gw[keep]
 
     def fn(pts: np.ndarray) -> np.ndarray:
         out = outer.values(pts)
-        for inner, _, sel, w in owned(pts):
+        for inner, sel, w, _ in owned(pts):
             out[sel] = w * inner.values(pts[sel]) + (1.0 - w) * out[sel]
         return out
 
-    def grad_fn(pts: np.ndarray) -> np.ndarray:
-        gout = outer.gradients(pts)
-        for inner, cut, sel, w in owned(pts):
-            sub = pts[sel]
-            gw = cut.gradients(sub)
-            gin = inner.gradients(sub)
-            vals_in = inner.values(sub)
-            vals_out = outer.values(sub)
-            gout[sel] = (w[:, None] * gin + (1.0 - w[:, None]) * gout[sel]
-                         + (vals_in - vals_out)[:, None] * gw)
-        return gout
+    def joint_fn(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the gradient of w * inner + (1 - w) * outer, with the values
+        # fn blends
+        vals, grads = outer.values_and_gradients(pts)
+        for inner, sel, w, gw in owned(pts):
+            vin, gin = inner.values_and_gradients(pts[sel])
+            grads[sel] = (w[:, None] * gin + (1.0 - w[:, None]) * grads[sel]
+                          + (vin - vals[sel])[:, None] * gw)
+            vals[sel] = w * vin + (1.0 - w) * vals[sel]
+        return vals, grads
 
-    return ScalarField(domain=outer.domain, fn=fn, grad_fn=grad_fn,
-                       grad_bound=bound, label=label)
+    return ScalarField(domain=outer.domain, fn=fn,
+                       grad_fn=lambda pts: joint_fn(pts)[1],
+                       grad_bound=bound, label=label, joint_fn=joint_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -515,14 +526,13 @@ def area_lower_bound_check(g: ScalarField, b: Ball, h: float, seed: int = 0,
     if low + low_hw < 0.5:
         raise PreconditionError(
             f"sub-level fraction {low:.3f} certifiably below 1/2")
-    peak = max(_sampled_sup(g.values, b, seed, budget),
-               float(g.values(b.center[None, :])[0]))
+    peak = _sampled_sup(g.values, b, seed, budget)
     if peak < h:
         raise PreconditionError(f"sampled peak {peak:.4f} never reaches h={h}")
 
     def energy_on_superlevel(pts: np.ndarray) -> np.ndarray:
-        vals = g.values(pts)
-        e = (g.gradients(pts) ** 2).sum(axis=1)
+        vals, grads = g.values_and_gradients(pts)
+        e = (grads ** 2).sum(axis=1)
         return np.where(vals >= h / 2.0, e, 0.0)
 
     rhs = stratified_ball_integral(energy_on_superlevel, b, seed, budget,

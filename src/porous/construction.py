@@ -693,6 +693,27 @@ def _reject_first(linenos: list, rules: dict) -> None:
         raise ParseError(f"line {linenos[i]}: {rule}")
 
 
+_decode = json.JSONDecoder().raw_decode
+
+
+def _record_json(raw: str, lineno: int):
+    """``json.loads(raw)`` of one record line; a line that is not one JSON
+    value raises ``ParseError`` naming it with ``json.loads``'s message.
+    The line is decoded without ``loads``'s wrapper: JSON whitespace
+    stripped, then one ``raw_decode`` that must reach the end."""
+    line = raw.strip(" \t\n\r")
+    try:
+        rec, end = _decode(line)
+        if end == len(line):
+            return rec
+    except json.JSONDecodeError:
+        pass
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {lineno}: invalid JSON: {exc}") from exc
+
+
 def deserialize_family(text: str) -> HoleFamily:
     """Parse ``serialize_family`` output; records keep their file order.
 
@@ -731,10 +752,7 @@ def deserialize_family(text: str) -> HoleFamily:
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        try:
-            recs.append(json.loads(raw))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: invalid JSON: {exc}") from exc
+        recs.append(_record_json(raw, lineno))
         linenos.append(lineno)
     try:
         ks, ls, ms, ts, base, lifted = _record_columns(recs, n)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -139,7 +139,9 @@ class ScalarField:
     """Scalar field over a ball domain with a certified gradient bound.
 
     ``fn`` maps an (m, n) array to (m,) values and ``grad_fn`` to the
-    (m, n) gradients.
+    (m, n) gradients.  A composed field may add ``joint_fn``, which
+    returns both from one pass, each the bytes ``fn`` and ``grad_fn``
+    return.
     """
 
     domain: Ball
@@ -147,24 +149,37 @@ class ScalarField:
     grad_bound: float
     grad_fn: Callable[[np.ndarray], np.ndarray]
     label: str = "field"
+    joint_fn: Optional[Callable[[np.ndarray],
+                                tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self) -> None:
         if not (self.grad_bound >= 0 and math.isfinite(self.grad_bound)):
             raise ValueError("grad_bound must be finite and >= 0")
 
+    def _checked(self, out, shape: tuple, what: str) -> np.ndarray:
+        out = np.asarray(out, dtype=float)
+        if out.shape != shape:
+            raise ValueError(f"{what} {self.label!r} returned shape {out.shape}")
+        return out
+
     def values(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.asarray(self.fn(pts), dtype=float)
-        if out.shape != (pts.shape[0],):
-            raise ValueError(f"field {self.label!r} returned shape {out.shape}")
-        return out
+        return self._checked(self.fn(pts), (pts.shape[0],), "field")
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.asarray(self.grad_fn(pts), dtype=float)
-        if out.shape != pts.shape:
-            raise ValueError(f"grad of {self.label!r} returned shape {out.shape}")
-        return out
+        return self._checked(self.grad_fn(pts), pts.shape, "grad of")
+
+    def values_and_gradients(self, points: np.ndarray
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        """``(values(points), gradients(points))``, from one ``joint_fn``
+        pass where the field has one."""
+        if self.joint_fn is None:
+            return self.values(points), self.gradients(points)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        vals, grads = self.joint_fn(pts)
+        return (self._checked(vals, (pts.shape[0],), "field"),
+                self._checked(grads, pts.shape, "grad of"))
 
 
 @dataclass(frozen=True)

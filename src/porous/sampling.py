@@ -16,12 +16,21 @@ runs of whole balls, in the caller's order, of at most ``SAMPLE_BLOCK``
 points, so per-call overhead is paid once per run instead of once per ball.
 ``stratified_ball_mean`` is its one-ball case.  Every sampled ball
 integral's ``MeasureEstimate`` is made here, as mean times volume.
+
+A stream is ``PCG64`` seeded through numpy's ``SeedSequence`` from the
+words of its key (``substream``).  ``substreams`` derives many at once,
+bit for bit the same: ``SeedSequence`` still mixes each key's pool, the
+seed words of all pools are hashed in one array operation, and each
+generator is made from its words as it is taken.  ``sample_shells``, and
+so every batched sampler, draws through it; no other module makes a
+numpy stream.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +70,21 @@ def _words(value: int) -> list[int]:
     return words
 
 
+def _entropy(seed: int, key: Sequence) -> np.ndarray:
+    """The uint32 words ``SeedSequence`` would split the key list
+    ``[seed, *key]`` into: a string part bytewise, an integer part
+    reduced to 64 bits."""
+    words = _words(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    for part in key:
+        if isinstance(part, str):
+            words.extend(part.encode())
+        elif isinstance(part, (int, np.integer)):
+            words.extend(_words(int(part) & 0xFFFFFFFFFFFFFFFF))
+        else:
+            raise TypeError(f"substream key parts must be str or int, got {type(part)!r}")
+    return np.array(words, dtype=np.uint32)
+
+
 def substream(seed: int, *key) -> np.random.Generator:
     """Generator whose stream depends only on ``(seed, key)``.
 
@@ -70,16 +94,60 @@ def substream(seed: int, *key) -> np.random.Generator:
     uint32 array holding the words it would split the same key list into,
     which gives the same stream and skips its per-entry coercion.
     """
-    words = _words(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    for part in key:
-        if isinstance(part, str):
-            words.extend(part.encode())
-        elif isinstance(part, (int, np.integer)):
-            words.extend(_words(int(part) & 0xFFFFFFFFFFFFFFFF))
-        else:
-            raise TypeError(f"substream key parts must be str or int, got {type(part)!r}")
-    entropy = np.array(words, dtype=np.uint32)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(_entropy(seed, key))))
+
+
+# SeedSequence.generate_state's hash constants, INIT_B * MULT_B^i mod 2^32
+# for i = 0..8: PCG64 seeds from 4 uint64, that is 8 uint32 state words,
+# and word i hashes pool word i mod 4 with constants i and i + 1
+_HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) & 0xFFFFFFFF
+                    for i in range(9)], dtype=np.uint32)
+_XOR_B, _MUL_B = _HASH_B[:-1], _HASH_B[1:]
+
+
+@functools.cache
+def _seed_words_class() -> type:
+    """The stand-in for ``SeedSequence`` that hands ``PCG64`` the seed
+    words ``substreams`` derived for it.  Made on first use: subclassing
+    numpy's ``ISeedSequence`` loads ``numpy.random``, which importing
+    this module does not."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def substreams(seed: int, keys: Sequence[Sequence]
+               ) -> Iterator[np.random.Generator]:
+    """``substream(seed, *key)`` for each key in order, the same streams
+    bit for bit.
+
+    Each key's 4-word pool is still mixed by ``SeedSequence``; its
+    ``generate_state(4, uint64)`` (per word: XOR with a hash constant,
+    times the next, xorshift 16) runs once over every key's pool, and
+    each ``PCG64`` is seeded from its row of those words.  Only the words
+    are held; each generator is made as it is taken.
+    """
+    state = np.empty((len(keys), 8), dtype=np.uint32)
+    for b, key in enumerate(keys):
+        state[b, :4] = np.random.SeedSequence(_entropy(seed, key)).pool
+    state[:, 4:] = state[:, :4]
+    state ^= _XOR_B
+    state *= _MUL_B
+    state ^= state >> 16
+    words = state.astype("<u4", copy=False).view("<u8").astype(
+        np.uint64, copy=False)
+    seed_words = _seed_words_class()
+    for row in words:
+        yield np.random.Generator(np.random.PCG64(seed_words(row)))
 
 
 def bernoulli_half_width(fraction: float, count: int) -> float:
@@ -138,12 +206,13 @@ def sample_shells(seed: int, keys: Sequence[Sequence], centers: np.ndarray,
     """``(len(keys), count, n)`` shell points: row ``b`` is what
     ``sample_shell(substream(seed, *keys[b]), centers[b], ...)`` draws,
     with radii that broadcast against ``(len(keys), count)``.  The
-    streams are drawn one by one and placed together."""
+    streams come from one ``substreams`` call, are drawn one by one and
+    placed together."""
     centers = np.asarray(centers, dtype=float)
     d = np.empty((len(keys), count, centers.shape[-1]))
     u = np.empty((len(keys), count))
-    for b, key in enumerate(keys):
-        shell_draws(substream(seed, *key), d[b], u[b])
+    for b, rng in enumerate(substreams(seed, keys)):
+        shell_draws(rng, d[b], u[b])
     return place_shell(d, u, centers[:, None, :], r_inner, r_outer)
 
 

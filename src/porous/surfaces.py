@@ -82,10 +82,6 @@ class GraphPatch:
     def window(self) -> Ball:
         return self.g.domain
 
-    def graph_points(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.hstack([pts, self.g.values(pts)[:, None]])
-
 
 def graph_measure_in(patch: GraphPatch, target: Callable[[np.ndarray], np.ndarray],
                      budget: SamplingBudget, seed: int = 0,
@@ -96,9 +92,10 @@ def graph_measure_in(patch: GraphPatch, target: Callable[[np.ndarray], np.ndarra
     lifted image satisfies the target predicate.
     """
     def integrand(pts: np.ndarray) -> np.ndarray:
-        lifted = patch.graph_points(pts)
-        inside = np.asarray(target(lifted), dtype=bool)
-        jac = np.sqrt(1.0 + (patch.g.gradients(pts) ** 2).sum(axis=1))
+        vals, grads = patch.g.values_and_gradients(pts)
+        inside = np.asarray(target(np.hstack([pts, vals[:, None]])),
+                            dtype=bool)
+        jac = np.sqrt(1.0 + (grads ** 2).sum(axis=1))
         return np.where(inside, jac, 0.0)
 
     return stratified_ball_integral(integrand, patch.window, seed, budget,
@@ -173,7 +170,8 @@ def _plane_patch(plane: AffinePlane, window: Ball, bumps: Sequence[BumpSpec],
     sup = float(np.abs(plane.heights(corners)).max()) \
         + sum(abs(b.amplitude) for b in bumps)
     gfield = ScalarField(domain=window, fn=fn, grad_fn=grad,
-                         grad_bound=slope, label=label)
+                         grad_bound=slope, label=label,
+                         joint_fn=lambda pts: (fn(pts), grad(pts)))
     return GraphPatch(g=gfield, source=label, c1_bound=max(sup, slope))
 
 

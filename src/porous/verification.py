@@ -217,12 +217,6 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
 # residue regions and classification
 # ---------------------------------------------------------------------------
 
-def _escapes(g: ScalarField, plane: AffinePlane, pts: np.ndarray,
-             threshold) -> np.ndarray:
-    """Where the field leaves the plane band: |g - plane| > threshold."""
-    return np.abs(g.values(pts) - plane.heights(pts)) > threshold
-
-
 def _require_c1(patch: GraphPatch, cap: float, what: str) -> None:
     """Raise ``PreconditionError`` when the field's C1 bound exceeds
     ``cap`` (by more than 1e-12)."""
@@ -273,16 +267,23 @@ def _residue_integrals(family: HoleFamily, ids: Sequence[int],
                        weight: Optional[Callable] = None
                        ) -> list[MeasureEstimate]:
     """Sampled ∫ of ``weight`` (1 when absent) over each hole's residue
-    region, all holes in one ``stratified_ball_means`` call: ball ``b``
-    draws from the substreams of ``keys[b]``."""
+    region, where the field leaves its t/4 band around the plane, all
+    holes in one ``stratified_ball_means`` call: ball ``b`` draws from the
+    substreams of ``keys[b]``.  ``weight`` maps the field's gradients at
+    the points to their weights; the field's values and gradients then
+    come from one ``values_and_gradients`` pass."""
     ids = np.asarray(ids, dtype=np.int64)
     if not len(ids):
         return []
     radii, thresholds = _residue_balls(family, ids, patch)
 
     def integrand(pts: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        inside = _escapes(patch.g, plane, pts, thresholds[owner])
-        return inside if weight is None else inside * weight(pts)
+        if weight is None:
+            vals = patch.g.values(pts)
+        else:
+            vals, grads = patch.g.values_and_gradients(pts)
+        inside = np.abs(vals - plane.heights(pts)) > thresholds[owner]
+        return inside if weight is None else inside * weight(grads)
 
     return stratified_ball_integrals(integrand, family.base_centers[ids],
                                      radii, seed, budget, keys)
@@ -302,8 +303,8 @@ def residue_energies(family: HoleFamily, k: int, hole_ids: Sequence[int],
     plane = family.plane(k)
     grad_a = np.asarray(plane.gradient, dtype=float)
 
-    def grad_sq(pts: np.ndarray) -> np.ndarray:
-        return ((patch.g.gradients(pts) - grad_a)**2).sum(axis=1)
+    def grad_sq(grads: np.ndarray) -> np.ndarray:
+        return ((grads - grad_a)**2).sum(axis=1)
 
     return _residue_integrals(family, hole_ids, patch, plane, budget, seed,
                               [("residue-energy", h) for h in hole_ids],
@@ -574,9 +575,10 @@ def budget(patch: GraphPatch, family: HoleFamily,
                 sample_shell(substream(seed, "smooth-probe", k),
                              window.center, 0.0, window.radius, 4096),
                 _ball_probes(family, d_ids)])
-            diff = np.abs(smoothed.values(probes) - current.g.values(probes))
+            vals, grads = smoothed.values_and_gradients(probes)
+            diff = np.abs(vals - current.g.values(probes))
             sup_diff = float(diff.max()) if len(diff) else 0.0
-            gnorm = np.linalg.norm(smoothed.gradients(probes), axis=1)
+            gnorm = np.linalg.norm(grads, axis=1)
             grad_sup = float(gnorm.max()) if len(gnorm) else 0.0
             # the residue ceiling, which the next stage's residue checks
             # enforce on the smoothed patch, less 3 eps per smoothing

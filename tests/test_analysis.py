@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from porous import (AffinePlane, Ball, BlendPreconditionError,
                     unit_ball_volume)
 from porous.analysis import BUMP_SLOPE_SUP, convolution_nodes
 from porous.sampling import sample_shell
+from porous.surfaces import BumpSpec, _plane_patch
 
 from oracles import per_stratum_sampled_sup
 
@@ -544,6 +546,101 @@ def test_blend_disjoint_rejects_overlapping_cutoffs():
                                   (CENTER + [0.1, 0.0, 0.0], 0.08)])
     with pytest.raises(ValueError):
         blend_disjoint(g, pieces)
+
+
+# ---------------------------------------------------------------------------
+# one pass for values and gradients
+# ---------------------------------------------------------------------------
+
+def _joint_fields():
+    """A tilted plane patch with a bump, blended over two cutoff balls
+    towards its mollification; the fields by name, and the cutoffs."""
+    window = Ball(CENTER, 0.5)
+    plane = AffinePlane(1, np.array([0.0085, 0.0085, 0.0]), 0.0082, CENTER)
+    patch = _plane_patch(plane, window,
+                         [BumpSpec(tuple(CENTER + 0.05), 0.004, 0.3)],
+                         "joint").g
+    pieces = _disjoint_pieces(patch, BLEND_SPECS[:2])
+    fields = {"plane-patch": patch, "mollify": pieces[0][0],
+              "cutoff": pieces[0][1].field,
+              "blend": blend_disjoint(patch, pieces, match_tol=1e-2),
+              "mollify-of-a-field-without-one": mollify(
+                  _wavy_plane_field(window), 0.01)}
+    return fields, [cut for _, cut in pieces]
+
+
+def _joint_points(cuts):
+    """A batch of points on each cutoff's plateau, in its band and outside
+    its support, and one lone point of each kind."""
+    rng = substream(5, "joint-points")
+    batch, lone = [], []
+    for cut in cuts:
+        c = cut.ball.center
+        for lo, hi in [(0.0, cut.plateau_radius),
+                       (cut.plateau_radius, cut.support_radius),
+                       (cut.support_radius, 1.5 * cut.ball.radius)]:
+            pts = sample_shell(rng, c, lo, hi, 40)
+            batch.append(pts)
+            lone.append(pts[:1])
+    return [np.vstack(batch), *lone]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("name", ["plane-patch", "mollify", "cutoff",
+                                  "blend", "mollify-of-a-field-without-one"])
+def test_joint_pass_equals_the_separate_passes_bit_for_bit(name):
+    fields, cuts = _joint_fields()
+    field = fields[name]
+    assert field.joint_fn is not None
+    for pts in _joint_points(cuts):
+        vals, grads = field.values_and_gradients(pts)
+        assert np.array_equal(_bits(vals), _bits(field.values(pts)))
+        assert np.array_equal(_bits(grads), _bits(field.gradients(pts)))
+
+
+def test_joint_blend_gradient_is_the_two_field_arithmetic():
+    # blend_disjoint's gradients are its joint pass's, so check them
+    # against the reference blend, which evaluates everything separately
+    fields, cuts = _joint_fields()
+    patch = fields["plane-patch"]
+    ref = patch
+    for cut in cuts:
+        ref = _two_field_blend(fields["mollify"], ref, cut)
+    for pts in _joint_points(cuts):
+        vals, grads = fields["blend"].values_and_gradients(pts)
+        assert np.array_equal(_bits(vals), _bits(ref.values(pts)))
+        assert np.array_equal(_bits(grads), _bits(ref.gradients(pts)))
+
+
+def test_blend_gradient_does_not_depend_on_the_cutoffs_company():
+    # the gradient's (inner - outer) term reads outer at the batch's rows,
+    # the values the blended value reads: a band point's gradient is the
+    # same bytes as the lone point of its cutoff in a batch and among many
+    fields, cuts = _joint_fields()
+    blended, cut = fields["blend"], cuts[0]
+    rng = substream(8, "company")
+    far = sample_shell(rng, CENTER - [0.0, 0.0, 0.3], 0.0, 0.05, 30)
+    band = sample_shell(rng, cut.ball.center, cut.plateau_radius,
+                        cut.support_radius, 200)
+    crowd = blended.gradients(np.vstack([far, band]))[len(far):]
+    for p, want in zip(band, crowd):
+        alone = blended.gradients(np.vstack([far, p[None, :]]))[-1]
+        assert np.array_equal(_bits(alone), _bits(want))
+
+
+def test_a_field_without_a_joint_pass_evaluates_both():
+    field = _wavy_plane_field(Ball(CENTER, 0.5))
+    assert field.joint_fn is None
+    pts = sample_shell(substream(2, "no-joint"), CENTER, 0.0, 0.4, 17)
+    vals, grads = field.values_and_gradients(pts)
+    assert np.array_equal(vals, field.values(pts))
+    assert np.array_equal(grads, field.gradients(pts))
+    with pytest.raises(ValueError):
+        dataclasses.replace(field, joint_fn=lambda p: (p, p)
+                            ).values_and_gradients(pts)
 
 
 # ---------------------------------------------------------------------------

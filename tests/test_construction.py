@@ -644,6 +644,33 @@ def test_deserialize_rejects_a_header_that_is_not_an_object(demo_family):
             deserialize_family(header + "\n" + rest)
 
 
+def test_deserialize_names_each_line_that_is_not_one_json_value(demo_family):
+    lines = serialize_family(demo_family).splitlines()
+    first, second = lines[1], lines[2]
+    # a record split at a comma: joined with commas, the lines would
+    # still read as records, as many as there are lines
+    cut = first.index(",")
+    edits = {
+        "split": [first[:cut], first[cut + 1:]],
+        "two-on-one": [first + "," + second, first[:cut], first[cut + 1:]],
+        "trailing": [first + " x"],
+        "truncated": [first[:-1]],
+    }
+    for name, replacement in edits.items():
+        text = "\n".join([lines[0], *replacement, *lines[3:]]) + "\n"
+        try:
+            json.loads(replacement[0])
+        except json.JSONDecodeError as exc:
+            want = f"line 2: invalid JSON: {exc}"
+        with pytest.raises(ParseError) as err:
+            deserialize_family(text)
+        assert str(err.value) == want, name
+    # JSON whitespace around a record is no error, as for json.loads
+    padded = [lines[0], " \t" + first + "\r ", *lines[2:]]
+    assert serialize_family(deserialize_family("\n".join(padded))) == \
+        serialize_family(demo_family)
+
+
 def test_deserialize_tolerates_blank_lines(demo_family):
     text = serialize_family(demo_family)
     padded = text.replace("\n", "\n\n", 3)

@@ -46,3 +46,40 @@ def test_the_check_sees_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\n"
                      "x: 'path' = sep\n")
     assert set(_imported(tree)) - _used(tree) == {"math"}
+
+
+# numpy's stream makers: every stream comes from sampling.substream(s)
+STREAM_MAKERS = ("SeedSequence", "PCG64", "Generator", "default_rng")
+
+
+def _stream_calls(tree: ast.Module) -> list[str]:
+    """Each call of a numpy stream maker, by name or attribute, with its
+    line."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", None)
+            if name in STREAM_MAKERS:
+                out.append(f"{name} (line {node.lineno})")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "sampling.py"))
+def test_only_sampling_makes_random_streams(path):
+    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    assert _stream_calls(tree) == []
+
+
+def test_the_check_sees_a_stream_made_outside_sampling():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy.random import default_rng\n"
+                     "np.random.Generator(np.random.PCG64(1))\n"
+                     "rng = default_rng(0)\n"
+                     "np.random.SeedSequence(2).spawn(1)\n"
+                     "rng.random(3)\n")
+    assert _stream_calls(tree) == ["Generator (line 3)", "PCG64 (line 3)",
+                                   "SeedSequence (line 5)",
+                                   "default_rng (line 4)"]

@@ -13,7 +13,7 @@ from porous.sampling import (Z99, bernoulli_half_width, sample_shell,
                              sample_shells, shell_edges,
                              stratified_ball_integral,
                              stratified_ball_integrals, stratified_ball_mean,
-                             stratified_ball_means)
+                             stratified_ball_means, substreams)
 
 
 def test_substream_is_reproducible():
@@ -188,6 +188,39 @@ def test_substream_rejects_other_key_types():
         substream(0, 1.5)
 
 
+def _same_stream(rng, want):
+    assert rng.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(rng.standard_normal(3), want.standard_normal(3))
+    assert np.array_equal(rng.random(5), want.random(5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-2**70, max_value=2**70),
+       st.lists(st.lists(_KEY_PART, max_size=8), max_size=12))
+def test_substreams_match_the_list_seeded_streams(seed, keys):
+    # keys of mixed word counts, from none to many more than the pool's 4
+    rngs = list(substreams(seed, keys))
+    assert len(rngs) == len(keys)
+    for key, rng in zip(keys, rngs):
+        _same_stream(rng, list_seeded_substream(seed, *key))
+
+
+def test_substreams_cover_the_edge_keys_in_one_call():
+    keys = [(), (0,), (2**32,), (2**64 - 1,), ("",),
+            (np.int64(-5), np.uint32(7), np.int8(3)),
+            ("a part of many more words than the pool",),
+            ("stratum", 31, "residue-energy", 2**40 + 3)]
+    for key, rng in zip(keys, substreams(11, keys)):
+        _same_stream(rng, list_seeded_substream(11, *key))
+        _same_stream(next(substreams(11, [key])), substream(11, *key))
+
+
+@pytest.mark.parametrize("bad", [1.5, b"x", None, (1,)])
+def test_substreams_reject_other_key_types(bad):
+    with pytest.raises(TypeError):
+        list(substreams(0, [("fine", 1), ("x", bad)]))
+
+
 def test_sample_shell_matches_the_unsplit_draw():
     for n in range(1, 6):
         center = np.linspace(-1.0, 1.0, n)
@@ -201,7 +234,8 @@ def test_sample_shells_rows_match_sample_shell():
     rng = np.random.default_rng(3)
     centers = rng.normal(size=(5, 3))
     r_in, r_out = rng.uniform(0.0, 0.1, 5), rng.uniform(0.2, 1.0, 5)
-    keys = [("row", i, "é") for i in range(5)]
+    keys = [("row", 0, "é"), (), (2**64 - 1, "a part past the pool"),
+            ("row", np.int64(3)), ("row", 4, "é")]
     pts = sample_shells(9, keys, centers, r_in[:, None], r_out[:, None], 33)
     assert pts.shape == (5, 33, 3)
     for b in range(5):
