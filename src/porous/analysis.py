@@ -247,31 +247,20 @@ def bump_field(center: np.ndarray, radius: float, amplitude: float,
 class CutoffField:
     """Smoothed radial cutoff on a ball B(x, t).
 
-    Identically 1 on B(x, t - 2*eps*t), identically 0 outside
-    B(x, t - eps*t), with gradient certified below 3 / (eps * t).
+    ``field`` is identically 1 on B(x, plateau_radius) = B(x, t - 2*eps*t),
+    identically 0 outside B(x, support_radius) = B(x, t - eps*t), with
+    gradient certified below 3 / (eps * t).
     """
 
     ball: Ball
     eps: float
+    plateau_radius: float
+    support_radius: float
     field: ScalarField
-
-    @property
-    def plateau_radius(self) -> float:
-        return self.ball.radius * (1.0 - 2.0 * self.eps)
-
-    @property
-    def support_radius(self) -> float:
-        return self.ball.radius * (1.0 - self.eps)
 
     @property
     def slope_cap(self) -> float:
         return 3.0 / (self.eps * self.ball.radius)
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        return self.field.values(pts)
-
-    def gradients(self, pts: np.ndarray) -> np.ndarray:
-        return self.field.gradients(pts)
 
 
 def _joint_field(domain: Ball, joint, grad_bound: float,
@@ -333,23 +322,21 @@ def make_cutoff(ball: Ball, eps: float) -> CutoffField:
             vals[band] = np.clip(v, 0.0, 1.0)
         return vals, grads
 
-    field = _joint_field(ball, cutoff, slope, "cutoff")
-    return CutoffField(ball=ball, eps=eps, field=field)
+    return CutoffField(ball, eps, plateau, support,
+                       _joint_field(ball, cutoff, slope, "cutoff"))
 
 
 def blend(inner: ScalarField, outer: ScalarField, cutoff: CutoffField,
-          check_budget: int = 512, seed: int = 0,
-          match_tol: Optional[float] = None, label: str = "blend") -> ScalarField:
+          seed: int = 0) -> ScalarField:
     """Interpolate two fields across the cutoff's transition band.
 
     Preconditions (audited on sampled annulus probes): the fields differ by
     at most ``eps^2 * t`` on the band where the cutoff varies.  The result
     carries the certified gradient bound
     ``max(inner.grad_bound, outer.grad_bound) + 3 * eps``.  This is the
-    one-cutoff case of ``blend_disjoint``.
+    one-cutoff case of ``blend_disjoint`` with its default options.
     """
-    return blend_disjoint(outer, [(inner, cutoff)], check_budget=check_budget,
-                          seed=seed, match_tol=match_tol, label=label)
+    return blend_disjoint(outer, [(inner, cutoff)], seed=seed)
 
 
 def blend_disjoint(outer: ScalarField,
@@ -493,7 +480,6 @@ def sobolev_ratio(g: ScalarField, b: Ball, alpha: float, seed: int = 0,
 
 @dataclass(frozen=True)
 class AreaCheck:
-    h: float
     lhs: float
     rhs: float
     rhs_half_width: float
@@ -539,7 +525,7 @@ def area_lower_bound_check(g: ScalarField, b: Ball, h: float, seed: int = 0,
                                    key=("area-energy",))
     lhs = unit_ball_volume(b.dim) * h ** b.dim
     ratio = math.inf if rhs.value == 0 else lhs / rhs.value
-    return AreaCheck(h=h, lhs=lhs, rhs=rhs.value,
+    return AreaCheck(lhs=lhs, rhs=rhs.value,
                      rhs_half_width=rhs.half_width, ratio=ratio,
                      low_fraction=low, sample_count=rhs.sample_count)
 
@@ -624,11 +610,9 @@ def boundary_cross_term(g: ScalarField, plane: AffinePlane, b: Ball) -> float:
 
 @dataclass(frozen=True)
 class SmoothedGradientCheck:
-    eps: float
     sup_gap: float
     sup_gradient: float
     gradient_over_eps: float
-    probe_count: int
 
 
 def smoothed_gradient_check(g: ScalarField, eps: float, seed: int = 0,
@@ -655,10 +639,8 @@ def smoothed_gradient_check(g: ScalarField, eps: float, seed: int = 0,
     sup_grad = _sampled_sup(
         lambda pts: np.linalg.norm(smooth.gradients(pts), axis=1),
         inner, seed, budget)
-    return SmoothedGradientCheck(eps=eps, sup_gap=sup_gap,
-                                 sup_gradient=sup_grad,
-                                 gradient_over_eps=sup_grad / eps,
-                                 probe_count=budget.total)
+    return SmoothedGradientCheck(sup_gap=sup_gap, sup_gradient=sup_grad,
+                                 gradient_over_eps=sup_grad / eps)
 
 
 def _sampled_sup(fn, b: Ball, seed: int, budget: SamplingBudget) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConstructionFailure, NeedsMoreSamples, ParseError
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
-                       contains_any)
+                       contains_any, unit_ball_volume)
 from .sampling import (SamplingBudget, bernoulli_half_width, place_shell,
                        sample_shell, shell_draws, stratified_ball_integral,
                        substream)
@@ -159,18 +159,16 @@ def _unpair(z: int) -> tuple[int, int]:
     return z - t, w - (z - t)
 
 
-def plane_for_index(m: int, n: int, r: float,
-                    anchor: Optional[np.ndarray] = None) -> AffinePlane:
+def plane_for_index(m: int, n: int, r: float) -> AffinePlane:
     """Deterministic enumeration of reference planes, dense in the limit.
 
     Index 1 is the zero plane.  Later indices interleave a dyadic offset
     sequence (scaled to |offset| < 1/32) with a dyadic gradient lattice of
-    magnitude below r.
+    magnitude below r.  Every plane is anchored at the window centre.
     """
     if m < 1:
         raise ValueError("plane index is 1-based")
-    if anchor is None:
-        anchor = np.full(n, 0.5)
+    anchor = np.full(n, 0.5)
     if m == 1:
         return AffinePlane(index=1, gradient=np.zeros(n), offset=0.0,
                            anchor=anchor)
@@ -346,6 +344,13 @@ def _greedy_select(pool: np.ndarray, min_sep: float) -> np.ndarray:
     return pool[np.array(keep)]
 
 
+def ball_floor(E: float, n: int) -> float:
+    """(1/(2E))^n / 2: the share of the then-uncovered set that each
+    level's balls must cover, certified by ``pack_level`` and replayed by
+    the family audit."""
+    return (1.0 / (2.0 * E)) ** n / 2.0
+
+
 def pack_level(space: StageSpace, k: int, level: int, r_new: float,
                cfg: BuildConfig) -> tuple[np.ndarray, float, float]:
     """Greedy packing of certified-far uncovered points at separation 2 E r,
@@ -353,10 +358,10 @@ def pack_level(space: StageSpace, k: int, level: int, r_new: float,
 
     Certifies that the doubled enlargements cover at least half of the
     uncovered region and that the balls themselves cover at least
-    (1/(2E))^n / 2 of it; returns the centres and those two fractions.
+    ``ball_floor(E, n)`` of it; returns the centres and both fractions.
     """
     E = space.E
-    floor = (1.0 / (2.0 * E)) ** cfg.n / 2.0
+    floor = ball_floor(E, cfg.n)
     centers = np.zeros((0, space.window.dim))
     for round_idx in range(4):
         rng = substream(cfg.seed, "pack", k, level, round_idx)
@@ -438,7 +443,7 @@ class HoleFamily:
     """Immutable array-of-records view of a finished build.
 
     A hole is fully given by its stage, level, base centre and radius;
-    its lifted centre and each stage's radius are derived from those, once.
+    its lifted centre, volume and each stage's radius derive from those, once.
     """
 
     n: int
@@ -481,6 +486,11 @@ class HoleFamily:
             heights[ids] = (self.plane(k).heights(self.base_centers[ids])
                             + 2.0 * self.ts[ids])
         return np.hstack([self.base_centers, heights[:, None]])
+
+    @cached_property
+    def volumes(self) -> np.ndarray:
+        """(N,): each hole's cross-section |B| = omega_n t^n."""
+        return unit_ball_volume(self.n) * self.ts ** self.n
 
     @cached_property
     def stage_radii(self) -> tuple:

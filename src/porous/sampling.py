@@ -18,12 +18,12 @@ points, so per-call overhead is paid once per run instead of once per ball.
 integral's ``MeasureEstimate`` is made here, as mean times volume.
 
 A stream is ``PCG64`` seeded through numpy's ``SeedSequence`` from the
-words of its key (``substream``).  ``substreams`` derives many at once,
-bit for bit the same: ``SeedSequence`` still mixes each key's pool, the
-seed words of all pools are hashed in one array operation, and each
-generator is made from its words as it is taken.  ``sample_shells``, and
-so every batched sampler, draws through it; no other module makes a
-numpy stream.
+words of its key.  ``substreams`` derives the streams of many keys at
+once: ``SeedSequence`` still mixes each key's pool, the seed words of all
+pools are hashed in one array operation, and each generator is made from
+its words as it is taken.  ``substream`` is its one-key case, and
+``sample_shells``, and so every batched sampler, draws through it; no
+other module makes a numpy stream.
 """
 from __future__ import annotations
 
@@ -86,16 +86,14 @@ def _entropy(seed: int, key: Sequence) -> np.ndarray:
 
 
 def substream(seed: int, *key) -> np.random.Generator:
-    """Generator whose stream depends only on ``(seed, key)``.
+    """Generator whose stream depends only on ``(seed, key)``: the
+    one-key case of ``substreams``.
 
     String parts are folded in bytewise; integer parts directly, reduced
     to 64 bits.  Two calls with equal keys return generators producing
-    identical streams.  The entropy is handed to ``SeedSequence`` as one
-    uint32 array holding the words it would split the same key list into,
-    which gives the same stream and skips its per-entry coercion.
+    identical streams.
     """
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(_entropy(seed, key))))
+    return next(substreams(seed, [key]))
 
 
 # SeedSequence.generate_state's hash constants, INIT_B * MULT_B^i mod 2^32
@@ -127,14 +125,16 @@ def _seed_words_class() -> type:
 
 def substreams(seed: int, keys: Sequence[Sequence]
                ) -> Iterator[np.random.Generator]:
-    """``substream(seed, *key)`` for each key in order, the same streams
-    bit for bit.
+    """Each key's generator, in order: ``PCG64`` seeded, bit for bit, as
+    ``SeedSequence`` of the key list ``[seed, *key]`` seeds it.
 
-    Each key's 4-word pool is still mixed by ``SeedSequence``; its
-    ``generate_state(4, uint64)`` (per word: XOR with a hash constant,
-    times the next, xorshift 16) runs once over every key's pool, and
-    each ``PCG64`` is seeded from its row of those words.  Only the words
-    are held; each generator is made as it is taken.
+    ``SeedSequence`` gets the uint32 words it would split that list into,
+    which gives the same pool without its per-entry coercion, and still
+    mixes each key's 4-word pool; its ``generate_state(4, uint64)`` (per
+    word: XOR with a hash constant, times the next, xorshift 16) runs once
+    over every key's pool, and each ``PCG64`` is seeded from its row of
+    those words.  Only the words are held; each generator is made as it
+    is taken.
     """
     state = np.empty((len(keys), 8), dtype=np.uint32)
     for b, key in enumerate(keys):

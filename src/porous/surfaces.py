@@ -145,7 +145,6 @@ class CorpusEntry:
 
     patch: GraphPatch
     kind: str
-    index: int
 
 
 def _plane_patch(plane: AffinePlane, window: Ball, bumps: Sequence[BumpSpec],
@@ -170,15 +169,8 @@ def _plane_patch(plane: AffinePlane, window: Ball, bumps: Sequence[BumpSpec],
     sup = float(np.abs(plane.heights(corners)).max()) \
         + sum(abs(b.amplitude) for b in bumps)
     gfield = ScalarField(domain=window, fn=fn, grad_fn=grad,
-                         grad_bound=slope, label=label,
-                         joint_fn=lambda pts: (fn(pts), grad(pts)))
+                         grad_bound=slope, label=label)
     return GraphPatch(g=gfield, source=label, c1_bound=max(sup, slope))
-
-
-def _entry(plane: AffinePlane, bumps: Sequence[BumpSpec], window: Ball,
-           kind: str, index: int, label: str) -> CorpusEntry:
-    patch = _plane_patch(plane, window, bumps, label)
-    return CorpusEntry(patch=patch, kind=kind, index=index)
 
 
 def corpus_generate(kind: str, params: dict, seed: int,
@@ -209,8 +201,8 @@ def corpus_generate(kind: str, params: dict, seed: int,
             for grad in gradients:
                 plane = AffinePlane(index=idx + 1, gradient=grad, offset=off,
                                     anchor=anchor)
-                label = f"plane[{idx}]"
-                entry = _entry(plane, (), window, kind, idx, label)
+                entry = CorpusEntry(_plane_patch(plane, window, (),
+                                                 f"plane[{idx}]"), kind)
                 _check_ceiling(entry, ceiling)
                 out.append(entry)
                 idx += 1
@@ -250,8 +242,8 @@ def corpus_generate(kind: str, params: dict, seed: int,
             scale = strength / cert
             bumps = [BumpSpec(tuple(centers[j]), float(raw[j] * scale), gw)
                      for j in range(grains)]
-        label = f"{kind}[{i}]"
-        entry = _entry(zero, bumps, window, kind, i, label)
+        entry = CorpusEntry(_plane_patch(zero, window, bumps,
+                                         f"{kind}[{i}]"), kind)
         _check_ceiling(entry, ceiling)
         out.append(entry)
     return out

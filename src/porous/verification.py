@@ -34,7 +34,7 @@ from .analysis import (BUMP_SLOPE_SUP, area_lower_bound_check, blend,
                        make_cutoff, make_mollifier, mollifier_mass, mollify,
                        smoothed_gradient_check, sobolev_ratio)
 from .construction import (HoleFamily, StageSpace, assemble_H, assemble_Pk,
-                           footprint_factor)
+                           ball_floor, footprint_factor)
 from .errors import AuditFailure, NeedsMoreSamples, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                        PorosityWitness, ScalarField, contains_any,
@@ -96,10 +96,6 @@ def strict_deficit_bound(n: int, s: float, k: int) -> float:
     return unit_ball_volume(n) * s**n / 2.0 ** (k + 2)
 
 
-def _hole_volumes(family: HoleFamily, ids: np.ndarray) -> np.ndarray:
-    return unit_ball_volume(family.n) * family.ts[ids] ** family.n
-
-
 # ---------------------------------------------------------------------------
 # hit detection
 # ---------------------------------------------------------------------------
@@ -109,7 +105,6 @@ class HitScan:
     """Outcome of a graph-against-holes sweep at one enlargement constant."""
 
     ids: np.ndarray
-    K: float
     hit: np.ndarray          # bool per id
     # a hit: phi at the witnessing probe; a prefiltered miss: the
     # certified lower bound; a scanned miss: the descent's minimum
@@ -153,7 +148,7 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
     gap = np.full(m, np.inf)
     pre = np.zeros(m, dtype=bool)
     if m == 0:
-        return HitScan(ids, float(K), hit, gap, pre)
+        return HitScan(ids, hit, gap, pre)
     x = family.base_centers[ids]
     t = family.ts[ids]
     h = family.lifted_centers[ids][:, n]
@@ -167,7 +162,7 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
     gap[hit] = centre[hit]
     todo = np.flatnonzero(~pre & ~hit)
     if len(todo) == 0:
-        return HitScan(ids, float(K), hit, gap, pre)
+        return HitScan(ids, hit, gap, pre)
 
     # the axis lattice of [-1,1]^n inside the unit ball; includes 0
     offs = unit_lattice(n, HIT_LATTICE) * 2.0 - 1.0
@@ -210,7 +205,7 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
             live = live[best_phi[live] > HIT_MARGIN]
         gap[sub] = best_phi
         hit[sub] = best_phi <= HIT_MARGIN
-    return HitScan(ids, float(K), hit, gap, pre)
+    return HitScan(ids, hit, gap, pre)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +340,9 @@ def classify_holes(family: HoleFamily, k: int, patch: GraphPatch,
     together, then the straddling ones together.
     """
     eps_k = float(family.epsilons[k - 1])
-    wn = unit_ball_volume(family.n)
     hit = _of_stage(family, k, hit_ids).tolist()
     plane = family.plane(k)
-    vol_b = {h: wn * float(family.ts[h]) ** family.n for h in hit}
+    vol_b = family.volumes
     algebraic = eps_k * family.E ** family.n < 1.0
     sampled = [] if algebraic else hit
     est = dict(zip(sampled, _residue_integrals(
@@ -524,7 +518,6 @@ def budget(patch: GraphPatch, family: HoleFamily,
                                       key=("energy", patch.source))
 
     eps = tuple(float(e) for e in family.epsilons[:depth])
-    wn = unit_ball_volume(family.n)
     stages: list[StageLedger] = []
     current = patch
     total = 0.0
@@ -533,21 +526,19 @@ def budget(patch: GraphPatch, family: HoleFamily,
         ids_k = family.stage_ids(k)
         scan = graph_hit_scan(current.g, family, ids_k, K_k)
         hit_ids = scan.hit_ids
-        hit_mass = float(np.sum(_hole_volumes(family, hit_ids)))
+        hit_mass = float(np.sum(family.volumes[hit_ids]))
         total += hit_mass
         cls = classify_holes(family, k, current, hit_ids, settings.budget,
                              seed)
         violations = disjointness_audit(family, k, current, hit_ids)
 
-        u_sum = float(np.sum(_hole_volumes(
-            family, np.asarray(cls.u_ids, dtype=np.int64))))
+        u_sum = float(np.sum(family.volumes[list(cls.u_ids)]))
         dmax = 0.0
         d_ids = np.asarray(cls.d_ids, dtype=np.int64)
         energies = residue_energies(family, k, d_ids, current,
                                     settings.dbound_budget, seed)
-        for hole_id, energy_d in zip(cls.d_ids, energies):
+        for vol_b, energy_d in zip(family.volumes[d_ids].tolist(), energies):
             den = energy_d.lower()
-            vol_b = wn * float(family.ts[hole_id]) ** family.n
             dmax = max(dmax, math.inf if den <= 0.0 else vol_b / den)
         base = f"budget/{patch.source}/stage-{k}"
         rows = [AuditRow.at_most(f"{base}/u-mass", "u-mass", u_sum,
@@ -742,7 +733,7 @@ def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
                            settings.budget, settings.seed,
                            key=("hole-mass", patch.source))
     scan = graph_hit_scan(patch.g, family, np.arange(len(family)), 1.0)
-    hit_mass = float(np.sum(_hole_volumes(family, scan.hit_ids)))
+    hit_mass = float(np.sum(family.volumes[scan.hit_ids]))
     cap = math.sqrt(1.0 + family.r**2) * hit_mass
     return HoleMassCheck(mass=est, hit_count=int(scan.hit.sum()),
                          hit_mass=hit_mass, row=AuditRow.at_most(
@@ -762,13 +753,14 @@ def family_invariant_audit(family: HoleFamily,
     Covers: primed balls inside the window; within-stage pairwise
     disjoint-or-nested; strict radius decay along levels and across
     stages; and, replayed on fresh samples, each level's covered share of
-    the then-uncovered set against the (1/(2E))^n / 2 floor.  A level whose
-    then-uncovered set yields too few replay samples raises
-    ``NeedsMoreSamples`` naming the stage and level.
+    the then-uncovered set against ``ball_floor(E, n)``, the floor that
+    ``pack_level`` certified.  A level whose then-uncovered set yields too
+    few replay samples raises ``NeedsMoreSamples`` naming the stage and
+    level.
     """
     rows: list[AuditRow] = []
     window = family.window
-    wn_floor = (1.0 / (2.0 * family.E)) ** family.n / 2.0
+    floor = ball_floor(family.E, family.n)
 
     # window containment, exact
     slack = window.radius \
@@ -832,7 +824,7 @@ def family_invariant_audit(family: HoleFamily,
                                       ts).mean())
             floor_rows.append(AuditRow.at_least(
                 f"family/stage-{k}/level-{int(lvl)}/ball-floor",
-                "packing-floor", frac, wn_floor,
+                "packing-floor", frac, floor,
                 half_width=bernoulli_half_width(frac, len(pts))))
             space.add_level(family.base_centers[sel], ts)
     rows.append(AuditRow.at_least("family/radius-decay", "packing-decay",
@@ -1096,7 +1088,8 @@ def analysis_suite(seed: int = 0) -> list[AuditRow]:
     band = substream(seed, "suite-cutoff")
     probes = sample_shell(band, c, cut.plateau_radius, cut.support_radius,
                           4096)
-    sup_slope = float(np.linalg.norm(cut.gradients(probes), axis=1).max())
+    sup_slope = float(np.linalg.norm(cut.field.gradients(probes),
+                                     axis=1).max())
     rows.append(_row("cutoff-slope", sup_slope,
                      cut.slope_cap * (1.0 + 1e-9)))
 

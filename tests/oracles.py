@@ -348,7 +348,7 @@ def full_hit_scan(g, family, ids, K, *, prefilter=True):
     gap = np.full(m, np.inf)
     pre = np.zeros(m, dtype=bool)
     if m == 0:
-        return HitScan(ids, float(K), hit, gap, pre)
+        return HitScan(ids, hit, gap, pre)
     x = family.base_centers[ids]
     t = family.ts[ids]
     h = family.lifted_centers[ids][:, n]
@@ -360,7 +360,7 @@ def full_hit_scan(g, family, ids, K, *, prefilter=True):
         gap[pre] = lower[pre]
     todo = np.flatnonzero(~pre)
     if len(todo) == 0:
-        return HitScan(ids, float(K), hit, gap, pre)
+        return HitScan(ids, hit, gap, pre)
 
     # the axis lattice of [-1,1]^n inside the unit ball; includes 0
     offs = unit_lattice(n, HIT_LATTICE) * 2.0 - 1.0
@@ -399,7 +399,7 @@ def full_hit_scan(g, family, ids, K, *, prefilter=True):
             step = step * REFINE_SHRINK
         gap[sub] = best_phi
         hit[sub] = best_phi <= HIT_MARGIN
-    return HitScan(ids, float(K), hit, gap, pre)
+    return HitScan(ids, hit, gap, pre)
 
 
 def sampled_shared_probes(family, k, patch, hit_ids, seed=0,

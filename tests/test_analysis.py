@@ -293,10 +293,10 @@ def test_cutoff_exact_plateau_and_support():
     rng = substream(3, "cutoff")
     inner = sample_shell(rng, CENTER, 0.0, t * (1 - 2 * eps), 512)
     outer = sample_shell(rng, CENTER, t * (1 - eps), t, 512)
-    assert np.all(cut.values(inner) == 1.0)
-    assert np.all(cut.values(outer) == 0.0)
+    assert np.all(cut.field.values(inner) == 1.0)
+    assert np.all(cut.field.values(outer) == 0.0)
     band = sample_shell(rng, CENTER, t * (1 - 2 * eps), t * (1 - eps), 512)
-    vals = cut.values(band)
+    vals = cut.field.values(band)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
@@ -307,10 +307,10 @@ def test_cutoff_gradient_bounded_on_ring_probes():
     assert cut.slope_cap == pytest.approx(cap)
     probes = sample_shell(substream(4, "ring"), CENTER,
                           t * (1 - 2 * eps), t * (1 - eps), 10_000)
-    grads = np.linalg.norm(cut.gradients(probes), axis=1)
+    grads = np.linalg.norm(cut.field.gradients(probes), axis=1)
     assert float(grads.max()) <= cap * (1.0 + 1e-9)
     # finite differences as the oracle on a subsample
-    fd = _fd_gradients(cut.values, probes[:500], step=1e-8)
+    fd = _fd_gradients(cut.field.values, probes[:500], step=1e-8)
     assert np.allclose(np.linalg.norm(fd, axis=1), grads[:500],
                        rtol=1e-4, atol=1e-3)
 
@@ -341,7 +341,7 @@ def test_cutoff_band_matches_unshortcut_convolution():
     full = mollify(raw, eps * t / 3.0)
     pts = sample_shell(substream(5, "band"), CENTER, hi * 0.5,
                        t * (1 - eps) * 0.999, 2000)
-    assert np.max(np.abs(cut.values(pts) - full.values(pts))) <= 1e-12
+    assert np.max(np.abs(cut.field.values(pts) - full.values(pts))) <= 1e-12
 
 
 def test_cutoff_rejects_bad_eps():
@@ -387,7 +387,7 @@ def test_blend_interpolates_between_fields():
     outer_dom = Ball(CENTER, 0.5)
     inner = _affine_field([0.0, 0.0, 0.0], 5e-4, outer_dom)
     outer = _affine_field([0.0, 0.0, 0.0], 0.0, outer_dom)
-    v = blend(inner, outer, cut, match_tol=1e-3)
+    v = blend_disjoint(outer, [(inner, cut)], match_tol=1e-3)
     deep = sample_shell(substream(7, "deep"), CENTER, 0.0,
                         cut.plateau_radius, 128)
     far = sample_shell(substream(7, "far"), CENTER, cut.support_radius,
@@ -421,7 +421,7 @@ def _two_field_blend(inner, outer, cutoff):
     """Reference arithmetic of one blend, evaluating the cutoff everywhere."""
 
     def fn(pts):
-        w = cutoff.values(pts)
+        w = cutoff.field.values(pts)
         out = outer.values(pts)
         mask = w > 0.0
         if mask.any():
@@ -430,12 +430,12 @@ def _two_field_blend(inner, outer, cutoff):
         return out
 
     def grad_fn(pts):
-        w = cutoff.values(pts)
+        w = cutoff.field.values(pts)
         gout = outer.gradients(pts)
         mask = w > 0.0
         if mask.any():
             sub = pts[mask]
-            gw = cutoff.gradients(sub)
+            gw = cutoff.field.gradients(sub)
             gin = inner.gradients(sub)
             vals_in = inner.values(sub)
             vals_out = outer.values(sub)
@@ -452,7 +452,7 @@ def _blend_chain(g, pieces, **kwargs):
     """Reference: one nested two-field blend per piece, in order."""
     current = g
     for inner, cut in pieces:
-        current = blend(inner, current, cut, **kwargs)
+        current = blend_disjoint(current, [(inner, cut)], **kwargs)
     return current
 
 
@@ -594,7 +594,8 @@ def _bits(a):
 def test_joint_pass_equals_the_separate_passes_bit_for_bit(name):
     fields, cuts = _joint_fields()
     field = fields[name]
-    assert field.joint_fn is not None
+    # the plane patch has no joint pass; values_and_gradients makes both
+    assert (field.joint_fn is not None) == (name != "plane-patch")
     for pts in _joint_points(cuts):
         vals, grads = field.values_and_gradients(pts)
         assert np.array_equal(_bits(vals), _bits(field.values(pts)))

@@ -1,5 +1,6 @@
 """Static checks of the package source that no installed linter makes."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,3 +84,71 @@ def test_the_check_sees_a_stream_made_outside_sampling():
     assert _stream_calls(tree) == ["Generator (line 3)", "PCG64 (line 3)",
                                    "SeedSequence (line 5)",
                                    "default_rng (line 4)"]
+
+
+# library names that no src/porous module references, each with the reason
+# it stays
+KEPT = {
+    "boundary_distance": "the bench tracer wraps it (ROADMAP D16)",
+    "residue_energy": "the bench tracer wraps it (ROADMAP D16)",
+    "porosity_witness": "the bench tracer wraps it (ROADMAP D16)",
+    "pullback_porosity_witness": "the porosity pullback (ROADMAP D10)",
+    "hole_center": "the porosity pullback (ROADMAP D10)",
+    "sn_membership": "the meets-P verdict (ROADMAP D6)",
+    "strict_deficit_bound": "a paper constant of the strict regime",
+    "boundary_cross_term": "flatten-identity's independent side "
+                           "(ROADMAP D14, D18)",
+    "density": "the mollifier's kernel, tested against its mass",
+    "generate_state": "numpy's ISeedSequence protocol calls it",
+}
+
+
+def _references(node: ast.AST) -> list[str]:
+    """The names that ``Name`` and ``Attribute`` nodes read under node."""
+    return [n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def _orphans(trees: dict[str, ast.Module]) -> set[str]:
+    """The functions, methods and classes defined outside ``__init__.py``,
+    dunders aside, that no module references outside their own
+    definition."""
+    total = Counter()
+    for tree in trees.values():
+        total.update(_references(tree))
+    out = set()
+    for path, tree in trees.items():
+        if path == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__")) \
+                    and total[node.name] <= _references(node).count(
+                        node.name):
+                out.add(node.name)
+    return out
+
+
+def test_every_library_name_has_a_caller_or_a_reason():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in SRC.glob("*.py")}
+    orphans = _orphans(trees)
+    assert sorted(orphans - set(KEPT)) == []     # a name with no caller
+    assert sorted(set(KEPT) - orphans) == []     # a reason gone stale
+
+
+def test_the_check_sees_an_orphan():
+    trees = {"a.py": ast.parse(
+                 "class Used:\n"
+                 "    def method(self):\n"
+                 "        return self.method()\n"
+                 "def orphan():\n"
+                 "    return orphan()\n"
+                 "def __dunder__():\n"
+                 "    pass\n"),
+             "b.py": ast.parse("from a import Used\nUsed().method\n"),
+             "__init__.py": ast.parse("def exported():\n    pass\n")}
+    assert _orphans(trees) == {"orphan"}

@@ -212,7 +212,14 @@ def test_plane_corpus_is_the_full_grid():
     entries = corpus_generate("plane", params, seed=0, window=WINDOW)
     assert len(entries) == 6
     assert all(e.kind == "plane" for e in entries)
-    assert [e.index for e in entries] == list(range(6))
+    # offsets outer, gradients inner: entry i is offset i // 2, gradient i % 2
+    assert [e.patch.source for e in entries] == [f"plane[{i}]"
+                                                 for i in range(6)]
+    pts = np.array([[0.5, 0.5, 0.5], [0.6, 0.4, 0.5]])
+    for i, e in enumerate(entries):
+        grad = np.array(params["gradients"][i % 2])
+        want = params["offsets"][i // 2] + (pts - 0.5) @ grad
+        assert np.allclose(e.patch.g.values(pts), want, rtol=0, atol=1e-15)
 
 
 def test_corpus_generation_is_deterministic():

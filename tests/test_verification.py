@@ -12,7 +12,7 @@ from porous import (AuditFailure, AuditReport, AuditRow, AuditSettings,
                     Ball, GraphPatch,
                     HoleFamily, NeedsMoreSamples, PreconditionError,
                     SamplingBudget,
-                    ScalarField, alpha_relaxed, analysis_suite, blend,
+                    ScalarField, alpha_relaxed, analysis_suite,
                     blend_disjoint, budget, bump_field, classify_holes, coverage_deficit,
                     disjointness_audit, family_invariant_audit,
                     hole_intersection_mass, ledger_rows, mode_map,
@@ -21,6 +21,7 @@ from porous import (AuditFailure, AuditReport, AuditRow, AuditSettings,
                     unit_ball_volume)
 from porous.sampling import sample_shell, substream
 from porous import verification
+from porous.construction import ball_floor
 from porous.surfaces import corpus_generate, unit_lattice
 from porous.verification import (CSV_HEADER, DBOUND_C, GEOMETRY_TOL,
                                  HIT_LATTICE, HIT_MARGIN, K_constant,
@@ -809,9 +810,32 @@ def test_budget_d_energy_equals_a_per_hole_residue_energy_loop(
         singles = [residue_energy(demo_family, h, patch, budget_cfg, seed)
                    for h in ids]
         assert singles == batched
-        ratios = [W3 * float(demo_family.ts[h]) ** 3 / est.lower()
+        ratios = [demo_family.volumes[h] / est.lower()
                   for h, est in zip(ids, singles)]
         assert max(ratios) == _checks(st.rows)["d-energy"].measured
+
+
+def test_d_energy_reads_the_family_hole_volume():
+    # at this radius omega_3 * t ** 3 taken as a scalar power and as an
+    # array power can round apart (numpy 2.4.6 does); the row reads the
+    # one |B|, family.volumes, as the u-mass and budget-total rows do
+    t = 0.005241553890730662
+    fam = _manual_family([[0.5, 0.5, 0.5]], [t])
+    # the plane of gradient (0.01, 0, 0) through the lifted centre
+    patch = _tilt_patch(offset=float(fam.lifted_centers[0, 3]), slope=0.01)
+    settings = AuditSettings()
+    ledger = budget(patch, fam, settings)
+    assert ledger.stages[0].classification.d_ids == (0,)
+    (energy,) = residue_energies(fam, 1, [0], patch, settings.dbound_budget,
+                                 settings.seed)
+    assert _checks(ledger.stages[0].rows)["d-energy"].measured \
+        == fam.volumes[0] / energy.lower()
+    assert ledger.verdict.measured == fam.volumes[0]
+
+
+def test_family_volumes_are_one_array_power(demo_family):
+    fam = demo_family
+    assert fam.volumes.tobytes() == (W3 * fam.ts ** 3).tobytes()
 
 
 def test_residue_energies_name_the_first_bad_hole_of_a_batch():
@@ -868,9 +892,10 @@ def _smoothing_chain(patch, family, selected, eps_next, match_tol, seed=0,
                                 label=f"{patch.g.label}^{sigma:.2e}")
         cut = make_cutoff(Ball(family.base_centers[hole_id], primed_radius),
                           eps_next)
-        current = blend(inners[t], current, cut, check_budget=check_budget,
-                        seed=seed, match_tol=match_tol,
-                        label=f"{patch.g.label}~{hole_id}")
+        current = blend_disjoint(current, [(inners[t], cut)],
+                                 check_budget=check_budget, seed=seed,
+                                 match_tol=match_tol,
+                                 label=f"{patch.g.label}~{hole_id}")
     return current
 
 
@@ -1055,6 +1080,10 @@ def test_family_invariants_all_pass(demo_family):
     assert floors
     floor = (1.0 / (2.0 * demo_family.E)) ** 3 / 2.0
     assert all(r.measured >= floor for r in floors)
+    # each row's bound is the floor the build certified, from one place
+    assert all(r.id.endswith("/ball-floor")
+               and r.bound == ball_floor(demo_family.E, demo_family.n)
+               for r in floors)
 
 
 def test_family_invariants_name_offending_pair(demo_family):
