@@ -434,7 +434,6 @@ ZERO_LEVEL_REL = 1e-9  # |g| below this times sup|g| counts as vanishing
 @dataclass(frozen=True)
 class SobolevCheck:
     exponent: float
-    lp_norm: float
     energy: float
     ratio: float
     vanish_fraction: float
@@ -474,7 +473,7 @@ def sobolev_ratio(g: ScalarField, b: Ball, alpha: float, seed: int = 0,
     lp = lp_p.value ** (1.0 / p)
     energy = math.sqrt(energy_sq.value)
     ratio = 0.0 if lp == 0.0 else (math.inf if energy == 0.0 else lp / energy)
-    return SobolevCheck(exponent=p, lp_norm=lp, energy=energy, ratio=ratio,
+    return SobolevCheck(exponent=p, energy=energy, ratio=ratio,
                         vanish_fraction=frac, sample_count=lp_p.sample_count)
 
 
@@ -484,7 +483,6 @@ class AreaCheck:
     rhs: float
     rhs_half_width: float
     ratio: float
-    low_fraction: float
     sample_count: int
 
 
@@ -525,9 +523,8 @@ def area_lower_bound_check(g: ScalarField, b: Ball, h: float, seed: int = 0,
                                    key=("area-energy",))
     lhs = unit_ball_volume(b.dim) * h ** b.dim
     ratio = math.inf if rhs.value == 0 else lhs / rhs.value
-    return AreaCheck(lhs=lhs, rhs=rhs.value,
-                     rhs_half_width=rhs.half_width, ratio=ratio,
-                     low_fraction=low, sample_count=rhs.sample_count)
+    return AreaCheck(lhs=lhs, rhs=rhs.value, rhs_half_width=rhs.half_width,
+                     ratio=ratio, sample_count=rhs.sample_count)
 
 
 @dataclass(frozen=True)

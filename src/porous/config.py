@@ -22,11 +22,10 @@ import jsonschema
 
 from .construction import BuildConfig
 from .errors import ConfigError
-from .sampling import SamplingBudget
+from .sampling import SEED_MAX, SamplingBudget
 from .verification import DBOUND_C, LEDGER_C, WITNESS_TOL, AuditSettings
 
 CONFIG_FORMAT_VERSION = 1
-SEED_MAX = 2**64 - 1
 
 _BUDGET_SCHEMA = {
     "type": "object",

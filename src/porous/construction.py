@@ -32,7 +32,7 @@ from .sampling import (SamplingBudget, bernoulli_half_width, place_shell,
                        substream)
 
 FORMAT_VERSION = 1
-HALF_MARGIN = 0.01          # slack on every "at least half" certification
+HALF_MARGIN = 0.01          # slack on the far test's "at least half" only
 MAX_HALVINGS = 60
 UNCOVERED_BATCHES = 400     # rejection draws before giving up
 FAR_SLACK = 1e-9            # relative widening of the far test's index reach
@@ -561,7 +561,9 @@ class TruncatedP:
 
 
 def truncated_P(family: HoleFamily, depth: Optional[int] = None) -> TruncatedP:
-    depth = depth or family.depth
+    depth = family.depth if depth is None else depth
+    if depth < 1:
+        raise ValueError(f"truncation depth must be at least 1, got {depth}")
     pks = tuple(assemble_Pk(family, k) for k in range(1, depth + 1))
     return TruncatedP(family=family, depth=depth, pks=pks,
                       holes=assemble_H(family))

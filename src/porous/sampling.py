@@ -59,6 +59,10 @@ class SamplingBudget:
         return SamplingBudget(self.strata, self.per_stratum * factor)
 
 
+# the largest seed: seeds and integer key parts reduce to 64 bits
+SEED_MAX = 2**64 - 1
+
+
 def _words(value: int) -> list[int]:
     """Little-endian 32-bit words of a non-negative int, as SeedSequence
     splits an int entropy entry (zero is the single word 0)."""
@@ -74,12 +78,12 @@ def _entropy(seed: int, key: Sequence) -> np.ndarray:
     """The uint32 words ``SeedSequence`` would split the key list
     ``[seed, *key]`` into: a string part bytewise, an integer part
     reduced to 64 bits."""
-    words = _words(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    words = _words(int(seed) & SEED_MAX)
     for part in key:
         if isinstance(part, str):
             words.extend(part.encode())
         elif isinstance(part, (int, np.integer)):
-            words.extend(_words(int(part) & 0xFFFFFFFFFFFFFFFF))
+            words.extend(_words(int(part) & SEED_MAX))
         else:
             raise TypeError(f"substream key parts must be str or int, got {type(part)!r}")
     return np.array(words, dtype=np.uint32)

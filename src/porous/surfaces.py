@@ -16,7 +16,8 @@ import numpy as np
 from .errors import ParseError
 from .geometry import (AffinePlane, Ball, MeasureEstimate, ScalarField,
                        displacements, scale_rows, sq_norms)
-from .sampling import SamplingBudget, stratified_ball_integral, substream
+from .sampling import (SEED_MAX, SamplingBudget, stratified_ball_integral,
+                       substream)
 
 # max of u (1-u^2)^2 on [0,1] sits at u = 1/sqrt(5); the slope of the cubic
 # bump profile is 6 A/w times that, i.e. SLOPE_FACTOR * A / w
@@ -208,7 +209,9 @@ def corpus_generate(kind: str, params: dict, seed: int,
                 idx += 1
         return out
 
-    count = int(params["count"])
+    count = params["count"]
+    if not _is_int(count) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     zero = AffinePlane(index=1, gradient=np.zeros(n), offset=0.0,
                        anchor=anchor)
     for i in range(count):
@@ -249,6 +252,11 @@ def corpus_generate(kind: str, params: dict, seed: int,
     return out
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _draw(rng: np.random.Generator, spec) -> float:
     lo, hi = float(spec[0]), float(spec[1])
     return float(rng.uniform(lo, hi))
@@ -281,6 +289,10 @@ def load_corpus_spec(path) -> list[dict]:
         if item["kind"] not in CORPUS_KINDS:
             raise ParseError(f"{path}: entry {i} has unknown kind "
                              f"{item['kind']!r}")
+        seed = item["seed"]
+        if not _is_int(seed) or not 0 <= seed <= SEED_MAX:
+            raise ParseError(f"{path}: entry {i} seed must be an integer in "
+                             f"[0, 2^64 - 1], got {seed!r}")
     return doc
 
 

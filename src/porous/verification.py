@@ -37,8 +37,7 @@ from .construction import (HoleFamily, StageSpace, assemble_H, assemble_Pk,
                            ball_floor, footprint_factor)
 from .errors import AuditFailure, NeedsMoreSamples, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
-                       PorosityWitness, ScalarField, contains_any,
-                       unit_ball_volume)
+                       ScalarField, contains_any, unit_ball_volume)
 from .sampling import (SamplingBudget, bernoulli_half_width, sample_shell,
                        stratified_ball_integral, stratified_ball_integrals,
                        substream)
@@ -265,18 +264,15 @@ def _residue_integrals(family: HoleFamily, ids: Sequence[int],
     region, where the field leaves its t/4 band around the plane, all
     holes in one ``stratified_ball_means`` call: ball ``b`` draws from the
     substreams of ``keys[b]``.  ``weight`` maps the field's gradients at
-    the points to their weights; the field's values and gradients then
-    come from one ``values_and_gradients`` pass."""
+    the points to their weights; the field's values and gradients come
+    from one ``values_and_gradients`` pass."""
     ids = np.asarray(ids, dtype=np.int64)
     if not len(ids):
         return []
     radii, thresholds = _residue_balls(family, ids, patch)
 
     def integrand(pts: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        if weight is None:
-            vals = patch.g.values(pts)
-        else:
-            vals, grads = patch.g.values_and_gradients(pts)
+        vals, grads = patch.g.values_and_gradients(pts)
         inside = np.abs(vals - plane.heights(pts)) > thresholds[owner]
         return inside if weight is None else inside * weight(grads)
 
@@ -639,24 +635,20 @@ def coverage_deficit(family: HoleFamily, k: int, stop_fraction: float,
         f"cover/stage-{k}", "plane-cover-deficit", est.upper(), bound))
 
 
-@dataclass(frozen=True)
-class WitnessResult:
-    hole_id: int
-    ratio: float
-    witness: PorosityWitness
-
-
 def porosity_witnesses(points: np.ndarray, family: HoleFamily
-                       ) -> list[WitnessResult]:
-    """Best hole witnessing porosity at each point of the residual set.
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Best hole witnessing porosity at each point of the residual set, as
+    two columns: the hole id and its ratio t/|c - p|.
 
     Among the holes whose L-enlargement contains a point but whose own
     ball does not, the witness maximises radius over centre distance, the
-    lowest hole id among equals.  One ``BallIndex`` query on the
-    enlargements, widened by ``WITNESS_SLACK``, finds the candidates, and
-    the exact tests run on those.  A point with no witness, or whose best
-    ratio lies below 1/L - ``WITNESS_TOL`` (it should not have been in the
-    truncation), raises ``AuditFailure``, the first such point in order.
+    lowest hole id among equals.  The witness ball is the hole itself, so
+    its direction, step and radius follow from the id.  One ``BallIndex``
+    query on the enlargements, widened by ``WITNESS_SLACK``, finds the
+    candidates, and the exact tests run on those.  A point with no
+    witness, or whose best ratio lies below 1/L - ``WITNESS_TOL`` (it
+    should not have been in the truncation), raises ``AuditFailure``, the
+    first such point in order.
     """
     L = family.L
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -670,46 +662,43 @@ def porosity_witnesses(points: np.ndarray, family: HoleFamily
     # per point, the first pair by descending ratio, then ascending hole
     order = np.lexsort((hole, -ratio, at))
     first = order[np.unique(at[order], return_index=True)[1]]
-    best = np.full(len(pts), -1)
-    best[at[first]] = first
-    out = []
-    for p, b in zip(pts, best.tolist()):
-        if b < 0:
+    holes = np.full(len(pts), -1, dtype=np.int64)
+    ratios = np.full(len(pts), -math.inf)
+    holes[at[first]], ratios[at[first]] = hole[first], ratio[first]
+    bad = np.flatnonzero(ratios < 1.0 / L - WITNESS_TOL)
+    if len(bad):
+        p, r = pts[bad[0]].tolist(), float(ratios[bad[0]])
+        if holes[bad[0]] < 0:
             raise AuditFailure(
-                f"no hole's enlargement contains the point {p.tolist()}",
-                point=p.tolist())
-        if ratio[b] < 1.0 / L - WITNESS_TOL:
-            raise AuditFailure(
-                f"best witness ratio {ratio[b]:.8f} below 1/L - tol "
-                f"({1.0 / L - WITNESS_TOL:.8f}) at {p.tolist()}",
-                point=p.tolist(), ratio=float(ratio[b]))
-        h = int(hole[b])
-        out.append(WitnessResult(h, float(ratio[b]), PorosityWitness(
-            direction=(centers[h] - p) / dist[b], step=float(dist[b]),
-            radius=float(ts[h]))))
-    return out
+                f"no hole's enlargement contains the point {p}", point=p)
+        raise AuditFailure(
+            f"best witness ratio {r:.8f} below 1/L - tol "
+            f"({1.0 / L - WITNESS_TOL:.8f}) at {p}", point=p, ratio=r)
+    return holes, ratios
 
 
-def porosity_witness(point: np.ndarray, family: HoleFamily) -> WitnessResult:
-    """``porosity_witnesses`` at one point."""
-    return porosity_witnesses(point, family)[0]
+def porosity_witness(point: np.ndarray, family: HoleFamily
+                     ) -> tuple[int, float]:
+    """``porosity_witnesses`` at one point: its (hole, ratio)."""
+    holes, ratios = porosity_witnesses(point, family)
+    return int(holes[0]), float(ratios[0])
 
 
 def porosity_row(points: np.ndarray, family: HoleFamily
-                 ) -> tuple["AuditRow", list[WitnessResult], Optional[str]]:
+                 ) -> tuple["AuditRow", np.ndarray, Optional[str]]:
     """The porosity row: the worst witness ratio at the points against
-    1/L - ``WITNESS_TOL``, with the witnesses.  When a point has none the
-    row fails at measured 0, with no witnesses and the failure's message,
+    1/L - ``WITNESS_TOL``, with the ratio column.  When a point has none
+    the row fails at measured 0, with no ratios and the failure's message,
     which names the point."""
     floor = 1.0 / family.L - WITNESS_TOL
     try:
-        found = porosity_witnesses(points, family)
+        ratios = porosity_witnesses(points, family)[1]
     except AuditFailure as exc:
         return (AuditRow.at_least("porosity/witness", "porosity-witness",
-                                  0.0, floor, ok=False), [], str(exc))
-    worst = min((w.ratio for w in found), default=math.inf)
+                                  0.0, floor, ok=False), np.empty(0), str(exc))
+    worst = float(ratios.min(initial=math.inf))
     return (AuditRow.at_least("porosity/witness", "porosity-witness", worst,
-                              floor), found, None)
+                              floor), ratios, None)
 
 
 @dataclass(frozen=True)

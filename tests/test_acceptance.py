@@ -148,7 +148,7 @@ def test_ac3_porosity_witnesses(demo_family):
     points = sample_truncated_P(truncated_P(demo_family), AC3_POINTS, seed=0)
     worst = math.inf
     for point in points:
-        worst = min(worst, porosity_witness(point, demo_family).ratio)
+        worst = min(worst, porosity_witness(point, demo_family)[1])
     ok = len(points) == AC3_POINTS and worst >= AC3_RATIO_FLOOR
     _verdict("AC3 porosity-witnesses", ok,
              f"{AC3_POINTS} points, worst ratio {worst:.6f} >= "

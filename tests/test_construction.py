@@ -489,6 +489,16 @@ def test_truncated_membership_matches_direct_definition(demo_family):
     assert np.array_equal(got, direct)
 
 
+def test_truncated_P_depth_is_explicit(demo_family):
+    assert truncated_P(demo_family).depth == demo_family.depth
+    assert truncated_P(demo_family, 1).depth == 1
+    assert len(truncated_P(demo_family, 1).pks) == 1
+    # 0 is not "the full depth": a truncation keeps at least one stage
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            truncated_P(demo_family, depth)
+
+
 def test_sample_truncated_P_yields_members(demo_family):
     tp = truncated_P(demo_family)
     pts = sample_truncated_P(tp, 200, seed=5)

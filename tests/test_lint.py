@@ -152,3 +152,65 @@ def test_the_check_sees_an_orphan():
              "b.py": ast.parse("from a import Used\nUsed().method\n"),
              "__init__.py": ast.parse("def exported():\n    pass\n")}
     assert _orphans(trees) == {"orphan"}
+
+
+# dataclass fields that nothing reads as an attribute, each with the reason
+# it stays
+KEPT_FIELDS: dict[str, str] = {}
+
+READERS = [SRC.parents[1] / part for part in ("src/porous", "tests", "demos",
+                                              "bench")]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if "dataclass" in _references(target):
+            return True
+    return False
+
+
+def _unread_fields(field_trees: list[ast.Module],
+                   reader_trees: list[ast.Module]) -> set[str]:
+    """``Class.field`` for each annotated field of a ``@dataclass`` in
+    field_trees whose name no reader loads as an attribute."""
+    read = {n.attr for tree in reader_trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = set()
+    for tree in field_trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                out |= {f"{node.name}.{stmt.target.id}"
+                        for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in read}
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    fields = [ast.parse(p.read_text(encoding="utf-8"))
+              for p in SRC.glob("*.py")]
+    readers = [ast.parse(p.read_text(encoding="utf-8"))
+               for root in READERS for p in sorted(root.rglob("*.py"))]
+    unread = _unread_fields(fields, readers)
+    assert sorted(unread - set(KEPT_FIELDS)) == []   # a field nobody reads
+    assert sorted(set(KEPT_FIELDS) - unread) == []   # a reason gone stale
+
+
+def test_the_check_sees_an_unread_field():
+    source = ("from dataclasses import dataclass\n"
+              "import dataclasses\n"
+              "@dataclass(frozen=True)\n"
+              "class Check:\n"
+              "    ratio: float\n"
+              "    unread: float\n"
+              "    LIMIT = 3\n"
+              "@dataclasses.dataclass\n"
+              "class Other:\n"
+              "    stored: int\n"
+              "class Plain:\n"
+              "    plain: int\n")
+    reader = ast.parse("c.ratio\no.unread = 1\nprint(o.LIMIT)\n")
+    assert _unread_fields([ast.parse(source)], [reader]) \
+        == {"Check.unread", "Other.stored"}

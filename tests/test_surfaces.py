@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -304,3 +305,33 @@ def test_load_corpus_spec_validation(tmp_path):
     missing.write_text('[{"kind": "plane"}]')
     with pytest.raises(ParseError):
         load_corpus_spec(missing)
+
+
+@pytest.mark.parametrize("seed", [1.7, True, -1, 2**64, "3", None])
+def test_load_corpus_spec_rejects_a_seed_outside_64_bits(tmp_path, seed):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([
+        {"kind": "bump", "seed": 0, "params": {}},
+        {"kind": "bump", "seed": seed, "params": {}}]))
+    with pytest.raises(ParseError, match="entry 1 seed must be an integer"):
+        load_corpus_spec(path)
+
+
+def test_load_corpus_spec_accepts_the_seed_range_ends(tmp_path):
+    path = tmp_path / "corpus.json"
+    spec = [{"kind": "bump", "seed": seed, "params": {}}
+            for seed in (0, 2**64 - 1)]
+    path.write_text(json.dumps(spec))
+    assert load_corpus_spec(path) == spec
+
+
+@pytest.mark.parametrize("count", [2.9, -1, 0, True, "2"])
+def test_corpus_count_must_be_a_positive_integer(count):
+    params = {"count": count, "amplitude": [1e-4, 3e-4], "width": [0.1, 0.2]}
+    with pytest.raises(ValueError, match="count must be a positive integer"):
+        corpus_generate("bump", params, seed=0, window=WINDOW)
+    spec = [{"kind": "bump", "params": params, "seed": 0}]
+    with pytest.raises(ParseError, match=r"corpus entry 0 \(bump\): count"):
+        generate_from_spec(spec, WINDOW)
+    params["count"] = np.int64(2)
+    assert len(corpus_generate("bump", params, seed=0, window=WINDOW)) == 2

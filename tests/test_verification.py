@@ -16,7 +16,7 @@ from porous import (AuditFailure, AuditReport, AuditRow, AuditSettings,
                     blend_disjoint, budget, bump_field, classify_holes, coverage_deficit,
                     disjointness_audit, family_invariant_audit,
                     hole_intersection_mass, ledger_rows, mode_map,
-                    make_cutoff, mollify, porosity_witness,
+                    make_cutoff, mollify, porosity_row, porosity_witness,
                     sample_truncated_P, strict_deficit_bound, truncated_P,
                     unit_ball_volume)
 from porous.sampling import sample_shell, substream
@@ -1012,19 +1012,17 @@ def test_porosity_witness_matches_exhaustive_scan(demo_family, demo_config):
                              demo_config.audit.porosity_samples,
                              seed=demo_config.audit.seed)
     assert len(pts) == 1000
-    found = porosity_witnesses(pts, fam)
-    assert len(found) == len(pts)
-    for p, res in zip(pts, found):
-        assert res.ratio >= 1.0 / fam.L - 1e-6
-        assert (res.hole_id, res.ratio) == _exhaustive_witness(fam, p)
+    holes, ratios = porosity_witnesses(pts, fam)
+    assert len(holes) == len(ratios) == len(pts)
+    for p, hole, ratio in zip(pts, holes.tolist(), ratios.tolist()):
+        assert ratio >= 1.0 / fam.L - 1e-6
+        assert (hole, ratio) == _exhaustive_witness(fam, p)
         # the witness ball is the hole itself, which the set avoids
-        assert res.witness.radius == float(fam.ts[res.hole_id])
-        assert np.allclose(res.witness.hole_center(p),
-                           fam.lifted_centers[res.hole_id], atol=1e-12)
+        d = np.linalg.norm(fam.lifted_centers[hole] - p)
+        assert ratio == pytest.approx(float(fam.ts[hole]) / d, rel=1e-12)
     # the one-point case is the same answer
     for i in (0, 499, 999):
-        one = porosity_witness(pts[i], fam)
-        assert (one.hole_id, one.ratio) == (found[i].hole_id, found[i].ratio)
+        assert porosity_witness(pts[i], fam) == (holes[i], ratios[i])
 
     # a planted tie: holes 1 and 2 sit at the same distance 2^-6 from the
     # point, with the same radius, so their ratios tie exactly; hole 0 is
@@ -1034,16 +1032,46 @@ def test_porosity_witness_matches_exhaustive_scan(demo_family, demo_config):
                      [0.5 - d, 0.5, 0.5]])
     fam = _manual_family(base, [t, t, t])
     p = np.array([0.5, 0.5, 0.5, 2.0 * t])    # at the holes' height
-    res = porosity_witness(p, fam)
-    assert (res.hole_id, res.ratio) == (1, t / d) == _exhaustive_witness(fam, p)
-    assert res.witness.direction.tolist() == [1.0, 0.0, 0.0, 0.0]
+    hole, ratio = porosity_witness(p, fam)
+    assert (hole, ratio) == (1, t / d) == _exhaustive_witness(fam, p)
+    assert ((fam.lifted_centers[hole] - p) / d).tolist() == [1.0, 0, 0, 0]
     # swapping the tied holes keeps id 1, now the hole on the other side
     swapped = _manual_family(base[[0, 2, 1]], [t, t, t])
-    res = porosity_witness(p, swapped)
-    assert res.hole_id == 1
-    assert res.witness.direction.tolist() == [-1.0, 0.0, 0.0, 0.0]
-    assert [w.hole_id for w in porosity_witnesses(
-        np.vstack([p, p]), fam)] == [1, 1]
+    hole, _ = porosity_witness(p, swapped)
+    assert hole == 1
+    assert ((swapped.lifted_centers[hole] - p) / d).tolist() \
+        == [-1.0, 0, 0, 0]
+    assert porosity_witnesses(np.vstack([p, p]), fam)[0].tolist() == [1, 1]
+
+
+def test_porosity_row_ratios_are_the_per_point_witness_ratios(demo_family):
+    pts = sample_truncated_P(truncated_P(demo_family), 200, seed=3)
+    row, ratios, failure = porosity_row(pts, demo_family)
+    assert failure is None and row.status == "pass"
+    assert ratios.tolist() == [porosity_witness(p, demo_family)[1]
+                               for p in pts]
+    assert row.measured == ratios.min()
+
+
+def test_porosity_names_the_first_failing_point_in_order(monkeypatch):
+    # one hole of radius t lifted to (c, 2t); a point 3t from it has ratio
+    # 1/3, above 1/L, so a floor of 1/2 makes it a low-ratio point
+    t = 0.01
+    fam = _manual_family([[0.5, 0.5, 0.5]], [t])
+    monkeypatch.setattr(verification, "WITNESS_TOL", 1.0 / fam.L - 0.5)
+    low = np.array([0.5 + 3.0 * t, 0.5, 0.5, 2.0 * t])
+    far = np.array([10.0, 10.0, 10.0, 10.0])
+    for pts, named in (([low, far], low), ([far, low], far)):
+        with pytest.raises(AuditFailure) as exc:
+            porosity_witnesses(np.array(pts), fam)
+        assert exc.value.details["point"] == named.tolist()
+        assert ("ratio" in exc.value.details) == (named is low)
+        message = ("best witness ratio" if named is low
+                   else "no hole's enlargement contains the point")
+        assert str(exc.value).startswith(message)
+        row, ratios, failure = porosity_row(np.array(pts), fam)
+        assert row.status == "fail" and row.measured == 0.0
+        assert len(ratios) == 0 and failure == str(exc.value)
 
 
 def test_porosity_witness_rejects_far_points(demo_family):
