@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import BlendPreconditionError, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, ScalarField,
-                       displacements, scale_rows, sq_norms,
-                       unit_ball_volume)
+                       displacements, run_starts, scale_rows, sq_dists,
+                       sq_norms, unit_ball_volume)
 from .sampling import (SamplingBudget, place_shell, sample_shells,
                        shell_draws, shell_edges, stratified_ball_integral,
                        stratified_ball_mean, substream)
@@ -364,7 +364,7 @@ def blend_disjoint(outer: ScalarField,
     index = BallIndex(centers, radii)
     # supports lie inside their balls, so only index pairs can meet
     i, j = index.pairs()
-    dist = np.linalg.norm(centers[i] - centers[j], axis=1)
+    dist = np.sqrt(sq_dists(index.cols, i, index.cols, j))
     if ((dist < radii[i] + support[j]) | (dist < radii[j] + support[i])).any():
         raise ValueError("a cutoff ball meets another cutoff's support")
 
@@ -391,11 +391,12 @@ def blend_disjoint(outer: ScalarField,
         """(inner, point ids, cutoff values, cutoff gradients) per cutoff
         positive somewhere on pts, the ids ascending."""
         q, ball = index.members(pts)
-        q, first = np.unique(q, return_index=True)
-        owner = ball[first]
+        first = run_starts(q)
+        q, owner = q[first], ball[first]
         order = np.argsort(owner, kind="stable")
-        js, starts = np.unique(owner[order], return_index=True)
-        for j, idx in zip(js, np.split(q[order], starts[1:])):
+        owner = owner[order]
+        starts = run_starts(owner)
+        for j, idx in zip(owner[starts], np.split(q[order], starts[1:])):
             inner, cut = pieces[j]
             w, gw = cut.field.values_and_gradients(pts[idx])
             keep = w > 0.0

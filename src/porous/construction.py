@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConstructionFailure, NeedsMoreSamples, ParseError
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
-                       contains_any, unit_ball_volume)
+                       contains_any, sq_dists, unit_ball_volume)
 from .sampling import (SamplingBudget, bernoulli_half_width, place_shell,
                        sample_shell, shell_draws, stratified_ball_integral,
                        substream)
@@ -287,18 +287,19 @@ def far_fraction(space: StageSpace, pts: np.ndarray,
     ``(E t_i + E r_new)(1 + FAR_SLACK)``, a superset of the near pairs,
     and each candidate gets the dense expressions of
     ``StageSpace.boundary_distance``.  Since ``min(a, b) >= x`` holds
-    exactly when ``a >= x`` and ``b >= x``, and a row norm rounds alike
-    in any array, the booleans equal ``boundary_distance(pts) >= E * r_new``
-    bit for bit, without its points x balls block.
+    exactly when ``a >= x`` and ``b >= x``, and ``np.sqrt`` of
+    ``sq_dists`` rounds each pair's distance as the dense block's row norm
+    does, the booleans equal ``boundary_distance(pts) >= E * r_new`` bit
+    for bit, without its points x balls block.
     """
     pts = np.atleast_2d(pts)
     gap = space.E * r_new
     far = (space.window.radius
            - np.linalg.norm(pts - space.window.center, axis=1)) >= gap
     sphere = space.E * space.radii
-    q, j = BallIndex(space.centers, (sphere + gap) * (1.0 + FAR_SLACK)
-                     ).members(pts)
-    dist = np.linalg.norm(pts[q] - space.centers[j], axis=1)
+    index = BallIndex(space.centers, (sphere + gap) * (1.0 + FAR_SLACK))
+    q, j = index.members(pts)
+    dist = np.sqrt(sq_dists(pts.T, q, index.cols, j))
     far[q[np.abs(dist - sphere[j]) < gap]] = False
     return far
 
@@ -332,8 +333,9 @@ def _greedy_select(pool: np.ndarray, min_sep: float) -> np.ndarray:
     """Greedy prefix of the pool with pairwise separation >= min_sep."""
     if len(pool) == 0:
         return pool
-    first, second = BallIndex(pool, np.full(len(pool), min_sep / 2.0)).pairs()
-    close = ((pool[first] - pool[second]) ** 2).sum(axis=1) < min_sep * min_sep
+    index = BallIndex(pool, np.full(len(pool), min_sep / 2.0))
+    first, second = index.pairs()
+    close = sq_dists(index.cols, first, index.cols, second) < min_sep * min_sep
     order = np.argsort(second[close], kind="stable")
     keep = [True] * len(pool)
     # by ascending later point, so each earlier point's fate is already final

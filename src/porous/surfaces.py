@@ -197,6 +197,9 @@ def corpus_generate(kind: str, params: dict, seed: int,
     if kind == "plane":
         gradients = [np.asarray(g, dtype=float) for g in params["gradients"]]
         offsets = [float(o) for o in params["offsets"]]
+        for name, values in (("gradients", gradients), ("offsets", offsets)):
+            if not values:
+                raise ValueError(f"{name} must list at least one entry")
         idx = 0
         for off in offsets:
             for grad in gradients:
@@ -299,7 +302,9 @@ def load_corpus_spec(path) -> list[dict]:
 def generate_from_spec(spec: list[dict], window: Ball
                        ) -> list[CorpusEntry]:
     """The entries of every corpus group of a spec; a group the generator
-    rejects raises ``ParseError`` naming it."""
+    rejects, or a spec with no group, raises ``ParseError``."""
+    if not spec:
+        raise ParseError("the corpus spec lists no groups")
     out = []
     for i, item in enumerate(spec):
         try:

@@ -37,7 +37,8 @@ from .construction import (HoleFamily, StageSpace, assemble_H, assemble_Pk,
                            ball_floor, footprint_factor)
 from .errors import AuditFailure, NeedsMoreSamples, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
-                       ScalarField, contains_any, unit_ball_volume)
+                       ScalarField, contains_any, run_starts, sq_dists,
+                       unit_ball_volume)
 from .sampling import (SamplingBudget, bernoulli_half_width, sample_shell,
                        stratified_ball_integral, stratified_ball_integrals,
                        substream)
@@ -395,8 +396,9 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
         return ()
     x = family.base_centers[hit_ids]
     rad, _ = _residue_balls(family, hit_ids, patch)
-    first, second = BallIndex(x, rad).pairs()
-    gaps = np.linalg.norm(x[first] - x[second], axis=1) \
+    index = BallIndex(x, rad)
+    first, second = index.pairs()
+    gaps = np.sqrt(sq_dists(index.cols, first, index.cols, second)) \
         - (rad[first] + rad[second])
     violations = []
     for i, j, gap in zip(first.tolist(), second.tolist(), gaps.tolist()):
@@ -653,15 +655,15 @@ def porosity_witnesses(points: np.ndarray, family: HoleFamily
     L = family.L
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ts, centers = family.ts, family.lifted_centers
-    at, hole = BallIndex(centers, L * ts * (1.0 + WITNESS_SLACK)
-                         ).members(pts)
-    dist = np.linalg.norm(centers[hole] - pts[at], axis=1)
+    index = BallIndex(centers, L * ts * (1.0 + WITNESS_SLACK))
+    at, hole = index.members(pts)
+    dist = np.sqrt(sq_dists(index.cols, hole, pts.T, at))
     eligible = (dist < L * ts[hole]) & (dist >= ts[hole])
     at, hole, dist = at[eligible], hole[eligible], dist[eligible]
     ratio = ts[hole] / np.maximum(dist, 1e-300)
     # per point, the first pair by descending ratio, then ascending hole
     order = np.lexsort((hole, -ratio, at))
-    first = order[np.unique(at[order], return_index=True)[1]]
+    first = order[run_starts(at[order])]
     holes = np.full(len(pts), -1, dtype=np.int64)
     ratios = np.full(len(pts), -math.inf)
     holes[at[first]], ratios[at[first]] = hole[first], ratio[first]
@@ -765,8 +767,9 @@ def family_invariant_audit(family: HoleFamily,
         ids = family.stage_ids(k)
         x = family.base_centers[ids]
         rad = family.E * family.ts[ids]
-        first, second = BallIndex(x, rad).pairs()
-        sep = np.linalg.norm(x[first] - x[second], axis=1)
+        index = BallIndex(x, rad)
+        first, second = index.pairs()
+        sep = np.sqrt(sq_dists(index.cols, first, index.cols, second))
         disjoint = sep - (rad[first] + rad[second])
         nested = np.abs(rad[first] - rad[second]) - sep
         bad = np.flatnonzero(~((disjoint >= -GEOMETRY_TOL)

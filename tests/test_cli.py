@@ -165,8 +165,15 @@ def test_audit_rejects_an_empty_selection(tmp_path, capsys, which):
       "params": {"gradients": [[0.02, 0.0, 0.0]], "offsets": [0.0]}},
      "corpus entry 0 (plane): plane[0]: certified C¹ bound"),
     ({"kind": "bump", "params": [], "seed": 0},
-     "entry 0 params is not an object")],
-    ids=["missing-parameter", "over-ceiling", "params-not-object"])
+     "entry 0 params is not an object"),
+    ({"kind": "plane", "seed": 0,
+      "params": {"gradients": [], "offsets": [0.0]}},
+     "corpus entry 0 (plane): gradients must list at least one entry"),
+    ({"kind": "plane", "seed": 0,
+      "params": {"gradients": [[0.01, 0.0, 0.0]], "offsets": []}},
+     "corpus entry 0 (plane): offsets must list at least one entry")],
+    ids=["missing-parameter", "over-ceiling", "params-not-object",
+         "no-gradients", "no-offsets"])
 def test_audit_malformed_corpus_entry_is_a_usage_error(
         build_dir, tmp_path, capsys, entry, message):
     corpus = tmp_path / "corpus.json"
@@ -179,6 +186,20 @@ def test_audit_malformed_corpus_entry_is_a_usage_error(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_audit_an_empty_corpus_spec_is_a_usage_error(build_dir, tmp_path,
+                                                      capsys):
+    # a spec that yields no field must not pass with no rows
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text("[]")
+    rc = main(["audit", "--config", str(DEMO_CONFIG),
+               "--family", str(build_dir / "family.jsonl"),
+               "--corpus", str(corpus), "--which", "budget,holes-mass",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: the corpus spec lists no groups" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "audit_report.json").exists()
 
 
 def test_audit_refuses_mismatched_config(build_dir, tmp_path, capsys):

@@ -463,10 +463,10 @@ def test_assemble_pk_filters_by_diameter(demo_family):
     fam = demo_family
     pk = assemble_Pk(fam, 2)
     expect = np.flatnonzero(2.0 * fam.ts < 0.5)
-    assert np.array_equal(pk.centers, fam.lifted_centers[expect])
+    assert np.array_equal(pk.cols, fam.lifted_centers[expect].T)
     assert np.array_equal(pk.radii, fam.L * fam.ts[expect])
     h = assemble_H(fam)
-    assert np.array_equal(h.centers, fam.lifted_centers)
+    assert np.array_equal(h.cols, fam.lifted_centers.T)
     assert np.array_equal(h.radii, fam.ts)
 
 

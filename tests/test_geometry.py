@@ -4,7 +4,7 @@ import warnings
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from oracles import brute_contains_any, brute_members, brute_pairs
 from parametric import SurfaceC1
@@ -12,7 +12,7 @@ from porous import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                     PorosityWitness, pullback_porosity_witness, substream,
                     unit_ball_volume)
 from porous import geometry
-from porous.geometry import contains_any
+from porous.geometry import contains_any, run_starts, sq_dists
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def test_ball_index_matches_brute_force(seed, count, dim, spread):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
        st.integers(min_value=0, max_value=12),
-       st.integers(min_value=1, max_value=5))
+       st.integers(min_value=1, max_value=9))
 def test_ball_index_members_on_boundaries_and_tangencies(seed, count, dim):
     # a chain of tangent balls along one axis, probed at every tangency,
     # on each ball's boundary along every axis, and at its centre
@@ -276,6 +276,65 @@ def test_ball_index_rejects_a_radius_that_is_not_positive(bad):
         warnings.simplefilter("error")      # no cast of a NaN cell
         with pytest.raises(ValueError, match="radii must be positive"):
             BallIndex(np.zeros((2, 3)), np.array([0.1, bad]))
+
+
+def _sphere_offsets(dim, radius):
+    """Dyadic offsets of length exactly radius: +-radius along each axis,
+    and +-radius/2 on each run of four consecutive axes."""
+    out = [sign * radius * e for e in np.eye(dim) for sign in (1.0, -1.0)]
+    for lo in range(dim - 3):
+        v = np.zeros(dim)
+        v[lo:lo + 4] = radius / 2.0 * np.array([1.0, -1.0, -1.0, 1.0])
+        out += [v, -v]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_sq_dists_is_the_row_sum_bit_for_bit(dim):
+    rng = substream(dim, "sq-dists")
+    a = rng.uniform(-1.0, 1.0, size=(40, dim)) \
+        * 10.0 ** rng.integers(-8, 9, size=(40, dim))
+    b = rng.uniform(-1.0, 1.0, size=(30, dim))
+    # dyadic centres, each with points exactly on its sphere of radius 3/4
+    centers = rng.integers(-64, 65, size=(3, dim)) / 8.0
+    offsets = _sphere_offsets(dim, 0.75)
+    sphere = (centers[:, None, :] + offsets[None]).reshape(-1, dim)
+    on = np.arange(len(sphere))
+    around = np.repeat(np.arange(3), len(offsets))
+    none = np.zeros(0, dtype=np.int64)
+    cases = [(a, rng.integers(0, 40, size=5000),
+              b, rng.integers(0, 30, size=5000)),
+             (sphere, on, centers, around),
+             (a, none, b, none),
+             (a, np.full(7, 3), b, np.full(7, 5))]     # one pair repeated
+    for p, i, c, j in cases:
+        want = ((p[i] - c[j]) ** 2).sum(axis=1)
+        for layout in (np.transpose, lambda x: np.ascontiguousarray(x.T)):
+            got = sq_dists(layout(p), i, layout(c), j)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert (sq_dists(sphere.T, on, centers.T, around) == 0.75**2).all()
+
+
+EDGE_KEYS = st.sampled_from([2**62 - 1, 2**62, 2**62 + 1, 0,
+                             -2**62 - 1, -2**62, -2**62 + 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1), EDGE_KEYS),
+                max_size=40))
+@example([])
+@example([7])
+@example([-2**62] * 6)
+@example([2**62] * 3 + [2**62 + 1])
+def test_run_starts_is_the_first_index_of_unique(keys):
+    x = np.sort(np.array(keys, dtype=np.int64))
+    start = run_starts(x)
+    values, first, counts = np.unique(x, return_index=True,
+                                      return_counts=True)
+    assert np.array_equal(start, first)
+    assert np.array_equal(x[start], values)
+    assert np.array_equal(np.diff(start, append=len(x)), counts)
 
 
 # ---------------------------------------------------------------------------

@@ -53,18 +53,20 @@ def test_the_check_sees_an_unused_import():
 STREAM_MAKERS = ("SeedSequence", "PCG64", "Generator", "default_rng")
 
 
+def _called(call: ast.Call):
+    """The name a call calls, by name or attribute."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) \
+        else getattr(func, "id", None)
+
+
 def _stream_calls(tree: ast.Module) -> list[str]:
     """Each call of a numpy stream maker, by name or attribute, with its
     line."""
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) \
-                else getattr(func, "id", None)
-            if name in STREAM_MAKERS:
-                out.append(f"{name} (line {node.lineno})")
-    return sorted(out)
+    return sorted(f"{_called(node)} (line {node.lineno})"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and _called(node) in STREAM_MAKERS)
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
@@ -214,3 +216,48 @@ def test_the_check_sees_an_unread_field():
     reader = ast.parse("c.ratio\no.unread = 1\nprint(o.LIMIT)\n")
     assert _unread_fields([ast.parse(source)], [reader]) \
         == {"Check.unread", "Other.stored"}
+
+
+# np.unique calls by enclosing function, each with the reason its input is
+# not already sorted: sorted input takes geometry.run_starts
+KEPT_UNIQUE = {
+    "deserialize_family": "return_inverse over the stage numbers, in file "
+                          "order",
+    "family_invariant_audit": "the levels of a stage's holes, in id order",
+}
+
+
+def _unique_callers(tree: ast.Module) -> set[str]:
+    """The innermost function around each ``unique`` call, ``<module>``
+    for one outside every function."""
+    out = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _called(child) == "unique":
+                out.add(owner)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+    visit(tree, "<module>")
+    return out
+
+
+def test_every_unique_call_has_a_reason():
+    callers = set()
+    for p in SRC.glob("*.py"):
+        callers |= _unique_callers(ast.parse(p.read_text(encoding="utf-8")))
+    assert sorted(callers - set(KEPT_UNIQUE)) == []   # a call with no reason
+    assert sorted(set(KEPT_UNIQUE) - callers) == []   # a reason gone stale
+
+
+def test_the_check_sees_a_unique_call():
+    tree = ast.parse("import numpy as np\n"
+                     "from numpy import unique\n"
+                     "top = np.unique([2, 1])\n"
+                     "def outer(x):\n"
+                     "    def inner(y):\n"
+                     "        return unique(y, return_index=True)\n"
+                     "    return inner(x)\n"
+                     "def other(x):\n"
+                     "    return np.sort(x), x.unique_ids\n")
+    assert _unique_callers(tree) == {"<module>", "inner"}
