@@ -17,17 +17,22 @@ points, so per-call overhead is paid once per run instead of once per ball.
 ``stratified_ball_mean`` is its one-ball case.  Every sampled ball
 integral's ``MeasureEstimate`` is made here, as mean times volume.
 
-A stream is ``PCG64`` seeded through numpy's ``SeedSequence`` from the
-words of its key.  ``substreams`` derives the streams of many keys at
-once: ``SeedSequence`` still mixes each key's pool, the seed words of all
-pools are hashed in one array operation, and each generator is made from
-its words as it is taken.  ``substream`` is its one-key case, and
-``sample_shells``, and so every batched sampler, draws through it; no
-other module makes a numpy stream.
+A stream is ``PCG64`` seeded, bit for bit, as numpy's ``SeedSequence``
+seeds it from the words of its key.  A call derives all its streams up
+front, in array passes: the words of each key part are built once (in
+``stratified_ball_means`` once per seed, stratum and ball key, joined into
+(ball, stratum) rows by array concatenation), ``SeedSequence``'s pool hash
+runs over every key of one word count at a time, with a prefix that all
+those keys share (such as the seed's and label's words) hashed once per
+process, and its ``generate_state`` runs over every pool at once.  A lone key goes through ``SeedSequence`` itself, which costs less
+than the array passes for one row.  Each generator is made from its seed
+words as it is taken.  ``substream`` is the one-key case of
+``substreams``, and no other module makes a numpy stream.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -74,19 +79,19 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _entropy(seed: int, key: Sequence) -> np.ndarray:
+def _entropy(parts: Sequence) -> list[int]:
     """The uint32 words ``SeedSequence`` would split the key list
-    ``[seed, *key]`` into: a string part bytewise, an integer part
-    reduced to 64 bits."""
-    words = _words(int(seed) & SEED_MAX)
-    for part in key:
+    ``parts`` into: a string part bytewise, an integer part reduced to 64
+    bits."""
+    words = []
+    for part in parts:
         if isinstance(part, str):
             words.extend(part.encode())
         elif isinstance(part, (int, np.integer)):
             words.extend(_words(int(part) & SEED_MAX))
         else:
             raise TypeError(f"substream key parts must be str or int, got {type(part)!r}")
-    return np.array(words, dtype=np.uint32)
+    return words
 
 
 def substream(seed: int, *key) -> np.random.Generator:
@@ -100,18 +105,121 @@ def substream(seed: int, *key) -> np.random.Generator:
     return next(substreams(seed, [key]))
 
 
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult^i mod 2^32`` for ``i < count``."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+# SeedSequence's pool hash (numpy/random/bit_generator.pyx, pool size 4):
+# hashmix call c XORs a word with INIT_A * MULT_A^c, multiplies it by
+# INIT_A * MULT_A^(c+1) and xorshifts it by 16.  Calls 0-3 fill the pool
+# from the first four words (0 past the last), calls 4-15 mix every pool
+# word into every other, and each further word takes four calls, one per
+# pool word it is mixed into.  The table covers keys of up to 64 words.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * 60 + 1)
+# the pool words each pool word is mixed into, in SeedSequence's order
+_OTHERS = [[dst for dst in range(4) if dst != src] for src in range(4)]
+
+
+def _hashmix(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """hashmix of ``x`` (``(..., k)``) by ``k`` consecutive calls, whose
+    constants are the ``k + 1`` entries along ``a``'s last axis."""
+    x = x ^ a[..., :-1]
+    x *= a[..., 1:]
+    x ^= x >> 16
+    return x
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
+    x = x * _MIX_L - y * _MIX_R
+    x ^= x >> 16
+    return x
+
+
+def _absorb(pool: np.ndarray, words: np.ndarray, a: np.ndarray
+            ) -> np.ndarray:
+    """Mix the columns of ``words`` (``(rows, w)``), in order, into the
+    pools (``(rows, 4)``) as SeedSequence mixes words past its pool;
+    ``a`` starts at the first word's first call.  Every word is hashed
+    in one pass; only the mixing runs word by word."""
+    w = words.shape[1]
+    if not w:
+        return pool
+    # (w, rows, 4): word col's hashmix by the four calls of pool words 0-3
+    hashed = _hashmix(words.T[:, :, None],
+                      a[4 * np.arange(w)[:, None, None] + np.arange(5)])
+    hashed *= _MIX_R
+    pool = pool.copy()
+    for y in hashed:
+        pool *= _MIX_L
+        pool -= y
+        pool ^= pool >> 16
+    return pool
+
+
+def _constants(width: int) -> np.ndarray:
+    """The hashmix constants of a key of ``width`` words."""
+    calls = 16 + 4 * max(width - 4, 0)
+    return _HASH_A if calls < len(_HASH_A) else _hash_constants(
+        _INIT_A, _MULT_A, calls + 1)
+
+
+def _hash_rows(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).pool`` of each row of ``words`` (``(rows,
+    width)`` uint32), each step one array operation over every row."""
+    a = _constants(words.shape[1])
+    pool = np.zeros((len(words), 4), dtype=np.uint32)
+    pool[:, :words.shape[1]] = words[:, :4]
+    pool = _hashmix(pool, a[:5])
+    # each pool word is hashed once for every other pool word and mixed
+    # into it
+    for src, dst in enumerate(_OTHERS):
+        c = 4 + 3 * src
+        pool[:, dst] = _mix(pool[:, dst],
+                            _hashmix(pool[:, src, None], a[c:c + 4]))
+    return _absorb(pool, words[:, 4:], a[16:])
+
+
+@functools.lru_cache(maxsize=64)
+def _prefix_pool(prefix: tuple[int, ...]) -> np.ndarray:
+    """The read-only ``(1, 4)`` pool of the words ``prefix``.  Calls
+    repeat their shared prefix (every stratified call starts with the
+    seed's and ``"stratum"``'s words), so each is hashed once."""
+    pool = _hash_rows(np.array([prefix], dtype=np.uint32))
+    pool.flags.writeable = False
+    return pool
+
+
+def _pool_hash(words: np.ndarray) -> np.ndarray:
+    """``_hash_rows(words)``, with a prefix of four or more words that
+    every row shares taken from ``_prefix_pool``."""
+    rows, width = words.shape
+    same = (words == words[:1]).all(axis=0)
+    shared = width if same.all() else int(same.argmin())
+    if shared < 4:
+        return _hash_rows(words)
+    pool = _prefix_pool(tuple(words[0, :shared].tolist()))
+    return _absorb(np.broadcast_to(pool, (rows, 4)), words[:, shared:],
+                   _constants(width)[16 + 4 * (shared - 4):])
+
+
 # SeedSequence.generate_state's hash constants, INIT_B * MULT_B^i mod 2^32
 # for i = 0..8: PCG64 seeds from 4 uint64, that is 8 uint32 state words,
 # and word i hashes pool word i mod 4 with constants i and i + 1
-_HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) & 0xFFFFFFFF
-                    for i in range(9)], dtype=np.uint32)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
 _XOR_B, _MUL_B = _HASH_B[:-1], _HASH_B[1:]
 
 
 @functools.cache
 def _seed_words_class() -> type:
     """The stand-in for ``SeedSequence`` that hands ``PCG64`` the seed
-    words ``substreams`` derived for it.  Made on first use: subclassing
+    words ``_generators`` derived for it.  Made on first use: subclassing
     numpy's ``ISeedSequence`` loads ``numpy.random``, which importing
     this module does not."""
 
@@ -127,31 +235,71 @@ def _seed_words_class() -> type:
     return SeedWords
 
 
-def substreams(seed: int, keys: Sequence[Sequence]
-               ) -> Iterator[np.random.Generator]:
-    """Each key's generator, in order: ``PCG64`` seeded, bit for bit, as
-    ``SeedSequence`` of the key list ``[seed, *key]`` seeds it.
+def _by_width(words: Sequence[list[int]]
+              ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The entries of ``words`` grouped by length: each group's indices
+    and its ``(entries, width)`` uint32 words."""
+    groups: dict[int, list[int]] = {}
+    for i, w in enumerate(words):
+        groups.setdefault(len(w), []).append(i)
+    return [(np.array(idx), np.array([words[i] for i in idx],
+                                     dtype=np.uint32).reshape(len(idx), width))
+            for width, idx in groups.items()]
 
-    ``SeedSequence`` gets the uint32 words it would split that list into,
-    which gives the same pool without its per-entry coercion, and still
-    mixes each key's 4-word pool; its ``generate_state(4, uint64)`` (per
-    word: XOR with a hash constant, times the next, xorshift 16) runs once
-    over every key's pool, and each ``PCG64`` is seeded from its row of
-    those words.  Only the words are held; each generator is made as it
-    is taken.
-    """
-    state = np.empty((len(keys), 8), dtype=np.uint32)
-    for b, key in enumerate(keys):
-        state[b, :4] = np.random.SeedSequence(_entropy(seed, key)).pool
-    state[:, 4:] = state[:, :4]
+
+def _pools(factors: Sequence[Sequence[list[int]]]) -> np.ndarray:
+    """SeedSequence pools of every key list made of one entry of each
+    factor, concatenated in factor order: shape ``(len(f0), len(f1), ...,
+    4)``.  Each factor's words are stacked once per width, and each
+    combination of widths is hashed by ``_pool_hash`` in one pass.  A lone
+    key goes through ``SeedSequence`` itself, which is cheaper than the
+    array passes for one row."""
+    shape = tuple(map(len, factors))
+    out = np.empty(shape + (4,), dtype=np.uint32)
+    if out.size == 4:
+        out[...] = np.random.SeedSequence(np.array(
+            [w for f in factors for w in f[0]], dtype=np.uint32)).pool
+        return out
+    k = len(factors)
+    for groups in itertools.product(*map(_by_width, factors)):
+        sizes = tuple(len(idx) for idx, _ in groups)
+        cols = [np.broadcast_to(
+                    w.reshape((1,) * i + w.shape[:1] + (1,) * (k - 1 - i)
+                              + w.shape[1:]), sizes + w.shape[1:])
+                for i, (_, w) in enumerate(groups)]
+        rows = np.concatenate(cols, axis=-1).reshape(math.prod(sizes), -1)
+        out[np.ix_(*(idx for idx, _ in groups))] = _pool_hash(
+            rows).reshape(sizes + (4,))
+    return out
+
+
+def _generators(pools: np.ndarray) -> Iterator[np.random.Generator]:
+    """One ``PCG64`` generator per pool (``(rows, 4)``), in order, seeded
+    bit for bit as ``SeedSequence`` seeds it: ``generate_state(4,
+    uint64)`` (per word: XOR with a hash constant, times the next,
+    xorshift 16) runs now, once over every pool, and each generator is
+    made from its row of those words as it is taken.  Only the words are
+    held."""
+    state = np.concatenate([pools, pools], axis=1)
     state ^= _XOR_B
     state *= _MUL_B
     state ^= state >> 16
     words = state.astype("<u4", copy=False).view("<u8").astype(
         np.uint64, copy=False)
     seed_words = _seed_words_class()
-    for row in words:
-        yield np.random.Generator(np.random.PCG64(seed_words(row)))
+    return (np.random.Generator(np.random.PCG64(seed_words(row)))
+            for row in words)
+
+
+def substreams(seed: int, keys: Sequence[Sequence]
+               ) -> Iterator[np.random.Generator]:
+    """Each key's generator, in order: ``PCG64`` seeded, bit for bit, as
+    ``SeedSequence`` of the key list ``[seed, *key]`` seeds it.  All
+    pools come from one ``_pools`` call, which hashes the keys of each
+    word count in one array pass and a lone key through ``SeedSequence``
+    itself; each generator is made as it is taken."""
+    pools = _pools([[_entropy((int(seed),))], [_entropy(k) for k in keys]])
+    return _generators(pools[0])
 
 
 def bernoulli_half_width(fraction: float, count: int) -> float:
@@ -178,6 +326,20 @@ def _powers(radius, n: int):
     return np.array([r**n for r in radius.flat]).reshape(radius.shape)
 
 
+def _place(d: np.ndarray, u: np.ndarray, center: np.ndarray,
+           inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """``place_shell`` with the radii already raised to the ``n``-th
+    power."""
+    n = d.shape[-1]
+    norms = np.linalg.norm(d, axis=-1, keepdims=True)
+    # standard_normal never returns an exactly zero vector in practice, but
+    # guard the division anyway
+    np.maximum(norms, 1e-300, out=norms)
+    d = d / norms
+    rho = (inner + u * (outer - inner)) ** (1.0 / n)
+    return center + d * rho[..., None]
+
+
 def place_shell(d: np.ndarray, u: np.ndarray, center: np.ndarray,
                 r_inner, r_outer) -> np.ndarray:
     """Map draws of ``shell_draws`` to uniform points of their shells.
@@ -187,14 +349,7 @@ def place_shell(d: np.ndarray, u: np.ndarray, center: np.ndarray,
     places a whole stack of streams, each point as ``sample_shell`` would.
     """
     n = d.shape[-1]
-    norms = np.linalg.norm(d, axis=-1, keepdims=True)
-    # standard_normal never returns an exactly zero vector in practice, but
-    # guard the division anyway
-    np.maximum(norms, 1e-300, out=norms)
-    d = d / norms
-    inner, outer = _powers(r_inner, n), _powers(r_outer, n)
-    rho = (inner + u * (outer - inner)) ** (1.0 / n)
-    return center + d * rho[..., None]
+    return _place(d, u, center, _powers(r_inner, n), _powers(r_outer, n))
 
 
 def sample_shell(rng: np.random.Generator, center: np.ndarray,
@@ -205,6 +360,17 @@ def sample_shell(rng: np.random.Generator, center: np.ndarray,
     return place_shell(d, u, center, r_inner, r_outer)
 
 
+def _draws(rngs: Iterator[np.random.Generator], rows: int, count: int,
+           n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``shell_draws`` of the next ``rows`` generators of ``rngs``, one
+    after another: ``(rows, count, n)`` directions and ``(rows, count)``
+    radial uniforms."""
+    d, u = np.empty((rows, count, n)), np.empty((rows, count))
+    for b, rng in enumerate(itertools.islice(rngs, rows)):
+        shell_draws(rng, d[b], u[b])
+    return d, u
+
+
 def sample_shells(seed: int, keys: Sequence[Sequence], centers: np.ndarray,
                   r_inner, r_outer, count: int) -> np.ndarray:
     """``(len(keys), count, n)`` shell points: row ``b`` is what
@@ -213,10 +379,8 @@ def sample_shells(seed: int, keys: Sequence[Sequence], centers: np.ndarray,
     streams come from one ``substreams`` call, are drawn one by one and
     placed together."""
     centers = np.asarray(centers, dtype=float)
-    d = np.empty((len(keys), count, centers.shape[-1]))
-    u = np.empty((len(keys), count))
-    for b, rng in enumerate(substreams(seed, keys)):
-        shell_draws(rng, d[b], u[b])
+    d, u = _draws(substreams(seed, keys), len(keys), count,
+                  centers.shape[-1])
     return place_shell(d, u, centers[:, None, :], r_inner, r_outer)
 
 
@@ -237,30 +401,42 @@ def stratified_ball_means(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
     Ball ``b`` draws stratum ``j`` from ``substream(seed, "stratum", j,
     *keys[b])``, exactly as ``stratified_ball_mean`` does for one ball, and
-    gets the same ``(mean, half_width, total_points)``.  Whole balls are
-    evaluated together, in runs of the given order holding at most
-    ``SAMPLE_BLOCK`` points (and at least one ball).
-    ``fn`` maps an ``(m, n)`` array of points and the ``(m,)`` index of
-    each point's ball to ``(m,)`` values; ``fn`` must evaluate each point
-    independently of the others.
+    gets the same ``(mean, half_width, total_points)``.  Every stream of
+    the call is derived up front in one ``_pools`` call, from the words of
+    the seed and ``"stratum"``, of each stratum index and of each ball key,
+    each built once.  Whole balls are evaluated together, in runs of the
+    given order holding at most ``SAMPLE_BLOCK`` points (and at least one
+    ball).  ``fn`` maps an ``(m, n)`` array of points and the ``(m,)``
+    index of each point's ball to ``(m,)`` values; ``fn`` must evaluate
+    each point independently of the others.
     """
     radii = np.asarray(radii, dtype=float)
     centers = np.asarray(centers, dtype=float)
     count, n = centers.shape
+    if len(radii) != count or len(keys) != count:
+        raise ValueError(f"{count} balls need {count} radii and keys, got "
+                         f"{len(radii)} radii and {len(keys)} keys")
     strata, m = budget.strata, budget.per_stratum
     unit_edges = shell_edges(1.0, strata, n)
+    # the pools are (1, stratum, ball, 4); the streams run ball by ball
+    streams = _generators(_pools([[_entropy((int(seed), "stratum"))],
+                                  [_entropy((j,)) for j in range(strata)],
+                                  [_entropy(key) for key in keys]]
+                                 )[0].swapaxes(0, 1).reshape(-1, 4))
     out = [None] * count
     per_block = max(1, SAMPLE_BLOCK // budget.total)
     for lo in range(0, count, per_block):
         balls = np.arange(lo, min(lo + per_block, count))
-        # radius * unit edge is the product shell_edges(radius) forms
-        edges = radii[balls, None] * unit_edges
-        pts = sample_shells(
-            seed, [("stratum", j, *keys[b])
-                   for b in balls.tolist() for j in range(strata)],
-            np.repeat(centers[balls], strata, axis=0),
-            edges[:, :-1].reshape(-1, 1), edges[:, 1:].reshape(-1, 1),
-            m).reshape(-1, n)
+        # radius * unit edge is the product shell_edges(radius) forms; each
+        # edge is powered once, as the outer radius of one stratum and the
+        # inner radius of the next
+        powered = _powers(radii[balls, None] * unit_edges, n)
+        # the draws are not bound to names, so they are freed once placed,
+        # before fn runs
+        pts = _place(*_draws(streams, len(balls) * strata, m, n),
+                     np.repeat(centers[balls], strata, axis=0)[:, None],
+                     powered[:, :-1].reshape(-1, 1),
+                     powered[:, 1:].reshape(-1, 1)).reshape(-1, n)
         vals = np.asarray(fn(pts, np.repeat(balls, budget.total)),
                           dtype=float)
         if vals.shape != (len(pts),):

@@ -221,6 +221,98 @@ def test_substreams_reject_other_key_types(bad):
         list(substreams(0, [("fine", 1), ("x", bad)]))
 
 
+def _seed_sequence_pools(words):
+    return np.array([np.random.SeedSequence(row).pool for row in words],
+                    dtype=np.uint32).reshape(len(words), 4)
+
+
+# the longest key the precomputed hash constants cover, in words
+_TABLE_WORDS = 4 + (len(sampling._HASH_A) - 17) // 4
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 5, 24, 49, _TABLE_WORDS,
+                                   _TABLE_WORDS + 1, _TABLE_WORDS + 7])
+def test_pool_hash_is_seed_sequences_pool(width):
+    rng = np.random.default_rng(width)
+    words = rng.integers(0, 2**32, size=(6, width), dtype=np.uint32)
+    words[1] = words[0]                         # a repeated row
+    words[2, -1:] = 0                           # edge words
+    words[3, -1:] = 2**32 - 1
+    assert np.array_equal(sampling._pool_hash(words),
+                          _seed_sequence_pools(words))
+    # rows that share a prefix of every length, which hashes it once
+    for shared in range(width + 1):
+        head = words.copy()
+        head[:, :shared] = words[0, :shared]
+        assert np.array_equal(sampling._pool_hash(head),
+                              _seed_sequence_pools(head))
+
+
+def test_pools_keep_input_order_across_word_counts():
+    # three factors whose entries interleave word counts, so each
+    # combination of widths scatters into rows that are not contiguous
+    heads = [[1], [2, 3, 4, 5, 6]]
+    middles = [[7], [], [8, 9], [10, 11, 12, 13, 14, 15], [16]]
+    tails = [[17, 18], [], [19] * 30, [20, 21], [22]]
+    pools = sampling._pools([heads, middles, tails])
+    assert pools.shape == (2, 5, 5, 4)
+    for i, h in enumerate(heads):
+        for j, m in enumerate(middles):
+            for k, t in enumerate(tails):
+                want = np.random.SeedSequence(
+                    np.array(h + m + t, dtype=np.uint32)).pool
+                assert np.array_equal(pools[i, j, k], want)
+
+
+# PCG64 state and first four raw outputs of three streams, as numpy 2.4's
+# SeedSequence seeds them: integers only, so the same on every CPU.  A
+# change in numpy's seeding that the list-seeded oracle follows still
+# fails here.
+PINNED_STREAMS = [
+    ((0, "stratum", 3, "residue", 17),
+     0x3EB3A58543759C4D00534C6AEF77F166, 0xE05270676094DA12B5765966589DA7AF,
+     [0x9919FA383FDC51DB, 0x955813B3E0BFC0CF, 0xFF8E62DE0CB2325D,
+      0x38AF2A2066F4E110]),
+    ((0, "pack", 1, 2, 0),
+     0x29DEB122FB1BABDEAEDEF776A9C4D5C9, 0x2A1DB1590D9F69CA64B10E299B32684F,
+     [0xD314259E706986A0, 0xFA712378BA154DB4, 0x22C6998BBFA70E77,
+      0xFB5EEF3369C47286]),
+    ((7, "corpus", "plane", 0xFEDCBA9876543210),
+     0x0AECAE4D85025A01737F351FC51BEB65, 0x7BC26F53A9747047E4F6B400B108C051,
+     [0x9CE1CB841CD60DE2, 0xACBCC23B8C0162FE, 0x24E91E43D8D5F914,
+      0x2E4DD9592ACC7156]),
+]
+
+
+def _assert_pinned(rng, state, inc, raw):
+    assert rng.bit_generator.state == {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0}
+    assert rng.bit_generator.random_raw(4).tolist() == raw
+
+
+@pytest.mark.parametrize("pinned", PINNED_STREAMS, ids=lambda p: p[0][1])
+def test_streams_are_pinned_bytes(pinned):
+    (seed, *key), state, inc, raw = pinned
+    # the lone-key path and the array path, alone and among other keys
+    _assert_pinned(substream(seed, *key), state, inc, raw)
+    for others in ([("x",)], [(), ("a longer neighbour key", 2**40)] * 3):
+        rngs = list(substreams(seed, [*others, tuple(key)]))
+        _assert_pinned(rngs[-1], state, inc, raw)
+
+
+def test_stratified_streams_are_pinned_bytes():
+    # the stream of ball ("residue", 17), stratum 3, as a call of two
+    # balls and five strata derives it
+    (seed, _, j, *key), state, inc, raw = PINNED_STREAMS[0]
+    pools = sampling._pools([[sampling._entropy((seed, "stratum"))],
+                             [sampling._entropy((s,)) for s in range(5)],
+                             [sampling._entropy(("other", 2**33)),
+                              sampling._entropy(key)]])
+    rng = list(sampling._generators(pools[0, j]))[1]
+    _assert_pinned(rng, state, inc, raw)
+
+
 def test_sample_shell_matches_the_unsplit_draw():
     for n in range(1, 6):
         center = np.linspace(-1.0, 1.0, n)
@@ -282,6 +374,33 @@ def test_batched_means_equal_the_one_ball_mean(monkeypatch, n, block):
         assert got[b] == single
         assert single == one_ball_stratified_mean(
             one, centers[b], radii[b], 11, budget, key=keys[b])
+
+
+def test_batched_means_match_the_one_ball_mean_across_key_widths():
+    # ball keys of different word counts in one call: integers past 32
+    # bits take two words, strings one per byte
+    keys = [(2**32,), ("a",), (), ("a much longer string part", 7),
+            (2**64 - 1, "é"), (5,), ("ключ", 2**40 + 3, "")]
+    centers = np.random.default_rng(4).normal(size=(len(keys), 3))
+    radii = np.linspace(0.05, 0.8, len(keys))
+    budget = SamplingBudget(5, 8)
+    got = stratified_ball_means(lambda pts, owner: _wavy(pts), centers,
+                                radii, 13, budget, keys)
+    for b, key in enumerate(keys):
+        assert got[b] == one_ball_stratified_mean(
+            _wavy, centers[b], radii[b], 13, budget, key=key)
+
+
+@pytest.mark.parametrize("radii, keys", [
+    ([0.1, 0.2, 0.3], [("a",), ("b",)]),          # an extra radius
+    ([0.1], [("a",), ("b",)]),                    # a radius short
+    ([0.1, 0.2], [("a",), ("b",), ("c",)]),       # an extra key
+    ([0.1, 0.2], [("a",)]),                       # a key short
+])
+def test_batched_means_check_the_argument_lengths(radii, keys):
+    with pytest.raises(ValueError, match="2 balls"):
+        stratified_ball_means(lambda pts, owner: pts[:, 0], np.zeros((2, 3)),
+                              radii, 0, SamplingBudget(2, 4), keys)
 
 
 def test_batched_means_check_the_integrand_shape():
