@@ -736,7 +736,8 @@ def deserialize_family(text: str) -> HoleFamily:
     Every record must convert, with indices >= 1, finite numbers and a
     positive radius, and must repeat what the family derives: ``m`` is
     its stage's scheduled plane and ``lifted_center`` its lift, bit for
-    bit, so that the file serializes back to itself.
+    bit, so that the file serializes back to itself.  A file with no
+    record lists no holes and is rejected.
     The checks run over the parsed columns; a ``ParseError`` names the
     first line that breaks one.
     """
@@ -768,6 +769,8 @@ def deserialize_family(text: str) -> HoleFamily:
             continue
         recs.append(_record_json(raw, lineno))
         linenos.append(lineno)
+    if not recs:
+        raise ParseError("the family lists no holes")
     try:
         ks, ls, ms, ts, base, lifted = _record_columns(recs, n)
     except _COLUMN_ERRORS as exc:
@@ -787,7 +790,7 @@ def deserialize_family(text: str) -> HoleFamily:
                                & np.isfinite(lifted).all(axis=1)),
         "non-positive radius": ts <= 0,
         "plane index m is not the stage's scheduled plane": ms != scheduled})
-    depth = int(stages[-1]) if len(stages) else 0
+    depth = int(stages[-1])
     if len(stages) != depth:
         gap = int(np.argmax(stages != np.arange(1, len(stages) + 1))) + 1
         raise ParseError(f"stage {gap} has no records (stages 1..{depth})")

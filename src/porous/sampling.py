@@ -17,17 +17,16 @@ points, so per-call overhead is paid once per run instead of once per ball.
 ``stratified_ball_mean`` is its one-ball case.  Every sampled ball
 integral's ``MeasureEstimate`` is made here, as mean times volume.
 
-A stream is ``PCG64`` seeded, bit for bit, as numpy's ``SeedSequence``
-seeds it from the words of its key.  A call derives all its streams up
-front, in array passes: the words of each key part are built once (in
-``stratified_ball_means`` once per seed, stratum and ball key, joined into
-(ball, stratum) rows by array concatenation), ``SeedSequence``'s pool hash
-runs over every key of one word count at a time, with a prefix that all
-those keys share (such as the seed's and label's words) hashed once per
-process, and its ``generate_state`` runs over every pool at once.  A lone key goes through ``SeedSequence`` itself, which costs less
-than the array passes for one row.  Each generator is made from its seed
-words as it is taken.  ``substream`` is the one-key case of
-``substreams``, and no other module makes a numpy stream.
+A stream is ``PCG64`` seeded by numpy's ``SeedSequence`` of the words of
+its key, and ``substream`` makes it exactly so; no other module makes a
+numpy stream.  ``stratified_ball_means`` keys stratum ``j`` of a ball by
+``(seed, "stratum", j, *key)`` and derives those streams in two levels:
+``SeedSequence`` pools of the stratum prefixes, cached per seed and
+stratum count, and one ``_absorb`` pass per word count of the ball keys.
+Past its first four words ``SeedSequence`` mixes each word into the pool
+with constants that depend only on the word's position, so the pool of a
+prefix and a key is ``_absorb`` of the prefix's pool; that step is the one
+part of numpy's hash written here, and every stream stays bit for bit.
 """
 from __future__ import annotations
 
@@ -95,124 +94,65 @@ def _entropy(parts: Sequence) -> list[int]:
 
 
 def substream(seed: int, *key) -> np.random.Generator:
-    """Generator whose stream depends only on ``(seed, key)``: the
-    one-key case of ``substreams``.
+    """Generator whose stream depends only on ``(seed, key)``: ``PCG64``
+    seeded by numpy's ``SeedSequence`` of the words of ``[seed, *key]``.
 
     String parts are folded in bytewise; integer parts directly, reduced
     to 64 bits.  Two calls with equal keys return generators producing
     identical streams.
     """
-    return next(substreams(seed, [key]))
+    words = np.array(_entropy((int(seed), *key)), dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """``init * mult^i mod 2^32`` for ``i < count``."""
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    return np.array(out, dtype=np.uint32)
+def _hash_constants(init: int, mult: int, first: int, count: int
+                    ) -> np.ndarray:
+    """``init * mult^i mod 2^32`` for ``first <= i < first + count``."""
+    return np.array([init * pow(mult, i, 2**32) & 0xFFFFFFFF
+                     for i in range(first, first + count)], dtype=np.uint32)
 
 
 # SeedSequence's pool hash (numpy/random/bit_generator.pyx, pool size 4):
 # hashmix call c XORs a word with INIT_A * MULT_A^c, multiplies it by
-# INIT_A * MULT_A^(c+1) and xorshifts it by 16.  Calls 0-3 fill the pool
-# from the first four words (0 past the last), calls 4-15 mix every pool
-# word into every other, and each further word takes four calls, one per
-# pool word it is mixed into.  The table covers keys of up to 64 words.
+# INIT_A * MULT_A^(c+1) and xorshifts it by 16.  Calls 0-15 fill and mix
+# the pool from the first four words; word i >= 4 then takes calls
+# 16 + 4(i - 4) + dst, one per pool word dst it is mixed into.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * 60 + 1)
-# the pool words each pool word is mixed into, in SeedSequence's order
-_OTHERS = [[dst for dst in range(4) if dst != src] for src in range(4)]
 
 
-def _hashmix(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """hashmix of ``x`` (``(..., k)``) by ``k`` consecutive calls, whose
-    constants are the ``k + 1`` entries along ``a``'s last axis."""
-    x = x ^ a[..., :-1]
-    x *= a[..., 1:]
-    x ^= x >> 16
-    return x
+@functools.lru_cache(maxsize=128)
+def _absorb_constants(first: int, width: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``(width, 4)`` XOR and multiply constants of the
+    hashmix calls of words ``first`` to ``first + width - 1`` of a key."""
+    a = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * (first - 4), 4 * width + 1)
+    a.flags.writeable = False
+    return a[:-1].reshape(width, 4), a[1:].reshape(width, 4)
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
-    x = x * _MIX_L - y * _MIX_R
-    x ^= x >> 16
-    return x
-
-
-def _absorb(pool: np.ndarray, words: np.ndarray, a: np.ndarray
-            ) -> np.ndarray:
-    """Mix the columns of ``words`` (``(rows, w)``), in order, into the
-    pools (``(rows, 4)``) as SeedSequence mixes words past its pool;
-    ``a`` starts at the first word's first call.  Every word is hashed
-    in one pass; only the mixing runs word by word."""
-    w = words.shape[1]
-    if not w:
-        return pool
-    # (w, rows, 4): word col's hashmix by the four calls of pool words 0-3
-    hashed = _hashmix(words.T[:, :, None],
-                      a[4 * np.arange(w)[:, None, None] + np.arange(5)])
+def _absorb(pool: np.ndarray, words: np.ndarray, first: int) -> np.ndarray:
+    """``SeedSequence(prefix + rest).pool`` from ``pool``, the pools
+    (``(..., 4)``) of prefixes of ``first >= 4`` words, and ``words``,
+    the words ``rest`` along its last axis; the other axes broadcast.
+    Past the pool fill a word is mixed into the pool with constants that
+    depend only on its position, so every word is hashed in one pass and
+    only the mixing runs word by word."""
+    xor, mult = _absorb_constants(first, words.shape[-1])
+    hashed = words[..., None] ^ xor
+    hashed *= mult
+    hashed ^= hashed >> 16
     hashed *= _MIX_R
-    pool = pool.copy()
-    for y in hashed:
-        pool *= _MIX_L
-        pool -= y
+    for i in range(words.shape[-1]):
+        pool = pool * _MIX_L - hashed[..., i, :]
         pool ^= pool >> 16
     return pool
-
-
-def _constants(width: int) -> np.ndarray:
-    """The hashmix constants of a key of ``width`` words."""
-    calls = 16 + 4 * max(width - 4, 0)
-    return _HASH_A if calls < len(_HASH_A) else _hash_constants(
-        _INIT_A, _MULT_A, calls + 1)
-
-
-def _hash_rows(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).pool`` of each row of ``words`` (``(rows,
-    width)`` uint32), each step one array operation over every row."""
-    a = _constants(words.shape[1])
-    pool = np.zeros((len(words), 4), dtype=np.uint32)
-    pool[:, :words.shape[1]] = words[:, :4]
-    pool = _hashmix(pool, a[:5])
-    # each pool word is hashed once for every other pool word and mixed
-    # into it
-    for src, dst in enumerate(_OTHERS):
-        c = 4 + 3 * src
-        pool[:, dst] = _mix(pool[:, dst],
-                            _hashmix(pool[:, src, None], a[c:c + 4]))
-    return _absorb(pool, words[:, 4:], a[16:])
-
-
-@functools.lru_cache(maxsize=64)
-def _prefix_pool(prefix: tuple[int, ...]) -> np.ndarray:
-    """The read-only ``(1, 4)`` pool of the words ``prefix``.  Calls
-    repeat their shared prefix (every stratified call starts with the
-    seed's and ``"stratum"``'s words), so each is hashed once."""
-    pool = _hash_rows(np.array([prefix], dtype=np.uint32))
-    pool.flags.writeable = False
-    return pool
-
-
-def _pool_hash(words: np.ndarray) -> np.ndarray:
-    """``_hash_rows(words)``, with a prefix of four or more words that
-    every row shares taken from ``_prefix_pool``."""
-    rows, width = words.shape
-    same = (words == words[:1]).all(axis=0)
-    shared = width if same.all() else int(same.argmin())
-    if shared < 4:
-        return _hash_rows(words)
-    pool = _prefix_pool(tuple(words[0, :shared].tolist()))
-    return _absorb(np.broadcast_to(pool, (rows, 4)), words[:, shared:],
-                   _constants(width)[16 + 4 * (shared - 4):])
 
 
 # SeedSequence.generate_state's hash constants, INIT_B * MULT_B^i mod 2^32
 # for i = 0..8: PCG64 seeds from 4 uint64, that is 8 uint32 state words,
 # and word i hashes pool word i mod 4 with constants i and i + 1
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 0, 9)
 _XOR_B, _MUL_B = _HASH_B[:-1], _HASH_B[1:]
 
 
@@ -235,44 +175,6 @@ def _seed_words_class() -> type:
     return SeedWords
 
 
-def _by_width(words: Sequence[list[int]]
-              ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The entries of ``words`` grouped by length: each group's indices
-    and its ``(entries, width)`` uint32 words."""
-    groups: dict[int, list[int]] = {}
-    for i, w in enumerate(words):
-        groups.setdefault(len(w), []).append(i)
-    return [(np.array(idx), np.array([words[i] for i in idx],
-                                     dtype=np.uint32).reshape(len(idx), width))
-            for width, idx in groups.items()]
-
-
-def _pools(factors: Sequence[Sequence[list[int]]]) -> np.ndarray:
-    """SeedSequence pools of every key list made of one entry of each
-    factor, concatenated in factor order: shape ``(len(f0), len(f1), ...,
-    4)``.  Each factor's words are stacked once per width, and each
-    combination of widths is hashed by ``_pool_hash`` in one pass.  A lone
-    key goes through ``SeedSequence`` itself, which is cheaper than the
-    array passes for one row."""
-    shape = tuple(map(len, factors))
-    out = np.empty(shape + (4,), dtype=np.uint32)
-    if out.size == 4:
-        out[...] = np.random.SeedSequence(np.array(
-            [w for f in factors for w in f[0]], dtype=np.uint32)).pool
-        return out
-    k = len(factors)
-    for groups in itertools.product(*map(_by_width, factors)):
-        sizes = tuple(len(idx) for idx, _ in groups)
-        cols = [np.broadcast_to(
-                    w.reshape((1,) * i + w.shape[:1] + (1,) * (k - 1 - i)
-                              + w.shape[1:]), sizes + w.shape[1:])
-                for i, (_, w) in enumerate(groups)]
-        rows = np.concatenate(cols, axis=-1).reshape(math.prod(sizes), -1)
-        out[np.ix_(*(idx for idx, _ in groups))] = _pool_hash(
-            rows).reshape(sizes + (4,))
-    return out
-
-
 def _generators(pools: np.ndarray) -> Iterator[np.random.Generator]:
     """One ``PCG64`` generator per pool (``(rows, 4)``), in order, seeded
     bit for bit as ``SeedSequence`` seeds it: ``generate_state(4,
@@ -291,15 +193,35 @@ def _generators(pools: np.ndarray) -> Iterator[np.random.Generator]:
             for row in words)
 
 
-def substreams(seed: int, keys: Sequence[Sequence]
-               ) -> Iterator[np.random.Generator]:
-    """Each key's generator, in order: ``PCG64`` seeded, bit for bit, as
-    ``SeedSequence`` of the key list ``[seed, *key]`` seeds it.  All
-    pools come from one ``_pools`` call, which hashes the keys of each
-    word count in one array pass and a lone key through ``SeedSequence``
-    itself; each generator is made as it is taken."""
-    pools = _pools([[_entropy((int(seed),))], [_entropy(k) for k in keys]])
-    return _generators(pools[0])
+@functools.lru_cache(maxsize=64)
+def _stratum_pools(seed: int, strata: int) -> tuple[np.ndarray, int]:
+    """The read-only ``(strata, 4)`` ``SeedSequence`` pools of the keys
+    ``(seed, "stratum", j)``, and their word count (at least nine, the
+    same for every ``j``)."""
+    words = np.array([_entropy((seed, "stratum", j)) for j in range(strata)],
+                     dtype=np.uint32)
+    pools = np.array([np.random.SeedSequence(row).pool for row in words],
+                     dtype=np.uint32)
+    pools.flags.writeable = False
+    return pools, words.shape[1]
+
+
+def _ball_generators(seed: int, strata: int, keys: Sequence[Sequence]
+                     ) -> Iterator[np.random.Generator]:
+    """The generator of ``substream(seed, "stratum", j, *key)`` for every
+    key and stratum, ball by ball: each key is mixed into the cached
+    stratum pools by one ``_absorb`` pass per word count of the keys."""
+    prefix, first = _stratum_pools(int(seed), strata)
+    words = [_entropy(key) for key in keys]
+    by_width: dict[int, list[int]] = {}
+    for b, w in enumerate(words):
+        by_width.setdefault(len(w), []).append(b)
+    pools = np.empty((len(keys), strata, 4), dtype=np.uint32)
+    for width, balls in by_width.items():
+        rows = np.array([words[b] for b in balls], dtype=np.uint32)
+        pools[balls] = _absorb(prefix, rows.reshape(len(balls), 1, width),
+                               first)
+    return _generators(pools.reshape(-1, 4))
 
 
 def bernoulli_half_width(fraction: float, count: int) -> float:
@@ -376,10 +298,9 @@ def sample_shells(seed: int, keys: Sequence[Sequence], centers: np.ndarray,
     """``(len(keys), count, n)`` shell points: row ``b`` is what
     ``sample_shell(substream(seed, *keys[b]), centers[b], ...)`` draws,
     with radii that broadcast against ``(len(keys), count)``.  The
-    streams come from one ``substreams`` call, are drawn one by one and
-    placed together."""
+    streams are drawn one by one and placed together."""
     centers = np.asarray(centers, dtype=float)
-    d, u = _draws(substreams(seed, keys), len(keys), count,
+    d, u = _draws((substream(seed, *key) for key in keys), len(keys), count,
                   centers.shape[-1])
     return place_shell(d, u, centers[:, None, :], r_inner, r_outer)
 
@@ -402,13 +323,13 @@ def stratified_ball_means(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     Ball ``b`` draws stratum ``j`` from ``substream(seed, "stratum", j,
     *keys[b])``, exactly as ``stratified_ball_mean`` does for one ball, and
     gets the same ``(mean, half_width, total_points)``.  Every stream of
-    the call is derived up front in one ``_pools`` call, from the words of
-    the seed and ``"stratum"``, of each stratum index and of each ball key,
-    each built once.  Whole balls are evaluated together, in runs of the
-    given order holding at most ``SAMPLE_BLOCK`` points (and at least one
-    ball).  ``fn`` maps an ``(m, n)`` array of points and the ``(m,)``
-    index of each point's ball to ``(m,)`` values; ``fn`` must evaluate
-    each point independently of the others.
+    the call is derived up front by ``_ball_generators``, which mixes each
+    ball key's words into the cached stratum pools.  Whole balls are
+    evaluated together, in runs of the given order holding at most
+    ``SAMPLE_BLOCK`` points (and at least one ball).  ``fn`` maps an
+    ``(m, n)`` array of points and the ``(m,)`` index of each point's ball
+    to ``(m,)`` values; ``fn`` must evaluate each point independently of
+    the others.
     """
     radii = np.asarray(radii, dtype=float)
     centers = np.asarray(centers, dtype=float)
@@ -418,11 +339,7 @@ def stratified_ball_means(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                          f"{len(radii)} radii and {len(keys)} keys")
     strata, m = budget.strata, budget.per_stratum
     unit_edges = shell_edges(1.0, strata, n)
-    # the pools are (1, stratum, ball, 4); the streams run ball by ball
-    streams = _generators(_pools([[_entropy((int(seed), "stratum"))],
-                                  [_entropy((j,)) for j in range(strata)],
-                                  [_entropy(key) for key in keys]]
-                                 )[0].swapaxes(0, 1).reshape(-1, 4))
+    streams = _ball_generators(seed, strata, keys)
     out = [None] * count
     per_block = max(1, SAMPLE_BLOCK // budget.total)
     for lo in range(0, count, per_block):

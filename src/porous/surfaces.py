@@ -212,9 +212,7 @@ def corpus_generate(kind: str, params: dict, seed: int,
                 idx += 1
         return out
 
-    count = params["count"]
-    if not _is_int(count) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    count = _positive_int("count", params["count"])
     zero = AffinePlane(index=1, gradient=np.zeros(n), offset=0.0,
                        anchor=anchor)
     for i in range(count):
@@ -225,7 +223,7 @@ def corpus_generate(kind: str, params: dict, seed: int,
             center = window.center + rng.uniform(-0.5, 0.5, n) * window.radius
             bumps = [BumpSpec(tuple(center), amp, width)]
         elif kind == "multi-bump":
-            k = int(params.get("bumps", 3))
+            k = _positive_int("bumps", params.get("bumps", 3))
             bumps = []
             for _ in range(k):
                 amp = _draw(rng, params["amplitude"]) / k
@@ -233,7 +231,7 @@ def corpus_generate(kind: str, params: dict, seed: int,
                 center = window.center + rng.uniform(-1, 1, n) * window.radius
                 bumps.append(BumpSpec(tuple(center), amp, width))
         else:  # mollified-noise
-            grains = int(params.get("grains", 24))
+            grains = _positive_int("grains", params.get("grains", 24))
             gw = float(params.get("grain_width", 0.12))
             strength = float(params.get("strength", ceiling / 2))
             if strength > ceiling:
@@ -260,9 +258,21 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _positive_int(name: str, value) -> int:
+    """``value``, the parameter ``name``, which must be an int >= 1."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def _draw(rng: np.random.Generator, spec) -> float:
-    lo, hi = float(spec[0]), float(spec[1])
-    return float(rng.uniform(lo, hi))
+    """A uniform draw from ``spec``, a range [lo, hi] of two numbers."""
+    if not (isinstance(spec, (list, tuple)) and len(spec) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    for v in spec) and spec[0] <= spec[1]):
+        raise ValueError("a range must be two numbers [lo, hi] with "
+                         f"lo <= hi, got {spec!r}")
+    return float(rng.uniform(float(spec[0]), float(spec[1])))
 
 
 def _check_ceiling(entry: CorpusEntry, ceiling: float) -> None:

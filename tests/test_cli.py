@@ -171,9 +171,35 @@ def test_audit_rejects_an_empty_selection(tmp_path, capsys, which):
      "corpus entry 0 (plane): gradients must list at least one entry"),
     ({"kind": "plane", "seed": 0,
       "params": {"gradients": [[0.01, 0.0, 0.0]], "offsets": []}},
-     "corpus entry 0 (plane): offsets must list at least one entry")],
+     "corpus entry 0 (plane): offsets must list at least one entry"),
+    ({"kind": "bump", "seed": 0,
+      "params": {"count": 1, "amplitude": [0.0002], "width": [0.1, 0.2]}},
+     "corpus entry 0 (bump): a range must be two numbers [lo, hi] with "
+     "lo <= hi, got [0.0002]"),
+    ({"kind": "bump", "seed": 0,
+      "params": {"count": 1, "amplitude": [0.0003, 0.0001],
+                 "width": [0.1, 0.2]}},
+     "corpus entry 0 (bump): a range must be two numbers [lo, hi] with "
+     "lo <= hi, got [0.0003, 0.0001]"),
+    ({"kind": "multi-bump", "seed": 0,
+      "params": {"count": 1, "bumps": 2.5, "amplitude": [1e-4, 2e-4],
+                 "width": [0.1, 0.2]}},
+     "corpus entry 0 (multi-bump): bumps must be a positive integer, got 2.5"),
+    ({"kind": "multi-bump", "seed": 0,
+      "params": {"count": 1, "bumps": 0, "amplitude": [1e-4, 2e-4],
+                 "width": [0.1, 0.2]}},
+     "corpus entry 0 (multi-bump): bumps must be a positive integer, got 0"),
+    ({"kind": "mollified-noise", "seed": 0,
+      "params": {"count": 1, "grains": True}},
+     "corpus entry 0 (mollified-noise): grains must be a positive integer, "
+     "got True"),
+    ({"kind": "mollified-noise", "seed": 0,
+      "params": {"count": 1, "grains": 0}},
+     "corpus entry 0 (mollified-noise): grains must be a positive integer, "
+     "got 0")],
     ids=["missing-parameter", "over-ceiling", "params-not-object",
-         "no-gradients", "no-offsets"])
+         "no-gradients", "no-offsets", "range-of-one", "range-reversed",
+         "fractional-bumps", "no-bumps", "bool-grains", "no-grains"])
 def test_audit_malformed_corpus_entry_is_a_usage_error(
         build_dir, tmp_path, capsys, entry, message):
     corpus = tmp_path / "corpus.json"
@@ -508,6 +534,24 @@ def test_audit_rejects_a_family_header_with_too_few_epsilons(
     assert rc == 1
     assert ("line 1: epsilons lists 1 value for 2 stages"
             in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("which", ["construction", "cover", "porosity",
+                                   "budget"])
+def test_audit_rejects_a_family_with_no_holes(demo_family, tmp_path, capsys,
+                                              which):
+    # a header-only file is no depth-0 family: every family audit refuses
+    # it instead of passing with no rows or failing inside the audit
+    path = tmp_path / "family.jsonl"
+    path.write_text(serialize_family(demo_family).split("\n", 1)[0] + "\n")
+    corpus = tmp_path / "mini_corpus.json"
+    corpus.write_text(json.dumps(MINI_CORPUS))
+    rc = main(["audit", "--config", str(DEMO_CONFIG), "--family", str(path),
+               "--corpus", str(corpus), "--which", which,
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error: the family lists no holes" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

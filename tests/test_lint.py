@@ -49,7 +49,7 @@ def test_the_check_sees_an_unused_import():
     assert set(_imported(tree)) - _used(tree) == {"math"}
 
 
-# numpy's stream makers: every stream comes from sampling.substream(s)
+# numpy's stream makers: every stream comes from porous.sampling
 STREAM_MAKERS = ("SeedSequence", "PCG64", "Generator", "default_rng")
 
 

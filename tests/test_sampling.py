@@ -13,7 +13,7 @@ from porous.sampling import (Z99, bernoulli_half_width, sample_shell,
                              sample_shells, shell_edges,
                              stratified_ball_integral,
                              stratified_ball_integrals, stratified_ball_mean,
-                             stratified_ball_means, substreams)
+                             stratified_ball_means)
 
 
 def test_substream_is_reproducible():
@@ -160,7 +160,7 @@ def test_bernoulli_half_width():
 
 
 # ---------------------------------------------------------------------------
-# substreams and batched means against the unbatched code
+# streams and batched means against the unbatched code
 # ---------------------------------------------------------------------------
 
 _KEY_PART = st.one_of(
@@ -194,15 +194,24 @@ def _same_stream(rng, want):
     assert np.array_equal(rng.random(5), want.random(5))
 
 
+def _stratified_streams(seed, strata, keys):
+    """The streams of a stratified call, as ``[ball][stratum]``."""
+    rngs = list(sampling._ball_generators(seed, strata, keys))
+    assert len(rngs) == len(keys) * strata
+    return [rngs[b * strata:(b + 1) * strata] for b in range(len(keys))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=-2**70, max_value=2**70),
        st.lists(st.lists(_KEY_PART, max_size=8), max_size=12))
 def test_substreams_match_the_list_seeded_streams(seed, keys):
-    # keys of mixed word counts, from none to many more than the pool's 4
-    rngs = list(substreams(seed, keys))
-    assert len(rngs) == len(keys)
-    for key, rng in zip(keys, rngs):
-        _same_stream(rng, list_seeded_substream(seed, *key))
+    # keys of mixed word counts, from none to many more than the pool's 4,
+    # alone and as the ball keys of one stratified call
+    for key in keys:
+        _same_stream(substream(seed, *key), list_seeded_substream(seed, *key))
+    for key, rngs in zip(keys, _stratified_streams(seed, 2, keys)):
+        for j, rng in enumerate(rngs):
+            _same_stream(rng, list_seeded_substream(seed, "stratum", j, *key))
 
 
 def test_substreams_cover_the_edge_keys_in_one_call():
@@ -210,15 +219,22 @@ def test_substreams_cover_the_edge_keys_in_one_call():
             (np.int64(-5), np.uint32(7), np.int8(3)),
             ("a part of many more words than the pool",),
             ("stratum", 31, "residue-energy", 2**40 + 3)]
-    for key, rng in zip(keys, substreams(11, keys)):
-        _same_stream(rng, list_seeded_substream(11, *key))
-        _same_stream(next(substreams(11, [key])), substream(11, *key))
+    for key, rngs in zip(keys, _stratified_streams(11, 3, keys)):
+        _same_stream(substream(11, *key), list_seeded_substream(11, *key))
+        for j, rng in enumerate(rngs):
+            _same_stream(rng, list_seeded_substream(11, "stratum", j, *key))
+            _same_stream(_stratified_streams(11, 3, [key])[0][j],
+                         substream(11, "stratum", j, *key))
 
 
 @pytest.mark.parametrize("bad", [1.5, b"x", None, (1,)])
 def test_substreams_reject_other_key_types(bad):
     with pytest.raises(TypeError):
-        list(substreams(0, [("fine", 1), ("x", bad)]))
+        substream(0, "x", bad)
+    with pytest.raises(TypeError):
+        stratified_ball_means(lambda pts, owner: pts[:, 0], np.zeros((2, 3)),
+                              [0.1, 0.2], 0, SamplingBudget(2, 4),
+                              [("fine", 1), ("x", bad)])
 
 
 def _seed_sequence_pools(words):
@@ -226,42 +242,41 @@ def _seed_sequence_pools(words):
                     dtype=np.uint32).reshape(len(words), 4)
 
 
-# the longest key the precomputed hash constants cover, in words
-_TABLE_WORDS = 4 + (len(sampling._HASH_A) - 17) // 4
-
-
-@pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 5, 24, 49, _TABLE_WORDS,
-                                   _TABLE_WORDS + 1, _TABLE_WORDS + 7])
+@pytest.mark.parametrize("width", [0, 1, 2, 3, 4, 5, 24, 49, 64, 65, 71])
 def test_pool_hash_is_seed_sequences_pool(width):
+    # the pool of prefix + rest is the prefix's pool with rest absorbed,
+    # for every prefix past the pool fill
     rng = np.random.default_rng(width)
-    words = rng.integers(0, 2**32, size=(6, width), dtype=np.uint32)
-    words[1] = words[0]                         # a repeated row
-    words[2, -1:] = 0                           # edge words
-    words[3, -1:] = 2**32 - 1
-    assert np.array_equal(sampling._pool_hash(words),
-                          _seed_sequence_pools(words))
-    # rows that share a prefix of every length, which hashes it once
-    for shared in range(width + 1):
-        head = words.copy()
-        head[:, :shared] = words[0, :shared]
-        assert np.array_equal(sampling._pool_hash(head),
-                              _seed_sequence_pools(head))
+    for first in range(4, 11):
+        words = rng.integers(0, 2**32, size=(6, first + width),
+                             dtype=np.uint32)
+        words[1] = words[0]                     # a repeated row
+        words[2, -1:] = 0                       # edge words
+        words[3, -1:] = 2**32 - 1
+        prefix, rest = words[:, :first], words[:, first:]
+        assert np.array_equal(
+            sampling._absorb(_seed_sequence_pools(prefix), rest, first),
+            _seed_sequence_pools(words))
 
 
 def test_pools_keep_input_order_across_word_counts():
-    # three factors whose entries interleave word counts, so each
-    # combination of widths scatters into rows that are not contiguous
-    heads = [[1], [2, 3, 4, 5, 6]]
-    middles = [[7], [], [8, 9], [10, 11, 12, 13, 14, 15], [16]]
-    tails = [[17, 18], [], [19] * 30, [20, 21], [22]]
-    pools = sampling._pools([heads, middles, tails])
-    assert pools.shape == (2, 5, 5, 4)
-    for i, h in enumerate(heads):
-        for j, m in enumerate(middles):
-            for k, t in enumerate(tails):
-                want = np.random.SeedSequence(
-                    np.array(h + m + t, dtype=np.uint32)).pool
-                assert np.array_equal(pools[i, j, k], want)
+    # ball keys of every word count 0 to 30, interleaved, so each word
+    # count's pass scatters into balls that are not contiguous
+    widths = [7 * i % 31 for i in range(62)]
+    keys = [tuple(range(i, i + w)) for i, w in enumerate(widths)]
+    for key, rngs in zip(keys, _stratified_streams(6, 3, keys)):
+        for j, rng in enumerate(rngs):
+            _same_stream(rng, substream(6, "stratum", j, *key))
+
+
+def test_stratified_streams_follow_the_stratum_count():
+    # the cached stratum pools are keyed by the seed and the stratum count
+    seed, keys = 2**50 + 17, [("a",), (), (2**40, "b")]
+    for strata in (8, 32, 8):
+        for key, rngs in zip(keys, _stratified_streams(seed, strata, keys)):
+            assert len(rngs) == strata
+            for j, rng in enumerate(rngs):
+                _same_stream(rng, substream(seed, "stratum", j, *key))
 
 
 # PCG64 state and first four raw outputs of three streams, as numpy 2.4's
@@ -294,23 +309,17 @@ def _assert_pinned(rng, state, inc, raw):
 @pytest.mark.parametrize("pinned", PINNED_STREAMS, ids=lambda p: p[0][1])
 def test_streams_are_pinned_bytes(pinned):
     (seed, *key), state, inc, raw = pinned
-    # the lone-key path and the array path, alone and among other keys
     _assert_pinned(substream(seed, *key), state, inc, raw)
-    for others in ([("x",)], [(), ("a longer neighbour key", 2**40)] * 3):
-        rngs = list(substreams(seed, [*others, tuple(key)]))
-        _assert_pinned(rngs[-1], state, inc, raw)
 
 
 def test_stratified_streams_are_pinned_bytes():
-    # the stream of ball ("residue", 17), stratum 3, as a call of two
-    # balls and five strata derives it
+    # the stream of ball ("residue", 17), stratum 3, as calls of five
+    # strata derive it, alone and among other ball keys
     (seed, _, j, *key), state, inc, raw = PINNED_STREAMS[0]
-    pools = sampling._pools([[sampling._entropy((seed, "stratum"))],
-                             [sampling._entropy((s,)) for s in range(5)],
-                             [sampling._entropy(("other", 2**33)),
-                              sampling._entropy(key)]])
-    rng = list(sampling._generators(pools[0, j]))[1]
-    _assert_pinned(rng, state, inc, raw)
+    for others in ([], [("other", 2**33)],
+                   [(), ("a longer neighbour key", 2**40)] * 3):
+        rngs = _stratified_streams(seed, 5, [*others, tuple(key)])
+        _assert_pinned(rngs[-1][j], state, inc, raw)
 
 
 def test_sample_shell_matches_the_unsplit_draw():
