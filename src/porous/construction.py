@@ -36,6 +36,12 @@ HALF_MARGIN = 0.01          # slack on the far test's "at least half" only
 MAX_HALVINGS = 60
 UNCOVERED_BATCHES = 400     # rejection draws before giving up
 FAR_SLACK = 1e-9            # relative widening of the far test's index reach
+# pool points that ``_greedy_select`` resolves against each other at once.
+# CPU time of the greedy per build-benchmark operation (demo pools of
+# 2.1-3.2k points, 2 cores, numpy 2.4.6): 40.9 ms listing every close pair
+# of the pool first; 20.5 ms in blocks of 128, 12.7 ms of 256, 14.9 ms of
+# 512 and 26.5 ms of 1024
+GREEDY_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +336,35 @@ def choose_level_radius(space: StageSpace, r_prev: float, seed: int,
 
 
 def _greedy_select(pool: np.ndarray, min_sep: float) -> np.ndarray:
-    """Greedy prefix of the pool with pairwise separation >= min_sep."""
-    if len(pool) == 0:
-        return pool
-    index = BallIndex(pool, np.full(len(pool), min_sep / 2.0))
-    first, second = index.pairs()
-    close = sq_dists(index.cols, first, index.cols, second) < min_sep * min_sep
-    order = np.argsort(second[close], kind="stable")
-    keep = [True] * len(pool)
-    # by ascending later point, so each earlier point's fate is already final
-    for a, b in zip(first[close][order].tolist(),
-                    second[close][order].tolist()):
-        if keep[a]:
-            keep[b] = False
-    return pool[np.array(keep)]
+    """Greedy prefix of the pool with pairwise separation >= min_sep: the
+    lexicographically first maximal subset whose pairs all have
+    ``sq_dists >= min_sep * min_sep``.
+
+    The pool is walked in order, ``GREEDY_BLOCK`` points at a time.  A
+    block first drops its points inside the open min_sep-ball of a centre
+    kept so far, through one ball index over the kept centres; the
+    survivors are then resolved in pool order against each other.  Memory
+    is bounded by the kept set and one block's pairs.
+    """
+    keep = np.zeros(len(pool), dtype=bool)
+    sep2 = min_sep * min_sep
+    for start in range(0, len(pool), GREEDY_BLOCK):
+        at = np.arange(start, min(start + GREEDY_BLOCK, len(pool)))
+        kept = pool[:start][keep[:start]]
+        index = BallIndex(kept, np.full(len(kept), min_sep))
+        at = at[~index.contains_any(pool[at])]
+        cols = np.ascontiguousarray(pool[at].T)
+        i, j = np.triu_indices(len(at), 1)
+        close = sq_dists(cols, i, cols, j) < sep2
+        near = np.zeros((len(at), len(at)), dtype=bool)
+        near[i[close], j[close]] = True
+        alive = np.ones(len(at), dtype=bool)
+        # ascending, so each earlier point's fate is already final
+        for a in np.flatnonzero(near.any(axis=1)).tolist():
+            if alive[a]:
+                alive &= ~near[a]
+        keep[at[alive]] = True
+    return pool[keep]
 
 
 def ball_floor(E: float, n: int) -> float:

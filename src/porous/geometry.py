@@ -239,8 +239,9 @@ class MeasureEstimate:
 # ---------------------------------------------------------------------------
 
 # candidate (query, ball) entries examined at once: the build benchmark
-# read a peak RSS of 56 MB and 0.14 s per operation at 2^13 and at 2^15,
-# and 66 MB and 0.17 s at 2^18 (2 cores, numpy 2.4.6)
+# read a median peak RSS of 50 MB and 0.112 s per operation at 2^13,
+# 51 MB and 0.110 s at 2^15, and 62 MB and 0.136 s at 2^18 (three
+# --seconds 6 runs each, 2 cores, numpy 2.4.6)
 INDEX_BLOCK = 1 << 15
 PAIR_SLACK = 1e-6       # absolute; above every pair caller's tolerance
 

@@ -190,7 +190,8 @@ def corpus_generate(kind: str, params: dict, seed: int,
         raise ValueError(f"unknown corpus kind {kind!r}; "
                          f"expected one of {CORPUS_KINDS}")
     n = window.dim
-    ceiling = float(params.get("c1_ceiling", 1.0 / 64.0))
+    ceiling = _positive_real("c1_ceiling",
+                             params.get("c1_ceiling", 1.0 / 64.0))
     anchor = window.center
     out: list[CorpusEntry] = []
 
@@ -232,8 +233,10 @@ def corpus_generate(kind: str, params: dict, seed: int,
                 bumps.append(BumpSpec(tuple(center), amp, width))
         else:  # mollified-noise
             grains = _positive_int("grains", params.get("grains", 24))
-            gw = float(params.get("grain_width", 0.12))
-            strength = float(params.get("strength", ceiling / 2))
+            gw = _positive_real("grain_width",
+                                params.get("grain_width", 0.12))
+            strength = _positive_real("strength",
+                                      params.get("strength", ceiling / 2))
             if strength > ceiling:
                 raise ValueError(f"noise strength {strength:g} exceeds the "
                                  f"C¹ ceiling {ceiling:g}")
@@ -263,6 +266,17 @@ def _positive_int(name: str, value) -> int:
     if not _is_int(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return value
+
+
+def _positive_real(name: str, value) -> float:
+    """``value``, the parameter ``name``, which must be a finite real
+    number > 0; a bool or a string is not one."""
+    if not (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite positive number, "
+                         f"got {value!r}")
+    return float(value)
 
 
 def _draw(rng: np.random.Generator, spec) -> float:

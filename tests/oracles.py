@@ -2,6 +2,8 @@
 
 * the ball index: every point against every ball, every ball against
   every other, with the index's exact arithmetic;
+* the greedy packing as first written: every close pair of the whole pool
+  listed by the ball index, then one pass in pool order;
 * sampling as it was before batching: the list-seeded ``substream``,
   ``sample_shell`` drawing and placing in one step, and the one-ball
   stratified mean, ``sample_truncated_P`` placing one point per
@@ -24,7 +26,8 @@ import math
 import numpy as np
 
 from porous.errors import AuditFailure, NeedsMoreSamples, PreconditionError
-from porous.geometry import PAIR_SLACK, Ball, BallIndex, unit_ball_volume
+from porous.geometry import (PAIR_SLACK, Ball, BallIndex, sq_dists,
+                             unit_ball_volume)
 from porous.sampling import (Z99, sample_shell, shell_edges,
                              stratified_ball_integral, substream)
 from porous.surfaces import unit_lattice
@@ -67,6 +70,24 @@ def brute_pairs(centers, radii):
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     return (np.concatenate(first).astype(np.int64),
             np.concatenate(second).astype(np.int64))
+
+
+def greedy_by_pairs(pool, min_sep):
+    """Greedy prefix of the pool with pairwise separation >= min_sep,
+    from the list of every close pair of the pool."""
+    if len(pool) == 0:
+        return pool
+    index = BallIndex(pool, np.full(len(pool), min_sep / 2.0))
+    first, second = index.pairs()
+    close = sq_dists(index.cols, first, index.cols, second) < min_sep * min_sep
+    order = np.argsort(second[close], kind="stable")
+    keep = [True] * len(pool)
+    # by ascending later point, so each earlier point's fate is already final
+    for a, b in zip(first[close][order].tolist(),
+                    second[close][order].tolist()):
+        if keep[a]:
+            keep[b] = False
+    return pool[np.array(keep)]
 
 
 def list_seeded_substream(seed, *key):

@@ -196,10 +196,28 @@ def test_audit_rejects_an_empty_selection(tmp_path, capsys, which):
     ({"kind": "mollified-noise", "seed": 0,
       "params": {"count": 1, "grains": 0}},
      "corpus entry 0 (mollified-noise): grains must be a positive integer, "
-     "got 0")],
+     "got 0"),
+    ({"kind": "mollified-noise", "seed": 0,
+      "params": {"count": 1, "strength": 0}},
+     "corpus entry 0 (mollified-noise): strength must be a finite positive "
+     "number, got 0"),
+    ({"kind": "mollified-noise", "seed": 0,
+      "params": {"count": 1, "strength": "0.001"}},
+     "corpus entry 0 (mollified-noise): strength must be a finite positive "
+     "number, got '0.001'"),
+    ({"kind": "mollified-noise", "seed": 0,
+      "params": {"count": 1, "grain_width": 0}},
+     "corpus entry 0 (mollified-noise): grain_width must be a finite "
+     "positive number, got 0"),
+    ({"kind": "plane", "seed": 0, "params": {
+        "gradients": [[0.5, 0.0, 0.0]], "offsets": [0.0],
+        "c1_ceiling": True}},
+     "corpus entry 0 (plane): c1_ceiling must be a finite positive number, "
+     "got True")],
     ids=["missing-parameter", "over-ceiling", "params-not-object",
          "no-gradients", "no-offsets", "range-of-one", "range-reversed",
-         "fractional-bumps", "no-bumps", "bool-grains", "no-grains"])
+         "fractional-bumps", "no-bumps", "bool-grains", "no-grains",
+         "no-strength", "string-strength", "no-grain-width", "bool-ceiling"])
 def test_audit_malformed_corpus_entry_is_a_usage_error(
         build_dir, tmp_path, capsys, entry, message):
     corpus = tmp_path / "corpus.json"

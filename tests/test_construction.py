@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import FAMILY_TAMPERS, TAMPERED_LINE
-from oracles import pointwise_sample_truncated_P
+from oracles import greedy_by_pairs, pointwise_sample_truncated_P
 from porous import (Ball, BuildConfig, ConstructionFailure, HoleFamily,
                     NeedsMoreSamples, ParseError, SamplingBudget, assemble_H,
                     assemble_Pk, build_family, build_stage, choose_level_radius,
@@ -21,8 +22,10 @@ from porous import (Ball, BuildConfig, ConstructionFailure, HoleFamily,
                     plane_for_index, plane_schedule, sample_truncated_P,
                     serialize_family, substream, truncated_P,
                     unit_ball_volume)
-from porous.construction import (HALF_MARGIN, StageSpace, _greedy_select,
-                                 far_fraction, validate_epsilons)
+from porous import construction
+from porous.construction import (GREEDY_BLOCK, HALF_MARGIN, StageSpace,
+                                 _greedy_select, far_fraction,
+                                 validate_epsilons)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +271,74 @@ def test_greedy_select_keeps_each_point_far_from_earlier_picks():
     got = _greedy_select(pool, min_sep)
     assert np.array_equal(got, np.array(chosen))
     assert len(_greedy_select(pool[:0], min_sep)) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from([1, 2, 3, 4, 5, 8, 9]),
+       st.sampled_from([0, 1, GREEDY_BLOCK - 1, GREEDY_BLOCK,
+                        GREEDY_BLOCK + 1, 2 * GREEDY_BLOCK + 1]),
+       st.sampled_from([0.05, 0.3, 1.0, 2.0, 8.0]),
+       st.sampled_from(["uniform", "lattice", "shell"]), st.booleans())
+def test_greedy_select_matches_the_pair_list_greedy(seed, dim, size,
+                                                    density, layout,
+                                                    duplicates):
+    # block by block against the kept centres, bit for bit the greedy over
+    # every close pair of the pool.  A dyadic lattice puts pairs exactly
+    # min_sep apart; a shell layout puts pairs within a few ulps of it,
+    # where dims 8 and 9 decide by sq_dists' pairwise sums
+    rng = substream(seed, "greedy-oracle")
+    spacing = max(size, 1) ** (-1.0 / dim)
+    min_sep = density * spacing
+    if layout == "lattice":
+        min_sep = 2.0 ** round(math.log2(min_sep))
+        side = max(2, round(2.0 / min_sep))
+        pool = rng.integers(0, side, size=(size, dim)) * (min_sep / 2.0)
+    else:
+        pool = rng.uniform(0.0, 1.0, size=(size, dim))
+    if layout == "shell":
+        half = size // 2
+        step = rng.normal(size=(size - half, dim))
+        step *= min_sep / np.linalg.norm(step, axis=1)[:, None]
+        pool[half:] = pool[:size - half] + step
+    if duplicates and size > 1:
+        pool[rng.integers(0, size, size // 4)] = \
+            pool[rng.integers(0, size, size // 4)]
+    got = _greedy_select(pool, min_sep)
+    want = greedy_by_pairs(pool, min_sep)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_greedy_select_keeps_both_ends_of_an_exact_tie():
+    # sq_dists == min_sep * min_sep is far enough, within a block and
+    # across blocks
+    min_sep = 0.25
+    pool = np.zeros((GREEDY_BLOCK + 2, 3))
+    pool[1] = (0.25, 0.0, 0.0)
+    pool[2:GREEDY_BLOCK] = (0.125, 0.0, 0.0)   # duplicates, all too close
+    pool[GREEDY_BLOCK] = (0.0, 0.25, 0.0)
+    pool[GREEDY_BLOCK + 1] = (0.0, 0.0, 0.125)
+    got = _greedy_select(pool, min_sep)
+    assert np.array_equal(got, pool[[0, 1, GREEDY_BLOCK]])
+    assert np.array_equal(got, greedy_by_pairs(pool, min_sep))
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_demo_build_bytes_match_the_pair_list_greedy(demo_config, seed,
+                                                     monkeypatch):
+    # the block greedy and the pair-list greedy, built in one process on
+    # the same CPU, write the same family and log bytes
+    cfg = dataclasses.replace(demo_config.build, seed=seed)
+
+    def build_bytes():
+        fam, log = build_family(cfg)
+        return serialize_family(fam), json.dumps(
+            log, separators=(",", ":"), default=float)
+
+    got = build_bytes()
+    monkeypatch.setattr(construction, "_greedy_select", greedy_by_pairs)
+    assert build_bytes() == got
 
 
 def test_sample_uncovered_exhausted_raises():
@@ -725,6 +796,30 @@ def test_demo_build_memory_peak_is_bounded(demo_config):
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+def test_ten_fold_pool_greedy_memory_is_bounded_by_the_kept_set(
+        demo_config, monkeypatch):
+    # at 10x the shipped pool (40,960 points a round) the greedy holds the
+    # kept centres and one block's pairs, never the pool's pair list
+    cfg = dataclasses.replace(demo_config.build, pool_size=40_960)
+    peaks = []
+
+    def traced(pool, min_sep):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = _greedy_select(pool, min_sep)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return out
+
+    monkeypatch.setattr(construction, "_greedy_select", traced)
+    tracemalloc.start()
+    try:
+        fam, _ = build_family(cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(fam) > 0 and len(peaks) >= 3
+    assert max(peaks) < 64 * 2**20
 
 
 def _cap_address_space():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,21 @@ def test_corpus_ceiling_is_enforced():
         corpus_generate("bump", params, seed=0, window=WINDOW)
     params["c1_ceiling"] = 20.0
     assert len(corpus_generate("bump", params, seed=0, window=WINDOW)) == 1
+
+
+@pytest.mark.parametrize("key", ["strength", "grain_width", "c1_ceiling"])
+@pytest.mark.parametrize("value", [0, 0.0, -0.01, math.nan, math.inf, True,
+                                   "0.001", None, [0.001]])
+def test_corpus_reals_must_be_finite_and_positive(key, value):
+    # checked, not coerced: float() would take "0.001" and True, and 0
+    # would build an all-zero field or divide by zero
+    spec = [{"kind": "mollified-noise", "seed": 0,
+             "params": {"count": 1, key: value}}]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=f"{key} must be a finite "
+                           "positive number"):
+            generate_from_spec(spec, WINDOW)
 
 
 def test_corpus_rejects_unknown_kind():
