@@ -5,6 +5,7 @@ ball, auditing their packing invariants, and numerically checking the
 smoothing, area, and mass-budget estimates that make the family porous yet
 unavoidable for nearly flat C1 graph surfaces.
 """
+import types
 
 from .analysis import (AreaCheck, CutoffField, FlattenCheck, Mollifier,
                        SmoothedGradientCheck, SobolevCheck,
@@ -39,88 +40,7 @@ from .verification import (AuditReport, AuditRow, AuditSettings,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffinePlane",
-    "AreaCheck",
-    "AuditFailure",
-    "AuditReport",
-    "AuditRow",
-    "AuditSettings",
-    "Ball",
-    "BallIndex",
-    "BlendPreconditionError",
-    "BudgetLedger",
-    "BuildConfig",
-    "BumpSpec",
-    "ConfigError",
-    "ConstructionFailure",
-    "CorpusEntry",
-    "CutoffField",
-    "FlattenCheck",
-    "GraphPatch",
-    "HoleClassification",
-    "HoleFamily",
-    "LoadedConfig",
-    "MeasureEstimate",
-    "MembershipVerdict",
-    "Mollifier",
-    "NeedsMoreSamples",
-    "ParseError",
-    "PorosityWitness",
-    "PorousError",
-    "PreconditionError",
-    "SamplingBudget",
-    "ScalarField",
-    "SmoothedGradientCheck",
-    "SobolevCheck",
-    "TruncatedP",
-    "alpha_relaxed",
-    "analysis_suite",
-    "area_lower_bound_check",
-    "assemble_H",
-    "assemble_Pk",
-    "blend",
-    "blend_disjoint",
-    "boundary_cross_term",
-    "budget",
-    "build_family",
-    "build_stage",
-    "bump_field",
-    "choose_level_radius",
-    "classify_holes",
-    "corpus_generate",
-    "coverage_deficit",
-    "deserialize_family",
-    "disjointness_audit",
-    "family_invariant_audit",
-    "flatten_residual",
-    "footprint_factor",
-    "generate_from_spec",
-    "graph_measure_in",
-    "hole_intersection_mass",
-    "ledger_rows",
-    "load_config",
-    "load_corpus_spec",
-    "make_cutoff",
-    "make_mollifier",
-    "mode_map",
-    "mollifier_mass",
-    "mollify",
-    "pack_level",
-    "parse_config",
-    "plane_for_index",
-    "plane_schedule",
-    "porosity_row",
-    "porosity_witness",
-    "pullback_porosity_witness",
-    "sample_truncated_P",
-    "serialize_family",
-    "smoothed_gradient_check",
-    "sn_membership",
-    "sobolev_ratio",
-    "strict_deficit_bound",
-    "substream",
-    "truncated_P",
-    "unit_ball_volume",
-    "validate_epsilons",
-]
+# the public names are the names imported above, written once
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, types.ModuleType))

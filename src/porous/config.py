@@ -21,7 +21,7 @@ from typing import Optional, Union, get_type_hints
 import jsonschema
 
 from .construction import BuildConfig
-from .errors import ConfigError
+from .errors import ConfigError, integer, real
 from .sampling import SEED_MAX, SamplingBudget
 from .verification import DBOUND_C, LEDGER_C, WITNESS_TOL, AuditSettings
 
@@ -110,13 +110,15 @@ class LoadedConfig:
 
     def with_seed(self, seed: Optional[int]) -> "LoadedConfig":
         """Copy with the seed overridden in both build and audit settings;
-        a seed outside the schema's range [0, SEED_MAX] raises."""
+        a seed that is not an integer in [0, SEED_MAX] raises."""
         if seed is None:
             return self
-        if not 0 <= seed <= SEED_MAX:
-            raise ConfigError(f"seed must lie in [0, 2^64 - 1], got {seed}")
-        return replace(self, build=replace(self.build, seed=int(seed)),
-                       audit=replace(self.audit, seed=int(seed)))
+        try:
+            seed = integer("seed", seed, 0, SEED_MAX)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        return replace(self, build=replace(self.build, seed=seed),
+                       audit=replace(self.audit, seed=seed))
 
 
 def config_hash_of(raw: bytes) -> str:
@@ -138,20 +140,24 @@ def validate_config_doc(doc: dict) -> None:
         raise ConfigError("invalid config:\n" + "\n".join(lines))
 
 
-# converters of parsed JSON values, by the type of the field they fill
+# converters of schema-checked JSON values, by the type of the field they
+# fill, each given the field's pointer; a real must be finite, which the
+# schema's number type does not check
 _CONVERT = {
-    int: int, float: float,
-    tuple: lambda v: tuple(float(x) for x in v),
-    SamplingBudget: lambda v: SamplingBudget(int(v["strata"]),
-                                             int(v["per_stratum"])),
+    int: lambda at, v: int(v), float: real,
+    tuple: lambda at, v: tuple(real(at, x) for x in v),
+    SamplingBudget: lambda at, v: SamplingBudget(int(v["strata"]),
+                                                 int(v["per_stratum"])),
 }
 
 
-def _settings(cls, section: dict, **extra):
-    """``cls`` from a config section: each present key converted by the
-    type of its dataclass field; absent keys keep the field defaults."""
+def _settings(cls, section: dict, at: str, **extra):
+    """``cls`` from the config section at pointer ``at``: each present key
+    converted by the type of its dataclass field; absent keys keep the
+    field defaults."""
     types = get_type_hints(cls)
-    return cls(**{f.name: _CONVERT[types[f.name]](section[f.name])
+    return cls(**{f.name: _CONVERT[types[f.name]](f"{at}/{f.name}",
+                                                  section[f.name])
                   for f in fields(cls) if f.name in section}, **extra)
 
 
@@ -166,11 +172,13 @@ def parse_config(raw: bytes, path: str = "<memory>") -> LoadedConfig:
     validate_config_doc(doc)
     digest = config_hash_of(raw)
     try:
-        build = _settings(BuildConfig, doc["build"], config_hash=digest)
+        build = _settings(BuildConfig, doc["build"], "/build",
+                          config_hash=digest)
+        audit = _settings(AuditSettings, doc.get("audit", {}), "/audit")
     except ValueError as exc:
-        # cross-field constraints the schema cannot express
+        # non-finite reals, and cross-field constraints the schema cannot
+        # express
         raise ConfigError(f"invalid config: {exc}") from exc
-    audit = _settings(AuditSettings, doc.get("audit", {}))
     return LoadedConfig(path=path, raw=raw, doc=doc, config_hash=digest,
                         build=build, audit=audit)
 

@@ -24,12 +24,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConstructionFailure, NeedsMoreSamples, ParseError
+from .errors import (ConstructionFailure, NeedsMoreSamples, ParseError,
+                     integer, listed, real)
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                        contains_any, sq_dists, unit_ball_volume)
-from .sampling import (SamplingBudget, bernoulli_half_width, place_shell,
-                       sample_shell, shell_draws, stratified_ball_integral,
-                       substream)
+from .sampling import (SEED_MAX, SamplingBudget, bernoulli_half_width,
+                       place_shell, sample_shell, shell_draws,
+                       stratified_ball_integral, substream)
 
 FORMAT_VERSION = 1
 HALF_MARGIN = 0.01          # slack on the far test's "at least half" only
@@ -664,58 +665,48 @@ def serialize_family(family: HoleFamily) -> str:
 
 
 # what _record_columns raises on a record whose values do not convert
-_COLUMN_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+_COLUMN_ERRORS = (KeyError, TypeError, ValueError)
 
 
 def _header_fields(header: dict) -> dict:
-    """The family's header fields, converted and checked: n >= 1 and seed
-    >= 0 are integers, config_hash a string, and s, r, L, E and each of a
-    non-empty list of epsilons a finite positive number.  A ValueError
-    names the first field that is not."""
-    def number(key, value):
-        try:
-            finite = math.isfinite(value) and value > 0
-        except (TypeError, OverflowError):    # not a number, or a huge int
-            finite = False
-        if isinstance(value, bool) or not finite:
-            raise ValueError(f"{key} must be a finite positive number, "
-                             f"got {value!r}")
-        return float(value)
-
-    def integer(key, least):
-        value = header[key]
-        if isinstance(value, bool) or not isinstance(value, int) \
-                or value < least:
-            raise ValueError(f"{key} must be an integer >= {least}, "
-                             f"got {value!r}")
-        return value
-
-    eps, config_hash = header["epsilons"], header["config_hash"]
-    if not isinstance(eps, list) or not eps:
-        raise ValueError(f"epsilons must be a non-empty list, got {eps!r}")
+    """The family's header fields, converted and checked: n >= 1 and a seed
+    in [0, SEED_MAX] are integers, config_hash a string, and s, r, L, E
+    and each of a non-empty list of epsilons a finite positive number.  A
+    ValueError names the first field that is not."""
+    config_hash = header["config_hash"]
     if not isinstance(config_hash, str):
         raise ValueError(f"config_hash must be a string, got {config_hash!r}")
-    return dict(n=integer("n", 1), seed=integer("seed", 0),
+    eps = listed("epsilons", header["epsilons"])
+    return dict(n=integer("n", header["n"]),
+                seed=integer("seed", header["seed"], 0, SEED_MAX),
                 config_hash=config_hash,
-                epsilons=tuple(number("epsilons", e) for e in eps),
-                **{key: number(key, header[key])
+                epsilons=tuple(real("epsilons", e, positive=True)
+                               for e in eps),
+                **{key: real(key, header[key], positive=True)
                    for key in ("s", "r", "L", "E")})
 
 
-def _matrix(rows: list, width: int) -> np.ndarray:
-    out = np.array(rows, dtype=float)
-    if rows and out.shape[1:] != (width,):
-        raise ValueError("wrong center dimension")
-    return out.reshape(len(rows), width)
+def _column(recs: list, key: str, kinds: str, *width: int) -> np.ndarray:
+    """The ``key`` values of parsed records in one ``np.array`` call, one
+    row each; its dtype kind must be one of ``kinds``.  A string or a huge
+    int among the values makes a string or object array, and a fraction
+    among integers a float one.  A bool among numbers converts as numpy
+    converts it."""
+    col = np.array([rec[key] for rec in recs])
+    if col.dtype.kind not in kinds or col.shape != (len(recs), *width):
+        what = "an integer" if kinds == "i" else \
+            f"a list of {width[0]} numbers" if width else "a number"
+        raise ValueError(f"{key} must be {what}")
+    return col
 
 
 def _record_columns(recs: list, n: int) -> tuple:
     """k, l, m, t, base centres and lifted centres of parsed records."""
-    ints = [np.array([rec[key] for rec in recs], dtype=np.int64)
-            for key in ("k", "l", "m")]
-    ts = np.array([rec["t"] for rec in recs], dtype=float)
-    return (*ints, ts, _matrix([rec["base_center"] for rec in recs], n),
-            _matrix([rec["lifted_center"] for rec in recs], n + 1))
+    ints = [_column(recs, key, "i") for key in ("k", "l", "m")]
+    reals = [_column(recs, key, "iuf", *width).astype(float, copy=False)
+             for key, width in (("t", ()), ("base_center", (n,)),
+                                ("lifted_center", (n + 1,)))]
+    return (*ints, *reals)
 
 
 def _reject_first(linenos: list, rules: dict) -> None:
@@ -752,9 +743,10 @@ def _record_json(raw: str, lineno: int):
 def deserialize_family(text: str) -> HoleFamily:
     """Parse ``serialize_family`` output; records keep their file order.
 
-    The header's fields must pass ``_header_fields`` and list an epsilon
-    for every stage the records reach, or a ``ParseError`` names line 1.
-    Every record must convert, with indices >= 1, finite numbers and a
+    The header must hold its nine keys and no other, its fields must pass
+    ``_header_fields`` and list an epsilon for every stage the records
+    reach, or a ``ParseError`` names line 1.  Every record's columns must
+    pass ``_column``, with indices >= 1, finite numbers and a
     positive radius, and must repeat what the family derives: ``m`` is
     its stage's scheduled plane and ``lifted_center`` its lift, bit for
     bit, so that the file serializes back to itself.  A file with no
@@ -771,11 +763,13 @@ def deserialize_family(text: str) -> HoleFamily:
         raise ParseError(f"line 1: invalid JSON header: {exc}") from exc
     if not isinstance(header, dict):
         raise ParseError("line 1: header is not a JSON object")
-    required = {"format_version", "n", "s", "r", "L", "E", "epsilons",
-                "seed", "config_hash"}
-    missing = required - set(header)
+    keys = {"format_version", "n", "s", "r", "L", "E", "epsilons", "seed",
+            "config_hash"}
+    missing, unknown = keys - set(header), set(header) - keys
     if missing:
         raise ParseError(f"line 1: header missing {sorted(missing)}")
+    if unknown:
+        raise ParseError(f"line 1: header has unknown keys {sorted(unknown)}")
     if header["format_version"] != FORMAT_VERSION:
         raise ParseError(
             f"line 1: unsupported format_version {header['format_version']}")

@@ -1,5 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for
+numbers read from an outside file."""
 from __future__ import annotations
+
+import math
+import numbers
+import reprlib
+from typing import Optional
 
 
 class PorousError(Exception):
@@ -37,3 +43,47 @@ class ConfigError(PorousError):
 
 class NeedsMoreSamples(PorousError):
     """A sampled certification stayed indeterminate within budget."""
+
+
+# The rule for numbers read from an input file: a number is an int or a
+# float, numpy's included, and a bool or a string is not one.  Each
+# converter raises a ValueError that names the field.
+
+def _bad(name: str, what: str, value) -> ValueError:
+    return ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
+
+
+def real(name: str, value, positive: bool = False,
+         finite: bool = True) -> float:
+    """``value``, the field ``name``, as a float: a real number that fits
+    a float, finite unless ``finite`` is False, and > 0 if ``positive``."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) \
+            and not isinstance(value, bool) else None
+    except OverflowError:               # an int too large for a float
+        x = None
+    if x is None or (finite and not math.isfinite(x)) \
+            or (positive and not x > 0):
+        raise _bad(name, " ".join(["a"] + ["finite"] * finite
+                                  + ["positive"] * positive + ["number"]),
+                   value)
+    return x
+
+
+def integer(name: str, value, least: int = 1,
+            most: Optional[int] = None) -> int:
+    """``value``, the field ``name``, as an int in [least, most]; a float
+    is not one, even a whole one."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or value < least or (most is not None and value > most):
+        raise _bad(name, f"an integer in [{least}, {most}]" if most is not None
+                   else "a positive integer" if least == 1
+                   else f"an integer >= {least}", value)
+    return int(value)
+
+
+def listed(name: str, value) -> list:
+    """``value``, the field ``name``, which must be a non-empty list."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise _bad(name, "a non-empty list", value)
+    return value

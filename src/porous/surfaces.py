@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, integer, listed, real
 from .geometry import (AffinePlane, Ball, MeasureEstimate, ScalarField,
                        displacements, scale_rows, sq_norms)
 from .sampling import (SEED_MAX, SamplingBudget, stratified_ball_integral,
@@ -137,7 +138,14 @@ def sn_membership(patch: GraphPatch, target, alpha: float,
 # corpus generation
 # ---------------------------------------------------------------------------
 
-CORPUS_KINDS = ("plane", "bump", "multi-bump", "mollified-noise")
+# the parameters of each kind; every kind also takes c1_ceiling
+CORPUS_PARAMS = {
+    "plane": ("gradients", "offsets"),
+    "bump": ("count", "amplitude", "width"),
+    "multi-bump": ("count", "bumps", "amplitude", "width"),
+    "mollified-noise": ("count", "grains", "grain_width", "strength"),
+}
+CORPUS_KINDS = tuple(CORPUS_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -185,22 +193,28 @@ def corpus_generate(kind: str, params: dict, seed: int,
       multi-bump      count, bumps, amplitude, width
       mollified-noise count, grains, grain_width, strength
     All kinds accept c1_ceiling (default 1/64); exceeding it is rejected.
+    Numbers follow ``errors.real`` and ``errors.integer``, and a parameter
+    the kind does not take is rejected.
     """
     if kind not in CORPUS_KINDS:
         raise ValueError(f"unknown corpus kind {kind!r}; "
                          f"expected one of {CORPUS_KINDS}")
+    unknown = sorted(set(params) - {"c1_ceiling", *CORPUS_PARAMS[kind]})
+    if unknown:
+        raise ValueError(f"unknown parameter {unknown[0]!r}; {kind} takes "
+                         + ", ".join(CORPUS_PARAMS[kind]) + ", c1_ceiling")
     n = window.dim
-    ceiling = _positive_real("c1_ceiling",
-                             params.get("c1_ceiling", 1.0 / 64.0))
+    ceiling = real("c1_ceiling", params.get("c1_ceiling", 1.0 / 64.0),
+                   positive=True)
     anchor = window.center
     out: list[CorpusEntry] = []
 
     if kind == "plane":
-        gradients = [np.asarray(g, dtype=float) for g in params["gradients"]]
-        offsets = [float(o) for o in params["offsets"]]
-        for name, values in (("gradients", gradients), ("offsets", offsets)):
-            if not values:
-                raise ValueError(f"{name} must list at least one entry")
+        gradients = [np.array([real("gradients", v)
+                               for v in listed("gradients", g)])
+                     for g in listed("gradients", params["gradients"])]
+        offsets = [real("offsets", o)
+                   for o in listed("offsets", params["offsets"])]
         idx = 0
         for off in offsets:
             for grad in gradients:
@@ -213,33 +227,34 @@ def corpus_generate(kind: str, params: dict, seed: int,
                 idx += 1
         return out
 
-    count = _positive_int("count", params["count"])
+    count = integer("count", params["count"])
+    if kind == "mollified-noise":
+        grains = integer("grains", params.get("grains", 24))
+        gw = real("grain_width", params.get("grain_width", 0.12),
+                  positive=True)
+        strength = real("strength", params.get("strength", ceiling / 2),
+                        positive=True)
+        if strength > ceiling:
+            raise ValueError(f"noise strength {strength:g} exceeds the "
+                             f"C¹ ceiling {ceiling:g}")
+    else:   # a bump is one bump of a half-width spread
+        k, spread = (integer("bumps", params.get("bumps", 3)), 1.0) \
+            if kind == "multi-bump" else (1, 0.5)
+        amplitude = _range("amplitude", params["amplitude"])
+        width = _range("width", params["width"])
     zero = AffinePlane(index=1, gradient=np.zeros(n), offset=0.0,
                        anchor=anchor)
     for i in range(count):
         rng = substream(seed, "corpus", kind, i)
-        if kind == "bump":
-            amp = _draw(rng, params["amplitude"])
-            width = _draw(rng, params["width"])
-            center = window.center + rng.uniform(-0.5, 0.5, n) * window.radius
-            bumps = [BumpSpec(tuple(center), amp, width)]
-        elif kind == "multi-bump":
-            k = _positive_int("bumps", params.get("bumps", 3))
+        if kind != "mollified-noise":
             bumps = []
             for _ in range(k):
-                amp = _draw(rng, params["amplitude"]) / k
-                width = _draw(rng, params["width"])
-                center = window.center + rng.uniform(-1, 1, n) * window.radius
-                bumps.append(BumpSpec(tuple(center), amp, width))
-        else:  # mollified-noise
-            grains = _positive_int("grains", params.get("grains", 24))
-            gw = _positive_real("grain_width",
-                                params.get("grain_width", 0.12))
-            strength = _positive_real("strength",
-                                      params.get("strength", ceiling / 2))
-            if strength > ceiling:
-                raise ValueError(f"noise strength {strength:g} exceeds the "
-                                 f"C¹ ceiling {ceiling:g}")
+                amp = rng.uniform(*amplitude) / k
+                wid = rng.uniform(*width)
+                center = window.center \
+                    + rng.uniform(-spread, spread, n) * window.radius
+                bumps.append(BumpSpec(tuple(center), amp, wid))
+        else:
             raw = rng.uniform(-1.0, 1.0, grains)
             centers = (window.center
                        + rng.uniform(-1.2, 1.2, (grains, n)) * window.radius)
@@ -256,37 +271,15 @@ def corpus_generate(kind: str, params: dict, seed: int,
     return out
 
 
-def _is_int(value) -> bool:
-    """An int or numpy integer; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _positive_int(name: str, value) -> int:
-    """``value``, the parameter ``name``, which must be an int >= 1."""
-    if not _is_int(value) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
-def _positive_real(name: str, value) -> float:
-    """``value``, the parameter ``name``, which must be a finite real
-    number > 0; a bool or a string is not one."""
-    if not (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a finite positive number, "
-                         f"got {value!r}")
-    return float(value)
-
-
-def _draw(rng: np.random.Generator, spec) -> float:
-    """A uniform draw from ``spec``, a range [lo, hi] of two numbers."""
-    if not (isinstance(spec, (list, tuple)) and len(spec) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in spec) and spec[0] <= spec[1]):
-        raise ValueError("a range must be two numbers [lo, hi] with "
-                         f"lo <= hi, got {spec!r}")
-    return float(rng.uniform(float(spec[0]), float(spec[1])))
+def _range(name: str, spec) -> tuple:
+    """``spec``, the parameter ``name``: a range [lo, hi] of two finite
+    reals with lo <= hi and a finite width."""
+    if isinstance(spec, (list, tuple)) and len(spec) == 2:
+        lo, hi = (real(name, v) for v in spec)
+        if lo <= hi and math.isfinite(hi - lo):
+            return lo, hi
+    raise ValueError(f"{name} must be a range [lo, hi] of two finite "
+                     f"numbers with lo <= hi, got {reprlib.repr(spec)}")
 
 
 def _check_ceiling(entry: CorpusEntry, ceiling: float) -> None:
@@ -297,7 +290,8 @@ def _check_ceiling(entry: CorpusEntry, ceiling: float) -> None:
 
 
 def load_corpus_spec(path) -> list[dict]:
-    """Corpus spec file: JSON list of {kind, params, seed}."""
+    """Corpus spec file: JSON list of {kind, params, seed}, and no other
+    key; the seed an integer in [0, SEED_MAX]."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -308,18 +302,22 @@ def load_corpus_spec(path) -> list[dict]:
     for i, item in enumerate(doc):
         if not isinstance(item, dict):
             raise ParseError(f"{path}: entry {i} is not an object")
-        missing = {"kind", "params", "seed"} - set(item)
+        keys = {"kind", "params", "seed"}
+        missing, unknown = keys - set(item), set(item) - keys
         if missing:
             raise ParseError(f"{path}: entry {i} missing {sorted(missing)}")
+        if unknown:
+            raise ParseError(f"{path}: entry {i} has unknown keys "
+                             f"{sorted(unknown)}")
         if not isinstance(item["params"], dict):
             raise ParseError(f"{path}: entry {i} params is not an object")
         if item["kind"] not in CORPUS_KINDS:
             raise ParseError(f"{path}: entry {i} has unknown kind "
                              f"{item['kind']!r}")
-        seed = item["seed"]
-        if not _is_int(seed) or not 0 <= seed <= SEED_MAX:
-            raise ParseError(f"{path}: entry {i} seed must be an integer in "
-                             f"[0, 2^64 - 1], got {seed!r}")
+        try:
+            integer("seed", item["seed"], 0, SEED_MAX)
+        except ValueError as exc:
+            raise ParseError(f"{path}: entry {i} {exc}") from exc
     return doc
 
 

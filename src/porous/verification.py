@@ -35,7 +35,7 @@ from .analysis import (BUMP_SLOPE_SUP, area_lower_bound_check, blend,
                        smoothed_gradient_check, sobolev_ratio)
 from .construction import (HoleFamily, StageSpace, assemble_H, assemble_Pk,
                            ball_floor, footprint_factor)
-from .errors import AuditFailure, NeedsMoreSamples, PreconditionError
+from .errors import AuditFailure, NeedsMoreSamples, PreconditionError, real
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                        ScalarField, contains_any, run_starts, sq_dists,
                        unit_ball_volume)
@@ -837,12 +837,6 @@ SECTIONS = ("construction_audits", "analysis_audits", "budget_ledgers",
 CONSTRUCTION, ANALYSIS, BUDGET, POROSITY = SECTIONS
 
 
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"not a number: {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class AuditRow:
     """One verdict line: what was measured, against what, and how it went."""
@@ -891,9 +885,10 @@ class AuditRow:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AuditRow":
-        row = cls(id=d["id"], check=d["lemma_ref"],
-                  measured=_number(d["measured"]), bound=_number(d["bound"]),
-                  margin=_number(d["margin"]), status=d["status"])
+        # a d-energy ratio may be inf, so the numbers may be non-finite
+        row = cls(d["id"], d["lemma_ref"], status=d["status"], **{
+            key: real(key, d[key], finite=False)
+            for key in ("measured", "bound", "margin")})
         if not (isinstance(row.id, str) and isinstance(row.check, str)) \
                 or row.status not in STATUSES:
             raise ValueError(f"malformed row {d!r}")

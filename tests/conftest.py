@@ -51,11 +51,26 @@ def _infinite_base(rec):
     rec["base_center"][0] = math.inf
 
 
+def _string_radius(rec):
+    rec["t"] = str(rec["t"])
+
+
+def _fractional_level(rec):
+    rec["l"] += 0.5
+
+
+def _string_base(rec):
+    rec["base_center"][1] = str(rec["base_center"][1])
+
+
 # one edit of one record each, all of which the family loader must reject
 FAMILY_TAMPERS = {"lifted-center-raised": _raise_lift,
                   "plane-index-7": _other_plane,
                   "radius-nan": _nan_radius,
-                  "base-infinite": _infinite_base}
+                  "base-infinite": _infinite_base,
+                  "radius-string": _string_radius,
+                  "level-fractional": _fractional_level,
+                  "base-string": _string_base}
 TAMPERED_LINE = 10
 
 

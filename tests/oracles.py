@@ -19,7 +19,9 @@
 * the hit scan before its early exits: the probe lattice and every
   descent round for each hole the prefilter leaves;
 * residue disjointness as it was once also sampled: probes of each hit
-  hole's residue region tested against every other hit hole's.
+  hole's residue region tested against every other hit hole's;
+* the hit verdict of a plane field in closed form: the distance from each
+  lifted centre to the graph.
 """
 import math
 
@@ -458,3 +460,19 @@ def sampled_shared_probes(family, k, patch, hit_ids, seed=0,
         pair = sorted((int(hit_ids[owner[p]]), int(hit_ids[o])))
         shared.setdefault(tuple(pair), probes[p])
     return shared
+
+
+def affine_hits(gradient, offset, anchor, family, ids, K):
+    """The exact hit verdicts of the plane g(x) = offset + <gradient,
+    x - anchor> at K: the graph meets the hole's K-ball within the scan's
+    margin when the lifted centre's distance to it, |g(x) - h| /
+    sqrt(1 + |grad g|^2), is at most K t + HIT_MARGIN.  Returns the
+    verdicts and each hole's slack, that distance less K t + HIT_MARGIN."""
+    ids = np.asarray(ids, dtype=np.int64)
+    gradient = np.asarray(gradient, dtype=float)
+    x = family.base_centers[ids]
+    h = family.lifted_centers[ids][:, family.n]
+    g = offset + (x - anchor) @ gradient
+    dist = np.abs(g - h) / math.sqrt(1.0 + float(gradient @ gradient))
+    slack = dist - (K * family.ts[ids] + HIT_MARGIN)
+    return slack <= 0.0, slack

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -168,19 +169,19 @@ def test_audit_rejects_an_empty_selection(tmp_path, capsys, which):
      "entry 0 params is not an object"),
     ({"kind": "plane", "seed": 0,
       "params": {"gradients": [], "offsets": [0.0]}},
-     "corpus entry 0 (plane): gradients must list at least one entry"),
+     "corpus entry 0 (plane): gradients must be a non-empty list, got []"),
     ({"kind": "plane", "seed": 0,
       "params": {"gradients": [[0.01, 0.0, 0.0]], "offsets": []}},
-     "corpus entry 0 (plane): offsets must list at least one entry"),
+     "corpus entry 0 (plane): offsets must be a non-empty list, got []"),
     ({"kind": "bump", "seed": 0,
       "params": {"count": 1, "amplitude": [0.0002], "width": [0.1, 0.2]}},
-     "corpus entry 0 (bump): a range must be two numbers [lo, hi] with "
-     "lo <= hi, got [0.0002]"),
+     "corpus entry 0 (bump): amplitude must be a range [lo, hi] of two "
+     "finite numbers with lo <= hi, got [0.0002]"),
     ({"kind": "bump", "seed": 0,
       "params": {"count": 1, "amplitude": [0.0003, 0.0001],
                  "width": [0.1, 0.2]}},
-     "corpus entry 0 (bump): a range must be two numbers [lo, hi] with "
-     "lo <= hi, got [0.0003, 0.0001]"),
+     "corpus entry 0 (bump): amplitude must be a range [lo, hi] of two "
+     "finite numbers with lo <= hi, got [0.0003, 0.0001]"),
     ({"kind": "multi-bump", "seed": 0,
       "params": {"count": 1, "bumps": 2.5, "amplitude": [1e-4, 2e-4],
                  "width": [0.1, 0.2]}},
@@ -380,7 +381,8 @@ def test_seed_outside_the_schema_range_is_a_usage_error(tmp_path, capsys,
     rc = main([*command, "--config", str(DEMO_CONFIG), "--seed", "-1",
                "--out", str(out)])
     assert rc == 1
-    assert "seed must lie in [0, 2^64 - 1], got -1" in capsys.readouterr().err
+    assert ("seed must be an integer in [0, 18446744073709551615], got -1"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -521,14 +523,9 @@ def test_audit_rejects_a_malformed_family_header(demo_family, tmp_path, key,
     edited[key] = value
     path = tmp_path / "family.jsonl"
     path.write_text(json.dumps(edited) + "\n" + rest)
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    done = subprocess.run(
-        [sys.executable, "-m", "porous", "audit", "--config",
-         str(DEMO_CONFIG), "--family", str(path), "--which", "construction",
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
+    done = _python_m_porous(
+        "audit", "--config", str(DEMO_CONFIG), "--family", str(path),
+        "--which", "construction", "--out", str(tmp_path / "out"))
     assert done.returncode == 1
     assert done.stderr.startswith(f"error: line 1: {key} ")
     assert "Traceback" not in done.stderr
@@ -573,13 +570,133 @@ def test_audit_rejects_a_family_with_no_holes(demo_family, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-def test_python_m_porous_runs_the_cli(tmp_path):
+def _python_m_porous(*args: str) -> subprocess.CompletedProcess:
+    """``python -m porous *args`` in a fresh interpreter."""
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    done = subprocess.run(
-        [sys.executable, "-m", "porous", "report",
-         str(tmp_path / "absent.json"), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "porous", *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_python_m_porous_runs_the_cli(tmp_path):
+    done = _python_m_porous("report", str(tmp_path / "absent.json"),
+                            "--out", str(tmp_path / "out"))
     assert done.returncode == 1
     assert "report not found" in done.stderr
+
+
+HUGE = 10**400      # a JSON integer too large for a float
+
+
+def _plane_group(**params):
+    return {"kind": "plane", "seed": 0, "params": {
+        "gradients": [[0.011, 0.0, 0.0]], "offsets": [0.0082], **params}}
+
+
+def _bump_group(amplitude):
+    return {"kind": "bump", "seed": 0, "params": {
+        "count": 1, "amplitude": amplitude, "width": [0.1, 0.2]}}
+
+
+def _demo_config(**build):
+    doc = json.loads(DEMO_CONFIG.read_text())
+    doc["build"].update(build)
+    return doc
+
+
+def _record(line, **edit):
+    """Edit fields of the demo family's record on ``line``."""
+    def apply(lines):
+        rec = json.loads(lines[line - 1])
+        rec.update(edit)
+        lines[line - 1] = json.dumps(rec)
+    return apply
+
+
+def _header(lines):
+    lines[0] = json.dumps({**json.loads(lines[0]), "extra": 1})
+
+
+# each malformed input file: (the file, its contents, the text of the error
+# line, which names where in the file and which field)
+MALFORMED_INPUTS = {
+    "corpus-huge-ceiling": (
+        "corpus", [_plane_group(c1_ceiling=HUGE)],
+        "corpus entry 0 (plane): c1_ceiling must be a finite positive"),
+    "corpus-huge-range": (
+        "corpus", [_bump_group([0, HUGE])],
+        "corpus entry 0 (bump): amplitude must be a finite number"),
+    "corpus-infinite-range": (
+        "corpus", [_bump_group([0, math.inf])],
+        "corpus entry 0 (bump): amplitude must be a finite number, got inf"),
+    "corpus-string-offset": (
+        "corpus", [_plane_group(offsets=["0.0082"])],
+        "corpus entry 0 (plane): offsets must be a finite number, "
+        "got '0.0082'"),
+    "corpus-string-gradient": (
+        "corpus", [_plane_group(gradients=[["0.001", "0", "0"]])],
+        "corpus entry 0 (plane): gradients must be a finite number, "
+        "got '0.001'"),
+    "corpus-nan-offset": (
+        "corpus", [_plane_group(offsets=[math.nan])],
+        "corpus entry 0 (plane): offsets must be a finite number, got nan"),
+    "corpus-misspelled-parameter": (
+        "corpus", [_plane_group(c1_celing=0.01)],
+        "corpus entry 0 (plane): unknown parameter 'c1_celing'"),
+    "corpus-unknown-entry-key": (
+        "corpus", [{**_plane_group(), "sed": 1}],
+        "entry 0 has unknown keys ['sed']"),
+    "report-huge-bound": (
+        "report", {**_EMPTY_REPORT, "porosity": [{**_ROW, "bound": HUGE}]},
+        "bound must be a number, got 1000"),
+    "config-infinite-L": (
+        "config", _demo_config(L=math.inf),
+        "invalid config: /build/L must be a finite number, got inf"),
+    "config-huge-L": (
+        "config", _demo_config(L=HUGE),
+        "invalid config: /build/L must be a finite number, got 1000"),
+    "family-unknown-header-key": (
+        "family", _header, "line 1: header has unknown keys ['extra']"),
+    "family-string-radius": (
+        "family", _record(TAMPERED_LINE, t="0.0208"),
+        f"line {TAMPERED_LINE}: malformed record: "
+        "ValueError('t must be a number')"),
+    "family-fractional-level": (
+        "family", _record(TAMPERED_LINE, l=1.5),
+        f"line {TAMPERED_LINE}: malformed record: "
+        "ValueError('l must be an integer')"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_every_malformed_input_is_one_error_line(demo_family, tmp_path,
+                                                 case):
+    what, content, message = MALFORMED_INPUTS[case]
+    path = tmp_path / f"{what}.json"
+    family = tmp_path / "family.jsonl"
+    lines = serialize_family(demo_family).splitlines()
+    if what == "family":
+        content(lines)
+    family.write_text("\n".join(lines) + "\n")
+    if what != "family":
+        path.write_text(json.dumps(content))
+    config = path if what == "config" else DEMO_CONFIG
+    out = str(tmp_path / "out")
+    args = {"config": ["build", "--config", str(config), "--out", out],
+            "report": ["report", str(path), "--out", out],
+            "family": ["audit", "--config", str(config), "--family",
+                       str(family), "--which", "construction", "--out", out],
+            "corpus": ["audit", "--config", str(config), "--family",
+                       str(family), "--corpus", str(path), "--which",
+                       "budget", "--out", out]}[what]
+    done = _python_m_porous(*args)
+    assert done.returncode == 1
+    errors = [line for line in done.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0], done.stderr
+    if what == "report":
+        assert str(path) in errors[0]
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()

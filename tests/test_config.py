@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,21 @@ def test_cross_field_errors_become_config_errors():
         parse_config(_raw(doc))
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("L", math.inf, "L"), ("L", math.nan, "L"),
+    pytest.param("L", 10**400, "L", id="L-huge-int"),
+    ("r", math.nan, "r"), ("epsilons", [0.0025, math.inf], "epsilons"),
+    ("stop_fractions", [0.25, math.nan], "stop_fractions")])
+def test_config_reals_must_be_finite(key, value, field):
+    # the schema's number type admits Infinity, NaN and any integer; each
+    # real converts through errors.real, which names the field's pointer
+    doc = _demo_doc()
+    doc["build"][key] = value
+    with pytest.raises(ConfigError, match=f"^invalid config: /build/{field} "
+                       "must be a finite number"):
+        parse_config(_raw(doc))
+
+
 def test_audit_section_is_optional_with_defaults():
     doc = _demo_doc()
     del doc["audit"]
@@ -139,7 +155,8 @@ def test_with_seed_overrides_both_sides():
     # the schema's seed range, [0, 2^64 - 1]
     assert cfg.with_seed(2**64 - 1).audit.seed == 2**64 - 1
     for seed in (-1, 2**64):
-        with pytest.raises(ConfigError, match="seed must lie in"):
+        with pytest.raises(ConfigError,
+                           match=r"seed must be an integer in \["):
             cfg.with_seed(seed)
 
 

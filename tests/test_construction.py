@@ -705,7 +705,8 @@ HEADER_TAMPERS = [("n", "x"), ("n", 3.5), ("n", True), ("seed", "z"),
                   ("seed", -1), ("epsilons", ["a"]), ("epsilons", []),
                   ("epsilons", [math.inf]), ("s", math.nan),
                   ("r", math.inf), ("L", 0.0), ("E", -1.0),
-                  ("E", 10**400), ("config_hash", 7)]
+                  ("E", 10**400), ("epsilons", [0.0025, 10**400]),
+                  ("seed", 2**64), ("seed", 1.0), ("config_hash", 7)]
 
 
 @pytest.mark.parametrize("key,value", HEADER_TAMPERS,
@@ -715,6 +716,14 @@ def test_deserialize_rejects_a_malformed_header(demo_family, key, value):
     edited = json.loads(header)
     edited[key] = value
     with pytest.raises(ParseError, match=f"^line 1: {key} "):
+        deserialize_family(json.dumps(edited) + "\n" + rest)
+
+
+def test_deserialize_rejects_an_unknown_header_key(demo_family):
+    header, rest = serialize_family(demo_family).split("\n", 1)
+    edited = {**json.loads(header), "extra": 1}
+    with pytest.raises(ParseError,
+                       match=r"^line 1: header has unknown keys \['extra'\]"):
         deserialize_family(json.dumps(edited) + "\n" + rest)
 
 

@@ -261,3 +261,37 @@ def test_the_check_sees_a_unique_call():
                      "def other(x):\n"
                      "    return np.sort(x), x.unique_ids\n")
     assert _unique_callers(tree) == {"<module>", "inner"}
+
+
+def _bool_tests(tree: ast.Module) -> list[int]:
+    """The line of each ``isinstance`` call whose class, or one of whose
+    classes, is ``bool``: the telltale of a hand-written number check."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) == "isinstance" \
+                and len(node.args) == 2:
+            classes = node.args[1]
+            names = classes.elts if isinstance(classes, ast.Tuple) \
+                else [classes]
+            if any(getattr(c, "id", None) == "bool" for c in names):
+                out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "errors.py"))
+def test_only_errors_checks_numbers_by_hand(path):
+    # numbers read from a file convert through errors.real and
+    # errors.integer, the one place that tells a bool from a number
+    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    assert _bool_tests(tree) == []
+
+
+def test_the_check_sees_a_hand_written_number_check():
+    tree = ast.parse("def f(v):\n"
+                     "    if isinstance(v, bool):\n"
+                     "        return 0\n"
+                     "    ok = isinstance(v, (int, bool)) \\\n"
+                     "        or isinstance(v, int)\n"
+                     "    return type(v) is bool or bool(ok)\n")
+    assert _bool_tests(tree) == [2, 4]

@@ -262,7 +262,8 @@ def test_corpus_ceiling_is_enforced():
 
 @pytest.mark.parametrize("key", ["strength", "grain_width", "c1_ceiling"])
 @pytest.mark.parametrize("value", [0, 0.0, -0.01, math.nan, math.inf, True,
-                                   "0.001", None, [0.001]])
+                                   "0.001", None, [0.001],
+                                   pytest.param(10**400, id="huge-int")])
 def test_corpus_reals_must_be_finite_and_positive(key, value):
     # checked, not coerced: float() would take "0.001" and True, and 0
     # would build an all-zero field or divide by zero
@@ -273,6 +274,50 @@ def test_corpus_reals_must_be_finite_and_positive(key, value):
         with pytest.raises(ParseError, match=f"{key} must be a finite "
                            "positive number"):
             generate_from_spec(spec, WINDOW)
+
+
+@pytest.mark.parametrize("kind, params, unknown", [
+    ("plane", {"gradients": [[0.01, 0.0, 0.0]], "offsets": [0.0],
+               "c1_celing": 0.5}, "c1_celing"),
+    ("bump", {"count": 1, "amplitude": [1e-4, 2e-4], "width": [0.1, 0.2],
+              "bumps": 2}, "bumps"),
+    ("multi-bump", {"count": 1, "amplitude": [1e-4, 2e-4],
+                    "width": [0.1, 0.2], "grains": 2}, "grains"),
+    ("mollified-noise", {"count": 1, "amplitude": [1e-4, 2e-4]},
+     "amplitude")])
+def test_corpus_rejects_a_parameter_its_kind_does_not_take(kind, params,
+                                                           unknown):
+    # a misspelled key must not fall back to the default silently
+    with pytest.raises(ValueError, match=f"^unknown parameter '{unknown}'; "
+                       f"{kind} takes"):
+        corpus_generate(kind, params, seed=0, window=WINDOW)
+
+
+HUGE = 10**400      # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize("amplitude", [[0.0, math.inf], [0.0, HUGE],
+                                       [-1e308, 1e308], ["1e-4", 2e-4],
+                                       [True, 2e-4], 1e-4, [math.nan, 2e-4]])
+def test_corpus_ranges_are_two_finite_ordered_reals(amplitude):
+    params = {"count": 1, "amplitude": amplitude, "width": [0.1, 0.2]}
+    for kind in ("bump", "multi-bump"):
+        with pytest.raises(ValueError, match="^amplitude must be a"):
+            corpus_generate(kind, params, seed=0, window=WINDOW)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("offsets", ["0.0082"]), ("offsets", [math.nan]), ("offsets", [HUGE]),
+    ("offsets", [None]), ("offsets", 0.0082), ("gradients", [0.01]),
+    ("gradients", [["0.001", "0", "0"]]), ("gradients", [[math.inf, 0, 0]]),
+    ("gradients", [[False, 0.0, 0.0]])])
+def test_plane_numbers_are_finite_reals(key, value):
+    # a NaN offset once made a plane whose c1_bound was nan and whose
+    # budget rows passed
+    params = {"gradients": [[0.011, 0.0, 0.0]], "offsets": [0.0082],
+              key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be a"):
+        corpus_generate("plane", params, seed=0, window=WINDOW)
 
 
 def test_corpus_rejects_unknown_kind():
@@ -330,6 +375,16 @@ def test_load_corpus_spec_rejects_a_seed_outside_64_bits(tmp_path, seed):
         {"kind": "bump", "seed": 0, "params": {}},
         {"kind": "bump", "seed": seed, "params": {}}]))
     with pytest.raises(ParseError, match="entry 1 seed must be an integer"):
+        load_corpus_spec(path)
+
+
+def test_load_corpus_spec_rejects_an_unknown_entry_key(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps([
+        {"kind": "bump", "seed": 0, "params": {}},
+        {"kind": "bump", "seed": 0, "params": {}, "sed": 1}]))
+    with pytest.raises(ParseError,
+                       match=r"entry 1 has unknown keys \['sed'\]"):
         load_corpus_spec(path)
 
 

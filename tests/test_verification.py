@@ -30,8 +30,8 @@ from porous.verification import (CSV_HEADER, DBOUND_C, GEOMETRY_TOL,
                                  porosity_witnesses, residue_energies,
                                  residue_energy, smooth_over_subfamily)
 
-from oracles import (full_hit_scan, per_hole_classify_holes, residue_region,
-                     sampled_shared_probes)
+from oracles import (affine_hits, full_hit_scan, per_hole_classify_holes,
+                     residue_region, sampled_shared_probes)
 
 W3 = unit_ball_volume(3)
 
@@ -161,6 +161,32 @@ def test_hit_scan_shrinking_constant_is_monotone(demo_family, plane_entries):
     wide = graph_hit_scan(patch.g, fam, ids, K=1.5)
     narrow = graph_hit_scan(patch.g, fam, ids, K=1.25)
     assert np.all(wide.hit | ~narrow.hit)   # narrow hits are wide hits
+
+
+def test_hit_scan_matches_the_closed_form_on_every_demo_plane(
+        demo_family, corpus_spec, plane_entries):
+    # the lattice and descent against the exact distance to each plane:
+    # stage 1 at K = 3/2 and stage 2 at K = 5/4, as the budget scans them,
+    # and every hole at K = 1
+    fam = demo_family
+    group = next(g for g in corpus_spec if g["kind"] == "plane")["params"]
+    planes = [(off, grad) for off in group["offsets"]
+              for grad in group["gradients"]]
+    assert [e.patch.source for e in plane_entries] \
+        == [f"plane[{i}]" for i in range(len(planes))] and len(planes) == 16
+    queries = [(fam.stage_ids(1), 1.5), (fam.stage_ids(2), 1.25),
+               (np.arange(len(fam)), 1.0)]
+    hits = total = 0
+    for entry, (offset, gradient) in zip(plane_entries, planes):
+        for ids, K in queries:
+            exact, slack = affine_hits(gradient, offset, fam.window.center,
+                                       fam, ids, K)
+            assert not (np.abs(slack) < 1e-12).any()   # none too close
+            scan = graph_hit_scan(entry.patch.g, fam, ids, K)
+            assert np.array_equal(scan.hit, exact), (entry.patch.source, K)
+            hits += int(exact.sum())
+            total += len(ids)
+    assert total == 16 * 2 * len(fam) and hits > 0
 
 
 BENCH_PLANES = (0, 3, 6)     # the planes of the audit-planes workload
@@ -1139,6 +1165,19 @@ def test_audit_row_round_trip():
     assert AuditRow.from_dict(row.as_dict()) == row
     assert set(row.as_dict()) == {"id", "lemma_ref", "measured", "bound",
                                   "margin", "status"}
+
+
+@pytest.mark.parametrize("key", ["measured", "bound", "margin"])
+def test_audit_row_numbers_follow_the_number_rule(key):
+    # a d-energy ratio may be inf, so a row's numbers need not be finite;
+    # a bool, a string or an int too large for a float is no number
+    row = AuditRow("x/y", "c", 1.5, 2.0, 0.5, "pass").as_dict()
+    for value in (math.inf, math.nan, 3):
+        assert float(getattr(AuditRow.from_dict({**row, key: value}), key)) \
+            == pytest.approx(value, nan_ok=True)
+    for value in (True, "1.5", None, 10**400):
+        with pytest.raises(ValueError, match=f"^{key} must be a number"):
+            AuditRow.from_dict({**row, key: value})
 
 
 def test_row_constructors_derive_margin_and_status():
