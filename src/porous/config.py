@@ -50,7 +50,8 @@ CONFIG_SCHEMA = {
             "required": ["n", "s", "r", "L", "E", "epsilons",
                          "stop_fractions", "depth", "seed"],
             "properties": {
-                "n": {"type": "integer", "minimum": 3},
+                # n + 1 lifted axes, one of geometry._CELL_HASH's 64 each
+                "n": {"type": "integer", "minimum": 3, "maximum": 63},
                 "s": {"type": "number", "exclusiveMinimum": 0,
                       "exclusiveMaximum": 0.5},
                 "r": {"type": "number", "exclusiveMinimum": 0,
@@ -131,23 +132,31 @@ def _pointer(error: jsonschema.ValidationError) -> str:
 
 
 def validate_config_doc(doc: dict) -> None:
-    """Schema-check a parsed config; raises with every violation listed."""
+    """Schema-check a parsed config; raises listing every violation."""
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     errors = sorted(validator.iter_errors(doc),
                     key=lambda e: (list(map(str, e.absolute_path)), e.message))
     if errors:
-        lines = [f"  at {_pointer(e)}: {e.message}" for e in errors]
-        raise ConfigError("invalid config:\n" + "\n".join(lines))
+        raise ConfigError("invalid config: " + "; ".join(
+            f"at {_pointer(e)}: {e.message}" for e in errors))
+
+
+def _integer(at: str, value) -> int:
+    """The integer at pointer ``at`` within its schema's bounds; not a
+    whole float such as 2.0, which the schema's integer type admits."""
+    schema = CONFIG_SCHEMA
+    for key in at.split("/")[1:]:
+        schema = schema["properties"][key]
+    return integer(at, value, schema["minimum"], schema.get("maximum"))
 
 
 # converters of schema-checked JSON values, by the type of the field they
 # fill, each given the field's pointer; a real must be finite, which the
 # schema's number type does not check
 _CONVERT = {
-    int: lambda at, v: int(v), float: real,
+    int: _integer, float: real,
     tuple: lambda at, v: tuple(real(at, x) for x in v),
-    SamplingBudget: lambda at, v: SamplingBudget(int(v["strata"]),
-                                                 int(v["per_stratum"])),
+    SamplingBudget: lambda at, v: _settings(SamplingBudget, v, at),
 }
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (ConstructionFailure, NeedsMoreSamples, ParseError,
                      integer, listed, real)
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
-                       contains_any, sq_dists, unit_ball_volume)
+                       run_starts, sq_dists, unit_ball_volume)
 from .sampling import (SEED_MAX, SamplingBudget, bernoulli_half_width,
                        place_shell, sample_shell, shell_draws,
                        stratified_ball_integral, substream)
@@ -398,12 +398,12 @@ def pack_level(space: StageSpace, k: int, level: int, r_new: float,
         check_rng = substream(cfg.seed, "pack-check", k, level, round_idx)
         probe = space.sample_uncovered(check_rng, cfg.budget.total,
                                        max(cfg.budget.total, 1024))
-        pair_cov = contains_any(probe, centers,
-                                np.full(len(centers), 2.0 * E * r_new))
-        ball_cov = contains_any(probe, centers,
-                                np.full(len(centers), r_new))
-        pc = float(pair_cov.mean())
-        bc = float(ball_cov.mean())
+        # one query answers both, as r_new < 2 E r_new
+        index = BallIndex(centers, np.full(len(centers), 2.0 * E * r_new))
+        q, j = index.members(probe)
+        inner = sq_dists(probe.T, q, index.cols, j) < r_new * r_new
+        pc = len(run_starts(q)) / len(probe)
+        bc = len(run_starts(q[inner])) / len(probe)
         hw_p = bernoulli_half_width(pc, len(probe))
         hw_b = bernoulli_half_width(bc, len(probe))
         if pc - hw_p >= 0.5 and bc - hw_b >= floor:
@@ -568,7 +568,8 @@ def assemble_H(family: HoleFamily) -> BallIndex:
 
 @dataclass(frozen=True)
 class TruncatedP:
-    """Membership in (intersection of P_k, k <= depth) minus H."""
+    """Membership in (intersection of P_k, k <= depth) minus H; ``pks``
+    holds one index per distinct P_k ball set."""
 
     family: HoleFamily
     depth: int
@@ -588,7 +589,10 @@ def truncated_P(family: HoleFamily, depth: Optional[int] = None) -> TruncatedP:
     depth = family.depth if depth is None else depth
     if depth < 1:
         raise ValueError(f"truncation depth must be at least 1, got {depth}")
-    pks = tuple(assemble_Pk(family, k) for k in range(1, depth + 1))
+    # P_k's ball set shrinks as k grows: the first k of each size
+    first = {int((2.0 * family.ts < 1.0 / k).sum()): k
+             for k in range(depth, 0, -1)}
+    pks = tuple(assemble_Pk(family, k) for k in sorted(first.values()))
     return TruncatedP(family=family, depth=depth, pks=pks,
                       holes=assemble_H(family))
 
@@ -610,25 +614,22 @@ def sample_truncated_P(tp: TruncatedP, count: int, seed: int,
     weights = weights / weights.sum()
     rng = substream(seed, "sample-P")
     d, u = np.empty((count, fam.n + 1)), np.empty(count)
-    out: list[np.ndarray] = []
-    have = 0
+    keep = np.empty((0, fam.n + 1))
     for _ in range(max_tries):
         hids = eligible[rng.choice(len(eligible), size=count, p=weights)]
         # each point's draws in stream order, as one-point sample_shell
         # calls take them, then placed together
         for i in range(count):
             shell_draws(rng, d[i], u[i:i + 1])
-        out.append(place_shell(d, u, fam.lifted_centers[hids], 0.0,
-                               fam.L * fam.ts[hids]))
-        pts = np.vstack(out)
-        keep = pts[tp.contains(pts)]
+        pts = place_shell(d, u, fam.lifted_centers[hids], 0.0,
+                          fam.L * fam.ts[hids])
+        # the points kept so far passed already; test the new draws only
+        keep = np.vstack([keep, pts[tp.contains(pts)]])
         if len(keep) >= count:
             return keep[:count]
-        out = [keep]
-        have = len(keep)
     raise NeedsMoreSamples(
         f"could not sample {count} points of the truncated set "
-        f"(have {have})")
+        f"(have {len(keep)})")
 
 
 # ---------------------------------------------------------------------------
@@ -638,30 +639,30 @@ def sample_truncated_P(tp: TruncatedP, count: int, seed: int,
 def serialize_family(family: HoleFamily) -> str:
     """A header line, then one record per hole in (stage, level) order;
     the derived ``m`` and ``lifted_center`` are repeated for readers."""
-    header = {
-        "format_version": FORMAT_VERSION,
-        "n": family.n,
-        "s": family.s,
-        "r": family.r,
-        "L": family.L,
-        "E": family.E,
-        "epsilons": list(family.epsilons),
-        "seed": family.seed,
-        "config_hash": family.config_hash,
-    }
+    header = {"format_version": FORMAT_VERSION, "n": family.n, "s": family.s,
+              "r": family.r, "L": family.L, "E": family.E,
+              "epsilons": list(family.epsilons), "seed": family.seed,
+              "config_hash": family.config_hash}
     lines = [json.dumps(header, separators=(",", ":"))]
     order = np.lexsort((np.arange(len(family)), family.levels, family.ks))
-    for i in order:
-        rec = {
-            "k": int(family.ks[i]),
-            "l": int(family.levels[i]),
-            "m": plane_schedule(int(family.ks[i])),
-            "base_center": [float(v) for v in family.base_centers[i]],
-            "t": float(family.ts[i]),
-            "lifted_center": [float(v) for v in family.lifted_centers[i]],
-        }
-        lines.append(json.dumps(rec, separators=(",", ":")))
+    ks = family.ks[order].tolist()
+    plane = {k: plane_schedule(k) for k in set(ks)}
+    base = _json_floats(family.base_centers[order])
+    # a lifted centre is its base centre and a height
+    heights = _json_floats(family.lifted_centers[order, family.n])
+    for i, (k, level, t) in enumerate(zip(ks, family.levels[order].tolist(),
+                                          _json_floats(family.ts[order]))):
+        x = ",".join(base[i * family.n:(i + 1) * family.n])
+        lines.append(f'{{"k":{k},"l":{level},"m":{plane[k]},'
+                     f'"base_center":[{x}],"t":{t},'
+                     f'"lifted_center":[{x},{heights[i]}]}}')
     return "\n".join(lines) + "\n"
+
+
+def _json_floats(values: np.ndarray) -> list:
+    """Each entry of a float array, in C order, as ``json.dumps`` writes it."""
+    write = repr if np.isfinite(values).all() else json.dumps
+    return list(map(write, values.ravel().tolist()))
 
 
 # what _record_columns raises on a record whose values do not convert
@@ -686,24 +687,28 @@ def _header_fields(header: dict) -> dict:
                    for key in ("s", "r", "L", "E")})
 
 
-def _column(recs: list, key: str, kinds: str, *width: int) -> np.ndarray:
+def _column(recs: list, key: str, kinds: str, bools: bool,
+            *width: int) -> np.ndarray:
     """The ``key`` values of parsed records in one ``np.array`` call, one
     row each; its dtype kind must be one of ``kinds``.  A string or a huge
     int among the values makes a string or object array, and a fraction
     among integers a float one.  A bool among numbers converts as numpy
-    converts it."""
-    col = np.array([rec[key] for rec in recs])
+    converts it, so with ``bools`` each value is also read by ``real``."""
+    values = [rec[key] for rec in recs]
+    col = np.array(values)
     if col.dtype.kind not in kinds or col.shape != (len(recs), *width):
         what = "an integer" if kinds == "i" else \
             f"a list of {width[0]} numbers" if width else "a number"
         raise ValueError(f"{key} must be {what}")
+    for v in np.array(values, dtype=object).ravel() if bools else ():
+        real(key, v, finite=False)
     return col
 
 
-def _record_columns(recs: list, n: int) -> tuple:
+def _record_columns(recs: list, n: int, bools: bool) -> tuple:
     """k, l, m, t, base centres and lifted centres of parsed records."""
-    ints = [_column(recs, key, "i") for key in ("k", "l", "m")]
-    reals = [_column(recs, key, "iuf", *width).astype(float, copy=False)
+    ints = [_column(recs, key, "i", bools) for key in ("k", "l", "m")]
+    reals = [_column(recs, key, "iuf", bools, *width).astype(float, copy=False)
              for key, width in (("t", ()), ("base_center", (n,)),
                                 ("lifted_center", (n + 1,)))]
     return (*ints, *reals)
@@ -787,11 +792,15 @@ def deserialize_family(text: str) -> HoleFamily:
     if not recs:
         raise ParseError("the family lists no holes")
     try:
-        ks, ls, ms, ts, base, lifted = _record_columns(recs, n)
+        ks, ls, ms, ts, base, lifted = cols = _record_columns(recs, n, False)
+        # numpy reads true among numbers as 1 and false as 0, and no key or
+        # number holds the "u" of true: search for a bool only then
+        if "u" in text or not all(map(np.all, cols)):
+            _record_columns(recs, n, True)
     except _COLUMN_ERRORS as exc:
         for lineno, rec in zip(linenos, recs):
             try:
-                _record_columns([rec], n)
+                _record_columns([rec], n, True)
             except _COLUMN_ERRORS as one:
                 raise ParseError(
                     f"line {lineno}: malformed record: {one!r}") from one

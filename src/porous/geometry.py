@@ -256,14 +256,14 @@ class BallIndex:
     The grid's cell size is twice the largest radius plus ``PAIR_SLACK``.
     Each ball is registered in every cell that its box of half-width
     ``r + PAIR_SLACK / 2`` meets, at most 2 per axis, and the registrations
-    are sorted once by a hash of the cell.  A point inside a ball lies in
+    are sorted once by cell hash and ball.  A point inside a ball lies in
     the ball's box, so a point query looks up, with ``searchsorted``, its
     own cell alone.  Two balls closer than ``PAIR_SLACK`` to touching have
     overlapping boxes, so they share a cell, and the pair query tests them
     in one: the cell holding the lowest corner of the boxes' intersection.
-    Cell hashes wrap in int64; a collision only adds candidates, and every
-    candidate is tested exactly.  Candidates are examined in chunks of at
-    most ``INDEX_BLOCK`` entries, however many balls share a cell.
+    Cell hashes wrap in int64, less the low bits that hold the ball; a
+    collision only adds candidates, each tested exactly.  Candidates are
+    examined in chunks of at most ``INDEX_BLOCK`` entries.
 
     The centres are stored column-major, ``cols`` a contiguous (dim, m)
     array, beside the squared radii ``sq_radii``.  Each candidate's squared
@@ -291,20 +291,22 @@ class BallIndex:
         grid = np.indices((int(span.max(initial=0)) + 1,) * dim
                           ).reshape(dim, -1).T
         ball, g = np.nonzero((grid[None] <= span[:, None]).all(axis=2))
-        keys = self._hash(lo)[ball] + self._hash(grid)[g]
+        # one int64 per registration, the cell hash with its low bits
+        # replaced by the ball, so that a plain sort orders by (hash, ball)
+        self._bits = len(radii).bit_length()
+        packed = (self._hash(lo)[ball] + self._hash(grid)[g]) \
+            >> self._bits << self._bits | ball
         # per registration, the axes on which its cell lies above the
         # box's lowest cell, as bits
         above = ((grid > 0) << np.arange(dim)).sum(axis=1)[g]
-        order = np.argsort(keys, kind="stable")    # balls ascending per key
-        keys, ball, above = keys[order], ball[order], above[order]
+        order = np.argsort(packed)
+        packed = packed[order]
         # a ball meeting two cells of one hash is registered there once,
         # with the axes that both cells lie above (the pair rule in
         # pairs() then only admits more candidates)
-        once = np.ones(len(keys), dtype=bool)
-        once[1:] = (keys[1:] != keys[:-1]) | (ball[1:] != ball[:-1])
-        runs = np.flatnonzero(once)
-        self._keys, self._ball = keys[runs], ball[runs]
-        self._above = np.bitwise_and.reduceat(above, runs)
+        runs = run_starts(packed)
+        self._above = np.bitwise_and.reduceat(above[order], runs)
+        self._keys, self._ball = np.divmod(packed[runs], 1 << self._bits)
         # occupied cell hashes: first registration and registration count
         self._start = run_starts(self._keys)
         self._cell_keys = self._keys[self._start]
@@ -341,7 +343,7 @@ class BallIndex:
         balls registered in its own cell."""
         if len(self._cell_keys) == 0:
             return
-        keys = self._hash(self._cells(pts))
+        keys = self._hash(self._cells(pts)) >> self._bits
         at = np.minimum(np.searchsorted(self._cell_keys, keys),
                         len(self._cell_keys) - 1)
         count = np.where(self._cell_keys[at] == keys, self._count[at], 0)

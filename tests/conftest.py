@@ -63,6 +63,17 @@ def _string_base(rec):
     rec["base_center"][1] = str(rec["base_center"][1])
 
 
+def _bool_stage(rec):
+    # true equals 1, this record's stage, so only its type is wrong
+    assert rec["k"] == 1
+    rec["k"] = True
+
+
+def _bool_level(rec):
+    assert rec["l"] == 1
+    rec["l"] = True
+
+
 # one edit of one record each, all of which the family loader must reject
 FAMILY_TAMPERS = {"lifted-center-raised": _raise_lift,
                   "plane-index-7": _other_plane,
@@ -70,7 +81,9 @@ FAMILY_TAMPERS = {"lifted-center-raised": _raise_lift,
                   "base-infinite": _infinite_base,
                   "radius-string": _string_radius,
                   "level-fractional": _fractional_level,
-                  "base-string": _string_base}
+                  "base-string": _string_base,
+                  "stage-bool": _bool_stage,
+                  "level-bool": _bool_level}
 TAMPERED_LINE = 10
 
 

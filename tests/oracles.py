@@ -21,12 +21,15 @@
 * residue disjointness as it was once also sampled: probes of each hit
   hole's residue region tested against every other hit hole's;
 * the hit verdict of a plane field in closed form: the distance from each
-  lifted centre to the graph.
+  lifted centre to the graph;
+* the family writer as first written: one ``json.dumps`` per record.
 """
+import json
 import math
 
 import numpy as np
 
+from porous.construction import FORMAT_VERSION, plane_schedule
 from porous.errors import AuditFailure, NeedsMoreSamples, PreconditionError
 from porous.geometry import (PAIR_SLACK, Ball, BallIndex, sq_dists,
                              unit_ball_volume)
@@ -476,3 +479,32 @@ def affine_hits(gradient, offset, anchor, family, ids, K):
     dist = np.abs(g - h) / math.sqrt(1.0 + float(gradient @ gradient))
     slack = dist - (K * family.ts[ids] + HIT_MARGIN)
     return slack <= 0.0, slack
+
+
+def per_record_serialize_family(family):
+    """``construction.serialize_family`` writing each record with its own
+    ``json.dumps`` call."""
+    header = {
+        "format_version": FORMAT_VERSION,
+        "n": family.n,
+        "s": family.s,
+        "r": family.r,
+        "L": family.L,
+        "E": family.E,
+        "epsilons": list(family.epsilons),
+        "seed": family.seed,
+        "config_hash": family.config_hash,
+    }
+    lines = [json.dumps(header, separators=(",", ":"))]
+    order = np.lexsort((np.arange(len(family)), family.levels, family.ks))
+    for i in order:
+        rec = {
+            "k": int(family.ks[i]),
+            "l": int(family.levels[i]),
+            "m": plane_schedule(int(family.ks[i])),
+            "base_center": [float(v) for v in family.base_centers[i]],
+            "t": float(family.ts[i]),
+            "lifted_center": [float(v) for v in family.lifted_centers[i]],
+        }
+        lines.append(json.dumps(rec, separators=(",", ":")))
+    return "\n".join(lines) + "\n"

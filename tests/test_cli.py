@@ -600,9 +600,10 @@ def _bump_group(amplitude):
         "count": 1, "amplitude": amplitude, "width": [0.1, 0.2]}}
 
 
-def _demo_config(**build):
+def _demo_config(audit=(), **build):
     doc = json.loads(DEMO_CONFIG.read_text())
     doc["build"].update(build)
+    doc["audit"].update(audit)
     return doc
 
 
@@ -657,6 +658,20 @@ MALFORMED_INPUTS = {
     "config-huge-L": (
         "config", _demo_config(L=HUGE),
         "invalid config: /build/L must be a finite number, got 1000"),
+    "config-huge-n": (
+        "config", _demo_config(n=HUGE),
+        "invalid config: at /build/n: 1000"),
+    "config-whole-float-depth": (
+        "config", _demo_config(depth=2.0),
+        "invalid config: /build/depth must be a positive integer, got 2.0"),
+    "config-whole-float-pool-size": (
+        "config", _demo_config(pool_size=4096.0),
+        "invalid config: /build/pool_size must be an integer >= 64, "
+        "got 4096.0"),
+    "config-whole-float-porosity-samples": (
+        "config", _demo_config(audit={"porosity_samples": 1000.0}),
+        "invalid config: /audit/porosity_samples must be a positive "
+        "integer, got 1000.0"),
     "family-unknown-header-key": (
         "family", _header, "line 1: header has unknown keys ['extra']"),
     "family-string-radius": (
@@ -667,6 +682,14 @@ MALFORMED_INPUTS = {
         "family", _record(TAMPERED_LINE, l=1.5),
         f"line {TAMPERED_LINE}: malformed record: "
         "ValueError('l must be an integer')"),
+    "family-bool-level": (
+        "family", _record(TAMPERED_LINE, l=True),
+        f"line {TAMPERED_LINE}: malformed record: "
+        "ValueError('l must be an integer')"),
+    "family-bool-base-entry": (
+        "family", _record(TAMPERED_LINE, base_center=[True, 0.5, 0.5]),
+        f"line {TAMPERED_LINE}: malformed record: "
+        "ValueError('base_center must be a number, got True')"),
 }
 
 

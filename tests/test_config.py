@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from porous import (AuditSettings, BuildConfig, ConfigError, load_config,
-                    parse_config)
+from porous import (AuditSettings, BuildConfig, ConfigError, geometry,
+                    load_config, parse_config)
 from porous.config import CONFIG_SCHEMA, config_hash_of, validate_config_doc
 from porous.sampling import SamplingBudget
 from porous.verification import DBOUND_C, LEDGER_C, WITNESS_TOL
@@ -122,6 +122,49 @@ def test_config_reals_must_be_finite(key, value, field):
     doc["build"][key] = value
     with pytest.raises(ConfigError, match=f"^invalid config: /build/{field} "
                        "must be a finite number"):
+        parse_config(_raw(doc))
+
+
+@pytest.mark.parametrize("pointer", [
+    "/build/n", "/build/depth", "/build/seed", "/build/max_levels",
+    "/build/pool_size", "/build/budget/strata", "/build/budget/per_stratum",
+    "/audit/seed", "/audit/budget/per_stratum", "/audit/dbound_budget/strata",
+    "/audit/porosity_samples", "/audit/floor_samples"])
+def test_config_integers_refuse_a_whole_float(pointer):
+    # the schema's integer type admits 2.0; each integer converts through
+    # errors.integer, which names the field's pointer
+    doc = _demo_doc()
+    *path, key = pointer.split("/")[1:]
+    section = doc
+    for part in path:
+        section = section[part]
+    section[key] = float(section[key])
+    with pytest.raises(ConfigError, match=f"^invalid config: {pointer} must "
+                       r"be an? (positive )?integer.*, got \d+\.0$"):
+        parse_config(_raw(doc))
+
+
+def test_config_n_fits_the_cell_hash():
+    # a lifted point has n + 1 axes, one cell-hash multiplier each
+    assert CONFIG_SCHEMA["properties"]["build"]["properties"]["n"][
+        "maximum"] + 1 == len(geometry._CELL_HASH)
+    doc = _demo_doc()
+    doc["build"]["n"] = 63
+    assert parse_config(_raw(doc)).build.n == 63
+    for n in (64, 10**400):
+        doc["build"]["n"] = n
+        with pytest.raises(ConfigError, match="^invalid config: at /build/n: "
+                           ".* is greater than the maximum of 63$"):
+            parse_config(_raw(doc))
+
+
+def test_schema_violations_are_one_line():
+    doc = _demo_doc()
+    doc["build"]["n"] = 2
+    doc["build"]["seed"] = -1
+    with pytest.raises(ConfigError, match="^invalid config: at /build/n: "
+                       "2 is less than the minimum of 3; at /build/seed: "
+                       "-1 is less than the minimum of 0$"):
         parse_config(_raw(doc))
 
 

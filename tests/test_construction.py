@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import FAMILY_TAMPERS, TAMPERED_LINE
-from oracles import greedy_by_pairs, pointwise_sample_truncated_P
+from oracles import (greedy_by_pairs, per_record_serialize_family,
+                     pointwise_sample_truncated_P)
 from porous import (Ball, BuildConfig, ConstructionFailure, HoleFamily,
                     NeedsMoreSamples, ParseError, SamplingBudget, assemble_H,
                     assemble_Pk, build_family, build_stage, choose_level_radius,
@@ -541,23 +542,58 @@ def test_assemble_pk_filters_by_diameter(demo_family):
     assert np.array_equal(h.radii, fam.ts)
 
 
-def test_truncated_membership_matches_direct_definition(demo_family):
-    fam = demo_family
-    tp = truncated_P(fam)
-    rng = substream(3, "membership")
-    probes = np.hstack([rng.uniform(0.25, 0.75, size=(10_000, 3)),
-                        rng.uniform(-0.1, 0.4, size=(10_000, 1))])
-    got = tp.contains(probes)
-    direct = np.ones(len(probes), dtype=bool)
-    for k in range(1, fam.depth + 1):
-        ids = np.flatnonzero(2.0 * fam.ts < 1.0 / k)
-        dist = np.linalg.norm(
-            probes[:, None, :] - fam.lifted_centers[None, ids, :], axis=2)
-        direct &= (dist < fam.L * fam.ts[ids]).any(axis=1)
-    dist_all = np.linalg.norm(
+def _direct_truncated_P(fam, depth, probes):
+    """Membership in every P_k, k <= depth, and in no raw hole, from the
+    dense distance of every probe to every hole."""
+    dist = np.linalg.norm(
         probes[:, None, :] - fam.lifted_centers[None, :, :], axis=2)
-    direct &= ~(dist_all < fam.ts).any(axis=1)
-    assert np.array_equal(got, direct)
+    direct = ~(dist < fam.ts).any(axis=1)
+    for k in range(1, depth + 1):
+        ids = np.flatnonzero(2.0 * fam.ts < 1.0 / k)
+        direct &= (dist[:, ids] < fam.L * fam.ts[ids]).any(axis=1)
+    return direct
+
+
+def _membership_probes():
+    rng = substream(3, "membership")
+    return np.hstack([rng.uniform(0.25, 0.75, size=(10_000, 3)),
+                      rng.uniform(-0.1, 0.4, size=(10_000, 1))])
+
+
+def test_truncated_membership_matches_direct_definition(demo_family):
+    probes = _membership_probes()
+    assert np.array_equal(
+        truncated_P(demo_family).contains(probes),
+        _direct_truncated_P(demo_family, demo_family.depth, probes))
+
+
+# truncation depth -> distinct P_k ball sets of the demo family, whose
+# radii are 0.0208, 0.0139 and 0.0093: P_k drops a radius t at k >= 1/2t
+@pytest.mark.parametrize("depth, distinct", [(1, 1), (2, 1), (17, 1),
+                                             (30, 2), (60, 4)])
+def test_truncated_membership_at_each_depth(demo_family, depth, distinct):
+    tp = truncated_P(demo_family, depth)
+    assert len(tp.pks) == distinct
+    probes = _membership_probes()
+    got = tp.contains(probes)
+    assert np.array_equal(got, _direct_truncated_P(demo_family, depth,
+                                                   probes))
+    assert got.any() == (depth < 54)
+
+
+def test_truncated_membership_where_P_k_shrinks():
+    # hole 1 (t = 0.03) is in P_1 and not in P_17 (2t >= 1/17); hole 0
+    # (t = 0.01) is in both
+    fam = _hand_family([[0.45, 0.5, 0.5], [0.55, 0.5, 0.5]], [0.01, 0.03])
+    rng = substream(4, "membership")
+    probes = np.hstack([rng.uniform(0.3, 0.7, size=(4000, 3)),
+                        rng.uniform(-0.1, 0.2, size=(4000, 1))])
+    for depth in (1, 2, 17):
+        tp = truncated_P(fam, depth)
+        assert len(tp.pks) == 1 + (depth == 17)
+        got = tp.contains(probes)
+        assert np.array_equal(got, _direct_truncated_P(fam, depth, probes))
+        assert got.any()
 
 
 def test_truncated_P_depth_is_explicit(demo_family):
@@ -634,6 +670,36 @@ def test_family_round_trip_preserves_arrays(demo_family):
     assert serialize_family(back) == text
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_serialize_family_matches_the_per_record_writer(demo_family,
+                                                        demo_config, seed):
+    family = demo_family if seed == 0 else build_family(
+        dataclasses.replace(demo_config.build, seed=seed))[0]
+    assert serialize_family(family) == per_record_serialize_family(family)
+
+
+@pytest.mark.parametrize("special", [
+    [-0.0, 5e-324, 1e300, 2.0, -3.0, 1.0, 0.0, -1e-310],
+    [math.nan, math.inf, -math.inf, -0.0, 2.0, 5e-324, 1e300, math.nan]])
+def test_serialize_family_writes_each_float_as_json_dumps(demo_family,
+                                                          special):
+    # the finite list takes every column's fast path; the second puts
+    # non-finite values in the base centres and lifts only, so the radii
+    # still take it
+    count = len(special)
+    base = demo_family.base_centers[:count].copy()
+    base[:, 0], base[:, 2] = special, special[::-1]
+    ts = demo_family.ts[:count].copy()
+    ts[1::2] = [v if math.isfinite(v) else 2.0 for v in special[1::2]]
+    family = dataclasses.replace(
+        demo_family, ks=demo_family.ks[:count],
+        levels=demo_family.levels[:count], base_centers=base, ts=ts)
+    with np.errstate(invalid="ignore"):      # the lift of inf - inf
+        text = serialize_family(family)
+    assert text == per_record_serialize_family(family)
+    assert ("NaN" in text) == (not all(map(math.isfinite, special)))
+
+
 def test_round_trip_recovers_stage_radii(demo_family):
     back = deserialize_family(serialize_family(demo_family))
     assert back.stage_radii == demo_family.stage_radii
@@ -669,6 +735,22 @@ def test_family_round_trip_over_six_stages():
 def test_deserialize_rejects_a_tampered_record(tampered_families, tamper):
     with pytest.raises(ParseError, match=f"^line {TAMPERED_LINE}: "):
         deserialize_family(tampered_families[tamper])
+
+
+@pytest.mark.parametrize("value, literal", [(0.0, "false"), (1.0, "true")])
+def test_deserialize_rejects_a_bool_that_equals_its_coordinate(value,
+                                                               literal):
+    # numpy would read the bool as the very number the lift repeats, so
+    # only its type is wrong
+    text = serialize_family(_hand_family([[value, 0.5, 0.5]], [0.01]))
+    record = json.loads(text.splitlines()[1])
+    assert record["base_center"][0] == record["lifted_center"][0] == value
+    edited = text.replace(f'_center":[{value!r},', f'_center":[{literal},')
+    assert edited.count(literal) == 2
+    with pytest.raises(ParseError, match="^line 2: malformed record: "
+                       "ValueError\\('base_center must be a number, got "
+                       f"{literal.title()}'\\)$"):
+        deserialize_family(edited)
 
 
 def test_deserialize_rejects_a_lift_off_by_one_ulp(demo_family):

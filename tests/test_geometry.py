@@ -229,9 +229,30 @@ def test_ball_index_with_every_cell_hash_colliding(monkeypatch):
     centers, radii = _random_family(6, 80, spread=1.0)
     probes = substream(7, "collide").uniform(-1.5, 1.5, size=(500, 3))
     index = BallIndex(centers, radii)
-    assert len(index._keys) == 80
+    # each packed key is then the ball alone, in its 7 low bits
+    assert index._bits == 7
+    assert not index._keys.any()
+    assert np.array_equal(index._ball, np.arange(80))
     assert np.array_equal(index.contains_any(probes),
                           brute_contains_any(probes, centers, radii))
+    _assert_members(index, probes, centers, radii)
+    _assert_pairs(index, centers, radii)
+
+
+@pytest.mark.parametrize("count", [2**k + d for k in (1, 4, 7, 10)
+                                   for d in (-1, 0, 1)])
+def test_ball_index_where_the_packed_width_changes(count):
+    # a packed key gives the ball len(radii).bit_length() bits, one more
+    # from each power of two on
+    rng = substream(count, "packed-width")
+    centers = rng.uniform(-1.0, 1.0, size=(count, 3))
+    radii = np.exp(rng.uniform(math.log(0.02), math.log(0.5), size=count))
+    probes = rng.uniform(-1.5, 1.5, size=(2000, 3))
+    index = BallIndex(centers, radii)
+    assert index._bits == count.bit_length()
+    assert np.array_equal(np.unique(index._ball), np.arange(count))
+    q, j = index.members(probes)
+    assert np.array_equal(np.lexsort((j, q)), np.arange(len(q)))
     _assert_members(index, probes, centers, radii)
     _assert_pairs(index, centers, radii)
 
