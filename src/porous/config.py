@@ -15,13 +15,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
+from operator import ge, gt, le, lt
 from pathlib import Path
 from typing import Optional, Union, get_type_hints
 
-import jsonschema
-
 from .construction import BuildConfig
-from .errors import ConfigError, integer, real
+from .errors import ConfigError, integer, is_number, real
 from .sampling import SEED_MAX, SamplingBudget
 from .verification import DBOUND_C, LEDGER_C, WITNESS_TOL, AuditSettings
 
@@ -126,19 +125,57 @@ def config_hash_of(raw: bytes) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
-def _pointer(error: jsonschema.ValidationError) -> str:
-    parts = [str(p) for p in error.absolute_path]
-    return "/" + "/".join(parts) if parts else "/"
+# Draft 2020-12's types: a bool is no number, a whole float is an integer
+_TYPES = {None: lambda v: True, "object": lambda v: isinstance(v, dict),
+          "array": lambda v: isinstance(v, list), "number": is_number,
+          "integer": lambda v: is_number(v)
+          and (isinstance(v, int) or v.is_integer())}
+
+
+def _bound(fails, words: str):
+    return "number", lambda w, v, s, at: (
+        [(at, f"{v!r} is {words} of {w!r}")] if fails(v, w) else [])
+
+
+# CONFIG_SCHEMA's keywords: the type each checks (None: any), and (its value
+# w, instance v, schema s, v's path) -> [(path, jsonschema's message)]
+_KEYWORDS = {
+    "$schema": (None, lambda *_: []),
+    "type": (None, lambda w, v, s, at: (
+        [] if _TYPES[w](v) else [(at, f"{v!r} is not of type {w!r}")])),
+    "minimum": _bound(lt, "less than the minimum"),
+    "maximum": _bound(gt, "greater than the maximum"),
+    "exclusiveMinimum": _bound(le, "less than or equal to the minimum"),
+    "exclusiveMaximum": _bound(ge, "greater than or equal to the maximum"),
+    "const": (None, lambda w, v, s, at: (  # True is not 1, but 1.0 is
+        [] if v == w and is_number(v) == is_number(w)
+        else [(at, f"{w!r} was expected")])),
+    "required": ("object", lambda w, v, s, at: (
+        [(at, f"{k!r} is a required property") for k in w if k not in v])),
+    "additionalProperties": ("object", lambda w, v, s, at: [
+        (at, "Additional properties are not allowed (%s %s unexpected)" % (
+            ", ".join(map(repr, x)), "was" if len(x) == 1 else "were"))]
+        if (x := sorted(v.keys() - s["properties"].keys())) else []),
+    "properties": ("object", lambda w, v, s, at: [
+        e for k in v.keys() & w for e in _violations(w[k], v[k], at + (k,))]),
+    "items": ("array", lambda w, v, s, at: [
+        e for i, x in enumerate(v)
+        for e in _violations(w, x, at + (str(i),))]),
+    "minItems": ("array", lambda w, v, s, at: [] if len(v) >= w else [
+        (at, f"{v!r} {'should be non-empty' if w == 1 else 'is too short'}")]),
+}
+
+
+def _violations(schema: dict, v, at: tuple) -> list:
+    return [e for key, w in schema.items() if _TYPES[_KEYWORDS[key][0]](v)
+            for e in _KEYWORDS[key][1](w, v, schema, at)]
 
 
 def validate_config_doc(doc: dict) -> None:
     """Schema-check a parsed config; raises listing every violation."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(doc),
-                    key=lambda e: (list(map(str, e.absolute_path)), e.message))
-    if errors:
+    if errors := sorted(_violations(CONFIG_SCHEMA, doc, ())):
         raise ConfigError("invalid config: " + "; ".join(
-            f"at {_pointer(e)}: {e.message}" for e in errors))
+            f"at /{'/'.join(at)}: {message}" for at, message in errors))
 
 
 def _integer(at: str, value) -> int:

@@ -49,6 +49,10 @@ class NeedsMoreSamples(PorousError):
 # float, numpy's included, and a bool or a string is not one.  Each
 # converter raises a ValueError that names the field.
 
+def is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _bad(name: str, what: str, value) -> ValueError:
     return ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
 
@@ -58,8 +62,7 @@ def real(name: str, value, positive: bool = False,
     """``value``, the field ``name``, as a float: a real number that fits
     a float, finite unless ``finite`` is False, and > 0 if ``positive``."""
     try:
-        x = float(value) if isinstance(value, numbers.Real) \
-            and not isinstance(value, bool) else None
+        x = float(value) if is_number(value) else None
     except OverflowError:               # an int too large for a float
         x = None
     if x is None or (finite and not math.isfinite(x)) \
@@ -74,7 +77,7 @@ def integer(name: str, value, least: int = 1,
             most: Optional[int] = None) -> int:
     """``value``, the field ``name``, as an int in [least, most]; a float
     is not one, even a whole one."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+    if not (is_number(value) and isinstance(value, numbers.Integral)) \
             or value < least or (most is not None and value > most):
         raise _bad(name, f"an integer in [{least}, {most}]" if most is not None
                    else "a positive integer" if least == 1

@@ -43,20 +43,23 @@ from porous.verification import (HIT_LATTICE, HIT_MARGIN, HIT_SCAN_BLOCK,
 
 
 def brute_contains_any(points, centers, radii):
+    """Open-union membership, the radius squared as the index squares it:
+    ``r * r``, not a scalar ``r**2``, which libm's ``pow`` may round one
+    ulp apart."""
     points = np.atleast_2d(points)
     out = np.zeros(len(points), dtype=bool)
     for c, r in zip(centers, radii):
-        out |= ((points - c) ** 2).sum(axis=1) < r**2
+        out |= ((points - c) ** 2).sum(axis=1) < r * r
     return out
 
 
 def brute_members(points, centers, radii):
     """Pairs (point, ball) with the point inside the open ball, sorted by
-    point, then ball."""
+    point, then ball; squared as ``brute_contains_any`` squares."""
     points = np.atleast_2d(points)
     inside = np.zeros((len(points), len(radii)), dtype=bool)
     for j, (c, r) in enumerate(zip(centers, radii)):
-        inside[:, j] = ((points - c) ** 2).sum(axis=1) < r**2
+        inside[:, j] = ((points - c) ** 2).sum(axis=1) < r * r
     q, j = np.nonzero(inside)
     return q.astype(np.int64), j.astype(np.int64)
 

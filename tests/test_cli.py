@@ -570,13 +570,17 @@ def test_audit_rejects_a_family_with_no_holes(demo_family, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def _src_env() -> dict:
+    """This environment with the checkout's ``src`` first on PYTHONPATH."""
+    src = str(ROOT / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+
 def _python_m_porous(*args: str) -> subprocess.CompletedProcess:
     """``python -m porous *args`` in a fresh interpreter."""
-    src = str(ROOT / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     return subprocess.run([sys.executable, "-m", "porous", *args],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=_src_env(),
                           timeout=120)
 
 
@@ -585,6 +589,25 @@ def test_python_m_porous_runs_the_cli(tmp_path):
                             "--out", str(tmp_path / "out"))
     assert done.returncode == 1
     assert "report not found" in done.stderr
+
+
+def _packages_loaded_by(code: str) -> set:
+    """The top-level modules outside the standard library that a fresh
+    interpreter holds after running ``code``."""
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\n"
+         "print(*{name.partition('.')[0] for name in sys.modules})"],
+        capture_output=True, text=True, env=_src_env(), timeout=120,
+        check=True)
+    return set(done.stdout.split()) - set(sys.stdlib_module_names)
+
+
+def test_cli_start_up_loads_numpy_and_no_other_package():
+    # each command pays its interpreter's start-up; what the site hooks
+    # load into a bare interpreter is not the package's doing
+    bare = _packages_loaded_by("pass")
+    loaded = _packages_loaded_by("import porous.cli") - bare
+    assert loaded - {"numpy"} == {"porous"}
 
 
 HUGE = 10**400      # a JSON integer too large for a float

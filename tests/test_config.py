@@ -1,12 +1,14 @@
+import copy
 import dataclasses
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
 
-from porous import (AuditSettings, BuildConfig, ConfigError, geometry,
+from porous import (AuditSettings, BuildConfig, ConfigError, config, geometry,
                     load_config, parse_config)
 from porous.config import CONFIG_SCHEMA, config_hash_of, validate_config_doc
 from porous.sampling import SamplingBudget
@@ -228,3 +230,148 @@ def test_workers_knob():
     doc["workers"] = 4
     with pytest.raises(ConfigError, match="at /workers"):
         parse_config(_raw(doc))
+
+
+# ---------------------------------------------------------------------------
+# the schema walker against the jsonschema package
+# ---------------------------------------------------------------------------
+
+# values a mutation writes: every JSON type, the bounds' edges, whole
+# floats, integers too large for a float, the non-finite reals, the frozen
+# constants, and numbers that equal a bool
+PARITY_VALUES = (
+    True, False, None, "", "3", [], [0.5], [True, None, -1], {}, {"n": 3},
+    0, 1, 2, 3, 63, 64, -1, -0.5, 0.0, -0.0, 1.0, 2.0, 64.0, 4096.0, 2.5,
+    0.25, 0.5, 0.03125, 1e-300, 10**400, -10**400, math.inf, -math.inf,
+    math.nan, LEDGER_C, DBOUND_C, WITNESS_TOL, 2**64 - 1, 2**64)
+PARITY_KEYS = ("extra", "c1_celing", "n", "budget", "0")
+PARITY_DOCS = 2000
+
+
+def _slots(node):
+    """(container, key) of every dict entry and list item within node."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in list(items):
+        yield node, key
+        yield from _slots(child)
+
+
+def _mutate(rng, doc):
+    """One to four random edits of doc: set a value, delete an entry, add
+    a key to an object or grow or empty an array, at any depth."""
+    for _ in range(rng.randint(1, 4)):
+        slots = list(_slots(doc))
+        objects = [doc] + [c[k] for c, k in slots if isinstance(c[k], dict)]
+        arrays = [c[k] for c, k in slots if isinstance(c[k], list)]
+        value = copy.deepcopy(rng.choice(PARITY_VALUES))
+        edit = rng.randrange(4)
+        if edit == 0 and slots:
+            container, key = rng.choice(slots)
+            container[key] = value
+        elif edit == 1 and slots:
+            container, key = rng.choice(slots)
+            del container[key]
+        elif edit == 2:
+            rng.choice(objects)[rng.choice(PARITY_KEYS)] = value
+        elif arrays and rng.random() < 0.7:
+            rng.choice(arrays).append(value)
+        elif arrays:
+            rng.choice(arrays).clear()
+    return doc
+
+
+def _walker_text(doc) -> str:
+    try:
+        validate_config_doc(doc)
+    except ConfigError as exc:
+        return str(exc).removeprefix("invalid config: ")
+    return ""
+
+
+def test_schema_walker_matches_jsonschema_on_mutated_configs():
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    rng = random.Random(20121)
+    seen = set()
+    for case in range(PARITY_DOCS):
+        doc = _mutate(rng, _demo_doc()) if case else _demo_doc()
+        errors = sorted(validator.iter_errors(doc), key=lambda e: (
+            list(map(str, e.absolute_path)), e.message))
+        want = "; ".join(f"at /{'/'.join(map(str, e.absolute_path))}: "
+                         f"{e.message}" for e in errors)
+        assert _walker_text(doc) == want, doc
+        seen |= {(e.validator, "/".join(map(str, e.absolute_path)))
+                 for e in errors}
+    # every keyword that can fail has failed, and unknown and missing keys
+    # were met in every object of the demo config
+    assert {kind for kind, _ in seen} == _schema_keywords(CONFIG_SCHEMA) \
+        - {"$schema", "properties", "items"}
+    objects = {"", "build", "build/budget", "audit", "audit/budget",
+               "audit/dbound_budget"}
+    assert objects <= {at for kind, at in seen
+                       if kind == "additionalProperties"}
+    assert objects - {"audit"} <= {at for kind, at in seen
+                                   if kind == "required"}
+
+
+def _subschemas(schema: dict):
+    """schema and every subschema it holds."""
+    yield schema
+    for sub in [*schema.get("properties", {}).values(),
+                *([schema["items"]] if "items" in schema else [])]:
+        yield from _subschemas(sub)
+
+
+def _schema_keywords(schema: dict) -> set:
+    return set().union(*_subschemas(schema))
+
+
+def test_schema_walker_reads_every_keyword_of_the_schema():
+    keywords = _schema_keywords(CONFIG_SCHEMA)
+    assert keywords <= set(config._KEYWORDS)
+    # the collector sees a keyword the walker does not read
+    assert "multipleOf" in _schema_keywords(
+        {"properties": {"a": {"items": {"multipleOf": 2}}}})
+    assert "multipleOf" not in config._KEYWORDS
+
+
+def test_schema_walker_reads_each_keyword_in_the_form_used():
+    # additionalProperties only as false beside properties, and only the
+    # walker's types
+    for schema in _subschemas(CONFIG_SCHEMA):
+        assert schema.get("additionalProperties", False) is False
+        assert "properties" in schema or "additionalProperties" not in schema
+        assert schema.get("type", "object") in config._TYPES
+
+
+@pytest.mark.parametrize("section, key, value, passes", [
+    ((), "workers", 1.0, True), ((), "workers", True, False),
+    ((), "workers", "1", False), ((), "workers", [1], False),
+    (("build",), "accept_partial", 0, False),
+    (("build",), "accept_partial", 0.0, False),
+    (("build",), "accept_partial", None, False)])
+def test_schema_const_tells_a_bool_from_a_number(section, key, value, passes):
+    # True is not 1 and 0 is not False, but 1.0 is 1
+    doc = _demo_doc()
+    part = doc
+    for name in section:
+        part = part[name]
+    want = f"at /{'/'.join([*section, key])}: {part[key]!r} was expected"
+    part[key] = value
+    assert _walker_text(doc) == ("" if passes else want)
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "True is not of type 'integer'"),
+    (3.0, ""), (3.5, "3.5 is not of type 'integer'"),
+    (10**400, f"{10**400!r} is greater than the maximum of 63"),
+    (math.inf, "inf is greater than the maximum of 63; at /build/n: inf "
+               "is not of type 'integer'"),
+    (math.nan, "nan is not of type 'integer'")])
+def test_schema_integer_type_is_draft_2020_12s(value, message):
+    # a bool is no number, a whole float is an integer (errors.integer
+    # refuses it after the schema check)
+    doc = _demo_doc()
+    doc["build"]["n"] = value
+    assert _walker_text(doc) == (message and f"at /build/n: {message}")

@@ -267,7 +267,7 @@ def test_greedy_select_keeps_each_point_far_from_earlier_picks():
     min_sep = 0.08
     chosen = []
     for p in pool:
-        if all(((p - q) ** 2).sum() >= min_sep**2 for q in chosen):
+        if all(((p - q) ** 2).sum() >= min_sep * min_sep for q in chosen):
             chosen.append(p)
     got = _greedy_select(pool, min_sep)
     assert np.array_equal(got, np.array(chosen))

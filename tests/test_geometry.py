@@ -91,7 +91,7 @@ def test_contains_any_matches_per_ball_or(seed):
     pts = rng.uniform(-1.5, 1.5, size=(89, 3))
     naive = np.zeros(len(pts), dtype=bool)
     for c, r in zip(centers, radii):
-        naive |= ((pts - c) ** 2).sum(axis=1) < r**2
+        naive |= ((pts - c) ** 2).sum(axis=1) < r * r
     assert np.array_equal(contains_any(pts, centers, radii), naive)
 
 
@@ -186,6 +186,8 @@ def test_ball_index_matches_brute_force(seed, count, dim, spread):
 @given(st.integers(min_value=0, max_value=10_000),
        st.integers(min_value=0, max_value=12),
        st.integers(min_value=1, max_value=9))
+# a radius whose scalar r**2 (libm's pow) is one ulp above r * r
+@example(seed=785, count=1, dim=1)
 def test_ball_index_members_on_boundaries_and_tangencies(seed, count, dim):
     # a chain of tangent balls along one axis, probed at every tangency,
     # on each ball's boundary along every axis, and at its centre
