@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import BlendPreconditionError, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, ScalarField,
-                       displacements, run_starts, scale_rows, sq_dists,
-                       sq_norms, unit_ball_volume)
+                       displacements, run_starts, scale_rows, sq_norms,
+                       unit_ball_volume)
 from .sampling import (SamplingBudget, place_shell, sample_shells,
                        shell_draws, shell_edges, stratified_ball_integral,
                        stratified_ball_mean, substream)
@@ -363,8 +363,8 @@ def blend_disjoint(outer: ScalarField,
     support = np.array([cut.support_radius for _, cut in pieces])
     index = BallIndex(centers, radii)
     # supports lie inside their balls, so only index pairs can meet
-    i, j = index.pairs()
-    dist = np.sqrt(sq_dists(index.cols, i, index.cols, j))
+    i, j, sq = index.pairs()
+    dist = np.sqrt(sq)
     if ((dist < radii[i] + support[j]) | (dist < radii[j] + support[i])).any():
         raise ValueError("a cutoff ball meets another cutoff's support")
 
@@ -390,7 +390,7 @@ def blend_disjoint(outer: ScalarField,
     def owned(pts: np.ndarray):
         """(inner, point ids, cutoff values, cutoff gradients) per cutoff
         positive somewhere on pts, the ids ascending."""
-        q, ball = index.members(pts)
+        q, ball, _ = index.members(pts)
         first = run_starts(q)
         q, owner = q[first], ball[first]
         order = np.argsort(owner, kind="stable")

@@ -2,8 +2,12 @@
 
 The run config is a single JSON document.  Validation is schema-driven and
 exhaustive: every violation in the file is reported at once, and unknown
-keys are rejected so nothing silently defaults.  The verdict bounds are
-not settings: the ``audit`` keys ``c_ledger``, ``c_dbound`` and
+keys are rejected so nothing silently defaults.  Each section's schema
+is composed from the dataclass it fills: a settable field states its
+bounds once, as the JSON schema in its metadata (``errors.setting``), so
+this module writes no bound, and each value converts through
+``errors.conform`` by the same schema that the library constructors and
+the family header check.  The verdict bounds are not settings: the ``audit`` keys ``c_ledger``, ``c_dbound`` and
 ``porosity_tol`` are accepted only at the code's constants, and the
 settable audit values are the fields of ``AuditSettings``.  The canonical
 hash is the sha256 of the raw file bytes; it is stamped into every
@@ -17,24 +21,29 @@ import json
 from dataclasses import dataclass, fields, replace
 from operator import ge, gt, le, lt
 from pathlib import Path
-from typing import Optional, Union, get_type_hints
+from typing import Optional, Union
 
 from .construction import BuildConfig
-from .errors import ConfigError, integer, is_number, real
-from .sampling import SEED_MAX, SamplingBudget
+from .errors import ConfigError, conform, is_number
+from .sampling import SamplingBudget
 from .verification import DBOUND_C, LEDGER_C, WITNESS_TOL, AuditSettings
 
 CONFIG_FORMAT_VERSION = 1
 
-_BUDGET_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["strata", "per_stratum"],
-    "properties": {
-        "strata": {"type": "integer", "minimum": 1},
-        "per_stratum": {"type": "integer", "minimum": 2},
-    },
-}
+
+def _section(cls, required: tuple = (), **consts) -> dict:
+    """The config section that sets the fields of ``cls``: a key per field
+    with a schema, that schema, a budget section per budget field, the
+    ``required`` keys, and keys held at ``consts``."""
+    return {"type": "object", "additionalProperties": False,
+            **({"required": list(required)} if required else {}),
+            "properties": {**{
+                f.name: f.metadata["schema"] if "schema" in f.metadata
+                else _section(SamplingBudget, ("strata", "per_stratum"))
+                for f in fields(cls) if "schema" in f.metadata
+                or isinstance(f.default, SamplingBudget)},
+                **{key: {"const": value} for key, value in consts.items()}}}
+
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -43,55 +52,14 @@ CONFIG_SCHEMA = {
     "required": ["format_version", "build"],
     "properties": {
         "format_version": {"const": CONFIG_FORMAT_VERSION},
-        "build": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["n", "s", "r", "L", "E", "epsilons",
-                         "stop_fractions", "depth", "seed"],
-            "properties": {
-                # n + 1 lifted axes, one of geometry._CELL_HASH's 64 each
-                "n": {"type": "integer", "minimum": 3, "maximum": 63},
-                "s": {"type": "number", "exclusiveMinimum": 0,
-                      "exclusiveMaximum": 0.5},
-                "r": {"type": "number", "exclusiveMinimum": 0,
-                      "exclusiveMaximum": 0.03125},
-                "L": {"type": "number", "exclusiveMinimum": 2},
-                "E": {"type": "number", "exclusiveMinimum": 1},
-                "epsilons": {"type": "array", "minItems": 1,
-                             "items": {"type": "number",
-                                       "exclusiveMinimum": 0}},
-                "stop_fractions": {"type": "array", "minItems": 1,
-                                   "items": {"type": "number",
-                                             "exclusiveMinimum": 0,
-                                             "exclusiveMaximum": 1}},
-                "depth": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0,
-                         "maximum": SEED_MAX},
-                "max_levels": {"type": "integer", "minimum": 1},
-                # a stage that misses its target fails the build; the
-                # key stays for existing config files
-                "accept_partial": {"const": False},
-                "pool_size": {"type": "integer", "minimum": 64},
-                "budget": _BUDGET_SCHEMA,
-            },
-        },
-        "audit": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "seed": {"type": "integer", "minimum": 0,
-                         "maximum": SEED_MAX},
-                "budget": _BUDGET_SCHEMA,
-                "dbound_budget": _BUDGET_SCHEMA,
-                # frozen verdict bounds; the keys stay for existing files
-                "c_ledger": {"const": LEDGER_C},
-                "c_dbound": {"const": DBOUND_C},
-                "porosity_samples": {"type": "integer", "minimum": 1},
-                "porosity_tol": {"const": WITNESS_TOL},
-                "floor_samples": {"type": "integer", "minimum": 64},
-            },
-        },
-        # audits run serially; the key stays for existing config files
+        # a stage that misses its target fails the build, and the verdict
+        # bounds are frozen; audits run serially.  Their keys stay for
+        # existing config files.
+        "build": _section(BuildConfig, (
+            "n", "s", "r", "L", "E", "epsilons", "stop_fractions", "depth",
+            "seed"), accept_partial=False),
+        "audit": _section(AuditSettings, c_ledger=LEDGER_C, c_dbound=DBOUND_C,
+                          porosity_tol=WITNESS_TOL),
         "workers": {"const": 1},
     },
 }
@@ -114,11 +82,10 @@ class LoadedConfig:
         if seed is None:
             return self
         try:
-            seed = integer("seed", seed, 0, SEED_MAX)
+            return replace(self, build=replace(self.build, seed=seed),
+                           audit=replace(self.audit, seed=seed))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return replace(self, build=replace(self.build, seed=seed),
-                       audit=replace(self.audit, seed=seed))
 
 
 def config_hash_of(raw: bytes) -> str:
@@ -178,32 +145,15 @@ def validate_config_doc(doc: dict) -> None:
             f"at /{'/'.join(at)}: {message}" for at, message in errors))
 
 
-def _integer(at: str, value) -> int:
-    """The integer at pointer ``at`` within its schema's bounds; not a
-    whole float such as 2.0, which the schema's integer type admits."""
-    schema = CONFIG_SCHEMA
-    for key in at.split("/")[1:]:
-        schema = schema["properties"][key]
-    return integer(at, value, schema["minimum"], schema.get("maximum"))
-
-
-# converters of schema-checked JSON values, by the type of the field they
-# fill, each given the field's pointer; a real must be finite, which the
-# schema's number type does not check
-_CONVERT = {
-    int: _integer, float: real,
-    tuple: lambda at, v: tuple(real(at, x) for x in v),
-    SamplingBudget: lambda at, v: _settings(SamplingBudget, v, at),
-}
-
-
 def _settings(cls, section: dict, at: str, **extra):
     """``cls`` from the config section at pointer ``at``: each present key
-    converted by the type of its dataclass field; absent keys keep the
-    field defaults."""
-    types = get_type_hints(cls)
-    return cls(**{f.name: _CONVERT[types[f.name]](f"{at}/{f.name}",
-                                                  section[f.name])
+    converted by its field's schema, an error naming the key's pointer,
+    and a budget built from its own section; absent keys keep the field
+    defaults."""
+    return cls(**{f.name: conform(f"{at}/{f.name}", section[f.name],
+                                  f.metadata["schema"])
+                  if "schema" in f.metadata else
+                  _settings(SamplingBudget, section[f.name], f"{at}/{f.name}")
                   for f in fields(cls) if f.name in section}, **extra)
 
 

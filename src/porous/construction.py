@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (ConstructionFailure, NeedsMoreSamples, ParseError,
-                     integer, listed, real)
+                     conform, conform_fields, real, setting)
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                        run_starts, sq_dists, unit_ball_volume)
 from .sampling import (SEED_MAX, SamplingBudget, bernoulli_half_width,
@@ -33,6 +33,8 @@ from .sampling import (SEED_MAX, SamplingBudget, bernoulli_half_width,
                        stratified_ball_integral, substream)
 
 FORMAT_VERSION = 1
+# the build settings that a family file's header repeats
+_HEADER_SETTINGS = ("n", "s", "r", "L", "E", "epsilons", "seed")
 HALF_MARGIN = 0.01          # slack on the far test's "at least half" only
 MAX_HALVINGS = 60
 UNCOVERED_BATCHES = 400     # rejection draws before giving up
@@ -51,44 +53,33 @@ GREEDY_BLOCK = 256
 
 @dataclass(frozen=True)
 class BuildConfig:
-    n: int = 3
-    s: float = 0.25
-    r: float = 1.0 / 64.0
-    L: float = math.sqrt(10.0)
-    epsilons: tuple = (0.0025, 0.00125)
-    E: float = 1.5
-    stop_fractions: tuple = (0.25, 0.125)   # of the window volume
-    depth: int = 2
-    seed: int = 0
-    max_levels: int = 12
+    # n + 1 lifted axes, one of geometry._CELL_HASH's 64 each
+    n: int = setting(3, type="integer", minimum=3, maximum=63)
+    s: float = setting(0.25, type="number", exclusiveMinimum=0,
+                       exclusiveMaximum=0.5)
+    r: float = setting(1.0 / 64.0, type="number", exclusiveMinimum=0,
+                       exclusiveMaximum=0.03125)
+    L: float = setting(math.sqrt(10.0), type="number", exclusiveMinimum=2)
+    epsilons: tuple = setting((0.0025, 0.00125), type="array", minItems=1,
+                              items={"type": "number", "exclusiveMinimum": 0})
+    E: float = setting(1.5, type="number", exclusiveMinimum=1)
+    # of the window volume
+    stop_fractions: tuple = setting(
+        (0.25, 0.125), type="array", minItems=1,
+        items={"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1})
+    depth: int = setting(2, type="integer", minimum=1)
+    seed: int = setting(0, type="integer", minimum=0, maximum=SEED_MAX)
+    max_levels: int = setting(12, type="integer", minimum=1)
     budget: SamplingBudget = SamplingBudget(32, 128)
-    pool_size: int = 4096
+    pool_size: int = setting(4096, type="integer", minimum=64)
     config_hash: str = ""
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("base dimension must be >= 3")
-        if not (0 < self.s < 0.5):
-            raise ValueError("window radius must satisfy 0 < s < 1/2")
-        if not (0 < self.r < 1.0 / 32.0):
-            raise ValueError("slope bound must satisfy 0 < r < 1/32")
-        if self.L <= 2.0:
-            raise ValueError("enlargement L must exceed 2 (lift height)")
-        if self.E <= 1.0:
-            raise ValueError("packing enlargement E must exceed 1")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        conform_fields(self)
         if len(self.epsilons) < self.depth:
             raise ValueError("need one epsilon per stage")
         if len(self.stop_fractions) < self.depth:
             raise ValueError("need one stop fraction per stage")
-        if any(e <= 0 for e in self.epsilons):
-            raise ValueError("epsilons must be positive")
-        if any(not (0 < f < 1) for f in self.stop_fractions):
-            raise ValueError("stop fractions must lie in (0, 1)")
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        object.__setattr__(self, "stop_fractions",
-                           tuple(float(f) for f in self.stop_fractions))
 
     @property
     def window(self) -> Ball:
@@ -294,10 +285,11 @@ def far_fraction(space: StageSpace, pts: np.ndarray,
     ``(E t_i + E r_new)(1 + FAR_SLACK)``, a superset of the near pairs,
     and each candidate gets the dense expressions of
     ``StageSpace.boundary_distance``.  Since ``min(a, b) >= x`` holds
-    exactly when ``a >= x`` and ``b >= x``, and ``np.sqrt`` of
-    ``sq_dists`` rounds each pair's distance as the dense block's row norm
-    does, the booleans equal ``boundary_distance(pts) >= E * r_new`` bit
-    for bit, without its points x balls block.
+    exactly when ``a >= x`` and ``b >= x``, and ``np.sqrt`` of the
+    query's squared distance, by ``sq_dists``, rounds each pair's
+    distance as the dense block's row norm does, the booleans equal
+    ``boundary_distance(pts) >= E * r_new`` bit for bit, without its
+    points x balls block.
     """
     pts = np.atleast_2d(pts)
     gap = space.E * r_new
@@ -305,8 +297,8 @@ def far_fraction(space: StageSpace, pts: np.ndarray,
            - np.linalg.norm(pts - space.window.center, axis=1)) >= gap
     sphere = space.E * space.radii
     index = BallIndex(space.centers, (sphere + gap) * (1.0 + FAR_SLACK))
-    q, j = index.members(pts)
-    dist = np.sqrt(sq_dists(pts.T, q, index.cols, j))
+    q, j, sq = index.members(pts)
+    dist = np.sqrt(sq)
     far[q[np.abs(dist - sphere[j]) < gap]] = False
     return far
 
@@ -400,8 +392,8 @@ def pack_level(space: StageSpace, k: int, level: int, r_new: float,
                                        max(cfg.budget.total, 1024))
         # one query answers both, as r_new < 2 E r_new
         index = BallIndex(centers, np.full(len(centers), 2.0 * E * r_new))
-        q, j = index.members(probe)
-        inner = sq_dists(probe.T, q, index.cols, j) < r_new * r_new
+        q, _, sq = index.members(probe)
+        inner = sq < r_new * r_new
         pc = len(run_starts(q)) / len(probe)
         bc = len(run_starts(q[inner])) / len(probe)
         hw_p = bernoulli_half_width(pc, len(probe))
@@ -482,6 +474,11 @@ class HoleFamily:
     levels: np.ndarray         # (N,) level indices
     base_centers: np.ndarray   # (N, n)
     ts: np.ndarray             # (N,)
+
+    def __post_init__(self) -> None:
+        # the header fields refuse what a family file's header refuses
+        for key, value in _header_fields(vars(self)).items():
+            object.__setattr__(self, key, value)
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -670,21 +667,16 @@ _COLUMN_ERRORS = (KeyError, TypeError, ValueError)
 
 
 def _header_fields(header: dict) -> dict:
-    """The family's header fields, converted and checked: n >= 1 and a seed
-    in [0, SEED_MAX] are integers, config_hash a string, and s, r, L, E
-    and each of a non-empty list of epsilons a finite positive number.  A
-    ValueError names the first field that is not."""
+    """The family's header fields, converted and checked: config_hash a
+    string, and n, s, r, L, E, epsilons and seed by the schemas of their
+    ``BuildConfig`` fields.  A ValueError names the first field that
+    fails."""
     config_hash = header["config_hash"]
     if not isinstance(config_hash, str):
         raise ValueError(f"config_hash must be a string, got {config_hash!r}")
-    eps = listed("epsilons", header["epsilons"])
-    return dict(n=integer("n", header["n"]),
-                seed=integer("seed", header["seed"], 0, SEED_MAX),
-                config_hash=config_hash,
-                epsilons=tuple(real("epsilons", e, positive=True)
-                               for e in eps),
-                **{key: real(key, header[key], positive=True)
-                   for key in ("s", "r", "L", "E")})
+    return {"config_hash": config_hash, **{
+        f.name: conform(f.name, header[f.name], f.metadata["schema"])
+        for f in fields(BuildConfig) if f.name in _HEADER_SETTINGS}}
 
 
 def _column(recs: list, key: str, kinds: str, bools: bool,
@@ -768,8 +760,7 @@ def deserialize_family(text: str) -> HoleFamily:
         raise ParseError(f"line 1: invalid JSON header: {exc}") from exc
     if not isinstance(header, dict):
         raise ParseError("line 1: header is not a JSON object")
-    keys = {"format_version", "n", "s", "r", "L", "E", "epsilons", "seed",
-            "config_hash"}
+    keys = {"format_version", "config_hash", *_HEADER_SETTINGS}
     missing, unknown = keys - set(header), set(header) - keys
     if missing:
         raise ParseError(f"line 1: header missing {sorted(missing)}")
@@ -779,10 +770,10 @@ def deserialize_family(text: str) -> HoleFamily:
         raise ParseError(
             f"line 1: unsupported format_version {header['format_version']}")
     try:
-        fields = _header_fields(header)
+        settings = _header_fields(header)
     except ValueError as exc:
         raise ParseError(f"line 1: {exc}") from exc
-    n = fields["n"]
+    n = settings["n"]
     recs, linenos = [], []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -792,10 +783,10 @@ def deserialize_family(text: str) -> HoleFamily:
     if not recs:
         raise ParseError("the family lists no holes")
     try:
-        ks, ls, ms, ts, base, lifted = cols = _record_columns(recs, n, False)
-        # numpy reads true among numbers as 1 and false as 0, and no key or
-        # number holds the "u" of true: search for a bool only then
-        if "u" in text or not all(map(np.all, cols)):
+        ks, ls, ms, ts, base, lifted = _record_columns(recs, n, False)
+        # numpy reads a bool among numbers as a number; JSON writes a bool
+        # only as true or false
+        if "true" in text or "false" in text:
             _record_columns(recs, n, True)
     except _COLUMN_ERRORS as exc:
         for lineno, rec in zip(linenos, recs):
@@ -818,12 +809,12 @@ def deserialize_family(text: str) -> HoleFamily:
     if len(stages) != depth:
         gap = int(np.argmax(stages != np.arange(1, len(stages) + 1))) + 1
         raise ParseError(f"stage {gap} has no records (stages 1..{depth})")
-    if len(fields["epsilons"]) < depth:
-        count = len(fields["epsilons"])
+    if len(settings["epsilons"]) < depth:
+        count = len(settings["epsilons"])
         raise ParseError(f"line 1: epsilons lists {count} "
                          f"value{'s' * (count != 1)} for {depth} stages")
 
-    family = HoleFamily(**fields, ks=ks, levels=ls, base_centers=base,
+    family = HoleFamily(**settings, ks=ks, levels=ls, base_centers=base,
                         ts=ts)
     _reject_first(linenos, {"lifted_center is not the lift (x, a_m(x) + 2t)":
                             (family.lifted_centers.view(np.int64)

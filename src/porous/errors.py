@@ -1,10 +1,17 @@
-"""Exception types shared across the package, and the one rule for
-numbers read from an outside file."""
+"""Exception types shared across the package, the one rule for numbers
+read from an outside file, and the one reader of a setting's bounds.
+
+A setting's legal values are stated once, as the JSON schema in the
+metadata of its dataclass field (``setting``).  ``conform`` reads that
+schema, so a config file, a library constructor and a family header all
+refuse the same values, with messages that name the field.
+"""
 from __future__ import annotations
 
 import math
 import numbers
 import reprlib
+from dataclasses import field, fields
 from typing import Optional
 
 
@@ -90,3 +97,37 @@ def listed(name: str, value) -> list:
     if not isinstance(value, (list, tuple)) or not value:
         raise _bad(name, "a non-empty list", value)
     return value
+
+
+def setting(default, **schema):
+    """A dataclass field holding ``default``, its legal values stated by
+    the JSON ``schema`` kept in its metadata."""
+    return field(default=default, metadata={"schema": schema})
+
+
+def conform(name: str, value, schema: dict):
+    """``value``, the field ``name``, as its JSON ``schema`` admits it: an
+    integer by ``integer`` within ``minimum`` and ``maximum``, a number by
+    ``real`` strictly between ``exclusiveMinimum`` and
+    ``exclusiveMaximum``, and a non-empty array item by item as a tuple."""
+    kind = schema["type"]
+    if kind == "integer":
+        return integer(name, value, schema["minimum"], schema.get("maximum"))
+    if kind == "array":
+        return tuple(conform(name, x, schema["items"])
+                     for x in listed(name, value))
+    x = real(name, value)
+    low = schema["exclusiveMinimum"]
+    high = schema.get("exclusiveMaximum", math.inf)
+    if not low < x < high:
+        raise _bad(name, f"a number in ({low}, {high})", value)
+    return x
+
+
+def conform_fields(obj) -> None:
+    """Convert in place, by ``conform``, each field of the frozen
+    dataclass ``obj`` that has a schema."""
+    for f in fields(obj):
+        if "schema" in f.metadata:
+            object.__setattr__(obj, f.name, conform(
+                f.name, getattr(obj, f.name), f.metadata["schema"]))

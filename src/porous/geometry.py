@@ -270,7 +270,7 @@ class BallIndex:
     distance comes from ``sq_dists``, which adds the squares axis by axis:
     left to right below 8 axes and in numpy's reduction order from 8 up,
     the order in which ``((p - c) ** 2).sum(axis=1)`` sums a row, so every
-    verdict is that expression's.
+    verdict is that expression's; the queries return it with each pair.
     """
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray):
@@ -338,9 +338,10 @@ class BallIndex:
             yield row, first[row] + np.arange(chunk, stop) - before[row]
 
     def _hits(self, pts: np.ndarray):
-        """Yield chunks of the ``(point, ball)`` pairs with the point in
-        the open ball, in (point, ball) order: each point looks up the
-        balls registered in its own cell."""
+        """Yield chunks of the candidate ``(point, ball)`` pairs, in (point,
+        ball) order, with their squared distances and whether the point
+        lies in the open ball: each point looks up the balls registered in
+        its own cell."""
         if len(self._cell_keys) == 0:
             return
         keys = self._hash(self._cells(pts)) >> self._bits
@@ -349,29 +350,32 @@ class BallIndex:
         count = np.where(self._cell_keys[at] == keys, self._count[at], 0)
         for q, slot in self._slots(self._start[at], count):
             j = self._ball[slot]
-            hit = sq_dists(pts.T, q, self.cols, j) < self.sq_radii[j]
-            yield q[hit], j[hit]
+            d = sq_dists(pts.T, q, self.cols, j)
+            yield q, j, d, d < self.sq_radii[j]
 
     def contains_any(self, points: np.ndarray) -> np.ndarray:
         """Open-union membership of an (m, dim) array of points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(pts.shape[0], dtype=bool)
-        for q, _ in self._hits(pts):
-            out[q] = True
+        for q, _, _, hit in self._hits(pts):
+            out[q[hit]] = True
         return out
 
-    def members(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def members(self, points: np.ndarray) -> tuple[np.ndarray, ...]:
         """The ``(point, ball)`` index pairs with the point inside the open
-        ball, sorted by point, then ball."""
+        ball, sorted by point, then ball, and each pair's squared distance
+        by ``sq_dists``."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        found = [(np.zeros(0, dtype=np.int64),) * 2, *self._hits(pts)]
-        return (np.concatenate([q for q, _ in found]),
-                np.concatenate([j for _, j in found]))
+        found = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+        found += [(q[hit], j[hit], d[hit])
+                  for q, j, d, hit in self._hits(pts)]
+        return tuple(map(np.concatenate, zip(*found)))
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def pairs(self) -> tuple[np.ndarray, ...]:
         """Ball pairs ``i < j`` with ``|c_i - c_j| < r_i + r_j + PAIR_SLACK``,
-        sorted by ``(i, j)``.  A superset of the overlapping pairs: callers
-        apply their own exact tests and tolerances."""
+        sorted by ``(i, j)``, and each pair's squared distance by
+        ``sq_dists``.  A superset of the overlapping pairs: callers apply
+        their own exact tests and tolerances."""
         n = len(self.radii)
         codes = [np.zeros(0, dtype=np.int64)]
         # each registration with every later one of its cell hash, where
@@ -390,7 +394,7 @@ class BallIndex:
         # colliding cell hashes can still report a pair twice
         codes = np.sort(np.concatenate(codes))
         first, second = np.divmod(codes[run_starts(codes)], max(n, 1))
-        return first, second
+        return first, second, sq_dists(self.cols, first, self.cols, second)
 
 
 def contains_any(points: np.ndarray, centers: np.ndarray,

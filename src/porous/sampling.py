@@ -38,6 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import conform_fields, setting
 from .geometry import Ball, MeasureEstimate, unit_ball_volume
 
 # Two-sided 99% quantile of the standard normal distribution.
@@ -48,12 +49,11 @@ Z99 = 2.5758293035489004
 class SamplingBudget:
     """Point budget for one stratified estimate."""
 
-    strata: int = 32
-    per_stratum: int = 128
+    strata: int = setting(32, type="integer", minimum=1)
+    per_stratum: int = setting(128, type="integer", minimum=2)
 
     def __post_init__(self) -> None:
-        if self.strata < 1 or self.per_stratum < 2:
-            raise ValueError("budget needs strata >= 1 and per_stratum >= 2")
+        conform_fields(self)
 
     @property
     def total(self) -> int:

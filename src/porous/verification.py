@@ -35,13 +35,14 @@ from .analysis import (BUMP_SLOPE_SUP, area_lower_bound_check, blend,
                        smoothed_gradient_check, sobolev_ratio)
 from .construction import (HoleFamily, StageSpace, assemble_H, assemble_Pk,
                            ball_floor, footprint_factor)
-from .errors import AuditFailure, NeedsMoreSamples, PreconditionError, real
+from .errors import (AuditFailure, NeedsMoreSamples, PreconditionError,
+                     conform_fields, real, setting)
 from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
-                       ScalarField, contains_any, run_starts, sq_dists,
+                       ScalarField, contains_any, run_starts,
                        unit_ball_volume)
-from .sampling import (SamplingBudget, bernoulli_half_width, sample_shell,
-                       stratified_ball_integral, stratified_ball_integrals,
-                       substream)
+from .sampling import (SEED_MAX, SamplingBudget, bernoulli_half_width,
+                       sample_shell, stratified_ball_integral,
+                       stratified_ball_integrals, substream)
 from .surfaces import GraphPatch, _plane_patch, graph_measure_in, unit_lattice
 
 # decision margins: the scan's declared safety band, and the absolute slack
@@ -72,11 +73,14 @@ class AuditSettings:
     """Seed and sample sizes of the audits, each settable in a config's
     ``audit`` section; the verdict bounds are module constants."""
 
-    seed: int = 0
+    seed: int = setting(0, type="integer", minimum=0, maximum=SEED_MAX)
     budget: SamplingBudget = SamplingBudget(32, 128)
     dbound_budget: SamplingBudget = SamplingBudget(8, 32)
-    porosity_samples: int = 1000
-    floor_samples: int = 4096
+    porosity_samples: int = setting(1000, type="integer", minimum=1)
+    floor_samples: int = setting(4096, type="integer", minimum=64)
+
+    def __post_init__(self) -> None:
+        conform_fields(self)
 
 
 def K_constant(k: int) -> float:
@@ -397,9 +401,8 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
     x = family.base_centers[hit_ids]
     rad, _ = _residue_balls(family, hit_ids, patch)
     index = BallIndex(x, rad)
-    first, second = index.pairs()
-    gaps = np.sqrt(sq_dists(index.cols, first, index.cols, second)) \
-        - (rad[first] + rad[second])
+    first, second, sq = index.pairs()
+    gaps = np.sqrt(sq) - (rad[first] + rad[second])
     violations = []
     for i, j, gap in zip(first.tolist(), second.tolist(), gaps.tolist()):
         if gap < -GEOMETRY_TOL:
@@ -656,8 +659,8 @@ def porosity_witnesses(points: np.ndarray, family: HoleFamily
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ts, centers = family.ts, family.lifted_centers
     index = BallIndex(centers, L * ts * (1.0 + WITNESS_SLACK))
-    at, hole = index.members(pts)
-    dist = np.sqrt(sq_dists(index.cols, hole, pts.T, at))
+    at, hole, sq = index.members(pts)
+    dist = np.sqrt(sq)
     eligible = (dist < L * ts[hole]) & (dist >= ts[hole])
     at, hole, dist = at[eligible], hole[eligible], dist[eligible]
     ratio = ts[hole] / np.maximum(dist, 1e-300)
@@ -768,8 +771,8 @@ def family_invariant_audit(family: HoleFamily,
         x = family.base_centers[ids]
         rad = family.E * family.ts[ids]
         index = BallIndex(x, rad)
-        first, second = index.pairs()
-        sep = np.sqrt(sq_dists(index.cols, first, index.cols, second))
+        first, second, sq = index.pairs()
+        sep = np.sqrt(sq)
         disjoint = sep - (rad[first] + rad[second])
         nested = np.abs(rad[first] - rad[second]) - sep
         bad = np.flatnonzero(~((disjoint >= -GEOMETRY_TOL)

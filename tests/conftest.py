@@ -74,6 +74,11 @@ def _bool_level(rec):
     rec["l"] = True
 
 
+def _false_base(rec):
+    # numpy reads false among numbers as 0, so only its type is wrong
+    rec["base_center"][2] = False
+
+
 # one edit of one record each, all of which the family loader must reject
 FAMILY_TAMPERS = {"lifted-center-raised": _raise_lift,
                   "plane-index-7": _other_plane,
@@ -83,7 +88,8 @@ FAMILY_TAMPERS = {"lifted-center-raised": _raise_lift,
                   "level-fractional": _fractional_level,
                   "base-string": _string_base,
                   "stage-bool": _bool_stage,
-                  "level-bool": _bool_level}
+                  "level-bool": _bool_level,
+                  "base-false": _false_base}
 TAMPERED_LINE = 10
 
 

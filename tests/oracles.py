@@ -31,8 +31,7 @@ import numpy as np
 
 from porous.construction import FORMAT_VERSION, plane_schedule
 from porous.errors import AuditFailure, NeedsMoreSamples, PreconditionError
-from porous.geometry import (PAIR_SLACK, Ball, BallIndex, sq_dists,
-                             unit_ball_volume)
+from porous.geometry import PAIR_SLACK, Ball, BallIndex, unit_ball_volume
 from porous.sampling import (Z99, sample_shell, shell_edges,
                              stratified_ball_integral, substream)
 from porous.surfaces import unit_lattice
@@ -55,29 +54,32 @@ def brute_contains_any(points, centers, radii):
 
 def brute_members(points, centers, radii):
     """Pairs (point, ball) with the point inside the open ball, sorted by
-    point, then ball; squared as ``brute_contains_any`` squares."""
+    point, then ball, and their squared distances; squared as
+    ``brute_contains_any`` squares."""
     points = np.atleast_2d(points)
-    inside = np.zeros((len(points), len(radii)), dtype=bool)
-    for j, (c, r) in enumerate(zip(centers, radii)):
-        inside[:, j] = ((points - c) ** 2).sum(axis=1) < r * r
-    q, j = np.nonzero(inside)
-    return q.astype(np.int64), j.astype(np.int64)
+    sq = np.zeros((len(points), len(radii)))
+    for j, c in enumerate(centers):
+        sq[:, j] = ((points - c) ** 2).sum(axis=1)
+    q, j = np.nonzero(sq < np.asarray(radii, dtype=float) ** 2)
+    return q.astype(np.int64), j.astype(np.int64), sq[q, j]
 
 
 def brute_pairs(centers, radii):
     """Pairs i < j with |c_i - c_j| < r_i + r_j + PAIR_SLACK, in (i, j)
-    order."""
-    first, second = [], []
+    order, and their squared distances."""
+    first, second, sq = [], [], []
     for i in range(len(radii)):
         d2 = ((centers[i] - centers[i + 1:]) ** 2).sum(axis=1)
-        j = i + 1 + np.flatnonzero(d2 < (radii[i] + radii[i + 1:]
-                                         + PAIR_SLACK) ** 2)
-        first.append(np.full(len(j), i))
-        second.append(j)
+        near = np.flatnonzero(d2 < (radii[i] + radii[i + 1:]
+                                    + PAIR_SLACK) ** 2)
+        first.append(np.full(len(near), i))
+        second.append(i + 1 + near)
+        sq.append(d2[near])
     if not first:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), \
+            np.zeros(0)
     return (np.concatenate(first).astype(np.int64),
-            np.concatenate(second).astype(np.int64))
+            np.concatenate(second).astype(np.int64), np.concatenate(sq))
 
 
 def greedy_by_pairs(pool, min_sep):
@@ -86,8 +88,8 @@ def greedy_by_pairs(pool, min_sep):
     if len(pool) == 0:
         return pool
     index = BallIndex(pool, np.full(len(pool), min_sep / 2.0))
-    first, second = index.pairs()
-    close = sq_dists(index.cols, first, index.cols, second) < min_sep * min_sep
+    first, second, sq = index.pairs()
+    close = sq < min_sep * min_sep
     order = np.argsort(second[close], kind="stable")
     keep = [True] * len(pool)
     # by ascending later point, so each earlier point's fate is already final
@@ -459,7 +461,7 @@ def sampled_shared_probes(family, k, patch, hit_ids, seed=0,
     probes, owner, off = probes[kept], owner[kept], off[kept]
     # the other hit holes whose open primed ball holds a kept probe, in
     # probe order, and of those the ones whose residue region holds it
-    at, other = BallIndex(x, rad).members(probes)
+    at, other, _ = BallIndex(x, rad).members(probes)
     both = (other != owner[at]) & (off[at] > t[other] / 4.0)
     shared = {}
     for p, o in zip(at[both].tolist(), other[both].tolist()):

@@ -146,11 +146,13 @@ def _random_family(seed, count, spread=10.0):
 
 def _assert_pairs(index, centers, radii):
     got, want = index.pairs(), brute_pairs(centers, radii)
+    assert len(got) == len(want) == 3
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def _assert_members(index, probes, centers, radii):
     got, want = index.members(probes), brute_members(probes, centers, radii)
+    assert len(got) == len(want) == 3
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
@@ -217,11 +219,11 @@ def test_ball_index_boundary_points_are_outside():
     # tangent balls are reported as a candidate pair, not as members
     touching = BallIndex(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
                          np.array([1.0, 1.0]))
-    assert [a.tolist() for a in touching.pairs()] == [[0], [1]]
+    assert [a.tolist() for a in touching.pairs()] == [[0], [1], [4.0]]
     assert not touching.contains_any(np.array([[1.0, 0.0, 0.0]]))[0]
     assert [a.tolist() for a in touching.members(
         np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.5, 0.0, 0.0]]))] \
-        == [[1, 2], [0, 1]]
+        == [[1, 2], [0, 1], [0.25, 0.25]]
 
 
 def test_ball_index_with_every_cell_hash_colliding(monkeypatch):
@@ -253,7 +255,7 @@ def test_ball_index_where_the_packed_width_changes(count):
     index = BallIndex(centers, radii)
     assert index._bits == count.bit_length()
     assert np.array_equal(np.unique(index._ball), np.arange(count))
-    q, j = index.members(probes)
+    q, j, _ = index.members(probes)
     assert np.array_equal(np.lexsort((j, q)), np.arange(len(q)))
     _assert_members(index, probes, centers, radii)
     _assert_pairs(index, centers, radii)
@@ -337,6 +339,25 @@ def test_sq_dists_is_the_row_sum_bit_for_bit(dim):
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert (sq_dists(sphere.T, on, centers.T, around) == 0.75**2).all()
+
+
+@pytest.mark.parametrize("dim", range(1, 14))
+def test_ball_index_answers_with_sq_dists_bit_for_bit(dim):
+    # from 8 axes on, sq_dists sums in numpy's reduction order
+    rng = substream(dim, "index-sq-dists")
+    centers = rng.uniform(0.0, 1.0, size=(24, dim)) \
+        * 10.0 ** rng.integers(-3, 1, size=(24, dim))
+    radii = rng.uniform(0.2, 0.6, size=24)
+    probes = centers[rng.integers(0, 24, size=300)] \
+        + rng.uniform(-0.2, 0.2, size=(300, dim))
+    index = BallIndex(centers, radii)
+    q, j, sq = index.members(probes)
+    first, second, pair_sq = index.pairs()
+    assert len(q) > 0 and len(first) > 0
+    for got, want in ((sq, sq_dists(probes.T, q, centers.T, j)),
+                      (pair_sq, sq_dists(centers.T, first, centers.T,
+                                         second))):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 EDGE_KEYS = st.sampled_from([2**62 - 1, 2**62, 2**62 + 1, 0,

@@ -1,9 +1,14 @@
 """Static checks of the package source that no installed linter makes."""
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from porous import AuditSettings, BuildConfig
+from porous.errors import setting
+from porous.sampling import SamplingBudget
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "porous"
 
@@ -295,3 +300,76 @@ def test_the_check_sees_a_hand_written_number_check():
                      "        or isinstance(v, int)\n"
                      "    return type(v) is bool or bool(ok)\n")
     assert _bool_tests(tree) == [2, 4]
+
+
+# a schema's bounds, which only the settings' dataclass fields state
+BOUNDS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+
+
+def _bound_literals(tree: ast.Module) -> list[int]:
+    """The line of each bound stated under tree: a dict entry or keyword
+    argument named for a bound whose value is not a call (the schema
+    walker maps each bound keyword to the call that makes its check)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            out += [key.lineno for key, value in zip(node.keys, node.values)
+                    if isinstance(key, ast.Constant) and key.value in BOUNDS
+                    and not isinstance(value, ast.Call)]
+        elif isinstance(node, ast.keyword) and node.arg in BOUNDS:
+            out.append(node.value.lineno)
+    return sorted(out)
+
+
+def test_config_states_no_bound():
+    # the config schema takes each bound from the field it sets
+    tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
+    assert _bound_literals(tree) == []
+
+
+def test_the_check_sees_a_bound_literal():
+    tree = ast.parse("a = {'type': 'integer', 'minimum': 3}\n"
+                     "b = dict(maximum=LIMIT)\n"
+                     "c = setting(1, type='number',\n"
+                     "            exclusiveMinimum=0)\n"
+                     "d = {'exclusiveMaximum': _bound(ge, 'x'),\n"
+                     "     'maximums': 4, 'type': 'minimum'}\n")
+    assert _bound_literals(tree) == [1, 2, 4]
+
+
+# fields of the settings classes that no config key sets, each with the
+# reason; a budget field is set by a section of its own
+UNSET_FIELDS = {"BuildConfig.config_hash": "the sha256 of the config "
+                                           "file's bytes"}
+
+
+def _fields_without_schema(classes) -> set[str]:
+    """``Class.field`` for each field of the dataclasses given that holds
+    no schema in its metadata and no dataclass by default."""
+    return {f"{cls.__name__}.{f.name}" for cls in classes
+            for f in dataclasses.fields(cls)
+            if "schema" not in f.metadata
+            and not dataclasses.is_dataclass(f.default)}
+
+
+def test_every_field_a_config_sets_states_its_schema():
+    missing = _fields_without_schema((BuildConfig, AuditSettings,
+                                      SamplingBudget))
+    assert sorted(missing - set(UNSET_FIELDS)) == []  # a field with no bound
+    assert sorted(set(UNSET_FIELDS) - missing) == []  # a reason gone stale
+
+
+def test_the_check_sees_a_field_without_schema():
+    @dataclasses.dataclass(frozen=True)
+    class Inner:
+        size: int = setting(2, type="integer", minimum=1)
+
+    @dataclasses.dataclass(frozen=True)
+    class Outer:
+        bounded: int = setting(1, type="integer", minimum=0)
+        unbounded: int = 3
+        inner: Inner = Inner()
+        label: str = ""
+
+    assert _fields_without_schema((Outer, Inner)) == {"Outer.unbounded",
+                                                      "Outer.label"}
