@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import (ConstructionFailure, NeedsMoreSamples, ParseError,
                      conform, conform_fields, real, setting)
-from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
-                       run_starts, sq_dists, unit_ball_volume)
+from .geometry import (REACH_SLACK, AffinePlane, Ball, BallIndex,
+                       MeasureEstimate, run_starts, sq_dists,
+                       unit_ball_volume)
 from .sampling import (SEED_MAX, SamplingBudget, bernoulli_half_width,
                        place_shell, sample_shell, shell_draws,
                        stratified_ball_integral, substream)
@@ -38,7 +39,6 @@ _HEADER_SETTINGS = ("n", "s", "r", "L", "E", "epsilons", "seed")
 HALF_MARGIN = 0.01          # slack on the far test's "at least half" only
 MAX_HALVINGS = 60
 UNCOVERED_BATCHES = 400     # rejection draws before giving up
-FAR_SLACK = 1e-9            # relative widening of the far test's index reach
 # pool points that ``_greedy_select`` resolves against each other at once.
 # CPU time of the greedy per build-benchmark operation (demo pools of
 # 2.1-3.2k points, 2 cores, numpy 2.4.6): 40.9 ms listing every close pair
@@ -53,7 +53,8 @@ GREEDY_BLOCK = 256
 
 @dataclass(frozen=True)
 class BuildConfig:
-    # n + 1 lifted axes, one of geometry._CELL_HASH's 64 each
+    # measured up to 63: the demo config at n = 63 ends, in a certified
+    # failure, within 12 s of CPU and 250 MB
     n: int = setting(3, type="integer", minimum=3, maximum=63)
     s: float = setting(0.25, type="number", exclusiveMinimum=0,
                        exclusiveMaximum=0.5)
@@ -282,7 +283,7 @@ def far_fraction(space: StageSpace, pts: np.ndarray,
     spheres of the stage's E-enlargements, with ``E = space.E``.
 
     The annulus pairs come from one ``BallIndex`` query on radii
-    ``(E t_i + E r_new)(1 + FAR_SLACK)``, a superset of the near pairs,
+    ``(E t_i + E r_new)(1 + REACH_SLACK)``, a superset of the near pairs,
     and each candidate gets the dense expressions of
     ``StageSpace.boundary_distance``.  Since ``min(a, b) >= x`` holds
     exactly when ``a >= x`` and ``b >= x``, and ``np.sqrt`` of the
@@ -296,7 +297,7 @@ def far_fraction(space: StageSpace, pts: np.ndarray,
     far = (space.window.radius
            - np.linalg.norm(pts - space.window.center, axis=1)) >= gap
     sphere = space.E * space.radii
-    index = BallIndex(space.centers, (sphere + gap) * (1.0 + FAR_SLACK))
+    index = BallIndex(space.centers, (sphere + gap) * (1.0 + REACH_SLACK))
     q, j, sq = index.members(pts)
     dist = np.sqrt(sq)
     far[q[np.abs(dist - sphere[j]) < gap]] = False
@@ -633,6 +634,12 @@ def sample_truncated_P(tp: TruncatedP, count: int, seed: int,
 # serialization: JSON lines, shortest round-trip floats, fixed order
 # ---------------------------------------------------------------------------
 
+# a record's keys, in the order the writer writes them
+_RECORD_KEYS = ("k", "l", "m", "base_center", "t", "lifted_center")
+# a record line, each key's value left as a format field
+_RECORD_LINE = "{{" + ",".join(f'"{key}":{{}}' for key in _RECORD_KEYS) + "}}"
+
+
 def serialize_family(family: HoleFamily) -> str:
     """A header line, then one record per hole in (stage, level) order;
     the derived ``m`` and ``lifted_center`` are repeated for readers."""
@@ -650,9 +657,8 @@ def serialize_family(family: HoleFamily) -> str:
     for i, (k, level, t) in enumerate(zip(ks, family.levels[order].tolist(),
                                           _json_floats(family.ts[order]))):
         x = ",".join(base[i * family.n:(i + 1) * family.n])
-        lines.append(f'{{"k":{k},"l":{level},"m":{plane[k]},'
-                     f'"base_center":[{x}],"t":{t},'
-                     f'"lifted_center":[{x},{heights[i]}]}}')
+        lines.append(_RECORD_LINE.format(k, level, plane[k], f"[{x}]", t,
+                                         f"[{x},{heights[i]}]"))
     return "\n".join(lines) + "\n"
 
 
@@ -742,8 +748,9 @@ def deserialize_family(text: str) -> HoleFamily:
 
     The header must hold its nine keys and no other, its fields must pass
     ``_header_fields`` and list an epsilon for every stage the records
-    reach, or a ``ParseError`` names line 1.  Every record's columns must
-    pass ``_column``, with indices >= 1, finite numbers and a
+    reach, or a ``ParseError`` names line 1.  Every record must hold the
+    keys ``serialize_family`` writes and no other, its columns must pass
+    ``_column``, with indices >= 1, finite numbers and a
     positive radius, and must repeat what the family derives: ``m`` is
     its stage's scheduled plane and ``lifted_center`` its lift, bit for
     bit, so that the file serializes back to itself.  A file with no
@@ -796,6 +803,13 @@ def deserialize_family(text: str) -> HoleFamily:
                 raise ParseError(
                     f"line {lineno}: malformed record: {one!r}") from one
         raise ParseError(f"malformed records: {exc!r}") from exc
+    # every record holds the keys it was read by, so only extras remain
+    if set().union(*recs) - set(_RECORD_KEYS):
+        for lineno, rec in zip(linenos, recs):
+            unknown = set(rec) - set(_RECORD_KEYS)
+            if unknown:
+                raise ParseError(f"line {lineno}: record has unknown keys "
+                                 f"{sorted(unknown)}")
     stages, at = np.unique(ks, return_inverse=True)
     scheduled = np.array([plane_schedule(k) if k >= 1 else 0
                           for k in stages.tolist()], dtype=np.int64)[at]

@@ -244,26 +244,37 @@ class MeasureEstimate:
 # --seconds 6 runs each, 2 cores, numpy 2.4.6)
 INDEX_BLOCK = 1 << 15
 PAIR_SLACK = 1e-6       # absolute; above every pair caller's tolerance
+# relative widening of a query's reach: only the caller's exact test decides
+REACH_SLACK = 1e-9
+# axes the grid reads, a ball taking up to 2 cells per gridded axis.  Demo
+# points have 3 axes (base) or 4 (lifted), so every demo index grids all.
+# The demo config at n = 8 took 142 s of CPU and 1.25 GB gridding its 9
+# lifted axes, 8.0 s and 109 MB gridding 4 (2 cores, numpy 2.4.6)
+INDEX_AXES = 4
 
-# odd int64 multipliers of the linear cell hash, one per axis: powers of
-# the 64-bit golden-ratio constant 0x9E3779B97F4A7C15, wrapping
-_CELL_HASH = np.cumprod(np.full(64, -0x61C8864680B583EB, dtype=np.int64))
+# odd int64 multipliers of the linear cell hash, one per gridded axis:
+# powers of the 64-bit golden-ratio constant 0x9E3779B97F4A7C15, wrapping
+_CELL_HASH = np.cumprod(np.full(INDEX_AXES, -0x61C8864680B583EB,
+                                dtype=np.int64))
 
 
 class BallIndex:
     """Cell-list index over a ball family (Allen & Tildesley's cell list).
 
-    The grid's cell size is twice the largest radius plus ``PAIR_SLACK``.
-    Each ball is registered in every cell that its box of half-width
-    ``r + PAIR_SLACK / 2`` meets, at most 2 per axis, and the registrations
-    are sorted once by cell hash and ball.  A point inside a ball lies in
-    the ball's box, so a point query looks up, with ``searchsorted``, its
-    own cell alone.  Two balls closer than ``PAIR_SLACK`` to touching have
-    overlapping boxes, so they share a cell, and the pair query tests them
-    in one: the cell holding the lowest corner of the boxes' intersection.
-    Cell hashes wrap in int64, less the low bits that hold the ball; a
-    collision only adds candidates, each tested exactly.  Candidates are
-    examined in chunks of at most ``INDEX_BLOCK`` entries.
+    The grid's cell size is twice the largest radius plus ``PAIR_SLACK``,
+    over the first ``INDEX_AXES`` axes of each point.  Each ball is
+    registered in every cell that its box of half-width
+    ``r + PAIR_SLACK / 2`` meets, at most 2 per gridded axis, and the
+    registrations are sorted once by cell hash and ball.  A point inside a
+    ball lies in the ball's box, so a point query looks up, with
+    ``searchsorted``, its own cell alone.  Two balls closer than
+    ``PAIR_SLACK`` to touching have overlapping boxes, so they share a
+    cell, and the pair query tests each registration against every later
+    one of its cell; a pair sharing several cells is found in each, and
+    the repeats are dropped.  Cell hashes wrap in int64, less the low bits
+    that hold the ball; a collision only adds candidates.  So do the axes
+    the grid leaves out: every candidate is tested exactly, over all axes.
+    Candidates are examined in chunks of at most ``INDEX_BLOCK`` entries.
 
     The centres are stored column-major, ``cols`` a contiguous (dim, m)
     array, beside the squared radii ``sq_radii``.  Each candidate's squared
@@ -287,26 +298,18 @@ class BallIndex:
         half = (radii + PAIR_SLACK / 2.0)[:, None]
         lo = self._cells(centers - half)
         span = self._cells(centers + half) - lo
-        dim = centers.shape[1]
+        dim = lo.shape[1]
         grid = np.indices((int(span.max(initial=0)) + 1,) * dim
                           ).reshape(dim, -1).T
         ball, g = np.nonzero((grid[None] <= span[:, None]).all(axis=2))
         # one int64 per registration, the cell hash with its low bits
         # replaced by the ball, so that a plain sort orders by (hash, ball)
         self._bits = len(radii).bit_length()
-        packed = (self._hash(lo)[ball] + self._hash(grid)[g]) \
-            >> self._bits << self._bits | ball
-        # per registration, the axes on which its cell lies above the
-        # box's lowest cell, as bits
-        above = ((grid > 0) << np.arange(dim)).sum(axis=1)[g]
-        order = np.argsort(packed)
-        packed = packed[order]
-        # a ball meeting two cells of one hash is registered there once,
-        # with the axes that both cells lie above (the pair rule in
-        # pairs() then only admits more candidates)
-        runs = run_starts(packed)
-        self._above = np.bitwise_and.reduceat(above[order], runs)
-        self._keys, self._ball = np.divmod(packed[runs], 1 << self._bits)
+        packed = np.sort((self._hash(lo)[ball] + self._hash(grid)[g])
+                         >> self._bits << self._bits | ball)
+        # a ball meeting two cells of one hash is registered there once
+        self._keys, self._ball = np.divmod(packed[run_starts(packed)],
+                                           1 << self._bits)
         # occupied cell hashes: first registration and registration count
         self._start = run_starts(self._keys)
         self._cell_keys = self._keys[self._start]
@@ -315,8 +318,8 @@ class BallIndex:
     def _cells(self, pts: np.ndarray) -> np.ndarray:
         # clipping is monotone, so it keeps every point inside the cell
         # range of the boxes that contain it
-        return np.clip(np.floor(pts / self.cell), -2.0**62, 2.0**62
-                       ).astype(np.int64)
+        return np.clip(np.floor(pts[:, :INDEX_AXES] / self.cell),
+                       -2.0**62, 2.0**62).astype(np.int64)
 
     def _hash(self, cells: np.ndarray) -> np.ndarray:
         return (cells * _CELL_HASH[:cells.shape[1]]).sum(axis=1)
@@ -383,15 +386,11 @@ class BallIndex:
         slot = np.arange(len(self._keys))
         last = np.repeat(self._start + self._count, self._count)
         for row, other in self._slots(slot + 1, last - slot - 1):
-            # boxes sharing cells share the one holding the lowest corner
-            # of their intersection, the one that no axis finds above both
-            # boxes' lowest cells: test each pair there only
-            there = (self._above[row] & self._above[other]) == 0
-            i, j = self._ball[row[there]], self._ball[other[there]]
+            i, j = self._ball[row], self._ball[other]
             near = sq_dists(self.cols, i, self.cols, j) \
                 < (self.radii[i] + self.radii[j] + PAIR_SLACK) ** 2
             codes.append(i[near] * n + j[near])
-        # colliding cell hashes can still report a pair twice
+        # a pair is found once in each cell its balls share
         codes = np.sort(np.concatenate(codes))
         first, second = np.divmod(codes[run_starts(codes)], max(n, 1))
         return first, second, sq_dists(self.cols, first, self.cols, second)

@@ -80,6 +80,10 @@ class GraphPatch:
     source: str
     c1_bound: float
 
+    def __post_init__(self) -> None:
+        if not (self.c1_bound >= 0 and math.isfinite(self.c1_bound)):
+            raise ValueError("c1_bound must be finite and >= 0")
+
     @property
     def window(self) -> Ball:
         return self.g.domain

@@ -37,9 +37,9 @@ from .construction import (HoleFamily, StageSpace, assemble_H, assemble_Pk,
                            ball_floor, footprint_factor)
 from .errors import (AuditFailure, NeedsMoreSamples, PreconditionError,
                      conform_fields, real, setting)
-from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
-                       ScalarField, contains_any, run_starts,
-                       unit_ball_volume)
+from .geometry import (REACH_SLACK, AffinePlane, Ball, BallIndex,
+                       MeasureEstimate, ScalarField, contains_any,
+                       run_starts, unit_ball_volume)
 from .sampling import (SEED_MAX, SamplingBudget, bernoulli_half_width,
                        sample_shell, stratified_ball_integral,
                        stratified_ball_integrals, substream)
@@ -65,7 +65,6 @@ LEDGER_C = 2000.0
 DBOUND_C = 4000.0
 
 WITNESS_TOL = 1e-6
-WITNESS_SLACK = 1e-9   # relative widening of the witness query's index reach
 
 
 @dataclass(frozen=True)
@@ -649,7 +648,7 @@ def porosity_witnesses(points: np.ndarray, family: HoleFamily
     ball does not, the witness maximises radius over centre distance, the
     lowest hole id among equals.  The witness ball is the hole itself, so
     its direction, step and radius follow from the id.  One ``BallIndex``
-    query on the enlargements, widened by ``WITNESS_SLACK``, finds the
+    query on the enlargements, widened by ``REACH_SLACK``, finds the
     candidates, and the exact tests run on those.  A point with no
     witness, or whose best ratio lies below 1/L - ``WITNESS_TOL`` (it
     should not have been in the truncation), raises ``AuditFailure``, the
@@ -658,7 +657,7 @@ def porosity_witnesses(points: np.ndarray, family: HoleFamily
     L = family.L
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ts, centers = family.ts, family.lifted_centers
-    index = BallIndex(centers, L * ts * (1.0 + WITNESS_SLACK))
+    index = BallIndex(centers, L * ts * (1.0 + REACH_SLACK))
     at, hole, sq = index.members(pts)
     dist = np.sqrt(sq)
     eligible = (dist < L * ts[hole]) & (dist >= ts[hole])

@@ -79,6 +79,11 @@ def _false_base(rec):
     rec["base_center"][2] = False
 
 
+def _extra_key(rec):
+    # a key the writer does not write, which serializing would drop
+    rec["extra"] = 1
+
+
 # one edit of one record each, all of which the family loader must reject
 FAMILY_TAMPERS = {"lifted-center-raised": _raise_lift,
                   "plane-index-7": _other_plane,
@@ -89,7 +94,8 @@ FAMILY_TAMPERS = {"lifted-center-raised": _raise_lift,
                   "base-string": _string_base,
                   "stage-bool": _bool_stage,
                   "level-bool": _bool_level,
-                  "base-false": _false_base}
+                  "base-false": _false_base,
+                  "unknown-key": _extra_key}
 TAMPERED_LINE = 10
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from porous import (AuditSettings, BuildConfig, ConfigError, config, geometry,
+from porous import (AuditSettings, BuildConfig, ConfigError, config,
                     load_config, parse_config)
 from porous.config import CONFIG_SCHEMA, config_hash_of, validate_config_doc
 from porous.sampling import SamplingBudget
@@ -146,10 +146,9 @@ def test_config_integers_refuse_a_whole_float(pointer):
         parse_config(_raw(doc))
 
 
-def test_config_n_fits_the_cell_hash():
-    # a lifted point has n + 1 axes, one cell-hash multiplier each
+def test_config_n_is_at_most_63():
     assert CONFIG_SCHEMA["properties"]["build"]["properties"]["n"][
-        "maximum"] + 1 == len(geometry._CELL_HASH)
+        "maximum"] == 63
     doc = _demo_doc()
     doc["build"]["n"] = 63
     assert parse_config(_raw(doc)).build.n == 63

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import FAMILY_TAMPERS, TAMPERED_LINE
+from conftest import DEMO_CONFIG_PATH, FAMILY_TAMPERS, TAMPERED_LINE
 from oracles import (greedy_by_pairs, per_record_serialize_family,
                      pointwise_sample_truncated_P)
 from porous import (Ball, BuildConfig, ConstructionFailure, HoleFamily,
@@ -809,6 +809,12 @@ def test_deserialize_rejects_an_unknown_header_key(demo_family):
         deserialize_family(json.dumps(edited) + "\n" + rest)
 
 
+def test_deserialize_rejects_an_unknown_record_key(tampered_families):
+    with pytest.raises(ParseError, match=rf"^line {TAMPERED_LINE}: record "
+                       r"has unknown keys \['extra'\]$"):
+        deserialize_family(tampered_families["unknown-key"])
+
+
 def test_deserialize_rejects_a_header_that_is_not_an_object(demo_family):
     rest = serialize_family(demo_family).split("\n", 1)[1]
     for header in ("[1]", "7", "null"):
@@ -919,19 +925,40 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 
 
-@pytest.mark.parametrize("seed", [5, 8])
-def test_large_demo_seeds_build_under_one_gib(seed, tmp_path):
-    # demo seeds 5 and 8 pack over 6,600 holes; the cap applies to the
-    # child process only
+def _capped_build(config: Path, *args: str) -> subprocess.CompletedProcess:
+    """``porous build --config config *args`` in a child process whose
+    address space is capped at 1 GiB; the cap applies to the child only."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")]
                                if p])}
-    done = subprocess.run(
-        [sys.executable, "-m", "porous", "build", "--config",
-         str(root / "demos" / "config" / "demo.json"), "--seed", str(seed),
-         "--out", str(tmp_path)],
-        env=env, preexec_fn=_cap_address_space, capture_output=True,
-        text=True, timeout=300)
+    return subprocess.run(
+        [sys.executable, "-m", "porous", "build", "--config", str(config),
+         *args], env=env, preexec_fn=_cap_address_space,
+        capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("seed", [5, 8])
+def test_large_demo_seeds_build_under_one_gib(seed, tmp_path):
+    # demo seeds 5 and 8 pack over 6,600 holes
+    done = _capped_build(DEMO_CONFIG_PATH, "--seed", str(seed),
+                         "--out", str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "family.jsonl").read_text().count("\n") > 6000
+
+
+def test_demo_config_at_n_12_ends_in_one_error_line(tmp_path):
+    # a ball registers in at most 2 cells per gridded axis, not per axis,
+    # so the index stays small and the build ends in the packer's
+    # certified failure
+    doc = json.loads(DEMO_CONFIG_PATH.read_text())
+    doc["build"]["n"] = 12
+    config = tmp_path / "n12.json"
+    config.write_text(json.dumps(doc))
+    done = _capped_build(config, "--out", str(tmp_path / "out"))
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: construction failed: stage 1")

@@ -186,6 +186,30 @@ def test_ball_index_matches_brute_force(seed, count, dim, spread):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=0, max_value=60),
+       st.integers(min_value=geometry.INDEX_AXES + 1, max_value=13),
+       st.floats(min_value=0.01, max_value=2.0))
+def test_ball_index_past_the_gridded_axes_matches_brute_force(
+        seed, count, dim, spread):
+    # the axes past INDEX_AXES only add candidates; each ball stays in at
+    # most 2 cells per gridded axis
+    rng = substream(seed, "index-many-axes")
+    centers = rng.uniform(-spread, spread, size=(count, dim))
+    radii = np.exp(rng.uniform(math.log(0.01), math.log(2.0), size=count))
+    probes = np.vstack([centers + rng.uniform(-0.5, 0.5, size=(count, dim))
+                        * radii[:, None],
+                        rng.uniform(-spread - 2.0, spread + 2.0,
+                                    size=(300, dim))])
+    index = BallIndex(centers, radii)
+    assert len(index._ball) <= 2**geometry.INDEX_AXES * count
+    assert np.array_equal(index.contains_any(probes),
+                          brute_contains_any(probes, centers, radii))
+    _assert_members(index, probes, centers, radii)
+    _assert_pairs(index, centers, radii)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
        st.integers(min_value=0, max_value=12),
        st.integers(min_value=1, max_value=9))
 # a radius whose scalar r**2 (libm's pow) is one ulp above r * r

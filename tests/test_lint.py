@@ -232,19 +232,25 @@ KEPT_UNIQUE = {
 }
 
 
-def _unique_callers(tree: ast.Module) -> set[str]:
-    """The innermost function around each ``unique`` call, ``<module>``
-    for one outside every function."""
+def _owners(tree: ast.Module, match) -> set[str]:
+    """The innermost function around each node that ``match`` accepts,
+    ``<module>`` for one outside every function."""
     out = set()
 
     def visit(node: ast.AST, owner: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and _called(child) == "unique":
+            if match(child):
                 out.add(owner)
             visit(child, child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
     visit(tree, "<module>")
     return out
+
+
+def _unique_callers(tree: ast.Module) -> set[str]:
+    """The innermost function around each ``unique`` call."""
+    return _owners(tree, lambda node: isinstance(node, ast.Call)
+                   and _called(node) == "unique")
 
 
 def test_every_unique_call_has_a_reason():
@@ -266,6 +272,50 @@ def test_the_check_sees_a_unique_call():
                      "def other(x):\n"
                      "    return np.sort(x), x.unique_ids\n")
     assert _unique_callers(tree) == {"<module>", "inner"}
+
+
+# functions outside geometry.py that read the ball index's internals or
+# call sq_dists, each with the reason it does not ask the index
+KEPT_INDEX_READERS = {
+    "_greedy_select": "its dense within-block pass: the greedy takes a "
+                      "median 63.9 ms of CPU over the 15 bench build pools "
+                      "with it, 74.0 ms with one BallIndex.pairs() per "
+                      "block (2 cores, numpy 2.4.6)",
+}
+
+
+def _is_index_internal(node: ast.AST) -> bool:
+    """A read of ``cols``, ``sq_radii`` or a private attribute, or a
+    ``sq_dists`` call."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("cols", "sq_radii") or (
+            node.attr.startswith("_") and not node.attr.endswith("__"))
+    return isinstance(node, ast.Call) and _called(node) == "sq_dists"
+
+
+def test_only_geometry_reads_the_index_internals():
+    readers = set()
+    for p in SRC.glob("*.py"):
+        if p.name != "geometry.py":
+            readers |= _owners(ast.parse(p.read_text(encoding="utf-8")),
+                               _is_index_internal)
+    assert sorted(readers - set(KEPT_INDEX_READERS)) == []  # no reason
+    assert sorted(set(KEPT_INDEX_READERS) - readers) == []  # gone stale
+
+
+def test_the_check_sees_index_internals_read():
+    tree = ast.parse("from porous.geometry import sq_dists\n"
+                     "def near(index):\n"
+                     "    return index.cols, index.sq_radii\n"
+                     "def peek(index):\n"
+                     "    def inner():\n"
+                     "        return index._ball\n"
+                     "    return inner()\n"
+                     "d = sq_dists(a, i, b, j)\n"
+                     "def fine(index, cols):\n"
+                     "    object.__setattr__(index, 'x', cols)\n"
+                     "    return index.radii, index.contains_any(cols)\n")
+    assert _owners(tree, _is_index_internal) == {"near", "inner", "<module>"}
 
 
 def _bool_tests(tree: ast.Module) -> list[int]:

@@ -181,6 +181,14 @@ def _flat_patch():
     return GraphPatch(g=zeros, source="flat", c1_bound=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, -math.inf])
+def test_graph_patch_refuses_a_c1_bound_that_is_not_finite_and_nonnegative(
+        bad):
+    # a NaN or negative bound would pass every C1 ceiling check
+    with pytest.raises(ValueError, match="c1_bound must be finite and >= 0"):
+        GraphPatch(g=_flat_patch().g, source="flat", c1_bound=bad)
+
+
 def test_graph_measure_of_flat_patch_is_window_volume():
     patch = _flat_patch()
     est = graph_measure_in(patch, lambda pts: np.ones(len(pts), dtype=bool),

@@ -6,7 +6,7 @@ import tracemalloc
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from porous import (AuditFailure, AuditReport, AuditRow, AuditSettings,
                     Ball, GraphPatch,
@@ -187,6 +187,46 @@ def test_hit_scan_matches_the_closed_form_on_every_demo_plane(
             hits += int(exact.sum())
             total += len(ids)
     assert total == 16 * 2 * len(fam) and hits > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.floats(min_value=1e-3, max_value=1.0 / 64.0, exclude_max=True),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.sampled_from([1.0, 1.25, 1.5]),
+       st.sampled_from([-1.0, 1.0]))
+def test_hit_scan_matches_the_closed_form_in_the_scanned_band(
+        demo_family, seed, slope, place, K, side):
+    # an in-class plane whose centre gap v0 lies in (Kt + margin,
+    # (Kt + margin) sqrt(1 + rho^2)]: neither the prefilter nor the centre
+    # witness decides the hole, so the lattice and descent must
+    fam = demo_family
+    rng = substream(seed, "scanned-band")
+    hole = int(rng.integers(len(fam)))
+    direction = rng.standard_normal(fam.n)
+    gradient = slope * direction / np.linalg.norm(direction)
+    reach = K * fam.ts[hole] + HIT_MARGIN
+    rho = float(np.linalg.norm(gradient))
+    v0 = reach * (1.0 + place * (math.sqrt(1.0 + rho * rho) - 1.0))
+    anchor = fam.window.center
+    x = fam.base_centers[hole]
+    h = fam.lifted_centers[hole, fam.n]
+    offset = float(h + side * v0 - (x - anchor) @ gradient)
+    # the slope is in the class; the offset, near the hole's height, may
+    # take the plane's sup past the class's ceiling, which the scan ignores
+    entry, = corpus_generate("plane", {"gradients": [gradient.tolist()],
+                                       "offsets": [offset], "c1_ceiling": 1.0},
+                             0, fam.window)
+    g = entry.patch.g
+    # the scan's own prefilter and centre tests leave the hole open
+    gap = abs(float(g.values(x[None])[0]) - h)
+    assume(gap / math.sqrt(1.0 + g.grad_bound**2) - K * fam.ts[hole]
+           <= HIT_MARGIN < gap - K * fam.ts[hole])
+    exact, slack = affine_hits(gradient, offset, anchor, fam, [hole], K)
+    assume(abs(slack[0]) >= 1e-12)
+    scan = graph_hit_scan(g, fam, np.array([hole]), K)
+    assert not scan.prefiltered[0]
+    assert scan.hit[0] == exact[0]
 
 
 BENCH_PLANES = (0, 3, 6)     # the planes of the audit-planes workload
