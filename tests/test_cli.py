@@ -683,18 +683,26 @@ MALFORMED_INPUTS = {
         "invalid config: /build/L must be a finite number, got 1000"),
     "config-huge-n": (
         "config", _demo_config(n=HUGE),
-        "invalid config: at /build/n: 1000"),
+        "invalid config: /build/n must be an integer in [3, 63], got 1000"),
+    "config-huge-pool-size": (
+        "config", _demo_config(pool_size=HUGE),
+        "invalid config: /build/pool_size must be an integer in "
+        "[64, 65536], got 1000"),
+    "config-huge-floor-samples": (
+        "config", _demo_config(audit={"floor_samples": HUGE}),
+        "invalid config: /audit/floor_samples must be an integer in "
+        "[64, 65536], got 1000"),
     "config-whole-float-depth": (
         "config", _demo_config(depth=2.0),
         "invalid config: /build/depth must be a positive integer, got 2.0"),
     "config-whole-float-pool-size": (
         "config", _demo_config(pool_size=4096.0),
-        "invalid config: /build/pool_size must be an integer >= 64, "
-        "got 4096.0"),
+        "invalid config: /build/pool_size must be an integer in "
+        "[64, 65536], got 4096.0"),
     "config-whole-float-porosity-samples": (
         "config", _demo_config(audit={"porosity_samples": 1000.0}),
-        "invalid config: /audit/porosity_samples must be a positive "
-        "integer, got 1000.0"),
+        "invalid config: /audit/porosity_samples must be an integer in "
+        "[1, 65536], got 1000.0"),
     "family-unknown-header-key": (
         "family", _header, "line 1: header has unknown keys ['extra']"),
     "family-string-radius": (

@@ -4,13 +4,15 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from porous import (AuditSettings, BuildConfig, ConfigError, config,
-                    load_config, parse_config)
-from porous.config import CONFIG_SCHEMA, config_hash_of, validate_config_doc
+from porous import (AuditSettings, BuildConfig, ConfigError, load_config,
+                    parse_config)
+from porous.config import config_hash_of
+from porous.errors import conform
 from porous.sampling import SamplingBudget
 from porous.verification import DBOUND_C, LEDGER_C, WITNESS_TOL
 
@@ -78,9 +80,26 @@ def test_every_schema_violation_is_reported():
     with pytest.raises(ConfigError) as err:
         parse_config(_raw(doc))
     msg = str(err.value)
-    assert "at /build/n:" in msg
-    assert "at /build/s:" in msg
-    assert "at /build/seed:" in msg
+    assert "/build/n must be " in msg
+    assert "/build/s must be " in msg
+    assert "/build/seed must be " in msg
+
+
+def test_range_and_finite_violations_are_named_together():
+    # a bound and a non-finite real, and two non-finite reals, each named
+    doc = _demo_doc()
+    doc["build"]["n"] = 2
+    doc["build"]["L"] = math.inf
+    with pytest.raises(ConfigError, match=r"^invalid config: /build/L must "
+                       r"be a finite number, got inf; /build/n must be an "
+                       r"integer in \[3, 63\], got 2$"):
+        parse_config(_raw(doc))
+    doc["build"]["n"] = 3
+    doc["build"]["s"] = math.nan
+    with pytest.raises(ConfigError, match=r"^invalid config: /build/L must "
+                       r"be a finite number, got inf; /build/s must be a "
+                       r"finite number, got nan$"):
+        parse_config(_raw(doc))
 
 
 def test_unknown_keys_are_rejected():
@@ -89,13 +108,25 @@ def test_unknown_keys_are_rejected():
     doc["build"]["typo_knob"] = 2
     with pytest.raises(ConfigError) as err:
         parse_config(_raw(doc))
-    msg = str(err.value)
-    assert "extra" in msg and "typo_knob" in msg
+    assert str(err.value) == ("invalid config: /build/typo_knob is not a "
+                              "config key; /extra is not a config key")
 
 
 def test_missing_required_section_points_at_root():
-    with pytest.raises(ConfigError, match="at /:"):
-        validate_config_doc({"format_version": 1})
+    # the section alone, not each key it requires
+    with pytest.raises(ConfigError,
+                       match="^invalid config: /build is required$"):
+        parse_config(b'{"format_version": 1}')
+
+
+def test_a_section_that_is_no_object_is_named():
+    doc = _demo_doc()
+    doc["build"]["budget"] = [32, 128]
+    doc["audit"] = None
+    with pytest.raises(ConfigError, match=r"^invalid config: /audit must be "
+                       r"an object, got None; /build/budget must be an "
+                       r"object, got \[32, 128\]$"):
+        parse_config(_raw(doc))
 
 
 def test_format_version_is_pinned():
@@ -147,15 +178,15 @@ def test_config_integers_refuse_a_whole_float(pointer):
 
 
 def test_config_n_is_at_most_63():
-    assert CONFIG_SCHEMA["properties"]["build"]["properties"]["n"][
-        "maximum"] == 63
+    fields = {f.name: f for f in dataclasses.fields(BuildConfig)}
+    assert fields["n"].metadata["schema"]["maximum"] == 63
     doc = _demo_doc()
     doc["build"]["n"] = 63
     assert parse_config(_raw(doc)).build.n == 63
     for n in (64, 10**400):
         doc["build"]["n"] = n
-        with pytest.raises(ConfigError, match="^invalid config: at /build/n: "
-                           ".* is greater than the maximum of 63$"):
+        with pytest.raises(ConfigError, match=r"^invalid config: /build/n "
+                           r"must be an integer in \[3, 63\], got "):
             parse_config(_raw(doc))
 
 
@@ -163,9 +194,10 @@ def test_schema_violations_are_one_line():
     doc = _demo_doc()
     doc["build"]["n"] = 2
     doc["build"]["seed"] = -1
-    with pytest.raises(ConfigError, match="^invalid config: at /build/n: "
-                       "2 is less than the minimum of 3; at /build/seed: "
-                       "-1 is less than the minimum of 0$"):
+    with pytest.raises(ConfigError, match=r"^invalid config: /build/n must "
+                       r"be an integer in \[3, 63\], got 2; /build/seed "
+                       r"must be an integer in \[0, 18446744073709551615\], "
+                       r"got -1$"):
         parse_config(_raw(doc))
 
 
@@ -209,13 +241,14 @@ def test_with_seed_overrides_both_sides():
     ("porosity_tol", WITNESS_TOL)])
 def test_verdict_bounds_are_frozen(key, constant):
     # the key may be absent or the code's constant, nothing else
-    schema = CONFIG_SCHEMA["properties"]["audit"]["properties"][key]
-    assert schema == {"const": constant}
     doc = _demo_doc()
     assert doc["audit"][key] == constant
     parse_config(_raw(doc))
+    del doc["audit"][key]
+    parse_config(_raw(doc))
     doc["audit"][key] = 2.0 * constant
-    with pytest.raises(ConfigError, match=f"at /audit/{key}:"):
+    with pytest.raises(ConfigError, match=f"^invalid config: /audit/{key} "
+                       f"must be {constant!r}, got {2.0 * constant!r}$"):
         parse_config(_raw(doc))
 
 
@@ -227,12 +260,13 @@ def test_workers_knob():
     del doc["workers"]
     parse_config(_raw(doc))
     doc["workers"] = 4
-    with pytest.raises(ConfigError, match="at /workers"):
+    with pytest.raises(ConfigError,
+                       match="^invalid config: /workers must be 1, got 4$"):
         parse_config(_raw(doc))
 
 
 # ---------------------------------------------------------------------------
-# the schema walker against the jsonschema package
+# the config errors against the jsonschema package
 # ---------------------------------------------------------------------------
 
 # values a mutation writes: every JSON type, the bounds' edges, whole
@@ -280,31 +314,145 @@ def _mutate(rng, doc):
     return doc
 
 
-def _walker_text(doc) -> str:
-    try:
-        validate_config_doc(doc)
-    except ConfigError as exc:
-        return str(exc).removeprefix("invalid config: ")
-    return ""
+def _oracle_section(cls, required: tuple = (), **consts) -> dict:
+    """The Draft 2020-12 schema of the config section that fills ``cls``,
+    composed from its fields' metadata: a key per field with a schema,
+    that schema, a budget section per budget field, the ``required``
+    keys, and keys held at ``consts``."""
+    return {"type": "object", "additionalProperties": False,
+            **({"required": list(required)} if required else {}),
+            "properties": {**{
+                f.name: f.metadata["schema"] if "schema" in f.metadata
+                else _oracle_section(SamplingBudget, ("strata", "per_stratum"))
+                for f in dataclasses.fields(cls) if "schema" in f.metadata
+                or dataclasses.is_dataclass(f.default)},
+                **{key: {"const": value} for key, value in consts.items()}}}
 
 
-def test_schema_walker_matches_jsonschema_on_mutated_configs():
+# the schema of a config file, an oracle independent of parse_config
+ORACLE_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["format_version", "build"],
+    "properties": {
+        "format_version": {"const": 1},
+        "build": _oracle_section(BuildConfig, (
+            "n", "s", "r", "L", "E", "epsilons", "stop_fractions", "depth",
+            "seed"), accept_partial=False),
+        "audit": _oracle_section(AuditSettings, c_ledger=LEDGER_C,
+                                 c_dbound=DBOUND_C, porosity_tol=WITNESS_TOL),
+        "workers": {"const": 1},
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def oracle():
     jsonschema = pytest.importorskip("jsonschema")
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    return jsonschema.Draft202012Validator(ORACLE_SCHEMA)
+
+
+def _oracle_text(oracle, doc) -> str:
+    """jsonschema's violations of doc, sorted, each with its path."""
+    errors = sorted(oracle.iter_errors(doc), key=lambda e: (
+        list(map(str, e.absolute_path)), e.message))
+    return "; ".join(f"at /{'/'.join(map(str, e.absolute_path))}: "
+                     f"{e.message}" for e in errors)
+
+
+def _oracle_pointers(error) -> set:
+    """The config pointers a jsonschema error names: each missing or
+    unknown key's own, and else the error's path without an array item's
+    index."""
+    at = "".join(f"/{part}" for part in error.absolute_path
+                 if isinstance(part, str))
+    if error.validator == "required":
+        return {f"{at}/{key}" for key in error.validator_value
+                if key not in error.instance}
+    if error.validator == "additionalProperties":
+        return {f"{at}/{key}" for key in
+                error.instance.keys() - error.schema["properties"].keys()}
+    return {at}
+
+
+def _conform_refusals(doc) -> set:
+    """The pointer of each present value that ``conform`` refuses by its
+    field's schema, in every section that is an object."""
+    out = set()
+
+    def walk(cls, section, at):
+        if not isinstance(section, dict):
+            return
+        for f in dataclasses.fields(cls):
+            if f.name in section and dataclasses.is_dataclass(f.default):
+                walk(type(f.default), section[f.name], f"{at}/{f.name}")
+            elif f.name in section and "schema" in f.metadata:
+                try:
+                    conform(f.name, section[f.name], f.metadata["schema"])
+                except ValueError:
+                    out.add(f"{at}/{f.name}")
+
+    walk(BuildConfig, doc.get("build"), "/build")
+    walk(AuditSettings, doc.get("audit", {}), "/audit")
+    return out
+
+
+def _made(cls, section: dict):
+    """``cls`` from a config section's values passed as they are, a
+    budget's section as a budget."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{key: SamplingBudget(**value) if isinstance(value, dict)
+                  else value for key, value in section.items()
+                  if key in names})
+
+
+def _named(message: str) -> set:
+    """The first word of each violation a config error lists."""
+    return {part.split(" ", 1)[0] for part in
+            message.removeprefix("invalid config: ").split("; ")}
+
+
+def test_config_errors_match_jsonschema_and_conform_on_mutated_configs(
+        oracle):
+    # a config is accepted exactly when jsonschema accepts it, conform
+    # converts every present value and the settings classes accept the
+    # values; a refusal names every pointer that either names, and
+    # nothing but a ConfigError is raised
     rng = random.Random(20121)
-    seen = set()
+    seen, outcomes = set(), Counter()
     for case in range(PARITY_DOCS):
         doc = _mutate(rng, _demo_doc()) if case else _demo_doc()
-        errors = sorted(validator.iter_errors(doc), key=lambda e: (
-            list(map(str, e.absolute_path)), e.message))
-        want = "; ".join(f"at /{'/'.join(map(str, e.absolute_path))}: "
-                         f"{e.message}" for e in errors)
-        assert _walker_text(doc) == want, doc
+        errors = list(oracle.iter_errors(doc))
+        refusals = _conform_refusals(doc)
+        want = set().union(*map(_oracle_pointers, errors)) | refusals
+        made = None
+        if not want:
+            try:
+                made = (_made(BuildConfig, doc["build"]),
+                        _made(AuditSettings, doc.get("audit", {})))
+            except ValueError as exc:
+                made = exc
+        try:
+            cfg = parse_config(_raw(doc))
+        except ConfigError as exc:
+            assert want <= _named(str(exc)), (doc, str(exc))
+            assert want or isinstance(made, ValueError), doc
+            assert want or str(exc) == f"invalid config: {made}"
+            outcomes["refused" if errors else "conform-refused"
+                     if refusals else "cross-field-refused"] += 1
+        else:
+            assert not want and isinstance(made, tuple), doc
+            assert cfg.build == dataclasses.replace(
+                made[0], config_hash=cfg.config_hash)
+            assert cfg.audit == made[1]
+            outcomes["accepted"] += 1
         seen |= {(e.validator, "/".join(map(str, e.absolute_path)))
                  for e in errors}
-    # every keyword that can fail has failed, and unknown and missing keys
-    # were met in every object of the demo config
-    assert {kind for kind, _ in seen} == _schema_keywords(CONFIG_SCHEMA) \
+    # each outcome was met, every keyword that can fail has failed, and
+    # unknown and missing keys were met in every object of the demo config
+    assert min(outcomes.values()) > 0 and len(outcomes) == 4, outcomes
+    assert {kind for kind, _ in seen} == _schema_keywords(ORACLE_SCHEMA) \
         - {"$schema", "properties", "items"}
     objects = {"", "build", "build/budget", "audit", "audit/budget",
                "audit/dbound_budget"}
@@ -326,24 +474,6 @@ def _schema_keywords(schema: dict) -> set:
     return set().union(*_subschemas(schema))
 
 
-def test_schema_walker_reads_every_keyword_of_the_schema():
-    keywords = _schema_keywords(CONFIG_SCHEMA)
-    assert keywords <= set(config._KEYWORDS)
-    # the collector sees a keyword the walker does not read
-    assert "multipleOf" in _schema_keywords(
-        {"properties": {"a": {"items": {"multipleOf": 2}}}})
-    assert "multipleOf" not in config._KEYWORDS
-
-
-def test_schema_walker_reads_each_keyword_in_the_form_used():
-    # additionalProperties only as false beside properties, and only the
-    # walker's types
-    for schema in _subschemas(CONFIG_SCHEMA):
-        assert schema.get("additionalProperties", False) is False
-        assert "properties" in schema or "additionalProperties" not in schema
-        assert schema.get("type", "object") in config._TYPES
-
-
 @pytest.mark.parametrize("section, key, value, passes", [
     ((), "workers", 1.0, True), ((), "workers", True, False),
     ((), "workers", "1", False), ((), "workers", [1], False),
@@ -356,9 +486,15 @@ def test_schema_const_tells_a_bool_from_a_number(section, key, value, passes):
     part = doc
     for name in section:
         part = part[name]
-    want = f"at /{'/'.join([*section, key])}: {part[key]!r} was expected"
+    want = f"invalid config: /{'/'.join([*section, key])} must be " \
+        f"{part[key]!r}, got {value!r}"
     part[key] = value
-    assert _walker_text(doc) == ("" if passes else want)
+    if passes:
+        parse_config(_raw(doc))
+        return
+    with pytest.raises(ConfigError) as err:
+        parse_config(_raw(doc))
+    assert str(err.value) == want
 
 
 @pytest.mark.parametrize("value, message", [
@@ -368,9 +504,12 @@ def test_schema_const_tells_a_bool_from_a_number(section, key, value, passes):
     (math.inf, "inf is greater than the maximum of 63; at /build/n: inf "
                "is not of type 'integer'"),
     (math.nan, "nan is not of type 'integer'")])
-def test_schema_integer_type_is_draft_2020_12s(value, message):
-    # a bool is no number, a whole float is an integer (errors.integer
-    # refuses it after the schema check)
+def test_schema_integer_type_is_draft_2020_12s(oracle, value, message):
+    # jsonschema's integer type: a bool is no number, a whole float is an
+    # integer.  errors.integer refuses each of these values, 3.0 too
     doc = _demo_doc()
     doc["build"]["n"] = value
-    assert _walker_text(doc) == (message and f"at /build/n: {message}")
+    assert _oracle_text(oracle, doc) == (message and f"at /build/n: {message}")
+    with pytest.raises(ConfigError, match=r"^invalid config: /build/n must "
+                       r"be an integer in \[3, 63\], got "):
+        parse_config(_raw(doc))

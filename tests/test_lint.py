@@ -358,21 +358,19 @@ BOUNDS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
 
 def _bound_literals(tree: ast.Module) -> list[int]:
     """The line of each bound stated under tree: a dict entry or keyword
-    argument named for a bound whose value is not a call (the schema
-    walker maps each bound keyword to the call that makes its check)."""
+    argument named for a bound."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Dict):
-            out += [key.lineno for key, value in zip(node.keys, node.values)
-                    if isinstance(key, ast.Constant) and key.value in BOUNDS
-                    and not isinstance(value, ast.Call)]
+            out += [key.lineno for key in node.keys
+                    if isinstance(key, ast.Constant) and key.value in BOUNDS]
         elif isinstance(node, ast.keyword) and node.arg in BOUNDS:
             out.append(node.value.lineno)
     return sorted(out)
 
 
 def test_config_states_no_bound():
-    # the config schema takes each bound from the field it sets
+    # each bound is stated on the field it bounds
     tree = ast.parse((SRC / "config.py").read_text(encoding="utf-8"))
     assert _bound_literals(tree) == []
 
@@ -384,7 +382,91 @@ def test_the_check_sees_a_bound_literal():
                      "            exclusiveMinimum=0)\n"
                      "d = {'exclusiveMaximum': _bound(ge, 'x'),\n"
                      "     'maximums': 4, 'type': 'minimum'}\n")
-    assert _bound_literals(tree) == [1, 2, 4]
+    assert _bound_literals(tree) == [1, 2, 4, 5]
+
+
+# the schema keywords that only errors.conform reads
+READ_KEYWORDS = BOUNDS + ("minItems", "items")
+
+
+def _keys_read(tree: ast.AST) -> list[tuple[str, int]]:
+    """Each string constant under tree that a subscript or a ``.get`` call
+    reads, with its line."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            key = node.slice
+        elif isinstance(node, ast.Call) and node.args \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "get":
+            key = node.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            out.append((key.value, node.lineno))
+    return sorted(out, key=lambda read: read[1])
+
+
+def _bound_reads(tree: ast.AST) -> list[int]:
+    return [line for key, line in _keys_read(tree) if key in READ_KEYWORDS]
+
+
+def test_only_errors_reads_a_bound():
+    # errors.conform is the one reader of a setting's schema
+    reads = {path.name: _bound_reads(ast.parse(path.read_text(
+        encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))
+        if path.name != "errors.py"}
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def test_the_check_sees_a_bound_read():
+    tree = ast.parse("a = schema['maximum']\n"
+                     "b = s.get('minItems', 1)\n"
+                     "c = s.get('type'), s['schema'], d.items(), s[key]\n"
+                     "e = f(s)['items']\n"
+                     "g = {'minimum': 3}.get(k)\n")
+    assert _bound_reads(tree) == [1, 2, 4]
+
+
+def _conform_reads() -> set[str]:
+    """The schema keywords that ``errors.conform`` reads."""
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    conform = next(node for node in tree.body if isinstance(
+        node, ast.FunctionDef) and node.name == "conform")
+    return {key for key, _ in _keys_read(conform)}
+
+
+def _unread_keywords(classes, reads: set[str]) -> set[str]:
+    """``Class.field: keyword`` for each keyword outside ``reads`` in the
+    schema of a field of the dataclasses given, an array's items'
+    included."""
+    out = set()
+    for cls in classes:
+        for f in dataclasses.fields(cls):
+            schema = f.metadata.get("schema")
+            while schema:
+                out |= {f"{cls.__name__}.{f.name}: {keyword}"
+                        for keyword in schema.keys() - reads}
+                schema = schema.get("items")
+    return out
+
+
+def test_setting_schemas_hold_only_keywords_conform_reads():
+    reads = _conform_reads()
+    assert {"type", "minimum", "items"} <= reads
+    assert _unread_keywords((BuildConfig, AuditSettings, SamplingBudget),
+                            reads) == set()
+
+
+def test_the_check_sees_a_keyword_conform_does_not_read():
+    @dataclasses.dataclass(frozen=True)
+    class Listed:
+        values: tuple = setting((1.0,), type="array", minItems=1, items={
+            "type": "number", "exclusiveMinimum": 0, "multipleOf": 2})
+        count: int = setting(1, type="integer", minimum=1)
+
+    assert _unread_keywords((Listed,), _conform_reads()) == {
+        "Listed.values: minItems", "Listed.values: multipleOf"}
 
 
 # fields of the settings classes that no config key sets, each with the

@@ -143,6 +143,9 @@ def test_budget_scaled_multiplies_per_stratum():
     b = SamplingBudget(8, 32)
     assert b.scaled(4) == SamplingBudget(8, 128)
     assert b.total == 256
+    # a derived budget may pass the setting's maximum of 2^12
+    top = SamplingBudget(8, 2**12).scaled(4)
+    assert (top.strata, top.per_stratum, top.total) == (8, 2**14, 2**17)
 
 
 def test_budget_rejects_nonpositive():

@@ -83,10 +83,9 @@ def test_config_constructor_and_header_refuse_alike(cls, section, key,
     part[key] = list(_with(default, value)) if isinstance(default, tuple) \
         else value
     pointer = "/" + "/".join([*section, key])
-    # the schema walker names the pointer (an array's, with the item), the
-    # converter names it as the prefix of its message
-    with pytest.raises(ConfigError, match=f"(at {pointer}(/[0-9]+)?: "
-                       f"|{pointer} must be )"):
+    # the converter names the pointer, an array's without the item
+    with pytest.raises(ConfigError, match=f"^invalid config: {pointer} "
+                       "must be "):
         parse_config(json.dumps(doc).encode())
     with pytest.raises(ValueError, match=f"^{key} must be "):
         cls(**{key: _with(default, value)})
