@@ -387,9 +387,9 @@ def blend_disjoint(outer: ScalarField,
                 point=probes[worst].copy())
         bound = max(inner.grad_bound, bound) + 3.0 * eps
 
-    def owned(pts: np.ndarray):
-        """(inner, point ids, cutoff values, cutoff gradients) per cutoff
-        positive somewhere on pts, the ids ascending."""
+    def joint_fn(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # w * inner + (1 - w) * outer and its gradient where a cutoff is > 0
+        vals, grads = outer.values_and_gradients(pts)
         q, ball, _ = index.members(pts)
         first = run_starts(q)
         q, owner = q[first], ball[first]
@@ -400,29 +400,16 @@ def blend_disjoint(outer: ScalarField,
             inner, cut = pieces[j]
             w, gw = cut.field.values_and_gradients(pts[idx])
             keep = w > 0.0
-            if keep.any():
-                yield inner, idx[keep], w[keep], gw[keep]
-
-    def fn(pts: np.ndarray) -> np.ndarray:
-        out = outer.values(pts)
-        for inner, sel, w, _ in owned(pts):
-            out[sel] = w * inner.values(pts[sel]) + (1.0 - w) * out[sel]
-        return out
-
-    def joint_fn(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the gradient of w * inner + (1 - w) * outer, with the values
-        # fn blends
-        vals, grads = outer.values_and_gradients(pts)
-        for inner, sel, w, gw in owned(pts):
+            if not keep.any():
+                continue
+            sel, w, gw = idx[keep], w[keep], gw[keep]
             vin, gin = inner.values_and_gradients(pts[sel])
             grads[sel] = (w[:, None] * gin + (1.0 - w[:, None]) * grads[sel]
                           + (vin - vals[sel])[:, None] * gw)
             vals[sel] = w * vin + (1.0 - w) * vals[sel]
         return vals, grads
 
-    return ScalarField(domain=outer.domain, fn=fn,
-                       grad_fn=lambda pts: joint_fn(pts)[1],
-                       grad_bound=bound, label=label, joint_fn=joint_fn)
+    return _joint_field(outer.domain, joint_fn, bound, label)
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def _settings(cls, section, at: str, problems: list, **extra):
         try:
             return cls(**values, **extra)
         except ValueError as exc:      # a cross-field constraint
-            found.append(str(exc))
+            found.append(f"{at}/{exc}")
     problems += found
     return None
 

@@ -81,10 +81,11 @@ class BuildConfig:
 
     def __post_init__(self) -> None:
         conform_fields(self)
-        if len(self.epsilons) < self.depth:
-            raise ValueError("need one epsilon per stage")
-        if len(self.stop_fractions) < self.depth:
-            raise ValueError("need one stop fraction per stage")
+        for name in ("epsilons", "stop_fractions"):
+            count = len(getattr(self, name))
+            if count < self.depth:
+                raise ValueError(f"{name} must list one number per stage "
+                                 f"({self.depth}), got {count}")
 
     @property
     def window(self) -> Ball:
@@ -464,7 +465,8 @@ class HoleFamily:
     """Immutable array-of-records view of a finished build.
 
     A hole is fully given by its stage, level, base centre and radius;
-    its lifted centre, volume and each stage's radius derive from those, once.
+    its lifted centre, volume, primed radius E·t, window slack and each
+    stage's radius derive from those, once.
     """
 
     n: int
@@ -484,6 +486,10 @@ class HoleFamily:
         # the header fields refuse what a family file's header refuses
         for key, value in _header_fields(vars(self)).items():
             object.__setattr__(self, key, value)
+        count = len(self.epsilons)
+        if count < self.depth:
+            raise ValueError(f"epsilons lists {count} value"
+                             f"{'s' * (count != 1)} for {self.depth} stages")
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -517,6 +523,18 @@ class HoleFamily:
     def volumes(self) -> np.ndarray:
         """(N,): each hole's cross-section |B| = omega_n t^n."""
         return unit_ball_volume(self.n) * self.ts ** self.n
+
+    @cached_property
+    def primed_radii(self) -> np.ndarray:
+        """(N,): each hole's primed radius E·t, the packing's radius."""
+        return self.E * self.ts
+
+    @cached_property
+    def window_slack(self) -> np.ndarray:
+        """(N,): how far each primed ball B(x, E·t) lies inside the window."""
+        window = self.window
+        return window.radius - np.linalg.norm(
+            self.base_centers - window.center, axis=1) - self.primed_radii
 
     @cached_property
     def stage_radii(self) -> tuple:
@@ -647,9 +665,8 @@ _RECORD_LINE = "{{" + ",".join(f'"{key}":{{}}' for key in _RECORD_KEYS) + "}}"
 def serialize_family(family: HoleFamily) -> str:
     """A header line, then one record per hole in (stage, level) order;
     the derived ``m`` and ``lifted_center`` are repeated for readers."""
-    header = {"format_version": FORMAT_VERSION, "n": family.n, "s": family.s,
-              "r": family.r, "L": family.L, "E": family.E,
-              "epsilons": list(family.epsilons), "seed": family.seed,
+    header = {"format_version": FORMAT_VERSION,
+              **{key: getattr(family, key) for key in _HEADER_SETTINGS},
               "config_hash": family.config_hash}
     lines = [json.dumps(header, separators=(",", ":"))]
     order = np.lexsort((np.arange(len(family)), family.levels, family.ks))
@@ -827,13 +844,11 @@ def deserialize_family(text: str) -> HoleFamily:
     if len(stages) != depth:
         gap = int(np.argmax(stages != np.arange(1, len(stages) + 1))) + 1
         raise ParseError(f"stage {gap} has no records (stages 1..{depth})")
-    if len(settings["epsilons"]) < depth:
-        count = len(settings["epsilons"])
-        raise ParseError(f"line 1: epsilons lists {count} "
-                         f"value{'s' * (count != 1)} for {depth} stages")
-
-    family = HoleFamily(**settings, ks=ks, levels=ls, base_centers=base,
-                        ts=ts)
+    try:
+        family = HoleFamily(**settings, ks=ks, levels=ls, base_centers=base,
+                            ts=ts)
+    except ValueError as exc:           # too few epsilons for the stages
+        raise ParseError(f"line 1: {exc}") from exc
     _reject_first(linenos, {"lifted_center is not the lift (x, a_m(x) + 2t)":
                             (family.lifted_centers.view(np.int64)
                              != lifted.view(np.int64)).any(axis=1)})

@@ -167,9 +167,9 @@ class ScalarField:
     """Scalar field over a ball domain with a certified gradient bound.
 
     ``fn`` maps an (m, n) array to (m,) values and ``grad_fn`` to the
-    (m, n) gradients.  A composed field may add ``joint_fn``, which
-    returns both from one pass, each the bytes ``fn`` and ``grad_fn``
-    return.
+    (m, n) gradients.  A composed field adds ``joint_fn``, which returns
+    both from one pass: its ``fn`` and ``grad_fn`` are that pass's halves,
+    or mollify's one fold asked for one half, so the bytes agree.
     """
 
     domain: Ball

@@ -177,9 +177,10 @@ def _plane_patch(plane: AffinePlane, window: Ball, bumps: Sequence[BumpSpec],
         return out
 
     slope = plane.slope + sum(b.slope_max for b in bumps)
-    corners = unit_lattice(window.dim, 2) * (2 * window.radius) \
-        + (window.center - window.radius)
-    sup = float(np.abs(plane.heights(corners)).max()) \
+    # |a| over the corners of the window's cube peaks at |a(centre)| +
+    # radius * |grad a|_1, the corner whose signs follow the gradient's
+    sup = abs(float(plane.heights(window.center)[0])) \
+        + window.radius * float(np.abs(plane.gradient).sum()) \
         + sum(abs(b.amplitude) for b in bumps)
     gfield = ScalarField(domain=window, fn=fn, grad_fn=grad,
                          grad_bound=slope, label=label)

@@ -179,16 +179,20 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
     per = max(1, HIT_SCAN_BLOCK // len(offs))
     eye = np.eye(n)
     steps = np.vstack([eye, -eye])
+
+    def phi(holes: np.ndarray, probes: np.ndarray) -> np.ndarray:
+        """phi at the probes (len(holes), q, n) of the listed holes."""
+        vals = g.values(probes.reshape(-1, n)).reshape(len(holes), -1)
+        horiz = np.linalg.norm(probes - x[holes, None, :], axis=2)
+        return np.hypot(horiz, vals - h[holes, None]) - K * t[holes, None]
+
     for lo in range(0, len(todo), per):
         sub = todo[lo:lo + per]
         radius = K * t[sub]
         probes = x[sub, None, :] + radius[:, None, None] * offs[None]
-        flat = probes.reshape(-1, n)
-        vals = g.values(flat).reshape(len(sub), -1)
-        horiz = np.linalg.norm(probes - x[sub, None, :], axis=2)
-        phi = np.hypot(horiz, vals - h[sub, None]) - radius[:, None]
-        best_phi = phi.min(axis=1)
-        best = probes[np.arange(len(sub)), phi.argmin(axis=1)]
+        at_lattice = phi(sub, probes)
+        best_phi = at_lattice.min(axis=1)
+        best = probes[np.arange(len(sub)), at_lattice.argmin(axis=1)]
         step = radius * (2.0 / (HIT_LATTICE - 1))
         live = np.flatnonzero(best_phi > HIT_MARGIN)
         for _ in range(REFINE_ITERS):
@@ -202,9 +206,7 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
             if over.any():   # project wanderers back onto the probe disc
                 proj = xl + rel * (rl / np.maximum(nrm, 1e-300))[:, :, None]
                 cand = np.where(over[:, :, None], proj, cand)
-            cvals = g.values(cand.reshape(-1, n)).reshape(len(live), -1)
-            chor = np.linalg.norm(cand - xl, axis=2)
-            cphi = np.hypot(chor, cvals - h[sub[live], None]) - rl
+            cphi = phi(sub[live], cand)
             cbest = cphi.min(axis=1)
             better = cbest < best_phi[live]
             pick = cphi.argmin(axis=1)
@@ -241,18 +243,14 @@ def _residue_balls(family: HoleFamily, ids: np.ndarray,
     raises ``AuditFailure``.
     """
     _require_c1(patch, RESIDUE_GRAD_CAP, "C1 ceiling for residue accounting")
-    t = family.ts[ids]
-    radii = family.E * t
-    window = family.window
-    slack = window.radius - np.linalg.norm(
-        family.base_centers[ids] - window.center, axis=1) - radii
+    slack = family.window_slack[ids]
     out = np.flatnonzero(slack < -GEOMETRY_TOL)
     if len(out):
         hole_id, overhang = int(ids[out[0]]), float(-slack[out[0]])
         raise AuditFailure(
             f"primed ball of hole {hole_id} leaves the window by "
             f"{overhang:.3e}", hole_id=hole_id, overhang=overhang)
-    return radii, t / 4.0
+    return family.primed_radii[ids], family.ts[ids] / 4.0
 
 
 def _of_stage(family: HoleFamily, k: int, ids: Sequence[int]) -> np.ndarray:
@@ -441,7 +439,7 @@ def smooth_over_subfamily(patch: GraphPatch, family: HoleFamily,
     pieces = []
     for hole_id in selected:
         t = float(family.ts[hole_id])
-        primed_radius = family.E * t
+        primed_radius = float(family.primed_radii[hole_id])
         if t not in inners:
             sigma = eps_next * primed_radius / 3.0
             inners[t] = mollify(g, sigma, label=f"{g.label}^{sigma:.2e}")
@@ -457,7 +455,7 @@ def _ball_probes(family: HoleFamily, selected: np.ndarray) -> np.ndarray:
     if len(selected) == 0:
         return np.zeros((0, family.n))
     x = family.base_centers[selected]
-    rad = (family.E * family.ts[selected])[:, None, None]
+    rad = family.primed_radii[selected, None, None]
     eye = np.eye(family.n)
     star = np.vstack([np.zeros((1, family.n)), 0.5 * eye, -0.5 * eye])
     return (x[:, None, :] + rad * star[None]).reshape(-1, family.n)
@@ -762,10 +760,7 @@ def family_invariant_audit(family: HoleFamily,
     floor = ball_floor(family.E, family.n)
 
     # window containment, exact
-    slack = window.radius \
-        - np.linalg.norm(family.base_centers - window.center, axis=1) \
-        - family.E * family.ts
-    worst = float(slack.min()) if len(slack) else math.inf
+    worst = float(family.window_slack.min()) if len(family) else math.inf
     rows.append(AuditRow.at_least(
         "family/window-containment", "packing-window", worst, 0.0,
         ok=worst >= -GEOMETRY_TOL))
@@ -774,7 +769,7 @@ def family_invariant_audit(family: HoleFamily,
     for k in range(1, family.depth + 1):
         ids = family.stage_ids(k)
         x = family.base_centers[ids]
-        rad = family.E * family.ts[ids]
+        rad = family.primed_radii[ids]
         index = BallIndex(x, rad)
         first, second, sq = index.pairs()
         sep = np.sqrt(sq)

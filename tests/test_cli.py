@@ -703,6 +703,14 @@ MALFORMED_INPUTS = {
         "config", _demo_config(audit={"porosity_samples": 1000.0}),
         "invalid config: /audit/porosity_samples must be an integer in "
         "[1, 65536], got 1000.0"),
+    "config-depth-past-epsilons": (
+        "config", _demo_config(depth=3),
+        "invalid config: /build/epsilons must list one number per stage "
+        "(3), got 2"),
+    "config-depth-past-stop-fractions": (
+        "config", _demo_config(depth=3, epsilons=[0.0025, 0.00125, 0.001]),
+        "invalid config: /build/stop_fractions must list one number per "
+        "stage (3), got 2"),
     "family-unknown-header-key": (
         "family", _header, "line 1: header has unknown keys ['extra']"),
     "family-string-radius": (

@@ -483,7 +483,8 @@ def test_lift_matches_a_per_centre_loop():
         (1, 1, 0.02, 4), (1, 2, 0.01, 2), (6, 1, 0.004, 3))
         for c in np.round(rng.uniform(0.3, 0.7, (count, 3)) * 1024) / 1024]
     fam = _hand_family([r[2] for r in rows], [r[3] for r in rows],
-                       ks=[r[0] for r in rows], levels=[r[1] for r in rows])
+                       ks=[r[0] for r in rows], levels=[r[1] for r in rows],
+                       epsilons=(0.0025,) * 6)
     assert fam.plane(6).index == 3
     assert fam.plane(6).gradient.tolist() == [1 / 256, 0.0, 0.0]
     for i, (k, _, c, t) in enumerate(rows):
@@ -510,6 +511,28 @@ def test_demo_family_shape_and_lift(demo_family):
         assert fam.stage_radii[k - 1] == float(fam.ts[ids].min())
     # stage radii strictly decrease
     assert fam.stage_radii[0] > fam.stage_radii[1]
+
+
+def test_a_family_lists_an_epsilon_for_every_stage(demo_family):
+    # the budget reads epsilons[k - 1] at stage k, so a family built in
+    # process is refused as its file would be, not left to an IndexError
+    with pytest.raises(ValueError,
+                       match=r"^epsilons lists 1 value for 2 stages$"):
+        dataclasses.replace(demo_family, epsilons=(0.0025,))
+    with pytest.raises(ValueError, match="lists 2 values for 3 stages"):
+        _hand_family([[0.5, 0.5, 0.5]] * 3, [0.02, 0.01, 0.005],
+                     ks=[1, 2, 3], epsilons=(0.0025, 0.00125))
+    assert _hand_family([[0.5, 0.5, 0.5]], [0.02]).epsilons == (0.0025,)
+
+
+def test_primed_radii_and_window_slack_are_the_holes_columns(demo_family):
+    fam = demo_family
+    assert np.array_equal(fam.primed_radii, fam.E * fam.ts)
+    for i in range(0, len(fam), 7):
+        slack = fam.s - math.dist(fam.base_centers[i], [0.5] * fam.n) \
+            - fam.E * fam.ts[i]
+        assert fam.window_slack[i] == pytest.approx(slack, abs=1e-15)
+    assert fam.window_slack.min() >= 0.0    # packing kept every ball inside
 
 
 def test_demo_log_reports_levels(demo_log):

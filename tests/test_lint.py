@@ -352,6 +352,36 @@ def test_the_check_sees_a_hand_written_number_check():
     assert _bool_tests(tree) == [2, 4]
 
 
+def _primed_products(tree: ast.Module) -> list[int]:
+    """The line of each product with an ``E`` attribute as a factor: a
+    hole's primed radius E·t written out, where ``HoleFamily``'s
+    ``primed_radii`` states it."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp)
+                  and isinstance(node.op, ast.Mult)
+                  and any(isinstance(side, ast.Attribute) and side.attr == "E"
+                          for side in (node.left, node.right)))
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "construction.py"))
+def test_only_construction_writes_the_primed_radius(path):
+    # the packing and the family own E·t; every audit reads the family's
+    # primed_radii and window_slack columns
+    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    assert _primed_products(tree) == []
+
+
+def test_the_check_sees_a_primed_radius_written_out():
+    tree = ast.parse("def f(family, ids, eps):\n"
+                     "    t = family.ts[ids]\n"
+                     "    radii = family.E * t\n"
+                     "    rad = (family.ts[ids] * family.E)[:, None]\n"
+                     "    decay = eps * family.E ** family.n\n"
+                     "    return family.primed_radii[ids], family.E, E * t\n")
+    assert _primed_products(tree) == [3, 4]
+
+
 # a schema's bounds, which only the settings' dataclass fields state
 BOUNDS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
 

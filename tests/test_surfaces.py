@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -230,6 +232,44 @@ def test_plane_corpus_is_the_full_grid():
         grad = np.array(params["gradients"][i % 2])
         want = params["offsets"][i // 2] + (pts - 0.5) @ grad
         assert np.allclose(e.patch.g.values(pts), want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_plane_sup_is_the_largest_corner_height(n):
+    # the plane's certified sup is its largest |height| over the corners
+    # of the window's cube, here walked one corner at a time
+    window = Ball(np.full(n, 0.4), 0.2)
+    rng = substream(n, "plane-corners")
+    for _ in range(20):
+        grad = rng.uniform(-1e-3, 1e-3, n)
+        offset = float(rng.uniform(-1e-2, 1e-2))
+        entry, = corpus_generate("plane", {"gradients": [grad.tolist()],
+                                           "offsets": [offset]}, 0, window)
+        corners = [offset + window.radius * float(np.dot(signs, grad))
+                   for signs in itertools.product((-1.0, 1.0), repeat=n)]
+        sup = max(abs(h) for h in corners)
+        slope = float(np.linalg.norm(grad))
+        assert entry.patch.c1_bound == pytest.approx(max(sup, slope),
+                                                     rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_corpus_generation_does_not_walk_the_cube_corners(n):
+    # the config admits n up to 63: a corpus group generates there, or is
+    # refused with one ValueError, and the plane's sup costs O(n), not 2^n
+    window = Ball(np.full(n, 0.5), 0.25)
+    bump = {"count": 2, "amplitude": [1e-4, 3e-4], "width": [0.1, 0.2]}
+    start = time.process_time()
+    planes = corpus_generate("plane", {"gradients": [[1e-3] * n],
+                                       "offsets": [0.0]}, 0, window)
+    bumps = corpus_generate("bump", bump, 3, window)
+    if n == 20:
+        assert time.process_time() - start < 0.1
+    assert len(planes) == 1 and len(bumps) == 2
+    assert planes[0].patch.c1_bound == pytest.approx(n * 1e-3 * 0.25)
+    with pytest.raises(ValueError, match="exceeds ceiling"):
+        corpus_generate("plane", {"gradients": [[4e-3] * n],
+                                  "offsets": [0.0]}, 0, window)
 
 
 def test_corpus_generation_is_deterministic():

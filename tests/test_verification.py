@@ -25,7 +25,8 @@ from porous.construction import ball_floor
 from porous.surfaces import corpus_generate, unit_lattice
 from porous.verification import (CSV_HEADER, DBOUND_C, GEOMETRY_TOL,
                                  HIT_LATTICE, HIT_MARGIN, K_constant,
-                                 LEDGER_C, REFINE_ITERS, SECTIONS,
+                                 LEDGER_C, REFINE_ITERS,
+                                 RESIDUE_GRAD_CAP, SECTIONS,
                                  _ball_probes, graph_hit_scan,
                                  porosity_witnesses, residue_energies,
                                  residue_energy, smooth_over_subfamily)
@@ -227,6 +228,51 @@ def test_hit_scan_matches_the_closed_form_in_the_scanned_band(
     scan = graph_hit_scan(g, fam, np.array([hole]), K)
     assert not scan.prefiltered[0]
     assert scan.hit[0] == exact[0]
+
+
+def test_hit_scan_finds_the_misses_of_the_scanned_band(demo_family):
+    # a stage-2 scan declares the stage's gradient cap, above the plane's
+    # slope, so its prefilter leaves centre gaps v0 open up to (Kt +
+    # margin) sqrt(1 + cap^2), past the closed form's edge (Kt + margin)
+    # sqrt(1 + slope^2): below that edge the lattice and descent must find
+    # a hit, above it they must report a miss
+    fam = demo_family
+    cap = RESIDUE_GRAD_CAP - 3.0 * fam.epsilons[0]
+    anchor = fam.window.center
+    verdicts = []
+    for i in range(120):
+        rng = substream(i, "scanned-band-misses")
+        hole = int(rng.integers(len(fam)))
+        direction = rng.standard_normal(fam.n)
+        gradient = rng.uniform(1e-3, 1.0 / 64.0) * direction \
+            / np.linalg.norm(direction)
+        K = float(rng.choice([1.0, 1.25, 1.5]))
+        t = fam.ts[hole]
+        lo, edge, hi = ((K * t + HIT_MARGIN) * math.sqrt(1.0 + rho * rho)
+                        for rho in (0.0, float(np.linalg.norm(gradient)),
+                                    cap))
+        # even draws below the edge, odd ones above it
+        v0 = edge + rng.uniform(0.01, 0.99) * ((hi - edge) if i % 2
+                                               else (lo - edge))
+        side = float(rng.choice([-1.0, 1.0]))
+        x = fam.base_centers[hole]
+        h = fam.lifted_centers[hole, fam.n]
+        offset = float(h + side * v0 - (x - anchor) @ gradient)
+        entry, = corpus_generate("plane", {"gradients": [gradient.tolist()],
+                                           "offsets": [offset],
+                                           "c1_ceiling": 1.0}, 0, fam.window)
+        g = dataclasses.replace(entry.patch.g, grad_bound=cap)
+        # neither the prefilter nor the centre witness decides the hole
+        gap = abs(float(g.values(x[None])[0]) - h)
+        assert gap / math.sqrt(1.0 + cap * cap) - K * t <= HIT_MARGIN \
+            < gap - K * t
+        exact, slack = affine_hits(gradient, offset, anchor, fam, [hole], K)
+        assert abs(slack[0]) >= 1e-12 and exact[0] == (i % 2 == 0)
+        scan = graph_hit_scan(g, fam, np.array([hole]), K)
+        assert not scan.prefiltered[0]
+        assert scan.hit[0] == exact[0], i
+        verdicts.append(bool(scan.hit[0]))
+    assert verdicts.count(True) == verdicts.count(False) == 60
 
 
 BENCH_PLANES = (0, 3, 6)     # the planes of the audit-planes workload
