@@ -13,13 +13,14 @@ from .analysis import (AreaCheck, CutoffField, FlattenCheck, Mollifier,
                        boundary_cross_term, bump_field, flatten_residual,
                        make_cutoff, make_mollifier, mollifier_mass, mollify,
                        smoothed_gradient_check, sobolev_ratio)
+from .bounds import alpha_relaxed, mode_map, strict_deficit_bound
 from .config import LoadedConfig, load_config, parse_config
 from .construction import (BuildConfig, HoleFamily, TruncatedP, assemble_H,
                            assemble_Pk, build_family, build_stage,
                            choose_level_radius, deserialize_family,
                            footprint_factor, pack_level, plane_for_index,
                            plane_schedule, sample_truncated_P,
-                           serialize_family, truncated_P, validate_epsilons)
+                           serialize_family, truncated_P)
 from .errors import (AuditFailure, BlendPreconditionError, ConfigError,
                      ConstructionFailure, NeedsMoreSamples, ParseError,
                      PorousError, PreconditionError)
@@ -31,12 +32,11 @@ from .surfaces import (BumpSpec, CorpusEntry, GraphPatch, MembershipVerdict,
                        corpus_generate, generate_from_spec, graph_measure_in,
                        load_corpus_spec, sn_membership)
 from .verification import (AuditReport, AuditRow, AuditSettings,
-                           BudgetLedger, HoleClassification, alpha_relaxed,
-                           analysis_suite, budget, classify_holes,
-                           coverage_deficit, disjointness_audit,
-                           family_invariant_audit, hole_intersection_mass,
-                           ledger_rows, mode_map, porosity_row,
-                           porosity_witness, strict_deficit_bound)
+                           BudgetLedger, HoleClassification, analysis_suite,
+                           budget, classify_holes, coverage_deficit,
+                           disjointness_audit, family_invariant_audit,
+                           hole_intersection_mass, ledger_rows, porosity_row,
+                           porosity_witness)
 
 __version__ = "0.1.0"
 

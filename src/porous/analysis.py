@@ -263,13 +263,23 @@ class CutoffField:
         return 3.0 / (self.eps * self.ball.radius)
 
 
+def _evaluate(field: ScalarField, pts: np.ndarray, grad: bool) -> tuple:
+    """The field's values at pts and, when ``grad``, its gradients from the
+    same pass; else None for them."""
+    return field.values_and_gradients(pts) if grad \
+        else (field.values(pts), None)
+
+
 def _joint_field(domain: Ball, joint, grad_bound: float,
                  label: str) -> ScalarField:
     """The field whose values and gradients are the two halves of
-    ``joint``, evaluated together or alone."""
-    return ScalarField(domain=domain, fn=lambda pts: joint(pts)[0],
-                       grad_fn=lambda pts: joint(pts)[1],
-                       grad_bound=grad_bound, label=label, joint_fn=joint)
+    ``joint(pts, grad)``, which skips its gradient half, returning None
+    for it, when ``grad`` is False.  A values call asks for that, and its
+    values are the bytes of the joint pass's."""
+    return ScalarField(domain=domain, fn=lambda pts: joint(pts, False)[0],
+                       grad_fn=lambda pts: joint(pts, True)[1],
+                       grad_bound=grad_bound, label=label,
+                       joint_fn=lambda pts: joint(pts, True))
 
 
 def make_cutoff(ball: Ball, eps: float) -> CutoffField:
@@ -292,12 +302,12 @@ def make_cutoff(ball: Ball, eps: float) -> CutoffField:
     # the ramp and the cutoff evaluate values and gradients in one pass:
     # the gradients cost little beside the norms, and the cutoff's
     # smoothing runs on its thin band alone
-    def ramp(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def ramp(pts: np.ndarray, grad: bool) -> tuple:
         delta = pts - center
         rho = np.linalg.norm(delta, axis=1)
-        grads = np.zeros_like(pts)
+        grads = np.zeros_like(pts) if grad else None
         band = (rho > hi) & (rho < lo)
-        if band.any():
+        if grad and band.any():
             grads[band] = -slope * delta[band] / rho[band, None]
         return np.clip((lo - rho) * slope, 0.0, 1.0), grads
 
@@ -310,14 +320,16 @@ def make_cutoff(ball: Ball, eps: float) -> CutoffField:
     plateau = t - 2.0 * eps * t
     support = t - eps * t
 
-    def cutoff(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def cutoff(pts: np.ndarray, grad: bool) -> tuple:
         rho = np.linalg.norm(pts - center, axis=1)
         vals = np.zeros(pts.shape[0])
         vals[rho <= plateau] = 1.0
-        grads = np.zeros_like(pts)
+        grads = np.zeros_like(pts) if grad else None
         band = (rho > plateau) & (rho < support)
         if band.any():
-            v, grads[band] = smooth.values_and_gradients(pts[band])
+            v, gv = _evaluate(smooth, pts[band], grad)
+            if grad:
+                grads[band] = gv
             # convex combination of ramp values; clip float accumulation
             vals[band] = np.clip(v, 0.0, 1.0)
         return vals, grads
@@ -387,9 +399,10 @@ def blend_disjoint(outer: ScalarField,
                 point=probes[worst].copy())
         bound = max(inner.grad_bound, bound) + 3.0 * eps
 
-    def joint_fn(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # w * inner + (1 - w) * outer and its gradient where a cutoff is > 0
-        vals, grads = outer.values_and_gradients(pts)
+    def joint(pts: np.ndarray, grad: bool) -> tuple:
+        # w * inner + (1 - w) * outer, and its gradient when asked, where a
+        # cutoff is > 0
+        vals, grads = _evaluate(outer, pts, grad)
         q, ball, _ = index.members(pts)
         first = run_starts(q)
         q, owner = q[first], ball[first]
@@ -398,18 +411,20 @@ def blend_disjoint(outer: ScalarField,
         starts = run_starts(owner)
         for j, idx in zip(owner[starts], np.split(q[order], starts[1:])):
             inner, cut = pieces[j]
-            w, gw = cut.field.values_and_gradients(pts[idx])
+            w, gw = _evaluate(cut.field, pts[idx], grad)
             keep = w > 0.0
             if not keep.any():
                 continue
-            sel, w, gw = idx[keep], w[keep], gw[keep]
-            vin, gin = inner.values_and_gradients(pts[sel])
-            grads[sel] = (w[:, None] * gin + (1.0 - w[:, None]) * grads[sel]
-                          + (vin - vals[sel])[:, None] * gw)
+            sel, w = idx[keep], w[keep]
+            vin, gin = _evaluate(inner, pts[sel], grad)
+            if grad:
+                grads[sel] = (w[:, None] * gin
+                              + (1.0 - w[:, None]) * grads[sel]
+                              + (vin - vals[sel])[:, None] * gw[keep])
             vals[sel] = w * vin + (1.0 - w) * vals[sel]
         return vals, grads
 
-    return _joint_field(outer.domain, joint_fn, bound, label)
+    return _joint_field(outer.domain, joint, bound, label)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
+from .bounds import mode_map, plane_mass_ceiling
 from .config import LoadedConfig, load_config
 from .construction import (build_family, deserialize_family,
                            sample_truncated_P, serialize_family, truncated_P)
@@ -27,10 +28,9 @@ from .errors import (AuditFailure, ConfigError, ConstructionFailure,
                      ParseError, PorousError, PreconditionError)
 from .surfaces import generate_from_spec, load_corpus_spec
 from .verification import (ANALYSIS, BUDGET, CONSTRUCTION, POROSITY,
-                           AuditReport, AuditRow, alpha_relaxed,
-                           analysis_suite, budget, coverage_deficit,
-                           family_invariant_audit, hole_intersection_mass,
-                           ledger_rows, mode_map, porosity_row)
+                           AuditReport, AuditRow, analysis_suite, budget,
+                           coverage_deficit, family_invariant_audit,
+                           hole_intersection_mass, ledger_rows, porosity_row)
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -154,15 +154,15 @@ def _budget_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
 
 
 def _holes_mass_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
-    quarter_alpha = alpha_relaxed(family.n, family.s,
-                                  cfg.build.stop_fractions[0]) / 4.0
+    ceiling = plane_mass_ceiling(family.n, family.s,
+                                 cfg.build.stop_fractions[0])
     rows = []
     for entry in entries:
         row = hole_intersection_mass(entry.patch, family, cfg.audit).row
         rows.append(row)
         if entry.kind == "plane":
             rows.append(AuditRow.at_most(f"{row.id}/alpha", "plane-mass-alpha",
-                                         row.measured, quarter_alpha))
+                                         row.measured, ceiling))
     return rows
 
 

@@ -25,10 +25,11 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Union
 
+from .bounds import DBOUND_C, LEDGER_C, WITNESS_TOL
 from .construction import BuildConfig
 from .errors import ConfigError, conform, is_number
 from .sampling import SamplingBudget
-from .verification import DBOUND_C, LEDGER_C, WITNESS_TOL, AuditSettings
+from .verification import AuditSettings
 
 CONFIG_FORMAT_VERSION = 1
 

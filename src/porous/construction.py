@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bounds import ball_floor, primed_radius, stop_target, strict_regime
 from .errors import (ConstructionFailure, NeedsMoreSamples, ParseError,
                      conform, conform_fields, real, setting)
 from .geometry import (REACH_SLACK, AffinePlane, Ball, BallIndex,
@@ -91,19 +92,6 @@ class BuildConfig:
     def window(self) -> Ball:
         return Ball(np.full(self.n, 0.5), self.s)
 
-    def stop_threshold(self, k: int) -> float:
-        """Absolute uncovered-measure target for stage k (1-based)."""
-        return self.stop_fractions[k - 1] * self.window.volume()
-
-    @property
-    def strict_mode(self) -> bool:
-        eps = self.epsilons
-        if validate_epsilons(eps) != "strict":
-            return False
-        return all(abs(self.E - 1.0 / e**3) <= 1e-9 / e**3 for e in eps) and \
-            all(abs(self.stop_fractions[k - 1] - 2.0 ** -(k + 3)) < 1e-12
-                for k in range(1, self.depth + 1))
-
 
 def footprint_factor(L: float, slope: float) -> float:
     """Guaranteed base-footprint radius, over t, of an L-enlarged lifted hole.
@@ -119,17 +107,6 @@ def footprint_factor(L: float, slope: float) -> float:
         raise ValueError("slope bound must be non-negative")
     a = 1.0 + slope**2
     return (-2.0 * slope + math.sqrt(4.0 * slope**2 + (L**2 - 4.0) * a)) / a
-
-
-def validate_epsilons(eps: Sequence[float]) -> str:
-    """"strict" when the sequence prefix meets the small-parameter regime."""
-    if len(eps) == 0:
-        raise ValueError("epsilon list must be non-empty")
-    if any(e <= 0 for e in eps):
-        raise ValueError("epsilons must be positive")
-    strict = all(e < 2.0 ** -(i + 1) for i, e in enumerate(eps)) \
-        and 3.0 * sum(eps) <= 1.0 / 64.0
-    return "strict" if strict else "relaxed"
 
 
 def plane_schedule(k: int) -> int:
@@ -366,13 +343,6 @@ def _greedy_select(pool: np.ndarray, min_sep: float) -> np.ndarray:
     return pool[keep]
 
 
-def ball_floor(E: float, n: int) -> float:
-    """(1/(2E))^n / 2: the share of the then-uncovered set that each
-    level's balls must cover, certified by ``pack_level`` and replayed by
-    the family audit."""
-    return (1.0 / (2.0 * E)) ** n / 2.0
-
-
 def pack_level(space: StageSpace, k: int, level: int, r_new: float,
                cfg: BuildConfig) -> tuple[np.ndarray, float, float]:
     """Greedy packing of certified-far uncovered points at separation 2 E r,
@@ -422,7 +392,7 @@ def build_stage(k: int, cfg: BuildConfig,
     space = StageSpace(window=cfg.window,
                        cover_factor=footprint_factor(cfg.L, stage_plane.slope),
                        E=cfg.E)
-    threshold = cfg.stop_threshold(k)
+    threshold = stop_target(cfg.n, cfg.s, cfg.stop_fractions[k - 1])
     levels: list[dict] = []
     r_level = r_prev
     uncovered = space.uncovered_measure(cfg.budget, cfg.seed,
@@ -527,7 +497,7 @@ class HoleFamily:
     @cached_property
     def primed_radii(self) -> np.ndarray:
         """(N,): each hole's primed radius E·t, the packing's radius."""
-        return self.E * self.ts
+        return primed_radius(self.E, self.ts)
 
     @cached_property
     def window_slack(self) -> np.ndarray:
@@ -545,7 +515,8 @@ class HoleFamily:
 
 def build_family(cfg: BuildConfig) -> tuple[HoleFamily, dict]:
     """Run all stages and assemble the family plus a build log."""
-    if cfg.strict_mode:
+    if strict_regime(cfg.E, cfg.epsilons[:cfg.depth],
+                     cfg.stop_fractions[:cfg.depth]):
         raise ConstructionFailure(
             "strict parameters are computationally infeasible at this scale "
             "(per-level coverage ~(eps^3)^n); rerun in relaxed mode with a "

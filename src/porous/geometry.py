@@ -168,8 +168,8 @@ class ScalarField:
 
     ``fn`` maps an (m, n) array to (m,) values and ``grad_fn`` to the
     (m, n) gradients.  A composed field adds ``joint_fn``, which returns
-    both from one pass: its ``fn`` and ``grad_fn`` are that pass's halves,
-    or mollify's one fold asked for one half, so the bytes agree.
+    both from one pass: its ``fn`` and ``grad_fn`` are that pass asked for
+    one half, which a values call computes alone, so the bytes agree.
     """
 
     domain: Ball

@@ -33,13 +33,17 @@ from .analysis import (BUMP_SLOPE_SUP, area_lower_bound_check, blend,
                        blend_disjoint, bump_field, flatten_residual,
                        make_cutoff, make_mollifier, mollifier_mass, mollify,
                        smoothed_gradient_check, sobolev_ratio)
+from .bounds import (BUDGET_GRAD_CAP, DBOUND_C, RESIDUE_GRAD_CAP, K_constant,
+                     ball_floor, deficit_bound, drift_bound, grad_cap,
+                     hole_mass_cap, ledger_ceiling, porosity_floor,
+                     u_mass_bound)
 from .construction import (HoleFamily, StageSpace, assemble_H, assemble_Pk,
-                           ball_floor, footprint_factor)
+                           footprint_factor)
 from .errors import (AuditFailure, NeedsMoreSamples, PreconditionError,
                      conform_fields, real, setting)
 from .geometry import (REACH_SLACK, AffinePlane, Ball, BallIndex,
                        MeasureEstimate, ScalarField, contains_any,
-                       run_starts, unit_ball_volume)
+                       run_starts)
 from .sampling import (SEED_MAX, SamplingBudget, bernoulli_half_width,
                        sample_shell, stratified_ball_integral,
                        stratified_ball_integrals, substream)
@@ -54,23 +58,12 @@ REFINE_ITERS = 40
 REFINE_SHRINK = 0.65
 HIT_SCAN_BLOCK = 1 << 20    # lattice probes per batched field evaluation
 
-# audited C1 ceilings for the two field classes the engine accepts
-RESIDUE_GRAD_CAP = 1.0 / 32.0
-BUDGET_GRAD_CAP = 1.0 / 64.0
-
-# global constants the verdicts compare against, frozen; the largest
-# empirical ledger constant on the shipped corpus is about 2.05, far below
-# LEDGER_C
-LEDGER_C = 2000.0
-DBOUND_C = 4000.0
-
-WITNESS_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class AuditSettings:
     """Seed and sample sizes of the audits, each settable in a config's
-    ``audit`` section; the verdict bounds are module constants."""
+    ``audit`` section; the verdict bounds are constants of
+    ``porous.bounds``."""
 
     seed: int = setting(0, type="integer", minimum=0, maximum=SEED_MAX)
     budget: SamplingBudget = SamplingBudget(32, 128)
@@ -86,23 +79,6 @@ class AuditSettings:
 
     def __post_init__(self) -> None:
         conform_fields(self)
-
-
-def K_constant(k: int) -> float:
-    """Shrinking hit-enlargement constants 3/2, 5/4, 9/8, ... -> 1."""
-    if k < 1:
-        raise ValueError("stage index is 1-based")
-    return 1.0 + 0.5**k
-
-
-def alpha_relaxed(n: int, s: float, stop_fraction_1: float) -> float:
-    """Guaranteed covered window mass once stage 1 met its stop target."""
-    return unit_ball_volume(n) * s**n * (1.0 - 2.0 * stop_fraction_1)
-
-
-def strict_deficit_bound(n: int, s: float, k: int) -> float:
-    """Stage-k plane-coverage deficit bound in the strict parameter regime."""
-    return unit_ball_volume(n) * s**n / 2.0 ** (k + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +482,9 @@ def budget(patch: GraphPatch, family: HoleFamily,
     implication.  The disjointness audit certifies those balls pairwise
     disjoint; a stage whose audit records violations fails and is not
     smoothed.  The final verdict bounds the summed hit mass by
-    LEDGER_C * (energy + sum eps).  Every check becomes a report row here,
-    and the stage and ledger statuses are read from those rows.
+    ``ledger_ceiling``, LEDGER_C * (energy + sum eps).  Every check becomes
+    a report row here, and the stage and ledger statuses are read from
+    those rows.  Each row's bound comes from ``porous.bounds``.
     """
     _require_c1(patch, BUDGET_GRAD_CAP, "budget C1 ceiling")
     depth = family.depth
@@ -545,8 +522,9 @@ def budget(patch: GraphPatch, family: HoleFamily,
             den = energy_d.lower()
             dmax = max(dmax, math.inf if den <= 0.0 else vol_b / den)
         base = f"budget/{patch.source}/stage-{k}"
+        allowance = u_mass_bound(eps, k)
         rows = [AuditRow.at_most(f"{base}/u-mass", "u-mass", u_sum,
-                                 eps[k - 1], ok=u_sum <= eps[k - 1] + 1e-15),
+                                 allowance, ok=u_sum <= allowance + 1e-15),
                 AuditRow.at_most(f"{base}/d-energy", "d-energy", dmax,
                                  DBOUND_C),
                 AuditRow.zero_count(f"{base}/residue-disjoint",
@@ -561,28 +539,23 @@ def budget(patch: GraphPatch, family: HoleFamily,
         # whose audit found overlapping hit holes fails, its smoothing is
         # skipped and the later stages keep the current field
         if k < depth and not violations:
-            eps_next = float(family.epsilons[k])
-            r_k = float(family.stage_radii[k - 1])
-            tol = eps_next * r_k
-            smoothed = smooth_over_subfamily(current, family, d_ids,
-                                             eps_next, tol, seed)
+            tol = drift_bound(eps, k, float(family.stage_radii[k - 1]))
+            smoothed = smooth_over_subfamily(current, family, d_ids, eps[k],
+                                             tol, seed)
             probes = np.vstack([
                 sample_shell(substream(seed, "smooth-probe", k),
                              window.center, 0.0, window.radius, 4096),
                 _ball_probes(family, d_ids)])
+            # the probes hold at least the 4096 window points
             vals, grads = smoothed.values_and_gradients(probes)
-            diff = np.abs(vals - current.g.values(probes))
-            sup_diff = float(diff.max()) if len(diff) else 0.0
-            gnorm = np.linalg.norm(grads, axis=1)
-            grad_sup = float(gnorm.max()) if len(gnorm) else 0.0
-            # the residue ceiling, which the next stage's residue checks
-            # enforce on the smoothed patch, less 3 eps per smoothing
-            grad_cap = RESIDUE_GRAD_CAP - 3.0 * sum(eps[:k])
+            sup_diff = float(np.abs(vals - current.g.values(probes)).max())
+            grad_sup = float(np.linalg.norm(grads, axis=1).max())
+            cap = grad_cap(eps, k)
             # the smoothed field's own declared bound compounds the worst
             # case of every blended ball; the scans use the stage cap,
             # which the gradient row audits
             scanned = dataclasses.replace(
-                smoothed, grad_bound=min(smoothed.grad_bound, grad_cap))
+                smoothed, grad_bound=min(smoothed.grad_bound, cap))
             # implication: tight hits of the old field stay loose hits of
             # the new one whenever the drift fits the enlargement slack
             K_next = K_constant(k + 1)
@@ -595,12 +568,12 @@ def budget(patch: GraphPatch, family: HoleFamily,
             rows += [AuditRow.at_most(f"{base}/smoothing-drift",
                                       "smoothing-drift", sup_diff, tol),
                      AuditRow.at_most(f"{base}/smoothing-gradient",
-                                      "smoothing-gradient", grad_sup, grad_cap),
+                                      "smoothing-gradient", grad_sup, cap),
                      AuditRow.zero_count(f"{base}/hit-consistency",
                                          "hit-consistency", len(inconsistent))]
             current = GraphPatch(
                 g=scanned, source=f"{patch.source}|smoothed:{k}",
-                c1_bound=max(current.c1_bound + sup_diff, grad_cap))
+                c1_bound=max(current.c1_bound + sup_diff, cap))
         stages.append(StageLedger(
             k=k, hit_mass=hit_mass, classification=cls,
             violations=violations, rows=tuple(rows),
@@ -608,7 +581,7 @@ def budget(patch: GraphPatch, family: HoleFamily,
 
     rhs_base = max(energy.lower(), 0.0) + float(sum(eps))
     c_emp = total / rhs_base if rhs_base > 0 else math.inf
-    ceiling = LEDGER_C * rhs_base
+    ceiling = ledger_ceiling(rhs_base)
     return BudgetLedger(
         source=patch.source, stages=tuple(stages), energy=energy,
         c_empirical=c_emp, verdict=AuditRow.at_most(
@@ -630,15 +603,14 @@ def coverage_deficit(family: HoleFamily, k: int, stop_fraction: float,
                      settings: AuditSettings = AuditSettings()
                      ) -> CoverageDeficit:
     """Surface mass of stage k's base plane missed by the stage-k
-    truncation union."""
+    truncation union, against ``deficit_bound``."""
     plane = family.plane(k)
     m = plane.index
     patch = _plane_patch(plane, family.window, (), f"plane-{m}")
     pk = assemble_Pk(family, k)
     est = graph_measure_in(patch, lambda pts: ~pk.contains_any(pts),
                            settings.budget, settings.seed, key=("cover", m, k))
-    bound = 2.0 * stop_fraction * unit_ball_volume(family.n) \
-        * family.s**family.n * math.sqrt(1.0 + plane.slope**2)
+    bound = deficit_bound(family.n, family.s, stop_fraction, plane.slope)
     return CoverageDeficit(estimate=est, row=AuditRow.at_most(
         f"cover/stage-{k}", "plane-cover-deficit", est.upper(), bound))
 
@@ -654,7 +626,7 @@ def porosity_witnesses(points: np.ndarray, family: HoleFamily
     its direction, step and radius follow from the id.  One ``BallIndex``
     query on the enlargements, widened by ``REACH_SLACK``, finds the
     candidates, and the exact tests run on those.  A point with no
-    witness, or whose best ratio lies below 1/L - ``WITNESS_TOL`` (it
+    witness, or whose best ratio lies below ``porosity_floor(L)`` (it
     should not have been in the truncation), raises ``AuditFailure``, the
     first such point in order.
     """
@@ -673,7 +645,8 @@ def porosity_witnesses(points: np.ndarray, family: HoleFamily
     holes = np.full(len(pts), -1, dtype=np.int64)
     ratios = np.full(len(pts), -math.inf)
     holes[at[first]], ratios[at[first]] = hole[first], ratio[first]
-    bad = np.flatnonzero(ratios < 1.0 / L - WITNESS_TOL)
+    floor = porosity_floor(L)
+    bad = np.flatnonzero(ratios < floor)
     if len(bad):
         p, r = pts[bad[0]].tolist(), float(ratios[bad[0]])
         if holes[bad[0]] < 0:
@@ -681,7 +654,7 @@ def porosity_witnesses(points: np.ndarray, family: HoleFamily
                 f"no hole's enlargement contains the point {p}", point=p)
         raise AuditFailure(
             f"best witness ratio {r:.8f} below 1/L - tol "
-            f"({1.0 / L - WITNESS_TOL:.8f}) at {p}", point=p, ratio=r)
+            f"({floor:.8f}) at {p}", point=p, ratio=r)
     return holes, ratios
 
 
@@ -695,10 +668,10 @@ def porosity_witness(point: np.ndarray, family: HoleFamily
 def porosity_row(points: np.ndarray, family: HoleFamily
                  ) -> tuple["AuditRow", np.ndarray, Optional[str]]:
     """The porosity row: the worst witness ratio at the points against
-    1/L - ``WITNESS_TOL``, with the ratio column.  When a point has none
+    ``porosity_floor(L)``, with the ratio column.  When a point has none
     the row fails at measured 0, with no ratios and the failure's message,
     which names the point."""
-    floor = 1.0 / family.L - WITNESS_TOL
+    floor = porosity_floor(family.L)
     try:
         ratios = porosity_witnesses(points, family)[1]
     except AuditFailure as exc:
@@ -722,8 +695,9 @@ def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
                            ) -> HoleMassCheck:
     """Surface mass of the graph inside the raw holes, with its cap.
 
-    The cap multiplies the summed cross-sections of the holes the graph
-    actually meets by the area element bound sqrt(1 + r^2).
+    The cap, ``hole_mass_cap``, multiplies the summed cross-sections of
+    the holes the graph actually meets by the area element bound
+    sqrt(1 + r^2).
     """
     _require_c1(patch, family.r, "configured C1 class")
     est = graph_measure_in(patch, assemble_H(family).contains_any,
@@ -731,7 +705,7 @@ def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
                            key=("hole-mass", patch.source))
     scan = graph_hit_scan(patch.g, family, np.arange(len(family)), 1.0)
     hit_mass = float(np.sum(family.volumes[scan.hit_ids]))
-    cap = math.sqrt(1.0 + family.r**2) * hit_mass
+    cap = hole_mass_cap(family.r, hit_mass)
     return HoleMassCheck(mass=est, hit_count=int(scan.hit.sum()),
                          hit_mass=hit_mass, row=AuditRow.at_most(
                              f"holes-mass/{patch.source}", "graph-hole-mass",
@@ -903,31 +877,6 @@ def merged_status(rows: Sequence[AuditRow]) -> str:
     statuses = {row.status for row in rows}
     return next((s for s in ("fail", "indeterminate") if s in statuses),
                 "pass")
-
-
-def mode_map(E: float, epsilons: Sequence[float],
-             stop_fractions: Sequence[float]) -> list[dict]:
-    """How each strict-regime constant is re-derived for the relaxed run."""
-    return [
-        {"quantity": "primed radius t'",
-         "strict": "t / eps_k^3", "relaxed": f"t * E with E={E}"},
-        {"quantity": "per-level covered share floor",
-         "strict": "(eps_k^3 / 2)^n / 2",
-         "relaxed": f"(1/(2E))^n / 2 with E={E}"},
-        {"quantity": "stage stop target",
-         "strict": "omega_n s^n / 2^(k+3)",
-         "relaxed": "stop_fraction_k * omega_n s^n with stop_fractions="
-                    + json.dumps(list(stop_fractions))},
-        {"quantity": "plane-coverage deficit bound",
-         "strict": "omega_n s^n / 2^(k+2)",
-         "relaxed": "2 * stop_fraction_k * omega_n s^n * sup-jacobian"},
-        {"quantity": "guaranteed covered mass alpha",
-         "strict": "omega_n s^n / 2",
-         "relaxed": "(1 - 2 * stop_fraction_1) * omega_n s^n"},
-        {"quantity": "epsilon string",
-         "strict": "eps_k < 2^-(k+1), 3 * sum eps <= 1/64",
-         "relaxed": "configured: " + json.dumps(list(epsilons))},
-    ]
 
 
 @dataclass(frozen=True)

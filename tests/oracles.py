@@ -29,6 +29,7 @@ import math
 
 import numpy as np
 
+from porous.bounds import RESIDUE_GRAD_CAP
 from porous.construction import FORMAT_VERSION, plane_schedule
 from porous.errors import AuditFailure, NeedsMoreSamples, PreconditionError
 from porous.geometry import PAIR_SLACK, Ball, BallIndex, unit_ball_volume
@@ -36,8 +37,7 @@ from porous.sampling import (Z99, sample_shell, shell_edges,
                              stratified_ball_integral, substream)
 from porous.surfaces import unit_lattice
 from porous.verification import (HIT_LATTICE, HIT_MARGIN, HIT_SCAN_BLOCK,
-                                 REFINE_ITERS, REFINE_SHRINK,
-                                 RESIDUE_GRAD_CAP, HitScan,
+                                 REFINE_ITERS, REFINE_SHRINK, HitScan,
                                  HoleClassification)
 
 

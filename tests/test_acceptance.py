@@ -28,12 +28,12 @@ from porous import (AffinePlane, Ball, GraphPatch, ScalarField,
                     unit_ball_volume)
 from porous.analysis import (BUMP_SLOPE_SUP, area_lower_bound_check,
                              flatten_residual, sobolev_ratio)
+from porous.bounds import DBOUND_C, LEDGER_C, K_constant
 from porous.cli import main
 from porous.geometry import BallIndex
 from porous.sampling import SamplingBudget, sample_shell, stratified_ball_mean
-from porous.verification import (DBOUND_C, FLATTEN_C, K_constant, LEDGER_C,
-                                 analysis_suite, coverage_deficit,
-                                 smooth_over_subfamily)
+from porous.verification import (FLATTEN_C, analysis_suite,
+                                 coverage_deficit, smooth_over_subfamily)
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CONFIG = ROOT / "demos" / "config" / "demo.json"

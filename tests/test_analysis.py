@@ -632,6 +632,32 @@ def test_blend_gradient_does_not_depend_on_the_cutoffs_company():
         assert np.array_equal(_bits(alone), _bits(want))
 
 
+def test_a_values_call_evaluates_no_gradient():
+    # a blend of a mollified plane under two cutoffs: its values call
+    # skips the gradient half of the blend, of both cutoffs and of every
+    # mollify, and its values are the bytes of the joint pass's
+    wavy = _wavy_plane_field(Ball(CENTER, 0.5))
+    calls = {"values": 0, "gradients": 0}
+
+    def counted(half, fn):
+        def wrapped(pts):
+            calls[half] += 1
+            return fn(pts)
+        return wrapped
+
+    plane = dataclasses.replace(wavy, fn=counted("values", wavy.fn),
+                                grad_fn=counted("gradients", wavy.grad_fn))
+    pieces = _disjoint_pieces(plane, BLEND_SPECS[:2])
+    blended = blend_disjoint(plane, pieces, match_tol=1e-2)
+    for pts in _joint_points([cut for _, cut in pieces]):
+        calls.update(values=0, gradients=0)
+        vals = blended.values(pts)
+        assert calls["values"] > 0 and calls["gradients"] == 0
+        joint_vals, _ = blended.values_and_gradients(pts)
+        assert calls["gradients"] > 0
+        assert np.array_equal(_bits(vals), _bits(joint_vals))
+
+
 def test_a_field_without_a_joint_pass_evaluates_both():
     field = _wavy_plane_field(Ball(CENTER, 0.5))
     assert field.joint_fn is None

@@ -11,10 +11,10 @@ import pytest
 
 from porous import (AuditSettings, BuildConfig, ConfigError, load_config,
                     parse_config)
+from porous.bounds import DBOUND_C, LEDGER_C, WITNESS_TOL
 from porous.config import config_hash_of
 from porous.errors import conform
 from porous.sampling import SamplingBudget
-from porous.verification import DBOUND_C, LEDGER_C, WITNESS_TOL
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "config" \
     / "demo.json"

@@ -24,9 +24,9 @@ from porous import (Ball, BuildConfig, ConstructionFailure, HoleFamily,
                     serialize_family, substream, truncated_P,
                     unit_ball_volume)
 from porous import construction
+from porous.bounds import stop_target, strict_regime
 from porous.construction import (GREEDY_BLOCK, HALF_MARGIN, StageSpace,
-                                 _greedy_select, far_fraction,
-                                 validate_epsilons)
+                                 _greedy_select, far_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +60,6 @@ def test_footprint_factor_domain():
         footprint_factor(3.0, -0.1)
 
 
-def test_validate_epsilons_regimes():
-    assert validate_epsilons((0.002, 0.001)) == "strict"
-    assert validate_epsilons((0.3,)) == "relaxed"        # >= 1/4
-    assert validate_epsilons((0.2, 0.1)) == "relaxed"    # sum too large
-    with pytest.raises(ValueError):
-        validate_epsilons(())
-    with pytest.raises(ValueError):
-        validate_epsilons((0.1, -0.1))
-
-
 def test_plane_schedule_walks_diagonals():
     got = [plane_schedule(k) for k in range(1, 11)]
     assert got == [1, 1, 2, 1, 2, 3, 1, 2, 3, 4]
@@ -101,8 +91,9 @@ def test_build_config_defaults_and_validation():
     cfg = BuildConfig()
     assert cfg.window == Ball(np.full(3, 0.5), 0.25)
     assert footprint_factor(cfg.L, 0.0) == pytest.approx(math.sqrt(6.0))
-    assert cfg.stop_threshold(1) == pytest.approx(0.25 * cfg.window.volume())
-    assert not cfg.strict_mode
+    assert stop_target(cfg.n, cfg.s, cfg.stop_fractions[0]) \
+        == pytest.approx(0.25 * cfg.window.volume())
+    assert not strict_regime(cfg.E, cfg.epsilons, cfg.stop_fractions)
     for bad in (dict(n=2), dict(s=0.5), dict(r=0.5), dict(L=2.0),
                 dict(E=1.0), dict(depth=0), dict(epsilons=(0.1,)),
                 dict(stop_fractions=(0.25,)), dict(epsilons=(0.1, -0.1)),
@@ -114,7 +105,7 @@ def test_build_config_defaults_and_validation():
 def test_strict_parameters_are_recognised_and_refused():
     cfg = BuildConfig(depth=1, epsilons=(0.002,), stop_fractions=(0.0625,),
                       E=1.0 / 0.002**3)
-    assert cfg.strict_mode
+    assert strict_regime(cfg.E, cfg.epsilons, cfg.stop_fractions)
     with pytest.raises(ConstructionFailure) as err:
         build_family(cfg)
     assert "relaxed" in str(err.value)
@@ -441,7 +432,7 @@ def test_build_stage_reaches_target_within_decay_bound():
     cfg = BuildConfig()
     space, log = build_stage(1, cfg, r_prev=cfg.s)
     assert log["uncovered"] + log["uncovered_half_width"] \
-        <= cfg.stop_threshold(1)
+        <= stop_target(cfg.n, cfg.s, cfg.stop_fractions[0])
     decay_bound = math.ceil(math.log(1.0 / cfg.stop_fractions[0])
                             / ((1.0 / (2.0 * cfg.E)) ** 3 / 2.0))
     assert len(log["levels"]) <= decay_bound

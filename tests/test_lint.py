@@ -102,7 +102,6 @@ KEPT = {
     "pullback_porosity_witness": "the porosity pullback (ROADMAP D10)",
     "hole_center": "the porosity pullback (ROADMAP D10)",
     "sn_membership": "the meets-P verdict (ROADMAP D6)",
-    "strict_deficit_bound": "a paper constant of the strict regime",
     "boundary_cross_term": "flatten-identity's independent side "
                            "(ROADMAP D14, D18)",
     "density": "the mollifier's kernel, tested against its mass",
@@ -380,6 +379,51 @@ def test_the_check_sees_a_primed_radius_written_out():
                      "    decay = eps * family.E ** family.n\n"
                      "    return family.primed_radii[ids], family.E, E * t\n")
     assert _primed_products(tree) == [3, 4]
+
+
+# the verdict constants, which only porous.bounds assigns
+VERDICT_CONSTANTS = ("LEDGER_C", "DBOUND_C", "RESIDUE_GRAD_CAP",
+                     "BUDGET_GRAD_CAP", "WITNESS_TOL")
+
+
+def _bound_strays(tree: ast.Module, floats: bool) -> list[int]:
+    """The line of each assignment to a verdict constant, by name or
+    attribute, and with ``floats`` of each float literal: a bound stated
+    outside ``porous.bounds``."""
+    out = set()
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target] if isinstance(node, (ast.AnnAssign,
+                                                    ast.AugAssign)) else []
+        if any(getattr(t, "id", getattr(t, "attr", None))
+               in VERDICT_CONSTANTS for t in targets):
+            out.add(node.lineno)
+        if floats and isinstance(node, ast.Constant) \
+                and isinstance(node.value, float):
+            out.add(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")
+                                        if p.name != "bounds.py"))
+def test_only_bounds_states_a_verdict_bound(path):
+    # porous.bounds is the one home of the proof chain's constants, and
+    # the command line computes no bound of its own
+    tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+    assert _bound_strays(tree, floats=path == "cli.py") == []
+
+
+def test_the_check_sees_a_bound_outside_the_table():
+    tree = ast.parse("LEDGER_C = 2000.0\n"
+                     "from porous.bounds import DBOUND_C\n"
+                     "verification.WITNESS_TOL = 1e-3\n"
+                     "ceiling = DBOUND_C * 2\n"
+                     "quarter = alpha / 4.0\n"
+                     "EXIT_FAIL = 2\n"
+                     "RESIDUE_GRAD_CAP: float = 1 / 32\n"
+                     "BUDGET_GRAD_CAP += 0\n")
+    assert _bound_strays(tree, floats=False) == [1, 3, 7, 8]
+    assert _bound_strays(tree, floats=True) == [1, 3, 5, 7, 8]
 
 
 # a schema's bounds, which only the settings' dataclass fields state

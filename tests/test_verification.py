@@ -15,18 +15,18 @@ from porous import (AuditFailure, AuditReport, AuditRow, AuditSettings,
                     ScalarField, alpha_relaxed, analysis_suite,
                     blend_disjoint, budget, bump_field, classify_holes, coverage_deficit,
                     disjointness_audit, family_invariant_audit,
-                    hole_intersection_mass, ledger_rows, mode_map,
+                    hole_intersection_mass, ledger_rows,
                     make_cutoff, mollify, porosity_row, porosity_witness,
                     sample_truncated_P, strict_deficit_bound, truncated_P,
                     unit_ball_volume)
 from porous.sampling import sample_shell, substream
-from porous import verification
-from porous.construction import ball_floor
+from porous import bounds, verification
+from porous.bounds import (DBOUND_C, LEDGER_C, RESIDUE_GRAD_CAP, K_constant,
+                           ball_floor)
 from porous.surfaces import corpus_generate, unit_lattice
-from porous.verification import (CSV_HEADER, DBOUND_C, GEOMETRY_TOL,
-                                 HIT_LATTICE, HIT_MARGIN, K_constant,
-                                 LEDGER_C, REFINE_ITERS,
-                                 RESIDUE_GRAD_CAP, SECTIONS,
+from porous.verification import (CSV_HEADER, GEOMETRY_TOL,
+                                 HIT_LATTICE, HIT_MARGIN, REFINE_ITERS,
+                                 SECTIONS,
                                  _ball_probes, graph_hit_scan,
                                  porosity_witnesses, residue_energies,
                                  residue_energy, smooth_over_subfamily)
@@ -473,17 +473,17 @@ def test_residue_region_measure_matches_closed_form_and_grid():
 
 
 @pytest.mark.parametrize("cap, what, run", [
-    pytest.param(verification.RESIDUE_GRAD_CAP,
+    pytest.param(bounds.RESIDUE_GRAD_CAP,
                  "the C1 ceiling for residue accounting",
                  lambda fam, patch: classify_holes(
                      fam, 1, patch, np.array([0]), SamplingBudget(4, 16)),
                  id="classify_holes"),
-    pytest.param(verification.RESIDUE_GRAD_CAP,
+    pytest.param(bounds.RESIDUE_GRAD_CAP,
                  "the C1 ceiling for residue accounting",
                  lambda fam, patch: residue_energies(
                      fam, 1, [0], patch, SamplingBudget(4, 16)),
                  id="residue_energies"),
-    pytest.param(verification.BUDGET_GRAD_CAP, "the budget C1 ceiling",
+    pytest.param(bounds.BUDGET_GRAD_CAP, "the budget C1 ceiling",
                  lambda fam, patch: budget(patch, fam), id="budget"),
     pytest.param(1.0 / 64.0, "the configured C1 class",
                  lambda fam, patch: hole_intersection_mass(patch, fam),
@@ -1170,7 +1170,7 @@ def test_porosity_names_the_first_failing_point_in_order(monkeypatch):
     # 1/3, above 1/L, so a floor of 1/2 makes it a low-ratio point
     t = 0.01
     fam = _manual_family([[0.5, 0.5, 0.5]], [t])
-    monkeypatch.setattr(verification, "WITNESS_TOL", 1.0 / fam.L - 0.5)
+    monkeypatch.setattr(bounds, "WITNESS_TOL", 1.0 / fam.L - 0.5)
     low = np.array([0.5 + 3.0 * t, 0.5, 0.5, 2.0 * t])
     far = np.array([10.0, 10.0, 10.0, 10.0])
     for pts, named in (([low, far], low), ([far, low], far)):
@@ -1333,15 +1333,6 @@ def test_report_rejects_verdicts_that_disagree_with_its_rows():
                        "indeterminate": 0}
     with pytest.raises(ValueError, match="verdicts disagree"):
         AuditReport.from_json(json.dumps(doc))
-
-
-def test_mode_map_documents_every_translated_constant():
-    rows = mode_map(1.5, (0.0025, 0.00125), (0.25, 0.125))
-    assert len(rows) == 6
-    quantities = {r["quantity"] for r in rows}
-    assert any("alpha" in q for q in quantities)
-    assert all({"quantity", "strict", "relaxed"} <= set(r) for r in rows)
-    assert any("E=1.5" in r["relaxed"] for r in rows)
 
 
 def test_analysis_suite_all_pass():
