@@ -12,6 +12,7 @@ audits rely on.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -20,8 +21,8 @@ import numpy as np
 
 from .errors import BlendPreconditionError, PreconditionError
 from .geometry import (AffinePlane, Ball, BallIndex, ScalarField,
-                       displacements, run_starts, scale_rows, sq_norms,
-                       unit_ball_volume)
+                       displacements, fill_rows, norms, per_row, run_starts,
+                       scale_rows, sq_norms, unit_ball_volume)
 from .sampling import (SamplingBudget, place_shell, sample_shells,
                        shell_draws, shell_edges, stratified_ball_integral,
                        stratified_ball_mean, substream)
@@ -79,13 +80,14 @@ def mollifier_mass(mollifier: Mollifier, eps: float) -> float:
     return float(sphere_area * (w * vals * rho ** (n - 1)).sum())
 
 
+@functools.lru_cache(maxsize=None)
 def convolution_nodes(n: int, nodes_per_axis: int = DEFAULT_NODES_PER_AXIS
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Offsets in the unit ball and unit-mass weights for discrete smoothing.
 
     Product Gauss-Legendre nodes on the cube are masked by the kernel (nodes
     outside the unit ball get zero weight), then the surviving weights are
-    normalised to sum to one.
+    normalised to sum to one.  Cached; the arrays are read-only.
     """
     if nodes_per_axis < 3:
         raise ValueError("need at least 3 nodes per axis")
@@ -96,11 +98,12 @@ def convolution_nodes(n: int, nodes_per_axis: int = DEFAULT_NODES_PER_AXIS
     wprod = np.ones(offsets.shape[0])
     for wg in wgrids:
         wprod *= wg.ravel()
-    kernel = _bump_profile((offsets**2).sum(axis=1))
-    mass = wprod * kernel
+    mass = wprod * _bump_profile(sq_norms(offsets))
     keep = mass > 0.0
-    offsets, mass = offsets[keep], mass[keep]
-    return offsets, mass / mass.sum()
+    out = offsets[keep], mass[keep] / mass[keep].sum()
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 def mollify(g: ScalarField, eps: float,
@@ -118,7 +121,8 @@ def mollify(g: ScalarField, eps: float,
     value and gradient are the same bytes alone as in any batch, provided
     ``g`` itself evaluates each row independently of the batch.  The
     result's ``values_and_gradients`` folds both over one
-    ``g.values_and_gradients`` call per block.
+    ``g.values_and_gradients`` call per block.  Each row folds the same
+    ``constant_gradient`` alike, so it is folded once, as a lone point's.
     """
     dom = g.domain
     if not (0 < eps < dom.radius):
@@ -165,18 +169,27 @@ def mollify(g: ScalarField, eps: float,
     def fn(pts: np.ndarray) -> np.ndarray:
         return fold(lambda block: (g.values(block),), pts, ((),))[0]
 
+    constant = g.constant_gradient
+    folded = None if constant is None else fold(
+        lambda block: (fill_rows(constant, len(block)),),
+        dom.center[None], ((dom.dim,),))[0][0]
+
     def grad_fn(pts: np.ndarray) -> np.ndarray:
+        if folded is not None:
+            return fill_rows(folded, len(pts))
         return fold(lambda block: (g.gradients(block),), pts,
                     ((pts.shape[1],),))[0]
 
     def joint_fn(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if folded is not None:
+            return fn(pts), grad_fn(pts)
         return tuple(fold(g.values_and_gradients, pts,
                           ((), (pts.shape[1],))))
 
     return ScalarField(domain=Ball(dom.center, dom.radius - eps),
                        fn=fn, grad_fn=grad_fn, grad_bound=g.grad_bound,
                        label=label or f"{g.label}^({eps:g})",
-                       joint_fn=joint_fn)
+                       joint_fn=joint_fn, constant_gradient=folded)
 
 
 def _bump_slope_sup() -> float:
@@ -303,12 +316,12 @@ def make_cutoff(ball: Ball, eps: float) -> CutoffField:
     # the gradients cost little beside the norms, and the cutoff's
     # smoothing runs on its thin band alone
     def ramp(pts: np.ndarray, grad: bool) -> tuple:
-        delta = pts - center
-        rho = np.linalg.norm(delta, axis=1)
+        delta = displacements(pts, center)
+        rho = norms(delta)
         grads = np.zeros_like(pts) if grad else None
         band = (rho > hi) & (rho < lo)
         if grad and band.any():
-            grads[band] = -slope * delta[band] / rho[band, None]
+            grads[band] = per_row(np.divide, -slope * delta[band], rho[band])
         return np.clip((lo - rho) * slope, 0.0, 1.0), grads
 
     smooth = mollify(_joint_field(Ball(center, t), ramp, slope,
@@ -321,7 +334,7 @@ def make_cutoff(ball: Ball, eps: float) -> CutoffField:
     support = t - eps * t
 
     def cutoff(pts: np.ndarray, grad: bool) -> tuple:
-        rho = np.linalg.norm(pts - center, axis=1)
+        rho = norms(displacements(pts, center))
         vals = np.zeros(pts.shape[0])
         vals[rho <= plateau] = 1.0
         grads = np.zeros_like(pts) if grad else None
@@ -418,9 +431,10 @@ def blend_disjoint(outer: ScalarField,
             sel, w = idx[keep], w[keep]
             vin, gin = _evaluate(inner, pts[sel], grad)
             if grad:
-                grads[sel] = (w[:, None] * gin
-                              + (1.0 - w[:, None]) * grads[sel]
-                              + (vin - vals[sel])[:, None] * gw[keep])
+                grads[sel] = (per_row(np.multiply, gin, w)
+                              + per_row(np.multiply, grads[sel], 1.0 - w)
+                              + per_row(np.multiply, gw[keep],
+                                        vin - vals[sel]))
             vals[sel] = w * vin + (1.0 - w) * vals[sel]
         return vals, grads
 

@@ -30,6 +30,8 @@ LEDGER_C = 2000.0
 DBOUND_C = 4000.0
 
 WITNESS_TOL = 1e-6
+# slack of the budget's u-mass, hit-consistency scope and total comparisons
+BUDGET_TOL = 1e-15
 
 
 def K_constant(k: int) -> float:

@@ -28,8 +28,8 @@ from .bounds import ball_floor, primed_radius, stop_target, strict_regime
 from .errors import (ConstructionFailure, NeedsMoreSamples, ParseError,
                      conform, conform_fields, real, setting)
 from .geometry import (REACH_SLACK, AffinePlane, Ball, BallIndex,
-                       MeasureEstimate, run_starts, sq_dists,
-                       unit_ball_volume)
+                       MeasureEstimate, displacements, norms, run_starts,
+                       sq_dists, unit_ball_volume)
 from .sampling import (SEED_MAX, SamplingBudget, bernoulli_half_width,
                        place_shell, sample_shell, shell_draws,
                        stratified_ball_integral, substream)
@@ -277,7 +277,7 @@ def far_fraction(space: StageSpace, pts: np.ndarray,
     pts = np.atleast_2d(pts)
     gap = space.E * r_new
     far = (space.window.radius
-           - np.linalg.norm(pts - space.window.center, axis=1)) >= gap
+           - norms(displacements(pts, space.window.center))) >= gap
     sphere = space.E * space.radii
     index = BallIndex(space.centers, (sphere + gap) * (1.0 + REACH_SLACK))
     q, j, sq = index.members(pts)
@@ -503,8 +503,8 @@ class HoleFamily:
     def window_slack(self) -> np.ndarray:
         """(N,): how far each primed ball B(x, E·t) lies inside the window."""
         window = self.window
-        return window.radius - np.linalg.norm(
-            self.base_centers - window.center, axis=1) - self.primed_radii
+        return window.radius - norms(displacements(
+            self.base_centers, window.center)) - self.primed_radii
 
     @cached_property
     def stage_radii(self) -> tuple:

@@ -22,45 +22,66 @@ def unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-# Row kernels for (m, n) point arrays.  numpy runs a broadcast (m, n) by
-# (n,) operation as m inner loops of n numbers, which is slow for the small
-# n used here, so these work column by column; each matches the plain
-# expression bit for bit.
+# Row kernels for (..., n) arrays, a row being the last axis.  numpy runs a
+# broadcast (m, n) by (n,) operation as m inner loops of n numbers, so
+# ``per_column``, ``displacements``, ``sq_norms``, ``norms``, ``per_row``,
+# ``fill_rows``, ``scale_rows`` and ``sq_dists`` work column by column with
+# the plain expression's operations, bit for bit.  A row sum of fewer than
+# 8 entries is numpy's left fold, which adding the columns in turn makes,
+# and ``np.linalg.norm(d, axis=-1)`` is ``np.sqrt`` of the sum of squares.
 
-def displacements(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """``pts - center`` as a C-ordered array."""
-    out = np.empty(pts.shape)
-    for j in range(pts.shape[1]):
-        np.subtract(pts[:, j], center[j], out=out[:, j])
+def per_column(op: np.ufunc, d: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``op(d, row)`` as a C-ordered array of ``d``'s shape, ``row``
+    broadcasting against it: a (n,) point or one point per row stack."""
+    out = np.empty(d.shape)
+    for j in range(d.shape[-1]):
+        op(d[..., j], row[..., j], out=out[..., j])
     return out
 
 
-def sq_norms(d: np.ndarray) -> np.ndarray:
-    """``(d**2).sum(axis=1)`` for a C-ordered ``d``.
+def displacements(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """``pts - center``."""
+    return per_column(np.subtract, pts, center)
 
-    numpy adds a row of fewer than 8 entries left to right, which adding
-    the squared columns in order reproduces; longer rows keep the
-    reduction's pairwise order.
-    """
-    if d.shape[1] >= 8:
-        return (d**2).sum(axis=1)
-    out = np.square(d[:, 0])
+
+def sq_norms(d: np.ndarray) -> np.ndarray:
+    """``(d**2).sum(axis=-1)``: the squared columns added left to right,
+    or from 8 columns up the reduction itself, which sums pairwise."""
+    if d.shape[-1] >= 8:
+        return (d**2).sum(axis=-1)
+    out = np.square(d[..., 0])
     col = np.empty_like(out)
-    for j in range(1, d.shape[1]):
-        out += np.square(d[:, j], out=col)
+    for j in range(1, d.shape[-1]):
+        out += np.square(d[..., j], out=col)
+    return out
+
+
+def norms(d: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(d, axis=-1)``, which is ``sqrt`` of ``sq_norms``."""
+    return np.sqrt(sq_norms(d))
+
+
+def per_row(op: np.ufunc, d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``op(d, s[..., None])``: each row of ``d`` against its own scalar."""
+    out = np.empty(d.shape)
+    for j in range(d.shape[-1]):
+        op(d[..., j], s, out=out[..., j])
+    return out
+
+
+def fill_rows(row: np.ndarray, m: int) -> np.ndarray:
+    """``np.tile(row, (m, 1))``."""
+    out = np.empty((m, len(row)))
+    for j in range(len(row)):
+        out[:, j] = row[j]
     return out
 
 
 def sq_dists(a: np.ndarray, i: np.ndarray, b: np.ndarray,
              j: np.ndarray) -> np.ndarray:
     """``((a.T[i] - b.T[j]) ** 2).sum(axis=1)`` for points stored
-    column-major, ``a`` and ``b`` each of shape (dim, m).
-
-    Each axis is gathered as a 1-D column and the squares are added axis
-    by axis in ``sq_norms``' summation order, so every entry matches the
-    plain expression bit for bit, and ``np.sqrt`` of it matches
-    ``np.linalg.norm(..., axis=1)``, which is computed that way.
-    """
+    column-major, ``a`` and ``b`` each of shape (dim, m), gathering each
+    axis as a 1-D column and summing as ``sq_norms`` does."""
     if len(a) >= 8:
         return sq_norms(a.T[i] - b.T[j])
     d = a[0][i] - b[0][j]
@@ -159,7 +180,7 @@ class AffinePlane:
 
     def heights(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.offset + (pts - self.anchor) @ self.gradient
+        return self.offset + displacements(pts, self.anchor) @ self.gradient
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +200,8 @@ class ScalarField:
     label: str = "field"
     joint_fn: Optional[Callable[[np.ndarray],
                                 tuple[np.ndarray, np.ndarray]]] = None
+    # the (n,) vector grad_fn returns in every row, for a field with one
+    constant_gradient: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if not (self.grad_bound >= 0 and math.isfinite(self.grad_bound)):
@@ -278,10 +301,8 @@ class BallIndex:
 
     The centres are stored column-major, ``cols`` a contiguous (dim, m)
     array, beside the squared radii ``sq_radii``.  Each candidate's squared
-    distance comes from ``sq_dists``, which adds the squares axis by axis:
-    left to right below 8 axes and in numpy's reduction order from 8 up,
-    the order in which ``((p - c) ** 2).sum(axis=1)`` sums a row, so every
-    verdict is that expression's; the queries return it with each pair.
+    distance is ``((p - c) ** 2).sum(axis=1)`` by ``sq_dists``, and the
+    queries return it with each pair.
     """
 
     def __init__(self, centers: np.ndarray, radii: np.ndarray):
@@ -295,13 +316,15 @@ class BallIndex:
         self.radii = radii
         self.sq_radii = radii ** 2
         self.cell = 2.0 * float(radii.max(initial=0.0)) + PAIR_SLACK
-        half = (radii + PAIR_SLACK / 2.0)[:, None]
-        lo = self._cells(centers - half)
-        span = self._cells(centers + half) - lo
+        half = radii + PAIR_SLACK / 2.0
+        lo = self._cells(per_row(np.subtract, centers, half))
+        span = self._cells(per_row(np.add, centers, half)) - lo
         dim = lo.shape[1]
         grid = np.indices((int(span.max(initial=0)) + 1,) * dim
                           ).reshape(dim, -1).T
-        ball, g = np.nonzero((grid[None] <= span[:, None]).all(axis=2))
+        # each grid offset inside each ball's span; the sort orders them
+        g, ball = np.nonzero(np.logical_and.reduce(
+            [grid[:, j, None] <= span[:, j] for j in range(dim)]))
         # one int64 per registration, the cell hash with its low bits
         # replaced by the ball, so that a plain sort orders by (hash, ball)
         self._bits = len(radii).bit_length()
@@ -322,7 +345,8 @@ class BallIndex:
                        -2.0**62, 2.0**62).astype(np.int64)
 
     def _hash(self, cells: np.ndarray) -> np.ndarray:
-        return (cells * _CELL_HASH[:cells.shape[1]]).sum(axis=1)
+        # added column by column: a wrapping int64 sum has no order
+        return sum(c * h for c, h in zip(cells.T, _CELL_HASH))
 
     def _slots(self, first: np.ndarray, count: np.ndarray):
         """Yield ``(row, slot)`` chunks of at most ``INDEX_BLOCK`` entries

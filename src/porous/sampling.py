@@ -40,7 +40,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import conform_fields, setting
-from .geometry import Ball, MeasureEstimate, unit_ball_volume
+from .geometry import (Ball, MeasureEstimate, norms, per_column, per_row,
+                       unit_ball_volume)
 
 # Two-sided 99% quantile of the standard normal distribution.
 Z99 = 2.5758293035489004
@@ -267,13 +268,11 @@ def _place(d: np.ndarray, u: np.ndarray, center: np.ndarray,
     """``place_shell`` with the radii already raised to the ``n``-th
     power."""
     n = d.shape[-1]
-    norms = np.linalg.norm(d, axis=-1, keepdims=True)
     # standard_normal never returns an exactly zero vector in practice, but
     # guard the division anyway
-    np.maximum(norms, 1e-300, out=norms)
-    d = d / norms
+    d = per_row(np.divide, d, np.maximum(norms(d), 1e-300))
     rho = (inner + u * (outer - inner)) ** (1.0 / n)
-    return center + d * rho[..., None]
+    return per_column(np.add, per_row(np.multiply, d, rho), center)
 
 
 def place_shell(d: np.ndarray, u: np.ndarray, center: np.ndarray,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ParseError, integer, listed, real
 from .geometry import (AffinePlane, Ball, MeasureEstimate, ScalarField,
-                       displacements, scale_rows, sq_norms)
+                       displacements, fill_rows, scale_rows, sq_norms)
 from .sampling import (SEED_MAX, SamplingBudget, stratified_ball_integral,
                        substream)
 
@@ -101,7 +101,7 @@ def graph_measure_in(patch: GraphPatch, target: Callable[[np.ndarray], np.ndarra
         vals, grads = patch.g.values_and_gradients(pts)
         inside = np.asarray(target(np.hstack([pts, vals[:, None]])),
                             dtype=bool)
-        jac = np.sqrt(1.0 + (grads ** 2).sum(axis=1))
+        jac = np.sqrt(1.0 + sq_norms(grads))
         return np.where(inside, jac, 0.0)
 
     return stratified_ball_integral(integrand, patch.window, seed, budget,
@@ -171,7 +171,7 @@ def _plane_patch(plane: AffinePlane, window: Ball, bumps: Sequence[BumpSpec],
         return out
 
     def grad(pts: np.ndarray) -> np.ndarray:
-        out = np.tile(plane.gradient, (len(np.atleast_2d(pts)), 1))
+        out = fill_rows(plane.gradient, len(pts))
         for b in bumps:
             out = out + b.gradients(pts)
         return out
@@ -183,7 +183,8 @@ def _plane_patch(plane: AffinePlane, window: Ball, bumps: Sequence[BumpSpec],
         + window.radius * float(np.abs(plane.gradient).sum()) \
         + sum(abs(b.amplitude) for b in bumps)
     gfield = ScalarField(domain=window, fn=fn, grad_fn=grad,
-                         grad_bound=slope, label=label)
+                         grad_bound=slope, label=label,
+                         constant_gradient=None if bumps else plane.gradient)
     return GraphPatch(g=gfield, source=label, c1_bound=max(sup, slope))
 
 

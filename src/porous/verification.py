@@ -33,9 +33,9 @@ from .analysis import (BUMP_SLOPE_SUP, area_lower_bound_check, blend,
                        blend_disjoint, bump_field, flatten_residual,
                        make_cutoff, make_mollifier, mollifier_mass, mollify,
                        smoothed_gradient_check, sobolev_ratio)
-from .bounds import (BUDGET_GRAD_CAP, DBOUND_C, RESIDUE_GRAD_CAP, K_constant,
-                     ball_floor, deficit_bound, drift_bound, grad_cap,
-                     hole_mass_cap, ledger_ceiling, porosity_floor,
+from .bounds import (BUDGET_GRAD_CAP, BUDGET_TOL, DBOUND_C, RESIDUE_GRAD_CAP,
+                     K_constant, ball_floor, deficit_bound, drift_bound,
+                     grad_cap, hole_mass_cap, ledger_ceiling, porosity_floor,
                      u_mass_bound)
 from .construction import (HoleFamily, StageSpace, assemble_H, assemble_Pk,
                            footprint_factor)
@@ -43,7 +43,7 @@ from .errors import (AuditFailure, NeedsMoreSamples, PreconditionError,
                      conform_fields, real, setting)
 from .geometry import (REACH_SLACK, AffinePlane, Ball, BallIndex,
                        MeasureEstimate, ScalarField, contains_any,
-                       run_starts)
+                       displacements, norms, run_starts, sq_norms)
 from .sampling import (SEED_MAX, SamplingBudget, bernoulli_half_width,
                        sample_shell, stratified_ball_integral,
                        stratified_ball_integrals, substream)
@@ -151,7 +151,7 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
 
     # the axis lattice of [-1,1]^n inside the unit ball; includes 0
     offs = unit_lattice(n, HIT_LATTICE) * 2.0 - 1.0
-    offs = offs[(offs**2).sum(axis=1) <= 1.0 + 1e-12]
+    offs = offs[sq_norms(offs) <= 1.0 + 1e-12]
     per = max(1, HIT_SCAN_BLOCK // len(offs))
     eye = np.eye(n)
     steps = np.vstack([eye, -eye])
@@ -159,7 +159,7 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
     def phi(holes: np.ndarray, probes: np.ndarray) -> np.ndarray:
         """phi at the probes (len(holes), q, n) of the listed holes."""
         vals = g.values(probes.reshape(-1, n)).reshape(len(holes), -1)
-        horiz = np.linalg.norm(probes - x[holes, None, :], axis=2)
+        horiz = norms(displacements(probes, x[holes, None, :]))
         return np.hypot(horiz, vals - h[holes, None]) - K * t[holes, None]
 
     for lo in range(0, len(todo), per):
@@ -176,8 +176,8 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
                 break
             xl, rl = x[sub[live], None, :], radius[live, None]
             cand = best[live, None, :] + step[live, None, None] * steps[None]
-            rel = cand - xl
-            nrm = np.linalg.norm(rel, axis=2)
+            rel = displacements(cand, xl)
+            nrm = norms(rel)
             over = nrm > rl
             if over.any():   # project wanderers back onto the probe disc
                 proj = xl + rel * (rl / np.maximum(nrm, 1e-300))[:, :, None]
@@ -279,7 +279,7 @@ def residue_energies(family: HoleFamily, k: int, hole_ids: Sequence[int],
     grad_a = np.asarray(plane.gradient, dtype=float)
 
     def grad_sq(grads: np.ndarray) -> np.ndarray:
-        return ((grads - grad_a)**2).sum(axis=1)
+        return sq_norms(displacements(grads, grad_a))
 
     return _residue_integrals(family, hole_ids, patch, plane, budget, seed,
                               [("residue-energy", h) for h in hole_ids],
@@ -492,7 +492,7 @@ def budget(patch: GraphPatch, family: HoleFamily,
     seed = settings.seed
 
     def grad_sq(pts: np.ndarray) -> np.ndarray:
-        return (patch.g.gradients(pts)**2).sum(axis=1)
+        return sq_norms(patch.g.gradients(pts))
 
     energy = stratified_ball_integral(grad_sq, window, seed,
                                       settings.budget.scaled(4),
@@ -523,8 +523,8 @@ def budget(patch: GraphPatch, family: HoleFamily,
             dmax = max(dmax, math.inf if den <= 0.0 else vol_b / den)
         base = f"budget/{patch.source}/stage-{k}"
         allowance = u_mass_bound(eps, k)
-        rows = [AuditRow.at_most(f"{base}/u-mass", "u-mass", u_sum,
-                                 allowance, ok=u_sum <= allowance + 1e-15),
+        rows = [AuditRow.at_most(f"{base}/u-mass", "u-mass", u_sum, allowance,
+                                 ok=u_sum <= allowance + BUDGET_TOL),
                 AuditRow.at_most(f"{base}/d-energy", "d-energy", dmax,
                                  DBOUND_C),
                 AuditRow.zero_count(f"{base}/residue-disjoint",
@@ -549,7 +549,7 @@ def budget(patch: GraphPatch, family: HoleFamily,
             # the probes hold at least the 4096 window points
             vals, grads = smoothed.values_and_gradients(probes)
             sup_diff = float(np.abs(vals - current.g.values(probes)).max())
-            grad_sup = float(np.linalg.norm(grads, axis=1).max())
+            grad_sup = float(norms(grads).max())
             cap = grad_cap(eps, k)
             # the smoothed field's own declared bound compounds the worst
             # case of every blended ball; the scans use the stage cap,
@@ -560,7 +560,7 @@ def budget(patch: GraphPatch, family: HoleFamily,
             # the new one whenever the drift fits the enlargement slack
             K_next = K_constant(k + 1)
             scope = np.flatnonzero(
-                (K_k - K_next) * family.ts >= sup_diff - 1e-15)
+                (K_k - K_next) * family.ts >= sup_diff - BUDGET_TOL)
             before = graph_hit_scan(current.g, family, scope, K_next)
             after = graph_hit_scan(scanned, family, scope, K_k)
             inconsistent = tuple(
@@ -586,7 +586,7 @@ def budget(patch: GraphPatch, family: HoleFamily,
         source=patch.source, stages=tuple(stages), energy=energy,
         c_empirical=c_emp, verdict=AuditRow.at_most(
             f"budget/{patch.source}/verdict", "budget-total", total, ceiling,
-            ok=total <= ceiling + 1e-15))
+            ok=total <= ceiling + BUDGET_TOL))
 
 
 # ---------------------------------------------------------------------------

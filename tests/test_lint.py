@@ -317,6 +317,74 @@ def test_the_check_sees_index_internals_read():
     assert _owners(tree, _is_index_internal) == {"near", "inner", "<module>"}
 
 
+# functions outside geometry.py that keep a broadcast row operation, each
+# with the reason: a hot per-point path takes geometry's row kernels
+KEPT_BROADCASTS = {
+    "density": "the mollifier's kernel, reached only by its mass test",
+    "boundary_distance": "far_fraction's dense reference, reached only by "
+                         "the tests and the bench tracer",
+    "sobolev_ratio": "reached only by the analysis suite (ROADMAP D22)",
+    "energy_on_superlevel": "area_lower_bound_check's integrand, reached "
+                            "only by the analysis suite (ROADMAP D22)",
+    "residual_integrand": "flatten_residual's integrand, reached only by "
+                          "the analysis suite (ROADMAP D22)",
+    "smoothed_gradient_check": "reached only by the analysis suite "
+                               "(ROADMAP D22)",
+    "analysis_suite": "the analysis suite itself (ROADMAP D22)",
+}
+
+
+def _is_square(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+        and isinstance(node.right, ast.Constant) and node.right.value == 2
+
+
+def _is_broadcast(node: ast.AST) -> bool:
+    """A ``norm`` call along an axis, a ``tile`` call, or a sum along an
+    axis of a square, as a method or as a function."""
+    if not isinstance(node, ast.Call):
+        return False
+    name, args = _called(node), node.args
+    along = any(k.arg == "axis" for k in node.keywords)
+    if name == "norm":
+        return along or len(args) >= 3
+    if name != "sum":
+        return name == "tile"
+    receiver = getattr(node.func, "value", None)
+    return (_is_square(receiver) and (along or len(args) >= 1)) or (
+        len(args) >= 1 and _is_square(args[0]) and (along or len(args) >= 2))
+
+
+def test_hot_paths_take_the_row_kernels():
+    owners = set()
+    for p in SRC.glob("*.py"):
+        if p.name != "geometry.py":
+            owners |= _owners(ast.parse(p.read_text(encoding="utf-8")),
+                              _is_broadcast)
+    assert sorted(owners - set(KEPT_BROADCASTS)) == []  # a call, no reason
+    assert sorted(set(KEPT_BROADCASTS) - owners) == []  # a reason gone stale
+
+
+def test_the_check_sees_a_broadcast():
+    tree = ast.parse("import numpy as np\n"
+                     "def norm_rows(d):\n"
+                     "    return np.linalg.norm(d, axis=1)\n"
+                     "def norm_positional(d):\n"
+                     "    return np.linalg.norm(d, None, 1)\n"
+                     "def tiled(g, m):\n"
+                     "    return np.tile(g, (m, 1))\n"
+                     "def squares(d):\n"
+                     "    return (d**2).sum(axis=1)\n"
+                     "def squares_positional(d):\n"
+                     "    return np.sum(d ** 2, 1)\n"
+                     "def fine(d, g):\n"
+                     "    return (np.linalg.norm(g), (d**2).sum(),\n"
+                     "            (d**3).sum(axis=1), d.sum(axis=1))\n")
+    assert _owners(tree, _is_broadcast) == {
+        "norm_rows", "norm_positional", "tiled", "squares",
+        "squares_positional"}
+
+
 def _bool_tests(tree: ast.Module) -> list[int]:
     """The line of each ``isinstance`` call whose class, or one of whose
     classes, is ``bool``: the telltale of a hand-written number check."""
@@ -383,7 +451,7 @@ def test_the_check_sees_a_primed_radius_written_out():
 
 # the verdict constants, which only porous.bounds assigns
 VERDICT_CONSTANTS = ("LEDGER_C", "DBOUND_C", "RESIDUE_GRAD_CAP",
-                     "BUDGET_GRAD_CAP", "WITNESS_TOL")
+                     "BUDGET_GRAD_CAP", "WITNESS_TOL", "BUDGET_TOL")
 
 
 def _bound_strays(tree: ast.Module, floats: bool) -> list[int]:
