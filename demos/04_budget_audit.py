@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from porous import (Ball, GraphPatch, ScalarField, budget, build_family,
+from porous import (Ball, ScalarField, budget, build_family,
                     deserialize_family, generate_from_spec,
                     hole_intersection_mass, load_config, load_corpus_spec)
 
@@ -41,13 +41,12 @@ def load_or_build(config_path: Path, family_path: Path):
     return cfg, family
 
 
-def zero_patch(window: Ball) -> GraphPatch:
-    g = ScalarField(
+def zero_patch(window: Ball) -> ScalarField:
+    return ScalarField(
         domain=window,
         fn=lambda pts: np.zeros(np.atleast_2d(pts).shape[0]),
         grad_fn=lambda pts: np.zeros_like(np.atleast_2d(pts)),
-        grad_bound=0.0, label="zero")
-    return GraphPatch(g=g, source="zero", c1_bound=0.0)
+        grad_bound=0.0, label="zero", c1_bound=0.0)
 
 
 def report(name: str, ledger, cap_check=None) -> bool:
@@ -85,14 +84,14 @@ def main() -> int:
     args = ap.parse_args()
 
     cfg, family = load_or_build(args.config, args.family)
-    entries = generate_from_spec(load_corpus_spec(args.corpus), family.window)
-    plane = next(e for e in entries if e.kind == "plane")
-    bump = next(e for e in entries if e.kind == "bump")
+    fields = generate_from_spec(load_corpus_spec(args.corpus), family.window)
+    plane = next(g for g in fields if g.label.startswith("plane["))
+    bump = next(g for g in fields if g.label.startswith("bump["))
     ok = True
-    for entry in (plane, bump):
-        led = budget(entry.patch, family, cfg.audit)
-        cap = hole_intersection_mass(entry.patch, family, cfg.audit)
-        ok &= report(entry.patch.source, led, cap)
+    for g in (plane, bump):
+        led = budget(g, family, cfg.audit)
+        cap = hole_intersection_mass(g, family, cfg.audit)
+        ok &= report(g.label, led, cap)
 
     led = budget(zero_patch(family.window), family, cfg.audit)
     ok &= report("zero field", led)

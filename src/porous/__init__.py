@@ -28,9 +28,9 @@ from .geometry import (AffinePlane, Ball, BallIndex, MeasureEstimate,
                        PorosityWitness, ScalarField, pullback_porosity_witness,
                        unit_ball_volume)
 from .sampling import SamplingBudget, substream
-from .surfaces import (BumpSpec, CorpusEntry, GraphPatch, MembershipVerdict,
-                       corpus_generate, generate_from_spec, graph_measure_in,
-                       load_corpus_spec, sn_membership)
+from .surfaces import (BumpSpec, MembershipVerdict, corpus_generate,
+                       generate_from_spec, graph_measure_in, load_corpus_spec,
+                       sn_membership)
 from .verification import (AuditReport, AuditRow, AuditSettings,
                            BudgetLedger, HoleClassification, analysis_suite,
                            budget, classify_holes, coverage_deficit,

@@ -117,21 +117,21 @@ def cmd_build(args) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
-def _construction_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
+def _construction_rows(family, fields, cfg: LoadedConfig) -> list[AuditRow]:
     return family_invariant_audit(family, cfg.audit)
 
 
-def _analysis_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
+def _analysis_rows(family, fields, cfg: LoadedConfig) -> list[AuditRow]:
     return analysis_suite(seed=cfg.audit.seed)
 
 
-def _cover_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
+def _cover_rows(family, fields, cfg: LoadedConfig) -> list[AuditRow]:
     return [coverage_deficit(family, k, cfg.build.stop_fractions[k - 1],
                              cfg.audit).row
             for k in range(1, family.depth + 1)]
 
 
-def _porosity_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
+def _porosity_rows(family, fields, cfg: LoadedConfig) -> list[AuditRow]:
     points = sample_truncated_P(truncated_P(family),
                                 cfg.audit.porosity_samples,
                                 seed=cfg.audit.seed)
@@ -141,10 +141,10 @@ def _porosity_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
     return [row]
 
 
-def _budget_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
+def _budget_rows(family, fields, cfg: LoadedConfig) -> list[AuditRow]:
     rows = []
-    for entry in entries:
-        ledger = budget(entry.patch, family, cfg.audit)
+    for g in fields:
+        ledger = budget(g, family, cfg.audit)
         for stage in ledger.stages:
             for violation in stage.violations:
                 print(f"audit failure: {ledger.source}: "
@@ -153,14 +153,15 @@ def _budget_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
     return rows
 
 
-def _holes_mass_rows(family, entries, cfg: LoadedConfig) -> list[AuditRow]:
+def _holes_mass_rows(family, fields, cfg: LoadedConfig) -> list[AuditRow]:
     ceiling = plane_mass_ceiling(family.n, family.s,
                                  cfg.build.stop_fractions[0])
     rows = []
-    for entry in entries:
-        row = hole_intersection_mass(entry.patch, family, cfg.audit).row
+    for g in fields:
+        row = hole_intersection_mass(g, family, cfg.audit).row
         rows.append(row)
-        if entry.kind == "plane":
+        # a corpus field is affine exactly when it is of the plane kind
+        if g.constant_gradient is not None:
             rows.append(AuditRow.at_most(f"{row.id}/alpha", "plane-mass-alpha",
                                          row.measured, ceiling))
     return rows
@@ -213,7 +214,7 @@ def cmd_audit(args) -> int:
                 f"{family.config_hash[:12]}..., loaded config hashes to "
                 f"{cfg.config_hash[:12]}...; refusing to mix")
 
-    entries = []
+    fields = []
     needs_corpus = [w for w in which if w in ("budget", "holes-mass")]
     if needs_corpus:
         if args.corpus is None:
@@ -222,14 +223,14 @@ def cmd_audit(args) -> int:
         corpus_path = Path(args.corpus)
         if not corpus_path.exists():
             raise ConfigError(f"corpus spec not found: {corpus_path}")
-        entries = generate_from_spec(load_corpus_spec(corpus_path),
-                                     window=family.window)
+        fields = generate_from_spec(load_corpus_spec(corpus_path),
+                                    window=family.window)
 
     sections: dict[str, list[AuditRow]] = {}
     for group, (section, rows_of) in AUDITS.items():
         if group in which:
             sections.setdefault(section, []).extend(
-                rows_of(family, entries, cfg))
+                rows_of(family, fields, cfg))
     report = AuditReport(_report_config(cfg), sections)
     for row in report.rows():
         if row.status == "fail":

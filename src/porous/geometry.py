@@ -185,12 +185,17 @@ class AffinePlane:
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Scalar field over a ball domain with a certified gradient bound.
+    """A scalar field g over a ball domain, whose graph {(x, g(x))} the
+    audits test: its domain, its evaluation, a certified bound on |grad
+    g|, an optional certified C¹ bound on max(sup|g|, sup|grad g|), and a
+    label, the name the reports and the substream keys give it.
 
     ``fn`` maps an (m, n) array to (m,) values and ``grad_fn`` to the
     (m, n) gradients.  A composed field adds ``joint_fn``, which returns
     both from one pass: its ``fn`` and ``grad_fn`` are that pass asked for
     one half, which a values call computes alone, so the bytes agree.
+    ``constant_gradient`` marks an affine field: the (n,) vector that
+    ``grad_fn`` returns in every row.
     """
 
     domain: Ball
@@ -200,12 +205,15 @@ class ScalarField:
     label: str = "field"
     joint_fn: Optional[Callable[[np.ndarray],
                                 tuple[np.ndarray, np.ndarray]]] = None
-    # the (n,) vector grad_fn returns in every row, for a field with one
     constant_gradient: Optional[np.ndarray] = None
+    c1_bound: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (self.grad_bound >= 0 and math.isfinite(self.grad_bound)):
             raise ValueError("grad_bound must be finite and >= 0")
+        if self.c1_bound is not None and not (
+                self.c1_bound >= 0 and math.isfinite(self.c1_bound)):
+            raise ValueError("c1_bound must be finite and >= 0")
 
     def _checked(self, out, shape: tuple, what: str) -> np.ndarray:
         out = np.asarray(out, dtype=float)

@@ -34,9 +34,12 @@ class BumpSpec:
     width: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError("bump width must be positive")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "center",
+                           tuple(real("center", c) for c in self.center))
+        object.__setattr__(self, "amplitude",
+                           real("amplitude", self.amplitude))
+        object.__setattr__(self, "width",
+                           real("width", self.width, positive=True))
 
     @property
     def slope_max(self) -> float:
@@ -72,24 +75,8 @@ def unit_lattice(n: int, per_axis: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-@dataclass(frozen=True)
-class GraphPatch:
-    """A graph {(x, g(x))} over the window ball, with provenance."""
-
-    g: ScalarField
-    source: str
-    c1_bound: float
-
-    def __post_init__(self) -> None:
-        if not (self.c1_bound >= 0 and math.isfinite(self.c1_bound)):
-            raise ValueError("c1_bound must be finite and >= 0")
-
-    @property
-    def window(self) -> Ball:
-        return self.g.domain
-
-
-def graph_measure_in(patch: GraphPatch, target: Callable[[np.ndarray], np.ndarray],
+def graph_measure_in(g: ScalarField,
+                     target: Callable[[np.ndarray], np.ndarray],
                      budget: SamplingBudget, seed: int = 0,
                      key: Sequence = ()) -> MeasureEstimate:
     """Surface measure of the part of the graph landing in ``target``.
@@ -98,13 +85,13 @@ def graph_measure_in(patch: GraphPatch, target: Callable[[np.ndarray], np.ndarra
     lifted image satisfies the target predicate.
     """
     def integrand(pts: np.ndarray) -> np.ndarray:
-        vals, grads = patch.g.values_and_gradients(pts)
+        vals, grads = g.values_and_gradients(pts)
         inside = np.asarray(target(np.hstack([pts, vals[:, None]])),
                             dtype=bool)
         jac = np.sqrt(1.0 + sq_norms(grads))
         return np.where(inside, jac, 0.0)
 
-    return stratified_ball_integral(integrand, patch.window, seed, budget,
+    return stratified_ball_integral(integrand, g.domain, seed, budget,
                                     key=("graph-measure", *key))
 
 
@@ -123,12 +110,12 @@ class MembershipVerdict:
         return 0.0
 
 
-def sn_membership(patch: GraphPatch, target, alpha: float,
+def sn_membership(g: ScalarField, target, alpha: float,
                   budget: SamplingBudget, seed: int = 0) -> MembershipVerdict:
     """Decide whether the graph meets the target in measure above alpha."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    est = graph_measure_in(patch, target, budget, seed, key=("membership",))
+    est = graph_measure_in(g, target, budget, seed, key=("membership",))
     if est.lower() > alpha:
         status = "member"
     elif est.upper() < alpha:
@@ -152,16 +139,10 @@ CORPUS_PARAMS = {
 CORPUS_KINDS = tuple(CORPUS_PARAMS)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    """One test field: its graph restriction to the window."""
-
-    patch: GraphPatch
-    kind: str
-
-
 def _plane_patch(plane: AffinePlane, window: Ball, bumps: Sequence[BumpSpec],
-                 label: str) -> GraphPatch:
+                 label: str) -> ScalarField:
+    """The plane plus the bumps over the window, with its certified
+    gradient and C¹ bounds; without bumps it is affine."""
     bumps = tuple(bumps)
 
     def fn(pts: np.ndarray) -> np.ndarray:
@@ -182,16 +163,16 @@ def _plane_patch(plane: AffinePlane, window: Ball, bumps: Sequence[BumpSpec],
     sup = abs(float(plane.heights(window.center)[0])) \
         + window.radius * float(np.abs(plane.gradient).sum()) \
         + sum(abs(b.amplitude) for b in bumps)
-    gfield = ScalarField(domain=window, fn=fn, grad_fn=grad,
-                         grad_bound=slope, label=label,
-                         constant_gradient=None if bumps else plane.gradient)
-    return GraphPatch(g=gfield, source=label, c1_bound=max(sup, slope))
+    return ScalarField(domain=window, fn=fn, grad_fn=grad, grad_bound=slope,
+                       label=label, c1_bound=max(sup, slope),
+                       constant_gradient=None if bumps else plane.gradient)
 
 
 def corpus_generate(kind: str, params: dict, seed: int,
-                    window: Ball) -> list[CorpusEntry]:
+                    window: Ball) -> list[ScalarField]:
     """Deterministic corpus of test fields with certified C¹ bounds over
-    ``window``, the family's window of the run.
+    ``window``, the family's window of the run, each labelled
+    ``f"{kind}[{i}]"``.  Exactly the plane kind's fields are affine.
 
     params:
       plane           gradients: list of vectors; offsets: list of reals
@@ -213,7 +194,7 @@ def corpus_generate(kind: str, params: dict, seed: int,
     ceiling = real("c1_ceiling", params.get("c1_ceiling", 1.0 / 64.0),
                    positive=True)
     anchor = window.center
-    out: list[CorpusEntry] = []
+    out: list[ScalarField] = []
 
     if kind == "plane":
         gradients = [np.array([real("gradients", v)
@@ -226,10 +207,9 @@ def corpus_generate(kind: str, params: dict, seed: int,
             for grad in gradients:
                 plane = AffinePlane(index=idx + 1, gradient=grad, offset=off,
                                     anchor=anchor)
-                entry = CorpusEntry(_plane_patch(plane, window, (),
-                                                 f"plane[{idx}]"), kind)
-                _check_ceiling(entry, ceiling)
-                out.append(entry)
+                out.append(_check_ceiling(
+                    _plane_patch(plane, window, (), f"plane[{idx}]"),
+                    ceiling))
                 idx += 1
         return out
 
@@ -270,10 +250,8 @@ def corpus_generate(kind: str, params: dict, seed: int,
             scale = strength / cert
             bumps = [BumpSpec(tuple(centers[j]), float(raw[j] * scale), gw)
                      for j in range(grains)]
-        entry = CorpusEntry(_plane_patch(zero, window, bumps,
-                                         f"{kind}[{i}]"), kind)
-        _check_ceiling(entry, ceiling)
-        out.append(entry)
+        out.append(_check_ceiling(
+            _plane_patch(zero, window, bumps, f"{kind}[{i}]"), ceiling))
     return out
 
 
@@ -288,11 +266,13 @@ def _range(name: str, spec) -> tuple:
                      f"numbers with lo <= hi, got {reprlib.repr(spec)}")
 
 
-def _check_ceiling(entry: CorpusEntry, ceiling: float) -> None:
-    if entry.patch.c1_bound > ceiling * (1 + 1e-12):
+def _check_ceiling(g: ScalarField, ceiling: float) -> ScalarField:
+    """``g``, whose certified C¹ bound must not exceed ``ceiling``."""
+    if g.c1_bound > ceiling * (1 + 1e-12):
         raise ValueError(
-            f"{entry.patch.source}: certified C¹ bound "
-            f"{entry.patch.c1_bound:.3e} exceeds ceiling {ceiling:.3e}")
+            f"{g.label}: certified C¹ bound {g.c1_bound:.3e} exceeds "
+            f"ceiling {ceiling:.3e}")
+    return g
 
 
 def load_corpus_spec(path) -> list[dict]:
@@ -328,8 +308,8 @@ def load_corpus_spec(path) -> list[dict]:
 
 
 def generate_from_spec(spec: list[dict], window: Ball
-                       ) -> list[CorpusEntry]:
-    """The entries of every corpus group of a spec; a group the generator
+                       ) -> list[ScalarField]:
+    """The fields of every corpus group of a spec; a group the generator
     rejects, or a spec with no group, raises ``ParseError``."""
     if not spec:
         raise ParseError("the corpus spec lists no groups")

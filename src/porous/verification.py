@@ -47,7 +47,7 @@ from .geometry import (REACH_SLACK, AffinePlane, Ball, BallIndex,
 from .sampling import (SEED_MAX, SamplingBudget, bernoulli_half_width,
                        sample_shell, stratified_ball_integral,
                        stratified_ball_integrals, substream)
-from .surfaces import GraphPatch, _plane_patch, graph_measure_in, unit_lattice
+from .surfaces import _plane_patch, graph_measure_in, unit_lattice
 
 # decision margins: the scan's declared safety band, and the absolute slack
 # of every exact ball check (window containment, overlap, nesting)
@@ -199,18 +199,21 @@ def graph_hit_scan(g: ScalarField, family: HoleFamily, ids: np.ndarray,
 # residue regions and classification
 # ---------------------------------------------------------------------------
 
-def _require_c1(patch: GraphPatch, cap: float, what: str) -> None:
-    """Raise ``PreconditionError`` when the field's C1 bound exceeds
-    ``cap`` (by more than 1e-12)."""
-    if patch.c1_bound > cap + 1e-12:
+def _require_c1(g: ScalarField, cap: float, what: str) -> None:
+    """Raise ``PreconditionError`` when the field carries no C1 bound or
+    its bound exceeds ``cap`` (by more than 1e-12)."""
+    if g.c1_bound is None:
         raise PreconditionError(
-            f"field {patch.source!r} exceeds the {what} "
-            f"({patch.c1_bound:.4g} > {cap:.4g})",
-            c1_bound=patch.c1_bound, cap=cap)
+            f"field {g.label!r} carries no C1 bound for the {what}",
+            c1_bound=None, cap=cap)
+    if g.c1_bound > cap + 1e-12:
+        raise PreconditionError(
+            f"field {g.label!r} exceeds the {what} "
+            f"({g.c1_bound:.4g} > {cap:.4g})", c1_bound=g.c1_bound, cap=cap)
 
 
 def _residue_balls(family: HoleFamily, ids: np.ndarray,
-                   patch: GraphPatch) -> tuple[np.ndarray, np.ndarray]:
+                   g: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """The primed radii E·t and the t/4 thresholds of the holes' residue
     regions.
 
@@ -218,7 +221,7 @@ def _residue_balls(family: HoleFamily, ids: np.ndarray,
     inside the window; the first hole in order whose ball leaves it
     raises ``AuditFailure``.
     """
-    _require_c1(patch, RESIDUE_GRAD_CAP, "C1 ceiling for residue accounting")
+    _require_c1(g, RESIDUE_GRAD_CAP, "C1 ceiling for residue accounting")
     slack = family.window_slack[ids]
     out = np.flatnonzero(slack < -GEOMETRY_TOL)
     if len(out):
@@ -240,7 +243,7 @@ def _of_stage(family: HoleFamily, k: int, ids: Sequence[int]) -> np.ndarray:
 
 
 def _residue_integrals(family: HoleFamily, ids: Sequence[int],
-                       patch: GraphPatch, plane: AffinePlane,
+                       g: ScalarField, plane: AffinePlane,
                        budget: SamplingBudget, seed: int, keys: list,
                        weight: Optional[Callable] = None
                        ) -> list[MeasureEstimate]:
@@ -253,10 +256,10 @@ def _residue_integrals(family: HoleFamily, ids: Sequence[int],
     ids = np.asarray(ids, dtype=np.int64)
     if not len(ids):
         return []
-    radii, thresholds = _residue_balls(family, ids, patch)
+    radii, thresholds = _residue_balls(family, ids, g)
 
     def integrand(pts: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        vals, grads = patch.g.values_and_gradients(pts)
+        vals, grads = g.values_and_gradients(pts)
         inside = np.abs(vals - plane.heights(pts)) > thresholds[owner]
         return inside if weight is None else inside * weight(grads)
 
@@ -265,7 +268,7 @@ def _residue_integrals(family: HoleFamily, ids: Sequence[int],
 
 
 def residue_energies(family: HoleFamily, k: int, hole_ids: Sequence[int],
-                     patch: GraphPatch, budget: SamplingBudget,
+                     g: ScalarField, budget: SamplingBudget,
                      seed: int = 0) -> list[MeasureEstimate]:
     """Sampled ∫ over each stage-k hole's residue region of
     |grad(g - plane)|^2.
@@ -281,16 +284,16 @@ def residue_energies(family: HoleFamily, k: int, hole_ids: Sequence[int],
     def grad_sq(grads: np.ndarray) -> np.ndarray:
         return sq_norms(displacements(grads, grad_a))
 
-    return _residue_integrals(family, hole_ids, patch, plane, budget, seed,
+    return _residue_integrals(family, hole_ids, g, plane, budget, seed,
                               [("residue-energy", h) for h in hole_ids],
                               grad_sq)
 
 
-def residue_energy(family: HoleFamily, hole_id: int, patch: GraphPatch,
+def residue_energy(family: HoleFamily, hole_id: int, g: ScalarField,
                    budget: SamplingBudget, seed: int = 0) -> MeasureEstimate:
     """Sampled ∫ over the residue region of |grad(g - plane)|^2."""
     return residue_energies(family, int(family.ks[hole_id]), [hole_id],
-                            patch, budget, seed)[0]
+                            g, budget, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -306,7 +309,7 @@ class HoleClassification:
     residue_measures: dict
 
 
-def classify_holes(family: HoleFamily, k: int, patch: GraphPatch,
+def classify_holes(family: HoleFamily, k: int, g: ScalarField,
                    hit_ids: np.ndarray, budget: SamplingBudget,
                    seed: int = 0) -> HoleClassification:
     """Split hit holes by |B| <= eps_k * measure(residue region).
@@ -326,7 +329,7 @@ def classify_holes(family: HoleFamily, k: int, patch: GraphPatch,
     algebraic = eps_k * family.E ** family.n < 1.0
     sampled = [] if algebraic else hit
     est = dict(zip(sampled, _residue_integrals(
-        family, sampled, patch, plane, budget, seed,
+        family, sampled, g, plane, budget, seed,
         [("residue", h) for h in sampled])))
 
     def side(h: int) -> Optional[str]:
@@ -336,7 +339,7 @@ def classify_holes(family: HoleFamily, k: int, patch: GraphPatch,
 
     escal = [h for h in sampled if side(h) is None]
     est.update(zip(escal, _residue_integrals(
-        family, escal, patch, plane, budget.scaled(4), seed,
+        family, escal, g, plane, budget.scaled(4), seed,
         [("residue", h, "escalated") for h in escal])))
     split: dict = {"u": [], "d": [], None: []}
     for h in hit:
@@ -361,7 +364,7 @@ class DisjointnessViolation:
     message: str
 
 
-def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
+def disjointness_audit(family: HoleFamily, k: int, g: ScalarField,
                        hit_ids: np.ndarray
                        ) -> tuple[DisjointnessViolation, ...]:
     """The pairs of stage-k hit holes whose primed balls B(x, E·t) overlap
@@ -378,7 +381,7 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
     if len(hit_ids) == 0:
         return ()
     x = family.base_centers[hit_ids]
-    rad, _ = _residue_balls(family, hit_ids, patch)
+    rad, _ = _residue_balls(family, hit_ids, g)
     index = BallIndex(x, rad)
     first, second, sq = index.pairs()
     gaps = np.sqrt(sq) - (rad[first] + rad[second])
@@ -396,7 +399,7 @@ def disjointness_audit(family: HoleFamily, k: int, patch: GraphPatch,
 # smoothing step
 # ---------------------------------------------------------------------------
 
-def smooth_over_subfamily(patch: GraphPatch, family: HoleFamily,
+def smooth_over_subfamily(g: ScalarField, family: HoleFamily,
                           selected: np.ndarray, eps_next: float,
                           match_tol: float, seed: int = 0) -> ScalarField:
     """Blend a mollified copy of the field over each selected primed ball.
@@ -407,7 +410,6 @@ def smooth_over_subfamily(patch: GraphPatch, family: HoleFamily,
     all balls; with none selected the field is returned as it is.
     Mollifications are cached per radius since levels share radii.
     """
-    g = patch.g
     selected = np.asarray(selected, dtype=np.int64)
     if len(selected) == 0:
         return g
@@ -470,7 +472,7 @@ class BudgetLedger:
         return merged_status(ledger_rows(self))
 
 
-def budget(patch: GraphPatch, family: HoleFamily,
+def budget(g: ScalarField, family: HoleFamily,
            settings: AuditSettings = AuditSettings()) -> BudgetLedger:
     """Staged hit-mass ledger for one field over every stage.
 
@@ -486,26 +488,26 @@ def budget(patch: GraphPatch, family: HoleFamily,
     a report row here, and the stage and ledger statuses are read from
     those rows.  Each row's bound comes from ``porous.bounds``.
     """
-    _require_c1(patch, BUDGET_GRAD_CAP, "budget C1 ceiling")
+    _require_c1(g, BUDGET_GRAD_CAP, "budget C1 ceiling")
     depth = family.depth
     window = family.window
     seed = settings.seed
 
     def grad_sq(pts: np.ndarray) -> np.ndarray:
-        return sq_norms(patch.g.gradients(pts))
+        return sq_norms(g.gradients(pts))
 
     energy = stratified_ball_integral(grad_sq, window, seed,
                                       settings.budget.scaled(4),
-                                      key=("energy", patch.source))
+                                      key=("energy", g.label))
 
     eps = tuple(float(e) for e in family.epsilons[:depth])
     stages: list[StageLedger] = []
-    current = patch
+    current = g
     total = 0.0
     for k in range(1, depth + 1):
         K_k = K_constant(k)
         ids_k = family.stage_ids(k)
-        scan = graph_hit_scan(current.g, family, ids_k, K_k)
+        scan = graph_hit_scan(current, family, ids_k, K_k)
         hit_ids = scan.hit_ids
         hit_mass = float(np.sum(family.volumes[hit_ids]))
         total += hit_mass
@@ -521,7 +523,7 @@ def budget(patch: GraphPatch, family: HoleFamily,
         for vol_b, energy_d in zip(family.volumes[d_ids].tolist(), energies):
             den = energy_d.lower()
             dmax = max(dmax, math.inf if den <= 0.0 else vol_b / den)
-        base = f"budget/{patch.source}/stage-{k}"
+        base = f"budget/{g.label}/stage-{k}"
         allowance = u_mass_bound(eps, k)
         rows = [AuditRow.at_most(f"{base}/u-mass", "u-mass", u_sum, allowance,
                                  ok=u_sum <= allowance + BUDGET_TOL),
@@ -548,20 +550,23 @@ def budget(patch: GraphPatch, family: HoleFamily,
                 _ball_probes(family, d_ids)])
             # the probes hold at least the 4096 window points
             vals, grads = smoothed.values_and_gradients(probes)
-            sup_diff = float(np.abs(vals - current.g.values(probes)).max())
+            sup_diff = float(np.abs(vals - current.values(probes)).max())
             grad_sup = float(norms(grads).max())
             cap = grad_cap(eps, k)
             # the smoothed field's own declared bound compounds the worst
-            # case of every blended ball; the scans use the stage cap,
-            # which the gradient row audits
+            # case of every blended ball; the next stage's field takes the
+            # stage cap, which the gradient row audits, and a C1 bound that
+            # adds the measured drift
             scanned = dataclasses.replace(
-                smoothed, grad_bound=min(smoothed.grad_bound, cap))
+                smoothed, grad_bound=min(smoothed.grad_bound, cap),
+                c1_bound=max(current.c1_bound + sup_diff, cap),
+                label=f"{g.label}|smoothed:{k}")
             # implication: tight hits of the old field stay loose hits of
             # the new one whenever the drift fits the enlargement slack
             K_next = K_constant(k + 1)
             scope = np.flatnonzero(
                 (K_k - K_next) * family.ts >= sup_diff - BUDGET_TOL)
-            before = graph_hit_scan(current.g, family, scope, K_next)
+            before = graph_hit_scan(current, family, scope, K_next)
             after = graph_hit_scan(scanned, family, scope, K_k)
             inconsistent = tuple(
                 int(b) for b in scope[before.hit & ~after.hit])
@@ -571,9 +576,7 @@ def budget(patch: GraphPatch, family: HoleFamily,
                                       "smoothing-gradient", grad_sup, cap),
                      AuditRow.zero_count(f"{base}/hit-consistency",
                                          "hit-consistency", len(inconsistent))]
-            current = GraphPatch(
-                g=scanned, source=f"{patch.source}|smoothed:{k}",
-                c1_bound=max(current.c1_bound + sup_diff, cap))
+            current = scanned
         stages.append(StageLedger(
             k=k, hit_mass=hit_mass, classification=cls,
             violations=violations, rows=tuple(rows),
@@ -583,9 +586,9 @@ def budget(patch: GraphPatch, family: HoleFamily,
     c_emp = total / rhs_base if rhs_base > 0 else math.inf
     ceiling = ledger_ceiling(rhs_base)
     return BudgetLedger(
-        source=patch.source, stages=tuple(stages), energy=energy,
+        source=g.label, stages=tuple(stages), energy=energy,
         c_empirical=c_emp, verdict=AuditRow.at_most(
-            f"budget/{patch.source}/verdict", "budget-total", total, ceiling,
+            f"budget/{g.label}/verdict", "budget-total", total, ceiling,
             ok=total <= ceiling + BUDGET_TOL))
 
 
@@ -606,9 +609,9 @@ def coverage_deficit(family: HoleFamily, k: int, stop_fraction: float,
     truncation union, against ``deficit_bound``."""
     plane = family.plane(k)
     m = plane.index
-    patch = _plane_patch(plane, family.window, (), f"plane-{m}")
+    g = _plane_patch(plane, family.window, (), f"plane-{m}")
     pk = assemble_Pk(family, k)
-    est = graph_measure_in(patch, lambda pts: ~pk.contains_any(pts),
+    est = graph_measure_in(g, lambda pts: ~pk.contains_any(pts),
                            settings.budget, settings.seed, key=("cover", m, k))
     bound = deficit_bound(family.n, family.s, stop_fraction, plane.slope)
     return CoverageDeficit(estimate=est, row=AuditRow.at_most(
@@ -690,7 +693,7 @@ class HoleMassCheck:
     row: "AuditRow"          # the mass's upper end against its cap
 
 
-def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
+def hole_intersection_mass(g: ScalarField, family: HoleFamily,
                            settings: AuditSettings = AuditSettings()
                            ) -> HoleMassCheck:
     """Surface mass of the graph inside the raw holes, with its cap.
@@ -699,16 +702,16 @@ def hole_intersection_mass(patch: GraphPatch, family: HoleFamily,
     the holes the graph actually meets by the area element bound
     sqrt(1 + r^2).
     """
-    _require_c1(patch, family.r, "configured C1 class")
-    est = graph_measure_in(patch, assemble_H(family).contains_any,
+    _require_c1(g, family.r, "configured C1 class")
+    est = graph_measure_in(g, assemble_H(family).contains_any,
                            settings.budget, settings.seed,
-                           key=("hole-mass", patch.source))
-    scan = graph_hit_scan(patch.g, family, np.arange(len(family)), 1.0)
+                           key=("hole-mass", g.label))
+    scan = graph_hit_scan(g, family, np.arange(len(family)), 1.0)
     hit_mass = float(np.sum(family.volumes[scan.hit_ids]))
     cap = hole_mass_cap(family.r, hit_mass)
     return HoleMassCheck(mass=est, hit_count=int(scan.hit.sum()),
                          hit_mass=hit_mass, row=AuditRow.at_most(
-                             f"holes-mass/{patch.source}", "graph-hole-mass",
+                             f"holes-mass/{g.label}", "graph-hole-mass",
                              est.upper(), cap))
 
 
@@ -1004,7 +1007,7 @@ def analysis_suite(seed: int = 0) -> list[AuditRow]:
     grad = np.array([0.2, -0.1, 0.15])
     window = Ball(c, 0.25)
     affine = _plane_patch(AffinePlane(index=1, gradient=grad, offset=0.004,
-                                      anchor=c), window, (), "affine").g
+                                      anchor=c), window, (), "affine")
     eps = 0.01
     smooth_aff = mollify(affine, eps)
     rows.append(_row(
@@ -1038,7 +1041,7 @@ def analysis_suite(seed: int = 0) -> list[AuditRow]:
                        label="inner")
     outer = _plane_patch(AffinePlane(index=1, gradient=np.zeros(3),
                                      offset=0.0, anchor=c),
-                         cut.ball, (), "outer").g
+                         cut.ball, (), "outer")
     mixed = blend(inner, outer, cut, seed=seed)
     blend_bound = max(inner.grad_bound, outer.grad_bound) + 3.0 * cut.eps
     sup_mixed = _suite_sup(

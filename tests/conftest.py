@@ -120,34 +120,34 @@ def corpus_spec():
 
 
 @pytest.fixture(scope="session")
-def corpus_entries(corpus_spec, demo_config):
+def corpus_fields(corpus_spec, demo_config):
     return generate_from_spec(corpus_spec, demo_config.build.window)
 
 
 @pytest.fixture(scope="session")
-def corpus_budgets(demo_family, corpus_entries):
-    """Per corpus field, keyed by source: its budget ledger (or the
+def corpus_budgets(demo_family, corpus_fields):
+    """Per corpus field, keyed by label: its budget ledger (or the
     exception it raised, kept for honest reporting), and the
-    ``(k, patch, hit_ids)`` that each of its stages handed the
+    ``(k, field, hit_ids)`` that each of its stages handed the
     disjointness audit, in stage order."""
     audit = verification.disjointness_audit
     stages = defaultdict(list)
 
-    def recording(family, k, patch, hit_ids):
-        # a smoothed stage's patch is named "<source>|smoothed:<k>"
-        stages[patch.source.split("|")[0]].append((k, patch, hit_ids))
-        return audit(family, k, patch, hit_ids)
+    def recording(family, k, g, hit_ids):
+        # a smoothed stage's field is labelled "<label>|smoothed:<k>"
+        stages[g.label.split("|")[0]].append((k, g, hit_ids))
+        return audit(family, k, g, hit_ids)
 
-    def one(entry):
+    def one(g):
         try:
-            return entry.patch.source, budget(entry.patch, demo_family)
+            return g.label, budget(g, demo_family)
         except Exception as exc:                    # noqa: BLE001
-            return entry.patch.source, exc
+            return g.label, exc
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verification, "disjointness_audit", recording)
         with ThreadPoolExecutor(max_workers=8) as pool:
-            ledgers = dict(pool.map(one, corpus_entries))
+            ledgers = dict(pool.map(one, corpus_fields))
     return ledgers, dict(stages)
 
 
@@ -157,10 +157,10 @@ def corpus_ledgers(corpus_budgets):
 
 
 @pytest.fixture(scope="session")
-def plane_entries(corpus_entries):
-    return [e for e in corpus_entries if e.kind == "plane"]
+def plane_fields(corpus_fields):
+    return [g for g in corpus_fields if g.label.startswith("plane[")]
 
 
 @pytest.fixture(scope="session")
-def nonplane_entries(corpus_entries):
-    return [e for e in corpus_entries if e.kind != "plane"]
+def nonplane_fields(corpus_fields):
+    return [g for g in corpus_fields if not g.label.startswith("plane[")]

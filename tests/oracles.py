@@ -320,7 +320,7 @@ def residue_region(family, hole_id, patch, budget, seed=0, key=()):
 
     def indicator(pts):
         pts = np.atleast_2d(pts)
-        return np.abs(patch.g.values(pts) - plane.heights(pts)) > threshold
+        return np.abs(patch.values(pts) - plane.heights(pts)) > threshold
 
     return primed, threshold, indicator, stratified_ball_integral(
         lambda pts: indicator(pts).astype(float), primed, seed, budget,
@@ -456,7 +456,7 @@ def sampled_shared_probes(family, k, patch, hit_ids, seed=0,
                      rad[pos], probes_per_hole)
         for pos, hole in enumerate(hit_ids)] or [np.zeros((0, family.n))])
     owner = np.repeat(np.arange(len(hit_ids)), probes_per_hole)
-    off = np.abs(patch.g.values(probes) - plane.heights(probes))
+    off = np.abs(patch.values(probes) - plane.heights(probes))
     kept = off > t[owner] / 4.0
     probes, owner, off = probes[kept], owner[kept], off[kept]
     # the other hit holes whose open primed ball holds a kept probe, in

@@ -15,7 +15,7 @@ import numpy as np
 
 from porous.errors import PorousError, PreconditionError
 from porous.geometry import AffinePlane, Ball, ScalarField
-from porous.surfaces import GraphPatch, unit_lattice
+from porous.surfaces import unit_lattice
 
 DELTA_SCALE = 1e-2          # extraction basin: delta = DELTA_SCALE * r
 NEWTON_CAP = 50
@@ -136,7 +136,7 @@ def newton_invert(f: SurfaceC1, targets: np.ndarray, tol: float
 
 def graph_extract(f: SurfaceC1, window: Ball, r_bound: float,
                   delta: Optional[float] = None, tol: float = NEWTON_TOL,
-                  audit_per_axis: int = 9) -> GraphPatch:
+                  audit_per_axis: int = 9) -> ScalarField:
     """Represent f over the window as a height field g via Newton inversion.
 
     Preconditions: the certified C¹ distance of f to the flat embedding is
@@ -166,8 +166,7 @@ def graph_extract(f: SurfaceC1, window: Ball, r_bound: float,
     # near-identity inversion inflates the C¹ distance by at most ~2x
     bound = 2.0 * certified
     gfield = ScalarField(domain=window, fn=g_fn, grad_fn=g_grad,
-                         grad_bound=bound, label=f"graph<{f.label}>")
-    patch = GraphPatch(g=gfield, source=f.label, c1_bound=bound)
+                         grad_bound=bound, label=f.label, c1_bound=bound)
 
     probes = window.center + (window.radius / math.sqrt(n)) * (
         unit_lattice(n, audit_per_axis) * 2.0 - 1.0)
@@ -177,4 +176,4 @@ def graph_extract(f: SurfaceC1, window: Ball, r_bound: float,
         raise ExtractionError(
             f"extracted field has probed C¹ size {max(sup_g, sup_dg):.3e} "
             f"> {r_bound:g}")
-    return patch
+    return gfield

@@ -18,7 +18,7 @@ import pytest
 from oracles import (brute_contains_any, brute_members, brute_pairs,
                      dense_grid_union_oracle, full_hit_scan,
                      grid_union_oracle)
-from porous import (AffinePlane, Ball, GraphPatch, ScalarField,
+from porous import (AffinePlane, Ball, ScalarField,
                     alpha_relaxed, budget,
                     build_family, bump_field, family_invariant_audit,
                     hole_intersection_mass, ledger_rows,
@@ -71,22 +71,21 @@ def _verdict(tag: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _flat_patch() -> GraphPatch:
-    g = ScalarField(
+def _flat_patch() -> ScalarField:
+    return ScalarField(
         domain=WINDOW, fn=lambda pts: np.zeros(len(np.atleast_2d(pts))),
         grad_fn=lambda pts: np.zeros_like(np.atleast_2d(pts)),
-        grad_bound=0.0, label="flat")
-    return GraphPatch(g=g, source="flat", c1_bound=0.0)
+        grad_bound=0.0, label="flat", c1_bound=0.0)
 
 
 @pytest.fixture(scope="session")
-def mass_checks(demo_family, corpus_entries):
-    def one(entry):
-        return hole_intersection_mass(entry.patch, demo_family)
+def mass_checks(demo_family, corpus_fields):
+    def one(g):
+        return hole_intersection_mass(g, demo_family)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
-        checks = list(pool.map(one, corpus_entries))
-    return list(zip(corpus_entries, checks))
+        checks = list(pool.map(one, corpus_fields))
+    return list(zip(corpus_fields, checks))
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +269,15 @@ def test_ac4_analytic_suite():
 # 5. staged budget over the 50-field corpus
 # ---------------------------------------------------------------------------
 
-def test_ac5_budget_corpus(demo_family, corpus_entries, corpus_ledgers):
+def test_ac5_budget_corpus(demo_family, corpus_fields, corpus_ledgers):
     errors = {src: led for src, led in corpus_ledgers.items()
               if not hasattr(led, "stages")}
     ledgers = [led for led in corpus_ledgers.values()
                if hasattr(led, "stages")]
 
-    corpus_ok = (len(corpus_entries) == 50
-                 and all(e.patch.c1_bound <= 1.0 / 64.0 + 1e-12
-                         for e in corpus_entries))
+    corpus_ok = (len(corpus_fields) == 50
+                 and all(e.c1_bound <= 1.0 / 64.0 + 1e-12
+                         for e in corpus_fields))
     checks = [({r.check: r for r in st.rows}, st)
               for led in ledgers for st in led.stages]
     ubound_ok = all(
@@ -324,8 +323,8 @@ def test_ac6_hole_mass(demo_family, demo_config, mass_checks):
 
     quarter = alpha_relaxed(demo_family.n, demo_family.s,
                             demo_config.build.stop_fractions[0]) / 4.0
-    plane_checks = [check for entry, check in mass_checks
-                    if entry.kind == "plane"]
+    plane_checks = [check for g, check in mass_checks
+                    if g.label.startswith("plane[")]
     plane_ok = (len(plane_checks) == 16
                 and all(c.mass.upper() < quarter for c in plane_checks))
     worst_plane = max(c.mass.upper() for c in plane_checks)
@@ -355,42 +354,39 @@ def test_ac7_union_grid_oracle_matches_dense_scan():
             dense_grid_union_oracle(balls, region, 64)
 
 
-def _replay_ledger(entry, family, ledger):
+def _replay_ledger(g, family, ledger):
     """Recompute every stage's hit set and mass: the exhaustive scan of
     ``oracles``, and the public API for the smoothing."""
-    current_field = entry.patch.g
-    current_patch = entry.patch
+    current = g
     total = 0.0
     for k in range(1, family.depth + 1):
         st = ledger.stages[k - 1]
-        scan = full_hit_scan(current_field, family, family.stage_ids(k),
+        scan = full_hit_scan(current, family, family.stage_ids(k),
                              K_constant(k), prefilter=False)
         if tuple(int(i) for i in scan.hit_ids) != st.classification.hit_ids:
-            return False, f"{entry.patch.source} stage {k} hit set differs"
+            return False, f"{g.label} stage {k} hit set differs"
         mass = float(np.sum(W3 * family.ts[scan.hit_ids] ** family.n))
         if mass != st.hit_mass:
-            return False, f"{entry.patch.source} stage {k} mass differs"
+            return False, f"{g.label} stage {k} mass differs"
         total += mass
         if k < family.depth:
             eps_next = float(family.epsilons[k])
             tol = eps_next * float(family.stage_radii[k - 1])
             smoothed = smooth_over_subfamily(
-                current_patch, family, st.classification.d_ids, eps_next,
+                current, family, st.classification.d_ids, eps_next,
                 tol, seed=0)
             grad_cap = 1.0 / 32.0 - 3.0 * sum(family.epsilons[:k])
-            current_field = dataclasses.replace(
-                smoothed, grad_bound=min(smoothed.grad_bound, grad_cap))
             drift = next(r.measured for r in st.rows
                          if r.check == "smoothing-drift")
-            current_patch = GraphPatch(
-                g=current_field, source=current_patch.source,
-                c1_bound=max(current_patch.c1_bound + drift, grad_cap))
+            current = dataclasses.replace(
+                smoothed, grad_bound=min(smoothed.grad_bound, grad_cap),
+                c1_bound=max(current.c1_bound + drift, grad_cap))
     if total != ledger.verdict.measured:
-        return False, f"{entry.patch.source} total mass differs"
-    return True, f"{entry.patch.source} {total:.6e}"
+        return False, f"{g.label} total mass differs"
+    return True, f"{g.label} {total:.6e}"
 
 
-def test_ac7_oracle_equivalences(demo_family, corpus_entries,
+def test_ac7_oracle_equivalences(demo_family, corpus_fields,
                                  corpus_ledgers):
     checks = {}
 
@@ -427,7 +423,7 @@ def test_ac7_oracle_equivalences(demo_family, corpus_entries,
     checks["index-scan"] = index_ok
 
     # ledger hit masses replayed by an exhaustive unprefiltered scan
-    by_source = {e.patch.source: e for e in corpus_entries}
+    by_source = {e.label: e for e in corpus_fields}
     replays = []
     for source in ("plane[0]", "plane[12]", "bump[0]"):
         ok, note = _replay_ledger(by_source[source], demo_family,
@@ -445,7 +441,7 @@ def test_ac7_oracle_equivalences(demo_family, corpus_entries,
 # 8. byte-level determinism
 # ---------------------------------------------------------------------------
 
-def test_ac8_determinism(tmp_path_factory, demo_family, corpus_entries,
+def test_ac8_determinism(tmp_path_factory, demo_family, corpus_fields,
                          corpus_ledgers):
     base = tmp_path_factory.mktemp("ac8")
     which = "construction,cover,porosity,analysis,holes-mass"
@@ -468,8 +464,8 @@ def test_ac8_determinism(tmp_path_factory, demo_family, corpus_entries,
              != (outs[1] / sub / name).read_bytes()]
 
     # the threaded session sweep and a fresh single-threaded call agree
-    entry = next(e for e in corpus_entries if e.patch.source == "plane[0]")
-    again = budget(entry.patch, demo_family)
+    again = budget(next(g for g in corpus_fields if g.label == "plane[0]"),
+                   demo_family)
     rows_equal = ([r.as_dict() for r in ledger_rows(again)]
                   == [r.as_dict()
                       for r in ledger_rows(corpus_ledgers["plane[0]"])])

@@ -559,7 +559,7 @@ def _joint_fields():
     plane = AffinePlane(1, np.array([0.0085, 0.0085, 0.0]), 0.0082, CENTER)
     patch = _plane_patch(plane, window,
                          [BumpSpec(tuple(CENTER + 0.05), 0.004, 0.3)],
-                         "joint").g
+                         "joint")
     pieces = _disjoint_pieces(patch, BLEND_SPECS[:2])
     fields = {"plane-patch": patch, "mollify": pieces[0][0],
               "cutoff": pieces[0][1].field,

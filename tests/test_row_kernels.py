@@ -132,8 +132,8 @@ def test_plane_patch_gradient(case):
     want = np.tile(plane.gradient, (len(pts), 1))
     assert _same_bits(fill_rows(plane.gradient, len(pts)), want)
     patch = _plane_patch(plane, Ball(np.zeros(n), 1.0), (), "plane")
-    assert _same_bits(patch.g.gradients(pts), want)
-    assert patch.g.constant_gradient is plane.gradient
+    assert _same_bits(patch.gradients(pts), want)
+    assert patch.constant_gradient is plane.gradient
 
 
 def _old_registrations(centers, radii, cell):
@@ -211,7 +211,7 @@ def _plane_and_generic(eps):
     and the same field mollified through the generic fold."""
     window = Ball(np.zeros(3), 0.25)
     plane = AffinePlane(1, GRADIENT, 0.0082, window.center)
-    g = _plane_patch(plane, window, (), "plane").g
+    g = _plane_patch(plane, window, (), "plane")
     return (mollify(g, eps),
             mollify(dataclasses.replace(g, constant_gradient=None), eps))
 

@@ -9,7 +9,7 @@ import pytest
 
 from parametric import (ExtractionError, SurfaceC1, graph_extract,
                         reference_distance, reference_surface)
-from porous import (AffinePlane, Ball, BumpSpec, GraphPatch, ParseError,
+from porous import (AffinePlane, Ball, BumpSpec, ParseError,
                     PreconditionError, SamplingBudget, ScalarField,
                     corpus_generate, generate_from_spec, graph_measure_in,
                     load_corpus_spec, sn_membership, substream)
@@ -59,6 +59,17 @@ def test_bump_spec_gradient_matches_finite_differences():
 def test_bump_spec_rejects_bad_width():
     with pytest.raises(ValueError):
         BumpSpec((0.0, 0.0, 0.0), 0.1, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["center", "amplitude", "width"])
+def test_bump_spec_refuses_a_number_that_is_not_finite_by_name(name, bad):
+    # a NaN centre would give a field that is NaN everywhere, and a NaN
+    # width or amplitude would fail later under another field's name
+    spec = {"center": (0.5, 0.5, 0.5), "amplitude": 1e-4, "width": 0.1}
+    spec[name] = (0.5, bad, 0.5) if name == "center" else bad
+    with pytest.raises(ValueError, match=f"^{name} must be a finite"):
+        BumpSpec(**spec)
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +155,8 @@ def test_graph_extract_affine_recovers_plane_heights():
     patch = graph_extract(f, WINDOW, r_bound=1.0)
     pts = sample_shell(substream(4, "affine-extract"), WINDOW.center, 0.0,
                        WINDOW.radius * 0.9, 500)
-    assert np.max(np.abs(patch.g.values(pts) - plane.heights(pts))) <= 1e-10
-    assert np.max(np.abs(patch.g.gradients(pts) - grad)) <= 1e-8
+    assert np.max(np.abs(patch.values(pts) - plane.heights(pts))) <= 1e-10
+    assert np.max(np.abs(patch.gradients(pts) - grad)) <= 1e-8
 
 
 def test_graph_extract_round_trip_with_horizontal_bump():
@@ -161,7 +172,7 @@ def test_graph_extract_round_trip_with_horizontal_bump():
     for rng in (substream(5, "roundtrip"), substream(7, "ac7-roundtrip")):
         u = sample_shell(rng, WINDOW.center, 0.0, WINDOW.radius * 0.8, 1000)
         image = f.value(u)
-        heights = patch.g.values(image[:, :3])
+        heights = patch.values(image[:, :3])
         assert np.max(np.abs(heights - image[:, 3])) <= 1e-10
 
 
@@ -177,18 +188,19 @@ def test_graph_extract_rejects_distant_surface():
                       delta=1.0)
 
 
-def _flat_patch():
-    zeros = ScalarField(domain=WINDOW, fn=lambda pts: np.zeros(len(pts)),
-                        grad_fn=np.zeros_like, grad_bound=0.0, label="flat")
-    return GraphPatch(g=zeros, source="flat", c1_bound=0.0)
+def _flat_patch(c1_bound=0.0):
+    return ScalarField(domain=WINDOW, fn=lambda pts: np.zeros(len(pts)),
+                       grad_fn=np.zeros_like, grad_bound=0.0, label="flat",
+                       c1_bound=c1_bound)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf, -math.inf])
 def test_graph_patch_refuses_a_c1_bound_that_is_not_finite_and_nonnegative(
         bad):
-    # a NaN or negative bound would pass every C1 ceiling check
+    # a graph patch is a ScalarField with a C1 bound; a NaN or negative
+    # bound would pass every C1 ceiling check
     with pytest.raises(ValueError, match="c1_bound must be finite and >= 0"):
-        GraphPatch(g=_flat_patch().g, source="flat", c1_bound=bad)
+        _flat_patch(c1_bound=bad)
 
 
 def test_graph_measure_of_flat_patch_is_window_volume():
@@ -223,15 +235,14 @@ def test_plane_corpus_is_the_full_grid():
               "offsets": [0.005, 0.006, 0.007]}
     entries = corpus_generate("plane", params, seed=0, window=WINDOW)
     assert len(entries) == 6
-    assert all(e.kind == "plane" for e in entries)
+    assert all(e.constant_gradient is not None for e in entries)
     # offsets outer, gradients inner: entry i is offset i // 2, gradient i % 2
-    assert [e.patch.source for e in entries] == [f"plane[{i}]"
-                                                 for i in range(6)]
+    assert [e.label for e in entries] == [f"plane[{i}]" for i in range(6)]
     pts = np.array([[0.5, 0.5, 0.5], [0.6, 0.4, 0.5]])
     for i, e in enumerate(entries):
         grad = np.array(params["gradients"][i % 2])
         want = params["offsets"][i // 2] + (pts - 0.5) @ grad
-        assert np.allclose(e.patch.g.values(pts), want, rtol=0, atol=1e-15)
+        assert np.allclose(e.values(pts), want, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -249,8 +260,7 @@ def test_plane_sup_is_the_largest_corner_height(n):
                    for signs in itertools.product((-1.0, 1.0), repeat=n)]
         sup = max(abs(h) for h in corners)
         slope = float(np.linalg.norm(grad))
-        assert entry.patch.c1_bound == pytest.approx(max(sup, slope),
-                                                     rel=1e-14)
+        assert entry.c1_bound == pytest.approx(max(sup, slope), rel=1e-14)
 
 
 @pytest.mark.parametrize("n", [20, 40])
@@ -266,7 +276,7 @@ def test_corpus_generation_does_not_walk_the_cube_corners(n):
     if n == 20:
         assert time.process_time() - start < 0.1
     assert len(planes) == 1 and len(bumps) == 2
-    assert planes[0].patch.c1_bound == pytest.approx(n * 1e-3 * 0.25)
+    assert planes[0].c1_bound == pytest.approx(n * 1e-3 * 0.25)
     with pytest.raises(ValueError, match="exceeds ceiling"):
         corpus_generate("plane", {"gradients": [[4e-3] * n],
                                   "offsets": [0.0]}, 0, window)
@@ -278,10 +288,10 @@ def test_corpus_generation_is_deterministic():
     b = corpus_generate("bump", params, seed=11, window=WINDOW)
     for ea, eb in zip(a, b):
         pts = sample_shell(substream(6, "det"), WINDOW.center, 0.0, 0.2, 64)
-        assert np.array_equal(ea.patch.g.values(pts), eb.patch.g.values(pts))
-        assert ea.patch.c1_bound == eb.patch.c1_bound
+        assert np.array_equal(ea.values(pts), eb.values(pts))
+        assert ea.c1_bound == eb.c1_bound
     c = corpus_generate("bump", params, seed=12, window=WINDOW)
-    assert any(a[i].patch.c1_bound != c[i].patch.c1_bound for i in range(5))
+    assert any(a[i].c1_bound != c[i].c1_bound for i in range(5))
 
 
 def test_bump_corpus_lives_on_the_window_it_is_given():
@@ -293,11 +303,11 @@ def test_bump_corpus_lives_on_the_window_it_is_given():
     entries = corpus_generate("bump", params, seed=5, window=window)
     pts = sample_shell(substream(9, "4d"), window.center, 0.0, 0.2, 4096)
     for e, again in zip(entries, generate_from_spec(spec, window)):
-        assert e.patch.g.domain is window
-        vals = e.patch.g.values(pts)
+        assert e.domain is window
+        vals = e.values(pts)
         assert vals.shape == (4096,) and np.abs(vals).max() > 0.0
-        assert e.patch.g.gradients(pts).shape == (4096, 4)
-        assert np.array_equal(again.patch.g.values(pts), vals)
+        assert e.gradients(pts).shape == (4096, 4)
+        assert np.array_equal(again.values(pts), vals)
 
 
 def test_corpus_ceiling_is_enforced():
@@ -378,27 +388,58 @@ def test_noise_corpus_certified_exactly_at_strength():
               "strength": 0.004, "c1_ceiling": 0.005}
     entries = corpus_generate("mollified-noise", params, seed=7, window=WINDOW)
     for e in entries:
-        assert e.patch.c1_bound == pytest.approx(0.004, rel=1e-12)
+        assert e.c1_bound == pytest.approx(0.004, rel=1e-12)
 
 
-def test_corpus_patches_declare_valid_c1_bounds(corpus_entries):
+def test_corpus_patches_declare_valid_c1_bounds(corpus_fields):
     rng = substream(8, "corpus-c1")
     pts = rng.uniform(0.3, 0.7, size=(256, 3))
-    for e in corpus_entries:
-        sup_val = float(np.abs(e.patch.g.values(pts)).max())
-        sup_grad = float(np.linalg.norm(e.patch.g.gradients(pts),
+    for e in corpus_fields:
+        sup_val = float(np.abs(e.values(pts)).max())
+        sup_grad = float(np.linalg.norm(e.gradients(pts),
                                         axis=1).max())
-        assert max(sup_val, sup_grad) <= e.patch.c1_bound * (1 + 1e-9)
-        assert e.patch.c1_bound <= 1.0 / 64.0 + 1e-12
+        assert max(sup_val, sup_grad) <= e.c1_bound * (1 + 1e-9)
+        assert e.c1_bound <= 1.0 / 64.0 + 1e-12
 
 
-def test_demo_corpus_composition(corpus_entries):
+def test_demo_corpus_composition(corpus_fields):
     kinds = {}
-    for e in corpus_entries:
-        kinds[e.kind] = kinds.get(e.kind, 0) + 1
-    assert len(corpus_entries) == 50
+    for e in corpus_fields:
+        kind = e.label.split("[")[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert len(corpus_fields) == 50
     assert kinds == {"plane": 16, "bump": 12, "multi-bump": 12,
                      "mollified-noise": 10}
+
+
+def test_a_corpus_field_is_affine_exactly_when_it_is_a_plane(corpus_spec,
+                                                              demo_config):
+    # the plane-mass-alpha row goes to the fields with a constant
+    # gradient, so no kind with bumps may build one, even with one bump
+    bumps = {"amplitude": [1e-4, 2e-4], "width": [0.1, 0.2]}
+    groups = corpus_spec + [
+        {"kind": "multi-bump", "seed": 1,
+         "params": {"count": 2, "bumps": 1, **bumps}},
+        {"kind": "mollified-noise", "seed": 2,
+         "params": {"count": 2, "grains": 1}}]
+    for group in groups:
+        fields = corpus_generate(group["kind"], group["params"],
+                                 group["seed"], demo_config.build.window)
+        assert fields and all(
+            (g.constant_gradient is not None) == (group["kind"] == "plane")
+            for g in fields), group["kind"]
+
+
+@pytest.mark.parametrize("kind, key", [("multi-bump", "bumps"),
+                                       ("mollified-noise", "grains")])
+def test_corpus_refuses_zero_bumps_or_grains(kind, key):
+    params = {"count": 1, key: 0}
+    if kind == "multi-bump":
+        params.update(amplitude=[1e-4, 2e-4], width=[0.1, 0.2])
+    spec = [{"kind": kind, "seed": 0, "params": params}]
+    with pytest.raises(ParseError, match=rf"^corpus entry 0 \({kind}\): "
+                       f"{key} must be a positive integer, got 0$"):
+        generate_from_spec(spec, WINDOW)
 
 
 def test_load_corpus_spec_validation(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from porous import (AuditFailure, AuditReport, AuditRow, AuditSettings,
-                    Ball, GraphPatch,
+                    Ball,
                     HoleFamily, NeedsMoreSamples, PreconditionError,
                     SamplingBudget,
                     ScalarField, alpha_relaxed, analysis_suite,
@@ -82,17 +82,12 @@ def _manual_family(base_centers, ts, levels=None, epsilons=(0.0025,),
         base_centers=base, ts=ts)
 
 
-def _field_patch(field, label, c1):
-    return GraphPatch(g=field, source=label, c1_bound=c1)
-
-
 def _flat_patch(c1=0.0):
     window = Ball(np.full(3, 0.5), 0.25)
-    g = ScalarField(
+    return ScalarField(
         domain=window, fn=lambda pts: np.zeros(len(np.atleast_2d(pts))),
         grad_fn=lambda pts: np.zeros_like(np.atleast_2d(pts)),
-        grad_bound=0.0, label="flat")
-    return _field_patch(g, "flat", c1)
+        grad_bound=0.0, label="flat", c1_bound=c1)
 
 
 def _bump_patch(center, t, height_factor, width_factor, c1=None):
@@ -104,9 +99,9 @@ def _bump_patch(center, t, height_factor, width_factor, c1=None):
     def fn(pts):
         return bump.values(pts)
 
-    g = ScalarField(domain=window, fn=fn, grad_fn=bump.gradients,
-                    grad_bound=bump.grad_bound, label="dip")
-    return _field_patch(g, "dip", bump.grad_bound if c1 is None else c1)
+    return ScalarField(domain=window, fn=fn, grad_fn=bump.gradients,
+                       grad_bound=bump.grad_bound, label="dip",
+                       c1_bound=bump.grad_bound if c1 is None else c1)
 
 
 def _tilt_patch(offset, slope=0.02):
@@ -120,9 +115,8 @@ def _tilt_patch(offset, slope=0.02):
     def grad_fn(pts):
         return np.broadcast_to(grad, np.atleast_2d(pts).shape).copy()
 
-    g = ScalarField(domain=window, fn=fn, grad_fn=grad_fn,
-                    grad_bound=slope, label="tilt")
-    return _field_patch(g, "tilt", slope)
+    return ScalarField(domain=window, fn=fn, grad_fn=grad_fn,
+                       grad_bound=slope, label="tilt", c1_bound=slope)
 
 
 # ---------------------------------------------------------------------------
@@ -133,39 +127,39 @@ def test_hit_scan_vertical_gap_decides():
     t = 0.004
     fam = _manual_family([[0.5, 0.5, 0.5], [0.6, 0.5, 0.5]], [t, t])
     flat = _flat_patch()
-    scan = graph_hit_scan(flat.g, fam, np.array([0, 1]), K=1.5)
+    scan = graph_hit_scan(flat, fam, np.array([0, 1]), K=1.5)
     # flat graph stays 2t below every lifted centre: 2t > 1.5t, all missed
     assert not scan.hit.any()
     assert np.all(scan.min_gap >= -1e-6)
 
     dip = _bump_patch([0.5, 0.5, 0.5], t, height_factor=0.6, width_factor=1.0)
-    scan2 = graph_hit_scan(dip.g, fam, np.array([0, 1]), K=1.5)
+    scan2 = graph_hit_scan(dip, fam, np.array([0, 1]), K=1.5)
     assert scan2.hit.tolist() == [True, False]
     assert scan2.hit_ids.tolist() == [0]
 
 
-def test_hit_scan_prefilter_never_changes_verdicts(demo_family, plane_entries):
+def test_hit_scan_prefilter_never_changes_verdicts(demo_family, plane_fields):
     fam = demo_family
-    patch = plane_entries[0].patch
+    patch = plane_fields[0]
     ids = fam.stage_ids(1)
-    fast = graph_hit_scan(patch.g, fam, ids, K=1.5)
-    slow = full_hit_scan(patch.g, fam, ids, K=1.5, prefilter=False)
+    fast = graph_hit_scan(patch, fam, ids, K=1.5)
+    slow = full_hit_scan(patch, fam, ids, K=1.5, prefilter=False)
     assert np.array_equal(fast.hit, slow.hit)
     assert fast.prefiltered.any()          # the shortcut did real work
     assert not slow.prefiltered.any()
 
 
-def test_hit_scan_shrinking_constant_is_monotone(demo_family, plane_entries):
+def test_hit_scan_shrinking_constant_is_monotone(demo_family, plane_fields):
     fam = demo_family
-    patch = plane_entries[-1].patch
+    patch = plane_fields[-1]
     ids = fam.stage_ids(1)
-    wide = graph_hit_scan(patch.g, fam, ids, K=1.5)
-    narrow = graph_hit_scan(patch.g, fam, ids, K=1.25)
+    wide = graph_hit_scan(patch, fam, ids, K=1.5)
+    narrow = graph_hit_scan(patch, fam, ids, K=1.25)
     assert np.all(wide.hit | ~narrow.hit)   # narrow hits are wide hits
 
 
 def test_hit_scan_matches_the_closed_form_on_every_demo_plane(
-        demo_family, corpus_spec, plane_entries):
+        demo_family, corpus_spec, plane_fields):
     # the lattice and descent against the exact distance to each plane:
     # stage 1 at K = 3/2 and stage 2 at K = 5/4, as the budget scans them,
     # and every hole at K = 1
@@ -173,18 +167,18 @@ def test_hit_scan_matches_the_closed_form_on_every_demo_plane(
     group = next(g for g in corpus_spec if g["kind"] == "plane")["params"]
     planes = [(off, grad) for off in group["offsets"]
               for grad in group["gradients"]]
-    assert [e.patch.source for e in plane_entries] \
+    assert [e.label for e in plane_fields] \
         == [f"plane[{i}]" for i in range(len(planes))] and len(planes) == 16
     queries = [(fam.stage_ids(1), 1.5), (fam.stage_ids(2), 1.25),
                (np.arange(len(fam)), 1.0)]
     hits = total = 0
-    for entry, (offset, gradient) in zip(plane_entries, planes):
+    for entry, (offset, gradient) in zip(plane_fields, planes):
         for ids, K in queries:
             exact, slack = affine_hits(gradient, offset, fam.window.center,
                                        fam, ids, K)
             assert not (np.abs(slack) < 1e-12).any()   # none too close
-            scan = graph_hit_scan(entry.patch.g, fam, ids, K)
-            assert np.array_equal(scan.hit, exact), (entry.patch.source, K)
+            scan = graph_hit_scan(entry, fam, ids, K)
+            assert np.array_equal(scan.hit, exact), (entry.label, K)
             hits += int(exact.sum())
             total += len(ids)
     assert total == 16 * 2 * len(fam) and hits > 0
@@ -215,10 +209,9 @@ def test_hit_scan_matches_the_closed_form_in_the_scanned_band(
     offset = float(h + side * v0 - (x - anchor) @ gradient)
     # the slope is in the class; the offset, near the hole's height, may
     # take the plane's sup past the class's ceiling, which the scan ignores
-    entry, = corpus_generate("plane", {"gradients": [gradient.tolist()],
-                                       "offsets": [offset], "c1_ceiling": 1.0},
-                             0, fam.window)
-    g = entry.patch.g
+    g, = corpus_generate("plane", {"gradients": [gradient.tolist()],
+                                   "offsets": [offset], "c1_ceiling": 1.0},
+                         0, fam.window)
     # the scan's own prefilter and centre tests leave the hole open
     gap = abs(float(g.values(x[None])[0]) - h)
     assume(gap / math.sqrt(1.0 + g.grad_bound**2) - K * fam.ts[hole]
@@ -261,7 +254,7 @@ def test_hit_scan_finds_the_misses_of_the_scanned_band(demo_family):
         entry, = corpus_generate("plane", {"gradients": [gradient.tolist()],
                                            "offsets": [offset],
                                            "c1_ceiling": 1.0}, 0, fam.window)
-        g = dataclasses.replace(entry.patch.g, grad_bound=cap)
+        g = dataclasses.replace(entry, grad_bound=cap)
         # neither the prefilter nor the centre witness decides the hole
         gap = abs(float(g.values(x[None])[0]) - h)
         assert gap / math.sqrt(1.0 + cap * cap) - K * t <= HIT_MARGIN \
@@ -319,10 +312,10 @@ def _assert_scan_matches_the_oracle(new, full, prefilter):
 @pytest.mark.parametrize("prefilter", [True, False])
 @pytest.mark.parametrize("K", [1.0, 1.25, 1.5])
 def test_hit_scan_matches_the_full_scan_on_the_bench_planes(
-        demo_family, plane_entries, K, prefilter):
+        demo_family, plane_fields, K, prefilter):
     ids = np.arange(len(demo_family))
     for i in BENCH_PLANES:
-        g = plane_entries[i].patch.g
+        g = plane_fields[i]
         _assert_scan_matches_the_oracle(
             graph_hit_scan(g, demo_family, ids, K),
             full_hit_scan(g, demo_family, ids, K, prefilter=prefilter),
@@ -330,7 +323,7 @@ def test_hit_scan_matches_the_full_scan_on_the_bench_planes(
 
 
 @pytest.mark.parametrize("index", BENCH_PLANES)
-def test_hit_scan_matches_the_full_scan_in_budget(demo_family, plane_entries,
+def test_hit_scan_matches_the_full_scan_in_budget(demo_family, plane_fields,
                                                   monkeypatch, index):
     # every scan of a plane's ledger: stage 1, the hit-consistency pair
     # and the smoothed field's stage-2 scan; between them they hold
@@ -342,9 +335,9 @@ def test_hit_scan_matches_the_full_scan_in_budget(demo_family, plane_entries,
         return graph_hit_scan(g, family, ids, K)
 
     monkeypatch.setattr(verification, "graph_hit_scan", recording)
-    budget(plane_entries[index].patch, demo_family)
+    budget(plane_fields[index], demo_family)
     assert len(scans) == 4
-    assert scans[3][0].label != plane_entries[index].patch.g.label
+    assert scans[3][0].label != plane_fields[index].label
     searched = 0
     for g, ids, K in scans:
         scan = graph_hit_scan(g, demo_family, ids, K)
@@ -411,11 +404,11 @@ def test_hit_scan_decides_each_hole_at_its_first_witness():
 
 
 def test_hit_scan_evaluates_once_when_the_centres_decide(demo_family,
-                                                         plane_entries):
+                                                         plane_fields):
     # plane[0] at K = 1.5: every hole is either prefiltered or hit at its
     # centre, so one batched evaluation at the base centres decides all
     ids = np.arange(len(demo_family))
-    g, sizes = _counted(plane_entries[0].patch.g)
+    g, sizes = _counted(plane_fields[0])
     scan = graph_hit_scan(g, demo_family, ids, 1.5)
     assert sizes == [len(ids)]
     assert scan.prefiltered.any() and scan.hit.any()
@@ -423,11 +416,11 @@ def test_hit_scan_evaluates_once_when_the_centres_decide(demo_family,
 
 
 def test_hit_scan_searches_only_the_undecided_holes(demo_family,
-                                                    plane_entries):
+                                                    plane_fields):
     # plane[3], stage 1 at K = 1.5: one hole is neither prefiltered nor hit
     # at its centre, and only it gets the lattice and the descent
     ids = demo_family.stage_ids(1)
-    g, sizes = _counted(plane_entries[3].patch.g)
+    g, sizes = _counted(plane_fields[3])
     graph_hit_scan(g, demo_family, ids, 1.5)
     assert sizes[:2] == [len(ids), _lattice_size(3)]
     assert set(sizes[2:]) <= {6} and len(sizes) - 2 <= REFINE_ITERS
@@ -467,7 +460,7 @@ def test_residue_region_measure_matches_closed_form_and_grid():
     pts = np.stack([X.ravel(), Y.ravel(), Z.ravel()], axis=1) + center
     pts = pts[np.linalg.norm(pts - center, axis=1) < R]
     plane = fam.plane(1)
-    frac = (np.abs(patch.g.values(pts) - plane.heights(pts)) > t / 4.0).mean()
+    frac = (np.abs(patch.values(pts) - plane.heights(pts)) > t / 4.0).mean()
     grid = frac * W3 * R**3
     assert abs(est.value - grid) <= est.half_width + 0.02 * exact
 
@@ -496,6 +489,11 @@ def test_c1_ceiling_is_checked_at_every_entry_point(cap, what, run):
         with pytest.raises(PreconditionError, match=f"exceeds {what} ") as err:
             run(fam, _flat_patch(c1=c1))
         assert err.value.details == {"c1_bound": c1, "cap": cap}
+    # a field that carries no C1 bound is refused, not passed
+    with pytest.raises(PreconditionError,
+                       match=f"carries no C1 bound for {what}$") as err:
+        run(fam, _flat_patch(c1=None))
+    assert err.value.details == {"c1_bound": None, "cap": cap}
 
 
 def test_residue_region_rejects_overhanging_hole():
@@ -587,10 +585,10 @@ def test_classification_d_branch_with_empty_residue():
 
 
 def test_classification_algebraic_fast_path_skips_sampling(demo_family,
-                                                           plane_entries):
+                                                           plane_fields):
     fam = demo_family
-    patch = plane_entries[0].patch
-    scan = graph_hit_scan(patch.g, fam, fam.stage_ids(1), K=1.5)
+    patch = plane_fields[0]
+    scan = graph_hit_scan(patch, fam, fam.stage_ids(1), K=1.5)
     eps1 = fam.epsilons[0]
     assert eps1 * fam.E**3 < 1.0      # every hit is algebraically d
     cls = classify_holes(fam, 1, patch, scan.hit_ids, SamplingBudget(8, 32))
@@ -765,19 +763,40 @@ def test_floor_replay_of_a_covered_window_needs_more_samples():
 
 
 def test_sampled_shared_probes_find_nothing_on_the_demo_planes(
-        demo_family, plane_entries, corpus_budgets):
+        demo_family, plane_fields, corpus_budgets):
     # every stage's hit set of every demo plane's ledger, with the field
     # the stage audits: no probe lies in two residue regions
     _, stages = corpus_budgets
-    assert len(plane_entries) == 16
-    audited = [stage for entry in plane_entries
-               for stage in stages[entry.patch.source]]
+    assert len(plane_fields) == 16
+    audited = [stage for entry in plane_fields
+               for stage in stages[entry.label]]
     assert len(audited) == 16 * demo_family.depth
     assert [k for k, _, _ in audited] == \
         list(range(1, demo_family.depth + 1)) * 16
     assert sum(len(ids) for _, _, ids in audited) > 0
     for k, patch, hit_ids in audited:
         assert sampled_shared_probes(demo_family, k, patch, hit_ids) == {}
+
+
+def test_budget_hands_the_next_stage_one_replaced_field(demo_family,
+                                                        corpus_budgets):
+    # plane[6]'s stage-2 field: the smoothed field with the stage cap on
+    # its gradient bound, the drift added to its C1 bound, and its label
+    ledgers, stages = corpus_budgets
+    (_, first, _), (k, second, _) = stages["plane[6]"]
+    stage = ledgers["plane[6]"].stages[0]
+    assert k == 2 and stage.classification.d_ids
+    eps = tuple(float(e) for e in demo_family.epsilons)
+    cap = bounds.grad_cap(eps, 1)
+    smoothed = smooth_over_subfamily(
+        first, demo_family, stage.classification.d_ids, eps[1],
+        bounds.drift_bound(eps, 1, float(demo_family.stage_radii[0])))
+    drift = next(r.measured for r in stage.rows
+                 if r.check == "smoothing-drift")
+    assert second.label == "plane[6]|smoothed:1"
+    assert second.grad_bound == min(smoothed.grad_bound, cap)
+    assert second.c1_bound == max(first.c1_bound + drift, cap)
+    assert first.label == "plane[6]" and first.c1_bound is not None
 
 
 def test_disjointness_audit_is_strict_about_nested_hit_pairs():
@@ -827,8 +846,8 @@ def test_pair_audits_of_four_thousand_holes_need_no_dense_table():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def plane_ledger(demo_family, plane_entries):
-    return budget(plane_entries[0].patch, demo_family)
+def plane_ledger(demo_family, plane_fields):
+    return budget(plane_fields[0], demo_family)
 
 
 def _checks(rows):
@@ -886,13 +905,13 @@ def test_ledger_rows_flatten_verdicts(demo_family, plane_ledger):
 
 
 def test_ledger_rows_report_the_run_dbound_constant(demo_family,
-                                                   plane_entries,
+                                                   plane_fields,
                                                    plane_ledger,
                                                    monkeypatch):
     # the shipped planes sit near ratio 2449, so a constant of 1000 must
     # turn the d-energy rows red and be the bound they report
     monkeypatch.setattr(verification, "DBOUND_C", 1000.0)
-    ledger = budget(plane_entries[0].patch, demo_family)
+    ledger = budget(plane_fields[0], demo_family)
     for st, ref in zip(ledger.stages, plane_ledger.stages):
         row = _checks(st.rows)["d-energy"]
         assert row.bound == 1000.0
@@ -903,7 +922,7 @@ def test_ledger_rows_report_the_run_dbound_constant(demo_family,
 
 
 def test_budget_d_energy_equals_a_per_hole_residue_energy_loop(
-        demo_family, plane_entries, monkeypatch):
+        demo_family, plane_fields, monkeypatch):
     # record what each stage hands the batched estimator, then redo it
     # one residue_energy call per hole
     calls = []
@@ -914,7 +933,7 @@ def test_budget_d_energy_equals_a_per_hole_residue_energy_loop(
         return out
 
     monkeypatch.setattr(verification, "residue_energies", spy)
-    ledger = budget(plane_entries[0].patch, demo_family)
+    ledger = budget(plane_fields[0], demo_family)
     assert len(calls) == len(ledger.stages) == 2
     for st, (ids, patch, budget_cfg, seed, batched) in zip(ledger.stages,
                                                            calls):
@@ -992,7 +1011,7 @@ def test_residue_energies_take_one_stage_at_a_time(demo_family):
 def _smoothing_chain(patch, family, selected, eps_next, match_tol, seed=0,
                      check_budget=128):
     """Reference: one nested two-field blend per selected ball, in order."""
-    current = patch.g
+    current = patch
     inners = {}
     for hole_id in selected:
         hole_id = int(hole_id)
@@ -1000,38 +1019,37 @@ def _smoothing_chain(patch, family, selected, eps_next, match_tol, seed=0,
         primed_radius = family.E * t
         sigma = eps_next * primed_radius / 3.0
         if t not in inners:
-            inners[t] = mollify(patch.g, sigma,
-                                label=f"{patch.g.label}^{sigma:.2e}")
+            inners[t] = mollify(patch, sigma,
+                                label=f"{patch.label}^{sigma:.2e}")
         cut = make_cutoff(Ball(family.base_centers[hole_id], primed_radius),
                           eps_next)
         current = blend_disjoint(current, [(inners[t], cut)],
                                  check_budget=check_budget, seed=seed,
                                  match_tol=match_tol,
-                                 label=f"{patch.g.label}~{hole_id}")
+                                 label=f"{patch.label}~{hole_id}")
     return current
 
 
 def test_smooth_over_subfamily_matches_nested_blend_chain(demo_family,
-                                                          plane_entries):
+                                                          plane_fields):
     fam = demo_family
-    plane = plane_entries[0].patch
-    selected = graph_hit_scan(plane.g, fam, fam.stage_ids(1), K=1.5).hit_ids
+    plane = plane_fields[0]
+    selected = graph_hit_scan(plane, fam, fam.stage_ids(1), K=1.5).hit_ids
     assert len(selected) >= 2
     # smoothing leaves a plane unchanged to rounding, so smooth a wavy
     # field over the plane's balls to make the blend move the values
     k = np.array([9e4, -4e4, 7e4])
     g = ScalarField(
-        domain=plane.g.domain,
-        fn=lambda pts: plane.g.values(pts) + 1e-6 * np.sin(pts @ k),
-        grad_fn=lambda pts: (plane.g.gradients(pts)
+        domain=plane.domain,
+        fn=lambda pts: plane.values(pts) + 1e-6 * np.sin(pts @ k),
+        grad_fn=lambda pts: (plane.gradients(pts)
                              + 1e-6 * np.cos(pts @ k)[:, None] * k),
-        grad_bound=plane.g.grad_bound + 1e-6 * float(np.linalg.norm(k)),
+        grad_bound=plane.grad_bound + 1e-6 * float(np.linalg.norm(k)),
         label="wavy")
-    patch = _field_patch(g, "wavy", g.grad_bound)
     eps_next = float(fam.epsilons[1])
     tol = eps_next * float(fam.stage_radii[0])
-    flat = smooth_over_subfamily(patch, fam, selected, eps_next, tol)
-    chain = _smoothing_chain(patch, fam, selected, eps_next, tol)
+    flat = smooth_over_subfamily(g, fam, selected, eps_next, tol)
+    chain = _smoothing_chain(g, fam, selected, eps_next, tol)
     rng = substream(21, "smooth-vs-chain")
     groups = [sample_shell(rng, fam.window.center, 0.0, fam.window.radius,
                            4096), _ball_probes(fam, selected)]
@@ -1056,7 +1074,7 @@ def test_smoothed_plane_at_a_lone_point_equals_its_batch_row():
     # values and gradients at each point alone are its batch row's bytes
     g = corpus_generate("plane", {"gradients": [[0.0085, 0.0085, 0.0]],
                                   "offsets": [0.0082]}, 0,
-                        Ball(np.full(3, 0.5), 0.25))[0].patch.g
+                        Ball(np.full(3, 0.5), 0.25))[0]
     eps, t = 0.00125, 0.03
     centers = [np.array([0.45, 0.5, 0.5]), np.array([0.56, 0.5, 0.5])]
     pieces = [(mollify(g, eps * t / 3.0), make_cutoff(Ball(c, t), eps))
@@ -1088,8 +1106,8 @@ def test_smooth_over_a_thousand_disjoint_balls():
     vals = smoothed.values(probes)
     grads = smoothed.gradients(probes)
     # mollifying an affine field reproduces it up to rounding
-    assert np.max(np.abs(vals - patch.g.values(probes))) <= 1e-15
-    assert np.max(np.abs(grads - patch.g.gradients(probes))) <= 1e-12
+    assert np.max(np.abs(vals - patch.values(probes))) <= 1e-15
+    assert np.max(np.abs(grads - patch.gradients(probes))) <= 1e-12
     assert smoothed.grad_bound == pytest.approx(0.02 + 1000 * 3.0 * 0.05)
 
 
@@ -1191,8 +1209,8 @@ def test_porosity_witness_rejects_far_points(demo_family):
         porosity_witness(np.array([10.0, 10.0, 10.0, 10.0]), demo_family)
 
 
-def test_hole_mass_capped_by_hit_cross_sections(demo_family, plane_entries):
-    patch = plane_entries[0].patch
+def test_hole_mass_capped_by_hit_cross_sections(demo_family, plane_fields):
+    patch = plane_fields[0]
     check = hole_intersection_mass(patch, demo_family)
     assert check.row.status == "pass"
     assert check.row.bound == pytest.approx(
@@ -1201,8 +1219,8 @@ def test_hole_mass_capped_by_hit_cross_sections(demo_family, plane_entries):
     assert check.hit_count > 0
 
 
-def test_hole_mass_zero_for_certified_missers(demo_family, nonplane_entries):
-    patch = nonplane_entries[0].patch
+def test_hole_mass_zero_for_certified_missers(demo_family, nonplane_fields):
+    patch = nonplane_fields[0]
     check = hole_intersection_mass(patch, demo_family)
     assert check.hit_count == 0
     assert check.mass.value == 0.0
